@@ -18,9 +18,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from cuspidal import report as reportmod  # noqa: E402
 from cuspidal import svgplot  # noqa: E402
 from cuspidal.errors import NonGenericRobotError  # noqa: E402
-from cuspidal.critical import critical_values, trace_critical_points  # noqa: E402
 from cuspidal.robotfile import parse_robot_file  # noqa: E402
-from cuspidal.topology import build_topology, is_cuspidal  # noqa: E402
+from cuspidal.topology import is_cuspidal  # noqa: E402
 
 
 def main() -> int:
@@ -49,15 +48,13 @@ def main() -> int:
             doc = reportmod.build_report(name, p, settings, report=rep)
             rows.append((name, doc["verdict"], len(rep.cusps), len(rep.nodes),
                          time.time() - t0))
-            curves = trace_critical_points(p, args.grid)
-            wcurves = critical_values(p, curves)
             with open(os.path.join(args.out, f"{name}.workspace.svg"), "w",
                       encoding="utf-8", newline="\n") as fh:
-                fh.write(svgplot.render_workspace(wcurves, rep.cusps, rep.nodes))
-            maps = build_topology(p, curves, args.grid)
+                fh.write(svgplot.render_workspace(rep.workspace_curves, rep.cusps, rep.nodes))
+            curves = [w.joint for w in rep.workspace_curves]
             with open(os.path.join(args.out, f"{name}.jointspace.svg"), "w",
                       encoding="utf-8", newline="\n") as fh:
-                fh.write(svgplot.render_jointspace(curves, maps.ps, maps.aspects))
+                fh.write(svgplot.render_jointspace(curves, rep.maps.ps, rep.maps.aspects))
         with open(os.path.join(args.out, f"{name}.report.json"), "w",
                   encoding="utf-8", newline="\n") as fh:
             fh.write(reportmod.dumps(doc))

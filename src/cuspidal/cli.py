@@ -130,14 +130,14 @@ def cmd_classify(args) -> int:
         rep = is_cuspidal(p, grid_n=args.grid, census_n=args.census, samples=args.samples)
     except NonGenericRobotError as exc:
         doc = reportmod.build_report(name, p, settings, genericity=exc.report)
-        _emit_classify(args, name, p, doc, fmts, None)
+        _emit_classify(args, name, doc, fmts, None)
         return EXIT_NON_GENERIC
     doc = reportmod.build_report(name, p, settings, report=rep)
-    _emit_classify(args, name, p, doc, fmts, rep)
+    _emit_classify(args, name, doc, fmts, rep)
     return EXIT_CUSPIDAL if rep.verdict else EXIT_OK
 
 
-def _emit_classify(args, name, p, doc, fmts, rep) -> None:
+def _emit_classify(args, name, doc, fmts, rep) -> None:
     _print(doc)
     out = _ensure_out(args)
     if "json" in fmts:
@@ -150,9 +150,7 @@ def _emit_classify(args, name, p, doc, fmts, rep) -> None:
         _write_cusp_csv(os.path.join(out, f"{name}.cusps.csv"), rep.cusps)
         _write_node_csv(os.path.join(out, f"{name}.nodes.csv"), rep.nodes)
     if "svg" in fmts:
-        curves = trace_critical_points(p, args.grid)
-        wcurves = critical_values(p, curves)
-        svg = svgplot.render_workspace(wcurves, rep.cusps, rep.nodes)
+        svg = svgplot.render_workspace(rep.workspace_curves, rep.cusps, rep.nodes)
         with open(os.path.join(out, f"{name}.workspace.svg"), "w",
                   encoding="utf-8", newline="\n") as fh:
             fh.write(svg)
@@ -276,7 +274,7 @@ def cmd_pseudo(args) -> int:
     name, p = _robot(args)
     fmts = _formats(args)
     curves = trace_critical_points(p, args.grid)
-    ps = compute_pseudosingularities(p, curves)
+    ps = compute_pseudosingularities(p, curves, args.grid)
     if "csv" in fmts:
         out = _ensure_out(args)
         for k, chain in enumerate(ps.polylines):
@@ -330,7 +328,7 @@ def cmd_plot(args) -> int:
         fname = f"{name}.workspace.svg"
     elif args.what == "jointspace":
         curves = trace_critical_points(p, args.grid)
-        ps = compute_pseudosingularities(p, curves)
+        ps = compute_pseudosingularities(p, curves, args.grid)
         amap = compute_aspects(p, curves, args.grid)
         svg = svgplot.render_jointspace(curves, ps, amap)
         fname = f"{name}.jointspace.svg"

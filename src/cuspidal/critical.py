@@ -8,6 +8,7 @@ curves and certified post hoc by their defining residuals.
 """
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from collections import defaultdict
@@ -139,16 +140,18 @@ class RegionCensus:
 # tracing
 # --------------------------------------------------------------------------
 
-def _marching_segments(p: DhParams, grid_n: int):
-    """Edge-crossing graph of det J = 0 on the wrapped grid.
+def _marching_segments(f: np.ndarray, th: np.ndarray, field):
+    """Edge-crossing graph of the sign changes of a sampled field.
 
-    Returns (node positions keyed by edge id, undirected adjacency, set of
+    `f` holds the field on the wrapped grid th x th; `field(theta2, theta3)`
+    evaluates it at saddle-cell centers.  Node `("u", i, j)` is the crossing
+    on the grid edge from (th[i], th[j]) to (th[i] + h, th[j]), node
+    `("v", i, j)` the one on the edge toward (th[i], th[j] + h).  Returns
+    (linearly interpolated node positions, undirected adjacency, set of
     cells containing curve segments).
     """
-    th = -math.pi + TWO_PI * np.arange(grid_n) / grid_n
+    grid_n = len(th)
     h = TWO_PI / grid_n
-    t2g, t3g = np.meshgrid(th, th, indexing="ij")
-    f = det_jacobian(p, t2g, t3g)
     neg = f < 0
     cross_u = neg != np.roll(neg, -1, axis=0)
     cross_v = neg != np.roll(neg, -1, axis=1)
@@ -192,7 +195,7 @@ def _marching_segments(p: DhParams, grid_n: int):
             curve_cells.add((i, j))
         elif len(edges) == 4:
             # saddle cell: the center sample decides the pairing
-            fc = float(det_jacobian(p, th[i] + h / 2, th[j] + h / 2))
+            fc = float(field(th[i] + h / 2, th[j] + h / 2))
             bottom, right, top, left = edges
             if (f[i, j] < 0) == (fc < 0):
                 pairs = ((left, bottom), (top, right))
@@ -205,11 +208,25 @@ def _marching_segments(p: DhParams, grid_n: int):
     return pos, adj, curve_cells
 
 
+def _det_segments(p: DhParams, grid_n: int):
+    """Marching-squares graph of det J = 0 sampled at the grid vertices."""
+    th = -math.pi + TWO_PI * np.arange(grid_n) / grid_n
+    t2g, t3g = np.meshgrid(th, th, indexing="ij")
+    field = functools.partial(det_jacobian, p)
+    return _marching_segments(field(t2g, t3g), th, field)
+
+
 def _chain_loops(pos, adj):
-    """Walk the degree-2 crossing graph into closed vertex loops."""
+    """Walk a crossing graph of degree <= 2 into vertex chains.
+
+    Open chains are walked from their degree-1 ends first, so each comes out
+    whole; the remaining nodes form closed loops.  Returns (vertices, closed)
+    pairs.
+    """
     seen = set()
     loops = []
-    for start in sorted(adj):
+    ends = sorted(n for n in adj if len(adj[n]) == 1)
+    for start in ends + sorted(adj):
         if start in seen:
             continue
         loop = [start]
@@ -258,7 +275,7 @@ def trace_critical_points(p: DhParams, grid_n: int = DEFAULT_GRID_N):
     if grid_n < 64:
         raise ValueError("grid_n must be >= 64")
     scale = singularity_scale(p)
-    pos, adj, _ = _marching_segments(p, grid_n)
+    pos, adj, _ = _det_segments(p, grid_n)
     curves = []
     for verts, closed in _chain_loops(pos, adj):
         refined = _refine_on_zero_set(p, verts, scale)
@@ -270,7 +287,7 @@ def trace_critical_points(p: DhParams, grid_n: int = DEFAULT_GRID_N):
 
 def curve_cells(p: DhParams, grid_n: int):
     """Grid cells containing segments of the traced zero set."""
-    _, _, cells = _marching_segments(p, grid_n)
+    _, _, cells = _det_segments(p, grid_n)
     return cells
 
 

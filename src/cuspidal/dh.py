@@ -26,12 +26,6 @@ def wrap_angle(a):
     return (np.asarray(a) + math.pi) % TWO_PI - math.pi
 
 
-def torus_dist(a, b):
-    """Geodesic distance between (theta2, theta3) points on the flat torus."""
-    d = np.abs(wrap_angle(np.asarray(a, float) - np.asarray(b, float)))
-    return float(np.hypot(d[..., 0], d[..., 1])) if d.ndim else float(d)
-
-
 @dataclass(frozen=True)
 class DhParams:
     """Classical D-H parameters of a 3R positional chain.

@@ -21,14 +21,6 @@ class ZeroPolynomialError(CuspidalError):
     """All quartic coefficients are numerically zero."""
 
 
-class BackSubstitutionSingular(CuspidalError):
-    """F1^2 + F2^2 ~ 0 at a root: theta2 cannot be recovered."""
-
-
-class NewtonDivergenceError(CuspidalError):
-    """A Newton refinement failed to converge from the given seed."""
-
-
 class StartOrGoalSingularError(CuspidalError):
     """A path query endpoint lies on (or too close to) the singularity locus."""
 

@@ -25,16 +25,12 @@ def seg_intersect(a0, a1, b0, b1):
 
 
 def point_segment_dist(px, py, ax, ay, bx, by):
-    return _point_segment_foot(px, py, ax, ay, bx, by)[0]
-
-
-def _point_segment_foot(px, py, ax, ay, bx, by):
     vx, vy = bx - ax, by - ay
     wx, wy = px - ax, py - ay
     vv = vx * vx + vy * vy
     t = 0.0 if vv == 0.0 else min(1.0, max(0.0, (wx * vx + wy * vy) / vv))
     fx, fy = ax + t * vx, ay + t * vy
-    return math.hypot(px - fx, py - fy), (fx, fy)
+    return math.hypot(px - fx, py - fy)
 
 
 class SegmentHash:
@@ -126,75 +122,42 @@ def split_torus_polyline(vertices, closed: bool, jump: float = math.pi):
     return pieces
 
 
-def torus_point_polyline_dist(point, polylines_closed) -> float:
-    """Torus distance from a (theta2, theta3) point to closed torus polylines.
-
-    polylines_closed: iterable of (n, 2) vertex arrays treated cyclically.
-    """
-    p = np.asarray(point, float)
-    best = math.inf
-    for poly in polylines_closed:
-        n = len(poly)
-        for k in range(n):
-            a = poly[k]
-            b = poly[(k + 1) % n]
-            a0, b0 = unwrap_segment(a, b)
-            # shift the point to the representative nearest the segment start
-            pp = a0 + wrap_angle(p - a0)
-            d = point_segment_dist(pp[0], pp[1], a0[0], a0[1], b0[0], b0[1])
-            if d < best:
-                best = d
-    return best
-
-
 class TorusCurveIndex:
     """KD-tree accelerated torus distance queries against closed polylines."""
 
     def __init__(self, polylines_closed):
         from scipy.spatial import cKDTree
 
-        segs = []
-        mids = []
-        self.max_half = 0.0
-        for poly in polylines_closed:
-            n = len(poly)
-            for k in range(n):
-                a, b = unwrap_segment(poly[k], poly[(k + 1) % n])
-                segs.append((a, b))
-                mids.append(0.5 * (a + b))
-                self.max_half = max(self.max_half, 0.5 * float(np.hypot(*(b - a))))
-        self.segs = segs
+        segs = [unwrap_segment(poly[k], poly[(k + 1) % len(poly)])
+                for poly in polylines_closed for k in range(len(poly))]
         self.empty = len(segs) == 0
         if not self.empty:
-            m = wrap_angle(np.array(mids))
+            self.seg_a = np.array([a for a, _ in segs])
+            self.seg_b = np.array([b for _, b in segs])
+            m = wrap_angle(0.5 * (self.seg_a + self.seg_b))
             # 3x3 tiling turns torus distance into plain Euclidean distance
-            tiles = []
-            self.tile_of = []
-            for dx in (-TWO_PI, 0.0, TWO_PI):
-                for dy in (-TWO_PI, 0.0, TWO_PI):
-                    tiles.append(m + np.array([dx, dy]))
-                    self.tile_of.extend(range(len(segs)))
+            tiles = [m + np.array([dx, dy])
+                     for dx in (-TWO_PI, 0.0, TWO_PI) for dy in (-TWO_PI, 0.0, TWO_PI)]
             self.tree = cKDTree(np.vstack(tiles))
-            self.tile_of = np.array(self.tile_of)
+            self.tile_of = np.tile(np.arange(len(segs)), 9)
 
     def dist(self, point, k: int = 16) -> float:
-        return self.nearest(point, k)[0]
+        return float(self.dists(point, k)[0])
 
-    def nearest(self, point, k: int = 16):
-        """(distance, closest point) on the indexed curves, torus metric."""
+    def dists(self, points, k: int = 16) -> np.ndarray:
+        """Torus distances from a point or an (m, 2) point array to the
+        indexed curves, minimised over the segments whose midpoints are the
+        k nearest."""
+        pts = wrap_angle(np.asarray(points, float).reshape(-1, 2))
         if self.empty:
-            return math.inf, None
-        p = wrap_angle(np.asarray(point, float))
-        dd, ii = self.tree.query(p, k=min(k, len(self.tile_of)))
-        best = math.inf
-        best_pt = None
-        for d_mid, idx in zip(np.atleast_1d(dd), np.atleast_1d(ii)):
-            if d_mid - self.max_half > best:
-                continue
-            a, b = self.segs[self.tile_of[idx]]
-            pp = a + wrap_angle(p - a)
-            d, foot = _point_segment_foot(pp[0], pp[1], a[0], a[1], b[0], b[1])
-            if d < best:
-                best = d
-                best_pt = wrap_angle(np.array(foot))
-        return best, best_pt
+            return np.full(len(pts), math.inf)
+        k = min(k, len(self.tile_of))
+        _, idx = self.tree.query(pts, k=k)
+        seg = self.tile_of[np.reshape(idx, (len(pts), k))]
+        a = self.seg_a[seg]
+        ab = self.seg_b[seg] - a
+        w = wrap_angle(pts[:, None, :] - a)
+        vv = np.sum(ab * ab, axis=-1)
+        t = np.clip(np.sum(w * ab, axis=-1) / np.where(vv == 0.0, 1.0, vv), 0.0, 1.0)
+        off = w - t[..., None] * ab
+        return np.min(np.hypot(off[..., 0], off[..., 1]), axis=1)

@@ -49,12 +49,6 @@ class FCoefficients:
     v: np.ndarray
     w: np.ndarray
 
-    def values(self, theta3):
-        c3, s3 = np.cos(theta3), np.sin(theta3)
-        return (self.u[:, None] * np.atleast_1d(c3)
-                + self.v[:, None] * np.atleast_1d(s3)
-                + self.w[:, None])
-
     def value(self, i: int, theta3: float) -> float:
         return float(self.u[i] * math.cos(theta3) + self.v[i] * math.sin(theta3) + self.w[i])
 
@@ -231,9 +225,6 @@ class Quartic:
     def value(self, t):
         return np.polyval(self.coeffs(), t)
 
-    def deriv(self, order: int = 1) -> np.ndarray:
-        return np.polyder(self.coeffs(), order)
-
 
 def quartic_coeffs_from_conic(cc: np.ndarray) -> np.ndarray:
     """Tangent half-angle substitution, cleared by (1 + t^2)^2.
@@ -249,6 +240,21 @@ def quartic_coeffs_from_conic(cc: np.ndarray) -> np.ndarray:
         4 * axy + 4 * by,
         axx + 2 * bx + c,
     ))
+
+
+def quartic_discriminant(m: np.ndarray) -> np.ndarray:
+    """Discriminant of the binary quartic a t^4 + b t^3 s + c t^2 s^2 + d t s^3 + e s^4.
+
+    Works on a coefficient stack of shape (5, ...).  Equals
+    a^6 prod_{i<j} (r_i - r_j)^2 over the roots of M(t), and stays continuous
+    through the degree drop a -> 0 (a root at t = inf, i.e. theta3 = pi),
+    where it tends to b^2 times the discriminant of the remaining cubic.
+    Computed from the invariants I and J as (4 I^3 - J^2) / 27.
+    """
+    a, b, c, d, e = m
+    i = 12.0 * a * e - 3.0 * b * d + c * c
+    j = 72.0 * a * c * e + 9.0 * b * c * d - 27.0 * (a * d * d + b * b * e) - 2.0 * c * c * c
+    return (4.0 * i * i * i - j * j) / 27.0
 
 
 def quartic_from_conic(conic: ConicCoeffs) -> Quartic:

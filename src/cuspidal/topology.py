@@ -1,14 +1,19 @@
 """Aspects, pseudosingularities, reduced aspects and the cuspidality verdict.
 
 Aspects are the connected components of the torus minus the critical-point
-curves; pseudosingularities are nonsingular preimages of critical values
-(PS = f^-1(f(S)) \\ S); reduced aspects are components of the complement of
-S union PS.  The verdict (existence of a cusp) is cross-validated against an
-independent oracle: sampling regular workspace points and asking whether two
-IK solutions ever share an aspect.
+curves S.  Pseudosingularities are the nonsingular preimages of critical
+values, PS = f^-1(f(S)) \\ S.  f^-1(f(S)) is the zero set of one scalar
+field, the pulled-back IK discriminant D(theta2, theta3) = disc_t M(t; f),
+and PS is where D changes sign; S, where f folds, is an even-order zero.
+Reduced aspects are the components of the complement of S union PS: one
+flood fill over the cell grid, blocked where det J or D changes sign.  The
+verdict (existence of a cusp) is cross-validated against an independent
+oracle: sampling regular workspace points and asking whether two IK
+solutions ever share an aspect.
 """
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -32,6 +37,8 @@ from .errors import CuspidalError, NonGenericRobotError, StartOrGoalSingularErro
 from .geometry import TorusCurveIndex, seg_intersect, split_torus_polyline, unwrap_segment
 from .critical import (
     DEFAULT_GRID_N,
+    _chain_loops,
+    _marching_segments,
     critical_values,
     find_cusps,
     find_nodes,
@@ -39,7 +46,13 @@ from .critical import (
     region_census,
     trace_critical_points,
 )
-from .reduction import conic_classify, solve_ik_cross_section
+from .reduction import (
+    conic_classify,
+    conic_raw,
+    quartic_coeffs_from_conic,
+    quartic_discriminant,
+    solve_ik_cross_section,
+)
 
 PS_EXCLUSION_RADIUS = 1e-2
 PATH_DET_TOL = 1e-4  # times singularity scale
@@ -98,9 +111,9 @@ class ReducedAspectMap:
 class PseudoSingularitySet:
     """Nonsingular preimages of the critical values, chained into polylines."""
 
-    polylines: tuple          # of (k, 2) arrays, open chains on the torus
-    sources: tuple            # source JointCurve index per polyline
+    polylines: tuple          # of (k, 2) arrays on the torus; closed loops repeat their first point
     exclusion_radius: float
+    d_positive: np.ndarray    # (N, N) D > 0 at the cell centers of the grid it was traced on
 
     def total_points(self) -> int:
         return sum(len(c) for c in self.polylines)
@@ -166,6 +179,9 @@ class CuspidalityReport:
     conic_kind: str
     anomalies: tuple
     work: dict
+    # analysis products kept for figures; not part of the serialized report
+    workspace_curves: tuple
+    maps: TopologyMaps
 
     @property
     def agrees(self) -> bool:
@@ -176,11 +192,20 @@ class CuspidalityReport:
 # flood fill with blocked edges
 # --------------------------------------------------------------------------
 
-def _center_grid(p: DhParams, grid_n: int):
+def _centers(grid_n: int) -> np.ndarray:
     h = TWO_PI / grid_n
-    centers = -math.pi + h * (np.arange(grid_n) + 0.5)
-    c2, c3 = np.meshgrid(centers, centers, indexing="ij")
-    return det_jacobian(p, c2, c3)
+    return -math.pi + h * (np.arange(grid_n) + 0.5)
+
+
+def _center_field(field, grid_n: int, rows: int = 48) -> np.ndarray:
+    """field(theta2, theta3) at the cell centers, evaluated in row blocks so
+    that the temporaries stay small."""
+    th = _centers(grid_n)
+    out = np.empty((grid_n, grid_n))
+    for i in range(0, grid_n, rows):
+        t2, t3 = np.meshgrid(th[i:i + rows], th, indexing="ij")
+        out[i:i + rows] = field(t2, t3)
+    return out
 
 
 def _block_edges_with_polylines(blocked_r, blocked_u, grid_n, pieces):
@@ -217,11 +242,20 @@ def _block_edges_with_polylines(blocked_r, blocked_u, grid_n, pieces):
                         blocked_u[i, j] = True
 
 
-def _components(det_c, blocked_r, blocked_u, grid_n, excluded=None):
-    """Connected components over open edges; excluded cells get label -1."""
-    pos = det_c >= 0
-    open_r = (pos == np.roll(pos, -1, axis=0)) & ~blocked_r
-    open_u = (pos == np.roll(pos, -1, axis=1)) & ~blocked_u
+def _components(key, blocked_r=None, blocked_u=None, excluded=None):
+    """Connected components of cells joined across open edges.
+
+    An edge between neighboring cells is open when both carry the same key,
+    it is not blocked, and neither cell is excluded; excluded cells get label
+    -1.  Labels are numbered by first row-major appearance, so they are
+    deterministic.
+    """
+    grid_n = key.shape[0]
+    open_r = key == np.roll(key, -1, axis=0)
+    open_u = key == np.roll(key, -1, axis=1)
+    if blocked_r is not None:
+        open_r &= ~blocked_r
+        open_u &= ~blocked_u
     if excluded is not None:
         open_r &= ~excluded & ~np.roll(excluded, -1, axis=0)
         open_u &= ~excluded & ~np.roll(excluded, -1, axis=1)
@@ -231,20 +265,14 @@ def _components(det_c, blocked_r, blocked_u, grid_n, excluded=None):
     graph = coo_matrix((np.ones(len(rows), dtype=bool), (rows, cols)),
                        shape=(grid_n * grid_n, grid_n * grid_n))
     n_comp, raw = connected_components(graph, directed=False)
-    raw = raw.reshape(grid_n, grid_n)
-    # renumber by first row-major appearance so labels are deterministic
+    flat = raw if excluded is None else raw[~excluded.ravel()]
+    comps, first = np.unique(flat, return_index=True)
     remap = -np.ones(n_comp, dtype=np.int32)
-    keep = np.ones((grid_n, grid_n), dtype=bool) if excluded is None else ~excluded
-    nxt = 0
-    flat = raw.ravel()
-    keep_flat = keep.ravel()
-    for k, v in enumerate(flat):
-        if keep_flat[k] and remap[v] < 0:
-            remap[v] = nxt
-            nxt += 1
-    labels = remap[flat].reshape(grid_n, grid_n)
-    labels[~keep] = -1
-    return nxt, labels
+    remap[comps[np.argsort(first)]] = np.arange(len(comps), dtype=np.int32)
+    labels = remap[raw].reshape(grid_n, grid_n)
+    if excluded is not None:
+        labels[excluded] = -1
+    return len(comps), labels
 
 
 def _polyline_pieces(curves):
@@ -257,347 +285,118 @@ def _polyline_pieces(curves):
 def compute_aspects(p: DhParams, curves, grid_n: int = DEFAULT_GRID_N) -> AspectMap:
     """Flood fill of the torus grid with edges blocked at sign changes of
     det J and at crossings of the traced critical-point polylines."""
-    det_c = _center_grid(p, grid_n)
+    det_c = _center_field(functools.partial(det_jacobian, p), grid_n)
     blocked_r = np.zeros((grid_n, grid_n), dtype=bool)
     blocked_u = np.zeros((grid_n, grid_n), dtype=bool)
     _block_edges_with_polylines(blocked_r, blocked_u, grid_n, _polyline_pieces(curves))
-    count, labels = _components(det_c, blocked_r, blocked_u, grid_n)
-    labels = labels.astype(np.int32)
+    count, labels = _components(det_c >= 0, blocked_r, blocked_u)
     scale = singularity_scale(p)
     labels[np.abs(det_c) < _SINGULAR_CELL_TOL * scale] = -1
     return AspectMap(grid_n, labels, count, det_c)
 
 
-def _ps_candidates(p: DhParams, s_index, exclusion_radius: float, scale: float,
-                   theta2: float, theta3: float):
-    """Pseudosingular preimages of the critical value of one S point.
+def _discriminant(p: DhParams, theta2, theta3):
+    """D = disc_t M(t; f(theta2, theta3)), up to a positive factor.
 
-    Membership is geometric (farther than the exclusion radius from every
-    critical curve); a |det J| floor would delete genuine PS branches that
-    run close to S with small but nonzero determinant.
+    The conic is scaled to unit max-norm per point, which keeps D of order one
+    and leaves its sign and zero set unchanged.
     """
     x, y, z = fk_arrays(p, 0.0, theta2, theta3)
-    target = CrossSectionPoint(float(np.hypot(x, y)), float(z))
-    try:
-        sols = solve_ik_cross_section(p, target)
-    except CuspidalError:
-        return []
-    cands = []
-    for s in sols.solutions:
-        pt = np.array([s.config.theta2, s.config.theta3])
-        if s_index.dist(pt) <= exclusion_radius:
-            continue
-        cands.append(pt)
-    return cands
+    zr = z - p.d1
+    cc = conic_raw(p, x * x + y * y + zr * zr, zr)
+    cc = cc / np.maximum(np.max(np.abs(cc), axis=0), 1e-300)
+    return quartic_discriminant(quartic_coeffs_from_conic(cc))
+
+
+def _refine_crossings(field, keys, th, f, iters: int = 36):
+    """Bisect the sign change of a field along each crossed grid edge.
+
+    `keys` are crossing nodes of `_marching_segments` over the samples `f`
+    on th x th; returns their positions on the torus.
+    """
+    h = TWO_PI / len(th)
+    ii = np.array([k[1] for k in keys])
+    jj = np.array([k[2] for k in keys])
+    along_u = np.array([k[0] == "u" for k in keys])
+    start = np.column_stack([th[ii], th[jj]])
+    step = np.where(along_u[:, None], (h, 0.0), (0.0, h))
+    neg0 = f[ii, jj] < 0
+    lo = np.zeros(len(keys))
+    hi = np.ones(len(keys))
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        pts = start + mid[:, None] * step
+        same = (field(pts[:, 0], pts[:, 1]) < 0) == neg0
+        lo = np.where(same, mid, lo)
+        hi = np.where(same, hi, mid)
+    return wrap_angle(start + (0.5 * (lo + hi))[:, None] * step)
 
 
 def compute_pseudosingularities(p: DhParams, curves,
-                                exclusion_radius: float = PS_EXCLUSION_RADIUS) -> PseudoSingularitySet:
-    """PS = f^-1(f(S)) \\ S, chained into polylines along each source curve.
+                                grid_n: int = DEFAULT_GRID_N) -> PseudoSingularitySet:
+    """PS = f^-1(f(S)) \\ S as the sign-change set of the pulled-back discriminant.
 
-    For every sample on every critical curve, the IK preimages of its
-    critical value that stay farther than the exclusion radius from all
-    critical curves (torus metric) are pseudosingular points; consecutive
-    samples link them into chains by nearest-neighbor continuity.  Where a
-    preimage moves faster than the source step resolves, the source interval
-    is subdivided (refined back onto the critical curve) so chains do not
-    tear on fast stretches.
+    f^-1(f(S)) is the zero set of D(theta2, theta3) = disc_t M(t; f(theta2,
+    theta3)).  D changes sign across PS, where f is a local diffeomorphism,
+    and touches zero without a sign change on S, where f folds.  D is sampled
+    once at the cell centers; the same marching squares that traces S
+    extracts its sign changes, each crossing is bisected along its grid
+    edge, and points within the exclusion radius of S (where the even-order
+    zero leaves the sign to rounding noise) are dropped, which opens the
+    chains that run into S.
     """
-    scale = singularity_scale(p)
-    s_index = TorusCurveIndex([c.vertices for c in curves])
-    chain_gap = max(6.0 * TWO_PI / max(len(c) for c in curves) if curves else 0.1, 0.05)
+    th = _centers(grid_n)
+    field = functools.partial(_discriminant, p)
+    d = _center_field(field, grid_n)
+    pos, adj, _ = _marching_segments(d, th, field)
     polylines = []
-    sources = []
-    for ci, curve in enumerate(curves):
-        verts = curve.vertices
-        n = len(verts)
-        active: list = []   # list of [tail_point, [points...]]
-        done: list = []
-        prev_vertex = None
-        for k in range(n):
-            cur_vertex = verts[k]
-            cands = _ps_candidates(p, s_index, exclusion_radius, scale,
-                                   float(cur_vertex[0]), float(cur_vertex[1]))
-            used_a, used_b = _greedy_match(active, cands, chain_gap)
-            # fast stretches: walk subdivided source samples to carry the
-            # chain tail forward, then retry the vertex candidates
-            if prev_vertex is not None:
-                for ai, chain in enumerate(active):
-                    if ai in used_a:
-                        continue
-                    if _extend_through_subdivision(
-                            p, s_index, exclusion_radius, scale, chain,
-                            prev_vertex, cur_vertex, chain_gap):
-                        for bi, pt in enumerate(cands):
-                            if bi in used_b:
-                                continue
-                            if float(np.hypot(*wrap_angle(pt - chain[0]))) < chain_gap:
-                                chain[1].append(pt)
-                                chain[0] = pt
-                                used_a.add(ai)
-                                used_b.add(bi)
-                                break
-            survivors = []
-            for ai, chain in enumerate(active):
-                if ai in used_a:
-                    survivors.append(chain)
-                else:
-                    # branch dies inside [prev, cur]: walk the end toward the
-                    # death point (sqrt-fast near S) before retiring
-                    if prev_vertex is not None:
-                        _extend_end_bisect(p, s_index, exclusion_radius, scale,
-                                           chain[1], prev_vertex, cur_vertex,
-                                           chain_gap, forward=True)
-                    done.append(chain[1])
-            active = survivors
-            for bi, pt in enumerate(cands):
-                if bi not in used_b:
-                    newborn = [pt, [pt]]
-                    if prev_vertex is not None:
-                        _extend_end_bisect(p, s_index, exclusion_radius, scale,
-                                           newborn[1], prev_vertex, cur_vertex,
-                                           chain_gap, forward=False)
-                    active.append(newborn)
-            prev_vertex = cur_vertex
-        done.extend(chain[1] for chain in active)
-        # reconnect across the cyclic seam of the source curve
-        merged = _merge_chain_ends(done, chain_gap)
-        for chain in merged:
-            chain = _trim_singular_ends(p, chain, scale, s_index, exclusion_radius)
-            if len(chain) >= 2:
-                polylines.append(np.array(chain))
-                sources.append(ci)
-    return PseudoSingularitySet(tuple(polylines), tuple(sources), exclusion_radius)
-
-
-def _trim_singular_ends(p: DhParams, chain, scale: float, s_index, exclusion_radius):
-    """Drop terminating stubs that run into the critical curves.
-
-    PS branches end on S, so |det J| decays to zero at the chain ends; only
-    points that are both under the det floor and hugging S are dropped (the
-    excluded boundary band covers them for the flood fill).  Interior
-    stretches with small determinant are genuine PS and must stay.
-    """
-    bound = 1e-4 * scale
-    reach = 2.0 * exclusion_radius
-
-    def is_stub(pt) -> bool:
-        return (abs(float(det_jacobian(p, pt[0], pt[1]))) <= bound
-                and s_index.dist(pt) <= reach)
-
-    lo, hi = 0, len(chain)
-    while lo < hi and is_stub(chain[lo]):
-        lo += 1
-    while hi > lo and is_stub(chain[hi - 1]):
-        hi -= 1
-    return list(chain[lo:hi])
-
-
-def _greedy_match(active, cands, gap):
-    pairs = []
-    for ai, chain in enumerate(active):
-        for bi, pt in enumerate(cands):
-            d = float(np.hypot(*wrap_angle(pt - chain[0])))
-            if d < gap:
-                pairs.append((d, ai, bi))
-    pairs.sort()
-    used_a, used_b = set(), set()
-    for _, ai, bi in pairs:
-        if ai in used_a or bi in used_b:
-            continue
-        used_a.add(ai)
-        used_b.add(bi)
-        active[ai][1].append(cands[bi])
-        active[ai][0] = cands[bi]
-    return used_a, used_b
-
-
-def _extend_through_subdivision(p, s_index, exclusion_radius, scale, chain,
-                                prev_vertex, cur_vertex, gap, steps: int = 8) -> bool:
-    """Advance a chain tail through subdivided source samples between two
-    consecutive curve vertices; returns True if any progress was made."""
-    from .critical import _refine_on_zero_set
-
-    a, b = unwrap_segment(prev_vertex, cur_vertex)
-    progressed = False
-    for j in range(1, steps):
-        mid = a + (b - a) * (j / steps)
-        refined = _refine_on_zero_set(p, mid[None, :], scale)[0]
-        for pt in _ps_candidates(p, s_index, exclusion_radius, scale,
-                                 float(refined[0]), float(refined[1])):
-            if float(np.hypot(*wrap_angle(pt - chain[0]))) < gap:
-                chain[1].append(pt)
-                chain[0] = pt
-                progressed = True
-                break
-    return progressed
-
-
-def _extend_end_bisect(p, s_index, exclusion_radius, scale, points,
-                       prev_vertex, cur_vertex, gap, forward: bool,
-                       iters: int = 16) -> None:
-    """Walk a chain end toward its birth/death point inside one source step.
-
-    Pseudosingular branches appear and disappear with square-root speed at
-    their endpoints on the critical curves, so the end can move several
-    chain gaps within a single source step; bisection on the source interval
-    resolves the blow-up with a widened match radius.  `forward=True`
-    appends (death of a surviving chain), `forward=False` prepends (birth).
-    """
-    from .critical import _refine_on_zero_set
-
-    a, b = unwrap_segment(prev_vertex, cur_vertex)
-    # existence is monotone near the endpoint: a dying branch exists for
-    # fractions below the death point, a newborn one above the birth point
-    lo, hi = 0.0, 1.0
-    end = np.asarray(points[-1] if forward else points[0], float)
-    gathered = []
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        sample = a + (b - a) * mid
-        refined = _refine_on_zero_set(p, sample[None, :], scale)[0]
-        best = None
-        best_d = 3.0 * gap
-        for pt in _ps_candidates(p, s_index, exclusion_radius, scale,
-                                 float(refined[0]), float(refined[1])):
-            d = float(np.hypot(*wrap_angle(pt - end)))
-            if d < best_d:
-                best, best_d = pt, d
-        if best is not None:
-            end = best
-            gathered.append(best)
-            if forward:
-                lo = mid
-            else:
-                hi = mid
-        else:
-            if forward:
-                hi = mid
-            else:
-                lo = mid
-    if forward:
-        points.extend(gathered)
-    else:
-        for pt in gathered:
-            points.insert(0, pt)
-
-
-def _merge_chain_ends(chains, gap):
-    """Concatenate chains whose ends meet, in any of the four orientations."""
-    chains = [list(c) for c in chains if c]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(chains)):
-            if changed:
-                break
-            for j in range(len(chains)):
-                if i == j:
-                    continue
-                tail = np.asarray(chains[i][-1])
-                head_j = np.asarray(chains[j][0])
-                tail_j = np.asarray(chains[j][-1])
-                if float(np.hypot(*wrap_angle(head_j - tail))) < gap:
-                    chains[i].extend(chains[j])
-                elif float(np.hypot(*wrap_angle(tail_j - tail))) < gap:
-                    chains[i].extend(reversed(chains[j]))
-                else:
-                    continue
-                del chains[j]
-                changed = True
-                break
-    return chains
+    if pos:
+        keys = sorted(pos)
+        pts = _refine_crossings(field, keys, th, d)
+        s_index = TorusCurveIndex([c.vertices for c in curves])
+        far = s_index.dists(pts) > PS_EXCLUSION_RADIUS
+        kept = {k: pt for k, pt, ok in zip(keys, pts, far) if ok}
+        adj = {k: [n for n in adj[k] if n in kept] for k in kept}
+        for verts, closed in _chain_loops(kept, adj):
+            if closed:
+                verts = np.vstack([verts, verts[:1]])
+            if len(verts) >= 2:
+                polylines.append(verts)
+    return PseudoSingularitySet(tuple(polylines), PS_EXCLUSION_RADIUS, d > 0)
 
 
 def compute_reduced_aspects(p: DhParams, curves, ps: PseudoSingularitySet,
-                            grid_n: int = DEFAULT_GRID_N) -> ReducedAspectMap:
-    """Flood fill blocking on S, PS and short closure segments that reconnect
-    PS chain ends to the critical curves (PS branches terminate on S).
+                            grid_n: int = DEFAULT_GRID_N,
+                            aspects: AspectMap | None = None) -> ReducedAspectMap:
+    """Flood fill of the torus minus S union PS.
 
-    Pseudosingularity branches can run inside the exclusion band around S,
-    where no PS polyline exists to block and where cell-center predicates
-    cannot resolve which side of the boundary a cell is on.  That band is
-    therefore treated as boundary territory: its cells are labeled -1 and
-    removed from the connectivity, which is the honest resolution-limited
-    reading of the reduced-aspect decomposition (extra splitting is safe,
-    leaking between reduced aspects is not).
+    Edges are blocked where det J or D changes sign between cell centers.
+    D has an even-order zero on S, and PS branches end on S inside the
+    exclusion band, where cell-center signs cannot resolve which side of
+    the boundary a cell is on.  That band is therefore boundary territory:
+    its cells are labeled -1 and removed from the connectivity, which is
+    the honest resolution-limited reading of the decomposition (extra
+    splitting is safe, leaking between reduced aspects is not).  Without
+    pseudosingularities S is the only boundary and the reduced aspects are
+    the aspects.  `aspects` is the AspectMap of the same grid (computed
+    when not given).
     """
-    det_c = _center_grid(p, grid_n)
-    blocked_r = np.zeros((grid_n, grid_n), dtype=bool)
-    blocked_u = np.zeros((grid_n, grid_n), dtype=bool)
-    pieces = _polyline_pieces(curves)
-    for chain in ps.polylines:
-        pieces.extend(split_torus_polyline(chain, closed=False))
-    s_index = TorusCurveIndex([c.vertices for c in curves])
-    for chain in ps.polylines:
-        for end in (chain[0], chain[-1]):
-            d, foot = s_index.nearest(end)
-            if foot is not None and d < 6.0 * ps.exclusion_radius:
-                a, b = unwrap_segment(end, foot)
-                pieces.append(np.array([a, b]))
-    _block_edges_with_polylines(blocked_r, blocked_u, grid_n, pieces)
-    if ps.total_points():
-        _block_count_changes_near(p, grid_n, blocked_r, blocked_u,
-                                  _cells_of_polylines(pieces, grid_n, dilate=2))
-    # no pseudosingularities means S is the only boundary: no corridor to seal
-    band = (_curve_band(curves, grid_n, ps.exclusion_radius)
-            if ps.total_points() else None)
-    count, labels = _components(det_c, blocked_r, blocked_u, grid_n, excluded=band)
-    labels = labels.astype(np.int32)
-
-    aspect_map = compute_aspects(p, curves, grid_n)
-    parent = np.full(max(count, 1), -1, dtype=np.int32)
-    flat_r = labels.ravel()
-    flat_a = aspect_map.labels.ravel()
-    for k in range(len(flat_r)):
-        r = flat_r[k]
-        if r >= 0 and parent[r] < 0:
-            parent[r] = flat_a[k]
+    if aspects is None:
+        aspects = compute_aspects(p, curves, grid_n)
+    if not ps.total_points():
+        return ReducedAspectMap(grid_n, aspects.labels, aspects.count,
+                                np.arange(aspects.count, dtype=np.int32))
+    if ps.d_positive.shape != (grid_n, grid_n):
+        raise ValueError("pseudosingularities were computed on another grid")
+    det_c = aspects.det_center
+    key = 2 * (det_c >= 0) + ps.d_positive
+    band = _curve_band(curves, grid_n, ps.exclusion_radius)
+    count, labels = _components(key, excluded=band)
+    ids, first = np.unique(labels, return_index=True)
+    parent = aspects.labels.ravel()[first[ids >= 0]]
     scale = singularity_scale(p)
     labels[np.abs(det_c) < _SINGULAR_CELL_TOL * scale] = -1
     return ReducedAspectMap(grid_n, labels, count, parent)
-
-
-def _cells_of_polylines(pieces, grid_n: int, dilate: int = 0):
-    """Mask of cells touched by unwrapped polyline pieces, dilated 4-ways."""
-    h = TWO_PI / grid_n
-    mask = np.zeros((grid_n, grid_n), dtype=bool)
-    for piece in pieces:
-        pts = wrap_angle(np.asarray(piece))
-        ii = ((pts[:, 0] + math.pi) // h).astype(int) % grid_n
-        jj = ((pts[:, 1] + math.pi) // h).astype(int) % grid_n
-        mask[ii, jj] = True
-    for _ in range(dilate):
-        grown = mask.copy()
-        for shift in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            grown |= np.roll(np.roll(mask, shift[0], axis=0), shift[1], axis=1)
-        mask = grown
-    return mask
-
-
-def _block_count_changes_near(p: DhParams, grid_n: int, blocked_r, blocked_u, mask) -> None:
-    """Block edges inside `mask` whose endpoint IK counts differ.
-
-    The multiplicity-free solution count is locally constant away from
-    f^-1(f(S)), so a count change across an edge certifies a boundary
-    crossing regardless of how the PS polylines were chained (chains that
-    swap partners at crossings leave sub-cell gaps no polyline spans).
-    """
-    from .reduction import ik_counts
-
-    h = TWO_PI / grid_n
-    centers = -math.pi + h * (np.arange(grid_n) + 0.5)
-    need = mask | np.roll(mask, -1, axis=0) | np.roll(mask, -1, axis=1)
-    ii, jj = np.nonzero(need)
-    x, y, z = fk_arrays(p, 0.0, centers[ii], centers[jj])
-    counts = -np.ones((grid_n, grid_n), dtype=int)
-    counts[ii, jj] = ik_counts(p, np.hypot(x, y), z)
-    right = np.roll(counts, -1, axis=0)
-    up = np.roll(counts, -1, axis=1)
-    edge_r = mask | np.roll(mask, -1, axis=0)
-    edge_u = mask | np.roll(mask, -1, axis=1)
-    blocked_r |= edge_r & (counts >= 0) & (right >= 0) & (counts != right)
-    blocked_u |= edge_u & (counts >= 0) & (up >= 0) & (counts != up)
 
 
 def _curve_band(curves, grid_n: int, exclusion_radius: float):
@@ -616,18 +415,13 @@ def _curve_band(curves, grid_n: int, exclusion_radius: float):
     return band
 
 
-def build_topology(p: DhParams, curves, grid_n: int = DEFAULT_GRID_N,
-                   ps: PseudoSingularitySet | None = None,
-                   boundary_tol: float | None = None) -> TopologyMaps:
+def build_topology(p: DhParams, curves, grid_n: int = DEFAULT_GRID_N) -> TopologyMaps:
     aspects = compute_aspects(p, curves, grid_n)
-    if ps is None:
-        ps = compute_pseudosingularities(p, curves)
-    reduced = compute_reduced_aspects(p, curves, ps, grid_n)
+    ps = compute_pseudosingularities(p, curves, grid_n)
+    reduced = compute_reduced_aspects(p, curves, ps, grid_n, aspects)
     s_index = TorusCurveIndex([c.vertices for c in curves])
     ps_index = TorusCurveIndex([np.vstack([c, c[::-1]]) for c in ps.polylines])
-    if boundary_tol is None:
-        boundary_tol = TWO_PI / grid_n
-    return TopologyMaps(aspects, reduced, ps, s_index, ps_index, boundary_tol)
+    return TopologyMaps(aspects, reduced, ps, s_index, ps_index, TWO_PI / grid_n)
 
 
 def label_solutions(p: DhParams, maps: TopologyMaps, target: CrossSectionPoint):
@@ -881,4 +675,6 @@ def is_cuspidal(p: DhParams, grid_n: int = DEFAULT_GRID_N, census_n: int = 128,
         conic_kind=conic_classify(p).kind,
         anomalies=tuple(anomalies),
         work=work,
+        workspace_curves=tuple(wcurves),
+        maps=maps,
     )

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cuspidal import (
     CrossSectionPoint,
@@ -22,7 +24,7 @@ from cuspidal import (
     wrap_angle,
 )
 from cuspidal.errors import ZeroPolynomialError
-from cuspidal.reduction import ConicCoeffs, ik_counts
+from cuspidal.reduction import ConicCoeffs, ik_counts, quartic_discriminant
 
 from conftest import (
     ELLIPSE_ROBOT,
@@ -217,6 +219,50 @@ def test_solve_quartic_degree_drop_injects_pi(rng):
 def test_zero_polynomial_error():
     with pytest.raises(ZeroPolynomialError):
         solve_quartic(Quartic(0, 0, 0, 0, 0))
+
+
+_ROOT = st.floats(-3.0, 3.0)
+_LEAD = st.floats(0.2, 3.0).flatmap(lambda v: st.sampled_from([v, -v]))
+
+
+def _squared_differences(roots) -> float:
+    prod = 1.0 + 0.0j
+    for i in range(len(roots)):
+        for j in range(i + 1, len(roots)):
+            prod *= (roots[i] - roots[j]) ** 2
+    return prod.real
+
+
+@given(_LEAD, st.lists(_ROOT, min_size=2, max_size=2), _ROOT, st.floats(0.0, 2.0))
+def test_quartic_discriminant_is_product_of_root_differences(a, real, u, v):
+    """disc = a^6 prod_{i<j} (r_i - r_j)^2, for real roots and a conjugate pair."""
+    roots = [complex(r) for r in real] + [complex(u, v), complex(u, -v)]
+    m = a * np.real(np.poly(roots))
+    scale = float(np.max(np.abs(m))) ** 6
+    expected = a ** 6 * _squared_differences(roots)
+    assert abs(float(quartic_discriminant(m)) - expected) <= 1e-12 * scale
+
+
+@given(_LEAD, st.lists(_ROOT, min_size=3, max_size=3))
+def test_quartic_discriminant_continuous_through_degree_drop(b, roots):
+    """As a -> 0 one root runs to t = inf (theta3 = pi); the binary-quartic
+    discriminant tends to b^6 prod (r_i - r_j)^2 over the three finite roots."""
+    cubic = b * np.poly(roots)
+    scale = float(np.max(np.abs(cubic)))
+    at_zero = float(quartic_discriminant(np.concatenate([[0.0], cubic])))
+    assert abs(at_zero - b ** 6 * _squared_differences(roots)) <= 1e-12 * scale ** 6
+    for eps in (1e-4, 1e-7, 1e-10):
+        for sign in (1.0, -1.0):
+            m = np.concatenate([[sign * eps * scale], cubic])
+            gap = abs(float(quartic_discriminant(m)) - at_zero)
+            assert gap <= 1e3 * eps * scale ** 6 + 1e-12 * scale ** 6
+
+
+def test_quartic_discriminant_vectorized():
+    stack = np.random.default_rng(5).normal(size=(5, 3, 4))
+    out = quartic_discriminant(stack)
+    assert out.shape == (3, 4)
+    assert out[1, 2] == quartic_discriminant(stack[:, 1, 2])
 
 
 # --------------------------------------------------------------------------

@@ -17,9 +17,15 @@ from cuspidal import (
     label_solutions,
     singularity_scale,
     verify_path,
+    wrap_angle,
 )
 from cuspidal.errors import NonGenericRobotError, StartOrGoalSingularError
-from cuspidal.geometry import polyline_min_dist
+from cuspidal.geometry import (
+    TorusCurveIndex,
+    point_segment_dist,
+    polyline_min_dist,
+    unwrap_segment,
+)
 from cuspidal.topology import JointPath
 
 from conftest import (
@@ -105,6 +111,21 @@ def test_ps_points_keep_exclusion_distance(ref_maps):
             assert ref_maps.s_index.dist(pt) > ps.exclusion_radius * 0.999
 
 
+def test_torus_distance_index_matches_brute_force(analysis):
+    curves = analysis.curves(REFERENCE)
+    index = TorusCurveIndex([c.vertices for c in curves])
+    segs = [unwrap_segment(c.vertices[k], c.vertices[(k + 1) % len(c)])
+            for c in curves for k in range(len(c))]
+    half = max(0.5 * float(np.hypot(*(b - a))) for a, b in segs)
+    pts = np.random.default_rng(11).uniform(-math.pi, math.pi, (40, 2))
+    got = index.dists(pts)
+    for pt, d in zip(pts, got):
+        best = min(point_segment_dist(*(a + wrap_angle(pt - a)), *a, *b) for a, b in segs)
+        # candidates are the segments with the k nearest midpoints
+        assert best - 1e-12 <= d <= best + half
+        assert index.dist(pt) == d
+
+
 def test_binary_robot_has_empty_ps(analysis):
     curves = analysis.curves(BINARY_ROBOT)
     ps = compute_pseudosingularities(BINARY_ROBOT, curves)
@@ -132,6 +153,30 @@ def test_reduced_aspects_refine_aspects(ref_maps):
             seen[r] = a
     for r, a in seen.items():
         assert ref_maps.reduced.parent_aspect[r] == a
+
+
+def test_reduced_aspects_have_no_slivers(analysis, noncusp_maps):
+    """The node robot splits each aspect in two; no robot has grid-scale
+    slivers left over from unclosed PS branches."""
+    node_maps = build_topology(NODE_ROBOT, analysis.curves(NODE_ROBOT), TEST_GRID)
+    per_aspect = np.bincount(node_maps.reduced.parent_aspect,
+                             minlength=node_maps.aspects.count)
+    assert per_aspect.tolist() == [2, 2, 2, 2]
+    for maps in (node_maps, noncusp_maps):
+        labels = maps.reduced.labels
+        sizes = np.bincount(labels[labels >= 0], minlength=maps.reduced.count)
+        assert int(np.min(sizes)) >= 50, sorted(sizes.tolist())[:5]
+
+
+def test_labels_numbered_by_first_row_major_appearance(ref_maps):
+    for grid_map in (ref_maps.aspects, ref_maps.reduced):
+        order = []
+        seen = set()
+        for v in grid_map.labels.ravel().tolist():
+            if v >= 0 and v not in seen:
+                seen.add(v)
+                order.append(v)
+        assert order == list(range(grid_map.count))
 
 
 def test_reference_aspect_splits_into_reduced(ref_maps):
