@@ -3,8 +3,10 @@
 Marching squares traces the zero set of det(J); its image under the forward
 map is the locus of critical values.  Cusps are triple roots of the IK
 quartic (M = M' = M'' = 0, M''' != 0), nodes are pairs of distinct double
-roots; both are located by damped Newton iterations seeded from the traced
-curves and certified post hoc by their defining residuals.
+roots, and quadruple roots make a robot non-generic.  Each kind is located
+by one batched damped Newton over all its seeds from the traced curves,
+evaluated on the robot's QuarticPencil, and certified post hoc by its
+defining residuals.
 """
 from __future__ import annotations
 
@@ -29,13 +31,18 @@ from .dh import (
     wrap_angle,
 )
 from .errors import CuspidalError
-from .geometry import SegmentHash, point_segment_dist, polyline_min_dist, seg_intersect
+from .geometry import (
+    SegmentHash,
+    point_segment_dist,
+    polyline_min_dist,
+    seg_intersect,
+    seg_intersect_many,
+)
 from .reduction import (
-    conic_raw,
-    conic_raw_with_partials,
-    quartic_coeffs_from_conic,
+    QuarticPencil,
     cluster_real_roots,
     ik_counts,
+    quartic_jet,
     solve_ik_cross_section,
 )
 
@@ -147,8 +154,7 @@ def _marching_segments(f: np.ndarray, th: np.ndarray, field):
     evaluates it at saddle-cell centers.  Node `("u", i, j)` is the crossing
     on the grid edge from (th[i], th[j]) to (th[i] + h, th[j]), node
     `("v", i, j)` the one on the edge toward (th[i], th[j] + h).  Returns
-    (linearly interpolated node positions, undirected adjacency, set of
-    cells containing curve segments).
+    (linearly interpolated node positions, undirected adjacency).
     """
     grid_n = len(th)
     h = TWO_PI / grid_n
@@ -166,18 +172,9 @@ def _marching_segments(f: np.ndarray, th: np.ndarray, field):
         frac = f[i, j] / (f[i, j] - fv[i, j])
         pos[("v", int(i), int(j))] = (th[i], th[j] + frac * h)
 
-    cells = set()
-    for kind, i, j in pos:
-        if kind == "u":
-            cells.add((i, j))
-            cells.add((i, (j - 1) % grid_n))
-        else:
-            cells.add((i, j))
-            cells.add(((i - 1) % grid_n, j))
-
     adj = defaultdict(list)
-    curve_cells = set()
-    for (i, j) in sorted(cells):
+    for i, j in zip(*np.nonzero(_mixed_cells(neg))):
+        i, j = int(i), int(j)
         ip, jp = (i + 1) % grid_n, (j + 1) % grid_n
         edges = []
         if ("u", i, j) in pos:
@@ -192,8 +189,7 @@ def _marching_segments(f: np.ndarray, th: np.ndarray, field):
             a, b = edges
             adj[a].append(b)
             adj[b].append(a)
-            curve_cells.add((i, j))
-        elif len(edges) == 4:
+        else:
             # saddle cell: the center sample decides the pairing
             fc = float(field(th[i] + h / 2, th[j] + h / 2))
             bottom, right, top, left = edges
@@ -204,16 +200,26 @@ def _marching_segments(f: np.ndarray, th: np.ndarray, field):
             for a, b in pairs:
                 adj[a].append(b)
                 adj[b].append(a)
-            curve_cells.add((i, j))
-    return pos, adj, curve_cells
+    return pos, adj
 
 
-def _det_segments(p: DhParams, grid_n: int):
-    """Marching-squares graph of det J = 0 sampled at the grid vertices."""
+def _mixed_cells(neg: np.ndarray) -> np.ndarray:
+    """Cells of the wrapped grid whose four corners do not share a sign.
+
+    `neg[i, j]` is the sign test at vertex (i, j); cell (i, j) spans vertices
+    i..i+1 by j..j+1.  These are exactly the cells a crossing borders, where
+    marching squares draws one segment (two crossed edges) or two (four).
+    """
+    up = np.roll(neg, -1, axis=0)
+    n_neg = neg.astype(np.int8) + up + np.roll(neg, -1, axis=1) + np.roll(up, -1, axis=1)
+    return (n_neg > 0) & (n_neg < 4)
+
+
+def _det_on_vertices(p: DhParams, grid_n: int):
+    """det J on the wrapped vertex grid th x th; returns (values, th)."""
     th = -math.pi + TWO_PI * np.arange(grid_n) / grid_n
     t2g, t3g = np.meshgrid(th, th, indexing="ij")
-    field = functools.partial(det_jacobian, p)
-    return _marching_segments(field(t2g, t3g), th, field)
+    return det_jacobian(p, t2g, t3g), th
 
 
 def _chain_loops(pos, adj):
@@ -275,7 +281,8 @@ def trace_critical_points(p: DhParams, grid_n: int = DEFAULT_GRID_N):
     if grid_n < 64:
         raise ValueError("grid_n must be >= 64")
     scale = singularity_scale(p)
-    pos, adj, _ = _det_segments(p, grid_n)
+    f, th = _det_on_vertices(p, grid_n)
+    pos, adj = _marching_segments(f, th, functools.partial(det_jacobian, p))
     curves = []
     for verts, closed in _chain_loops(pos, adj):
         refined = _refine_on_zero_set(p, verts, scale)
@@ -283,12 +290,6 @@ def trace_critical_points(p: DhParams, grid_n: int = DEFAULT_GRID_N):
         curves.append(JointCurve(refined, closed, np.hypot(g2, g3)))
     curves.sort(key=lambda c: (-len(c), float(c.vertices[0, 0]), float(c.vertices[0, 1])))
     return curves
-
-
-def curve_cells(p: DhParams, grid_n: int):
-    """Grid cells containing segments of the traced zero set."""
-    _, _, cells = _det_segments(p, grid_n)
-    return cells
 
 
 def critical_values(p: DhParams, curves) -> list:
@@ -299,45 +300,22 @@ def critical_values(p: DhParams, curves) -> list:
         t3 = curve.vertices[:, 1]
         x, y, z = fk_arrays(p, 0.0, t2, t3)
         w = np.column_stack([np.hypot(x, y), z])
-        n = len(w)
-        speed = np.zeros(n)
-        for k in range(n):
-            a = curve.vertices[(k - 1) % n]
-            b = curve.vertices[(k + 1) % n]
-            dj = np.abs(wrap_angle(a - b))
-            denom = max(float(np.hypot(dj[0], dj[1])), 1e-12)
-            speed[k] = float(np.hypot(*(w[(k - 1) % n] - w[(k + 1) % n]))) / denom
+        # central differences over the neighbours k - 1 and k + 1
+        dj = np.abs(wrap_angle(np.roll(curve.vertices, 1, axis=0)
+                               - np.roll(curve.vertices, -1, axis=0)))
+        dw = np.roll(w, 1, axis=0) - np.roll(w, -1, axis=0)
+        speed = np.hypot(dw[:, 0], dw[:, 1]) / np.maximum(np.hypot(dj[:, 0], dj[:, 1]), 1e-12)
         out.append(WorkspaceCurve(w, ci, curve, speed))
     return out
 
 
 # --------------------------------------------------------------------------
-# quartic system evaluation for Newton refinements (reduced z coordinates)
+# batched Newton refinements on the robot's quartic pencil (reduced z)
 #
 # Roots near theta3 = pi are ill-conditioned in the t = tan(theta3/2) chart,
-# so every refinement can run in a flipped chart u = tan((theta3 - pi)/2)
-# obtained by negating the linear conic coefficients.
+# so each seed runs in the chart that keeps it well conditioned (flip flag,
+# see QuarticPencil); one batch mixes both charts.
 # --------------------------------------------------------------------------
-
-_FLIP = np.array([1.0, 1.0, 1.0, -1.0, -1.0, 1.0])
-
-
-def _m_stack(p: DhParams, R: float, zr: float, flip: bool = False):
-    """Quartic coefficients and their (R, z) partials at a reduced point."""
-    cc, d_r, d_z = conic_raw_with_partials(p, R, zr)
-    if flip:
-        cc, d_r, d_z = cc * _FLIP, d_r * _FLIP, d_z * _FLIP
-    return (quartic_coeffs_from_conic(cc),
-            quartic_coeffs_from_conic(d_r),
-            quartic_coeffs_from_conic(d_z))
-
-
-def _normalized_m(p: DhParams, R: float, zr: float, flip: bool = False) -> np.ndarray:
-    cc = conic_raw(p, R, zr)
-    if flip:
-        cc = cc * _FLIP
-    return quartic_coeffs_from_conic(cc / max(float(np.max(np.abs(cc))), 1e-300))
-
 
 def _chart_seed(theta3: float):
     """(chart coordinate, flip flag) placing the seed in the well-conditioned chart."""
@@ -355,78 +333,126 @@ def _tan_half(theta3: float) -> float:
     return math.tan(theta3 / 2.0)
 
 
-def _damped_newton(fun_jac, x0, max_iter: int = _NEWTON_MAX_ITER, tol: float = 0.0):
-    """Damped (Gauss-)Newton with step halving on ||F||^2.
-
-    Steps come from least squares so rank-deficient Jacobians (symmetry
-    slices, overdetermined certification systems) degrade gracefully to the
-    minimum-norm direction instead of blowing up.
-    """
-    x = np.asarray(x0, float).copy()
-    fval, jac = fun_jac(x)
-    norm2 = float(np.dot(fval, fval))
-    for _ in range(max_iter):
-        if norm2 <= tol * tol:
-            return x, True
+def _svd(jac):
+    """Thin SVDs of a stack of matrices and a mask of those LAPACK decomposed."""
+    try:
+        return np.linalg.svd(jac, full_matrices=False), np.ones(len(jac), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    k, m, n = jac.shape
+    r = min(m, n)
+    u, s, vh = np.zeros((k, m, r)), np.zeros((k, r)), np.zeros((k, r, n))
+    good = np.ones(k, dtype=bool)
+    for i in range(k):
         try:
-            step = np.linalg.lstsq(jac, fval, rcond=None)[0]
+            u[i], s[i], vh[i] = np.linalg.svd(jac[i], full_matrices=False)
         except np.linalg.LinAlgError:
-            return x, False
+            good[i] = False
+    return (u, s, vh), good
+
+
+def _lstsq_steps(jac, fval):
+    """Minimum-norm least-squares solutions of J step = F for a stack of systems.
+
+    Singular values at or below eps max(m, n) s_max count as zero, which is
+    np.linalg.lstsq's default cutoff.  Returns (steps, solved); a system is
+    unsolved when J or F is not finite or its SVD does not converge.
+    """
+    k, m, n = jac.shape
+    steps = np.zeros((k, n))
+    solved = np.all(np.isfinite(jac), axis=(1, 2)) & np.all(np.isfinite(fval), axis=1)
+    idx = np.nonzero(solved)[0]
+    (u, s, vh), good = _svd(jac[idx])
+    solved[idx[~good]] = False
+    kept = s > np.finfo(float).eps * max(m, n) * s[:, :1]
+    inv = np.where(kept, 1.0 / np.where(kept, s, 1.0), 0.0)
+    coef = np.sum(u * fval[idx, :, None], axis=1) * inv
+    steps[idx] = np.sum(vh * coef[:, :, None], axis=1)
+    return steps, solved
+
+
+def _damped_newton(fun_jac, x0, max_iter: int = _NEWTON_MAX_ITER, tol: float = 0.0):
+    """Damped (Gauss-)Newton with step halving on ||F||^2, over a batch of seeds.
+
+    `fun_jac(x, rows)` evaluates the systems of seeds `rows` (indices into
+    the batch) at x of shape (len(rows), n) and returns F (len(rows), m) and
+    J (len(rows), m, n).  Each seed runs as it would alone: up to max_iter
+    steps from least squares, so rank-deficient Jacobians (symmetry slices,
+    overdetermined certification systems) degrade gracefully to the
+    minimum-norm direction instead of blowing up; each step is halved up to
+    25 times until ||F||^2 drops, and a seed stops at the first step that
+    does not.  Returns x (K, n) and a (K,) converged mask.
+    """
+    x = np.array(x0, float)
+    k = len(x)
+    fval, jac = fun_jac(x, np.arange(k))
+    norm2 = np.sum(fval * fval, axis=1)
+    ok = np.zeros(k, dtype=bool)
+    done = np.zeros(k, dtype=bool)
+    floor = max(tol * tol, 1e-24)
+    for _ in range(max_iter):
+        reached = ~done & (norm2 <= tol * tol)
+        ok |= reached
+        done |= reached
+        act = np.nonzero(~done)[0]
+        if len(act) == 0:
+            break
+        step, solved = _lstsq_steps(jac[act], fval[act])
+        done[act[~solved]] = True
+        act, step = act[solved], step[solved]
+        pending = np.ones(len(act), dtype=bool)
         lam = 1.0
-        improved = False
         for _ in range(25):
-            xn = x - lam * step
-            fn, jn = fun_jac(xn)
-            n2 = float(np.dot(fn, fn))
-            if n2 < norm2:
-                x, fval, jac, norm2 = xn, fn, jn, n2
-                improved = True
+            idx = np.nonzero(pending)[0]
+            if len(idx) == 0:
                 break
+            rows = act[idx]
+            xn = x[rows] - lam * step[idx]
+            fn, jn = fun_jac(xn, rows)
+            n2 = np.sum(fn * fn, axis=1)
+            better = n2 < norm2[rows]
+            up = rows[better]
+            x[up], fval[up], jac[up], norm2[up] = xn[better], fn[better], jn[better], n2[better]
+            pending[idx[better]] = False
             lam *= 0.5
-        if not improved:
-            return x, norm2 <= max(tol * tol, 1e-24)
-    return x, norm2 <= max(tol * tol, 1e-24)
+        stalled = act[pending]
+        ok[stalled] = norm2[stalled] <= floor
+        done[stalled] = True
+    ok[~done] = norm2[~done] <= floor
+    return x, ok
 
 
-def _cusp_system(p: DhParams, flip: bool = False):
-    def fun_jac(x):
-        t, R, zr = x
-        m, m_r, m_z = _m_stack(p, R, zr, flip)
-        d1 = np.polyder(m)
-        d2 = np.polyder(d1)
-        d3 = np.polyder(d2)
-        fval = np.array([np.polyval(m, t), np.polyval(d1, t), np.polyval(d2, t)])
-        jac = np.array([
-            [np.polyval(d1, t), np.polyval(m_r, t), np.polyval(m_z, t)],
-            [np.polyval(d2, t), np.polyval(np.polyder(m_r), t), np.polyval(np.polyder(m_z), t)],
-            [np.polyval(d3, t), np.polyval(np.polyder(m_r, 2), t), np.polyval(np.polyder(m_z, 2), t)],
-        ])
+def _multiple_root_system(pencil: QuarticPencil, flip, mult: int):
+    """M = M' = ... = M^(mult-1) = 0 in (u, R, z): mult 3 for cusps, 4 for
+    quadruple roots.  flip[k] is seed k's chart."""
+    def fun_jac(x, rows):
+        jet = quartic_jet(pencil.quartic(x[:, 1], x[:, 2], flip[rows]), x[:, 0], mult)
+        jac = np.stack([jet[:, 0, 1:], jet[:, 1, :mult], jet[:, 2, :mult]], axis=2)
+        return jet[:, 0, :mult], jac
+    return fun_jac
+
+
+def _node_system(pencil: QuarticPencil, flip1, flip2):
+    """Double roots at u1 and u2 (M = M' = 0 at each) in (u1, u2, R, z)."""
+    def fun_jac(x, rows):
+        k = len(x)
+        R, zr = np.tile(x[:, 2], 2), np.tile(x[:, 3], 2)
+        flips = np.concatenate([flip1[rows], flip2[rows]])
+        jet = quartic_jet(pencil.quartic(R, zr, flips), x[:, :2].T.ravel(), 2)
+        jet = jet.reshape(2, k, 3, 3)
+        fval = np.zeros((k, 4))
+        jac = np.zeros((k, 4, 4))
+        for root in (0, 1):
+            eqs = slice(2 * root, 2 * root + 2)
+            fval[:, eqs] = jet[root, :, 0, :2]
+            jac[:, eqs, root] = jet[root, :, 0, 1:]
+            jac[:, eqs, 2] = jet[root, :, 1, :2]
+            jac[:, eqs, 3] = jet[root, :, 2, :2]
         return fval, jac
     return fun_jac
 
 
-def _node_system(p: DhParams, flip1: bool = False, flip2: bool = False):
-    def fun_jac(x):
-        t1, t2, R, zr = x
-        m1, m1_r, m1_z = _m_stack(p, R, zr, flip1)
-        m2, m2_r, m2_z = _m_stack(p, R, zr, flip2) if flip2 != flip1 else (m1, m1_r, m1_z)
-        d1a = np.polyder(m1)
-        d1b = np.polyder(m2)
-        fval = np.array([np.polyval(m1, t1), np.polyval(d1a, t1),
-                         np.polyval(m2, t2), np.polyval(d1b, t2)])
-        jac = np.array([
-            [np.polyval(d1a, t1), 0.0, np.polyval(m1_r, t1), np.polyval(m1_z, t1)],
-            [np.polyval(np.polyder(d1a), t1), 0.0,
-             np.polyval(np.polyder(m1_r), t1), np.polyval(np.polyder(m1_z), t1)],
-            [0.0, np.polyval(d1b, t2), np.polyval(m2_r, t2), np.polyval(m2_z, t2)],
-            [0.0, np.polyval(np.polyder(d1b), t2),
-             np.polyval(np.polyder(m2_r), t2), np.polyval(np.polyder(m2_z), t2)],
-        ])
-        return fval, jac
-    return fun_jac
-
-
-def _node_system_symmetric(p: DhParams, flip: bool):
+def _node_system_symmetric(pencil: QuarticPencil, flip):
     """Two double roots at s +/- sqrt(e) via coefficient matching.
 
     A quartic with double roots t1, t2 factors as a [(t-s)^2 - e]^2 with
@@ -435,54 +461,37 @@ def _node_system_symmetric(p: DhParams, flip: bool):
     when the two double roots nearly coincide (near-quadruple points), where
     evaluation-based formulations lose rank.
     """
-    def fun_jac(x):
-        a, s, e, R, zr = x
-        m, m_r, m_z = _m_stack(p, R, zr, flip)
+    def fun_jac(x, rows):
+        a, s, e = x[:, 0:1], x[:, 1:2], x[:, 2:3]
+        m = pencil.quartic(x[:, 3], x[:, 4], flip[rows])
+        one, zero = np.ones_like(s), np.zeros_like(s)
         se = s * s - e
-        q = np.array([1.0, -4.0 * s, 6.0 * s * s - 2.0 * e, -4.0 * s * se, se * se])
-        fval = m - a * q
-        dq_ds = np.array([0.0, -4.0, 12.0 * s, -12.0 * s * s + 4.0 * e, 4.0 * s * se])
-        dq_de = np.array([0.0, 0.0, -2.0, 4.0 * s, -2.0 * se])
-        jac = np.column_stack([-q, -a * dq_ds, -a * dq_de, m_r, m_z])
-        return fval, jac
+        q = np.hstack([one, -4.0 * s, 6.0 * s * s - 2.0 * e, -4.0 * s * se, se * se])
+        dq_ds = np.hstack([zero, -4.0 * one, 12.0 * s, -12.0 * s * s + 4.0 * e, 4.0 * s * se])
+        dq_de = np.hstack([zero, zero, -2.0 * one, 4.0 * s, -2.0 * se])
+        jac = np.stack([-q, -a * dq_ds, -a * dq_de, m[:, 1], m[:, 2]], axis=2)
+        return m[:, 0] - a * q, jac
     return fun_jac
 
 
-def _quadruple_system(p: DhParams, flip: bool = False):
-    def fun_jac(x):
-        t, R, zr = x
-        m, m_r, m_z = _m_stack(p, R, zr, flip)
-        d1 = np.polyder(m)
-        d2 = np.polyder(d1)
-        d3 = np.polyder(d2)
-        d4 = np.polyder(d3)
-        fval = np.array([np.polyval(m, t), np.polyval(d1, t),
-                         np.polyval(d2, t), np.polyval(d3, t)])
-        jac = np.array([
-            [np.polyval(d1, t), np.polyval(m_r, t), np.polyval(m_z, t)],
-            [np.polyval(d2, t), np.polyval(np.polyder(m_r), t), np.polyval(np.polyder(m_z), t)],
-            [np.polyval(d3, t), np.polyval(np.polyder(m_r, 2), t), np.polyval(np.polyder(m_z, 2), t)],
-            [np.polyval(d4, t), np.polyval(np.polyder(m_r, 3), t), np.polyval(np.polyder(m_z, 3), t)],
-        ])
-        return fval, jac
-    return fun_jac
-
-
-def _cusp_residuals(p: DhParams, t: float, R: float, zr: float, flip: bool = False):
-    m = _normalized_m(p, R, zr, flip)
-    return (abs(float(np.polyval(m, t))),
-            abs(float(np.polyval(np.polyder(m), t))),
-            abs(float(np.polyval(np.polyder(m, 2), t))),
-            abs(float(np.polyval(np.polyder(m, 3), t))))
+def _residuals(pencil: QuarticPencil, u, R, zr, flip, order: int):
+    """|M^(j)(u)|, j = 0..order, of the conic scaled to max |coefficient| = 1."""
+    return np.abs(quartic_jet(pencil.normalized_quartic(R, zr, flip), u, order))
 
 
 # --------------------------------------------------------------------------
 # cusps and nodes
 # --------------------------------------------------------------------------
 
-def _dedup_sorted(points, radius: float):
+def _dedup_sorted(points, radius: float, quantum: float):
+    """Points in (rho, z) order, dropping any within `radius` of one kept.
+
+    The sort key is (rho, z) rounded to `quantum`, so mirror-image points
+    whose rho ties up to rounding come out in one order whatever the last
+    bits; ties keep their input order.
+    """
     kept = []
-    for pt in sorted(points, key=lambda c: (c[0], c[1])):
+    for pt in sorted(points, key=lambda c: (round(c[0] / quantum), round(c[1] / quantum))):
         if all(math.hypot(pt[0] - q[0], pt[1] - q[1]) > radius for q in kept):
             kept.append(pt)
     return kept
@@ -492,50 +501,47 @@ def find_cusps(p: DhParams, workspace_curves) -> list:
     """Locate all cusps: Newton on {M = M' = M'' = 0} in (t, R, z).
 
     Seeds sit at local minima of the image speed along each workspace curve
-    (the image velocity of the critical curve vanishes at a cusp).  Every
-    find is certified by its residuals, the |M'''| lower bound excluding
-    quadruple roots, and proximity to the traced critical values.
+    (the image velocity of the critical curve vanishes at a cusp) and run as
+    one batch.  Every find is certified by its residuals, the |M'''| lower
+    bound excluding quadruple roots, and proximity to the traced critical
+    values.
     """
     scale = singularity_scale(p)
     lscale = length_scale(p)
-    systems = {False: _cusp_system(p, False), True: _cusp_system(p, True)}
-    found = []
+    seeds = []
     for wc in workspace_curves:
-        n = len(wc)
-        if n < 4:
+        if len(wc) < 4:
             continue
         speed = wc.speed
-        for k in range(n):
-            if not (speed[k] <= speed[(k - 1) % n] and speed[k] <= speed[(k + 1) % n]):
-                continue
-            t3 = float(wc.joint.vertices[k, 1])
-            u0, flip = _chart_seed(t3)
+        for k in np.nonzero((speed <= np.roll(speed, 1)) & (speed <= np.roll(speed, -1)))[0]:
+            u0, flip = _chart_seed(float(wc.joint.vertices[k, 1]))
             rho, z = wc.vertices[k]
             zr = z - p.d1
-            # convergence is certified by the normalized residuals below, not
-            # by the raw Newton norm (the unnormalized system never reaches an
-            # absolute floor)
-            x, _ = _damped_newton(systems[flip], [u0, rho * rho + zr * zr, zr])
-            u, R, zr_s = x
-            rho2 = R - zr_s * zr_s
-            if rho2 < -1e-12 * scale:
-                continue
-            res0, res1, res2, res3 = _cusp_residuals(p, u, R, zr_s, flip)
-            if max(res0, res1, res2) > CUSP_RESIDUAL_TOL * scale:
-                log.debug("cusp seed at theta3=%.4f diverged (residual %.2e)",
-                          t3, max(res0, res1, res2))
-                continue
-            if res3 < CUSP_THIRD_DERIV_MIN * scale:
-                continue
-            rho_s = math.sqrt(max(rho2, 0.0))
-            z_s = zr_s + p.d1
-            near = polyline_min_dist((rho_s, z_s), [w.vertices for w in workspace_curves])
-            if near > max(0.05 * lscale, 10.0 * _median_step(workspace_curves)):
-                continue
-            t_out = _tan_half(_chart_theta3(u, flip))
-            found.append((rho_s, float(z_s), t_out, res0, res1, res2, res3,
-                          wc.source_index))
-    kept = _dedup_sorted(found, DEDUP_RADIUS * scale)
+            seeds.append((u0, rho * rho + zr * zr, zr, flip, wc.source_index))
+    if not seeds:
+        return []
+    pencil = QuarticPencil(p)
+    flip = np.array([s[3] for s in seeds])
+    # convergence is certified by the normalized residuals below, not by the
+    # raw Newton norm (the unnormalized system never reaches an absolute floor)
+    x, _ = _damped_newton(_multiple_root_system(pencil, flip, 3), [s[:3] for s in seeds])
+    u, R, zr = x.T
+    res = _residuals(pencil, u, R, zr, flip, 3)
+    rho2 = R - zr * zr
+    converged = np.max(res[:, :3], axis=1) <= CUSP_RESIDUAL_TOL * scale
+    log.debug("%d of %d cusp seeds diverged", int(np.sum(~converged)), len(seeds))
+    certified = (rho2 >= -1e-12 * scale) & converged & (res[:, 3] >= CUSP_THIRD_DERIV_MIN * scale)
+    near_max = max(0.05 * lscale, 10.0 * _median_step(workspace_curves))
+    polylines = [w.vertices for w in workspace_curves]
+    found = []
+    for k in np.nonzero(certified)[0]:
+        rho_s = math.sqrt(max(float(rho2[k]), 0.0))
+        z_s = float(zr[k] + p.d1)
+        if polyline_min_dist((rho_s, z_s), polylines) > near_max:
+            continue
+        t_out = _tan_half(_chart_theta3(float(u[k]), bool(flip[k])))
+        found.append((rho_s, z_s, t_out, *(float(r) for r in res[k]), seeds[k][4]))
+    kept = _dedup_sorted(found, DEDUP_RADIUS * scale, 1e-9 * lscale)
     return [CuspPoint(*c) for c in kept]
 
 
@@ -548,45 +554,56 @@ def _median_step(workspace_curves) -> float:
     return float(np.median(steps)) if steps else 0.0
 
 
-def _refine_node(p: DhParams, th3a: float, th3b: float, rho: float, z: float):
-    """Newton-refine a node candidate; returns (th1, th2, R, zr, residual) or None.
+def _refine_nodes(p: DhParams, pencil: QuarticPencil, cands) -> list:
+    """Newton-refine node candidates (theta3_a, theta3_b, rho, z) in two batches.
 
     Nearby tangency angles use the symmetric center/half-gap formulation in a
     common chart; well-separated ones use the plain four-root system with a
-    chart per root.
+    chart per root.  Returns, per candidate, (th1, th2, R, zr, residual) or
+    None.
     """
-    zr = z - p.d1
-    r0 = rho * rho + zr * zr
-    gap = abs(float(wrap_angle(th3a - th3b)))
-    if gap < 0.5:
-        mean = th3a + float(wrap_angle(th3b - th3a)) / 2.0
-        s0, flip = _chart_seed(mean)
-        # chart half-gap: d(theta)/du = 2/(1+u^2)
-        d0 = gap / 2.0 * (1.0 + s0 * s0) / 2.0
-        m0, _, _ = _m_stack(p, r0, zr, flip)
-        x, _ = _damped_newton(_node_system_symmetric(p, flip),
-                              [float(m0[0]), s0, d0 * d0, r0, zr])
-        _, s, e, R, zr_s = x
-        if e <= 0.0:
-            return None
-        d = math.sqrt(e)
-        u1, u2 = s + d, s - d
-        th1 = _chart_theta3(u1, flip)
-        th2 = _chart_theta3(u2, flip)
-        flips = (flip, flip)
-    else:
-        u1, flip1 = _chart_seed(th3a)
-        u2, flip2 = _chart_seed(th3b)
-        x, _ = _damped_newton(_node_system(p, flip1, flip2), [u1, u2, r0, zr])
-        u1, u2, R, zr_s = x
-        th1 = _chart_theta3(u1, flip1)
-        th2 = _chart_theta3(u2, flip2)
-        flips = (flip1, flip2)
-    residual = 0.0
-    for u, flip in ((u1, flips[0]), (u2, flips[1])):
-        ra, rb, _, _ = _cusp_residuals(p, u, R, zr_s, flip)
-        residual = max(residual, ra, rb)
-    return th1, th2, R, zr_s, residual
+    sym, plain = [], []
+    for k, (th3a, th3b, rho, z) in enumerate(cands):
+        zr = z - p.d1
+        r0 = rho * rho + zr * zr
+        gap = abs(float(wrap_angle(th3a - th3b)))
+        if gap < 0.5:
+            mean = th3a + float(wrap_angle(th3b - th3a)) / 2.0
+            s0, flip = _chart_seed(mean)
+            # chart half-gap: d(theta)/du = 2/(1+u^2)
+            d0 = gap / 2.0 * (1.0 + s0 * s0) / 2.0
+            sym.append((k, flip, (s0, d0 * d0, r0, zr)))
+        else:
+            u1, flip1 = _chart_seed(th3a)
+            u2, flip2 = _chart_seed(th3b)
+            plain.append((k, flip1, flip2, (u1, u2, r0, zr)))
+    roots = [None] * len(cands)     # (u1, flip1, u2, flip2, R, zr) per candidate
+    if sym:
+        flip = np.array([c[1] for c in sym])
+        x0 = np.array([c[2] for c in sym])
+        lead = pencil.quartic(x0[:, 2], x0[:, 3], flip)[:, 0, 0]
+        x, _ = _damped_newton(_node_system_symmetric(pencil, flip),
+                              np.column_stack([lead, x0]))
+        for (k, fl, _), (_, s, e, R, zr) in zip(sym, x.tolist()):
+            if e > 0.0:
+                d = math.sqrt(e)
+                roots[k] = (s + d, fl, s - d, fl, R, zr)
+    if plain:
+        flip1 = np.array([c[1] for c in plain])
+        flip2 = np.array([c[2] for c in plain])
+        x, _ = _damped_newton(_node_system(pencil, flip1, flip2), [c[3] for c in plain])
+        for (k, f1, f2, _), (u1, u2, R, zr) in zip(plain, x.tolist()):
+            roots[k] = (u1, f1, u2, f2, R, zr)
+    out = []
+    for r in roots:
+        if r is None:
+            out.append(None)
+            continue
+        u1, f1, u2, f2, R, zr = r
+        res = _residuals(pencil, np.array([u1, u2]), np.array([R, R]), np.array([zr, zr]),
+                         np.array([f1, f2]), 1)
+        out.append((_chart_theta3(u1, f1), _chart_theta3(u2, f2), R, zr, float(np.max(res))))
+    return out
 
 
 def _node_ik_structure_ok(p: DhParams, rho: float, z: float) -> bool:
@@ -604,9 +621,9 @@ def find_nodes(p: DhParams, workspace_curves) -> list:
     """Locate all nodes: Newton on the two-double-root system.
 
     Candidates are crossings of the critical-value polylines (including
-    self-intersections) from a segment sweep.  Every find is certified by
-    its residuals and by the solution structure (two distinct double roots);
-    candidates collapsing to a cusp (t1 -> t2) are rejected.
+    self-intersections) from one vectorised segment sweep.  Every find is
+    certified by its residuals and by the solution structure (two distinct
+    double roots); candidates collapsing to a cusp (t1 -> t2) are rejected.
     """
     scale = singularity_scale(p)
     cell = max(_median_step(workspace_curves) * 4.0, 1e-6)
@@ -615,18 +632,23 @@ def find_nodes(p: DhParams, workspace_curves) -> list:
         n = len(wc)
         for k in range(n):
             sweep.add((wc.source_index, k, n), wc.vertices[k], wc.vertices[(k + 1) % n])
+    ia, ib = sweep.candidate_pairs()
+    if len(ia) == 0:
+        return []
+    tags = np.array([tag for tag, _, _ in sweep.segs])
+    (ca, ka, na), (cb, kb, _) = tags[ia].T, tags[ib].T
+    neighbours = (ca == cb) & (np.minimum((ka - kb) % na, (kb - ka) % na) <= 1)
+    ia, ib = ia[~neighbours], ib[~neighbours]
+    ends = np.array([(a, b) for _, a, b in sweep.segs])
+    hit, pts = seg_intersect_many(ends[ia, 0], ends[ia, 1], ends[ib, 0], ends[ib, 1])
+    pairs = [(tuple(tags[i].tolist()), tuple(tags[j].tolist())) for i, j in zip(ia[hit], ib[hit])]
+    pts = pts[hit].tolist()
+    cands = [(wcurve_theta3(workspace_curves, a[0], a[1]),
+              wcurve_theta3(workspace_curves, b[0], b[1]), rho, z)
+             for (a, b), (rho, z) in zip(pairs, pts)]
+    refined = _refine_nodes(p, QuarticPencil(p), cands)
     found = []
-    for ia, ib in sweep.candidate_pairs():
-        (ca, ka, na), a0, a1 = sweep.segs[ia]
-        (cb, kb, nb), b0, b1 = sweep.segs[ib]
-        if ca == cb and min((ka - kb) % na, (kb - ka) % na) <= 1:
-            continue
-        hit = seg_intersect(a0, a1, b0, b1)
-        if hit is None:
-            continue
-        (rho, z), _, _ = hit
-        ref = _refine_node(p, wcurve_theta3(workspace_curves, ca, ka),
-                           wcurve_theta3(workspace_curves, cb, kb), rho, z)
+    for (a, b), (rho, z), ref in zip(pairs, pts, refined):
         if ref is None:
             continue
         th1, th2, R, zr_s, residual = ref
@@ -644,8 +666,8 @@ def find_nodes(p: DhParams, workspace_curves) -> list:
         if not _node_ik_structure_ok(p, rho_s, z_s):
             continue
         tlo, thi = sorted((_tan_half(th1), _tan_half(th2)))
-        found.append((rho_s, z_s, tlo, thi, float(residual), tuple(sorted((ca, cb)))))
-    kept = _dedup_sorted(found, DEDUP_RADIUS * scale)
+        found.append((rho_s, z_s, tlo, thi, residual, tuple(sorted((a[0], b[0])))))
+    kept = _dedup_sorted(found, DEDUP_RADIUS * scale, 1e-9 * length_scale(p))
     return [NodePoint(*c) for c in kept]
 
 
@@ -688,18 +710,22 @@ def genericity_check(p: DhParams, grid_n: int = DEFAULT_GRID_N,
             rho, z = wc.vertices[k]
             zr = z - p.d1
             seeds.append((u0, flip, rho * rho + zr * zr, zr))
-    for u0, flip, R0, zr0 in seeds:
-        x, _ = _damped_newton(_quadruple_system(p, flip), [u0, R0, zr0])
-        u, R, zr = x
-        if R - zr * zr < -1e-9 * scale:
-            continue
-        res = max(_cusp_residuals(p, u, R, zr, flip))
-        if res < 1e-8 * scale:
-            rho_q = math.sqrt(max(R - zr * zr, 0.0))
-            evidence.append({"kind": "quadruple_root", "rho": rho_q, "z": zr + p.d1,
-                             "t": _tan_half(_chart_theta3(u, flip)),
-                             "residual": float(res)})
-            break
+    if seeds:
+        pencil = QuarticPencil(p)
+        flip = np.array([s[1] for s in seeds])
+        x, _ = _damped_newton(_multiple_root_system(pencil, flip, 4),
+                              [(u0, R0, zr0) for u0, _, R0, zr0 in seeds])
+        u, R, zr = x.T
+        res = np.max(_residuals(pencil, u, R, zr, flip, 3), axis=1)
+        # the evidence is the first certified seed, in seed order
+        certified = np.nonzero((R - zr * zr >= -1e-9 * scale) & (res < 1e-8 * scale))[0]
+        if len(certified):
+            k = certified[0]
+            evidence.append({"kind": "quadruple_root",
+                             "rho": math.sqrt(max(float(R[k] - zr[k] * zr[k]), 0.0)),
+                             "z": float(zr[k] + p.d1),
+                             "t": _tan_half(_chart_theta3(float(u[k]), bool(flip[k]))),
+                             "residual": float(res[k])})
 
     # (b) the critical curve must be smooth: |grad det J| bounded away from 0
     worst = math.inf
@@ -714,9 +740,7 @@ def genericity_check(p: DhParams, grid_n: int = DEFAULT_GRID_N,
     centers = -math.pi + h * (np.arange(grid_n) + 0.5)
     c2g, c3g = np.meshgrid(centers, centers, indexing="ij")
     detc = np.abs(det_jacobian(p, c2g, c3g))
-    on_curve = np.zeros((grid_n, grid_n), dtype=bool)
-    for (i, j) in curve_cells(p, grid_n):
-        on_curve[i, j] = True
+    on_curve = _mixed_cells(_det_on_vertices(p, grid_n)[0] < 0)
     near_curve = on_curve.copy()
     for shift in ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1)):
         near_curve |= np.roll(np.roll(on_curve, shift[0], axis=0), shift[1], axis=1)
@@ -739,7 +763,8 @@ def genericity_check(p: DhParams, grid_n: int = DEFAULT_GRID_N,
 # workspace census
 # --------------------------------------------------------------------------
 
-def _tangency_refine(p: DhParams, rho: float, z: float, theta3_0: float, direction):
+def _tangency_refine(p: DhParams, pencil: QuarticPencil, rho: float, z: float,
+                     theta3_0: float, direction):
     """Slide (rho, z) along `direction` onto the critical-value set.
 
     Newton on {M = 0, M' = 0} in (chart coordinate, lambda); returns
@@ -747,33 +772,26 @@ def _tangency_refine(p: DhParams, rho: float, z: float, theta3_0: float, directi
     """
     drho, dz = direction
     u0, flip = _chart_seed(theta3_0)
+    flips = np.array([flip])
 
-    def fun_jac(x):
-        t, lam = x
+    def fun_jac(x, rows):
+        lam = x[:, 1]
         rr = rho + lam * drho
-        zz = z + lam * dz
-        zr = zz - p.d1
-        R = rr * rr + zr * zr
-        m, m_r, m_z = _m_stack(p, R, zr, flip)
-        d1p = np.polyder(m)
-        dR_dlam = 2 * rr * drho + 2 * zr * dz
-        fval = np.array([np.polyval(m, t), np.polyval(d1p, t)])
-        dm_dlam = np.polyval(m_r, t) * dR_dlam + np.polyval(m_z, t) * dz
-        dm1_dlam = np.polyval(np.polyder(m_r), t) * dR_dlam + np.polyval(np.polyder(m_z), t) * dz
-        jac = np.array([
-            [np.polyval(d1p, t), dm_dlam],
-            [np.polyval(np.polyder(d1p), t), dm1_dlam],
-        ])
-        return fval, jac
+        zr = z + lam * dz - p.d1
+        jet = quartic_jet(pencil.quartic(rr * rr + zr * zr, zr, flips[rows]), x[:, 0], 2)
+        dR_dlam = (2 * rr * drho + 2 * zr * dz)[:, None]
+        dm_dlam = jet[:, 1, :2] * dR_dlam + jet[:, 2, :2] * dz
+        return jet[:, 0, :2], np.stack([jet[:, 0, 1:], dm_dlam], axis=2)
 
-    x, ok = _damped_newton(fun_jac, [u0, 0.0])
-    if not ok:
+    x, ok = _damped_newton(fun_jac, [(u0, 0.0)])
+    if not ok[0]:
         return None
-    u, lam = x
+    u, lam = x[0].tolist()
     return _chart_theta3(u, flip), rho + lam * drho, z + lam * dz
 
 
-def _count_at_boundary(p: DhParams, rho: float, z: float, theta3_double: float) -> int:
+def _count_at_boundary(p: DhParams, pencil: QuarticPencil, rho: float, z: float,
+                       theta3_double: float) -> int:
     """Distinct IKS at a point on the critical-value set.
 
     The known double root is deflated out in its well-conditioned chart, so
@@ -782,7 +800,8 @@ def _count_at_boundary(p: DhParams, rho: float, z: float, theta3_double: float) 
     """
     u, flip = _chart_seed(theta3_double)
     zr = z - p.d1
-    m = _normalized_m(p, rho * rho + zr * zr, zr, flip)
+    m = pencil.normalized_quartic(np.array([rho * rho + zr * zr]), np.array([zr]),
+                                  np.array([flip]))[0]
     # deflate (t - t*)^2 by synthetic division twice
     poly = m
     for _ in range(2):
@@ -861,6 +880,7 @@ def region_census(p: DhParams, grid_n: int = DEFAULT_GRID_N, census_n: int = 128
             if dmin < margin:
                 clear[i, j] = False
 
+    pencil = QuarticPencil(p)
     violations = []
     samples = []
     samples_per_kind = defaultdict(int)
@@ -896,13 +916,13 @@ def region_census(p: DhParams, grid_n: int = DEFAULT_GRID_N, census_n: int = 128
                     (hx, hy), (ci_tag, k_tag), _ = hits[0]
                     t3 = wcurve_theta3(workspace_curves, ci_tag, k_tag)
                     direction = (b[0] - a[0], b[1] - a[1])
-                    ref = _tangency_refine(p, hx, hy, t3, direction)
+                    ref = _tangency_refine(p, pencil, hx, hy, t3, direction)
                     if ref is None:
                         continue
                     th_star, rr, zz = ref
                     if math.hypot(rr - hx, zz - hy) > 2 * cell:
                         continue
-                    cnt = _count_at_boundary(p, rr, zz, th_star)
+                    cnt = _count_at_boundary(p, pencil, rr, zz, th_star)
                     samples_per_kind[(lo, hi)] += 1
                     samples.append(BoundarySample(rr, zz, cnt, lo, hi))
                     if cnt != lo + 1:

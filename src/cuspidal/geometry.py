@@ -24,6 +24,24 @@ def seg_intersect(a0, a1, b0, b1):
     return None
 
 
+def seg_intersect_many(a0, a1, b0, b1):
+    """seg_intersect over arrays of segment pairs, each endpoint array (k, 2).
+
+    Returns (hit mask, intersection points (k, 2)); the points are only
+    meaningful where the mask is set, and equal seg_intersect's there.
+    """
+    d1 = a1 - a0
+    d2 = b1 - b0
+    den = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    ok = np.abs(den) >= 1e-15
+    den = np.where(ok, den, 1.0)
+    dx, dy = b0[:, 0] - a0[:, 0], b0[:, 1] - a0[:, 1]
+    s = (dx * d2[:, 1] - dy * d2[:, 0]) / den
+    u = (dx * d1[:, 1] - dy * d1[:, 0]) / den
+    hit = ok & (0.0 <= s) & (s <= 1.0) & (0.0 <= u) & (u <= 1.0)
+    return hit, a0 + s[:, None] * d1
+
+
 def point_segment_dist(px, py, ax, ay, bx, by):
     vx, vy = bx - ax, by - ay
     wx, wy = px - ax, py - ay
@@ -52,15 +70,26 @@ class SegmentHash:
                 self.buckets[(i, j)].append(idx)
 
     def candidate_pairs(self):
-        seen = set()
+        """Index pairs (i, j), i < j, of segments sharing a bucket.
+
+        Returned as two int arrays, each pair once, in the order the sorted
+        buckets first list it (bucket lists hold ascending indices).
+        """
+        firsts, seconds = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
+        upper = {}
         for key in sorted(self.buckets):
             lst = self.buckets[key]
-            for ii in range(len(lst)):
-                for jj in range(ii + 1, len(lst)):
-                    pair = (lst[ii], lst[jj]) if lst[ii] < lst[jj] else (lst[jj], lst[ii])
-                    if pair not in seen:
-                        seen.add(pair)
-                        yield pair
+            if len(lst) > 1:
+                if len(lst) not in upper:
+                    upper[len(lst)] = np.triu_indices(len(lst), 1)
+                ii, jj = upper[len(lst)]
+                lst = np.asarray(lst)
+                firsts.append(lst[ii])
+                seconds.append(lst[jj])
+        first, second = np.concatenate(firsts), np.concatenate(seconds)
+        _, seen = np.unique(first * len(self.segs) + second, return_index=True)
+        seen.sort()
+        return first[seen], second[seen]
 
     def near(self, x, y, radius: int = 1):
         i0 = int(math.floor(x / self.cell))
@@ -77,10 +106,13 @@ def polyline_min_dist(point, polylines) -> float:
     px, py = float(point[0]), float(point[1])
     best = math.inf
     for poly in polylines:
-        for k in range(len(poly) - 1):
-            d = point_segment_dist(px, py, poly[k, 0], poly[k, 1], poly[k + 1, 0], poly[k + 1, 1])
-            if d < best:
-                best = d
+        if len(poly) < 2:
+            continue
+        ax, ay = poly[:-1, 0], poly[:-1, 1]
+        vx, vy = poly[1:, 0] - ax, poly[1:, 1] - ay
+        vv = vx * vx + vy * vy
+        t = np.clip(((px - ax) * vx + (py - ay) * vy) / np.where(vv == 0.0, 1.0, vv), 0.0, 1.0)
+        best = min(best, float(np.min(np.hypot(px - (ax + t * vx), py - (ay + t * vy)))))
     return best
 
 

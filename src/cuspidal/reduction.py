@@ -5,7 +5,8 @@ are linear in (cos theta2, sin theta2) with coefficients F1..F4 affine in
 (cos theta3, sin theta3).  Eliminating theta2 yields a conic in the
 c3s3-plane whose intersections with the unit circle are the IK solutions;
 the tangent half-angle substitution turns that intersection condition into
-the quartic M(t).
+the quartic M(t).  QuarticPencil keeps both, per robot, as exact
+polynomials in (R, z) for the batched Newton refinements in `critical`.
 """
 from __future__ import annotations
 
@@ -125,7 +126,10 @@ def conic_raw(p: DhParams, R, z):
     coefficients along the first axis.  The quadratic part is independent of
     (R, z).
     """
-    f = f_coefficients(p)
+    return _conic(p, f_coefficients(p), R, z)
+
+
+def _conic(p: DhParams, f: FCoefficients, R, z):
     sa1 = math.sin(p.alpha1)
     two_a1 = 2.0 * p.a1
     R = np.asarray(R, float)
@@ -140,19 +144,6 @@ def conic_raw(p: DhParams, R, z):
     by = pv * pw + qv * qw - f.v[0] * f.w[0] - f.v[1] * f.w[1]
     c = pw * pw + qw * qw - f.w[0] ** 2 - f.w[1] ** 2
     return np.stack(np.broadcast_arrays(axx, axy, ayy, bx, by, c))
-
-
-def conic_raw_with_partials(p: DhParams, R: float, z: float):
-    """Conic coefficients and their partial derivatives w.r.t. R and z."""
-    f = f_coefficients(p)
-    sa1 = math.sin(p.alpha1)
-    two_a1 = 2.0 * p.a1
-    cc = conic_raw(p, R, z)
-    pu, pv, pw = -f.u[2] / two_a1, -f.v[2] / two_a1, (R - f.w[2]) / two_a1
-    qv, qw = -f.v[3] / sa1, (z - f.w[3]) / sa1
-    d_r = np.array([0.0, 0.0, 0.0, pu / two_a1, pv / two_a1, 2 * pw / two_a1])
-    d_z = np.array([0.0, 0.0, 0.0, 0.0, qv / sa1, 2 * qw / sa1])
-    return cc, d_r, d_z
 
 
 def conic_coefficients(p: DhParams, target: CrossSectionPoint) -> ConicCoeffs:
@@ -240,6 +231,87 @@ def quartic_coeffs_from_conic(cc: np.ndarray) -> np.ndarray:
         4 * axy + 4 * by,
         axx + 2 * bx + c,
     ))
+
+
+# Negating the linear conic coefficients maps the chart t = tan(theta3/2) to
+# u = tan((theta3 - pi)/2), where roots near theta3 = pi are well conditioned.
+_FLIP = np.array([1.0, 1.0, 1.0, -1.0, -1.0, 1.0])
+
+# d^j/dt^j of a quartic as weights on its coefficients, shifted right by j so
+# that Horner over all five slots evaluates every derivative order at once
+_JET_INDEX = np.array([[max(i - j, 0) for i in range(5)] for j in range(5)])
+_JET_WEIGHT = np.array([[math.perm(4 - (i - j), j) if i >= j else 0.0 for i in range(5)]
+                        for j in range(5)])
+
+
+def quartic_jet(coeffs: np.ndarray, t: np.ndarray, order: int) -> np.ndarray:
+    """Derivatives 0..order of quartics at t, by Horner.
+
+    `coeffs` has shape (K, ..., 5), highest degree first, and `t` shape (K,);
+    the result has shape (K, ..., order + 1).  Each value is the one
+    np.polyval(np.polyder(coeffs, j), t) gives.
+    """
+    d = coeffs[..., _JET_INDEX[:order + 1]] * _JET_WEIGHT[:order + 1]
+    tt = np.reshape(t, (-1,) + (1,) * (d.ndim - 2))
+    acc = d[..., 0]
+    for i in range(1, 5):
+        acc = acc * tt + d[..., i]
+    return acc
+
+
+class QuarticPencil:
+    """The conic and its quartic M(t) as exact polynomials in (R, z), per robot.
+
+    cc(R, z) = C0 + R C_R + z C_z + R^2 C_RR + z^2 C_zz: the quadratic part
+    of the conic is constant, Bx and By are affine in (R, z), and C is
+    quadratic with no cross term.  Both charts are kept (index 1 holds the
+    flipped one, see _FLIP), so M and its R and z partials at any batch of
+    points in either chart are a few vectorised products.  Grid callers use
+    conic_raw instead, whose arithmetic is the reference.
+    """
+
+    def __init__(self, p: DhParams):
+        f = f_coefficients(p)
+        sa1 = math.sin(p.alpha1)
+        two_a1 = 2.0 * p.a1
+        # conic_raw with P = P0 + R / (2 a1) and Q = Q0 + z / sin(alpha1)
+        pu, pv, pw0 = -f.u[2] / two_a1, -f.v[2] / two_a1, -f.w[2] / two_a1
+        qu, qv, qw0 = -f.u[3] / sa1, -f.v[3] / sa1, -f.w[3] / sa1
+        c0 = _conic(p, f, 0.0, 0.0)
+        c_r = np.array([0.0, 0.0, 0.0, pu / two_a1, pv / two_a1, 2.0 * pw0 / two_a1])
+        c_z = np.array([0.0, 0.0, 0.0, qu / sa1, qv / sa1, 2.0 * qw0 / sa1])
+        c_rr = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 1.0 / (two_a1 * two_a1)])
+        c_zz = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 1.0 / (sa1 * sa1)])
+        terms = np.array([c0, c_r, c_z, c_rr, c_zz])
+        self.conic_terms = np.stack([terms, terms * _FLIP])      # (chart, term, 6)
+        self.quartic_terms = np.moveaxis(                          # (chart, term, 5)
+            quartic_coeffs_from_conic(np.moveaxis(self.conic_terms, -1, 0)), 0, -1)
+
+    @staticmethod
+    def _combine(terms, R, z):
+        R = R[:, None]
+        z = z[:, None]
+        return terms[:, 0] + R * terms[:, 1] + z * terms[:, 2] + R * R * terms[:, 3] + z * z * terms[:, 4]
+
+    def conic(self, R, z, flip) -> np.ndarray:
+        """Raw conic coefficients (K, 6) at points (R, z) in charts `flip`, all (K,)."""
+        return self._combine(self.conic_terms[flip.astype(int)], R, z)
+
+    def quartic(self, R, z, flip) -> np.ndarray:
+        """M and its R and z partials, stacked as (K, 3, 5)."""
+        q = self.quartic_terms[flip.astype(int)]
+        R2 = 2.0 * R[:, None]
+        z2 = 2.0 * z[:, None]
+        return np.stack([self._combine(q, R, z),
+                         q[:, 1] + R2 * q[:, 3],
+                         q[:, 2] + z2 * q[:, 4]], axis=1)
+
+    def normalized_quartic(self, R, z, flip) -> np.ndarray:
+        """M (K, 5) from the conic scaled to max |coefficient| = 1, the scale
+        on which every residual threshold is stated."""
+        cc = self.conic(R, z, flip)
+        cc = cc / np.maximum(np.max(np.abs(cc), axis=1), 1e-300)[:, None]
+        return quartic_coeffs_from_conic(cc.T).T
 
 
 def quartic_discriminant(m: np.ndarray) -> np.ndarray:

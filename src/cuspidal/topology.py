@@ -348,7 +348,7 @@ def compute_pseudosingularities(p: DhParams, curves,
     th = _centers(grid_n)
     field = functools.partial(_discriminant, p)
     d = _center_field(field, grid_n)
-    pos, adj, _ = _marching_segments(d, th, field)
+    pos, adj = _marching_segments(d, th, field)
     polylines = []
     if pos:
         keys = sorted(pos)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cuspidal import (
     CrossSectionPoint,
@@ -19,8 +21,25 @@ from cuspidal import (
     find_nodes,
     wrap_angle,
 )
+from cuspidal.critical import (
+    _chart_seed,
+    _damped_newton,
+    _dedup_sorted,
+    _det_on_vertices,
+    _marching_segments,
+    _mixed_cells,
+    _multiple_root_system,
+)
+from cuspidal.dh import length_scale
 from cuspidal.errors import DegenerateGeometryError
-from cuspidal.geometry import polyline_min_dist, seg_intersect
+from cuspidal.geometry import (
+    SegmentHash,
+    point_segment_dist,
+    polyline_min_dist,
+    seg_intersect,
+    seg_intersect_many,
+)
+from cuspidal.reduction import QuarticPencil
 
 from conftest import (
     NODE_ROBOT,
@@ -31,6 +50,9 @@ from conftest import (
     TEST_GRID,
     random_valid_params,
 )
+
+
+_SEED = st.integers(0, 2 ** 32 - 1)
 
 
 def _min_dist_to(wcurves, point):
@@ -316,3 +338,135 @@ def test_counts_outside_reach_are_zero(ref_census):
     assert ref_census.counts[0, 0] == 0
     assert ref_census.counts[-1, -1] == 0
     assert ref_census.counts[0, -1] == 0
+
+
+# --------------------------------------------------------------------------
+# vectorised engines against their loop references
+# --------------------------------------------------------------------------
+
+@settings(max_examples=12)
+@given(_SEED, st.sampled_from([3, 4]))
+def test_batched_newton_equals_single_seed_runs(seed, mult):
+    """Each seed of a batch ends where it ends alone, in any batch order:
+    the determinism behind byte-identical reports."""
+    rng = np.random.default_rng(seed)
+    p = random_valid_params(rng)
+    pencil = QuarticPencil(p)
+    k = 5
+    charts = [_chart_seed(t3) for t3 in rng.uniform(-math.pi, math.pi, k)]
+    flip = np.array([f for _, f in charts])
+    zr = rng.uniform(-2.0, 2.0, k)
+    x0 = np.column_stack([[u for u, _ in charts], rng.uniform(0.1, 3.0, k) ** 2 + zr * zr, zr])
+    x, ok = _damped_newton(_multiple_root_system(pencil, flip, mult), x0)
+    perm = rng.permutation(k)
+    xp, okp = _damped_newton(_multiple_root_system(pencil, flip[perm], mult), x0[perm])
+    assert np.all(np.abs(xp - x[perm]) <= 1e-12 * np.maximum(1.0, np.abs(x[perm])))
+    assert np.array_equal(okp, ok[perm])
+    for i in range(k):
+        xs, oks = _damped_newton(_multiple_root_system(pencil, flip[i:i + 1], mult), x0[i:i + 1])
+        assert np.all(np.abs(xs[0] - x[i]) <= 1e-12 * np.maximum(1.0, np.abs(x[i])))
+        assert oks[0] == ok[i]
+
+
+def _crossing_cells(f, th):
+    """Cells with two or four crossed edges, from the crossing nodes."""
+    pos, _ = _marching_segments(f, th, lambda t2, t3: 0.0)
+    n = len(th)
+    cells = set()
+    for kind, i, j in pos:
+        cells.add((i, j))
+        cells.add((i, (j - 1) % n) if kind == "u" else ((i - 1) % n, j))
+    out = set()
+    for i, j in cells:
+        ip, jp = (i + 1) % n, (j + 1) % n
+        edges = sum(key in pos for key in (("u", i, j), ("v", ip, j), ("u", i, jp), ("v", i, j)))
+        if edges in (2, 4):
+            out.add((i, j))
+    return out
+
+
+@given(_SEED)
+def test_corner_sign_mask_equals_marching_cells_on_random_fields(seed):
+    rng = np.random.default_rng(seed)
+    n = 16
+    f = rng.standard_normal((n, n)) + rng.uniform(-1.5, 1.5)
+    th = -math.pi + 2 * math.pi * np.arange(n) / n
+    mask = _mixed_cells(f < 0)
+    assert {(int(i), int(j)) for i, j in zip(*np.nonzero(mask))} == _crossing_cells(f, th)
+
+
+def test_corner_sign_mask_equals_marching_cells_on_det_j():
+    for robot in (REFERENCE, NODE_ROBOT, NONORTHO_NONCUSPIDAL):
+        f, th = _det_on_vertices(robot, TEST_GRID)
+        mask = _mixed_cells(f < 0)
+        assert {(int(i), int(j)) for i, j in zip(*np.nonzero(mask))} == _crossing_cells(f, th)
+
+
+def test_image_speed_equals_vertex_loop(analysis):
+    for robot in (REFERENCE, NODE_ROBOT):
+        for wc in analysis.wcurves(robot):
+            v, w = wc.joint.vertices, wc.vertices
+            n = len(v)
+            loop = np.zeros(n)
+            for k in range(n):
+                dj = np.abs(wrap_angle(v[(k - 1) % n] - v[(k + 1) % n]))
+                denom = max(float(np.hypot(dj[0], dj[1])), 1e-12)
+                loop[k] = float(np.hypot(*(w[(k - 1) % n] - w[(k + 1) % n]))) / denom
+            assert np.array_equal(wc.speed, loop)
+
+
+@given(_SEED)
+def test_seg_intersect_many_equals_scalar(seed):
+    rng = np.random.default_rng(seed)
+    k = 64
+    a0, a1, b0, b1 = (rng.integers(-3, 4, (k, 2)) * 0.5 for _ in range(4))
+    # a quarter of the pairs are random reals, the rest sit on a lattice with
+    # shared endpoints, parallel and collinear pairs
+    a0[::4], a1[::4], b0[::4], b1[::4] = (rng.uniform(-1.5, 1.5, (k // 4, 2)) for _ in range(4))
+    hit, pts = seg_intersect_many(a0, a1, b0, b1)
+    for i in range(k):
+        ref = seg_intersect(a0[i], a1[i], b0[i], b1[i])
+        assert hit[i] == (ref is not None)
+        if ref is not None:
+            assert tuple(pts[i]) == ref[0]
+
+
+def test_candidate_pairs_follow_the_bucket_walk(analysis):
+    """Pairs in the order the sorted buckets first list them."""
+    for robot in (REFERENCE, NODE_ROBOT):
+        sweep = SegmentHash(0.05)
+        for wc in analysis.wcurves(robot):
+            n = len(wc)
+            for k in range(n):
+                sweep.add(k, wc.vertices[k], wc.vertices[(k + 1) % n])
+        seen, walk = set(), []
+        for key in sorted(sweep.buckets):
+            lst = sweep.buckets[key]
+            for ii in range(len(lst)):
+                for jj in range(ii + 1, len(lst)):
+                    pair = (min(lst[ii], lst[jj]), max(lst[ii], lst[jj]))
+                    if pair not in seen:
+                        seen.add(pair)
+                        walk.append(pair)
+        ia, ib = sweep.candidate_pairs()
+        assert list(zip(ia.tolist(), ib.tolist())) == walk
+
+
+def test_polyline_min_dist_equals_segment_loop(analysis, rng):
+    polylines = [w.vertices for w in analysis.wcurves(NODE_ROBOT)]
+    for point in rng.uniform(-5.0, 5.0, (20, 2)):
+        loop = min(point_segment_dist(point[0], point[1], *poly[k], *poly[k + 1])
+                   for poly in polylines for k in range(len(poly) - 1))
+        assert abs(polyline_min_dist(point, polylines) - loop) <= 4 * np.finfo(float).eps * loop
+
+
+@pytest.mark.parametrize("ulp", [1.0, -1.0])
+def test_dedup_order_ignores_last_bit_rho_ties(ulp):
+    """Mirror-image cusps keep one order when their rho differs by one ulp."""
+    rho, z = 1.7935493488110743, 1.8032931108200512
+    upper = (rho, z)
+    lower = (float(np.nextafter(rho, ulp * math.inf)), -z)
+    quantum = 1e-9 * length_scale(REFERENCE)
+    for points in ([upper, lower], [lower, upper]):
+        kept = _dedup_sorted(points, 1e-4, quantum)
+        assert [pt[1] for pt in kept] == [-z, z]

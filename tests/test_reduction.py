@@ -24,7 +24,15 @@ from cuspidal import (
     wrap_angle,
 )
 from cuspidal.errors import ZeroPolynomialError
-from cuspidal.reduction import ConicCoeffs, ik_counts, quartic_discriminant
+from cuspidal.reduction import (
+    ConicCoeffs,
+    QuarticPencil,
+    conic_raw,
+    ik_counts,
+    quartic_coeffs_from_conic,
+    quartic_discriminant,
+    quartic_jet,
+)
 
 from conftest import (
     ELLIPSE_ROBOT,
@@ -352,3 +360,47 @@ def test_ik_counts_matches_solver(rng):
     for k in range(0, 200, 7):
         sols = solve_ik_cross_section(p, CrossSectionPoint(float(rho[k]), float(z[k])))
         assert batch[k] == sols.distinct()
+
+
+# --------------------------------------------------------------------------
+# per-robot quartic pencil
+# --------------------------------------------------------------------------
+
+_FLIP = np.array([1.0, 1.0, 1.0, -1.0, -1.0, 1.0])
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_pencil_reproduces_conic_quartic_and_partials(seed, flipped):
+    """The pencil gives conic_raw's conic and its quartic at any (R, z), in
+    either chart; its R and z partials equal central differences, which are
+    exact up to rounding because M is quadratic in (R, z)."""
+    rng = np.random.default_rng(seed)
+    p = random_valid_params(rng)
+    pencil = QuarticPencil(p)
+    z = rng.uniform(-6.0, 6.0, 8)
+    R = rng.uniform(0.0, 6.0, 8) ** 2 + z * z
+    flip = np.full(8, flipped)
+    sign = _FLIP if flipped else np.ones(6)
+    ref = conic_raw(p, R, z).T * sign
+
+    def quartic_of(rr, zz):
+        return quartic_coeffs_from_conic(conic_raw(p, rr, zz) * sign[:, None]).T
+
+    tol = 1e-12 * np.max(np.abs(ref), axis=1, keepdims=True)
+    assert np.all(np.abs(pencil.conic(R, z, flip) - ref) <= tol)
+    m, m_r, m_z = np.moveaxis(pencil.quartic(R, z, flip), 1, 0)
+    assert np.all(np.abs(m - quartic_of(R, z)) <= 8 * tol)
+    for partial, dR, dz in ((m_r, 1.0, 0.0), (m_z, 0.0, 1.0)):
+        hi, lo = quartic_of(R + dR, z + dz), quartic_of(R - dR, z - dz)
+        scale = np.max(np.abs(np.concatenate([hi, lo], axis=1)), axis=1, keepdims=True)
+        assert np.all(np.abs(partial - (hi - lo) / 2.0) <= 1e-12 * scale)
+    normalized = quartic_coeffs_from_conic((ref / np.max(np.abs(ref), axis=1, keepdims=True)).T).T
+    assert np.all(np.abs(pencil.normalized_quartic(R, z, flip) - normalized) <= 1e-12)
+
+
+@given(st.lists(st.floats(-5.0, 5.0), min_size=5, max_size=5), st.floats(-4.0, 4.0))
+def test_quartic_jet_equals_polyval_of_polyder(coeffs, t):
+    m = np.array(coeffs)
+    jet = quartic_jet(m[None, :], np.array([t]), 4)[0]
+    expected = [np.polyval(np.polyder(m, j) if j else m, t) for j in range(5)]
+    assert np.array_equal(jet, expected)
