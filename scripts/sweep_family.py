@@ -46,11 +46,15 @@ def main() -> int:
             curves = trace_critical_points(p, args.grid)
             wcurves = critical_values(p, curves)
             cusps = find_cusps(p, wcurves)
-            nodes = find_nodes(p, wcurves)
             generic = genericity_check(p, args.grid, curves=curves,
                                        workspace_curves=wcurves, cusps=cusps)
-            verdict = "cuspidal" if cusps else "non-cuspidal"
-            print(f"{value:10.4f}  {len(cusps):5d}  {len(nodes):5d}  "
+            if generic.is_generic:
+                nodes = len(find_nodes(p, wcurves))
+                verdict = "cuspidal" if cusps else "non-cuspidal"
+            else:
+                # nodes of a non-generic robot can fill a curve; no count is meaningful
+                nodes, verdict = "-", "non-generic"
+            print(f"{value:10.4f}  {len(cusps):5d}  {nodes!s:>5}  "
                   f"{str(generic.is_generic):>7}  {verdict}")
         except Exception as exc:  # sweep should not die on one bad member
             print(f"{value:10.4f}  error: {exc}")

@@ -260,7 +260,7 @@ def cmd_aspects(args) -> int:
     curves = trace_critical_points(p, args.grid)
     maps = build_topology(p, curves, args.grid)
     labels = maps.aspects.labels
-    sizes = [int(np.sum(labels == k)) for k in range(maps.aspects.count)]
+    sizes = np.bincount(labels[labels >= 0], minlength=maps.aspects.count).tolist()
     _print({
         "robot": name,
         "aspect_count": maps.aspects.count,
@@ -329,7 +329,7 @@ def cmd_plot(args) -> int:
     elif args.what == "jointspace":
         curves = trace_critical_points(p, args.grid)
         ps = compute_pseudosingularities(p, curves, args.grid)
-        amap = compute_aspects(p, curves, args.grid)
+        amap = compute_aspects(p, args.grid)
         svg = svgplot.render_jointspace(curves, ps, amap)
         fname = f"{name}.jointspace.svg"
     else:

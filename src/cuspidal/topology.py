@@ -1,15 +1,16 @@
 """Aspects, pseudosingularities, reduced aspects and the cuspidality verdict.
 
 Aspects are the connected components of the torus minus the critical-point
-curves S.  Pseudosingularities are the nonsingular preimages of critical
-values, PS = f^-1(f(S)) \\ S.  f^-1(f(S)) is the zero set of one scalar
-field, the pulled-back IK discriminant D(theta2, theta3) = disc_t M(t; f),
-and PS is where D changes sign; S, where f folds, is an even-order zero.
-Reduced aspects are the components of the complement of S union PS: one
-flood fill over the cell grid, blocked where det J or D changes sign.  The
-verdict (existence of a cusp) is cross-validated against an independent
-oracle: sampling regular workspace points and asking whether two IK
-solutions ever share an aspect.
+curves S: one flood fill over the cell grid joins neighboring cells whose
+centers carry the same sign of det J.  Pseudosingularities are the
+nonsingular preimages of critical values, PS = f^-1(f(S)) \\ S.
+f^-1(f(S)) is the zero set of one scalar field, the pulled-back IK
+discriminant D(theta2, theta3) = disc_t M(t; f), and PS is where D changes
+sign; S, where f folds, is an even-order zero.  Reduced aspects are the
+components of the complement of S union PS: the same flood fill, blocked
+where det J or D changes sign.  The verdict (existence of a cusp) is
+cross-validated against an independent oracle: sampling regular workspace
+points and asking whether two IK solutions ever share an aspect.
 """
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ from .dh import (
     wrap_angle,
 )
 from .errors import CuspidalError, NonGenericRobotError, StartOrGoalSingularError
-from .geometry import TorusCurveIndex, seg_intersect, split_torus_polyline, unwrap_segment
+from .geometry import TorusCurveIndex, unwrap_segment
 from .critical import (
     DEFAULT_GRID_N,
     _chain_loops,
@@ -145,7 +146,6 @@ class TopologyMaps:
     ps: PseudoSingularitySet
     s_index: TorusCurveIndex
     ps_index: TorusCurveIndex
-    boundary_tol: float
 
 
 @dataclass(frozen=True)
@@ -189,7 +189,7 @@ class CuspidalityReport:
 
 
 # --------------------------------------------------------------------------
-# flood fill with blocked edges
+# flood fill
 # --------------------------------------------------------------------------
 
 def _centers(grid_n: int) -> np.ndarray:
@@ -208,54 +208,16 @@ def _center_field(field, grid_n: int, rows: int = 48) -> np.ndarray:
     return out
 
 
-def _block_edges_with_polylines(blocked_r, blocked_u, grid_n, pieces):
-    """Mark dual edges (center-to-center) crossed by any polyline piece."""
-    h = TWO_PI / grid_n
-
-    def cell_of(x, y):
-        i = int((float(wrap_angle(x)) + math.pi) // h) % grid_n
-        j = int((float(wrap_angle(y)) + math.pi) // h) % grid_n
-        return i, j
-
-    def center_near(i, j, ref):
-        base = np.array([-math.pi + (i + 0.5) * h, -math.pi + (j + 0.5) * h])
-        return ref + wrap_angle(base - ref)
-
-    for piece in pieces:
-        for k in range(len(piece) - 1):
-            a = piece[k]
-            b = piece[k + 1]
-            lo_i = int(math.floor((min(a[0], b[0]) + math.pi) / h)) - 1
-            hi_i = int(math.floor((max(a[0], b[0]) + math.pi) / h)) + 1
-            lo_j = int(math.floor((min(a[1], b[1]) + math.pi) / h)) - 1
-            hi_j = int(math.floor((max(a[1], b[1]) + math.pi) / h)) + 1
-            mid = 0.5 * (a + b)
-            for ii in range(lo_i, hi_i + 1):
-                for jj in range(lo_j, hi_j + 1):
-                    i = ii % grid_n
-                    j = jj % grid_n
-                    c0 = center_near(i, j, mid)
-                    # east edge (i,j)-(i+1,j) and north edge (i,j)-(i,j+1)
-                    if not blocked_r[i, j] and seg_intersect(a, b, c0, c0 + (h, 0.0)):
-                        blocked_r[i, j] = True
-                    if not blocked_u[i, j] and seg_intersect(a, b, c0, c0 + (0.0, h)):
-                        blocked_u[i, j] = True
-
-
-def _components(key, blocked_r=None, blocked_u=None, excluded=None):
+def _components(key, excluded=None):
     """Connected components of cells joined across open edges.
 
-    An edge between neighboring cells is open when both carry the same key,
-    it is not blocked, and neither cell is excluded; excluded cells get label
-    -1.  Labels are numbered by first row-major appearance, so they are
-    deterministic.
+    An edge between neighboring cells is open when both carry the same key
+    and neither cell is excluded; excluded cells get label -1.  Labels are
+    numbered by first row-major appearance, so they are deterministic.
     """
     grid_n = key.shape[0]
     open_r = key == np.roll(key, -1, axis=0)
     open_u = key == np.roll(key, -1, axis=1)
-    if blocked_r is not None:
-        open_r &= ~blocked_r
-        open_u &= ~blocked_u
     if excluded is not None:
         open_r &= ~excluded & ~np.roll(excluded, -1, axis=0)
         open_u &= ~excluded & ~np.roll(excluded, -1, axis=1)
@@ -275,21 +237,13 @@ def _components(key, blocked_r=None, blocked_u=None, excluded=None):
     return len(comps), labels
 
 
-def _polyline_pieces(curves):
-    pieces = []
-    for c in curves:
-        pieces.extend(split_torus_polyline(c.vertices, c.closed))
-    return pieces
+def compute_aspects(p: DhParams, grid_n: int = DEFAULT_GRID_N) -> AspectMap:
+    """Aspects as the components of constant det J sign at the cell centers.
 
-
-def compute_aspects(p: DhParams, curves, grid_n: int = DEFAULT_GRID_N) -> AspectMap:
-    """Flood fill of the torus grid with edges blocked at sign changes of
-    det J and at crossings of the traced critical-point polylines."""
+    Cells whose center is singular within tolerance are labeled -1.
+    """
     det_c = _center_field(functools.partial(det_jacobian, p), grid_n)
-    blocked_r = np.zeros((grid_n, grid_n), dtype=bool)
-    blocked_u = np.zeros((grid_n, grid_n), dtype=bool)
-    _block_edges_with_polylines(blocked_r, blocked_u, grid_n, _polyline_pieces(curves))
-    count, labels = _components(det_c >= 0, blocked_r, blocked_u)
+    count, labels = _components(det_c >= 0)
     scale = singularity_scale(p)
     labels[np.abs(det_c) < _SINGULAR_CELL_TOL * scale] = -1
     return AspectMap(grid_n, labels, count, det_c)
@@ -366,8 +320,7 @@ def compute_pseudosingularities(p: DhParams, curves,
 
 
 def compute_reduced_aspects(p: DhParams, curves, ps: PseudoSingularitySet,
-                            grid_n: int = DEFAULT_GRID_N,
-                            aspects: AspectMap | None = None) -> ReducedAspectMap:
+                            aspects: AspectMap) -> ReducedAspectMap:
     """Flood fill of the torus minus S union PS.
 
     Edges are blocked where det J or D changes sign between cell centers.
@@ -378,11 +331,9 @@ def compute_reduced_aspects(p: DhParams, curves, ps: PseudoSingularitySet,
     the honest resolution-limited reading of the decomposition (extra
     splitting is safe, leaking between reduced aspects is not).  Without
     pseudosingularities S is the only boundary and the reduced aspects are
-    the aspects.  `aspects` is the AspectMap of the same grid (computed
-    when not given).
+    the aspects.  `aspects` is the AspectMap of the grid to refine.
     """
-    if aspects is None:
-        aspects = compute_aspects(p, curves, grid_n)
+    grid_n = aspects.grid_n
     if not ps.total_points():
         return ReducedAspectMap(grid_n, aspects.labels, aspects.count,
                                 np.arange(aspects.count, dtype=np.int32))
@@ -416,12 +367,12 @@ def _curve_band(curves, grid_n: int, exclusion_radius: float):
 
 
 def build_topology(p: DhParams, curves, grid_n: int = DEFAULT_GRID_N) -> TopologyMaps:
-    aspects = compute_aspects(p, curves, grid_n)
+    aspects = compute_aspects(p, grid_n)
     ps = compute_pseudosingularities(p, curves, grid_n)
-    reduced = compute_reduced_aspects(p, curves, ps, grid_n, aspects)
+    reduced = compute_reduced_aspects(p, curves, ps, aspects)
     s_index = TorusCurveIndex([c.vertices for c in curves])
     ps_index = TorusCurveIndex([np.vstack([c, c[::-1]]) for c in ps.polylines])
-    return TopologyMaps(aspects, reduced, ps, s_index, ps_index, TWO_PI / grid_n)
+    return TopologyMaps(aspects, reduced, ps, s_index, ps_index)
 
 
 def label_solutions(p: DhParams, maps: TopologyMaps, target: CrossSectionPoint):
@@ -438,7 +389,7 @@ def label_solutions(p: DhParams, maps: TopologyMaps, target: CrossSectionPoint):
         reduced = maps.reduced.label_of(pt[0], pt[1])
         d_s = maps.s_index.dist(pt)
         d_ps = maps.ps_index.dist(pt)
-        on_boundary = min(d_s, d_ps) < maps.boundary_tol or reduced < 0
+        on_boundary = min(d_s, d_ps) < maps.aspects.cell_size or reduced < 0
         out.append(SolutionLabel(s.config, s.multiplicity, aspect, reduced,
                                  on_boundary, aspect < 0))
     return out

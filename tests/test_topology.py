@@ -30,6 +30,8 @@ from cuspidal.topology import JointPath
 
 from conftest import (
     BINARY_ROBOT,
+    ELLIPSE_ROBOT,
+    HYPERBOLA_ROBOT,
     NODE_ROBOT,
     NONGENERIC_QUAD,
     NONORTHO_CUSPIDAL,
@@ -58,10 +60,20 @@ def test_reference_has_two_aspects(ref_maps):
     assert ref_maps.aspects.count == 2
 
 
-def test_aspect_count_stable_under_grid_doubling(analysis):
-    a1 = compute_aspects(REFERENCE, analysis.curves(REFERENCE, 128), 128)
-    a2 = compute_aspects(REFERENCE, analysis.curves(REFERENCE, 256), 256)
-    assert a1.count == a2.count == 2
+def test_aspect_count_stable_under_grid_doubling():
+    expected = {
+        "reference": (REFERENCE, 2),
+        "node": (NODE_ROBOT, 4),
+        "hyperbola": (HYPERBOLA_ROBOT, 2),
+        "ellipse": (ELLIPSE_ROBOT, 2),
+        "nonortho_cuspidal": (NONORTHO_CUSPIDAL, 2),
+        "nonortho_cuspidal_b": (NONORTHO_CUSPIDAL_B, 2),
+        "nonortho_noncuspidal": (NONORTHO_NONCUSPIDAL, 4),
+        "binary": (BINARY_ROBOT, 2),
+    }
+    got = {name: (compute_aspects(p, 128).count, compute_aspects(p, 256).count)
+           for name, (p, _) in expected.items()}
+    assert got == {name: (n, n) for name, (_, n) in expected.items()}
 
 
 def test_aspect_labels_partition_torus(ref_maps):
@@ -130,8 +142,8 @@ def test_binary_robot_has_empty_ps(analysis):
     curves = analysis.curves(BINARY_ROBOT)
     ps = compute_pseudosingularities(BINARY_ROBOT, curves)
     assert ps.total_points() == 0
-    aspects = compute_aspects(BINARY_ROBOT, curves, TEST_GRID)
-    reduced = compute_reduced_aspects(BINARY_ROBOT, curves, ps, TEST_GRID)
+    aspects = compute_aspects(BINARY_ROBOT, TEST_GRID)
+    reduced = compute_reduced_aspects(BINARY_ROBOT, curves, ps, aspects)
     assert reduced.count == aspects.count
     assert np.array_equal(reduced.labels, aspects.labels)
 
@@ -157,15 +169,16 @@ def test_reduced_aspects_refine_aspects(ref_maps):
 
 def test_reduced_aspects_have_no_slivers(analysis, noncusp_maps):
     """The node robot splits each aspect in two; no robot has grid-scale
-    slivers left over from unclosed PS branches."""
+    slivers left over from unclosed PS branches or cut off by S."""
     node_maps = build_topology(NODE_ROBOT, analysis.curves(NODE_ROBOT), TEST_GRID)
     per_aspect = np.bincount(node_maps.reduced.parent_aspect,
                              minlength=node_maps.aspects.count)
     assert per_aspect.tolist() == [2, 2, 2, 2]
     for maps in (node_maps, noncusp_maps):
-        labels = maps.reduced.labels
-        sizes = np.bincount(labels[labels >= 0], minlength=maps.reduced.count)
-        assert int(np.min(sizes)) >= 50, sorted(sizes.tolist())[:5]
+        for grid_map in (maps.aspects, maps.reduced):
+            labels = grid_map.labels
+            sizes = np.bincount(labels[labels >= 0], minlength=grid_map.count)
+            assert int(np.min(sizes)) >= 50, sorted(sizes.tolist())[:5]
 
 
 def test_labels_numbered_by_first_row_major_appearance(ref_maps):
