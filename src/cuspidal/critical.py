@@ -31,13 +31,7 @@ from .dh import (
     wrap_angle,
 )
 from .errors import CuspidalError
-from .geometry import (
-    SegmentHash,
-    point_segment_dist,
-    polyline_min_dist,
-    seg_intersect,
-    seg_intersect_many,
-)
+from .geometry import SegmentHash, polyline_min_dist, seg_intersect_many
 from .reduction import (
     QuarticPencil,
     cluster_real_roots,
@@ -821,14 +815,97 @@ def _synthetic_division(coeffs: np.ndarray, root: float) -> np.ndarray:
     return out
 
 
+def _segment_buckets(seg_a, seg_b, cell: float):
+    """Inclusive bucket ranges (lo (S, 2), hi (S, 2)) of the segments' bounding
+    boxes on a uniform hash of side `cell`: the buckets a SegmentHash lists
+    each segment in."""
+    ka, kb = np.floor(seg_a / cell).astype(int), np.floor(seg_b / cell).astype(int)
+    return np.minimum(ka, kb), np.maximum(ka, kb)
+
+
+def _bucket_pairs(lo, hi, bx, by, reach: int):
+    """(segment, i, j) for every grid query (i, j) whose hash bucket
+    (bx[i], by[j]) lies within `reach` buckets of a segment's bucket range,
+    which is when a radius-`reach` bucket query there lists the segment.
+    bx and by must be non-decreasing."""
+    i0 = np.searchsorted(bx, lo[:, 0] - reach, "left")
+    i1 = np.searchsorted(bx, hi[:, 0] + reach, "right")
+    j0 = np.searchsorted(by, lo[:, 1] - reach, "left")
+    j1 = np.searchsorted(by, hi[:, 1] + reach, "right")
+    nj = j1 - j0
+    per = (i1 - i0) * nj
+    seg = np.repeat(np.arange(len(lo)), per)
+    off = np.arange(len(seg)) - np.repeat(np.cumsum(per) - per, per)
+    nj = nj[seg]
+    return seg, i0[seg] + off // np.maximum(nj, 1), j0[seg] + off % np.maximum(nj, 1)
+
+
+def _census_clearance(rc, zc, seg_a, seg_b, cell: float, margin: float):
+    """clear[i, j]: no segment passes within `margin` of the center
+    (rc[i], zc[j]).  Candidates are the segments a radius-1 bucket query
+    on a hash of side `cell` lists, which includes every segment within
+    margin < cell; distances are point_segment_dist's."""
+    lo, hi = _segment_buckets(seg_a, seg_b, cell)
+    seg, i, j = _bucket_pairs(lo, hi, np.floor(rc / cell).astype(int),
+                              np.floor(zc / cell).astype(int), 1)
+    centers = np.column_stack([rc[i], zc[j]])
+    a, ab = seg_a[seg], seg_b[seg] - seg_a[seg]
+    vv = np.sum(ab * ab, axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        u = np.where(vv == 0.0, 0.0,
+                     np.minimum(1.0, np.maximum(0.0, np.sum((centers - a) * ab, axis=1) / vv)))
+    off = centers - (a + u[:, None] * ab)
+    near = np.hypot(off[:, 0], off[:, 1]) < margin
+    clear = np.ones((len(rc), len(zc)), dtype=bool)
+    clear[i[near], j[near]] = False
+    return clear
+
+
+def _census_crossings(rc, zc, clear, seg_a, seg_b, cell: float):
+    """Crossings of the segments joining adjacent clear census centers.
+
+    Pair e = 2 (i n + j) + d joins center (i, j) to (i + 1, j) (d = 0) or
+    (i, j + 1) (d = 1).  Its crossings are the segments listed by a radius-2
+    bucket query around its midpoint (hash of side `cell`) that
+    seg_intersect the joining segment.  Returns the crossing count per
+    pair (0 for pairs not both clear) and, where it is 1, the crossing
+    point and the crossing segment's index.
+    """
+    n = len(rc)
+    lo, hi = _segment_buckets(seg_a, seg_b, cell)
+    crossings = np.zeros(2 * n * n, dtype=int)
+    hit_at = np.zeros((2 * n * n, 2))
+    hit_seg = np.zeros(2 * n * n, dtype=int)
+    mid_r, mid_z = 0.5 * (rc[:-1] + rc[1:]), 0.5 * (zc[:-1] + zc[1:])
+    for d, (bx, by) in enumerate(((mid_r, zc), (rc, mid_z))):
+        seg, i, j = _bucket_pairs(lo, hi, np.floor(bx / cell).astype(int),
+                                  np.floor(by / cell).astype(int), 2)
+        i2, j2 = i + (1 - d), j + d
+        both = clear[i, j] & clear[i2, j2]
+        seg, i, j, i2, j2 = seg[both], i[both], j[both], i2[both], j2[both]
+        hit, pts = seg_intersect_many(np.column_stack([rc[i], zc[j]]),
+                                      np.column_stack([rc[i2], zc[j2]]),
+                                      seg_a[seg], seg_b[seg])
+        e = 2 * (i[hit] * n + j[hit]) + d
+        np.add.at(crossings, e, 1)
+        hit_at[e], hit_seg[e] = pts[hit], seg[hit]
+    return crossings, hit_at, hit_seg
+
+
 def region_census(p: DhParams, grid_n: int = DEFAULT_GRID_N, census_n: int = 128,
                   curves=None, workspace_curves=None, max_boundary_samples: int = 20):
     """IKS counts over the padded bounding box of the critical values.
 
-    The audit walks adjacent cell pairs separated by exactly one crossing of
-    a critical-value polyline: their counts must differ by exactly 2, and
-    refined boundary points must carry the intermediate count (sampled up to
-    max_boundary_samples per (low, high) boundary kind).
+    Counts come from one ik_counts pass over the cell centers.  A cell is
+    clear when no critical-value segment passes within 0.3 of a cell of its
+    center.  The audit walks adjacent clear cells: segments listed by a
+    radius-2 bucket query around the pair's midpoint (on a hash of the
+    smaller cell side) that cross the segment joining the two centers are
+    its crossings.  Without one the counts must be equal; with exactly one
+    they must differ by exactly 2, and refined boundary points must carry
+    the intermediate count (sampled up to max_boundary_samples per
+    (low, high) boundary kind, in row-major pair order).  The clearance and
+    the crossings of all pairs are computed in one array pass each.
     """
     validate_params(p)
     if curves is None:
@@ -848,85 +925,59 @@ def region_census(p: DhParams, grid_n: int = DEFAULT_GRID_N, census_n: int = 128
     rg, zg = np.meshgrid(rc, zc, indexing="ij")
     counts = ik_counts(p, rg.ravel(), zg.ravel()).reshape(census_n, census_n)
 
-    # index the critical-value segments for crossing queries
+    # the critical-value segments, each vertex to the next around its curve
+    seg_a = np.vstack([allv[:0]] + [w.vertices for w in workspace_curves])
+    seg_b = np.vstack([allv[:0]] + [np.roll(w.vertices, -1, axis=0) for w in workspace_curves])
+    tags = np.array([(w.source_index, k) for w in workspace_curves for k in range(len(w))],
+                    dtype=int).reshape(-1, 2)
     cell = float(min(rho_edges[1] - rho_edges[0], z_edges[1] - z_edges[0]))
-    sweep = SegmentHash(cell)
-    for wc in workspace_curves:
-        n = len(wc)
-        for k in range(n):
-            sweep.add((wc.source_index, k), wc.vertices[k], wc.vertices[(k + 1) % n])
+    clear = _census_clearance(rc, zc, seg_a, seg_b, cell, 0.3 * cell)
+    crossings, hit_at, hit_seg = _census_crossings(rc, zc, clear, seg_a, seg_b, cell)
 
-    def crossings(a, b):
-        hits = []
-        mid = (0.5 * (a[0] + b[0]), 0.5 * (a[1] + b[1]))
-        for idx in sorted(set(sweep.near(mid[0], mid[1], radius=2))):
-            tag, s0, s1 = sweep.segs[idx]
-            hit = seg_intersect(a, b, s0, s1)
-            if hit is not None:
-                hits.append((hit[0], tag, hit[2]))
-        return hits
-
-    clear = np.ones((census_n, census_n), dtype=bool)
-    margin = 0.3 * min(rho_edges[1] - rho_edges[0], z_edges[1] - z_edges[0])
-    for i in range(census_n):
-        for j in range(census_n):
-            mids = sweep.near(rg[i, j], zg[i, j], radius=1)
-            if not mids:
-                continue
-            dmin = min(point_segment_dist(rg[i, j], zg[i, j],
-                                          sweep.segs[idx][1][0], sweep.segs[idx][1][1],
-                                          sweep.segs[idx][2][0], sweep.segs[idx][2][1])
-                       for idx in set(mids))
-            if dmin < margin:
-                clear[i, j] = False
+    n_pairs = 2 * census_n * census_n
+    e = np.arange(n_pairs)
+    i, j, d = e // (2 * census_n), (e // 2) % census_n, e % 2
+    i2, j2 = i + (1 - d), j + d
+    inside = (i2 < census_n) & (j2 < census_n)
+    i2, j2 = np.minimum(i2, census_n - 1), np.minimum(j2, census_n - 1)
+    both = inside & clear[i, j] & clear[i2, j2]
+    c_a, c_b = counts[i, j], counts[i2, j2]
+    audited = both & (crossings == 1)
 
     pencil = QuarticPencil(p)
     violations = []
     samples = []
     samples_per_kind = defaultdict(int)
-    audited = 0
-    for i in range(census_n):
-        for j in range(census_n):
-            for di, dj in ((1, 0), (0, 1)):
-                i2, j2 = i + di, j + dj
-                if i2 >= census_n or j2 >= census_n:
-                    continue
-                if not (clear[i, j] and clear[i2, j2]):
-                    continue
-                a = (float(rg[i, j]), float(zg[i, j]))
-                b = (float(rg[i2, j2]), float(zg[i2, j2]))
-                hits = crossings(a, b)
-                c_a, c_b = int(counts[i, j]), int(counts[i2, j2])
-                if len(hits) == 0:
-                    if c_a != c_b:
-                        violations.append({"kind": "no_crossing_count_change",
-                                           "cells": [[i, j], [i2, j2]],
-                                           "counts": [c_a, c_b]})
-                    continue
-                if len(hits) != 1:
-                    continue
-                audited += 1
-                if abs(c_a - c_b) != 2:
-                    violations.append({"kind": "adjacent_region_delta",
-                                       "cells": [[i, j], [i2, j2]],
-                                       "counts": [c_a, c_b]})
-                    continue
-                lo, hi = min(c_a, c_b), max(c_a, c_b)
-                if samples_per_kind[(lo, hi)] < max_boundary_samples:
-                    (hx, hy), (ci_tag, k_tag), _ = hits[0]
-                    t3 = wcurve_theta3(workspace_curves, ci_tag, k_tag)
-                    direction = (b[0] - a[0], b[1] - a[1])
-                    ref = _tangency_refine(p, pencil, hx, hy, t3, direction)
-                    if ref is None:
-                        continue
-                    th_star, rr, zz = ref
-                    if math.hypot(rr - hx, zz - hy) > 2 * cell:
-                        continue
-                    cnt = _count_at_boundary(p, pencil, rr, zz, th_star)
-                    samples_per_kind[(lo, hi)] += 1
-                    samples.append(BoundarySample(rr, zz, cnt, lo, hi))
-                    if cnt != lo + 1:
-                        violations.append({"kind": "boundary_count",
-                                           "point": [rr, zz],
-                                           "count": cnt, "expected": lo + 1})
-    return RegionCensus(rho_edges, z_edges, counts, audited, tuple(violations), tuple(samples))
+    for k in np.nonzero(audited | (both & (crossings == 0) & (c_a != c_b)))[0].tolist():
+        cells = [[int(i[k]), int(j[k])], [int(i2[k]), int(j2[k])]]
+        pair_counts = [int(c_a[k]), int(c_b[k])]
+        if crossings[k] == 0:
+            violations.append({"kind": "no_crossing_count_change",
+                               "cells": cells, "counts": pair_counts})
+            continue
+        if abs(pair_counts[0] - pair_counts[1]) != 2:
+            violations.append({"kind": "adjacent_region_delta",
+                               "cells": cells, "counts": pair_counts})
+            continue
+        low, high = min(pair_counts), max(pair_counts)
+        if samples_per_kind[(low, high)] >= max_boundary_samples:
+            continue
+        hx, hy = hit_at[k]
+        ci, vertex = tags[hit_seg[k]].tolist()
+        t3 = wcurve_theta3(workspace_curves, ci, vertex)
+        direction = (float(rc[i2[k]]) - float(rc[i[k]]), float(zc[j2[k]]) - float(zc[j[k]]))
+        ref = _tangency_refine(p, pencil, hx, hy, t3, direction)
+        if ref is None:
+            continue
+        th_star, rr, zz = ref
+        if math.hypot(rr - hx, zz - hy) > 2 * cell:
+            continue
+        cnt = _count_at_boundary(p, pencil, rr, zz, th_star)
+        samples_per_kind[(low, high)] += 1
+        samples.append(BoundarySample(rr, zz, cnt, low, high))
+        if cnt != low + 1:
+            violations.append({"kind": "boundary_count",
+                               "point": [rr, zz],
+                               "count": cnt, "expected": low + 1})
+    return RegionCensus(rho_edges, z_edges, counts, int(np.sum(audited)),
+                        tuple(violations), tuple(samples))

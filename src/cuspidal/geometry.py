@@ -91,15 +91,6 @@ class SegmentHash:
         seen.sort()
         return first[seen], second[seen]
 
-    def near(self, x, y, radius: int = 1):
-        i0 = int(math.floor(x / self.cell))
-        j0 = int(math.floor(y / self.cell))
-        out = []
-        for i in range(i0 - radius, i0 + radius + 1):
-            for j in range(j0 - radius, j0 + radius + 1):
-                out.extend(self.buckets.get((i, j), ()))
-        return out
-
 
 def polyline_min_dist(point, polylines) -> float:
     """Distance from a planar point to a collection of (n, 2) polylines."""

@@ -11,11 +11,13 @@ polynomials in (R, z) for the batched Newton refinements in `critical`.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dh import (
+    TWO_PI,
     CrossSectionPoint,
     DhParams,
     JointConfig,
@@ -33,7 +35,6 @@ from .errors import (
 # multiplicity cluster; on the t-line the radius widens like (1+t^2)/2 so that
 # multiplicity stays a property of the circle, not of the chart.
 CLUSTER_RADIUS_T = 1e-6
-_REAL_TOL = 1e-7
 _DEGREE_DROP_TOL = 1e-10
 _PARABOLA_BAND = 1e-9
 
@@ -52,9 +53,6 @@ class FCoefficients:
 
     def value(self, i: int, theta3: float) -> float:
         return float(self.u[i] * math.cos(theta3) + self.v[i] * math.sin(theta3) + self.w[i])
-
-    def at_cs(self, i: int, c3: float, s3: float) -> float:
-        return float(self.u[i] * c3 + self.v[i] * s3 + self.w[i])
 
 
 def _sum_of_squares_reduced(forms) -> np.ndarray:
@@ -343,38 +341,6 @@ def theta3_of_t(t: float) -> float:
     return 2.0 * math.atan(t)
 
 
-def _t_is_real(root: complex) -> bool:
-    # realness measured on the theta3 circle: Im(theta3) ~ 2 Im(t)/(1+Re(t)^2)
-    return abs(root.imag) <= _REAL_TOL * (1.0 + root.real * root.real)
-
-
-def _polish_plain(coeffs: np.ndarray, t: float, iters: int = 18) -> float:
-    """Line-searched Newton on M itself; contracts multiple-root scatter."""
-    dcoeffs = np.polyder(coeffs)
-    best_t, best_val = t, abs(np.polyval(coeffs, t))
-    for _ in range(iters):
-        f = np.polyval(coeffs, t)
-        df = np.polyval(dcoeffs, t)
-        if df == 0.0 or not math.isfinite(df):
-            break
-        step = f / df
-        lam = 1.0
-        for _ in range(8):
-            tn = t - lam * step
-            if abs(np.polyval(coeffs, tn)) < abs(f):
-                t = tn
-                break
-            lam *= 0.5
-        else:
-            break
-        val = abs(np.polyval(coeffs, t))
-        if val < best_val:
-            best_t, best_val = t, val
-        if val == 0.0:
-            break
-    return float(best_t)
-
-
 def _circle_gap(t1: float, t2: float) -> float:
     """Distance between roots as seen on the theta3 circle, in t units near 0."""
     d_t = abs(t1 - t2)
@@ -420,25 +386,222 @@ def cluster_real_roots(ts: list) -> list:
     return [(rep, mult) for rep, mult, _ in out]
 
 
-def _polish_root(coeffs: np.ndarray, t: float, mult: int, iters: int = 12) -> float:
-    """Newton polishing on the (mult-1)-th derivative, where the root is simple."""
-    poly = coeffs
-    for _ in range(mult - 1):
-        poly = np.polyder(poly)
-    dpoly = np.polyder(poly)
-    best_t, best_val = t, abs(np.polyval(poly, t))
+# Accepted roots at least this far apart on the theta3 circle cannot merge:
+# the widest merge radius of cluster_real_roots, reached by four roots, is
+# 8 (64 eps)^(1/4) ~ 2.8e-3 rad.
+_SEPARATED = 1e-2
+
+
+def _horner(d: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Each coefficient row d[k] at t[k] by Horner: np.polyval's value."""
+    y = d[:, 0]
+    for k in range(1, d.shape[1]):
+        y = y * t + d[:, k]
+    return y
+
+
+def _derivative(coeffs: np.ndarray, order) -> np.ndarray:
+    """d^order/dt^order of quartic rows (np.polyder's values), right-aligned in
+    five slots; `order` is one int or one per row."""
+    rows = np.arange(len(coeffs))[:, None]
+    return coeffs[rows, _JET_INDEX[order]] * _JET_WEIGHT[order]
+
+
+def _polish_plain(coeffs: np.ndarray, t: np.ndarray, iters: int = 18) -> np.ndarray:
+    """Line-searched Newton on M itself, one quartic row per root; contracts
+    multiple-root scatter.
+
+    Each root runs as it would alone: every step is halved up to 8 times
+    until |M| drops, and a root stops at a zero or non-finite slope, at a
+    step that never improves or at |M| = 0.  Returns each root's best iterate.
+    """
+    dcoeffs = _derivative(coeffs, 1)
+    t = t.copy()
+    f = _horner(coeffs, t)                  # M at the current iterate
+    best_t, best_val = t.copy(), np.abs(f)
+    act = np.arange(len(t))
     for _ in range(iters):
-        f = np.polyval(poly, t)
-        df = np.polyval(dpoly, t)
-        if df == 0.0:
+        df = _horner(dcoeffs[act], t[act])
+        ok = (df != 0.0) & np.isfinite(df)
+        act = act[ok]
+        step = f[act] / df[ok]
+        f_abs, t0 = np.abs(f[act]), t[act]
+        pending = np.ones(len(act), dtype=bool)
+        lam = 1.0
+        for _ in range(8):
+            idx = np.nonzero(pending)[0]
+            if len(idx) == 0:
+                break
+            tn = t0[idx] - lam * step[idx]
+            fn = _horner(coeffs[act[idx]], tn)
+            better = np.abs(fn) < f_abs[idx]
+            moved = act[idx[better]]
+            t[moved], f[moved] = tn[better], fn[better]
+            pending[idx[better]] = False
+            lam *= 0.5
+        act = act[~pending]
+        val = np.abs(f[act])
+        up = val < best_val[act]
+        best_t[act[up]], best_val[act[up]] = t[act[up]], val[up]
+        act = act[val != 0.0]
+        if len(act) == 0:
             break
-        t = t - f / df
-        val = abs(np.polyval(poly, t))
-        if val < best_val:
-            best_t, best_val = t, val
-        if val == 0.0:
+    return best_t
+
+
+def _polish_root(coeffs: np.ndarray, t: np.ndarray, mult: np.ndarray,
+                 iters: int = 12) -> np.ndarray:
+    """Newton polishing on the (mult-1)-th derivative, where the root is
+    simple; one quartic row per root, each keeping its best iterate."""
+    poly = _derivative(coeffs, mult - 1)
+    dpoly = _derivative(coeffs, mult)
+    t = t.copy()
+    f = _horner(poly, t)
+    best_t, best_val = t.copy(), np.abs(f)
+    act = np.arange(len(t))
+    for _ in range(iters):
+        df = _horner(dpoly[act], t[act])
+        act, df = act[df != 0.0], df[df != 0.0]
+        tn = t[act] - f[act] / df
+        # a root whose step rounds to zero stays where it is for good
+        moved = tn != t[act]
+        act, tn = act[moved], tn[moved]
+        t[act], f[act] = tn, _horner(poly[act], tn)
+        val = np.abs(f[act])
+        up = val < best_val[act]
+        best_t[act[up]], best_val[act[up]] = t[act[up]], val[up]
+        act = act[val != 0.0]
+        if len(act) == 0:
             break
-    return float(best_t)
+    return best_t
+
+
+_PAIRS = np.triu(np.ones((4, 4), dtype=bool), 1)
+
+
+def _separated(t: np.ndarray) -> np.ndarray:
+    """Rows of t (K, 4), nan = no root, whose roots are pairwise at least
+    _SEPARATED apart on the theta3 circle."""
+    th = 2.0 * np.arctan(t)
+    gap = np.abs(th[:, :, None] - th[:, None, :])
+    with np.errstate(invalid="ignore"):
+        close = np.minimum(gap, TWO_PI - gap) < _SEPARATED
+    return ~np.any(close & _PAIRS, axis=(1, 2))
+
+
+@dataclass(frozen=True)
+class RootBatch:
+    """Real roots of a stack of quartics with multiplicities, one row each.
+
+    Row k holds quartic k's distinct real roots in theta3 order, t (K, 4),
+    and their multiplicities, mult (K, 4); empty slots have t = nan and
+    mult = 0, and t = inf encodes theta3 = pi.  `zero` marks rows whose
+    coefficients all vanish.
+    """
+
+    t: np.ndarray
+    mult: np.ndarray
+    zero: np.ndarray
+
+    @property
+    def count(self) -> np.ndarray:
+        """Distinct real roots per row."""
+        return np.count_nonzero(self.mult, axis=1)
+
+    def roots(self, k: int) -> tuple:
+        """Row k as ((t, multiplicity), ...)."""
+        keep = self.mult[k] > 0
+        return tuple(zip(self.t[k, keep].tolist(), self.mult[k, keep].tolist()))
+
+
+def solve_quartics(m) -> RootBatch:
+    """All real roots with multiplicities of a (K, 5) stack of quartics.
+
+    Per row: companion eigenvalues, plain-Newton polishing, backward-error
+    realness, then clustering.  Polishing runs before clustering because the
+    eigenvalue scatter of an m-fold root scales like eps^(1/m), well beyond
+    the cluster radius for triple roots; Newton contracts that scatter back
+    under it.  A candidate counts as real when its polished residual reaches
+    the attainable floating-point floor.  A leading coefficient within 1e-10
+    of ||coeffs|| drops the degree and injects the theta3 = pi solution
+    (t = inf) with the dropped multiplicity.
+
+    The rows run together: one eigensolve per companion size (the matrices
+    np.roots builds), masked Horner for the Newton polishing, and
+    cluster_real_roots only for rows with accepted roots closer than
+    _SEPARATED, where roots can merge.  Each row gets what it would get
+    alone.
+    """
+    m = np.asarray(m, float).reshape(-1, 5)
+    k_rows = len(m)
+    norm = np.max(np.abs(m), axis=1)
+    zero = norm < 1e-300
+    coeffs = m / np.where(zero, 1.0, norm)[:, None]
+    drop = np.sum(np.cumprod(np.abs(coeffs[:, :4]) < _DEGREE_DROP_TOL, axis=1), axis=1)
+    # np.roots strips trailing zero coefficients and returns them as roots t = 0
+    trailing = np.argmax(coeffs[:, ::-1] != 0.0, axis=1)
+    n_eig = 4 - drop - trailing
+    cand = np.zeros((k_rows, 4), dtype=complex)
+    for n in range(1, 5):
+        rows = np.nonzero(~zero & (n_eig == n))[0]
+        if len(rows) == 0:
+            continue
+        lead = coeffs[rows[:, None], drop[rows, None] + np.arange(n + 1)]
+        comp = np.zeros((len(rows), n, n))
+        comp[:, 0, :] = -lead[:, 1:] / lead[:, :1]
+        comp[:, np.arange(1, n), np.arange(n - 1)] = 1.0
+        cand[rows, :n] = np.linalg.eigvals(comp)
+    re, im = cand.real, cand.imag
+    im_angle = 2.0 * np.abs(im) / (1.0 + re * re + im * im)
+    live = ~zero[:, None] & (np.arange(4) < 4 - drop[:, None]) & ~(im_angle > 1e-3)
+    row, _ = np.nonzero(live)
+    r_re, r_im = re[live], im[live]
+    with np.errstate(all="ignore"):
+        t = _polish_plain(coeffs[row], r_re)
+        residual = np.abs(_horner(coeffs[row], t))
+    eps = float(np.finfo(float).eps)
+    # travel bound: polishing may contract multiple-root scatter
+    # (~eps^(1/3) for triples) but must not migrate to another root
+    travel_max = 4.0 * (np.abs(r_im) + 6e-6 * (1.0 + r_re * r_re))
+    accept = (residual <= 64.0 * eps * np.square(1.0 + t * t)) & (np.abs(t - r_re) <= travel_max)
+    accepted = np.full((k_rows, 4), np.nan)
+    accepted[live] = np.where(accept, t, np.nan)
+
+    # clusters: singletons where no merge can happen, cluster_real_roots elsewhere
+    singles = _separated(accepted)
+    s_row, s_slot = np.nonzero(singles[:, None] & ~np.isnan(accepted))
+    merged = [(k, cluster_real_roots(accepted[k][~np.isnan(accepted[k])].tolist()))
+              for k in np.nonzero(~singles)[0].tolist()]
+    c_row = np.concatenate([s_row, np.array([k for k, c in merged for _ in c], dtype=int)])
+    c_t = np.concatenate([accepted[s_row, s_slot], [rep for _, c in merged for rep, _ in c]])
+    c_mult = np.concatenate([np.ones(len(s_row), dtype=int),
+                             np.array([mult for _, c in merged for _, mult in c], dtype=int)])
+    # sharpen multiple roots on the derivative where they are simple
+    with np.errstate(all="ignore"):
+        polished = _polish_root(coeffs[c_row], c_t, c_mult)
+
+    out_t = np.full((k_rows, 5), np.nan)
+    out_m = np.zeros((k_rows, 5), dtype=int)
+    single_t = np.full((k_rows, 4), np.nan)
+    single_t[s_row, s_slot] = polished[:len(s_row)]
+    still = singles & _separated(single_t)
+    keep = still[s_row]
+    out_t[s_row[keep], s_slot[keep]] = polished[:len(s_row)][keep]
+    out_m[s_row[keep], s_slot[keep]] = 1
+    expanded = defaultdict(list)
+    redo = ~still[c_row]
+    for k, rep, mult in zip(c_row[redo].tolist(), polished[redo].tolist(), c_mult[redo].tolist()):
+        expanded[k].extend([rep] * mult)
+    for k, ts in expanded.items():
+        for slot, (rep, mult) in enumerate(cluster_real_roots(ts)):
+            out_t[k, slot], out_m[k, slot] = rep, mult
+    dropped = ~zero & (drop > 0)
+    out_t[dropped, 4], out_m[dropped, 4] = math.inf, drop[dropped]
+    with np.errstate(invalid="ignore"):
+        key = np.where(out_m == 0, np.inf, np.where(np.isinf(out_t), math.pi, 2.0 * np.arctan(out_t)))
+    order = np.argsort(key, axis=1, kind="stable")[:, :4]
+    return RootBatch(np.take_along_axis(out_t, order, axis=1),
+                     np.take_along_axis(out_m, order, axis=1), zero)
 
 
 @dataclass(frozen=True)
@@ -453,52 +616,11 @@ class QuarticRoots:
 
 
 def solve_quartic(m: Quartic) -> QuarticRoots:
-    """All real roots with multiplicities: companion eigenvalues, plain-Newton
-    polishing, backward-error realness, then clustering.
-
-    Polishing runs before clustering because the eigenvalue scatter of an
-    m-fold root scales like eps^(1/m), well beyond the cluster radius for
-    triple roots; Newton contracts that scatter back under it.  A candidate
-    counts as real when its polished residual reaches the attainable
-    floating-point floor.  A leading coefficient within 1e-10 of ||coeffs||
-    drops the degree and injects the theta3 = pi solution (t = inf) with the
-    dropped multiplicity.
-    """
-    coeffs = m.coeffs()
-    norm = float(np.max(np.abs(coeffs)))
-    if norm < 1e-300:
+    """All real roots of one quartic with multiplicities (see solve_quartics)."""
+    batch = solve_quartics(m.coeffs())
+    if batch.zero[0]:
         raise ZeroPolynomialError("all quartic coefficients are zero")
-    coeffs = coeffs / norm
-    drop = 0
-    while drop < 4 and abs(coeffs[drop]) < _DEGREE_DROP_TOL:
-        drop += 1
-    finite = coeffs[drop:]
-    eps = float(np.finfo(float).eps)
-    accepted: list = []
-    if len(finite) > 1:
-        for r in np.roots(finite):
-            im_angle = 2.0 * abs(r.imag) / (1.0 + r.real * r.real + r.imag * r.imag)
-            if im_angle > 1e-3:
-                continue
-            t = _polish_plain(coeffs, float(r.real))
-            residual = abs(float(np.polyval(coeffs, t)))
-            # travel bound: polishing may contract multiple-root scatter
-            # (~eps^(1/3) for triples) but must not migrate to another root
-            travel_max = 4.0 * (abs(r.imag) + 6e-6 * (1.0 + r.real * r.real))
-            if (residual <= 64.0 * eps * (1.0 + t * t) ** 2
-                    and abs(t - r.real) <= travel_max):
-                accepted.append(t)
-    roots = cluster_real_roots(accepted)
-    # sharpen multiple roots on the derivative where they are simple
-    roots = [(_polish_root(coeffs, rep, mult), mult) for rep, mult in roots]
-    expanded: list = []
-    for rep, mult in roots:
-        expanded.extend([rep] * mult)
-    roots = cluster_real_roots(expanded)
-    if drop > 0:
-        roots.append((math.inf, drop))
-    roots.sort(key=lambda rm: theta3_of_t(rm[0]))
-    return QuarticRoots(tuple(roots))
+    return QuarticRoots(batch.roots(0))
 
 
 # --------------------------------------------------------------------------
@@ -527,23 +649,96 @@ class IkSolutionSet:
         return len(self.solutions)
 
 
-def _theta12_from_t(p: DhParams, f: FCoefficients, R: float, z: float, t: float):
-    """Solve the 2x2 linear system for (cos, sin) theta2; returns (theta2, ok)."""
-    if math.isinf(t):
-        c3, s3 = -1.0, 0.0
-    else:
-        den = 1.0 + t * t
-        c3, s3 = (1.0 - t * t) / den, 2.0 * t / den
-    f1 = f.at_cs(0, c3, s3)
-    f2 = f.at_cs(1, c3, s3)
+_CONIC_ZERO, _QUARTIC_ZERO = 1, 2
+
+
+@dataclass(frozen=True)
+class IkBatch:
+    """IK solutions of K targets, as flat arrays with one entry per root.
+
+    The roots of target k are the entries with row == k (row is sorted):
+    first its solutions, ordered by wrapped theta3 as solve_ik orders them,
+    then its flagged roots (`solved` False: the back-substitution matrix is
+    singular) in root order.  theta (N, 3) holds (theta1, theta2, theta3)
+    before wrapping.  Targets solve_ik refuses have status != 0 and no roots.
+    """
+
+    row: np.ndarray
+    t: np.ndarray
+    mult: np.ndarray
+    theta: np.ndarray
+    solved: np.ndarray
+    status: np.ndarray
+
+    def check(self, k: int) -> None:
+        """Raise the error solve_ik raises for target k, if any."""
+        if self.status[k] == _CONIC_ZERO:
+            raise DegenerateConicError("conic is identically zero")
+        if self.status[k] == _QUARTIC_ZERO:
+            raise ZeroPolynomialError("conic is the unit circle: M(t) vanishes identically")
+
+    def solution_set(self, k: int) -> IkSolutionSet:
+        lo, hi = np.searchsorted(self.row, [k, k + 1]).tolist()
+        sols, flagged = [], []
+        for t, mult, q, ok in zip(self.t[lo:hi].tolist(), self.mult[lo:hi].tolist(),
+                                  self.theta[lo:hi].tolist(), self.solved[lo:hi].tolist()):
+            if ok:
+                sols.append(IkSolution(JointConfig(*q), mult, t))
+            else:
+                flagged.append((t, mult))
+        return IkSolutionSet(tuple(sols), tuple(flagged))
+
+
+def _quartic_stack(p: DhParams, f: FCoefficients, R, zr):
+    """Quartics (K, 5) of targets (R, zr) from the conic scaled to unit
+    max-norm, and that norm (0 where the conic vanishes)."""
+    cc = _conic(p, f, R, zr)
+    norm = np.max(np.abs(cc), axis=0)
+    return quartic_coeffs_from_conic(cc / np.where(norm == 0.0, 1.0, norm)).T, norm
+
+
+def _atan2(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """math.atan2 elementwise.  np.arctan2 differs from it by an ulp on ~8 %
+    of inputs, and theta1 amplifies that by 1 / (distance to the base axis)."""
+    return np.array([math.atan2(a, b) for a, b in zip(y.tolist(), x.tolist())], dtype=float)
+
+
+def solve_ik_batch(p: DhParams, rho, z, phi=0.0) -> IkBatch:
+    """IK of targets at distance rho >= 0 from the base axis, height z and
+    azimuth phi (arrays), in one engine pass.
+
+    Roots of the quartic give theta3; theta2 comes from the linear system in
+    (cos theta2, sin theta2); theta1 from planar angle matching in (x, y).
+    """
+    rho = np.asarray(rho, float).ravel()
+    zr = np.asarray(z, float).ravel() - p.d1
+    R = rho * rho + zr * zr
+    f = f_coefficients(p)
+    m, norm = _quartic_stack(p, f, R, zr)
+    status = np.where(norm == 0.0, _CONIC_ZERO,
+                      np.where(np.max(np.abs(m), axis=1) < 1e-12, _QUARTIC_ZERO, 0))
+    roots = solve_quartics(m)
+    row, slot = np.nonzero((roots.mult > 0) & (status == 0)[:, None])
+    t, mult = roots.t[row, slot], roots.mult[row, slot]
+    inf = np.isinf(t)
+    tf = np.where(inf, 0.0, t)
+    den = 1.0 + tf * tf
+    c3 = np.where(inf, -1.0, (1.0 - tf * tf) / den)
+    s3 = np.where(inf, 0.0, 2.0 * tf / den)
+    f1, f2, f3, f4 = (f.u[i] * c3 + f.v[i] * s3 + f.w[i] for i in range(4))
     det = f1 * f1 + f2 * f2
-    if det < 1e-14 * max(1.0, abs(R)):
-        return 0.0, False
-    rhs1 = (R - f.at_cs(2, c3, s3)) / (2.0 * p.a1)
-    rhs2 = (z - f.at_cs(3, c3, s3)) / math.sin(p.alpha1)
-    c2 = (f1 * rhs1 - f2 * rhs2) / det
-    s2 = (f2 * rhs1 + f1 * rhs2) / det
-    return math.atan2(s2, c2), True
+    solved = ~(det < 1e-14 * np.maximum(1.0, np.abs(R[row])))
+    det = np.where(solved, det, 1.0)
+    rhs1 = (R[row] - f3) / (2.0 * p.a1)
+    rhs2 = (zr[row] - f4) / math.sin(p.alpha1)
+    theta2 = _atan2((f2 * rhs1 + f1 * rhs2) / det, (f1 * rhs1 - f2 * rhs2) / det)
+    theta3 = np.array([theta3_of_t(v) for v in t.tolist()], dtype=float)
+    x0, y0, _ = fk_arrays(p, 0.0, theta2, theta3)
+    theta1 = np.where(np.hypot(x0, y0) < 1e-12, 0.0,
+                      np.broadcast_to(phi, rho.shape)[row] - _atan2(y0, x0))
+    order = np.lexsort((np.where(solved, wrap_angle(theta3), np.inf), row))
+    return IkBatch(row[order], t[order], mult[order],
+                   np.column_stack([theta1, theta2, theta3])[order], solved[order], status)
 
 
 def solve_ik_cross_section(p: DhParams, target: CrossSectionPoint) -> IkSolutionSet:
@@ -556,70 +751,20 @@ def solve_ik_cross_section(p: DhParams, target: CrossSectionPoint) -> IkSolution
 
 
 def solve_ik(p: DhParams, target: Pose3) -> IkSolutionSet:
-    """All IK solutions of a Cartesian target with multiplicities.
-
-    Roots of the quartic give theta3; theta2 comes from the linear system in
-    (cos theta2, sin theta2); theta1 from planar angle matching in (x, y).
-    Roots whose back-substitution matrix is singular are flagged, not dropped.
-    """
-    zr = target.z - p.d1
+    """All IK solutions of a Cartesian target with multiplicities, ordered by
+    theta3 (one row of solve_ik_batch).  Roots whose back-substitution
+    matrix is singular are flagged, not dropped."""
     rho = math.hypot(target.x, target.y)
-    R = rho * rho + zr * zr
-    cc = conic_raw(p, R, zr)
-    norm = float(np.max(np.abs(cc)))
-    if norm == 0.0:
-        raise DegenerateConicError("conic is identically zero")
-    m_coeffs = quartic_coeffs_from_conic(cc / norm)
-    if float(np.max(np.abs(m_coeffs))) < 1e-12:
-        raise ZeroPolynomialError("conic is the unit circle: M(t) vanishes identically")
-    quartic = Quartic(*(float(v) for v in m_coeffs))
-    roots = solve_quartic(quartic)
-    f = f_coefficients(p)
-    phi_target = math.atan2(target.y, target.x) if rho > 1e-14 else 0.0
-    sols = []
-    flagged = []
-    for t, mult in roots.roots:
-        theta3 = theta3_of_t(t)
-        theta2, ok = _theta12_from_t(p, f, R, zr, t)
-        if not ok:
-            flagged.append((t, mult))
-            continue
-        x0, y0, _ = fk_arrays(p, 0.0, theta2, theta3)
-        rho0 = math.hypot(float(x0), float(y0))
-        theta1 = 0.0 if rho0 < 1e-12 else phi_target - math.atan2(float(y0), float(x0))
-        sols.append(IkSolution(JointConfig(theta1, theta2, theta3), mult, t))
-    sols.sort(key=lambda s: s.config.theta3)
-    return IkSolutionSet(tuple(sols), tuple(flagged))
+    phi = math.atan2(target.y, target.x) if rho > 1e-14 else 0.0
+    batch = solve_ik_batch(p, rho, target.z, phi)
+    batch.check(0)
+    return batch.solution_set(0)
 
 
 def ik_counts(p: DhParams, rho, z):
-    """Multiplicity-free IK solution counts for arrays of (rho, z) targets.
-
-    Batched companion-matrix eigensolve; points with a degree drop fall back
-    to the scalar path.  Used by the workspace census.
-    """
+    """Multiplicity-free IK solution counts for arrays of (rho, z) targets:
+    the distinct real roots of each target's quartic, 0 where the conic
+    vanishes.  Used by the workspace census."""
     rho = np.asarray(rho, float).ravel()
-    zz = np.asarray(z, float).ravel() - p.d1
-    R = rho * rho + zz * zz
-    cc = conic_raw(p, R, zz)
-    cc = cc / np.maximum(np.max(np.abs(cc), axis=0), 1e-300)
-    m = quartic_coeffs_from_conic(cc)  # (5, K)
-    counts = np.zeros(len(rho), dtype=int)
-    lead_ok = np.abs(m[0]) >= _DEGREE_DROP_TOL
-    idx = np.nonzero(lead_ok)[0]
-    if len(idx) > 0:
-        mm = m[:, idx] / m[0, idx]
-        comp = np.zeros((len(idx), 4, 4))
-        comp[:, 1, 0] = comp[:, 2, 1] = comp[:, 3, 2] = 1.0
-        comp[:, 0, :] = -mm[1:].T
-        eig = np.linalg.eigvals(comp)
-        for row, k in enumerate(idx):
-            ts = [r.real for r in eig[row] if _t_is_real(r)]
-            counts[k] = len(cluster_real_roots(ts))
-    for k in np.nonzero(~lead_ok)[0]:
-        quartic = Quartic(*(float(v) for v in m[:, k]))
-        try:
-            counts[k] = len(solve_quartic(quartic).roots)
-        except ZeroPolynomialError:
-            counts[k] = 0
-    return counts
+    zr = np.asarray(z, float).ravel() - p.d1
+    return solve_quartics(_quartic_stack(p, f_coefficients(p), rho * rho + zr * zr, zr)[0]).count

@@ -34,7 +34,7 @@ from .dh import (
     validate_params,
     wrap_angle,
 )
-from .errors import CuspidalError, NonGenericRobotError, StartOrGoalSingularError
+from .errors import NonGenericRobotError, StartOrGoalSingularError
 from .geometry import TorusCurveIndex, unwrap_segment
 from .critical import (
     DEFAULT_GRID_N,
@@ -48,11 +48,12 @@ from .critical import (
     trace_critical_points,
 )
 from .reduction import (
+    IkBatch,
     conic_classify,
     conic_raw,
     quartic_coeffs_from_conic,
     quartic_discriminant,
-    solve_ik_cross_section,
+    solve_ik_batch,
 )
 
 PS_EXCLUSION_RADIUS = 1e-2
@@ -77,15 +78,13 @@ class AspectMap:
     def cell_size(self) -> float:
         return TWO_PI / self.grid_n
 
-    def cell_of(self, theta2: float, theta3: float):
+    def cell_of(self, theta2, theta3):
+        """Grid cell (i, j) of torus points, shared by every map of this grid:
+        ints for one point, index arrays for arrays of points."""
         h = self.cell_size
-        i = int((float(wrap_angle(theta2)) + math.pi) // h) % self.grid_n
-        j = int((float(wrap_angle(theta3)) + math.pi) // h) % self.grid_n
-        return i, j
-
-    def label_of(self, theta2: float, theta3: float) -> int:
-        i, j = self.cell_of(theta2, theta3)
-        return int(self.labels[i, j])
+        i = ((wrap_angle(theta2) + math.pi) // h).astype(int) % self.grid_n
+        j = ((wrap_angle(theta3) + math.pi) // h).astype(int) % self.grid_n
+        return (int(i), int(j)) if np.ndim(i) == 0 else (i, j)
 
     def center(self, i: int, j: int):
         h = self.cell_size
@@ -100,12 +99,6 @@ class ReducedAspectMap:
     labels: np.ndarray
     count: int
     parent_aspect: np.ndarray  # (count,) aspect label per reduced label
-
-    def label_of(self, theta2: float, theta3: float) -> int:
-        h = TWO_PI / self.grid_n
-        i = int((float(wrap_angle(theta2)) + math.pi) // h) % self.grid_n
-        j = int((float(wrap_angle(theta3)) + math.pi) // h) % self.grid_n
-        return int(self.labels[i, j])
 
 
 @dataclass(frozen=True)
@@ -319,7 +312,7 @@ def compute_pseudosingularities(p: DhParams, curves,
     return PseudoSingularitySet(tuple(polylines), PS_EXCLUSION_RADIUS, d > 0)
 
 
-def compute_reduced_aspects(p: DhParams, curves, ps: PseudoSingularitySet,
+def compute_reduced_aspects(curves, ps: PseudoSingularitySet,
                             aspects: AspectMap) -> ReducedAspectMap:
     """Flood fill of the torus minus S union PS.
 
@@ -331,7 +324,8 @@ def compute_reduced_aspects(p: DhParams, curves, ps: PseudoSingularitySet,
     the honest resolution-limited reading of the decomposition (extra
     splitting is safe, leaking between reduced aspects is not).  Without
     pseudosingularities S is the only boundary and the reduced aspects are
-    the aspects.  `aspects` is the AspectMap of the grid to refine.
+    the aspects.  `aspects` is the AspectMap of the grid to refine; its
+    singular cells stay -1.
     """
     grid_n = aspects.grid_n
     if not ps.total_points():
@@ -339,14 +333,12 @@ def compute_reduced_aspects(p: DhParams, curves, ps: PseudoSingularitySet,
                                 np.arange(aspects.count, dtype=np.int32))
     if ps.d_positive.shape != (grid_n, grid_n):
         raise ValueError("pseudosingularities were computed on another grid")
-    det_c = aspects.det_center
-    key = 2 * (det_c >= 0) + ps.d_positive
+    key = 2 * (aspects.det_center >= 0) + ps.d_positive
     band = _curve_band(curves, grid_n, ps.exclusion_radius)
     count, labels = _components(key, excluded=band)
     ids, first = np.unique(labels, return_index=True)
     parent = aspects.labels.ravel()[first[ids >= 0]]
-    scale = singularity_scale(p)
-    labels[np.abs(det_c) < _SINGULAR_CELL_TOL * scale] = -1
+    labels[aspects.labels < 0] = -1
     return ReducedAspectMap(grid_n, labels, count, parent)
 
 
@@ -369,10 +361,35 @@ def _curve_band(curves, grid_n: int, exclusion_radius: float):
 def build_topology(p: DhParams, curves, grid_n: int = DEFAULT_GRID_N) -> TopologyMaps:
     aspects = compute_aspects(p, grid_n)
     ps = compute_pseudosingularities(p, curves, grid_n)
-    reduced = compute_reduced_aspects(p, curves, ps, aspects)
+    reduced = compute_reduced_aspects(curves, ps, aspects)
     s_index = TorusCurveIndex([c.vertices for c in curves])
     ps_index = TorusCurveIndex([np.vstack([c, c[::-1]]) for c in ps.polylines])
     return TopologyMaps(aspects, reduced, ps, s_index, ps_index)
+
+
+def _labels(maps: TopologyMaps, ik: IkBatch) -> list:
+    """SolutionLabel lists of the targets of an IK batch; None for the
+    targets solve_ik refuses."""
+    row, theta, mult = ik.row[ik.solved], ik.theta[ik.solved], ik.mult[ik.solved]
+    th2, th3 = wrap_angle(theta[:, 1]), wrap_angle(theta[:, 2])
+    cells = maps.aspects.cell_of(th2, th3)
+    aspect = maps.aspects.labels[cells].tolist()
+    reduced = maps.reduced.labels[cells]
+    pts = np.column_stack([th2, th3])
+    dist = np.minimum(maps.s_index.dists(pts), maps.ps_index.dists(pts))
+    on_boundary = ((dist < maps.aspects.cell_size) | (reduced < 0)).tolist()
+    out = [None if status else [] for status in ik.status.tolist()]
+    for n, (k, q, m) in enumerate(zip(row.tolist(), theta.tolist(), mult.tolist())):
+        out[k].append(SolutionLabel(JointConfig(*q), m, aspect[n], int(reduced[n]),
+                                    on_boundary[n], aspect[n] < 0))
+    return out
+
+
+def label_solutions_batch(p: DhParams, maps: TopologyMaps, rho, z) -> list:
+    """label_solutions for arrays of cross-section points (rho, z), from one
+    IK engine pass and one distance query per curve index; targets whose IK
+    is degenerate get None instead of raising."""
+    return _labels(maps, solve_ik_batch(p, rho, z))
 
 
 def label_solutions(p: DhParams, maps: TopologyMaps, target: CrossSectionPoint):
@@ -381,18 +398,9 @@ def label_solutions(p: DhParams, maps: TopologyMaps, target: CrossSectionPoint):
     Solutions inside the unresolved band around the critical curves carry
     reduced label -1 and are flagged on_boundary.
     """
-    sols = solve_ik_cross_section(p, target)
-    out = []
-    for s in sols.solutions:
-        pt = np.array([s.config.theta2, s.config.theta3])
-        aspect = maps.aspects.label_of(pt[0], pt[1])
-        reduced = maps.reduced.label_of(pt[0], pt[1])
-        d_s = maps.s_index.dist(pt)
-        d_ps = maps.ps_index.dist(pt)
-        on_boundary = min(d_s, d_ps) < maps.aspects.cell_size or reduced < 0
-        out.append(SolutionLabel(s.config, s.multiplicity, aspect, reduced,
-                                 on_boundary, aspect < 0))
-    return out
+    ik = solve_ik_batch(p, target.rho, target.z)
+    ik.check(0)
+    return _labels(maps, ik)[0]
 
 
 # --------------------------------------------------------------------------
@@ -485,40 +493,34 @@ def verify_path(p: DhParams, path: JointPath, samples_per_segment: int = 10) -> 
 # verdict
 # --------------------------------------------------------------------------
 
+def _clean(labels) -> bool:
+    return (labels is not None and len(labels) >= 2
+            and not any(l.on_boundary or l.singular_cell or l.multiplicity != 1 for l in labels))
+
+
 def _sample_regular_points(p: DhParams, census, maps: TopologyMaps, samples: int):
     """Deterministic stratified sample of regular points with >= 2 IKS.
 
     Four-solution cells are taken first (same-aspect pairs can only occur
-    where at least four solutions exist), then two-solution cells.
+    where at least four solutions exist), then two-solution cells.  All
+    candidates are labelled in one batch; the first `samples` clean ones,
+    in candidate order, are kept.
     """
     rc, zc = census.centers()
     counts = census.counts
-    cand4 = [(i, j) for i in range(counts.shape[0]) for j in range(counts.shape[1])
-             if counts[i, j] >= 4]
-    cand2 = [(i, j) for i in range(counts.shape[0]) for j in range(counts.shape[1])
-             if counts[i, j] == 2]
     ordered = []
-    for cells, budget in ((cand4, samples), (cand2, samples)):
-        if not cells:
-            continue
-        stride = max(1, len(cells) // budget)
-        ordered.extend(cells[::stride])
-    picked = []
-    for (i, j) in ordered:
-        if len(picked) >= samples:
-            break
-        target = CrossSectionPoint(float(rc[i]), float(zc[j]))
-        labels = label_solutions(p, maps, target)
-        if len(labels) < 2:
-            continue
-        if any(l.on_boundary or l.singular_cell or l.multiplicity != 1 for l in labels):
-            continue
-        picked.append((target, labels))
-    return picked
+    for cells in (np.argwhere(counts >= 4), np.argwhere(counts == 2)):
+        if len(cells):
+            ordered.extend(cells[::max(1, len(cells) // samples)].tolist())
+    targets = [CrossSectionPoint(float(rc[i]), float(zc[j])) for i, j in ordered]
+    labelled = label_solutions_batch(p, maps, [t.rho for t in targets], [t.z for t in targets])
+    picked = [(t, labels) for t, labels in zip(targets, labelled) if _clean(labels)]
+    return picked[:samples]
 
 
 def _sample_cusp_rings(p: DhParams, census, maps: TopologyMaps, cusps):
-    """Clean sample points on small rings around each cusp.
+    """Clean sample points on small rings around each cusp, labelled in one
+    batch.
 
     Same-aspect pairs concentrate near cusps; when the four-solution region
     is small, the stratified census sample can miss it entirely.
@@ -527,27 +529,17 @@ def _sample_cusp_rings(p: DhParams, census, maps: TopologyMaps, cusps):
     if len(rc) < 2:
         return []
     cell = math.hypot(float(rc[1] - rc[0]), float(zc[1] - zc[0]))
-    picked = []
+    targets = []
     for c in cusps:
         for radius in (cell, 2 * cell, 4 * cell):
             for k in range(8):
                 ang = TWO_PI * k / 8
                 rho = c.rho + radius * math.cos(ang)
                 z = c.z + radius * math.sin(ang)
-                if rho <= 0:
-                    continue
-                target = CrossSectionPoint(rho, z)
-                try:
-                    labels = label_solutions(p, maps, target)
-                except CuspidalError:
-                    continue
-                if len(labels) < 2:
-                    continue
-                if any(l.on_boundary or l.singular_cell or l.multiplicity != 1
-                       for l in labels):
-                    continue
-                picked.append((target, labels))
-    return picked
+                if rho > 0:
+                    targets.append(CrossSectionPoint(rho, z))
+    labelled = label_solutions_batch(p, maps, [t.rho for t in targets], [t.z for t in targets])
+    return [(t, labels) for t, labels in zip(targets, labelled) if _clean(labels)]
 
 
 def _has_shared_aspect(labels) -> bool:

@@ -1,3 +1,5 @@
+import ast
+import importlib
 import json
 import math
 import os
@@ -325,3 +327,26 @@ def test_plot_rerun_byte_identical(tmp_path, capsys):
     f1 = (tmp_path / "a" / "orthogonal_node.workspace.svg").read_bytes()
     f2 = (tmp_path / "b" / "orthogonal_node.workspace.svg").read_bytes()
     assert f1 == f2
+
+
+# --------------------------------------------------------------------------
+# benchmark tooling
+# --------------------------------------------------------------------------
+
+def test_benchmark_tracer_names_resolve():
+    """Every (module, attribute) the benchmark's tracer spans or counts still
+    names a callable of the package, so `perfbench/run.py --trace 1` runs."""
+    path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "tracer.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    tables = {target.id: ast.literal_eval(node.value)
+              for node in tree.body if isinstance(node, ast.Assign)
+              for target in node.targets
+              if isinstance(target, ast.Name) and target.id in ("SPANNED", "COUNTED")}
+    assert set(tables) == {"SPANNED", "COUNTED"}
+    for modname, attr in tables["SPANNED"] + tables["COUNTED"]:
+        obj = importlib.import_module(f"cuspidal.{modname}")
+        for part in attr.split("."):
+            assert hasattr(obj, part), f"{modname}.{attr}"
+            obj = getattr(obj, part)
+        assert callable(obj), f"{modname}.{attr}"

@@ -1,4 +1,5 @@
 import math
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from cuspidal import (
     wrap_angle,
 )
 from cuspidal.critical import (
+    _census_clearance,
+    _census_crossings,
     _chart_seed,
     _damped_newton,
     _dedup_sorted,
@@ -338,6 +341,70 @@ def test_counts_outside_reach_are_zero(ref_census):
     assert ref_census.counts[0, 0] == 0
     assert ref_census.counts[-1, -1] == 0
     assert ref_census.counts[0, -1] == 0
+
+
+def _loop_census(rc, zc, seg_a, seg_b, cell):
+    """Census clearance and crossings, cell by cell over a bucket dict."""
+    buckets = defaultdict(list)
+    for s, (a, b) in enumerate(zip(seg_a, seg_b)):
+        i0, i1 = sorted((math.floor(a[0] / cell), math.floor(b[0] / cell)))
+        j0, j1 = sorted((math.floor(a[1] / cell), math.floor(b[1] / cell)))
+        for i in range(i0, i1 + 1):
+            for j in range(j0, j1 + 1):
+                buckets[(i, j)].append(s)
+
+    def listed(x, y, radius):
+        i0, j0 = math.floor(x / cell), math.floor(y / cell)
+        return sorted({s for i in range(i0 - radius, i0 + radius + 1)
+                       for j in range(j0 - radius, j0 + radius + 1)
+                       for s in buckets.get((i, j), ())})
+
+    n = len(rc)
+    clear = np.ones((n, n), dtype=bool)
+    for i in range(n):
+        for j in range(n):
+            clear[i, j] = not any(
+                point_segment_dist(rc[i], zc[j], *seg_a[s], *seg_b[s]) < 0.3 * cell
+                for s in listed(rc[i], zc[j], 1))
+    hits = {}
+    for i in range(n):
+        for j in range(n):
+            for d, (i2, j2) in enumerate(((i + 1, j), (i, j + 1))):
+                if i2 >= n or j2 >= n or not (clear[i, j] and clear[i2, j2]):
+                    continue
+                a, b = (float(rc[i]), float(zc[j])), (float(rc[i2]), float(zc[j2]))
+                mid = (0.5 * (a[0] + b[0]), 0.5 * (a[1] + b[1]))
+                found = [(s, seg_intersect(a, b, seg_a[s], seg_b[s]))
+                         for s in listed(mid[0], mid[1], 2)]
+                hits[2 * (i * n + j) + d] = [(s, h[0]) for s, h in found if h is not None]
+    return clear, hits
+
+
+@pytest.mark.parametrize("robot", [REFERENCE, NODE_ROBOT])
+def test_census_clearance_and_crossings_equal_cell_loop(robot, analysis):
+    """The array clearance mask and the crossings of every pair of adjacent
+    clear cells equal a loop over bucket queries with point_segment_dist
+    and seg_intersect."""
+    wcurves = analysis.wcurves(robot)
+    census = region_census(robot, TEST_GRID, census_n=48, curves=analysis.curves(robot),
+                           workspace_curves=wcurves)
+    rc, zc = census.centers()
+    cell = float(min(census.rho_edges[1] - census.rho_edges[0],
+                     census.z_edges[1] - census.z_edges[0]))
+    seg_a = np.vstack([w.vertices for w in wcurves])
+    seg_b = np.vstack([np.roll(w.vertices, -1, axis=0) for w in wcurves])
+    clear = _census_clearance(rc, zc, seg_a, seg_b, cell, 0.3 * cell)
+    crossings, hit_at, hit_seg = _census_crossings(rc, zc, clear, seg_a, seg_b, cell)
+    ref_clear, ref_hits = _loop_census(rc, zc, seg_a, seg_b, cell)
+    assert np.array_equal(clear, ref_clear)
+    assert 0 < np.count_nonzero(~clear) < clear.size
+    for e in range(len(crossings)):
+        found = ref_hits.get(e, [])
+        assert crossings[e] == len(found), e
+        if len(found) == 1:
+            assert hit_seg[e] == found[0][0]
+            assert tuple(hit_at[e]) == found[0][1]
+    assert sum(len(h) == 1 for h in ref_hits.values()) == census.audited_pairs > 0
 
 
 # --------------------------------------------------------------------------

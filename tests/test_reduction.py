@@ -32,6 +32,8 @@ from cuspidal.reduction import (
     quartic_coeffs_from_conic,
     quartic_discriminant,
     quartic_jet,
+    solve_ik_batch,
+    solve_quartics,
 )
 
 from conftest import (
@@ -353,13 +355,83 @@ def test_solutions_sorted_by_theta3(rng):
 
 
 def test_ik_counts_matches_solver(rng):
-    p = REFERENCE
     rho = rng.uniform(0.1, 4.5, 200)
     z = rng.uniform(-4, 4, 200)
-    batch = ik_counts(p, rho, z)
-    for k in range(0, 200, 7):
-        sols = solve_ik_cross_section(p, CrossSectionPoint(float(rho[k]), float(z[k])))
-        assert batch[k] == sols.distinct()
+    # a random robot at its own reachable points (half of them) and in a box
+    local = np.random.default_rng(11)
+    p = random_valid_params(local)
+    reach = [cross_section(forward_kinematics(p, JointConfig(*local.uniform(-math.pi, math.pi, 3))))
+             for _ in range(100)]
+    rho_r = np.concatenate([[c.rho for c in reach], local.uniform(0.0, 6.0, 100)])
+    z_r = np.concatenate([[c.z for c in reach], local.uniform(-6.0, 6.0, 100)])
+    for p, rho, z in ((REFERENCE, rho, z), (p, rho_r, z_r)):
+        batch = ik_counts(p, rho, z)
+        for k in range(200):
+            sols = solve_ik_cross_section(p, CrossSectionPoint(float(rho[k]), float(z[k])))
+            assert batch[k] == sols.distinct(), (p, k)
+
+
+def _quartic_stack_cases(rng):
+    """Random quartics mixed with the rows the root engine treats specially."""
+    rows = [rng.normal(size=5) for _ in range(4)]
+    drop = rng.normal(size=5)
+    drop[0] = rng.uniform(-1.0, 1.0) * 1e-11              # theta3 = pi is a root
+    rows.append(drop)
+    drop2 = rng.normal(size=5)
+    drop2[:2] = rng.uniform(-1.0, 1.0, 2) * 1e-11         # a double root at theta3 = pi
+    rows.append(drop2)
+    trailing = rng.normal(size=5)
+    trailing[4] = 0.0                                      # t = 0 is an exact root
+    rows.append(trailing)
+    r, s, u = rng.uniform(-2.0, 2.0, 3)
+    for roots, noise in (([r, r + 1e-9, s, u], 1e-15),     # near-double root
+                         ([r, r, r + 1e-7, s], 1e-14),     # near-triple root
+                         ([r, r, s, s + 1e-8], 1e-15)):    # two near-double roots
+        rows.append(np.poly(roots) * (1.0 + noise * rng.normal(size=5)))
+    rows.append(np.zeros(5))
+    return np.array(rows)[rng.permutation(len(rows))]
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+def test_stacked_quartics_equal_rows_solved_alone(seed):
+    """The engine solves a stack row by row: roots and multiplicities of
+    every row are bit-identical to that row solved alone, and solve_quartic
+    (one row) raises on the all-zero row."""
+    stack = _quartic_stack_cases(np.random.default_rng(seed))
+    batch = solve_quartics(stack)
+    for k, m in enumerate(stack):
+        alone = solve_quartics(m[None])
+        assert batch.t[k].tobytes() == alone.t[0].tobytes()
+        assert batch.mult[k].tolist() == alone.mult[0].tolist()
+        if not m.any():
+            assert batch.zero[k] and batch.count[k] == 0
+            with pytest.raises(ZeroPolynomialError):
+                solve_quartic(Quartic(*m))
+        else:
+            assert solve_quartic(Quartic(*m)).roots == batch.roots(k)
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+def test_ik_batch_equals_targets_solved_alone(seed):
+    """Per target, one IK batch gives what solve_ik gives alone: the same
+    roots, multiplicities, joint angles and flagged roots, bit for bit."""
+    rng = np.random.default_rng(seed)
+    # F1 = F2 = 0 at theta3 = 2 pi / 3: the root there cannot be back-substituted
+    p = DhParams(0, 0.3, math.sqrt(3), 1, 1, 2, math.pi / 2, math.pi / 4)
+    f = f_coefficients(p)
+    th3 = 2 * math.pi / 3
+    targets = [(math.sqrt(f.value(2, th3) - f.value(3, th3) ** 2), f.value(3, th3)),
+               (50.0, 0.0)]                              # unreachable
+    for theta3 in rng.uniform(-math.pi, math.pi, 6).tolist() + [math.pi]:
+        cs = cross_section(forward_kinematics(p, JointConfig(*rng.uniform(-3, 3, 2), theta3)))
+        targets.append((cs.rho, cs.z))
+    rho, z = np.array(targets).T
+    order = rng.permutation(len(targets))
+    batch = solve_ik_batch(p, rho[order], z[order])
+    for k, i in enumerate(order):
+        alone = solve_ik(p, Pose3(float(rho[i]), 0.0, float(z[i])))
+        assert batch.solution_set(k) == alone
+    assert any(batch.solution_set(k).flagged for k in range(len(targets)))
 
 
 # --------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from cuspidal.geometry import (
     polyline_min_dist,
     unwrap_segment,
 )
-from cuspidal.topology import JointPath
+from cuspidal.topology import JointPath, label_solutions_batch
 
 from conftest import (
     BINARY_ROBOT,
@@ -143,7 +143,7 @@ def test_binary_robot_has_empty_ps(analysis):
     ps = compute_pseudosingularities(BINARY_ROBOT, curves)
     assert ps.total_points() == 0
     aspects = compute_aspects(BINARY_ROBOT, TEST_GRID)
-    reduced = compute_reduced_aspects(BINARY_ROBOT, curves, ps, aspects)
+    reduced = compute_reduced_aspects(curves, ps, aspects)
     assert reduced.count == aspects.count
     assert np.array_equal(reduced.labels, aspects.labels)
 
@@ -220,6 +220,24 @@ def _regular_point_with_count(p, maps, analysis, want, grid=TEST_GRID):
                     for l in labels):
                 return target, labels
     raise AssertionError(f"no clean {want}-solution point found")
+
+
+def test_batched_labels_equal_one_target_calls(ref_maps, analysis):
+    """One labelling batch over REFERENCE's four-solution census cells gives
+    what label_solutions gives for each cell alone."""
+    from cuspidal import region_census
+
+    census = region_census(REFERENCE, TEST_GRID, census_n=64,
+                           curves=analysis.curves(REFERENCE),
+                           workspace_curves=analysis.wcurves(REFERENCE))
+    rc, zc = census.centers()
+    cells = np.argwhere(census.counts == 4)
+    assert len(cells) > 20
+    batch = label_solutions_batch(REFERENCE, ref_maps, rc[cells[:, 0]], zc[cells[:, 1]])
+    assert len(batch) == len(cells)
+    for (i, j), labels in zip(cells, batch):
+        alone = label_solutions(REFERENCE, ref_maps, CrossSectionPoint(float(rc[i]), float(zc[j])))
+        assert labels == alone
 
 
 def test_reference_four_point_shares_aspect(ref_maps, analysis):
