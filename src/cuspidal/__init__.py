@@ -31,6 +31,7 @@ from .reduction import (
     solve_quartic,
 )
 from .critical import (
+    CriticalSet,
     CuspPoint,
     GenericityReport,
     JointCurve,

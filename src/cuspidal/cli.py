@@ -230,8 +230,7 @@ def cmd_critical(args) -> int:
 def cmd_cusps(args) -> int:
     name, p = _robot(args)
     fmts = _formats(args)
-    curves = trace_critical_points(p, args.grid)
-    cusps = find_cusps(p, critical_values(p, curves))
+    cusps = find_cusps(p, critical_values(p, trace_critical_points(p, args.grid)))
     if "csv" in fmts:
         _write_cusp_csv(os.path.join(_ensure_out(args), f"{name}.cusps.csv"), cusps)
     _print({
@@ -244,8 +243,7 @@ def cmd_cusps(args) -> int:
 def cmd_nodes(args) -> int:
     name, p = _robot(args)
     fmts = _formats(args)
-    curves = trace_critical_points(p, args.grid)
-    nodes = find_nodes(p, critical_values(p, curves))
+    nodes = find_nodes(p, critical_values(p, trace_critical_points(p, args.grid)))
     if "csv" in fmts:
         _write_node_csv(os.path.join(_ensure_out(args), f"{name}.nodes.csv"), nodes)
     _print({
@@ -257,8 +255,7 @@ def cmd_nodes(args) -> int:
 
 def cmd_aspects(args) -> int:
     name, p = _robot(args)
-    curves = trace_critical_points(p, args.grid)
-    maps = build_topology(p, curves, args.grid)
+    maps = build_topology(p, trace_critical_points(p, args.grid), args.grid)
     labels = maps.aspects.labels
     sizes = np.bincount(labels[labels >= 0], minlength=maps.aspects.count).tolist()
     _print({
@@ -274,7 +271,7 @@ def cmd_pseudo(args) -> int:
     name, p = _robot(args)
     fmts = _formats(args)
     curves = trace_critical_points(p, args.grid)
-    ps = compute_pseudosingularities(p, curves, args.grid)
+    ps = compute_pseudosingularities(curves)
     if "csv" in fmts:
         out = _ensure_out(args)
         for k, chain in enumerate(ps.polylines):
@@ -295,8 +292,7 @@ def cmd_path(args) -> int:
         raise ValueError("path needs --config twice: start and goal")
     qs = JointConfig(*_parse_floats(args.config[0], 3, "--config"))
     qg = JointConfig(*_parse_floats(args.config[1], 3, "--config"))
-    curves = trace_critical_points(p, args.grid)
-    maps = build_topology(p, curves, args.grid)
+    maps = build_topology(p, trace_critical_points(p, args.grid), args.grid)
     path = find_nonsingular_path(p, maps, qs, qg)
     if path is None:
         _print({"robot": name, "found": False})
@@ -321,16 +317,14 @@ def cmd_plot(args) -> int:
     name, p = _robot(args)
     out = _ensure_out(args)
     if args.what == "workspace":
-        curves = trace_critical_points(p, args.grid)
-        wcurves = critical_values(p, curves)
+        wcurves = critical_values(p, trace_critical_points(p, args.grid))
         svg = svgplot.render_workspace(wcurves, find_cusps(p, wcurves),
                                        find_nodes(p, wcurves))
         fname = f"{name}.workspace.svg"
     elif args.what == "jointspace":
         curves = trace_critical_points(p, args.grid)
-        ps = compute_pseudosingularities(p, curves, args.grid)
-        amap = compute_aspects(p, args.grid)
-        svg = svgplot.render_jointspace(curves, ps, amap)
+        svg = svgplot.render_jointspace(curves, compute_pseudosingularities(curves),
+                                        compute_aspects(curves))
         fname = f"{name}.jointspace.svg"
     else:
         if args.point is None:

@@ -31,7 +31,7 @@ from .dh import (
     wrap_angle,
 )
 from .errors import CuspidalError
-from .geometry import SegmentHash, polyline_min_dist, seg_intersect_many
+from .geometry import SegmentHash, TorusCurveIndex, polyline_min_dist, seg_intersect_many
 from .reduction import (
     QuarticPencil,
     cluster_real_roots,
@@ -48,6 +48,7 @@ _NEWTON_MAX_ITER = 50
 CUSP_RESIDUAL_TOL = 1e-7
 CUSP_THIRD_DERIV_MIN = 1e-4
 DEDUP_RADIUS = 1e-4
+MAX_BOUNDARY_SAMPLES = 20     # census boundary samples per (low, high) count pair
 
 
 @dataclass(frozen=True)
@@ -60,6 +61,29 @@ class JointCurve:
 
     def __len__(self):
         return len(self.vertices)
+
+
+class CriticalSet(tuple):
+    """The JointCurves of S = {det J = 0}, longest first, traced for `robot` on the
+    grid_n x grid_n torus grid, with what later stages read: det J on the vertex lattice
+    (det_vertex), and det J at the cell centers and the S index, each built on first use."""
+
+    def __new__(cls, robot: DhParams, grid_n: int, curves, det_vertex: np.ndarray):
+        self = super().__new__(cls, curves)
+        self.robot, self.grid_n, self.det_vertex = robot, grid_n, det_vertex
+        return self
+
+    @functools.cached_property
+    def det_center(self) -> np.ndarray:
+        return _center_field(functools.partial(det_jacobian, self.robot), self.grid_n)
+
+    @functools.cached_property
+    def s_index(self) -> TorusCurveIndex:
+        return TorusCurveIndex([c.vertices for c in self])
+
+    def check(self, p: DhParams, grid_n: int) -> None:
+        if p != self.robot or grid_n != self.grid_n:
+            raise ValueError(f"critical set traced for another robot or grid ({self.grid_n})")
 
 
 @dataclass(frozen=True)
@@ -216,6 +240,22 @@ def _det_on_vertices(p: DhParams, grid_n: int):
     return det_jacobian(p, t2g, t3g), th
 
 
+def _centers(grid_n: int) -> np.ndarray:
+    h = TWO_PI / grid_n
+    return -math.pi + h * (np.arange(grid_n) + 0.5)
+
+
+def _center_field(field, grid_n: int, rows: int = 48) -> np.ndarray:
+    """field(theta2, theta3) at the cell centers, evaluated in row blocks so
+    that the temporaries stay small."""
+    th = _centers(grid_n)
+    out = np.empty((grid_n, grid_n))
+    for i in range(0, grid_n, rows):
+        t2, t3 = np.meshgrid(th[i:i + rows], th, indexing="ij")
+        out[i:i + rows] = field(t2, t3)
+    return out
+
+
 def _chain_loops(pos, adj):
     """Walk a crossing graph of degree <= 2 into vertex chains.
 
@@ -266,10 +306,11 @@ def _refine_on_zero_set(p: DhParams, pts: np.ndarray, scale: float) -> np.ndarra
     return wrap_angle(pts)
 
 
-def trace_critical_points(p: DhParams, grid_n: int = DEFAULT_GRID_N):
-    """Trace det J = 0 over the torus into closed, refined polylines.
+def trace_critical_points(p: DhParams, grid_n: int = DEFAULT_GRID_N) -> CriticalSet:
+    """Trace det J = 0 over the torus into the closed, refined polylines of
+    a CriticalSet, which keeps the vertex-lattice det J sampled here.
 
-    An empty result for a valid robot is a reportable anomaly, not an error.
+    An empty set for a valid robot is a reportable anomaly, not an error.
     """
     validate_params(p)
     if grid_n < 64:
@@ -283,7 +324,7 @@ def trace_critical_points(p: DhParams, grid_n: int = DEFAULT_GRID_N):
         g2, g3 = det_jacobian_grad(p, refined[:, 0], refined[:, 1])
         curves.append(JointCurve(refined, closed, np.hypot(g2, g3)))
     curves.sort(key=lambda c: (-len(c), float(c.vertices[0, 0]), float(c.vertices[0, 1])))
-    return curves
+    return CriticalSet(p, grid_n, curves, f)
 
 
 def critical_values(p: DhParams, curves) -> list:
@@ -676,18 +717,13 @@ def wcurve_theta3(workspace_curves, index: int, vertex: int) -> float:
 # genericity
 # --------------------------------------------------------------------------
 
-def genericity_check(p: DhParams, grid_n: int = DEFAULT_GRID_N,
-                     curves=None, workspace_curves=None, cusps=None) -> GenericityReport:
+def genericity_check(p: DhParams, grid_n: int, curves: CriticalSet, workspace_curves,
+                     cusps) -> GenericityReport:
     """Three genericity tests: no quadruple roots, smooth critical curves,
-    no isolated singular cells."""
-    validate_params(p)
+    no isolated singular cells.  `curves` is p's CriticalSet traced on
+    grid_n (ValueError otherwise); its samples are read, not redrawn."""
+    curves.check(p, grid_n)
     scale = singularity_scale(p)
-    if curves is None:
-        curves = trace_critical_points(p, grid_n)
-    if workspace_curves is None:
-        workspace_curves = critical_values(p, curves)
-    if cusps is None:
-        cusps = find_cusps(p, workspace_curves)
     evidence = []
 
     # (a) quadruple roots: Gauss-Newton on {M = M' = M'' = M''' = 0}
@@ -722,29 +758,22 @@ def genericity_check(p: DhParams, grid_n: int = DEFAULT_GRID_N,
                              "residual": float(res[k])})
 
     # (b) the critical curve must be smooth: |grad det J| bounded away from 0
-    worst = math.inf
-    for c in curves:
-        if len(c):
-            worst = min(worst, float(np.min(c.grad_norm)))
-    if curves and worst < 1e-5 * scale:
+    worst = min((float(np.min(c.grad_norm)) for c in curves if len(c)), default=math.inf)
+    if worst < 1e-5 * scale:
         evidence.append({"kind": "curve_gradient", "min_grad": worst})
 
     # (c) isolated singular cells: small |det J| far from every traced curve
-    h = TWO_PI / grid_n
-    centers = -math.pi + h * (np.arange(grid_n) + 0.5)
-    c2g, c3g = np.meshgrid(centers, centers, indexing="ij")
-    detc = np.abs(det_jacobian(p, c2g, c3g))
-    on_curve = _mixed_cells(_det_on_vertices(p, grid_n)[0] < 0)
+    on_curve = _mixed_cells(curves.det_vertex < 0)
     near_curve = on_curve.copy()
     for shift in ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1)):
         near_curve |= np.roll(np.roll(on_curve, shift[0], axis=0), shift[1], axis=1)
-    isolated = (detc < 1e-6 * scale) & ~near_curve
+    isolated = (np.abs(curves.det_center) < 1e-6 * scale) & ~near_curve
     if bool(np.any(isolated)):
         ii, jj = np.nonzero(isolated)
         evidence.append({
             "kind": "isolated_singular_cells",
             "count": int(len(ii)),
-            "first_cell": [float(centers[ii[0]]), float(centers[jj[0]])],
+            "first_cell": _centers(grid_n)[[ii[0], jj[0]]].tolist(),
         })
 
     if not curves:
@@ -844,7 +873,7 @@ def _census_clearance(rc, zc, seg_a, seg_b, cell: float, margin: float):
     """clear[i, j]: no segment passes within `margin` of the center
     (rc[i], zc[j]).  Candidates are the segments a radius-1 bucket query
     on a hash of side `cell` lists, which includes every segment within
-    margin < cell; distances are point_segment_dist's."""
+    margin < cell; distances are to each segment's closest point."""
     lo, hi = _segment_buckets(seg_a, seg_b, cell)
     seg, i, j = _bucket_pairs(lo, hi, np.floor(rc / cell).astype(int),
                               np.floor(zc / cell).astype(int), 1)
@@ -867,9 +896,9 @@ def _census_crossings(rc, zc, clear, seg_a, seg_b, cell: float):
     Pair e = 2 (i n + j) + d joins center (i, j) to (i + 1, j) (d = 0) or
     (i, j + 1) (d = 1).  Its crossings are the segments listed by a radius-2
     bucket query around its midpoint (hash of side `cell`) that
-    seg_intersect the joining segment.  Returns the crossing count per
-    pair (0 for pairs not both clear) and, where it is 1, the crossing
-    point and the crossing segment's index.
+    seg_intersect_many hits with the joining segment.  Returns the crossing
+    count per pair (0 for pairs not both clear) and, where it is 1, the
+    crossing point and the crossing segment's index.
     """
     n = len(rc)
     lo, hi = _segment_buckets(seg_a, seg_b, cell)
@@ -892,9 +921,8 @@ def _census_crossings(rc, zc, clear, seg_a, seg_b, cell: float):
     return crossings, hit_at, hit_seg
 
 
-def region_census(p: DhParams, grid_n: int = DEFAULT_GRID_N, census_n: int = 128,
-                  curves=None, workspace_curves=None, max_boundary_samples: int = 20):
-    """IKS counts over the padded bounding box of the critical values.
+def region_census(p: DhParams, workspace_curves, census_n: int = 128):
+    """IKS counts over the padded bounding box of p's critical values.
 
     Counts come from one ik_counts pass over the cell centers.  A cell is
     clear when no critical-value segment passes within 0.3 of a cell of its
@@ -903,15 +931,11 @@ def region_census(p: DhParams, grid_n: int = DEFAULT_GRID_N, census_n: int = 128
     smaller cell side) that cross the segment joining the two centers are
     its crossings.  Without one the counts must be equal; with exactly one
     they must differ by exactly 2, and refined boundary points must carry
-    the intermediate count (sampled up to max_boundary_samples per
+    the intermediate count (sampled up to MAX_BOUNDARY_SAMPLES per
     (low, high) boundary kind, in row-major pair order).  The clearance and
     the crossings of all pairs are computed in one array pass each.
     """
     validate_params(p)
-    if curves is None:
-        curves = trace_critical_points(p, grid_n)
-    if workspace_curves is None:
-        workspace_curves = critical_values(p, curves)
     allv = (np.vstack([w.vertices for w in workspace_curves])
             if workspace_curves else np.array([[0.0, 0.0], [1.0, 1.0]]))
     rho_lo, rho_hi = float(np.min(allv[:, 0])), float(np.max(allv[:, 0]))
@@ -960,7 +984,7 @@ def region_census(p: DhParams, grid_n: int = DEFAULT_GRID_N, census_n: int = 128
                                "cells": cells, "counts": pair_counts})
             continue
         low, high = min(pair_counts), max(pair_counts)
-        if samples_per_kind[(low, high)] >= max_boundary_samples:
+        if samples_per_kind[(low, high)] >= MAX_BOUNDARY_SAMPLES:
             continue
         hx, hy = hit_at[k]
         ci, vertex = tags[hit_seg[k]].tolist()

@@ -9,26 +9,11 @@ import numpy as np
 from .dh import TWO_PI, wrap_angle
 
 
-def seg_intersect(a0, a1, b0, b1):
-    """Proper intersection point of segments [a0,a1] and [b0,b1], or None."""
-    d1 = (a1[0] - a0[0], a1[1] - a0[1])
-    d2 = (b1[0] - b0[0], b1[1] - b0[1])
-    den = d1[0] * d2[1] - d1[1] * d2[0]
-    if abs(den) < 1e-15:
-        return None
-    dx, dy = b0[0] - a0[0], b0[1] - a0[1]
-    s = (dx * d2[1] - dy * d2[0]) / den
-    u = (dx * d1[1] - dy * d1[0]) / den
-    if 0.0 <= s <= 1.0 and 0.0 <= u <= 1.0:
-        return (a0[0] + s * d1[0], a0[1] + s * d1[1]), s, u
-    return None
-
-
 def seg_intersect_many(a0, a1, b0, b1):
-    """seg_intersect over arrays of segment pairs, each endpoint array (k, 2).
+    """Proper intersections of segment pairs [a0, a1], [b0, b1], endpoints (k, 2) each.
 
     Returns (hit mask, intersection points (k, 2)); the points are only
-    meaningful where the mask is set, and equal seg_intersect's there.
+    meaningful where the mask is set.
     """
     d1 = a1 - a0
     d2 = b1 - b0
@@ -40,15 +25,6 @@ def seg_intersect_many(a0, a1, b0, b1):
     u = (dx * d1[:, 1] - dy * d1[:, 0]) / den
     hit = ok & (0.0 <= s) & (s <= 1.0) & (0.0 <= u) & (u <= 1.0)
     return hit, a0 + s[:, None] * d1
-
-
-def point_segment_dist(px, py, ax, ay, bx, by):
-    vx, vy = bx - ax, by - ay
-    wx, wy = px - ax, py - ay
-    vv = vx * vx + vy * vy
-    t = 0.0 if vv == 0.0 else min(1.0, max(0.0, (wx * vx + wy * vy) / vv))
-    fx, fy = ax + t * vx, ay + t * vy
-    return math.hypot(px - fx, py - fy)
 
 
 class SegmentHash:
@@ -151,18 +127,18 @@ class TorusCurveIndex:
     def __init__(self, polylines_closed):
         from scipy.spatial import cKDTree
 
-        segs = [unwrap_segment(poly[k], poly[(k + 1) % len(poly)])
-                for poly in polylines_closed for k in range(len(poly))]
-        self.empty = len(segs) == 0
+        # each vertex to the representative of the next nearest to it
+        polys = [np.asarray(poly, float) for poly in polylines_closed]
+        self.empty = sum(len(a) for a in polys) == 0
         if not self.empty:
-            self.seg_a = np.array([a for a, _ in segs])
-            self.seg_b = np.array([b for _, b in segs])
+            self.seg_a = np.vstack(polys)
+            self.seg_b = np.vstack([a + wrap_angle(np.roll(a, -1, axis=0) - a) for a in polys])
             m = wrap_angle(0.5 * (self.seg_a + self.seg_b))
             # 3x3 tiling turns torus distance into plain Euclidean distance
             tiles = [m + np.array([dx, dy])
                      for dx in (-TWO_PI, 0.0, TWO_PI) for dy in (-TWO_PI, 0.0, TWO_PI)]
             self.tree = cKDTree(np.vstack(tiles))
-            self.tile_of = np.tile(np.arange(len(segs)), 9)
+            self.tile_of = np.tile(np.arange(len(self.seg_a)), 9)
 
     def dist(self, point, k: int = 16) -> float:
         return float(self.dists(point, k)[0])

@@ -38,6 +38,9 @@ from .errors import NonGenericRobotError, StartOrGoalSingularError
 from .geometry import TorusCurveIndex, unwrap_segment
 from .critical import (
     DEFAULT_GRID_N,
+    CriticalSet,
+    _center_field,
+    _centers,
     _chain_loops,
     _marching_segments,
     critical_values,
@@ -185,22 +188,6 @@ class CuspidalityReport:
 # flood fill
 # --------------------------------------------------------------------------
 
-def _centers(grid_n: int) -> np.ndarray:
-    h = TWO_PI / grid_n
-    return -math.pi + h * (np.arange(grid_n) + 0.5)
-
-
-def _center_field(field, grid_n: int, rows: int = 48) -> np.ndarray:
-    """field(theta2, theta3) at the cell centers, evaluated in row blocks so
-    that the temporaries stay small."""
-    th = _centers(grid_n)
-    out = np.empty((grid_n, grid_n))
-    for i in range(0, grid_n, rows):
-        t2, t3 = np.meshgrid(th[i:i + rows], th, indexing="ij")
-        out[i:i + rows] = field(t2, t3)
-    return out
-
-
 def _components(key, excluded=None):
     """Connected components of cells joined across open edges.
 
@@ -230,16 +217,15 @@ def _components(key, excluded=None):
     return len(comps), labels
 
 
-def compute_aspects(p: DhParams, grid_n: int = DEFAULT_GRID_N) -> AspectMap:
-    """Aspects as the components of constant det J sign at the cell centers.
+def compute_aspects(curves: CriticalSet) -> AspectMap:
+    """Aspects as the components of constant det J sign at the set's cell centers.
 
     Cells whose center is singular within tolerance are labeled -1.
     """
-    det_c = _center_field(functools.partial(det_jacobian, p), grid_n)
+    det_c = curves.det_center
     count, labels = _components(det_c >= 0)
-    scale = singularity_scale(p)
-    labels[np.abs(det_c) < _SINGULAR_CELL_TOL * scale] = -1
-    return AspectMap(grid_n, labels, count, det_c)
+    labels[np.abs(det_c) < _SINGULAR_CELL_TOL * singularity_scale(curves.robot)] = -1
+    return AspectMap(curves.grid_n, labels, count, det_c)
 
 
 def _discriminant(p: DhParams, theta2, theta3):
@@ -279,29 +265,27 @@ def _refine_crossings(field, keys, th, f, iters: int = 36):
     return wrap_angle(start + (0.5 * (lo + hi))[:, None] * step)
 
 
-def compute_pseudosingularities(p: DhParams, curves,
-                                grid_n: int = DEFAULT_GRID_N) -> PseudoSingularitySet:
+def compute_pseudosingularities(curves: CriticalSet) -> PseudoSingularitySet:
     """PS = f^-1(f(S)) \\ S as the sign-change set of the pulled-back discriminant.
 
     f^-1(f(S)) is the zero set of D(theta2, theta3) = disc_t M(t; f(theta2,
     theta3)).  D changes sign across PS, where f is a local diffeomorphism,
     and touches zero without a sign change on S, where f folds.  D is sampled
-    once at the cell centers; the same marching squares that traces S
-    extracts its sign changes, each crossing is bisected along its grid
-    edge, and points within the exclusion radius of S (where the even-order
-    zero leaves the sign to rounding noise) are dropped, which opens the
-    chains that run into S.
+    once at the cell centers of S's grid; the same marching squares that
+    traces S extracts its sign changes, each crossing is bisected along its
+    grid edge, and points within the exclusion radius of S (where the
+    even-order zero leaves the sign to rounding noise) are dropped, which
+    opens the chains that run into S.
     """
-    th = _centers(grid_n)
-    field = functools.partial(_discriminant, p)
-    d = _center_field(field, grid_n)
+    th = _centers(curves.grid_n)
+    field = functools.partial(_discriminant, curves.robot)
+    d = _center_field(field, curves.grid_n)
     pos, adj = _marching_segments(d, th, field)
     polylines = []
     if pos:
         keys = sorted(pos)
         pts = _refine_crossings(field, keys, th, d)
-        s_index = TorusCurveIndex([c.vertices for c in curves])
-        far = s_index.dists(pts) > PS_EXCLUSION_RADIUS
+        far = curves.s_index.dists(pts) > PS_EXCLUSION_RADIUS
         kept = {k: pt for k, pt, ok in zip(keys, pts, far) if ok}
         adj = {k: [n for n in adj[k] if n in kept] for k in kept}
         for verts, closed in _chain_loops(kept, adj):
@@ -358,13 +342,14 @@ def _curve_band(curves, grid_n: int, exclusion_radius: float):
     return band
 
 
-def build_topology(p: DhParams, curves, grid_n: int = DEFAULT_GRID_N) -> TopologyMaps:
-    aspects = compute_aspects(p, grid_n)
-    ps = compute_pseudosingularities(p, curves, grid_n)
+def build_topology(p: DhParams, curves: CriticalSet, grid_n: int) -> TopologyMaps:
+    """All maps of p from its CriticalSet traced on grid_n (ValueError otherwise)."""
+    curves.check(p, grid_n)
+    aspects = compute_aspects(curves)
+    ps = compute_pseudosingularities(curves)
     reduced = compute_reduced_aspects(curves, ps, aspects)
-    s_index = TorusCurveIndex([c.vertices for c in curves])
     ps_index = TorusCurveIndex([np.vstack([c, c[::-1]]) for c in ps.polylines])
-    return TopologyMaps(aspects, reduced, ps, s_index, ps_index)
+    return TopologyMaps(aspects, reduced, ps, curves.s_index, ps_index)
 
 
 def _labels(maps: TopologyMaps, ik: IkBatch) -> list:
@@ -564,13 +549,11 @@ def is_cuspidal(p: DhParams, grid_n: int = DEFAULT_GRID_N, census_n: int = 128,
     curves = trace_critical_points(p, grid_n)
     wcurves = critical_values(p, curves)
     cusps = find_cusps(p, wcurves)
-    genericity = genericity_check(p, grid_n, curves=curves,
-                                  workspace_curves=wcurves, cusps=cusps)
+    genericity = genericity_check(p, grid_n, curves, wcurves, cusps)
     if not genericity.is_generic:
         raise NonGenericRobotError(genericity)
     nodes = find_nodes(p, wcurves)
-    census = region_census(p, grid_n, census_n=census_n,
-                           curves=curves, workspace_curves=wcurves)
+    census = region_census(p, wcurves, census_n=census_n)
     maps = build_topology(p, curves, grid_n)
     picked = _sample_regular_points(p, census, maps, samples)
     picked.extend(_sample_cusp_rings(p, census, maps, cusps))
@@ -587,8 +570,6 @@ def is_cuspidal(p: DhParams, grid_n: int = DEFAULT_GRID_N, census_n: int = 128,
             seen.add(l.reduced_aspect)
 
     anomalies = []
-    if not curves:
-        anomalies.append("empty critical set")
     if len(picked) < samples:
         anomalies.append(f"only {len(picked)} regular sample points available")
     if (bool(np.any(census.counts >= 4))

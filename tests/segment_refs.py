@@ -1,0 +1,26 @@
+"""Scalar segment references the array geometry in the package is tested against."""
+import math
+
+
+def seg_intersect(a0, a1, b0, b1):
+    """Proper intersection point of segments [a0,a1] and [b0,b1], or None."""
+    d1 = (a1[0] - a0[0], a1[1] - a0[1])
+    d2 = (b1[0] - b0[0], b1[1] - b0[1])
+    den = d1[0] * d2[1] - d1[1] * d2[0]
+    if abs(den) < 1e-15:
+        return None
+    dx, dy = b0[0] - a0[0], b0[1] - a0[1]
+    s = (dx * d2[1] - dy * d2[0]) / den
+    u = (dx * d1[1] - dy * d1[0]) / den
+    if 0.0 <= s <= 1.0 and 0.0 <= u <= 1.0:
+        return (a0[0] + s * d1[0], a0[1] + s * d1[1]), s, u
+    return None
+
+
+def point_segment_dist(px, py, ax, ay, bx, by):
+    vx, vy = bx - ax, by - ay
+    wx, wy = px - ax, py - ay
+    vv = vx * vx + vy * vy
+    t = 0.0 if vv == 0.0 else min(1.0, max(0.0, (wx * vx + wy * vy) / vv))
+    fx, fy = ax + t * vx, ay + t * vy
+    return math.hypot(px - fx, py - fy)

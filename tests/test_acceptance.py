@@ -262,7 +262,9 @@ def test_criterion_10_paths():
 
 
 def test_criterion_11_determinism(tmp_path):
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     outs = []
     for sub in ("a", "b"):
         out = tmp_path / sub

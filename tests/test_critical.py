@@ -35,13 +35,7 @@ from cuspidal.critical import (
 )
 from cuspidal.dh import length_scale
 from cuspidal.errors import DegenerateGeometryError
-from cuspidal.geometry import (
-    SegmentHash,
-    point_segment_dist,
-    polyline_min_dist,
-    seg_intersect,
-    seg_intersect_many,
-)
+from cuspidal.geometry import SegmentHash, polyline_min_dist, seg_intersect_many, unwrap_segment
 from cuspidal.reduction import QuarticPencil
 
 from conftest import (
@@ -53,6 +47,7 @@ from conftest import (
     TEST_GRID,
     random_valid_params,
 )
+from segment_refs import point_segment_dist, seg_intersect
 
 
 _SEED = st.integers(0, 2 ** 32 - 1)
@@ -269,13 +264,26 @@ def test_paper_robots_are_generic(analysis):
         assert rep.is_generic, rep.evidence
 
 
-def test_degenerate_geometry_rejected_before_genericity():
+def _genericity(p, analysis, grid_n=TEST_GRID):
+    return genericity_check(p, TEST_GRID, analysis.curves(p, grid_n),
+                            analysis.wcurves(p, grid_n), analysis.cusps(p, grid_n))
+
+
+def test_degenerate_geometry_rejected_before_genericity(analysis):
     with pytest.raises(DegenerateGeometryError):
-        genericity_check(DhParams(0, 1, 0, 1, 2, 0.0, -1.5, 1.5), TEST_GRID)
+        _genericity(DhParams(0, 1, 0, 1, 2, 0.0, -1.5, 1.5), analysis)
 
 
-def test_quadruple_root_robot_flagged():
-    rep = genericity_check(NONGENERIC_QUAD, TEST_GRID)
+def test_genericity_refuses_a_set_from_another_grid_or_robot(analysis):
+    with pytest.raises(ValueError):
+        _genericity(REFERENCE, analysis, grid_n=128)
+    with pytest.raises(ValueError):
+        genericity_check(NODE_ROBOT, TEST_GRID, analysis.curves(REFERENCE),
+                         analysis.wcurves(REFERENCE), analysis.cusps(REFERENCE))
+
+
+def test_quadruple_root_robot_flagged(analysis):
+    rep = _genericity(NONGENERIC_QUAD, analysis)
     assert not rep.is_generic
     kinds = [e["kind"] for e in rep.evidence]
     assert "quadruple_root" in kinds
@@ -283,8 +291,8 @@ def test_quadruple_root_robot_flagged():
     assert witness["residual"] < 1e-8 * singularity_scale(NONGENERIC_QUAD)
 
 
-def test_degenerate_curve_robot_flagged():
-    rep = genericity_check(NONGENERIC_CURVE, TEST_GRID)
+def test_degenerate_curve_robot_flagged(analysis):
+    rep = _genericity(NONGENERIC_CURVE, analysis)
     assert not rep.is_generic
     kinds = [e["kind"] for e in rep.evidence]
     assert "curve_gradient" in kinds
@@ -296,16 +304,12 @@ def test_degenerate_curve_robot_flagged():
 
 @pytest.fixture(scope="module")
 def ref_census(analysis):
-    return region_census(REFERENCE, TEST_GRID, census_n=96,
-                         curves=analysis.curves(REFERENCE),
-                         workspace_curves=analysis.wcurves(REFERENCE))
+    return region_census(REFERENCE, analysis.wcurves(REFERENCE), census_n=96)
 
 
 @pytest.fixture(scope="module")
 def node_census(analysis):
-    return region_census(NODE_ROBOT, TEST_GRID, census_n=96,
-                         curves=analysis.curves(NODE_ROBOT),
-                         workspace_curves=analysis.wcurves(NODE_ROBOT))
+    return region_census(NODE_ROBOT, analysis.wcurves(NODE_ROBOT), census_n=96)
 
 
 def test_census_audit_passes(ref_census, node_census):
@@ -383,11 +387,10 @@ def _loop_census(rc, zc, seg_a, seg_b, cell):
 @pytest.mark.parametrize("robot", [REFERENCE, NODE_ROBOT])
 def test_census_clearance_and_crossings_equal_cell_loop(robot, analysis):
     """The array clearance mask and the crossings of every pair of adjacent
-    clear cells equal a loop over bucket queries with point_segment_dist
-    and seg_intersect."""
+    clear cells equal a loop over bucket queries with the scalar
+    point_segment_dist and seg_intersect references."""
     wcurves = analysis.wcurves(robot)
-    census = region_census(robot, TEST_GRID, census_n=48, curves=analysis.curves(robot),
-                           workspace_curves=wcurves)
+    census = region_census(robot, wcurves, census_n=48)
     rc, zc = census.centers()
     cell = float(min(census.rho_edges[1] - census.rho_edges[0],
                      census.z_edges[1] - census.z_edges[0]))
@@ -460,6 +463,23 @@ def test_corner_sign_mask_equals_marching_cells_on_random_fields(seed):
     th = -math.pi + 2 * math.pi * np.arange(n) / n
     mask = _mixed_cells(f < 0)
     assert {(int(i), int(j)) for i, j in zip(*np.nonzero(mask))} == _crossing_cells(f, th)
+
+
+def test_critical_set_keeps_the_samples_a_fresh_evaluation_gives(analysis):
+    """The set is the tuple of its curves, and its det J grids and S index
+    equal what sampling and indexing from scratch give, bit for bit."""
+    curves = analysis.curves(REFERENCE)
+    assert isinstance(curves, tuple) and len(curves) == len(list(curves)) > 0
+    assert curves[0] is next(iter(curves))
+    assert np.array_equal(curves.det_vertex, _det_on_vertices(REFERENCE, TEST_GRID)[0])
+    centers = -math.pi + 2 * math.pi / TEST_GRID * (np.arange(TEST_GRID) + 0.5)
+    c2, c3 = np.meshgrid(centers, centers, indexing="ij")
+    assert np.array_equal(curves.det_center, det_jacobian(REFERENCE, c2, c3))
+    assert curves.det_center is curves.det_center and curves.s_index is curves.s_index
+    segs = [unwrap_segment(c.vertices[k], c.vertices[(k + 1) % len(c)])
+            for c in curves for k in range(len(c))]
+    assert np.array_equal(curves.s_index.seg_a, np.array([a for a, _ in segs]))
+    assert np.array_equal(curves.s_index.seg_b, np.array([b for _, b in segs]))
 
 
 def test_corner_sign_mask_equals_marching_cells_on_det_j():

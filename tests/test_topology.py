@@ -1,8 +1,10 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from cuspidal import critical, topology
 from cuspidal import (
     CrossSectionPoint,
     JointConfig,
@@ -20,12 +22,7 @@ from cuspidal import (
     wrap_angle,
 )
 from cuspidal.errors import NonGenericRobotError, StartOrGoalSingularError
-from cuspidal.geometry import (
-    TorusCurveIndex,
-    point_segment_dist,
-    polyline_min_dist,
-    unwrap_segment,
-)
+from cuspidal.geometry import TorusCurveIndex, polyline_min_dist, unwrap_segment
 from cuspidal.topology import JointPath, label_solutions_batch
 
 from conftest import (
@@ -40,6 +37,7 @@ from conftest import (
     REFERENCE,
     TEST_GRID,
 )
+from segment_refs import point_segment_dist
 
 
 @pytest.fixture(scope="module")
@@ -60,7 +58,7 @@ def test_reference_has_two_aspects(ref_maps):
     assert ref_maps.aspects.count == 2
 
 
-def test_aspect_count_stable_under_grid_doubling():
+def test_aspect_count_stable_under_grid_doubling(analysis):
     expected = {
         "reference": (REFERENCE, 2),
         "node": (NODE_ROBOT, 4),
@@ -71,7 +69,8 @@ def test_aspect_count_stable_under_grid_doubling():
         "nonortho_noncuspidal": (NONORTHO_NONCUSPIDAL, 4),
         "binary": (BINARY_ROBOT, 2),
     }
-    got = {name: (compute_aspects(p, 128).count, compute_aspects(p, 256).count)
+    got = {name: (compute_aspects(analysis.curves(p, 128)).count,
+                  compute_aspects(analysis.curves(p, 256)).count)
            for name, (p, _) in expected.items()}
     assert got == {name: (n, n) for name, (_, n) in expected.items()}
 
@@ -138,11 +137,42 @@ def test_torus_distance_index_matches_brute_force(analysis):
         assert index.dist(pt) == d
 
 
+def test_build_topology_refuses_a_set_from_another_grid_or_robot(analysis):
+    with pytest.raises(ValueError):
+        build_topology(REFERENCE, analysis.curves(REFERENCE, 128), TEST_GRID)
+    with pytest.raises(ValueError):
+        build_topology(NODE_ROBOT, analysis.curves(REFERENCE), TEST_GRID)
+
+
+def test_is_cuspidal_samples_the_torus_once(monkeypatch):
+    """One analysis evaluates det J once on each lattice (vertices, cell
+    centers), D once on the cell centers, and builds the S index once."""
+    calls = Counter()
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key(*args) if callable(key) else key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    centers = counted(lambda field, grid_n: "centers:" + field.func.__name__,
+                      critical._center_field)
+    monkeypatch.setattr(critical, "_det_on_vertices",
+                        counted("vertices", critical._det_on_vertices))
+    monkeypatch.setattr(critical, "_center_field", centers)
+    monkeypatch.setattr(topology, "_center_field", centers)
+    monkeypatch.setattr(critical, "TorusCurveIndex", counted("s_index", TorusCurveIndex))
+    monkeypatch.setattr(topology, "TorusCurveIndex", counted("ps_index", TorusCurveIndex))
+    is_cuspidal(REFERENCE, grid_n=128)
+    assert calls == {"vertices": 1, "centers:det_jacobian": 1, "centers:_discriminant": 1,
+                     "s_index": 1, "ps_index": 1}
+
+
 def test_binary_robot_has_empty_ps(analysis):
     curves = analysis.curves(BINARY_ROBOT)
-    ps = compute_pseudosingularities(BINARY_ROBOT, curves)
+    ps = compute_pseudosingularities(curves)
     assert ps.total_points() == 0
-    aspects = compute_aspects(BINARY_ROBOT, TEST_GRID)
+    aspects = compute_aspects(curves)
     reduced = compute_reduced_aspects(curves, ps, aspects)
     assert reduced.count == aspects.count
     assert np.array_equal(reduced.labels, aspects.labels)
@@ -205,9 +235,7 @@ def test_reference_aspect_splits_into_reduced(ref_maps):
 def _regular_point_with_count(p, maps, analysis, want, grid=TEST_GRID):
     from cuspidal import region_census
 
-    census = region_census(p, grid, census_n=64,
-                           curves=analysis.curves(p),
-                           workspace_curves=analysis.wcurves(p))
+    census = region_census(p, analysis.wcurves(p, grid), census_n=64)
     rc, zc = census.centers()
     for i in range(len(rc)):
         for j in range(len(zc)):
@@ -227,9 +255,7 @@ def test_batched_labels_equal_one_target_calls(ref_maps, analysis):
     what label_solutions gives for each cell alone."""
     from cuspidal import region_census
 
-    census = region_census(REFERENCE, TEST_GRID, census_n=64,
-                           curves=analysis.curves(REFERENCE),
-                           workspace_curves=analysis.wcurves(REFERENCE))
+    census = region_census(REFERENCE, analysis.wcurves(REFERENCE), census_n=64)
     rc, zc = census.centers()
     cells = np.argwhere(census.counts == 4)
     assert len(cells) > 20
@@ -262,9 +288,7 @@ def test_theorem2_audit(ref_maps, noncusp_maps, analysis):
     from cuspidal import region_census
 
     for p, maps in ((REFERENCE, ref_maps), (NONORTHO_NONCUSPIDAL, noncusp_maps)):
-        census = region_census(p, TEST_GRID, census_n=64,
-                               curves=analysis.curves(p),
-                               workspace_curves=analysis.wcurves(p))
+        census = region_census(p, analysis.wcurves(p), census_n=64)
         rc, zc = census.centers()
         checked = 0
         for i in range(len(rc)):
