@@ -20,7 +20,6 @@ import numpy as np
 
 from .dh import (
     TWO_PI,
-    CrossSectionPoint,
     DhParams,
     det_jacobian,
     det_jacobian_grad,
@@ -30,15 +29,8 @@ from .dh import (
     validate_params,
     wrap_angle,
 )
-from .errors import CuspidalError
 from .geometry import SegmentHash, TorusCurveIndex, polyline_min_dist, seg_intersect_many
-from .reduction import (
-    QuarticPencil,
-    cluster_real_roots,
-    ik_counts,
-    quartic_jet,
-    solve_ik_cross_section,
-)
+from .reduction import QuarticPencil, ik_counts, quartic_jet, solve_ik_batch
 
 log = logging.getLogger(__name__)
 
@@ -612,44 +604,40 @@ def _refine_nodes(p: DhParams, pencil: QuarticPencil, cands) -> list:
             u1, flip1 = _chart_seed(th3a)
             u2, flip2 = _chart_seed(th3b)
             plain.append((k, flip1, flip2, (u1, u2, r0, zr)))
-    roots = [None] * len(cands)     # (u1, flip1, u2, flip2, R, zr) per candidate
+    n = len(cands)
+    u, flips = np.zeros((2, n)), np.zeros((2, n), dtype=bool)     # per double root
+    R, zr, live = np.zeros(n), np.zeros(n), np.ones(n, dtype=bool)
     if sym:
+        k = [c[0] for c in sym]
         flip = np.array([c[1] for c in sym])
         x0 = np.array([c[2] for c in sym])
         lead = pencil.quartic(x0[:, 2], x0[:, 3], flip)[:, 0, 0]
         x, _ = _damped_newton(_node_system_symmetric(pencil, flip),
                               np.column_stack([lead, x0]))
-        for (k, fl, _), (_, s, e, R, zr) in zip(sym, x.tolist()):
-            if e > 0.0:
-                d = math.sqrt(e)
-                roots[k] = (s + d, fl, s - d, fl, R, zr)
+        _, s, e, R[k], zr[k] = x.T
+        d = np.sqrt(np.maximum(e, 0.0))
+        u[0, k], u[1, k] = s + d, s - d
+        flips[:, k] = flip
+        live[k] = e > 0.0
     if plain:
-        flip1 = np.array([c[1] for c in plain])
-        flip2 = np.array([c[2] for c in plain])
-        x, _ = _damped_newton(_node_system(pencil, flip1, flip2), [c[3] for c in plain])
-        for (k, f1, f2, _), (u1, u2, R, zr) in zip(plain, x.tolist()):
-            roots[k] = (u1, f1, u2, f2, R, zr)
-    out = []
-    for r in roots:
-        if r is None:
-            out.append(None)
-            continue
-        u1, f1, u2, f2, R, zr = r
-        res = _residuals(pencil, np.array([u1, u2]), np.array([R, R]), np.array([zr, zr]),
-                         np.array([f1, f2]), 1)
-        out.append((_chart_theta3(u1, f1), _chart_theta3(u2, f2), R, zr, float(np.max(res))))
-    return out
+        k = [c[0] for c in plain]
+        flips[0, k], flips[1, k] = [c[1] for c in plain], [c[2] for c in plain]
+        x, _ = _damped_newton(_node_system(pencil, flips[0, k], flips[1, k]),
+                              [c[3] for c in plain])
+        u[0, k], u[1, k], R[k], zr[k] = x.T
+    # both double roots of every candidate in one residual evaluation
+    res = _residuals(pencil, u.ravel(), np.tile(R, 2), np.tile(zr, 2), flips.ravel(), 1)
+    worst = np.max(res.reshape(2, n, 2), axis=(0, 2))
+    return [(_chart_theta3(u1, f1), _chart_theta3(u2, f2), r, z, w) if ok else None
+            for u1, u2, f1, f2, r, z, w, ok in zip(*u.tolist(), *flips.tolist(), R.tolist(),
+                                                   zr.tolist(), worst.tolist(), live.tolist())]
 
 
-def _node_ik_structure_ok(p: DhParams, rho: float, z: float) -> bool:
-    """A true node shows exactly two distinct multiplicity-2 solutions."""
-    try:
-        sols = solve_ik_cross_section(p, CrossSectionPoint(rho, z))
-    except CuspidalError:
-        return False
-    mults = sorted(s.multiplicity for s in sols.solutions)
-    mults += [m for _, m in sols.flagged]
-    return sorted(mults) == [2, 2]
+def _segment_theta3(workspace_curves) -> np.ndarray:
+    """theta3 at the first vertex of every critical-value segment, in the
+    order the census segments and SegmentHash.segs list them: curve by
+    curve, vertex by vertex."""
+    return np.concatenate([np.empty(0)] + [w.joint.vertices[:, 1] for w in workspace_curves])
 
 
 def find_nodes(p: DhParams, workspace_curves) -> list:
@@ -657,8 +645,9 @@ def find_nodes(p: DhParams, workspace_curves) -> list:
 
     Candidates are crossings of the critical-value polylines (including
     self-intersections) from one vectorised segment sweep.  Every find is
-    certified by its residuals and by the solution structure (two distinct
-    double roots); candidates collapsing to a cusp (t1 -> t2) are rejected.
+    certified by its residuals; candidates collapsing to a cusp (t1 -> t2)
+    are rejected.  The survivors are solved in one solve_ik_batch call, and
+    a node is one whose IK shows exactly two distinct roots, both double.
     """
     scale = singularity_scale(p)
     cell = max(_median_step(workspace_curves) * 4.0, 1e-6)
@@ -676,14 +665,14 @@ def find_nodes(p: DhParams, workspace_curves) -> list:
     ia, ib = ia[~neighbours], ib[~neighbours]
     ends = np.array([(a, b) for _, a, b in sweep.segs])
     hit, pts = seg_intersect_many(ends[ia, 0], ends[ia, 1], ends[ib, 0], ends[ib, 1])
-    pairs = [(tuple(tags[i].tolist()), tuple(tags[j].tolist())) for i, j in zip(ia[hit], ib[hit])]
-    pts = pts[hit].tolist()
-    cands = [(wcurve_theta3(workspace_curves, a[0], a[1]),
-              wcurve_theta3(workspace_curves, b[0], b[1]), rho, z)
-             for (a, b), (rho, z) in zip(pairs, pts)]
+    ia, ib = ia[hit], ib[hit]
+    th3 = _segment_theta3(workspace_curves)
+    cands = [(a, b, rho, z) for a, b, (rho, z)
+             in zip(th3[ia].tolist(), th3[ib].tolist(), pts[hit].tolist())]
     refined = _refine_nodes(p, QuarticPencil(p), cands)
     found = []
-    for (a, b), (rho, z), ref in zip(pairs, pts, refined):
+    for curve_a, curve_b, (_, _, rho, z), ref in zip(tags[ia, 0].tolist(), tags[ib, 0].tolist(),
+                                                      cands, refined):
         if ref is None:
             continue
         th1, th2, R, zr_s, residual = ref
@@ -696,21 +685,15 @@ def find_nodes(p: DhParams, workspace_curves) -> list:
             log.debug("node seed near (%.4f, %.4f) diverged (residual %.2e)",
                       rho, z, residual)
             continue
-        rho_s = math.sqrt(max(rho2, 0.0))
-        z_s = float(zr_s + p.d1)
-        if not _node_ik_structure_ok(p, rho_s, z_s):
-            continue
         tlo, thi = sorted((_tan_half(th1), _tan_half(th2)))
-        found.append((rho_s, z_s, tlo, thi, residual, tuple(sorted((a[0], b[0])))))
+        found.append((math.sqrt(max(rho2, 0.0)), float(zr_s + p.d1), tlo, thi, residual,
+                      tuple(sorted((curve_a, curve_b)))))
+    ik = solve_ik_batch(p, [f[0] for f in found], [f[1] for f in found])
+    roots = np.bincount(ik.row, minlength=len(found))
+    doubles = np.bincount(ik.row[ik.mult == 2], minlength=len(found))
+    found = [f for f, ok in zip(found, (ik.status == 0) & (roots == 2) & (doubles == 2)) if ok]
     kept = _dedup_sorted(found, DEDUP_RADIUS * scale, 1e-9 * length_scale(p))
     return [NodePoint(*c) for c in kept]
-
-
-def wcurve_theta3(workspace_curves, index: int, vertex: int) -> float:
-    for wc in workspace_curves:
-        if wc.source_index == index:
-            return float(wc.joint.vertices[vertex, 1])
-    raise KeyError(index)
 
 
 # --------------------------------------------------------------------------
@@ -786,62 +769,20 @@ def genericity_check(p: DhParams, grid_n: int, curves: CriticalSet, workspace_cu
 # workspace census
 # --------------------------------------------------------------------------
 
-def _tangency_refine(p: DhParams, pencil: QuarticPencil, rho: float, z: float,
-                     theta3_0: float, direction):
-    """Slide (rho, z) along `direction` onto the critical-value set.
-
-    Newton on {M = 0, M' = 0} in (chart coordinate, lambda); returns
-    (theta3, rho, z) or None.
-    """
-    drho, dz = direction
-    u0, flip = _chart_seed(theta3_0)
-    flips = np.array([flip])
-
+def _tangency_system(pencil: QuarticPencil, start, direction, flip, d1: float):
+    """Double root (M = M' = 0) at chart coordinate u of the quartic at
+    start + lambda direction in (rho, z), in (u, lambda): slides each census
+    crossing along its pair's direction onto the critical values."""
     def fun_jac(x, rows):
         lam = x[:, 1]
-        rr = rho + lam * drho
-        zr = z + lam * dz - p.d1
-        jet = quartic_jet(pencil.quartic(rr * rr + zr * zr, zr, flips[rows]), x[:, 0], 2)
+        drho, dz = direction[rows, 0], direction[rows, 1]
+        rr = start[rows, 0] + lam * drho
+        zr = start[rows, 1] + lam * dz - d1
+        jet = quartic_jet(pencil.quartic(rr * rr + zr * zr, zr, flip[rows]), x[:, 0], 2)
         dR_dlam = (2 * rr * drho + 2 * zr * dz)[:, None]
-        dm_dlam = jet[:, 1, :2] * dR_dlam + jet[:, 2, :2] * dz
+        dm_dlam = jet[:, 1, :2] * dR_dlam + jet[:, 2, :2] * dz[:, None]
         return jet[:, 0, :2], np.stack([jet[:, 0, 1:], dm_dlam], axis=2)
-
-    x, ok = _damped_newton(fun_jac, [(u0, 0.0)])
-    if not ok[0]:
-        return None
-    u, lam = x[0].tolist()
-    return _chart_theta3(u, flip), rho + lam * drho, z + lam * dz
-
-
-def _count_at_boundary(p: DhParams, pencil: QuarticPencil, rho: float, z: float,
-                       theta3_double: float) -> int:
-    """Distinct IKS at a point on the critical-value set.
-
-    The known double root is deflated out in its well-conditioned chart, so
-    the count is exact even though the double root itself is numerically
-    fragile.
-    """
-    u, flip = _chart_seed(theta3_double)
-    zr = z - p.d1
-    m = pencil.normalized_quartic(np.array([rho * rho + zr * zr]), np.array([zr]),
-                                  np.array([flip]))[0]
-    # deflate (t - t*)^2 by synthetic division twice
-    poly = m
-    for _ in range(2):
-        poly = _synthetic_division(poly, u)
-    quad = poly
-    roots = [r.real for r in np.roots(quad) if abs(r.imag) <= 1e-7 * (1 + r.real ** 2)]
-    distinct = cluster_real_roots(roots + [u])
-    return len(distinct)
-
-
-def _synthetic_division(coeffs: np.ndarray, root: float) -> np.ndarray:
-    out = np.empty(len(coeffs) - 1)
-    acc = coeffs[0]
-    for k in range(len(coeffs) - 1):
-        out[k] = acc
-        acc = coeffs[k + 1] + acc * root
-    return out
+    return fun_jac
 
 
 def _segment_buckets(seg_a, seg_b, cell: float):
@@ -930,10 +871,14 @@ def region_census(p: DhParams, workspace_curves, census_n: int = 128):
     radius-2 bucket query around the pair's midpoint (on a hash of the
     smaller cell side) that cross the segment joining the two centers are
     its crossings.  Without one the counts must be equal; with exactly one
-    they must differ by exactly 2, and refined boundary points must carry
-    the intermediate count (sampled up to MAX_BOUNDARY_SAMPLES per
-    (low, high) boundary kind, in row-major pair order).  The clearance and
-    the crossings of all pairs are computed in one array pass each.
+    they must differ by exactly 2, and the boundary point between them must
+    carry the intermediate count.  Those crossings are slid onto the
+    critical values in one damped-Newton batch and counted by one more
+    ik_counts call, the cells' root rule.  The walk, in row-major pair
+    order, samples up to MAX_BOUNDARY_SAMPLES of the points that converged
+    within 2 cells per (low, high) boundary kind.  The
+    clearance and the crossings of all pairs are computed in one array pass
+    each.
     """
     validate_params(p)
     allv = (np.vstack([w.vertices for w in workspace_curves])
@@ -952,8 +897,6 @@ def region_census(p: DhParams, workspace_curves, census_n: int = 128):
     # the critical-value segments, each vertex to the next around its curve
     seg_a = np.vstack([allv[:0]] + [w.vertices for w in workspace_curves])
     seg_b = np.vstack([allv[:0]] + [np.roll(w.vertices, -1, axis=0) for w in workspace_curves])
-    tags = np.array([(w.source_index, k) for w in workspace_curves for k in range(len(w))],
-                    dtype=int).reshape(-1, 2)
     cell = float(min(rho_edges[1] - rho_edges[0], z_edges[1] - z_edges[0]))
     clear = _census_clearance(rc, zc, seg_a, seg_b, cell, 0.3 * cell)
     crossings, hit_at, hit_seg = _census_crossings(rc, zc, clear, seg_a, seg_b, cell)
@@ -968,7 +911,21 @@ def region_census(p: DhParams, workspace_curves, census_n: int = 128):
     c_a, c_b = counts[i, j], counts[i2, j2]
     audited = both & (crossings == 1)
 
-    pencil = QuarticPencil(p)
+    # every single crossing between counts 2 apart, slid onto the critical
+    # values in one Newton batch and counted by the cells' root rule
+    slide = np.nonzero(audited & (np.abs(c_a - c_b) == 2))[0]
+    seeds = [_chart_seed(t) for t in _segment_theta3(workspace_curves)[hit_seg[slide]].tolist()]
+    start = hit_at[slide]
+    direction = np.column_stack([rc[i2[slide]] - rc[i[slide]], zc[j2[slide]] - zc[j[slide]]])
+    x, refined = _damped_newton(
+        _tangency_system(QuarticPencil(p), start, direction,
+                         np.array([f for _, f in seeds], dtype=bool), p.d1),
+        np.array([(u0, 0.0) for u0, _ in seeds]).reshape(-1, 2))
+    boundary = start + x[:, 1:] * direction
+    landed = refined & np.array([math.hypot(dr, dz) <= 2 * cell
+                                 for dr, dz in (boundary - start).tolist()], dtype=bool)
+    boundary_count = ik_counts(p, boundary[:, 0], boundary[:, 1])
+
     violations = []
     samples = []
     samples_per_kind = defaultdict(int)
@@ -984,19 +941,11 @@ def region_census(p: DhParams, workspace_curves, census_n: int = 128):
                                "cells": cells, "counts": pair_counts})
             continue
         low, high = min(pair_counts), max(pair_counts)
-        if samples_per_kind[(low, high)] >= MAX_BOUNDARY_SAMPLES:
+        s = np.searchsorted(slide, k)
+        if samples_per_kind[(low, high)] >= MAX_BOUNDARY_SAMPLES or not landed[s]:
             continue
-        hx, hy = hit_at[k]
-        ci, vertex = tags[hit_seg[k]].tolist()
-        t3 = wcurve_theta3(workspace_curves, ci, vertex)
-        direction = (float(rc[i2[k]]) - float(rc[i[k]]), float(zc[j2[k]]) - float(zc[j[k]]))
-        ref = _tangency_refine(p, pencil, hx, hy, t3, direction)
-        if ref is None:
-            continue
-        th_star, rr, zz = ref
-        if math.hypot(rr - hx, zz - hy) > 2 * cell:
-            continue
-        cnt = _count_at_boundary(p, pencil, rr, zz, th_star)
+        rr, zz = boundary[s]
+        cnt = int(boundary_count[s])
         samples_per_kind[(low, high)] += 1
         samples.append(BoundarySample(rr, zz, cnt, low, high))
         if cnt != low + 1:

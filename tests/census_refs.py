@@ -1,0 +1,126 @@
+"""Scalar census references the batched boundary audit in the package is tested against:
+one K = 1 Newton per boundary point, a count that deflates the known double root, and
+the audit walk built on the two."""
+import math
+from collections import defaultdict
+
+import numpy as np
+
+from cuspidal.critical import (
+    MAX_BOUNDARY_SAMPLES,
+    _census_clearance,
+    _census_crossings,
+    _chart_seed,
+    _chart_theta3,
+    _damped_newton,
+)
+from cuspidal.reduction import QuarticPencil, cluster_real_roots, quartic_jet
+
+
+def tangency_refine(p, pencil, rho, z, theta3_0, direction):
+    """Slide (rho, z) along `direction` onto the critical-value set.
+
+    Newton on {M = 0, M' = 0} in (chart coordinate, lambda); returns
+    (theta3, rho, z) or None.
+    """
+    drho, dz = direction
+    u0, flip = _chart_seed(theta3_0)
+    flips = np.array([flip])
+
+    def fun_jac(x, rows):
+        lam = x[:, 1]
+        rr = rho + lam * drho
+        zr = z + lam * dz - p.d1
+        jet = quartic_jet(pencil.quartic(rr * rr + zr * zr, zr, flips[rows]), x[:, 0], 2)
+        dR_dlam = (2 * rr * drho + 2 * zr * dz)[:, None]
+        dm_dlam = jet[:, 1, :2] * dR_dlam + jet[:, 2, :2] * dz
+        return jet[:, 0, :2], np.stack([jet[:, 0, 1:], dm_dlam], axis=2)
+
+    x, ok = _damped_newton(fun_jac, [(u0, 0.0)])
+    if not ok[0]:
+        return None
+    u, lam = x[0].tolist()
+    return _chart_theta3(u, flip), rho + lam * drho, z + lam * dz
+
+
+def synthetic_division(coeffs, root):
+    out = np.empty(len(coeffs) - 1)
+    acc = coeffs[0]
+    for k in range(len(coeffs) - 1):
+        out[k] = acc
+        acc = coeffs[k + 1] + acc * root
+    return out
+
+
+def count_at_boundary(p, pencil, rho, z, theta3_double):
+    """Distinct IKS at a point on the critical-value set: the known double
+    root is deflated out in its well-conditioned chart, the remaining
+    quadratic solved by np.roots."""
+    u, flip = _chart_seed(theta3_double)
+    zr = z - p.d1
+    poly = pencil.normalized_quartic(np.array([rho * rho + zr * zr]), np.array([zr]),
+                                     np.array([flip]))[0]
+    for _ in range(2):
+        poly = synthetic_division(poly, u)
+    roots = [r.real for r in np.roots(poly) if abs(r.imag) <= 1e-7 * (1 + r.real ** 2)]
+    return len(cluster_real_roots(roots + [u]))
+
+
+def census_walk(p, workspace_curves, census):
+    """(audited_pairs, violations, boundary_samples as (rho, z, count, low, high),
+    misses) of region_census's audit, one pair at a time in row-major pair order,
+    with theta3 found by curve index and every boundary point refined and counted
+    alone.  misses counts refinements that failed or landed too far while their
+    kind's sample cap had room.  Counts, clearance and crossings are the census'
+    own."""
+    rc, zc = census.centers()
+    n = len(rc)
+    cell = float(min(census.rho_edges[1] - census.rho_edges[0],
+                     census.z_edges[1] - census.z_edges[0]))
+    seg_a = np.vstack([w.vertices for w in workspace_curves])
+    seg_b = np.vstack([np.roll(w.vertices, -1, axis=0) for w in workspace_curves])
+    tags = [(w.source_index, k) for w in workspace_curves for k in range(len(w))]
+    clear = _census_clearance(rc, zc, seg_a, seg_b, cell, 0.3 * cell)
+    crossings, hit_at, hit_seg = _census_crossings(rc, zc, clear, seg_a, seg_b, cell)
+    pencil = QuarticPencil(p)
+    audited, violations, samples, misses = 0, [], [], 0
+    per_kind = defaultdict(int)
+    for i in range(n):
+        for j in range(n):
+            for d, (i2, j2) in enumerate(((i + 1, j), (i, j + 1))):
+                if i2 >= n or j2 >= n or not (clear[i, j] and clear[i2, j2]):
+                    continue
+                e = 2 * (i * n + j) + d
+                cells = [[i, j], [i2, j2]]
+                pair = [int(census.counts[i, j]), int(census.counts[i2, j2])]
+                if crossings[e] == 0:
+                    if pair[0] != pair[1]:
+                        violations.append({"kind": "no_crossing_count_change",
+                                           "cells": cells, "counts": pair})
+                    continue
+                if crossings[e] != 1:
+                    continue
+                audited += 1
+                if abs(pair[0] - pair[1]) != 2:
+                    violations.append({"kind": "adjacent_region_delta",
+                                       "cells": cells, "counts": pair})
+                    continue
+                low, high = min(pair), max(pair)
+                if per_kind[(low, high)] >= MAX_BOUNDARY_SAMPLES:
+                    continue
+                hx, hy = hit_at[e]
+                ci, vertex = tags[hit_seg[e]]
+                curve = next(w for w in workspace_curves if w.source_index == ci)
+                ref = tangency_refine(p, pencil, hx, hy, float(curve.joint.vertices[vertex, 1]),
+                                      (float(rc[i2]) - float(rc[i]), float(zc[j2]) - float(zc[j])))
+                if ref is None or math.hypot(ref[1] - hx, ref[2] - hy) > 2 * cell:
+                    misses += 1
+                    continue
+                th_star, rr, zz = ref
+                cnt = count_at_boundary(p, pencil, rr, zz, th_star)
+                per_kind[(low, high)] += 1
+                samples.append((rr, zz, cnt, low, high))
+                if cnt != low + 1:
+                    violations.append({"kind": "boundary_count", "point": [rr, zz],
+                                       "count": cnt, "expected": low + 1})
+    return audited, violations, samples, misses

@@ -3,14 +3,12 @@
 Each test prints one PASS line on success; tolerances are pinned here and
 nowhere else.  Run with `pytest tests/test_acceptance.py -v -s`.
 """
-import json
 import math
 import os
 import subprocess
 import sys
 
 import numpy as np
-import pytest
 
 from cuspidal import (
     CrossSectionPoint,
@@ -23,7 +21,6 @@ from cuspidal import (
     is_cuspidal,
     jacobian,
     label_solutions,
-    region_census,
     singularity_scale,
     solve_ik,
     solve_ik_cross_section,

@@ -5,7 +5,6 @@ import math
 import os
 
 import jsonschema
-import numpy as np
 import pytest
 
 from cuspidal import CrossSectionPoint
@@ -15,7 +14,7 @@ from cuspidal.report import dumps, emit_csv, load_schema
 from cuspidal.robotfile import parse_robot_file
 from cuspidal.svgplot import render_c3s3
 
-from conftest import ELLIPSE_ROBOT, REFERENCE, TEST_GRID
+from conftest import REFERENCE
 
 BATTERY = os.path.join(os.path.dirname(__file__), "..", "robots", "battery.json")
 

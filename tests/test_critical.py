@@ -19,7 +19,6 @@ from cuspidal import (
     trace_critical_points,
     critical_values,
     find_cusps,
-    find_nodes,
     wrap_angle,
 )
 from cuspidal.critical import (
@@ -47,6 +46,7 @@ from conftest import (
     TEST_GRID,
     random_valid_params,
 )
+from census_refs import census_walk
 from segment_refs import point_segment_dist, seg_intersect
 
 
@@ -408,6 +408,26 @@ def test_census_clearance_and_crossings_equal_cell_loop(robot, analysis):
             assert hit_seg[e] == found[0][0]
             assert tuple(hit_at[e]) == found[0][1]
     assert sum(len(h) == 1 for h in ref_hits.values()) == census.audited_pairs > 0
+
+
+def test_census_audit_equals_scalar_walk(ref_census, node_census, analysis):
+    """The batched boundary refinement and count give the audit of a pair-by-pair
+    walk that refines each boundary point alone and counts it with the double
+    root deflated: same audited pairs, violations and boundary samples, bit
+    for bit.  The random draw has a refinement that fails while its kind's
+    sample cap has room, which must leave the cap unused."""
+    rand = random_valid_params(np.random.default_rng(0))
+    cases = [(REFERENCE, ref_census), (NODE_ROBOT, node_census),
+             (rand, region_census(rand, analysis.wcurves(rand), census_n=96))]
+    misses = 0
+    for robot, census in cases:
+        audited, violations, samples, missed = census_walk(robot, analysis.wcurves(robot), census)
+        misses += missed
+        assert census.audited_pairs == audited
+        assert list(census.violations) == violations
+        assert [(s.rho, s.z, s.count, s.low, s.high) for s in census.boundary_samples] == samples
+        assert samples
+    assert misses > 0
 
 
 # --------------------------------------------------------------------------
