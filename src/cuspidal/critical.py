@@ -37,10 +37,15 @@ log = logging.getLogger(__name__)
 DEFAULT_GRID_N = 720
 _REFINE_TOL = 1e-13  # target |det J| / scale after vertex refinement
 _NEWTON_MAX_ITER = 50
+_HALVINGS = 25                # line-search lambdas per Newton step: 1, 1/2, ..., 2^-24
 CUSP_RESIDUAL_TOL = 1e-7
 CUSP_THIRD_DERIV_MIN = 1e-4
 DEDUP_RADIUS = 1e-4
 MAX_BOUNDARY_SAMPLES = 20     # census boundary samples per (low, high) count pair
+# seg_intersect_many needs |d1 x d2| >= 1e-15, and |d1 x d2| <= |d1| |d2|: a
+# segment whose length times the longest one's is below this (1e-15 less a
+# few ulps of rounding) crosses nothing, so the node sweep leaves it out
+_MIN_CROSS = 1e-15 * (1.0 - 1e-12)
 
 
 @dataclass(frozen=True)
@@ -226,10 +231,10 @@ def _mixed_cells(neg: np.ndarray) -> np.ndarray:
 
 
 def _det_on_vertices(p: DhParams, grid_n: int):
-    """det J on the wrapped vertex grid th x th; returns (values, th)."""
+    """det J on the wrapped vertex grid th x th; returns (values, th).  The
+    axes broadcast, so the trig runs on grid_n angles per axis."""
     th = -math.pi + TWO_PI * np.arange(grid_n) / grid_n
-    t2g, t3g = np.meshgrid(th, th, indexing="ij")
-    return det_jacobian(p, t2g, t3g), th
+    return det_jacobian(p, th[:, None], th[None, :]), th
 
 
 def _centers(grid_n: int) -> np.ndarray:
@@ -239,12 +244,13 @@ def _centers(grid_n: int) -> np.ndarray:
 
 def _center_field(field, grid_n: int, rows: int = 48) -> np.ndarray:
     """field(theta2, theta3) at the cell centers, evaluated in row blocks so
-    that the temporaries stay small."""
+    that the temporaries stay small.  `field` gets the block's theta2 as a
+    column and theta3 as a row and must broadcast them elementwise, so each
+    value is the one a full lattice gives while the trig runs on the axes."""
     th = _centers(grid_n)
     out = np.empty((grid_n, grid_n))
     for i in range(0, grid_n, rows):
-        t2, t3 = np.meshgrid(th[i:i + rows], th, indexing="ij")
-        out[i:i + rows] = field(t2, t3)
+        out[i:i + rows] = field(th[i:i + rows, None], th[None, :])
     return out
 
 
@@ -402,21 +408,26 @@ def _damped_newton(fun_jac, x0, max_iter: int = _NEWTON_MAX_ITER, tol: float = 0
     """Damped (Gauss-)Newton with step halving on ||F||^2, over a batch of seeds.
 
     `fun_jac(x, rows)` evaluates the systems of seeds `rows` (indices into
-    the batch) at x of shape (len(rows), n) and returns F (len(rows), m) and
-    J (len(rows), m, n).  Each seed runs as it would alone: up to max_iter
-    steps from least squares, so rank-deficient Jacobians (symmetry slices,
-    overdetermined certification systems) degrade gracefully to the
-    minimum-norm direction instead of blowing up; each step is halved up to
-    25 times until ||F||^2 drops, and a seed stops at the first step that
-    does not.  Returns x (K, n) and a (K,) converged mask.
+    the batch, repeated when a seed is tried at several points) at x of
+    shape (len(rows), n) and returns F (len(rows), m) and J (len(rows), m, n).
+    Each seed runs as it would alone: up to max_iter steps from least
+    squares, so rank-deficient Jacobians (symmetry slices, overdetermined
+    certification systems) degrade gracefully to the minimum-norm direction
+    instead of blowing up; each step takes the first lambda of 1, 1/2, ...,
+    2^-(_HALVINGS - 1) that makes ||F||^2 drop, and a seed stops at the
+    first step where none does.  The line search costs at most two fun_jac
+    calls per iteration: lambda = 1 for every active seed, then all the
+    smaller lambdas of the seeds still pending, stacked in one call.
+    Returns x (K, n) and a (K,) converged mask.
     """
     x = np.array(x0, float)
-    k = len(x)
+    k, n = x.shape
     fval, jac = fun_jac(x, np.arange(k))
     norm2 = np.sum(fval * fval, axis=1)
     ok = np.zeros(k, dtype=bool)
     done = np.zeros(k, dtype=bool)
     floor = max(tol * tol, 1e-24)
+    lams = 0.5 ** np.arange(1, _HALVINGS)      # every lambda after the first
     for _ in range(max_iter):
         reached = ~done & (norm2 <= tol * tol)
         ok |= reached
@@ -427,24 +438,28 @@ def _damped_newton(fun_jac, x0, max_iter: int = _NEWTON_MAX_ITER, tol: float = 0
         step, solved = _lstsq_steps(jac[act], fval[act])
         done[act[~solved]] = True
         act, step = act[solved], step[solved]
-        pending = np.ones(len(act), dtype=bool)
-        lam = 1.0
-        for _ in range(25):
-            idx = np.nonzero(pending)[0]
-            if len(idx) == 0:
-                break
-            rows = act[idx]
-            xn = x[rows] - lam * step[idx]
-            fn, jn = fun_jac(xn, rows)
+        if len(act) == 0:
+            continue
+        xn = x[act] - step
+        fn, jn = fun_jac(xn, act)
+        n2 = np.sum(fn * fn, axis=1)
+        better = n2 < norm2[act]
+        up = act[better]
+        x[up], fval[up], jac[up], norm2[up] = xn[better], fn[better], jn[better], n2[better]
+        rows, step = act[~better], step[~better]
+        if len(rows):
+            # the smaller lambdas, seed-major: row r * len(lams) + l tries lams[l]
+            xn = (x[rows][:, None, :] - lams[:, None] * step[:, None, :]).reshape(-1, n)
+            fn, jn = fun_jac(xn, np.repeat(rows, len(lams)))
             n2 = np.sum(fn * fn, axis=1)
-            better = n2 < norm2[rows]
+            drops = (n2 < np.repeat(norm2[rows], len(lams))).reshape(len(rows), -1)
+            better = np.any(drops, axis=1)
+            pick = (np.arange(len(rows)) * len(lams) + np.argmax(drops, axis=1))[better]
             up = rows[better]
-            x[up], fval[up], jac[up], norm2[up] = xn[better], fn[better], jn[better], n2[better]
-            pending[idx[better]] = False
-            lam *= 0.5
-        stalled = act[pending]
-        ok[stalled] = norm2[stalled] <= floor
-        done[stalled] = True
+            x[up], fval[up], jac[up], norm2[up] = xn[pick], fn[pick], jn[pick], n2[pick]
+            rows = rows[~better]
+        ok[rows] = norm2[rows] <= floor
+        done[rows] = True
     ok[~done] = norm2[~done] <= floor
     return x, ok
 
@@ -633,10 +648,18 @@ def _refine_nodes(p: DhParams, pencil: QuarticPencil, cands) -> list:
                                                    zr.tolist(), worst.tolist(), live.tolist())]
 
 
+def _segments(workspace_curves):
+    """(seg_a, seg_b), each (S, 2): the critical-value segments, each vertex
+    to the next around its curve, curve by curve, vertex by vertex."""
+    seg_a = np.vstack([np.empty((0, 2))] + [w.vertices for w in workspace_curves])
+    seg_b = np.vstack([np.empty((0, 2))]
+                      + [np.roll(w.vertices, -1, axis=0) for w in workspace_curves])
+    return seg_a, seg_b
+
+
 def _segment_theta3(workspace_curves) -> np.ndarray:
     """theta3 at the first vertex of every critical-value segment, in the
-    order the census segments and SegmentHash.segs list them: curve by
-    curve, vertex by vertex."""
+    order _segments lists them."""
     return np.concatenate([np.empty(0)] + [w.joint.vertices[:, 1] for w in workspace_curves])
 
 
@@ -644,34 +667,41 @@ def find_nodes(p: DhParams, workspace_curves) -> list:
     """Locate all nodes: Newton on the two-double-root system.
 
     Candidates are crossings of the critical-value polylines (including
-    self-intersections) from one vectorised segment sweep.  Every find is
+    self-intersections) from one vectorised segment sweep, which leaves out
+    the segments too short to cross any other (_MIN_CROSS).  Every find is
     certified by its residuals; candidates collapsing to a cusp (t1 -> t2)
     are rejected.  The survivors are solved in one solve_ik_batch call, and
     a node is one whose IK shows exactly two distinct roots, both double.
     """
     scale = singularity_scale(p)
     cell = max(_median_step(workspace_curves) * 4.0, 1e-6)
+    seg_a, seg_b = _segments(workspace_curves)
+    sizes = [len(w) for w in workspace_curves]
+    curve = np.repeat(np.array([w.source_index for w in workspace_curves], dtype=int), sizes)
+    size = np.repeat(np.array(sizes, dtype=int), sizes)
+    d = seg_b - seg_a
+    length = np.hypot(d[:, 0], d[:, 1])
+    # the global index of every segment the sweep sees, in its order
+    swept = np.nonzero(length * np.max(length, initial=0.0) >= _MIN_CROSS)[0]
     sweep = SegmentHash(cell)
-    for wc in workspace_curves:
-        n = len(wc)
-        for k in range(n):
-            sweep.add((wc.source_index, k, n), wc.vertices[k], wc.vertices[(k + 1) % n])
+    for s in swept.tolist():
+        sweep.add(s, seg_a[s], seg_b[s])
     ia, ib = sweep.candidate_pairs()
     if len(ia) == 0:
         return []
-    tags = np.array([tag for tag, _, _ in sweep.segs])
-    (ca, ka, na), (cb, kb, _) = tags[ia].T, tags[ib].T
-    neighbours = (ca == cb) & (np.minimum((ka - kb) % na, (kb - ka) % na) <= 1)
+    ia, ib = swept[ia], swept[ib]
+    # a curve's segments are consecutive, so global index gaps are vertex gaps
+    neighbours = (curve[ia] == curve[ib]) & (
+        np.minimum((ia - ib) % size[ia], (ib - ia) % size[ia]) <= 1)
     ia, ib = ia[~neighbours], ib[~neighbours]
-    ends = np.array([(a, b) for _, a, b in sweep.segs])
-    hit, pts = seg_intersect_many(ends[ia, 0], ends[ia, 1], ends[ib, 0], ends[ib, 1])
+    hit, pts = seg_intersect_many(seg_a[ia], seg_b[ia], seg_a[ib], seg_b[ib])
     ia, ib = ia[hit], ib[hit]
     th3 = _segment_theta3(workspace_curves)
     cands = [(a, b, rho, z) for a, b, (rho, z)
              in zip(th3[ia].tolist(), th3[ib].tolist(), pts[hit].tolist())]
     refined = _refine_nodes(p, QuarticPencil(p), cands)
     found = []
-    for curve_a, curve_b, (_, _, rho, z), ref in zip(tags[ia, 0].tolist(), tags[ib, 0].tolist(),
+    for curve_a, curve_b, (_, _, rho, z), ref in zip(curve[ia].tolist(), curve[ib].tolist(),
                                                       cands, refined):
         if ref is None:
             continue
@@ -894,9 +924,7 @@ def region_census(p: DhParams, workspace_curves, census_n: int = 128):
     rg, zg = np.meshgrid(rc, zc, indexing="ij")
     counts = ik_counts(p, rg.ravel(), zg.ravel()).reshape(census_n, census_n)
 
-    # the critical-value segments, each vertex to the next around its curve
-    seg_a = np.vstack([allv[:0]] + [w.vertices for w in workspace_curves])
-    seg_b = np.vstack([allv[:0]] + [np.roll(w.vertices, -1, axis=0) for w in workspace_curves])
+    seg_a, seg_b = _segments(workspace_curves)
     cell = float(min(rho_edges[1] - rho_edges[0], z_edges[1] - z_edges[0]))
     clear = _census_clearance(rc, zc, seg_a, seg_b, cell, 0.3 * cell)
     crossings, hit_at, hit_seg = _census_crossings(rc, zc, clear, seg_a, seg_b, cell)

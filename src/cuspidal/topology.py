@@ -193,28 +193,36 @@ def _components(key, excluded=None):
 
     An edge between neighboring cells is open when both carry the same key
     and neither cell is excluded; excluded cells get label -1.  Labels are
-    numbered by first row-major appearance, so they are deterministic.
+    numbered by first row-major appearance, so they are deterministic.  The
+    fill runs over row runs, the maximal runs of cells joined by open edges
+    along a row (axis 1) up to its seam, numbered in row-major order by one
+    cumsum.  The graph joins runs across each row's seam (column n - 1 to
+    column 0) and across the open edges between rows, with one edge wherever
+    the pair of runs changes along the row, so it has thousands of nodes
+    where a graph of cells has grid_n^2.
     """
-    grid_n = key.shape[0]
-    open_r = key == np.roll(key, -1, axis=0)
-    open_u = key == np.roll(key, -1, axis=1)
-    if excluded is not None:
-        open_r &= ~excluded & ~np.roll(excluded, -1, axis=0)
-        open_u &= ~excluded & ~np.roll(excluded, -1, axis=1)
-    idx = np.arange(grid_n * grid_n).reshape(grid_n, grid_n)
-    rows = np.concatenate([idx[open_r], idx[open_u]])
-    cols = np.concatenate([np.roll(idx, -1, axis=0)[open_r], np.roll(idx, -1, axis=1)[open_u]])
-    graph = coo_matrix((np.ones(len(rows), dtype=bool), (rows, cols)),
-                       shape=(grid_n * grid_n, grid_n * grid_n))
-    n_comp, raw = connected_components(graph, directed=False)
-    flat = raw if excluded is None else raw[~excluded.ravel()]
-    comps, first = np.unique(flat, return_index=True)
+    free = np.ones(key.shape, dtype=bool) if excluded is None else ~excluded
+    joined = (key[:, 1:] == key[:, :-1]) & free[:, 1:] & free[:, :-1]
+    start = np.ones(key.shape, dtype=bool)
+    start[:, 1:] = ~joined
+    run = np.cumsum(start.ravel()).reshape(key.shape) - 1
+    seam = (key[:, -1] == key[:, 0]) & free[:, -1] & free[:, 0]
+    # open edges from each row to the next (the last row to the first), kept
+    # where the pair of runs they join differs from the pair one cell back
+    below = np.roll(run, -1, axis=0)
+    across = (key == np.roll(key, -1, axis=0)) & free & np.roll(free, -1, axis=0)
+    across[:, 1:] &= (run[:, 1:] != run[:, :-1]) | (below[:, 1:] != below[:, :-1])
+    rows = np.concatenate([run[seam, -1], run[across]])
+    cols = np.concatenate([run[seam, 0], below[across]])
+    n_runs = int(run[-1, -1]) + 1
+    graph = coo_matrix((np.ones(len(rows), dtype=bool), (rows, cols)), shape=(n_runs, n_runs))
+    n_comp, comp = connected_components(graph, directed=False)
+    # an excluded cell is a run of its own without edges, so its component
+    # holds no free run and keeps the label -1
+    comps, first = np.unique(comp[free.ravel()[start.ravel()]], return_index=True)
     remap = -np.ones(n_comp, dtype=np.int32)
     remap[comps[np.argsort(first)]] = np.arange(len(comps), dtype=np.int32)
-    labels = remap[raw].reshape(grid_n, grid_n)
-    if excluded is not None:
-        labels[excluded] = -1
-    return len(comps), labels
+    return len(comps), remap[comp][run]
 
 
 def compute_aspects(curves: CriticalSet) -> AspectMap:

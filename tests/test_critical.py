@@ -19,8 +19,10 @@ from cuspidal import (
     trace_critical_points,
     critical_values,
     find_cusps,
+    find_nodes,
     wrap_angle,
 )
+from cuspidal import critical
 from cuspidal.critical import (
     _census_clearance,
     _census_crossings,
@@ -42,11 +44,13 @@ from conftest import (
     NONGENERIC_CURVE,
     NONGENERIC_QUAD,
     NONORTHO_NONCUSPIDAL,
+    PAPER_BATTERY,
     REFERENCE,
     TEST_GRID,
     random_valid_params,
 )
 from census_refs import census_walk
+from engine_refs import damped_newton
 from segment_refs import point_segment_dist, seg_intersect
 
 
@@ -456,6 +460,36 @@ def test_batched_newton_equals_single_seed_runs(seed, mult):
         xs, oks = _damped_newton(_multiple_root_system(pencil, flip[i:i + 1], mult), x0[i:i + 1])
         assert np.all(np.abs(xs[0] - x[i]) <= 1e-12 * np.maximum(1.0, np.abs(x[i])))
         assert oks[0] == ok[i]
+
+
+def test_batched_line_search_equals_the_lambda_loop(monkeypatch, analysis):
+    """Every damped Newton batch that cusps, genericity, nodes and the census
+    run ends bit for bit where the one-call-per-lambda loop ends, on the
+    cusp, quadruple-root, both node and the tangency systems."""
+    batches = []
+    batched = critical._damped_newton
+
+    def record(fun_jac, x0, *args, **kwargs):
+        x, ok = batched(fun_jac, x0, *args, **kwargs)
+        batches.append((fun_jac, np.array(x0, float), x, ok))
+        return x, ok
+    monkeypatch.setattr(critical, "_damped_newton", record)
+    rng = np.random.default_rng(8)
+    for robot in [*PAPER_BATTERY.values(), *(random_valid_params(rng) for _ in range(3))]:
+        curves, wcurves = analysis.curves(robot), analysis.wcurves(robot)
+        cusps = find_cusps(robot, wcurves)
+        genericity_check(robot, TEST_GRID, curves, wcurves, cusps)
+        find_nodes(robot, wcurves)
+        region_census(robot, wcurves, census_n=64)
+    systems = set()
+    for fun_jac, x0, x, ok in batches:
+        ref_x, ref_ok = damped_newton(fun_jac, x0)
+        assert x.tobytes() == ref_x.tobytes() and np.array_equal(ok, ref_ok)
+        fval, _ = fun_jac(x0[:1], np.arange(1))
+        systems.add((fun_jac.__qualname__.split(".")[0], fval.shape[1]))
+    assert systems == {("_multiple_root_system", 3), ("_multiple_root_system", 4),
+                       ("_node_system", 4), ("_node_system_symmetric", 5),
+                       ("_tangency_system", 2)}
 
 
 def _crossing_cells(f, th):

@@ -1,7 +1,11 @@
 """Static checks on the source tree, written with `ast` since no linter is a
-dependency: one root-acceptance rule, and no unused imports."""
+dependency: one root-acceptance rule, no unused imports, and no heavyweight
+third-party module imported when the package loads."""
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -59,8 +63,49 @@ def test_no_unused_imports(path):
     assert _unused_imports(_tree(path)) == []
 
 
+# Every run of the package pays for what importing it loads, so a new
+# module-level import is a start-up cost: `python -X importtime` puts
+# scipy.ndimage alone at ~70 ms on top of the package (2-vCPU x86-64 host);
+# cKDTree (scipy.spatial) is imported inside the one function that uses it.
+MODULE_LEVEL_THIRD_PARTY = {"numpy", "scipy.sparse", "scipy.sparse.csgraph"}
+
+
+def _module_level_imports(tree) -> set:
+    """Absolute modules imported outside every function and class body."""
+    found = set()
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Import):
+            found.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module)
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_package_imports_only_its_light_dependencies_at_module_level():
+    third_party = {name for path in PACKAGE.glob("*.py")
+                   for name in _module_level_imports(_tree(path))
+                   if name.split(".")[0] not in sys.stdlib_module_names}
+    assert third_party == MODULE_LEVEL_THIRD_PARTY
+
+
+def test_importing_the_cli_loads_no_lazy_scipy_module():
+    probe = ("import sys, cuspidal.cli; "
+             "print(sorted(m for m in sys.modules if m.startswith(('scipy.spatial', 'scipy.ndimage'))))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert out.stdout.strip() == "[]"
+
+
 def test_checks_see_what_they_look_for():
     tree = ast.parse("import numpy as np\nfrom a import cluster_real_roots, b\n"
                      "import os.path\nx = np.roots([1, 0])\n")
     assert _root_rule_names(tree) == [2, 4]
     assert _unused_imports(tree) == [(2, "b"), (2, "cluster_real_roots"), (3, "os")]
+    tree = ast.parse("import numpy as np\nfrom . import dh\nif True:\n    import scipy.ndimage\n"
+                     "def f():\n    from scipy.spatial import cKDTree\n"
+                     "class C:\n    import json\n")
+    assert _module_level_imports(tree) == {"numpy", "scipy.ndimage"}

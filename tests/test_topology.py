@@ -1,8 +1,11 @@
 import math
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cuspidal import critical, topology
 from cuspidal import (
@@ -22,8 +25,9 @@ from cuspidal import (
     wrap_angle,
 )
 from cuspidal.errors import NonGenericRobotError, StartOrGoalSingularError
-from cuspidal.geometry import TorusCurveIndex, polyline_min_dist, unwrap_segment
-from cuspidal.topology import JointPath, label_solutions_batch
+from cuspidal.geometry import SegmentHash, TorusCurveIndex, polyline_min_dist, unwrap_segment
+from cuspidal.robotfile import parse_robot_file
+from cuspidal.topology import JointPath, _components, _curve_band, label_solutions_batch
 
 from conftest import (
     BINARY_ROBOT,
@@ -37,7 +41,10 @@ from conftest import (
     REFERENCE,
     TEST_GRID,
 )
+from engine_refs import components
 from segment_refs import point_segment_dist
+
+BATTERY = parse_robot_file(str(Path(__file__).resolve().parent.parent / "robots" / "battery.json"))
 
 
 @pytest.fixture(scope="module")
@@ -168,6 +175,63 @@ def test_is_cuspidal_samples_the_torus_once(monkeypatch):
                      "s_index": 1, "ps_index": 1}
 
 
+def test_is_cuspidal_bounds_its_newton_and_sweep_work(monkeypatch):
+    """Each damped Newton batch spends at most two fun_jac calls per step
+    besides its first evaluation, and no segment too short to cross anything
+    reaches the node sweep (the node robot has two curves whose image is one
+    point)."""
+    steps = Counter()
+    batches = []
+    lstsq, newton = critical._lstsq_steps, critical._damped_newton
+
+    def counted_lstsq(*args):
+        steps["lstsq"] += 1
+        return lstsq(*args)
+
+    def counted_newton(fun_jac, x0, *args, **kwargs):
+        calls = Counter()
+
+        def counted_fun_jac(x, rows):
+            calls["fun_jac"] += 1
+            return fun_jac(x, rows)
+        before = steps["lstsq"]
+        out = newton(counted_fun_jac, x0, *args, **kwargs)
+        batches.append((calls["fun_jac"], steps["lstsq"] - before))
+        return out
+
+    swept = []
+
+    class RecordingHash(SegmentHash):
+        def add(self, tag, a, b):
+            swept.append(math.hypot(*(b - a)))
+            super().add(tag, a, b)
+
+    monkeypatch.setattr(critical, "_lstsq_steps", counted_lstsq)
+    monkeypatch.setattr(critical, "_damped_newton", counted_newton)
+    monkeypatch.setattr(critical, "SegmentHash", RecordingHash)
+    rep = is_cuspidal(NODE_ROBOT, grid_n=128)
+    assert len(batches) >= 4 and all(f <= 1 + 2 * s for f, s in batches), batches
+    seg_a, seg_b = critical._segments(rep.workspace_curves)
+    lengths = np.hypot(*(seg_b - seg_a).T)
+    longest = float(np.max(lengths))
+    assert min(swept) * longest >= critical._MIN_CROSS
+    assert len(swept) == int(np.sum(lengths * longest >= critical._MIN_CROSS)) < len(lengths)
+
+
+@pytest.mark.parametrize("name", sorted(BATTERY.robots))
+def test_sampled_grids_have_the_full_shape(name):
+    """det J and D sampled from the broadcast axes fill the whole lattice:
+    no field of a battery robot comes back as one row or one column."""
+    _, p = BATTERY.get(name)
+    n = 64
+    curves = critical.trace_critical_points(p, n)
+    assert curves.det_vertex.shape == curves.det_center.shape == (n, n)
+    th = critical._centers(n)
+    for field in (det_jacobian, topology._discriminant):
+        assert field(p, th[:, None], th[None, :]).shape == (n, n)
+    assert compute_pseudosingularities(curves).d_positive.shape == (n, n)
+
+
 def test_binary_robot_has_empty_ps(analysis):
     curves = analysis.curves(BINARY_ROBOT)
     ps = compute_pseudosingularities(curves)
@@ -226,6 +290,55 @@ def test_reference_aspect_splits_into_reduced(ref_maps):
     parents = ref_maps.reduced.parent_aspect[:ref_maps.reduced.count]
     counts = np.bincount(parents[parents >= 0], minlength=ref_maps.aspects.count)
     assert int(np.max(counts)) >= 3
+
+
+# --------------------------------------------------------------------------
+# flood fill against the cell-graph reference
+# --------------------------------------------------------------------------
+
+def _assert_fill_equals_reference(key, excluded=None):
+    count, labels = _components(key, excluded)
+    ref_count, ref_labels = components(key, excluded)
+    assert count == ref_count
+    assert labels.dtype == ref_labels.dtype and np.array_equal(labels, ref_labels)
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 30), st.integers(1, 4), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(["cells", "blocks", "single", "seams"]),
+       st.sampled_from(["none", "random", "all"]))
+def test_row_run_fill_equals_the_cell_graph(n, values, seed, layout, exclusion):
+    """Labels and count equal the one-node-per-cell fill on random keyed
+    grids: per-cell keys, blocks, one key everywhere, and frames whose
+    first and last column (and row) meet only across the seams."""
+    rng = np.random.default_rng(seed)
+    if layout == "cells":
+        key = rng.integers(0, values, (n, n))
+    elif layout == "blocks":
+        b = int(rng.integers(2, 7))
+        key = np.kron(rng.integers(0, values, (n // b + 1, n // b + 1)),
+                      np.ones((b, b), dtype=int))[:n, :n]
+    elif layout == "single":
+        key = np.full((n, n), values - 1)
+    else:
+        key = np.zeros((n, n), dtype=int)
+        key[[0, -1], :] = 2
+        key[:, [0, -1]] = 1
+    excluded = {"none": None, "all": np.ones((n, n), dtype=bool),
+                "random": rng.random((n, n)) < rng.uniform(0.0, 0.6)}[exclusion]
+    _assert_fill_equals_reference(key, excluded)
+
+
+def test_row_run_fill_equals_the_cell_graph_on_robot_grids(analysis):
+    """The aspect and reduced-aspect fills of the battery's grids, keys and
+    exclusion band as compute_aspects and compute_reduced_aspects pass them."""
+    for robot in (REFERENCE, NODE_ROBOT, NONORTHO_NONCUSPIDAL):
+        curves = analysis.curves(robot)
+        ps = compute_pseudosingularities(curves)
+        det_c = curves.det_center
+        _assert_fill_equals_reference(det_c >= 0)
+        _assert_fill_equals_reference(2 * (det_c >= 0) + ps.d_positive,
+                                      _curve_band(curves, TEST_GRID, ps.exclusion_radius))
 
 
 # --------------------------------------------------------------------------
