@@ -29,7 +29,7 @@ from .dh import (
     validate_params,
     wrap_angle,
 )
-from .geometry import SegmentHash, TorusCurveIndex, polyline_min_dist, seg_intersect_many
+from .geometry import TorusCurveIndex, polyline_min_dist, seg_intersect_many
 from .reduction import QuarticPencil, ik_counts, quartic_jet, solve_ik_batch
 
 log = logging.getLogger(__name__)
@@ -163,59 +163,66 @@ class RegionCensus:
 # --------------------------------------------------------------------------
 
 def _marching_segments(f: np.ndarray, th: np.ndarray, field):
-    """Edge-crossing graph of the sign changes of a sampled field.
+    """Edge-crossing graph of the sign changes of a sampled field, as arrays.
 
     `f` holds the field on the wrapped grid th x th; `field(theta2, theta3)`
-    evaluates it at saddle-cell centers.  Node `("u", i, j)` is the crossing
-    on the grid edge from (th[i], th[j]) to (th[i] + h, th[j]), node
-    `("v", i, j)` the one on the edge toward (th[i], th[j] + h).  Returns
-    (linearly interpolated node positions, undirected adjacency).
+    evaluates it elementwise at all saddle-cell centers in one call.  Node
+    u(i, j) = i n + j is the crossing on the grid edge from (th[i], th[j]) to
+    (th[i] + h, th[j]), node v(i, j) = n^2 + i n + j the one on the edge
+    toward (th[i], th[j] + h).  A mixed cell joins its crossed edges, taken
+    bottom, right, top, left, in pairs: the two of a two-edge cell, or the
+    two pairs its center sample picks in a saddle cell.  Returns (ids, nbr):
+    the node ids in ascending order and, per node, the indices into ids of
+    its two neighbours, ordered by (row-major cell, pair slot).
     """
-    grid_n = len(th)
-    h = TWO_PI / grid_n
+    n = len(th)
+    h = TWO_PI / n
     neg = f < 0
     cross_u = neg != np.roll(neg, -1, axis=0)
     cross_v = neg != np.roll(neg, -1, axis=1)
+    ids = np.concatenate([np.flatnonzero(cross_u), n * n + np.flatnonzero(cross_v)])
+    ci, cj = np.divmod(np.flatnonzero(_mixed_cells(neg)), n)
+    ip, jp = (ci + 1) % n, (cj + 1) % n
+    # each cell's edges and their node indices, -1 where an edge is not crossed
+    edges = np.column_stack([ci * n + cj, n * n + ip * n + cj, ci * n + jp, n * n + ci * n + cj])
+    at = np.minimum(np.searchsorted(ids, edges), len(ids) - 1)
+    edges = np.where(ids[at] == edges, at, -1)
+    crossed = edges >= 0
+    rows = np.arange(len(ci))
+    pairs = np.full((len(ci), 2, 2), -1)
+    pairs[:, 0, 0] = edges[rows, np.argmax(crossed, axis=1)]               # first crossed edge
+    pairs[:, 0, 1] = edges[rows, 3 - np.argmax(crossed[:, ::-1], axis=1)]  # last crossed edge
+    saddle = np.flatnonzero(np.all(crossed, axis=1))
+    if len(saddle):
+        i, j = ci[saddle], cj[saddle]
+        same = ((f[i, j] < 0) == (field(th[i] + h / 2, th[j] + h / 2) < 0))[:, None]
+        e = edges[saddle]
+        pairs[saddle, 0] = np.where(same, e[:, [3, 0]], e[:, [0, 1]])
+        pairs[saddle, 1] = np.where(same, e[:, [2, 1]], e[:, [2, 3]])
+    pairs = pairs[pairs[:, :, 0] >= 0]
+    # each node has one pair in each of its two cells: a stable sort of the
+    # pair ends by node keeps the cells' order
+    nbr = pairs[:, ::-1].ravel()[np.argsort(pairs.ravel(), kind="stable")]
+    return ids, nbr.reshape(-1, 2)
 
-    pos = {}
-    fu = np.roll(f, -1, axis=0)
-    for i, j in zip(*np.nonzero(cross_u)):
-        frac = f[i, j] / (f[i, j] - fu[i, j])
-        pos[("u", int(i), int(j))] = (th[i] + frac * h, th[j])
-    fv = np.roll(f, -1, axis=1)
-    for i, j in zip(*np.nonzero(cross_v)):
-        frac = f[i, j] / (f[i, j] - fv[i, j])
-        pos[("v", int(i), int(j))] = (th[i], th[j] + frac * h)
 
-    adj = defaultdict(list)
-    for i, j in zip(*np.nonzero(_mixed_cells(neg))):
-        i, j = int(i), int(j)
-        ip, jp = (i + 1) % grid_n, (j + 1) % grid_n
-        edges = []
-        if ("u", i, j) in pos:
-            edges.append(("u", i, j))       # bottom
-        if ("v", ip, j) in pos:
-            edges.append(("v", ip, j))      # right
-        if ("u", i, jp) in pos:
-            edges.append(("u", i, jp))      # top
-        if ("v", i, j) in pos:
-            edges.append(("v", i, j))       # left
-        if len(edges) == 2:
-            a, b = edges
-            adj[a].append(b)
-            adj[b].append(a)
-        else:
-            # saddle cell: the center sample decides the pairing
-            fc = float(field(th[i] + h / 2, th[j] + h / 2))
-            bottom, right, top, left = edges
-            if (f[i, j] < 0) == (fc < 0):
-                pairs = ((left, bottom), (top, right))
-            else:
-                pairs = ((bottom, right), (top, left))
-            for a, b in pairs:
-                adj[a].append(b)
-                adj[b].append(a)
-    return pos, adj
+def _crossing_edges(ids: np.ndarray, th: np.ndarray):
+    """(i, j, along_v, start, step) of the grid edges of crossing node ids: each
+    edge runs from vertex (i, j) at `start` by `step`, along theta3 where
+    along_v (0 or 1), else along theta2."""
+    n = len(th)
+    along_v, flat = np.divmod(ids, n * n)
+    i, j = np.divmod(flat, n)
+    step = np.where(along_v[:, None] == 1, (0.0, TWO_PI / n), (TWO_PI / n, 0.0))
+    return i, j, along_v, np.column_stack([th[i], th[j]]), step
+
+
+def _crossing_points(f: np.ndarray, th: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """(m, 2) positions of crossing nodes, linearly interpolated along their edges."""
+    i, j, along_v, start, step = _crossing_edges(ids, th)
+    f0 = f[i, j]
+    frac = f0 / (f0 - f[(i + 1 - along_v) % len(th), (j + along_v) % len(th)])
+    return start + frac[:, None] * step
 
 
 def _mixed_cells(neg: np.ndarray) -> np.ndarray:
@@ -254,34 +261,44 @@ def _center_field(field, grid_n: int, rows: int = 48) -> np.ndarray:
     return out
 
 
-def _chain_loops(pos, adj):
-    """Walk a crossing graph of degree <= 2 into vertex chains.
+def _chain_loops(nbr: np.ndarray, keep=None) -> list:
+    """Walk a crossing graph of degree <= 2 into chains of node indices.
 
-    Open chains are walked from their degree-1 ends first, so each comes out
-    whole; the remaining nodes form closed loops.  Returns (vertices, closed)
-    pairs.
+    `nbr` (m, 2) holds each node's neighbours, -1 for none, in the order the
+    walk prefers them.  With a `keep` mask only the kept nodes and the
+    edges between them are walked.  Open chains are walked from their
+    degree-1 ends first, so each comes out whole; the remaining nodes form
+    closed loops, each entered at its lowest index toward its first
+    neighbour.  Returns (index list, closed) pairs.
     """
-    seen = set()
+    first, second = nbr[:, 0], nbr[:, 1]
+    nodes = np.arange(len(nbr))
+    if keep is not None:
+        first, second = np.where(keep[first], first, -1), np.where(keep[second], second, -1)
+        first, second = np.where(first < 0, second, first), np.where(first < 0, -1, second)
+        nodes = nodes[keep]
+    ends = nodes[(first[nodes] >= 0) & (second[nodes] < 0)]
+    first, second = first.tolist(), second.tolist()
+    seen = [False] * len(nbr)
     loops = []
-    ends = sorted(n for n in adj if len(adj[n]) == 1)
-    for start in ends + sorted(adj):
-        if start in seen:
+    for start in ends.tolist() + nodes.tolist():
+        if seen[start]:
             continue
-        loop = [start]
-        seen.add(start)
-        prev, cur = None, start
-        closed = True
+        seen[start] = True
+        chain = [start]
+        prev, cur = -1, start
         while True:
-            nxt = [n for n in adj[cur] if n != prev]
-            if not nxt:
+            nxt = first[cur] if first[cur] != prev else second[cur]
+            if nxt < 0 or nxt == prev:
                 closed = False
                 break
-            if nxt[0] == start:
+            if seen[nxt]:               # only the start, on a graph of degree <= 2
+                closed = nxt == start
                 break
-            cur, prev = nxt[0], cur
-            loop.append(cur)
-            seen.add(cur)
-        loops.append((np.array([pos[n] for n in loop]), closed))
+            seen[nxt] = True
+            chain.append(nxt)
+            prev, cur = cur, nxt
+        loops.append((chain, closed))
     return loops
 
 
@@ -315,10 +332,11 @@ def trace_critical_points(p: DhParams, grid_n: int = DEFAULT_GRID_N) -> Critical
         raise ValueError("grid_n must be >= 64")
     scale = singularity_scale(p)
     f, th = _det_on_vertices(p, grid_n)
-    pos, adj = _marching_segments(f, th, functools.partial(det_jacobian, p))
+    ids, nbr = _marching_segments(f, th, functools.partial(det_jacobian, p))
+    pos = _crossing_points(f, th, ids)
     curves = []
-    for verts, closed in _chain_loops(pos, adj):
-        refined = _refine_on_zero_set(p, verts, scale)
+    for chain, closed in _chain_loops(nbr):
+        refined = _refine_on_zero_set(p, pos[chain], scale)
         g2, g3 = det_jacobian_grad(p, refined[:, 0], refined[:, 1])
         curves.append(JointCurve(refined, closed, np.hypot(g2, g3)))
     curves.sort(key=lambda c: (-len(c), float(c.vertices[0, 0]), float(c.vertices[0, 1])))
@@ -683,10 +701,7 @@ def find_nodes(p: DhParams, workspace_curves) -> list:
     length = np.hypot(d[:, 0], d[:, 1])
     # the global index of every segment the sweep sees, in its order
     swept = np.nonzero(length * np.max(length, initial=0.0) >= _MIN_CROSS)[0]
-    sweep = SegmentHash(cell)
-    for s in swept.tolist():
-        sweep.add(s, seg_a[s], seg_b[s])
-    ia, ib = sweep.candidate_pairs()
+    ia, ib = _candidate_pairs(seg_a[swept], seg_b[swept], cell)
     if len(ia) == 0:
         return []
     ia, ib = swept[ia], swept[ib]
@@ -817,10 +832,40 @@ def _tangency_system(pencil: QuarticPencil, start, direction, flip, d1: float):
 
 def _segment_buckets(seg_a, seg_b, cell: float):
     """Inclusive bucket ranges (lo (S, 2), hi (S, 2)) of the segments' bounding
-    boxes on a uniform hash of side `cell`: the buckets a SegmentHash lists
-    each segment in."""
+    boxes on a uniform hash of side `cell`: the buckets that list each segment."""
     ka, kb = np.floor(seg_a / cell).astype(int), np.floor(seg_b / cell).astype(int)
     return np.minimum(ka, kb), np.maximum(ka, kb)
+
+
+def _expand(counts):
+    """(owner, offset) of every entry k < counts[r] of every owner r, in order."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    return owner, np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
+def _candidate_pairs(seg_a, seg_b, cell: float):
+    """Index pairs (first < second) of segments that share a bucket of a
+    uniform hash of side `cell`, each pair once.
+
+    The pairs come in the order of a walk over the buckets in (i, j) order
+    that lists, for each bucket, the upper triangle of its segments in
+    ascending index order, keeping each pair where the walk first meets it.
+    """
+    lo, hi = _segment_buckets(seg_a, seg_b, cell)
+    span = hi - lo + 1
+    seg, off = _expand(span[:, 0] * span[:, 1])
+    bi, bj = lo[seg, 0] + off // span[seg, 1], lo[seg, 1] + off % span[seg, 1]
+    order = np.lexsort((seg, bj, bi))
+    seg, bi, bj = seg[order], bi[order], bj[order]
+    # every entry pairs with the entries after it in its bucket
+    last = np.append((bi[1:] != bi[:-1]) | (bj[1:] != bj[:-1]), True)
+    end = np.flatnonzero(last)
+    after = end[np.searchsorted(end, np.arange(len(seg)))] - np.arange(len(seg))
+    entry, k = _expand(after)
+    first, second = seg[entry], seg[entry + 1 + k]
+    _, seen = np.unique(first * len(lo) + second, return_index=True)
+    seen.sort()
+    return first[seen], second[seen]
 
 
 def _bucket_pairs(lo, hi, bx, by, reach: int):
@@ -833,9 +878,7 @@ def _bucket_pairs(lo, hi, bx, by, reach: int):
     j0 = np.searchsorted(by, lo[:, 1] - reach, "left")
     j1 = np.searchsorted(by, hi[:, 1] + reach, "right")
     nj = j1 - j0
-    per = (i1 - i0) * nj
-    seg = np.repeat(np.arange(len(lo)), per)
-    off = np.arange(len(seg)) - np.repeat(np.cumsum(per) - per, per)
+    seg, off = _expand((i1 - i0) * nj)
     nj = nj[seg]
     return seg, i0[seg] + off // np.maximum(nj, 1), j0[seg] + off % np.maximum(nj, 1)
 

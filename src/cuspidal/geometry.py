@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 
 import numpy as np
 
@@ -25,47 +24,6 @@ def seg_intersect_many(a0, a1, b0, b1):
     u = (dx * d1[:, 1] - dy * d1[:, 0]) / den
     hit = ok & (0.0 <= s) & (s <= 1.0) & (0.0 <= u) & (u <= 1.0)
     return hit, a0 + s[:, None] * d1
-
-
-class SegmentHash:
-    """Uniform spatial hash over planar segments for pair queries."""
-
-    def __init__(self, cell: float):
-        self.cell = cell
-        self.buckets = defaultdict(list)
-        self.segs = []
-
-    def add(self, tag, a, b):
-        idx = len(self.segs)
-        self.segs.append((tag, a, b))
-        c = self.cell
-        i0, i1 = sorted((int(math.floor(a[0] / c)), int(math.floor(b[0] / c))))
-        j0, j1 = sorted((int(math.floor(a[1] / c)), int(math.floor(b[1] / c))))
-        for i in range(i0, i1 + 1):
-            for j in range(j0, j1 + 1):
-                self.buckets[(i, j)].append(idx)
-
-    def candidate_pairs(self):
-        """Index pairs (i, j), i < j, of segments sharing a bucket.
-
-        Returned as two int arrays, each pair once, in the order the sorted
-        buckets first list it (bucket lists hold ascending indices).
-        """
-        firsts, seconds = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
-        upper = {}
-        for key in sorted(self.buckets):
-            lst = self.buckets[key]
-            if len(lst) > 1:
-                if len(lst) not in upper:
-                    upper[len(lst)] = np.triu_indices(len(lst), 1)
-                ii, jj = upper[len(lst)]
-                lst = np.asarray(lst)
-                firsts.append(lst[ii])
-                seconds.append(lst[jj])
-        first, second = np.concatenate(firsts), np.concatenate(seconds)
-        _, seen = np.unique(first * len(self.segs) + second, return_index=True)
-        seen.sort()
-        return first[seen], second[seen]
 
 
 def polyline_min_dist(point, polylines) -> float:

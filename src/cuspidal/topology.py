@@ -42,6 +42,7 @@ from .critical import (
     _center_field,
     _centers,
     _chain_loops,
+    _crossing_edges,
     _marching_segments,
     critical_values,
     find_cusps,
@@ -249,21 +250,16 @@ def _discriminant(p: DhParams, theta2, theta3):
     return quartic_discriminant(quartic_coeffs_from_conic(cc))
 
 
-def _refine_crossings(field, keys, th, f, iters: int = 36):
+def _refine_crossings(field, ids, th, f, iters: int = 36):
     """Bisect the sign change of a field along each crossed grid edge.
 
-    `keys` are crossing nodes of `_marching_segments` over the samples `f`
-    on th x th; returns their positions on the torus.
+    `ids` are the integer crossing-node ids `_marching_segments` gives for
+    the samples `f` on th x th; returns their positions on the torus.
     """
-    h = TWO_PI / len(th)
-    ii = np.array([k[1] for k in keys])
-    jj = np.array([k[2] for k in keys])
-    along_u = np.array([k[0] == "u" for k in keys])
-    start = np.column_stack([th[ii], th[jj]])
-    step = np.where(along_u[:, None], (h, 0.0), (0.0, h))
+    ii, jj, _, start, step = _crossing_edges(ids, th)
     neg0 = f[ii, jj] < 0
-    lo = np.zeros(len(keys))
-    hi = np.ones(len(keys))
+    lo = np.zeros(len(ids))
+    hi = np.ones(len(ids))
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
         pts = start + mid[:, None] * step
@@ -281,22 +277,20 @@ def compute_pseudosingularities(curves: CriticalSet) -> PseudoSingularitySet:
     and touches zero without a sign change on S, where f folds.  D is sampled
     once at the cell centers of S's grid; the same marching squares that
     traces S extracts its sign changes, each crossing is bisected along its
-    grid edge, and points within the exclusion radius of S (where the
-    even-order zero leaves the sign to rounding noise) are dropped, which
-    opens the chains that run into S.
+    grid edge, and the chain walk keeps only the points outside the
+    exclusion radius of S (where the even-order zero leaves the sign to
+    rounding noise), which opens the chains that run into S.
     """
     th = _centers(curves.grid_n)
     field = functools.partial(_discriminant, curves.robot)
     d = _center_field(field, curves.grid_n)
-    pos, adj = _marching_segments(d, th, field)
+    ids, nbr = _marching_segments(d, th, field)
     polylines = []
-    if pos:
-        keys = sorted(pos)
-        pts = _refine_crossings(field, keys, th, d)
-        far = curves.s_index.dists(pts) > PS_EXCLUSION_RADIUS
-        kept = {k: pt for k, pt, ok in zip(keys, pts, far) if ok}
-        adj = {k: [n for n in adj[k] if n in kept] for k in kept}
-        for verts, closed in _chain_loops(kept, adj):
+    if len(ids):
+        pts = _refine_crossings(field, ids, th, d)
+        keep = curves.s_index.dists(pts) > PS_EXCLUSION_RADIUS
+        for chain, closed in _chain_loops(nbr, keep):
+            verts = pts[chain]
             if closed:
                 verts = np.vstack([verts, verts[:1]])
             if len(verts) >= 2:

@@ -22,11 +22,14 @@ from cuspidal import (
     find_nodes,
     wrap_angle,
 )
-from cuspidal import critical
+from cuspidal import critical, topology
 from cuspidal.critical import (
+    _candidate_pairs,
     _census_clearance,
     _census_crossings,
+    _chain_loops,
     _chart_seed,
+    _crossing_points,
     _damped_newton,
     _dedup_sorted,
     _det_on_vertices,
@@ -36,7 +39,7 @@ from cuspidal.critical import (
 )
 from cuspidal.dh import length_scale
 from cuspidal.errors import DegenerateGeometryError
-from cuspidal.geometry import SegmentHash, polyline_min_dist, seg_intersect_many, unwrap_segment
+from cuspidal.geometry import polyline_min_dist, seg_intersect_many, unwrap_segment
 from cuspidal.reduction import QuarticPencil
 
 from conftest import (
@@ -50,7 +53,7 @@ from conftest import (
     random_valid_params,
 )
 from census_refs import census_walk
-from engine_refs import damped_newton
+from engine_refs import SegmentHash, chain_loops, damped_newton, marching_segments
 from segment_refs import point_segment_dist, seg_intersect
 
 
@@ -494,8 +497,9 @@ def test_batched_line_search_equals_the_lambda_loop(monkeypatch, analysis):
 
 def _crossing_cells(f, th):
     """Cells with two or four crossed edges, from the crossing nodes."""
-    pos, _ = _marching_segments(f, th, lambda t2, t3: 0.0)
+    ids, _ = _marching_segments(f, th, lambda t2, t3: 0.0)
     n = len(th)
+    pos = set(_node_keys(ids, n))
     cells = set()
     for kind, i, j in pos:
         cells.add((i, j))
@@ -517,6 +521,99 @@ def test_corner_sign_mask_equals_marching_cells_on_random_fields(seed):
     th = -math.pi + 2 * math.pi * np.arange(n) / n
     mask = _mixed_cells(f < 0)
     assert {(int(i), int(j)) for i, j in zip(*np.nonzero(mask))} == _crossing_cells(f, th)
+
+
+def _node_keys(ids, n):
+    """The ("u" | "v", i, j) keys of the dict engine for integer node ids."""
+    return [("v" if k >= n * n else "u", k % (n * n) // n, k % n) for k in ids.tolist()]
+
+
+def _assert_marching_equals_the_dict_engine(f, th, field):
+    """Same nodes, positions (bit for bit) and neighbour order as the dict
+    engine; returns (positions, neighbours, dict positions, dict adjacency)."""
+    pos, adj = marching_segments(f, th, field)
+    ids, nbr = _marching_segments(f, th, field)
+    keys = _node_keys(ids, len(th))
+    assert keys == sorted(pos)
+    pts = _crossing_points(f, th, ids)
+    assert pts.tobytes() == np.array([pos[k] for k in keys]).reshape(-1, 2).tobytes()
+    assert [[keys[m] for m in row] for row in nbr.tolist()] == [adj[k] for k in keys]
+    return pts, nbr, pos, adj
+
+
+def _assert_chains_equal(chains, ref, pts):
+    assert [(pts[c].tobytes(), closed) for c, closed in chains] == [
+        (verts.reshape(-1, 2).tobytes(), closed) for verts, closed in ref]
+
+
+def _saddle_case(n, seed):
+    """Random wrapped samples with forced saddle cells (diagonal corners of
+    one sign, the other two of the other), and a saddle-center field that
+    takes both signs."""
+    rng = np.random.default_rng(seed)
+    f = rng.standard_normal((n, n)) + rng.uniform(-1.0, 1.0)
+    for i, j in rng.integers(0, n, (int(rng.integers(1, 4)), 2)).tolist():
+        s = rng.choice([-1.0, 1.0])
+        ip, jp = (i + 1) % n, (j + 1) % n
+        f[i, j], f[ip, jp], f[ip, j], f[i, jp] = s * rng.uniform(0.1, 2.0, 4) * (1, 1, -1, -1)
+    th = -math.pi + 2 * math.pi * np.arange(n) / n
+    c2, c3 = rng.uniform(-math.pi, math.pi, 2)
+    return rng, f, th, lambda t2, t3: (t2 - c2) * (t3 - c3)
+
+
+@settings(max_examples=200)
+@given(st.integers(4, 24), _SEED)
+def test_array_marching_equals_the_dict_engine(n, seed):
+    _, f, th, field = _saddle_case(n, seed)
+    neg = f < 0
+    up, right = np.roll(neg, -1, 0), np.roll(neg, -1, 1)
+    assert np.any((neg == np.roll(up, -1, 1)) & (up == right) & (neg != up))   # a saddle
+    pts, nbr, pos, adj = _assert_marching_equals_the_dict_engine(f, th, field)
+    _assert_chains_equal(_chain_loops(nbr), chain_loops(pos, adj), pts)
+
+
+@settings(max_examples=200)
+@given(st.integers(4, 24), _SEED)
+def test_chain_walk_with_a_kept_mask_equals_the_dict_walk(n, seed):
+    """Random kept masks leave open chains and isolated nodes; the walk over
+    the kept nodes equals the dict walk over the kept sub-graph."""
+    rng, f, th, field = _saddle_case(n, seed)
+    pts, nbr, pos, adj = _assert_marching_equals_the_dict_engine(f, th, field)
+    keys = sorted(pos)
+    keep = rng.uniform(size=len(keys)) < rng.choice([0.3, 0.7, 0.95, 1.0])
+    kept = {k: pos[k] for k, ok in zip(keys, keep.tolist()) if ok}
+    ref = chain_loops(kept, {k: [m for m in adj[k] if m in kept] for k in kept})
+    _assert_chains_equal(_chain_loops(nbr, keep), ref, pts)
+
+
+def test_array_marching_equals_the_dict_engine_on_robot_fields():
+    """det J on the vertex grid and D on the cell centers, saddle centers
+    evaluated in one vectorised call against one scalar call each."""
+    for robot in (REFERENCE, NODE_ROBOT, NONORTHO_NONCUSPIDAL):
+        f, th = _det_on_vertices(robot, TEST_GRID)
+        _assert_marching_equals_the_dict_engine(f, th, lambda t2, t3: det_jacobian(robot, t2, t3))
+        field = lambda t2, t3: topology._discriminant(robot, t2, t3)
+        th = critical._centers(TEST_GRID)
+        _assert_marching_equals_the_dict_engine(critical._center_field(field, TEST_GRID), th, field)
+
+
+@settings(max_examples=200)
+@given(_SEED)
+def test_candidate_pairs_equal_the_segment_hash(seed):
+    """Random segments: short, zero-length, spanning several buckets, with
+    negative coordinates and endpoints on bucket edges."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(0, 80))
+    cell = float(rng.uniform(0.05, 1.0))
+    seg_a = rng.uniform(-3.0, 3.0, (k, 2))
+    seg_b = seg_a + rng.standard_normal((k, 2)) * rng.choice([0.0, 0.1, 1.0, 4.0], (k, 1))
+    seg_a[::5] = np.round(seg_a[::5] / cell) * cell
+    sweep = SegmentHash(cell)
+    for s in range(k):
+        sweep.add(s, seg_a[s], seg_b[s])
+    ref_a, ref_b = sweep.candidate_pairs()
+    ia, ib = _candidate_pairs(seg_a, seg_b, cell)
+    assert ia.tolist() == ref_a.tolist() and ib.tolist() == ref_b.tolist()
 
 
 def test_critical_set_keeps_the_samples_a_fresh_evaluation_gives(analysis):
@@ -589,7 +686,7 @@ def test_candidate_pairs_follow_the_bucket_walk(analysis):
                     if pair not in seen:
                         seen.add(pair)
                         walk.append(pair)
-        ia, ib = sweep.candidate_pairs()
+        ia, ib = _candidate_pairs(*critical._segments(analysis.wcurves(robot)), 0.05)
         assert list(zip(ia.tolist(), ib.tolist())) == walk
 
 

@@ -1,6 +1,6 @@
 """Static checks on the source tree, written with `ast` since no linter is a
-dependency: one root-acceptance rule, no unused imports, and no heavyweight
-third-party module imported when the package loads."""
+dependency: one root-acceptance rule, no unused imports, no per-cell loop over a
+2-D mask, and no heavyweight third-party module imported when the package loads."""
 import ast
 import os
 import pathlib
@@ -48,6 +48,24 @@ def _unused_imports(tree) -> list:
     return sorted((line, name) for name, line in bound.items() if name not in used)
 
 
+def _mask_cell_loops(tree) -> list:
+    """Line numbers of `for` loops and comprehensions over zip(*np.nonzero(...)),
+    which visit the cells of a mask one at a time."""
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.For, ast.comprehension)):
+            continue
+        it = node.iter
+        if (isinstance(it, ast.Call) and isinstance(it.func, ast.Name) and it.func.id == "zip"
+                and any(isinstance(a, ast.Starred) and isinstance(a.value, ast.Call)
+                        and isinstance(a.value.func, ast.Attribute)
+                        and a.value.func.attr == "nonzero"
+                        and isinstance(a.value.func.value, ast.Name)
+                        and a.value.func.value.id in ("np", "numpy") for a in it.args)):
+            lines.append(it.lineno)
+    return sorted(lines)
+
+
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_only_reduction_names_the_root_rule(path):
     lines = _root_rule_names(_tree(path))
@@ -55,6 +73,12 @@ def test_only_reduction_names_the_root_rule(path):
         assert lines
     else:
         assert lines == [], f"{path.name} names np.roots or cluster_real_roots at {lines}"
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_loop_over_the_cells_of_a_mask(path):
+    lines = _mask_cell_loops(_tree(path))
+    assert lines == [], f"{path.name} loops over zip(*np.nonzero(...)) at {lines}"
 
 
 @pytest.mark.parametrize("path", [p for p in CHECKED if p != PACKAGE / "__init__.py"],
@@ -109,3 +133,8 @@ def test_checks_see_what_they_look_for():
                      "def f():\n    from scipy.spatial import cKDTree\n"
                      "class C:\n    import json\n")
     assert _module_level_imports(tree) == {"numpy", "scipy.ndimage"}
+    tree = ast.parse("for i, j in zip(*np.nonzero(m)):\n    pass\n"
+                     "x = [i for i, j in zip(*numpy.nonzero(m))]\n"
+                     "for k in np.nonzero(m)[0]:\n    pass\n"
+                     "for i, j in zip(a, b):\n    pass\n")
+    assert _mask_cell_loops(tree) == [1, 3]

@@ -25,7 +25,7 @@ from cuspidal import (
     wrap_angle,
 )
 from cuspidal.errors import NonGenericRobotError, StartOrGoalSingularError
-from cuspidal.geometry import SegmentHash, TorusCurveIndex, polyline_min_dist, unwrap_segment
+from cuspidal.geometry import TorusCurveIndex, polyline_min_dist, unwrap_segment
 from cuspidal.robotfile import parse_robot_file
 from cuspidal.topology import JointPath, _components, _curve_band, label_solutions_batch
 
@@ -201,14 +201,15 @@ def test_is_cuspidal_bounds_its_newton_and_sweep_work(monkeypatch):
 
     swept = []
 
-    class RecordingHash(SegmentHash):
-        def add(self, tag, a, b):
-            swept.append(math.hypot(*(b - a)))
-            super().add(tag, a, b)
+    pairs = critical._candidate_pairs
+
+    def recording_pairs(seg_a, seg_b, cell):
+        swept.extend(math.hypot(*d) for d in seg_b - seg_a)
+        return pairs(seg_a, seg_b, cell)
 
     monkeypatch.setattr(critical, "_lstsq_steps", counted_lstsq)
     monkeypatch.setattr(critical, "_damped_newton", counted_newton)
-    monkeypatch.setattr(critical, "SegmentHash", RecordingHash)
+    monkeypatch.setattr(critical, "_candidate_pairs", recording_pairs)
     rep = is_cuspidal(NODE_ROBOT, grid_n=128)
     assert len(batches) >= 4 and all(f <= 1 + 2 * s for f, s in batches), batches
     seg_a, seg_b = critical._segments(rep.workspace_curves)
