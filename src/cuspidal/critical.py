@@ -28,6 +28,7 @@ from .dh import (
     singularity_scale,
     validate_params,
     wrap_angle,
+    wrap_float,
 )
 from .geometry import TorusCurveIndex, polyline_min_dist, seg_intersect_many
 from .reduction import QuarticPencil, ik_counts, quartic_jet, solve_ik_batch
@@ -239,7 +240,8 @@ def _mixed_cells(neg: np.ndarray) -> np.ndarray:
 
 def _det_on_vertices(p: DhParams, grid_n: int):
     """det J on the wrapped vertex grid th x th; returns (values, th).  The
-    axes broadcast, so the trig runs on grid_n angles per axis."""
+    axes broadcast, so the trig and A, B, C of det J's factored form run on
+    grid_n angles, and the lattice costs two products and two sums."""
     th = -math.pi + TWO_PI * np.arange(grid_n) / grid_n
     return det_jacobian(p, th[:, None], th[None, :]), th
 
@@ -372,12 +374,12 @@ def _chart_seed(theta3: float):
     """(chart coordinate, flip flag) placing the seed in the well-conditioned chart."""
     if abs(theta3) <= math.pi / 2:
         return math.tan(theta3 / 2.0), False
-    return math.tan(float(wrap_angle(theta3 - math.pi)) / 2.0), True
+    return math.tan(wrap_float(theta3 - math.pi) / 2.0), True
 
 
 def _chart_theta3(u: float, flip: bool) -> float:
     th = 2.0 * math.atan(u)
-    return float(wrap_angle(th + math.pi)) if flip else th
+    return wrap_float(th + math.pi) if flip else th
 
 
 def _tan_half(theta3: float) -> float:
@@ -626,9 +628,9 @@ def _refine_nodes(p: DhParams, pencil: QuarticPencil, cands) -> list:
     for k, (th3a, th3b, rho, z) in enumerate(cands):
         zr = z - p.d1
         r0 = rho * rho + zr * zr
-        gap = abs(float(wrap_angle(th3a - th3b)))
+        gap = abs(wrap_float(th3a - th3b))
         if gap < 0.5:
-            mean = th3a + float(wrap_angle(th3b - th3a)) / 2.0
+            mean = th3a + wrap_float(th3b - th3a) / 2.0
             s0, flip = _chart_seed(mean)
             # chart half-gap: d(theta)/du = 2/(1+u^2)
             d0 = gap / 2.0 * (1.0 + s0 * s0) / 2.0
@@ -721,7 +723,7 @@ def find_nodes(p: DhParams, workspace_curves) -> list:
         if ref is None:
             continue
         th1, th2, R, zr_s, residual = ref
-        if abs(float(wrap_angle(th1 - th2))) < 1e-4:
+        if abs(wrap_float(th1 - th2)) < 1e-4:
             continue  # collapsed to a cusp
         rho2 = R - zr_s * zr_s
         if rho2 < -1e-12 * scale:

@@ -1,9 +1,15 @@
 """Classical D-H kinematics of a 3R positional chain.
 
 Forward kinematics, the geometric Jacobian, and a closed-form singularity
-function det(J)(theta2, theta3) that is independent of theta1.  All angles
-are radians normalized to [-pi, pi); all operations are pure functions over
-immutable value types.
+function det(J)(theta2, theta3) that is independent of theta1.  det(J) is
+affine in (cos theta2, sin theta2):
+
+    det(J) = cos(theta2) A(theta3) + sin(theta2) B(theta3) + C(theta3),
+
+where A, B and C combine (1, c3, s3, c3 s3, s3^2) with coefficients that
+depend on the D-H parameters only (det_coefficients).  The exact gradient
+comes from the same coefficients.  All angles are radians normalized to
+[-pi, pi); all operations are pure functions over immutable value types.
 """
 from __future__ import annotations
 
@@ -24,6 +30,12 @@ _ZERO_TOL = 1e-12
 def wrap_angle(a):
     """Normalize an angle (or array of angles) to [-pi, pi)."""
     return (np.asarray(a) + math.pi) % TWO_PI - math.pi
+
+
+def wrap_float(a: float) -> float:
+    """wrap_angle of one number as a Python float, without NumPy: float %
+    follows the same rule as np.remainder, so the bits are the same."""
+    return (float(a) + math.pi) % TWO_PI - math.pi
 
 
 @dataclass(frozen=True)
@@ -64,9 +76,9 @@ class JointConfig:
     theta3: float
 
     def __post_init__(self):
-        object.__setattr__(self, "theta1", float(wrap_angle(self.theta1)))
-        object.__setattr__(self, "theta2", float(wrap_angle(self.theta2)))
-        object.__setattr__(self, "theta3", float(wrap_angle(self.theta3)))
+        object.__setattr__(self, "theta1", wrap_float(self.theta1))
+        object.__setattr__(self, "theta2", wrap_float(self.theta2))
+        object.__setattr__(self, "theta3", wrap_float(self.theta3))
 
     def as_array(self) -> np.ndarray:
         return np.array([self.theta1, self.theta2, self.theta3])
@@ -200,37 +212,69 @@ def jacobian(p: DhParams, q: JointConfig) -> np.ndarray:
     return J
 
 
-def det_jacobian(p: DhParams, theta2, theta3):
-    """Closed-form det(J) as a function of (theta2, theta3) only.
+def det_coefficients(p: DhParams) -> tuple:
+    """Rows (A, B, C) of det(J) = cos(theta2) A + sin(theta2) B + C.
 
-    Accepts scalars or broadcastable arrays.  Equals det(jacobian(p, q)) for
-    any theta1.
+    Each row holds the coefficients of one of A(theta3), B(theta3), C(theta3)
+    on the basis (1, c3, s3, c3 s3, s3^2), with c3 = cos(theta3) and
+    s3 = sin(theta3); they depend on the D-H parameters only.
     """
-    c2, s2 = np.cos(theta2), np.sin(theta2)
-    c3, s3 = np.cos(theta3), np.sin(theta3)
     ca1, sa1 = math.cos(p.alpha1), math.sin(p.alpha1)
     ca2, sa2 = math.cos(p.alpha2), math.sin(p.alpha2)
     d2, d3 = p.d2, p.d3
     a1, a2, a3 = p.a1, p.a2, p.a3
-    term1 = (
-        (-c3 * (a3 * d2 * s2 * s3 + a1 * d3) * ca2
-         + a2 * c2 * c3 * d2
-         + (-c2 * d2 * s3 ** 2 + c2 * d2) * a3
-         - a2 * d3 * s2 * s3) * sa2
-        + c3 * (a1 * a3 * s3 - d2 * d3 * s2) * ca2 ** 2
-        + a2 * a3 * s2 * s3 ** 2 * ca2
-        + (-s3 * (a2 * c2 + a1) * a3 + d2 * d3 * s2) * c3
-        - a2 * s3 * (a2 * c2 + a1)
+    rows = (
+        (sa1 * a3 * d2 * sa2,
+         sa1 * a2 * d2 * sa2 - ca1 * a1 * d3 * sa2 * sa2,
+         -sa1 * a2 * a2,
+         ca1 * a1 * a3 * ca2 * sa2 - sa1 * a2 * a3,
+         -sa1 * a3 * d2 * sa2),
+        (ca1 * a1 * a3 * sa2,
+         sa1 * d2 * d3 * sa2 * sa2 + ca1 * a1 * a2 * sa2,
+         -sa1 * a2 * d3 * sa2,
+         -sa1 * a3 * d2 * ca2 * sa2,
+         sa1 * a2 * a3 * ca2 - ca1 * a1 * a3 * sa2),
+        (0.0,
+         -sa1 * a1 * d3 * ca2 * sa2,
+         -sa1 * a1 * a2,
+         -sa1 * a1 * a3 * sa2 * sa2,
+         0.0),
     )
-    term2 = a1 * (
-        (ca2 * a3 * c2 * c3 * s3 + s2 * (a2 * c3 + (-s3 ** 2 + 1) * a3)) * sa2
-        + c2 * c3 * d3 * (ca2 - 1) * (ca2 + 1)
-    )
-    return (term1 * sa1 + term2 * ca1) * a3
+    return tuple(tuple(a3 * k for k in row) for row in rows)
 
 
-def det_jacobian_grad(p: DhParams, theta2, theta3, h: float = 1e-6):
-    """Central-difference gradient of det_jacobian w.r.t. (theta2, theta3)."""
-    g2 = (det_jacobian(p, theta2 + h, theta3) - det_jacobian(p, theta2 - h, theta3)) / (2 * h)
-    g3 = (det_jacobian(p, theta2, theta3 + h) - det_jacobian(p, theta2, theta3 - h)) / (2 * h)
-    return g2, g3
+def _d_theta3(row: tuple) -> tuple:
+    """Coefficients of the theta3-derivative of a basis combination, on the
+    same basis: (1, c3, s3, c3 s3, s3^2)' = (0, -s3, c3, 1 - 2 s3^2, 2 c3 s3)."""
+    _, k1, k2, k3, k4 = row
+    return (k3, k2, -k1, 2.0 * k4, -2.0 * k3)
+
+
+def _theta3_terms(theta3, rows):
+    """Each row's combination of the basis (1, c3, s3, c3 s3, s3^2) at theta3."""
+    c3, s3 = np.cos(theta3), np.sin(theta3)
+    cs, ss = c3 * s3, s3 * s3
+    return [k0 + k1 * c3 + k2 * s3 + k3 * cs + k4 * ss for k0, k1, k2, k3, k4 in rows]
+
+
+def det_jacobian(p: DhParams, theta2, theta3):
+    """Closed-form det(J) as a function of (theta2, theta3) only.
+
+    det(J) = cos(theta2) A(theta3) + sin(theta2) B(theta3) + C(theta3), with
+    A, B, C from det_coefficients.  Accepts scalars or broadcastable arrays;
+    A, B and C are evaluated on theta3 as given, so a column of theta2 against
+    a row of theta3 costs the trig and the combinations on the axes and two
+    products and two sums on the lattice, and every value equals the one the
+    same angles give point by point.  Equals det(jacobian(p, q)) for any theta1.
+    """
+    a, b, c = _theta3_terms(theta3, det_coefficients(p))
+    return np.cos(theta2) * a + np.sin(theta2) * b + c
+
+
+def det_jacobian_grad(p: DhParams, theta2, theta3):
+    """Exact gradient of det_jacobian w.r.t. (theta2, theta3):
+    (-sin(theta2) A + cos(theta2) B, cos(theta2) A' + sin(theta2) B' + C')."""
+    rows = det_coefficients(p)
+    a, b, da, db, dc = _theta3_terms(theta3, rows[:2] + tuple(_d_theta3(r) for r in rows))
+    c2, s2 = np.cos(theta2), np.sin(theta2)
+    return c2 * b - s2 * a, c2 * da + s2 * db + dc

@@ -24,6 +24,7 @@ from .dh import (
     Pose3,
     fk_arrays,
     wrap_angle,
+    wrap_float,
 )
 from .errors import (
     DegenerateConicError,
@@ -344,8 +345,8 @@ def theta3_of_t(t: float) -> float:
 def _circle_gap(t1: float, t2: float) -> float:
     """Distance between roots as seen on the theta3 circle, in t units near 0."""
     d_t = abs(t1 - t2)
-    d_ang = abs(wrap_angle(theta3_of_t(t1) - theta3_of_t(t2)))
-    return min(d_t, 0.5 * float(d_ang))
+    d_ang = abs(wrap_float(theta3_of_t(t1) - theta3_of_t(t2)))
+    return min(d_t, 0.5 * d_ang)
 
 
 def cluster_real_roots(ts: list) -> list:
@@ -376,7 +377,7 @@ def cluster_real_roots(ts: list) -> list:
             tt = max(abs(rep_a), abs(rep_b))
             radius_t = 4.0 * (64.0 * eps * (1.0 + tt * tt) ** 2) ** (1.0 / m_sum)
             radius_angle = radius_t * 2.0 / (1.0 + tt * tt)
-            gap_angle = abs(float(wrap_angle(theta3_of_t(rep_a) - theta3_of_t(rep_b))))
+            gap_angle = abs(wrap_float(theta3_of_t(rep_a) - theta3_of_t(rep_b)))
             if _circle_gap(rep_a, rep_b) < CLUSTER_RADIUS_T or gap_angle < radius_angle:
                 members = mem_a + mem_b
                 out[k] = (float(np.mean(members)), m_sum, members)

@@ -33,6 +33,7 @@ from .dh import (
     singularity_scale,
     validate_params,
     wrap_angle,
+    wrap_float,
 )
 from .errors import NonGenericRobotError, StartOrGoalSingularError
 from .geometry import TorusCurveIndex, unwrap_segment
@@ -418,8 +419,8 @@ def find_nonsingular_path(p: DhParams, maps: TopologyMaps,
     allowed[goal] = True
 
     def heuristic(c):
-        d2 = abs(wrap_angle((c[0] - goal[0]) * h))
-        d3 = abs(wrap_angle((c[1] - goal[1]) * h))
+        d2 = abs(wrap_float((c[0] - goal[0]) * h))
+        d3 = abs(wrap_float((c[1] - goal[1]) * h))
         return math.hypot(d2, d3)
 
     dist = {start: 0.0}

@@ -50,6 +50,9 @@ PAPER_BATTERY = {
     "ellipse_conic": ELLIPSE_ROBOT,
 }
 
+# every robot of robots/battery.json
+BATTERY = dict(PAPER_BATTERY, hyperbola_conic=HYPERBOLA_ROBOT, parabola_conic=PARABOLA_ROBOT)
+
 TEST_GRID = 240
 
 

@@ -43,6 +43,7 @@ from cuspidal.geometry import polyline_min_dist, seg_intersect_many, unwrap_segm
 from cuspidal.reduction import QuarticPencil
 
 from conftest import (
+    BATTERY,
     NODE_ROBOT,
     NONGENERIC_CURVE,
     NONGENERIC_QUAD,
@@ -614,6 +615,26 @@ def test_candidate_pairs_equal_the_segment_hash(seed):
     ref_a, ref_b = sweep.candidate_pairs()
     ia, ib = _candidate_pairs(seg_a, seg_b, cell)
     assert ia.tolist() == ref_a.tolist() and ib.tolist() == ref_b.tolist()
+
+
+def test_det_lattices_equal_the_pointwise_values_on_the_battery():
+    """det J on the vertex and cell-center lattices (A, B, C on the axes)
+    has the bytes of det J evaluated point by point at the same angles, as
+    flattened arrays and as Python floats."""
+    n = 128
+    vertices = -math.pi + 2 * math.pi * np.arange(n) / n
+    centers = -math.pi + 2 * math.pi / n * (np.arange(n) + 0.5)
+    pick = np.random.default_rng(3).integers(0, n, (40, 2))
+    for robot in BATTERY.values():
+        f, th = _det_on_vertices(robot, n)
+        g = critical._center_field(lambda t2, t3: det_jacobian(robot, t2, t3), n)
+        assert th.tobytes() == vertices.tobytes()
+        for lattice, axis in ((f, vertices), (g, centers)):
+            t2, t3 = np.meshgrid(axis, axis, indexing="ij")
+            points = det_jacobian(robot, t2.ravel(), t3.ravel()).reshape(n, n)
+            assert lattice.tobytes() == points.tobytes()
+            scalars = [float(det_jacobian(robot, float(axis[i]), float(axis[j]))) for i, j in pick]
+            assert np.array(scalars).tobytes() == lattice[pick[:, 0], pick[:, 1]].tobytes()
 
 
 def test_critical_set_keeps_the_samples_a_fresh_evaluation_gives(analysis):

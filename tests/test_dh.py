@@ -17,6 +17,7 @@ from cuspidal import (
     validate_params,
     wrap_angle,
 )
+from cuspidal.dh import det_coefficients, det_jacobian_grad, wrap_float
 from cuspidal.errors import DegenerateGeometryError, EliminationUnsupportedError
 
 from conftest import REFERENCE, random_valid_params
@@ -154,3 +155,115 @@ def test_wrap_angle_range():
     vals = wrap_angle(np.linspace(-10, 10, 101))
     assert np.all(vals >= -math.pi)
     assert np.all(vals < math.pi)
+
+
+def test_wrap_float_equals_wrap_angle_bit_for_bit():
+    """The NumPy-free scalar wrap gives the bits of wrap_angle, signed zeros
+    included, over random magnitudes and the edge values of the remainder."""
+    rng = np.random.default_rng(7)
+    n = 250_000
+    mags = 10.0 ** rng.uniform(-320.0, 300.0, n) * rng.choice([-1.0, 1.0], n)
+    vals = [rng.uniform(-10.0, 10.0, n), rng.uniform(-1e6, 1e6, n),
+            rng.standard_normal(n) * math.pi, mags]
+    edges = [0.0, -0.0, 1e300, -1e300, 5e-324, -5e-324, 2.2250738585072014e-308,
+             -2.2250738585072014e-308, 1e-310, -1e-310]
+    for k in range(-64, 65):
+        x = k * math.pi
+        edges += [x, math.nextafter(x, math.inf), math.nextafter(x, -math.inf),
+                  k * 2.0 * math.pi]
+    vals = np.concatenate(vals + [np.array(edges)])
+    scalar = np.array([wrap_float(x) for x in vals.tolist()])
+    assert scalar.view(np.int64).tolist() == wrap_angle(vals).view(np.int64).tolist()
+    for x in edges:
+        q = JointConfig(x, -x, x)
+        assert (q.theta1, q.theta2) == (float(wrap_angle(x)), float(wrap_angle(-x)))
+        assert math.copysign(1.0, q.theta1) == math.copysign(1.0, float(wrap_angle(x)))
+
+
+def _fd4(f, x, h):
+    return (-f(x + 2 * h) + 8 * f(x + h) - 8 * f(x - h) + f(x - 2 * h)) / (12 * h)
+
+
+def test_det_jacobian_grad_matches_fourth_order_differences(rng):
+    t2 = np.concatenate([rng.uniform(-math.pi, math.pi, 200), [-math.pi, 0.0, math.pi / 2]])
+    t3 = np.concatenate([rng.uniform(-math.pi, math.pi, 200), [0.0, -math.pi, math.pi]])
+    h = 1e-3
+    for p in [REFERENCE] + [random_valid_params(rng) for _ in range(20)]:
+        g2, g3 = det_jacobian_grad(p, t2, t3)
+        fd2 = _fd4(lambda a: det_jacobian(p, a, t3), t2, h)
+        fd3 = _fd4(lambda b: det_jacobian(p, t2, b), t3, h)
+        tol = 1e-9 * singularity_scale(p)
+        assert np.max(np.abs(g2 - fd2)) < tol
+        assert np.max(np.abs(g3 - fd3)) < tol
+
+
+@pytest.fixture(scope="module")
+def symbolic_det():
+    """det J of the symbolic D-H chain, expanded and reduced modulo
+    c^2 + s^2 = 1 for each joint angle: (sympy, expression, symbols by name)."""
+    sp = pytest.importorskip("sympy")
+    c1, s1, c2, s2, c3, s3 = sp.symbols("c1 s1 c2 s2 c3 s3")
+    ca1, sa1, ca2, sa2 = sp.symbols("ca1 sa1 ca2 sa2")
+    d1, d2, d3, a1, a2, a3 = sp.symbols("d1 d2 d3 a1 a2 a3")
+
+    def transform(c, s, d, a, ca, sa):
+        return sp.Matrix([[c, -s * ca, s * sa, a * c], [s, c * ca, -c * sa, a * s],
+                          [0, sa, ca, d], [0, 0, 0, 1]])
+
+    T1 = transform(c1, s1, d1, a1, ca1, sa1)
+    T2 = T1 * transform(c2, s2, d2, a2, ca2, sa2)
+    T3 = T2 * transform(c3, s3, d3, a3, 1, 0)
+    e = T3[:3, 3]
+    J = sp.Matrix.hstack(sp.Matrix([0, 0, 1]).cross(e), T1[:3, 2].cross(e - T1[:3, 3]),
+                         T2[:3, 2].cross(e - T2[:3, 3]))
+    rels = [s1 ** 2 + c1 ** 2 - 1, s2 ** 2 + c2 ** 2 - 1, c3 ** 2 + s3 ** 2 - 1]
+    _, det = sp.reduced(sp.expand(J.det(method="berkowitz")), rels,
+                        s1, c1, s2, c2, c3, s3, order="lex")
+    names = dict(c2=c2, s2=s2, c3=c3, s3=s3, ca1=ca1, sa1=sa1, ca2=ca2, sa2=sa2,
+                 d1=d1, d2=d2, d3=d3, a1=a1, a2=a2, a3=a3)
+    return sp, sp.expand(det), names
+
+
+def _numeric_params(p: DhParams, names) -> dict:
+    return {names["ca1"]: math.cos(p.alpha1), names["sa1"]: math.sin(p.alpha1),
+            names["ca2"]: math.cos(p.alpha2), names["sa2"]: math.sin(p.alpha2),
+            names["d1"]: p.d1, names["d2"]: p.d2, names["d3"]: p.d3,
+            names["a1"]: p.a1, names["a2"]: p.a2, names["a3"]: p.a3}
+
+
+def test_det_coefficients_match_the_symbolic_determinant(symbolic_det, rng):
+    """The reduced det J has no theta1 and lies in span{c2, s2, 1} x
+    span{1, c3, s3, c3 s3, s3^2}; its coefficients are det_coefficients."""
+    sp, det, names = symbolic_det
+    c2, s2, c3, s3 = names["c2"], names["s2"], names["c3"], names["s3"]
+    assert not {str(v) for v in det.free_symbols} & {"c1", "s1", "d1"}
+    poly = sp.Poly(det, c2, s2, c3, s3)
+    rows = {(1, 0): 0, (0, 1): 1, (0, 0): 2}
+    basis = {(0, 0): 0, (1, 0): 1, (0, 1): 2, (1, 1): 3, (0, 2): 4}
+    terms = {}
+    for (e2c, e2s, e3c, e3s), coef in poly.terms():
+        assert (e2c, e2s) in rows and (e3c, e3s) in basis
+        terms[rows[(e2c, e2s)], basis[(e3c, e3s)]] = coef
+    for p in [REFERENCE] + [random_valid_params(rng) for _ in range(10)]:
+        sub = _numeric_params(p, names)
+        sym = np.zeros((3, 5))
+        for (r, k), coef in terms.items():
+            sym[r, k] = float(coef.subs(sub))
+        ours = np.array(det_coefficients(p))
+        assert np.max(np.abs(ours - sym)) <= 1e-14 * np.max(np.abs(sym))
+
+
+def test_det_jacobian_grad_matches_the_symbolic_derivative(symbolic_det, rng):
+    sp, det, names = symbolic_det
+    c2, s2, c3, s3 = names["c2"], names["s2"], names["c3"], names["s3"]
+    d_theta2 = -s2 * sp.diff(det, c2) + c2 * sp.diff(det, s2)
+    d_theta3 = -s3 * sp.diff(det, c3) + c3 * sp.diff(det, s3)
+    t2 = rng.uniform(-math.pi, math.pi, 50)
+    t3 = rng.uniform(-math.pi, math.pi, 50)
+    for p in [REFERENCE] + [random_valid_params(rng) for _ in range(5)]:
+        sub = _numeric_params(p, names)
+        ref = [sp.lambdify((c2, s2, c3, s3), d.subs(sub), "numpy") for d in (d_theta2, d_theta3)]
+        g = det_jacobian_grad(p, t2, t3)
+        tol = 1e-13 * singularity_scale(p)
+        for ours, f in zip(g, ref):
+            assert np.max(np.abs(ours - f(np.cos(t2), np.sin(t2), np.cos(t3), np.sin(t3)))) < tol
