@@ -937,6 +937,23 @@ def _census_crossings(rc, zc, clear, seg_a, seg_b, cell: float):
     return crossings, hit_at, hit_seg
 
 
+def _slide_onto_values(p: DhParams, pencil: QuarticPencil, start, direction, theta3,
+                       cell: float):
+    """Census crossings slid along their pairs' directions onto the critical
+    values in one damped-Newton batch, seeded at the crossed segments'
+    theta3: (boundary points, landed within 2 cells, counts there by one
+    ik_counts call, the cells' root rule)."""
+    seeds = [_chart_seed(t) for t in theta3.tolist()]
+    x, refined = _damped_newton(
+        _tangency_system(pencil, start, direction,
+                         np.array([f for _, f in seeds], dtype=bool), p.d1),
+        np.array([(u0, 0.0) for u0, _ in seeds]).reshape(-1, 2))
+    boundary = start + x[:, 1:] * direction
+    landed = refined & np.array([math.hypot(dr, dz) <= 2 * cell
+                                 for dr, dz in (boundary - start).tolist()], dtype=bool)
+    return boundary, landed, ik_counts(p, boundary[:, 0], boundary[:, 1])
+
+
 def region_census(p: DhParams, workspace_curves, census_n: int = 128):
     """IKS counts over the padded bounding box of p's critical values.
 
@@ -948,12 +965,15 @@ def region_census(p: DhParams, workspace_curves, census_n: int = 128):
     its crossings.  Without one the counts must be equal; with exactly one
     they must differ by exactly 2, and the boundary point between them must
     carry the intermediate count.  Those crossings are slid onto the
-    critical values in one damped-Newton batch and counted by one more
-    ik_counts call, the cells' root rule.  The walk, in row-major pair
-    order, samples up to MAX_BOUNDARY_SAMPLES of the points that converged
-    within 2 cells per (low, high) boundary kind.  The
-    clearance and the crossings of all pairs are computed in one array pass
-    each.
+    critical values by damped Newton and counted by ik_counts, the cells'
+    root rule.  The walk, in row-major pair order, samples up to
+    MAX_BOUNDARY_SAMPLES of the points that converged within 2 cells per
+    (low, high) boundary kind.  Only those are needed,
+    so the refinement runs in rounds: each kind refines as many of its next
+    crossings in walk order as it still lacks samples, until it is full or
+    has none left.  Refined rows do not interact, so the samples are those
+    of refining every crossing at once.  The clearance and the crossings of
+    all pairs are computed in one array pass each.
     """
     validate_params(p)
     allv = (np.vstack([w.vertices for w in workspace_curves])
@@ -984,20 +1004,29 @@ def region_census(p: DhParams, workspace_curves, census_n: int = 128):
     c_a, c_b = counts[i, j], counts[i2, j2]
     audited = both & (crossings == 1)
 
-    # every single crossing between counts 2 apart, slid onto the critical
-    # values in one Newton batch and counted by the cells' root rule
+    # every single crossing between counts 2 apart is a candidate sample
     slide = np.nonzero(audited & (np.abs(c_a - c_b) == 2))[0]
-    seeds = [_chart_seed(t) for t in _segment_theta3(workspace_curves)[hit_seg[slide]].tolist()]
+    slide_low = np.minimum(c_a[slide], c_b[slide])
+    theta3 = _segment_theta3(workspace_curves)[hit_seg[slide]]
     start = hit_at[slide]
     direction = np.column_stack([rc[i2[slide]] - rc[i[slide]], zc[j2[slide]] - zc[j[slide]]])
-    x, refined = _damped_newton(
-        _tangency_system(QuarticPencil(p), start, direction,
-                         np.array([f for _, f in seeds], dtype=bool), p.d1),
-        np.array([(u0, 0.0) for u0, _ in seeds]).reshape(-1, 2))
-    boundary = start + x[:, 1:] * direction
-    landed = refined & np.array([math.hypot(dr, dz) <= 2 * cell
-                                 for dr, dz in (boundary - start).tolist()], dtype=bool)
-    boundary_count = ik_counts(p, boundary[:, 0], boundary[:, 1])
+    pencil = QuarticPencil(p)
+    boundary = start.copy()
+    boundary_count = np.zeros(len(slide), dtype=int)
+    landed = np.zeros(len(slide), dtype=bool)
+    tried = np.zeros(len(slide), dtype=bool)
+    while True:
+        batch = []
+        for kind in np.unique(slide_low).tolist():
+            mine = np.flatnonzero(slide_low == kind)
+            lacking = MAX_BOUNDARY_SAMPLES - int(np.count_nonzero(landed[mine]))
+            batch.append(mine[~tried[mine]][:lacking])
+        batch = np.concatenate([np.zeros(0, dtype=int)] + batch)
+        if len(batch) == 0:
+            break
+        boundary[batch], landed[batch], boundary_count[batch] = _slide_onto_values(
+            p, pencil, start[batch], direction[batch], theta3[batch], cell)
+        tried[batch] = True
 
     violations = []
     samples = []

@@ -105,16 +105,30 @@ class TorusCurveIndex:
         """Torus distances from a point or an (m, 2) point array to the
         indexed curves, minimised over the segments whose midpoints are the
         k nearest."""
-        pts = wrap_angle(np.asarray(points, float).reshape(-1, 2))
-        if self.empty:
-            return np.full(len(pts), math.inf)
+        return torus_dists((self,), points, k)
+
+    def near_segments(self, pts: np.ndarray, k: int):
+        """Endpoints (a, b), each (m, k, 2), of the segments whose midpoints
+        are the k nearest to each of the wrapped points pts (m, 2)."""
         k = min(k, len(self.tile_of))
         _, idx = self.tree.query(pts, k=k)
         seg = self.tile_of[np.reshape(idx, (len(pts), k))]
-        a = self.seg_a[seg]
-        ab = self.seg_b[seg] - a
-        w = wrap_angle(pts[:, None, :] - a)
-        vv = np.sum(ab * ab, axis=-1)
-        t = np.clip(np.sum(w * ab, axis=-1) / np.where(vv == 0.0, 1.0, vv), 0.0, 1.0)
-        off = w - t[..., None] * ab
-        return np.min(np.hypot(off[..., 0], off[..., 1]), axis=1)
+        return self.seg_a[seg], self.seg_b[seg]
+
+
+def torus_dists(indexes, points, k: int = 16) -> np.ndarray:
+    """Torus distances from a point or an (m, 2) point array to the union of
+    the indexes' curves: each index lists its k nearest-midpoint segments,
+    and one pass measures them all.  The minimum over the union is the
+    minimum of the per-index minima, bit for bit."""
+    pts = wrap_angle(np.asarray(points, float).reshape(-1, 2))
+    near = [index.near_segments(pts, k) for index in indexes if not index.empty]
+    if not near:
+        return np.full(len(pts), math.inf)
+    a, b = near[0] if len(near) == 1 else (np.concatenate(ends, axis=1) for ends in zip(*near))
+    ab = b - a
+    w = wrap_angle(pts[:, None, :] - a)
+    vv = np.sum(ab * ab, axis=-1)
+    t = np.clip(np.sum(w * ab, axis=-1) / np.where(vv == 0.0, 1.0, vv), 0.0, 1.0)
+    off = w - t[..., None] * ab
+    return np.min(np.hypot(off[..., 0], off[..., 1]), axis=1)

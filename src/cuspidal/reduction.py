@@ -10,7 +10,9 @@ polynomials in (R, z) for the batched Newton refinements in `critical`.
 """
 from __future__ import annotations
 
+import functools
 import math
+import struct
 from collections import defaultdict
 from dataclasses import dataclass, field
 
@@ -74,12 +76,38 @@ def _sum_of_squares_reduced(forms) -> np.ndarray:
     return np.array([2.0 * np.sum(u * w), 2.0 * np.sum(v * w), float(np.sum(w * w)) + cc])
 
 
+_MEMO_SIZE = 64
+
+
+def _per_robot(build):
+    """Memoise build(p) on the parameters' exact bits.
+
+    DhParams equality makes -0.0 == 0.0, and signed zeros reach atan2, so
+    the key is the eight floats' IEEE bits, not the dataclass.  The oldest
+    entry goes once _MEMO_SIZE robots are held.
+    """
+    memo = {}
+
+    @functools.wraps(build)
+    def get(p: DhParams):
+        key = struct.pack("<8d", p.d1, p.d2, p.d3, p.a1, p.a2, p.a3, p.alpha1, p.alpha2)
+        value = memo.get(key)
+        if value is None:
+            if len(memo) >= _MEMO_SIZE:
+                del memo[next(iter(memo))]
+            value = memo[key] = build(p)
+        return value
+    return get
+
+
+@_per_robot
 def f_coefficients(p: DhParams) -> FCoefficients:
     """Derive F1..F4 from the frame-2 position of the end effector.
 
     With (qx, qy, qz) the end-effector position in frame 2 (through T3 and
     the d2/a2/alpha2 offsets), F1 = qx, F2 = -qy, F4 = cos(alpha1) qz and
-    F3 = qx^2 + qy^2 + qz^2 + a1^2 reduced modulo c3^2 + s3^2 = 1.
+    F3 = qx^2 + qy^2 + qz^2 + a1^2 reduced modulo c3^2 + s3^2 = 1.  One
+    robot's coefficients are computed once and shared read-only.
     """
     ca1 = math.cos(p.alpha1)
     ca2, sa2 = math.cos(p.alpha2), math.sin(p.alpha2)
@@ -91,6 +119,8 @@ def f_coefficients(p: DhParams) -> FCoefficients:
     u = np.array([qx[0], -qy[0], f3[0], ca1 * qz[0]])
     v = np.array([qx[1], -qy[1], f3[1], ca1 * qz[1]])
     w = np.array([qx[2], -qy[2], f3[2], ca1 * qz[2]])
+    for a in (u, v, w):
+        a.flags.writeable = False
     return FCoefficients(u, v, w)
 
 
@@ -118,6 +148,63 @@ class ConicCoeffs:
                 + 2 * self.bx * c3 + 2 * self.by * s3 + self.c)
 
 
+@dataclass(frozen=True)
+class _ConicTerms:
+    """The target-independent parts of the raw conic, per robot.
+
+    With P = (R - F3) / (2 a1) = pu c + pv s + pw and Q = (z - F4) /
+    sin(alpha1) = qu c + qv s + qw, the conic is P^2 + Q^2 - F1^2 - F2^2
+    collected in (c, s).  Only pw and qw depend on the target, so the
+    quadratic part and every product of two F coefficients are kept here,
+    each formed in the order the full expression evaluates it, which keeps
+    every coefficient's bits.
+    """
+
+    two_a1: float
+    sa1: float
+    w2: float            # F3's and F4's constant terms
+    w3: float
+    pu: float
+    pv: float
+    qu: float
+    qv: float
+    axx: float
+    axy: float
+    ayy: float
+    uw: tuple            # F1 F2 products that Bx, By and C subtract, in order
+    vw: tuple
+    ww: tuple
+
+
+@_per_robot
+def _conic_terms(p: DhParams) -> _ConicTerms:
+    f = f_coefficients(p)
+    sa1 = math.sin(p.alpha1)
+    two_a1 = 2.0 * p.a1
+    pu, pv = -f.u[2] / two_a1, -f.v[2] / two_a1
+    qu, qv = -f.u[3] / sa1, -f.v[3] / sa1
+    return _ConicTerms(
+        two_a1, sa1, f.w[2], f.w[3], pu, pv, qu, qv,
+        pu * pu + qu * qu - f.u[0] ** 2 - f.u[1] ** 2,
+        pu * pv + qu * qv - f.u[0] * f.v[0] - f.u[1] * f.v[1],
+        pv * pv + qv * qv - f.v[0] ** 2 - f.v[1] ** 2,
+        (f.u[0] * f.w[0], f.u[1] * f.w[1]),
+        (f.v[0] * f.w[0], f.v[1] * f.w[1]),
+        (f.w[0] ** 2, f.w[1] ** 2))
+
+
+def _conic(p: DhParams, R, z):
+    """Axx, Axy, Ayy (per robot) and Bx, By, C (shaped like R and z) of the
+    unnormalized conic at targets (R, z)."""
+    k = _conic_terms(p)
+    pw = (R - k.w2) / k.two_a1
+    qw = (z - k.w3) / k.sa1
+    bx = k.pu * pw + k.qu * qw - k.uw[0] - k.uw[1]
+    by = k.pv * pw + k.qv * qw - k.vw[0] - k.vw[1]
+    c = pw * pw + qw * qw - k.ww[0] - k.ww[1]
+    return k.axx, k.axy, k.ayy, bx, by, c
+
+
 def conic_raw(p: DhParams, R, z):
     """Unnormalized conic coefficients [Axx, Axy, Ayy, Bx, By, C].
 
@@ -125,24 +212,7 @@ def conic_raw(p: DhParams, R, z):
     coefficients along the first axis.  The quadratic part is independent of
     (R, z).
     """
-    return _conic(p, f_coefficients(p), R, z)
-
-
-def _conic(p: DhParams, f: FCoefficients, R, z):
-    sa1 = math.sin(p.alpha1)
-    two_a1 = 2.0 * p.a1
-    R = np.asarray(R, float)
-    z = np.asarray(z, float)
-    # P = (R - F3)/(2 a1), Q = (z - F4)/sin(alpha1), both affine in (c3, s3)
-    pu, pv, pw = -f.u[2] / two_a1, -f.v[2] / two_a1, (R - f.w[2]) / two_a1
-    qu, qv, qw = -f.u[3] / sa1, -f.v[3] / sa1, (z - f.w[3]) / sa1
-    axx = pu * pu + qu * qu - f.u[0] ** 2 - f.u[1] ** 2
-    axy = pu * pv + qu * qv - f.u[0] * f.v[0] - f.u[1] * f.v[1]
-    ayy = pv * pv + qv * qv - f.v[0] ** 2 - f.v[1] ** 2
-    bx = pu * pw + qu * qw - f.u[0] * f.w[0] - f.u[1] * f.w[1]
-    by = pv * pw + qv * qw - f.v[0] * f.w[0] - f.v[1] * f.w[1]
-    c = pw * pw + qw * qw - f.w[0] ** 2 - f.w[1] ** 2
-    return np.stack(np.broadcast_arrays(axx, axy, ayy, bx, by, c))
+    return np.stack(np.broadcast_arrays(*_conic(p, np.asarray(R, float), np.asarray(z, float))))
 
 
 def conic_coefficients(p: DhParams, target: CrossSectionPoint) -> ConicCoeffs:
@@ -216,20 +286,21 @@ class Quartic:
         return np.polyval(self.coeffs(), t)
 
 
-def quartic_coeffs_from_conic(cc: np.ndarray) -> np.ndarray:
+def quartic_coeffs_from_conic(cc) -> np.ndarray:
     """Tangent half-angle substitution, cleared by (1 + t^2)^2.
 
     Works on a coefficient stack of shape (6, ...) and returns (5, ...) with
     the leading coefficient equal to the conic value at (c3, s3) = (-1, 0).
     """
+    cc = np.asarray(cc)
     axx, axy, ayy, bx, by, c = cc
-    return np.stack(np.broadcast_arrays(
-        axx - 2 * bx + c,
-        -4 * axy + 4 * by,
-        -2 * axx + 4 * ayy + 2 * c,
-        4 * axy + 4 * by,
-        axx + 2 * bx + c,
-    ))
+    out = np.empty((5,) + cc.shape[1:])
+    out[0] = axx - 2 * bx + c
+    out[1] = -4 * axy + 4 * by
+    out[2] = -2 * axx + 4 * ayy + 2 * c
+    out[3] = 4 * axy + 4 * by
+    out[4] = axx + 2 * bx + c
+    return out
 
 
 # Negating the linear conic coefficients maps the chart t = tan(theta3/2) to
@@ -270,15 +341,13 @@ class QuarticPencil:
     """
 
     def __init__(self, p: DhParams):
-        f = f_coefficients(p)
-        sa1 = math.sin(p.alpha1)
-        two_a1 = 2.0 * p.a1
+        k = _conic_terms(p)
         # conic_raw with P = P0 + R / (2 a1) and Q = Q0 + z / sin(alpha1)
-        pu, pv, pw0 = -f.u[2] / two_a1, -f.v[2] / two_a1, -f.w[2] / two_a1
-        qu, qv, qw0 = -f.u[3] / sa1, -f.v[3] / sa1, -f.w[3] / sa1
-        c0 = _conic(p, f, 0.0, 0.0)
-        c_r = np.array([0.0, 0.0, 0.0, pu / two_a1, pv / two_a1, 2.0 * pw0 / two_a1])
-        c_z = np.array([0.0, 0.0, 0.0, qu / sa1, qv / sa1, 2.0 * qw0 / sa1])
+        two_a1, sa1 = k.two_a1, k.sa1
+        pw0, qw0 = -k.w2 / two_a1, -k.w3 / sa1
+        c0 = conic_raw(p, 0.0, 0.0)
+        c_r = np.array([0.0, 0.0, 0.0, k.pu / two_a1, k.pv / two_a1, 2.0 * pw0 / two_a1])
+        c_z = np.array([0.0, 0.0, 0.0, k.qu / sa1, k.qv / sa1, 2.0 * qw0 / sa1])
         c_rr = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 1.0 / (two_a1 * two_a1)])
         c_zz = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 1.0 / (sa1 * sa1)])
         terms = np.array([c0, c_r, c_z, c_rr, c_zz])
@@ -394,27 +463,36 @@ _SEPARATED = 1e-2
 
 
 def _horner(d: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Each coefficient row d[k] at t[k] by Horner: np.polyval's value."""
-    y = d[:, 0]
-    for k in range(1, d.shape[1]):
-        y = y * t + d[:, k]
+    """Each coefficient row d[..., :] at the matching t by Horner, with t
+    broadcast against d[..., 0]: np.polyval's value."""
+    y = d[..., 0]
+    for k in range(1, d.shape[-1]):
+        y = y * t + d[..., k]
     return y
 
 
 def _derivative(coeffs: np.ndarray, order) -> np.ndarray:
     """d^order/dt^order of quartic rows (np.polyder's values), right-aligned in
-    five slots; `order` is one int or one per row."""
-    rows = np.arange(len(coeffs))[:, None]
+    five slots; `order` is one int, one per row, or a row of orders per row
+    (K, j), which gives (K, j, 5)."""
+    rows = np.arange(len(coeffs)).reshape((-1,) + (1,) * max(np.ndim(order), 1))
     return coeffs[rows, _JET_INDEX[order]] * _JET_WEIGHT[order]
 
 
-def _polish_plain(coeffs: np.ndarray, t: np.ndarray, iters: int = 18) -> np.ndarray:
+# the line search's step fractions after a full step: 2^-1 ... 2^-7
+_HALF_STEPS = np.ldexp(1.0, -np.arange(1, 8))[:, None]
+
+
+def _polish_plain(coeffs: np.ndarray, t: np.ndarray, iters: int = 18):
     """Line-searched Newton on M itself, one quartic row per root; contracts
     multiple-root scatter.
 
-    Each root runs as it would alone: every step is halved up to 8 times
+    Each root runs as it would alone: every step is halved up to 7 times
     until |M| drops, and a root stops at a zero or non-finite slope, at a
-    step that never improves or at |M| = 0.  Returns each root's best iterate.
+    step that never improves or at |M| = 0.  Every active root tries the
+    full step in one Horner call; the roots it did not improve try all
+    seven halvings in a second one and take the first that improves.
+    Returns each root's best iterate and |M| there.
     """
     dcoeffs = _derivative(coeffs, 1)
     t = t.copy()
@@ -426,54 +504,63 @@ def _polish_plain(coeffs: np.ndarray, t: np.ndarray, iters: int = 18) -> np.ndar
         ok = (df != 0.0) & np.isfinite(df)
         act = act[ok]
         step = f[act] / df[ok]
-        f_abs, t0 = np.abs(f[act]), t[act]
-        pending = np.ones(len(act), dtype=bool)
-        lam = 1.0
-        for _ in range(8):
-            idx = np.nonzero(pending)[0]
-            if len(idx) == 0:
-                break
-            tn = t0[idx] - lam * step[idx]
-            fn = _horner(coeffs[act[idx]], tn)
-            better = np.abs(fn) < f_abs[idx]
-            moved = act[idx[better]]
-            t[moved], f[moved] = tn[better], fn[better]
-            pending[idx[better]] = False
-            lam *= 0.5
-        act = act[~pending]
+        f_abs, t0, rows = np.abs(f[act]), t[act], coeffs[act]
+        tn = t0 - step
+        fn = _horner(rows, tn)
+        better = np.abs(fn) < f_abs
+        miss = np.flatnonzero(~better)
+        if len(miss):
+            tl = t0[miss] - _HALF_STEPS * step[miss]          # (7, misses)
+            fl = _horner(rows[miss], tl)
+            up = np.abs(fl) < f_abs[miss]
+            first = np.argmax(up, axis=0), np.arange(len(miss))
+            tn[miss], fn[miss], better[miss] = tl[first], fl[first], up[first]
+        act = act[better]
+        if len(act) == 0:
+            break
+        t[act], f[act] = tn[better], fn[better]
         val = np.abs(f[act])
         up = val < best_val[act]
         best_t[act[up]], best_val[act[up]] = t[act[up]], val[up]
         act = act[val != 0.0]
         if len(act) == 0:
             break
-    return best_t
+    return best_t, best_val
 
 
 def _polish_root(coeffs: np.ndarray, t: np.ndarray, mult: np.ndarray,
                  iters: int = 12) -> np.ndarray:
     """Newton polishing on the (mult-1)-th derivative, where the root is
-    simple; one quartic row per root, each keeping its best iterate."""
-    poly = _derivative(coeffs, mult - 1)
-    dpoly = _derivative(coeffs, mult)
+    simple; one quartic row per root, each keeping its best iterate.
+
+    One Horner call per iteration gives the value and the slope at the new
+    iterates.  A root stops at a zero slope, at a zero value, or at a step
+    that lands on one of its own earlier iterates (a step that rounds to
+    nothing lands on the current one): Newton is a function of the iterate
+    alone, so from there it would only revisit values it has already
+    weighed, and its best iterate cannot change.
+    """
+    pair = _derivative(coeffs, np.column_stack([mult - 1, mult]))
     t = t.copy()
-    f = _horner(poly, t)
+    f, df = _horner(pair, t[:, None]).T.copy()
     best_t, best_val = t.copy(), np.abs(f)
+    seen = np.empty((len(t), iters + 1))
+    seen[:, 0] = t
     act = np.arange(len(t))
-    for _ in range(iters):
-        df = _horner(dpoly[act], t[act])
-        act, df = act[df != 0.0], df[df != 0.0]
-        tn = t[act] - f[act] / df
-        # a root whose step rounds to zero stays where it is for good
-        moved = tn != t[act]
-        act, tn = act[moved], tn[moved]
-        t[act], f[act] = tn, _horner(poly[act], tn)
+    for it in range(1, iters + 1):
+        act = act[df[act] != 0.0]
+        tn = t[act] - f[act] / df[act]
+        new = ~np.any(seen[act, :it] == tn[:, None], axis=1)
+        act, tn = act[new], tn[new]
+        if len(act) == 0:
+            break
+        seen[act, it] = tn
+        t[act] = tn
+        f[act], df[act] = _horner(pair[act], tn[:, None]).T
         val = np.abs(f[act])
         up = val < best_val[act]
         best_t[act[up]], best_val[act[up]] = t[act[up]], val[up]
         act = act[val != 0.0]
-        if len(act) == 0:
-            break
     return best_t
 
 
@@ -527,26 +614,24 @@ def solve_quartics(m) -> RootBatch:
     of ||coeffs|| drops the degree and injects the theta3 = pi solution
     (t = inf) with the dropped multiplicity.
 
-    The rows run together: one eigensolve per companion size (the matrices
-    np.roots builds), masked Horner for the Newton polishing, and
+    The rows run together: one eigensolve per companion size present (the
+    matrices np.roots builds), masked Horner for the Newton polishing, and
     cluster_real_roots only for rows with accepted roots closer than
     _SEPARATED, where roots can merge.  Each row gets what it would get
-    alone.
+    alone, and a one-row call takes the same path as a census batch.
     """
     m = np.asarray(m, float).reshape(-1, 5)
     k_rows = len(m)
-    norm = np.max(np.abs(m), axis=1)
+    norm = np.abs(m).max(axis=1)
     zero = norm < 1e-300
     coeffs = m / np.where(zero, 1.0, norm)[:, None]
-    drop = np.sum(np.cumprod(np.abs(coeffs[:, :4]) < _DEGREE_DROP_TOL, axis=1), axis=1)
+    drop = (np.abs(coeffs[:, :4]) < _DEGREE_DROP_TOL).cumprod(axis=1).sum(axis=1)
     # np.roots strips trailing zero coefficients and returns them as roots t = 0
-    trailing = np.argmax(coeffs[:, ::-1] != 0.0, axis=1)
-    n_eig = 4 - drop - trailing
+    trailing = (coeffs[:, ::-1] != 0.0).argmax(axis=1)
+    n_eig = np.where(zero, 0, 4 - drop - trailing)
     cand = np.zeros((k_rows, 4), dtype=complex)
-    for n in range(1, 5):
-        rows = np.nonzero(~zero & (n_eig == n))[0]
-        if len(rows) == 0:
-            continue
+    for n in np.flatnonzero(np.bincount(n_eig, minlength=5)[1:]) + 1:
+        rows = np.flatnonzero(n_eig == n)
         lead = coeffs[rows[:, None], drop[rows, None] + np.arange(n + 1)]
         comp = np.zeros((len(rows), n, n))
         comp[:, 0, :] = -lead[:, 1:] / lead[:, :1]
@@ -555,11 +640,10 @@ def solve_quartics(m) -> RootBatch:
     re, im = cand.real, cand.imag
     im_angle = 2.0 * np.abs(im) / (1.0 + re * re + im * im)
     live = ~zero[:, None] & (np.arange(4) < 4 - drop[:, None]) & ~(im_angle > 1e-3)
-    row, _ = np.nonzero(live)
+    row = np.nonzero(live)[0]
     r_re, r_im = re[live], im[live]
     with np.errstate(all="ignore"):
-        t = _polish_plain(coeffs[row], r_re)
-        residual = np.abs(_horner(coeffs[row], t))
+        t, residual = _polish_plain(coeffs[row], r_re)
     eps = float(np.finfo(float).eps)
     # travel bound: polishing may contract multiple-root scatter
     # (~eps^(1/3) for triples) but must not migrate to another root
@@ -571,12 +655,15 @@ def solve_quartics(m) -> RootBatch:
     # clusters: singletons where no merge can happen, cluster_real_roots elsewhere
     singles = _separated(accepted)
     s_row, s_slot = np.nonzero(singles[:, None] & ~np.isnan(accepted))
-    merged = [(k, cluster_real_roots(accepted[k][~np.isnan(accepted[k])].tolist()))
-              for k in np.nonzero(~singles)[0].tolist()]
-    c_row = np.concatenate([s_row, np.array([k for k, c in merged for _ in c], dtype=int)])
-    c_t = np.concatenate([accepted[s_row, s_slot], [rep for _, c in merged for rep, _ in c]])
-    c_mult = np.concatenate([np.ones(len(s_row), dtype=int),
-                             np.array([mult for _, c in merged for _, mult in c], dtype=int)])
+    c_row, c_t = s_row, accepted[s_row, s_slot]
+    c_mult = np.ones(len(s_row), dtype=int)
+    if not singles.all():
+        merged = [(k, cluster_real_roots(accepted[k][~np.isnan(accepted[k])].tolist()))
+                  for k in np.flatnonzero(~singles).tolist()]
+        c_row = np.concatenate([s_row, np.array([k for k, c in merged for _ in c], dtype=int)])
+        c_t = np.concatenate([c_t, [rep for _, c in merged for rep, _ in c]])
+        c_mult = np.concatenate([c_mult, np.array([mult for _, c in merged for _, mult in c],
+                                                  dtype=int)])
     # sharpen multiple roots on the derivative where they are simple
     with np.errstate(all="ignore"):
         polished = _polish_root(coeffs[c_row], c_t, c_mult)
@@ -589,20 +676,22 @@ def solve_quartics(m) -> RootBatch:
     keep = still[s_row]
     out_t[s_row[keep], s_slot[keep]] = polished[:len(s_row)][keep]
     out_m[s_row[keep], s_slot[keep]] = 1
-    expanded = defaultdict(list)
     redo = ~still[c_row]
-    for k, rep, mult in zip(c_row[redo].tolist(), polished[redo].tolist(), c_mult[redo].tolist()):
-        expanded[k].extend([rep] * mult)
-    for k, ts in expanded.items():
-        for slot, (rep, mult) in enumerate(cluster_real_roots(ts)):
-            out_t[k, slot], out_m[k, slot] = rep, mult
+    if redo.any():
+        expanded = defaultdict(list)
+        for k, rep, mult in zip(c_row[redo].tolist(), polished[redo].tolist(),
+                                c_mult[redo].tolist()):
+            expanded[k].extend([rep] * mult)
+        for k, ts in expanded.items():
+            for slot, (rep, mult) in enumerate(cluster_real_roots(ts)):
+                out_t[k, slot], out_m[k, slot] = rep, mult
     dropped = ~zero & (drop > 0)
     out_t[dropped, 4], out_m[dropped, 4] = math.inf, drop[dropped]
     with np.errstate(invalid="ignore"):
         key = np.where(out_m == 0, np.inf, np.where(np.isinf(out_t), math.pi, 2.0 * np.arctan(out_t)))
     order = np.argsort(key, axis=1, kind="stable")[:, :4]
-    return RootBatch(np.take_along_axis(out_t, order, axis=1),
-                     np.take_along_axis(out_m, order, axis=1), zero)
+    rows = np.arange(k_rows)[:, None]
+    return RootBatch(out_t[rows, order], out_m[rows, order], zero)
 
 
 @dataclass(frozen=True)
@@ -690,12 +779,16 @@ class IkBatch:
         return IkSolutionSet(tuple(sols), tuple(flagged))
 
 
-def _quartic_stack(p: DhParams, f: FCoefficients, R, zr):
+def _quartic_stack(p: DhParams, R, zr):
     """Quartics (K, 5) of targets (R, zr) from the conic scaled to unit
     max-norm, and that norm (0 where the conic vanishes)."""
-    cc = _conic(p, f, R, zr)
-    norm = np.max(np.abs(cc), axis=0)
-    return quartic_coeffs_from_conic(cc / np.where(norm == 0.0, 1.0, norm)).T, norm
+    axx, axy, ayy, bx, by, c = _conic(p, R, zr)
+    cc = np.empty((6, len(R)))
+    cc[:3] = ((axx,), (axy,), (ayy,))
+    cc[3], cc[4], cc[5] = bx, by, c
+    norm = np.abs(cc).max(axis=0)
+    cc /= np.where(norm == 0.0, 1.0, norm)
+    return quartic_coeffs_from_conic(cc).T, norm
 
 
 def _atan2(y: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -715,9 +808,9 @@ def solve_ik_batch(p: DhParams, rho, z, phi=0.0) -> IkBatch:
     zr = np.asarray(z, float).ravel() - p.d1
     R = rho * rho + zr * zr
     f = f_coefficients(p)
-    m, norm = _quartic_stack(p, f, R, zr)
+    m, norm = _quartic_stack(p, R, zr)
     status = np.where(norm == 0.0, _CONIC_ZERO,
-                      np.where(np.max(np.abs(m), axis=1) < 1e-12, _QUARTIC_ZERO, 0))
+                      np.where(np.abs(m).max(axis=1) < 1e-12, _QUARTIC_ZERO, 0))
     roots = solve_quartics(m)
     row, slot = np.nonzero((roots.mult > 0) & (status == 0)[:, None])
     t, mult = roots.t[row, slot], roots.mult[row, slot]
@@ -726,7 +819,7 @@ def solve_ik_batch(p: DhParams, rho, z, phi=0.0) -> IkBatch:
     den = 1.0 + tf * tf
     c3 = np.where(inf, -1.0, (1.0 - tf * tf) / den)
     s3 = np.where(inf, 0.0, 2.0 * tf / den)
-    f1, f2, f3, f4 = (f.u[i] * c3 + f.v[i] * s3 + f.w[i] for i in range(4))
+    f1, f2, f3, f4 = (f.u * c3[:, None] + f.v * s3[:, None] + f.w).T
     det = f1 * f1 + f2 * f2
     solved = ~(det < 1e-14 * np.maximum(1.0, np.abs(R[row])))
     det = np.where(solved, det, 1.0)
@@ -735,8 +828,10 @@ def solve_ik_batch(p: DhParams, rho, z, phi=0.0) -> IkBatch:
     theta2 = _atan2((f2 * rhs1 + f1 * rhs2) / det, (f1 * rhs1 - f2 * rhs2) / det)
     theta3 = np.array([theta3_of_t(v) for v in t.tolist()], dtype=float)
     x0, y0, _ = fk_arrays(p, 0.0, theta2, theta3)
-    theta1 = np.where(np.hypot(x0, y0) < 1e-12, 0.0,
-                      np.broadcast_to(phi, rho.shape)[row] - _atan2(y0, x0))
+    phi = np.asarray(phi, float)
+    if phi.ndim:
+        phi = np.broadcast_to(phi, rho.shape)[row]
+    theta1 = np.where(np.hypot(x0, y0) < 1e-12, 0.0, phi - _atan2(y0, x0))
     order = np.lexsort((np.where(solved, wrap_angle(theta3), np.inf), row))
     return IkBatch(row[order], t[order], mult[order],
                    np.column_stack([theta1, theta2, theta3])[order], solved[order], status)
@@ -768,4 +863,4 @@ def ik_counts(p: DhParams, rho, z):
     vanishes.  Used by the workspace census."""
     rho = np.asarray(rho, float).ravel()
     zr = np.asarray(z, float).ravel() - p.d1
-    return solve_quartics(_quartic_stack(p, f_coefficients(p), rho * rho + zr * zr, zr)[0]).count
+    return solve_quartics(_quartic_stack(p, rho * rho + zr * zr, zr)[0]).count

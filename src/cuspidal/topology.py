@@ -36,7 +36,7 @@ from .dh import (
     wrap_float,
 )
 from .errors import NonGenericRobotError, StartOrGoalSingularError
-from .geometry import TorusCurveIndex, unwrap_segment
+from .geometry import TorusCurveIndex, torus_dists, unwrap_segment
 from .critical import (
     DEFAULT_GRID_N,
     CriticalSet,
@@ -364,7 +364,7 @@ def _labels(maps: TopologyMaps, ik: IkBatch) -> list:
     aspect = maps.aspects.labels[cells].tolist()
     reduced = maps.reduced.labels[cells]
     pts = np.column_stack([th2, th3])
-    dist = np.minimum(maps.s_index.dists(pts), maps.ps_index.dists(pts))
+    dist = torus_dists((maps.s_index, maps.ps_index), pts)
     on_boundary = ((dist < maps.aspects.cell_size) | (reduced < 0)).tolist()
     out = [None if status else [] for status in ik.status.tolist()]
     for n, (k, q, m) in enumerate(zip(row.tolist(), theta.tolist(), mult.tolist())):
@@ -375,8 +375,8 @@ def _labels(maps: TopologyMaps, ik: IkBatch) -> list:
 
 def label_solutions_batch(p: DhParams, maps: TopologyMaps, rho, z) -> list:
     """label_solutions for arrays of cross-section points (rho, z), from one
-    IK engine pass and one distance query per curve index; targets whose IK
-    is degenerate get None instead of raising."""
+    IK engine pass and one distance pass over both curve indexes; targets
+    whose IK is degenerate get None instead of raising."""
     return _labels(maps, solve_ik_batch(p, rho, z))
 
 

@@ -1,6 +1,7 @@
-"""Scalar census references the batched boundary audit in the package is tested against:
+"""Census references the batched boundary audit in the package is tested against:
 one K = 1 Newton per boundary point, a count that deflates the known double root, and
-the audit walk built on the two."""
+the audit walk built on the two; and the audit that refines every boundary crossing
+in one batch."""
 import math
 from collections import defaultdict
 
@@ -13,8 +14,11 @@ from cuspidal.critical import (
     _chart_seed,
     _chart_theta3,
     _damped_newton,
+    _segment_theta3,
+    _segments,
+    _tangency_system,
 )
-from cuspidal.reduction import QuarticPencil, cluster_real_roots, quartic_jet
+from cuspidal.reduction import QuarticPencil, cluster_real_roots, ik_counts, quartic_jet
 
 
 def tangency_refine(p, pencil, rho, z, theta3_0, direction):
@@ -124,3 +128,64 @@ def census_walk(p, workspace_curves, census):
                     violations.append({"kind": "boundary_count", "point": [rr, zz],
                                        "count": cnt, "expected": low + 1})
     return audited, violations, samples, misses
+
+
+def audit_all_at_once(p, workspace_curves, census):
+    """(audited_pairs, violations, boundary samples) of region_census's audit
+    with every single crossing between counts 2 apart slid onto the critical
+    values in one damped-Newton batch and counted by one ik_counts call,
+    before the walk takes its samples.  Counts, clearance and crossings are
+    the census' own."""
+    rc, zc = census.centers()
+    census_n = len(rc)
+    counts = census.counts
+    cell = float(min(census.rho_edges[1] - census.rho_edges[0],
+                     census.z_edges[1] - census.z_edges[0]))
+    seg_a, seg_b = _segments(workspace_curves)
+    clear = _census_clearance(rc, zc, seg_a, seg_b, cell, 0.3 * cell)
+    crossings, hit_at, hit_seg = _census_crossings(rc, zc, clear, seg_a, seg_b, cell)
+    e = np.arange(2 * census_n * census_n)
+    i, j, d = e // (2 * census_n), (e // 2) % census_n, e % 2
+    i2, j2 = i + (1 - d), j + d
+    inside = (i2 < census_n) & (j2 < census_n)
+    i2, j2 = np.minimum(i2, census_n - 1), np.minimum(j2, census_n - 1)
+    both = inside & clear[i, j] & clear[i2, j2]
+    c_a, c_b = counts[i, j], counts[i2, j2]
+    audited = both & (crossings == 1)
+
+    slide = np.nonzero(audited & (np.abs(c_a - c_b) == 2))[0]
+    seeds = [_chart_seed(t) for t in _segment_theta3(workspace_curves)[hit_seg[slide]].tolist()]
+    start = hit_at[slide]
+    direction = np.column_stack([rc[i2[slide]] - rc[i[slide]], zc[j2[slide]] - zc[j[slide]]])
+    x, refined = _damped_newton(
+        _tangency_system(QuarticPencil(p), start, direction,
+                         np.array([f for _, f in seeds], dtype=bool), p.d1),
+        np.array([(u0, 0.0) for u0, _ in seeds]).reshape(-1, 2))
+    boundary = start + x[:, 1:] * direction
+    landed = refined & np.array([math.hypot(dr, dz) <= 2 * cell
+                                 for dr, dz in (boundary - start).tolist()], dtype=bool)
+    boundary_count = ik_counts(p, boundary[:, 0], boundary[:, 1])
+
+    violations, samples = [], []
+    per_kind = defaultdict(int)
+    for k in np.nonzero(audited | (both & (crossings == 0) & (c_a != c_b)))[0].tolist():
+        cells = [[int(i[k]), int(j[k])], [int(i2[k]), int(j2[k])]]
+        pair = [int(c_a[k]), int(c_b[k])]
+        if crossings[k] == 0:
+            violations.append({"kind": "no_crossing_count_change", "cells": cells, "counts": pair})
+            continue
+        if abs(pair[0] - pair[1]) != 2:
+            violations.append({"kind": "adjacent_region_delta", "cells": cells, "counts": pair})
+            continue
+        low, high = min(pair), max(pair)
+        s = np.searchsorted(slide, k)
+        if per_kind[(low, high)] >= MAX_BOUNDARY_SAMPLES or not landed[s]:
+            continue
+        rr, zz = boundary[s]
+        cnt = int(boundary_count[s])
+        per_kind[(low, high)] += 1
+        samples.append((rr, zz, cnt, low, high))
+        if cnt != low + 1:
+            violations.append({"kind": "boundary_count", "point": [rr, zz],
+                               "count": cnt, "expected": low + 1})
+    return int(np.sum(audited)), violations, samples

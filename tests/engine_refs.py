@@ -1,8 +1,9 @@
 """Loop references the array engines in the package are tested against: the
 flood fill as one sparse graph over every cell, the damped Newton with one
 fun_jac call per line-search lambda, marching squares and its chain walk over
-dicts keyed by ("u" | "v", i, j), and a segment hash filled one segment at a
-time."""
+dicts keyed by ("u" | "v", i, j), a segment hash filled one segment at a
+time, and the quartic root engine and label distance as they stood before the
+per-robot conic constants."""
 import math
 from collections import defaultdict
 
@@ -11,7 +12,22 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from cuspidal.critical import _HALVINGS, _NEWTON_MAX_ITER, _lstsq_steps, _mixed_cells
-from cuspidal.dh import TWO_PI
+from cuspidal.dh import TWO_PI, JointConfig, fk_arrays, wrap_angle
+from cuspidal.reduction import (
+    _CONIC_ZERO,
+    _DEGREE_DROP_TOL,
+    _QUARTIC_ZERO,
+    _SEPARATED,
+    IkBatch,
+    RootBatch,
+    _atan2,
+    _derivative,
+    _horner,
+    cluster_real_roots,
+    f_coefficients,
+    theta3_of_t,
+)
+from cuspidal.topology import SolutionLabel
 
 
 def components(key, excluded=None):
@@ -209,3 +225,231 @@ class SegmentHash:
         _, seen = np.unique(first * len(self.segs) + second, return_index=True)
         seen.sort()
         return first[seen], second[seen]
+
+
+# --------------------------------------------------------------------------
+# root engine and labelling before the per-robot constants: the conic from
+# f_coefficients on every call, the polish line search as one Horner call per
+# lambda, and one distance pass per curve index
+# --------------------------------------------------------------------------
+
+def conic(p, f, R, z):
+    """reduction._conic with every product formed on each call."""
+    sa1 = math.sin(p.alpha1)
+    two_a1 = 2.0 * p.a1
+    R = np.asarray(R, float)
+    z = np.asarray(z, float)
+    pu, pv, pw = -f.u[2] / two_a1, -f.v[2] / two_a1, (R - f.w[2]) / two_a1
+    qu, qv, qw = -f.u[3] / sa1, -f.v[3] / sa1, (z - f.w[3]) / sa1
+    axx = pu * pu + qu * qu - f.u[0] ** 2 - f.u[1] ** 2
+    axy = pu * pv + qu * qv - f.u[0] * f.v[0] - f.u[1] * f.v[1]
+    ayy = pv * pv + qv * qv - f.v[0] ** 2 - f.v[1] ** 2
+    bx = pu * pw + qu * qw - f.u[0] * f.w[0] - f.u[1] * f.w[1]
+    by = pv * pw + qv * qw - f.v[0] * f.w[0] - f.v[1] * f.w[1]
+    c = pw * pw + qw * qw - f.w[0] ** 2 - f.w[1] ** 2
+    return np.stack(np.broadcast_arrays(axx, axy, ayy, bx, by, c))
+
+
+def quartic_stack(p, f, R, zr):
+    """reduction._quartic_stack through two broadcast stacks."""
+    cc = conic(p, f, R, zr)
+    norm = np.max(np.abs(cc), axis=0)
+    cc = cc / np.where(norm == 0.0, 1.0, norm)
+    axx, axy, ayy, bx, by, c = cc
+    m = np.stack(np.broadcast_arrays(axx - 2 * bx + c, -4 * axy + 4 * by,
+                                     -2 * axx + 4 * ayy + 2 * c, 4 * axy + 4 * by,
+                                     axx + 2 * bx + c))
+    return m.T, norm
+
+
+def polish_plain(coeffs, t, iters=18):
+    """reduction._polish_plain with one Horner call per line-search lambda."""
+    dcoeffs = _derivative(coeffs, 1)
+    t = t.copy()
+    f = _horner(coeffs, t)
+    best_t, best_val = t.copy(), np.abs(f)
+    act = np.arange(len(t))
+    for _ in range(iters):
+        df = _horner(dcoeffs[act], t[act])
+        ok = (df != 0.0) & np.isfinite(df)
+        act = act[ok]
+        step = f[act] / df[ok]
+        f_abs, t0 = np.abs(f[act]), t[act]
+        pending = np.ones(len(act), dtype=bool)
+        lam = 1.0
+        for _ in range(8):
+            idx = np.nonzero(pending)[0]
+            if len(idx) == 0:
+                break
+            tn = t0[idx] - lam * step[idx]
+            fn = _horner(coeffs[act[idx]], tn)
+            better = np.abs(fn) < f_abs[idx]
+            moved = act[idx[better]]
+            t[moved], f[moved] = tn[better], fn[better]
+            pending[idx[better]] = False
+            lam *= 0.5
+        act = act[~pending]
+        val = np.abs(f[act])
+        up = val < best_val[act]
+        best_t[act[up]], best_val[act[up]] = t[act[up]], val[up]
+        act = act[val != 0.0]
+        if len(act) == 0:
+            break
+    return best_t
+
+
+def polish_root(coeffs, t, mult, iters=12):
+    """reduction._polish_root."""
+    poly = _derivative(coeffs, mult - 1)
+    dpoly = _derivative(coeffs, mult)
+    t = t.copy()
+    f = _horner(poly, t)
+    best_t, best_val = t.copy(), np.abs(f)
+    act = np.arange(len(t))
+    for _ in range(iters):
+        df = _horner(dpoly[act], t[act])
+        act, df = act[df != 0.0], df[df != 0.0]
+        tn = t[act] - f[act] / df
+        moved = tn != t[act]
+        act, tn = act[moved], tn[moved]
+        t[act], f[act] = tn, _horner(poly[act], tn)
+        val = np.abs(f[act])
+        up = val < best_val[act]
+        best_t[act[up]], best_val[act[up]] = t[act[up]], val[up]
+        act = act[val != 0.0]
+        if len(act) == 0:
+            break
+    return best_t
+
+
+def _separated(t):
+    th = 2.0 * np.arctan(t)
+    gap = np.abs(th[:, :, None] - th[:, None, :])
+    with np.errstate(invalid="ignore"):
+        close = np.minimum(gap, TWO_PI - gap) < _SEPARATED
+    return ~np.any(close & np.triu(np.ones((4, 4), dtype=bool), 1), axis=(1, 2))
+
+
+def solve_quartics(m):
+    """reduction.solve_quartics with every size eigensolved, the cluster
+    lists always assembled and the residual evaluated after polishing."""
+    m = np.asarray(m, float).reshape(-1, 5)
+    k_rows = len(m)
+    norm = np.max(np.abs(m), axis=1)
+    zero = norm < 1e-300
+    coeffs = m / np.where(zero, 1.0, norm)[:, None]
+    drop = np.sum(np.cumprod(np.abs(coeffs[:, :4]) < _DEGREE_DROP_TOL, axis=1), axis=1)
+    trailing = np.argmax(coeffs[:, ::-1] != 0.0, axis=1)
+    n_eig = 4 - drop - trailing
+    cand = np.zeros((k_rows, 4), dtype=complex)
+    for n in range(1, 5):
+        rows = np.nonzero(~zero & (n_eig == n))[0]
+        if len(rows) == 0:
+            continue
+        lead = coeffs[rows[:, None], drop[rows, None] + np.arange(n + 1)]
+        comp = np.zeros((len(rows), n, n))
+        comp[:, 0, :] = -lead[:, 1:] / lead[:, :1]
+        comp[:, np.arange(1, n), np.arange(n - 1)] = 1.0
+        cand[rows, :n] = np.linalg.eigvals(comp)
+    re, im = cand.real, cand.imag
+    im_angle = 2.0 * np.abs(im) / (1.0 + re * re + im * im)
+    live = ~zero[:, None] & (np.arange(4) < 4 - drop[:, None]) & ~(im_angle > 1e-3)
+    row, _ = np.nonzero(live)
+    r_re, r_im = re[live], im[live]
+    with np.errstate(all="ignore"):
+        t = polish_plain(coeffs[row], r_re)
+        residual = np.abs(_horner(coeffs[row], t))
+    eps = float(np.finfo(float).eps)
+    travel_max = 4.0 * (np.abs(r_im) + 6e-6 * (1.0 + r_re * r_re))
+    accept = (residual <= 64.0 * eps * np.square(1.0 + t * t)) & (np.abs(t - r_re) <= travel_max)
+    accepted = np.full((k_rows, 4), np.nan)
+    accepted[live] = np.where(accept, t, np.nan)
+
+    singles = _separated(accepted)
+    s_row, s_slot = np.nonzero(singles[:, None] & ~np.isnan(accepted))
+    merged = [(k, cluster_real_roots(accepted[k][~np.isnan(accepted[k])].tolist()))
+              for k in np.nonzero(~singles)[0].tolist()]
+    c_row = np.concatenate([s_row, np.array([k for k, c in merged for _ in c], dtype=int)])
+    c_t = np.concatenate([accepted[s_row, s_slot], [rep for _, c in merged for rep, _ in c]])
+    c_mult = np.concatenate([np.ones(len(s_row), dtype=int),
+                             np.array([mult for _, c in merged for _, mult in c], dtype=int)])
+    with np.errstate(all="ignore"):
+        polished = polish_root(coeffs[c_row], c_t, c_mult)
+
+    out_t = np.full((k_rows, 5), np.nan)
+    out_m = np.zeros((k_rows, 5), dtype=int)
+    single_t = np.full((k_rows, 4), np.nan)
+    single_t[s_row, s_slot] = polished[:len(s_row)]
+    still = singles & _separated(single_t)
+    keep = still[s_row]
+    out_t[s_row[keep], s_slot[keep]] = polished[:len(s_row)][keep]
+    out_m[s_row[keep], s_slot[keep]] = 1
+    expanded = defaultdict(list)
+    redo = ~still[c_row]
+    for k, rep, mult in zip(c_row[redo].tolist(), polished[redo].tolist(), c_mult[redo].tolist()):
+        expanded[k].extend([rep] * mult)
+    for k, ts in expanded.items():
+        for slot, (rep, mult) in enumerate(cluster_real_roots(ts)):
+            out_t[k, slot], out_m[k, slot] = rep, mult
+    dropped = ~zero & (drop > 0)
+    out_t[dropped, 4], out_m[dropped, 4] = math.inf, drop[dropped]
+    with np.errstate(invalid="ignore"):
+        key = np.where(out_m == 0, np.inf, np.where(np.isinf(out_t), math.pi, 2.0 * np.arctan(out_t)))
+    order = np.argsort(key, axis=1, kind="stable")[:, :4]
+    return RootBatch(np.take_along_axis(out_t, order, axis=1),
+                     np.take_along_axis(out_m, order, axis=1), zero)
+
+
+def label_distance(maps, pts):
+    """topology._labels' distance to the boundary: one query per index."""
+    return np.minimum(maps.s_index.dists(pts), maps.ps_index.dists(pts))
+
+
+def solve_ik_batch(p, rho, z, phi=0.0):
+    """reduction.solve_ik_batch on the references above, with F1..F4
+    evaluated one form at a time."""
+    rho = np.asarray(rho, float).ravel()
+    zr = np.asarray(z, float).ravel() - p.d1
+    R = rho * rho + zr * zr
+    f = f_coefficients(p)
+    m, norm = quartic_stack(p, f, R, zr)
+    status = np.where(norm == 0.0, _CONIC_ZERO,
+                      np.where(np.max(np.abs(m), axis=1) < 1e-12, _QUARTIC_ZERO, 0))
+    roots = solve_quartics(m)
+    row, slot = np.nonzero((roots.mult > 0) & (status == 0)[:, None])
+    t, mult = roots.t[row, slot], roots.mult[row, slot]
+    inf = np.isinf(t)
+    tf = np.where(inf, 0.0, t)
+    den = 1.0 + tf * tf
+    c3 = np.where(inf, -1.0, (1.0 - tf * tf) / den)
+    s3 = np.where(inf, 0.0, 2.0 * tf / den)
+    f1, f2, f3, f4 = (f.u[i] * c3 + f.v[i] * s3 + f.w[i] for i in range(4))
+    det = f1 * f1 + f2 * f2
+    solved = ~(det < 1e-14 * np.maximum(1.0, np.abs(R[row])))
+    det = np.where(solved, det, 1.0)
+    rhs1 = (R[row] - f3) / (2.0 * p.a1)
+    rhs2 = (zr[row] - f4) / math.sin(p.alpha1)
+    theta2 = _atan2((f2 * rhs1 + f1 * rhs2) / det, (f1 * rhs1 - f2 * rhs2) / det)
+    theta3 = np.array([theta3_of_t(v) for v in t.tolist()], dtype=float)
+    x0, y0, _ = fk_arrays(p, 0.0, theta2, theta3)
+    theta1 = np.where(np.hypot(x0, y0) < 1e-12, 0.0,
+                      np.broadcast_to(phi, rho.shape)[row] - _atan2(y0, x0))
+    order = np.lexsort((np.where(solved, wrap_angle(theta3), np.inf), row))
+    return IkBatch(row[order], t[order], mult[order],
+                   np.column_stack([theta1, theta2, theta3])[order], solved[order], status)
+
+
+def labels(maps, ik):
+    """topology._labels with label_distance."""
+    row, theta, mult = ik.row[ik.solved], ik.theta[ik.solved], ik.mult[ik.solved]
+    th2, th3 = wrap_angle(theta[:, 1]), wrap_angle(theta[:, 2])
+    cells = maps.aspects.cell_of(th2, th3)
+    aspect = maps.aspects.labels[cells].tolist()
+    reduced = maps.reduced.labels[cells]
+    dist = label_distance(maps, np.column_stack([th2, th3]))
+    on_boundary = ((dist < maps.aspects.cell_size) | (reduced < 0)).tolist()
+    out = [None if status else [] for status in ik.status.tolist()]
+    for n, (k, q, m) in enumerate(zip(row.tolist(), theta.tolist(), mult.tolist())):
+        out[k].append(SolutionLabel(JointConfig(*q), m, aspect[n], int(reduced[n]),
+                                    on_boundary[n], aspect[n] < 0))
+    return out

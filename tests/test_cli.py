@@ -1,5 +1,6 @@
 import ast
 import importlib
+import importlib.util
 import json
 import math
 import os
@@ -7,14 +8,23 @@ import os
 import jsonschema
 import pytest
 
-from cuspidal import CrossSectionPoint
+from cuspidal import (
+    CrossSectionPoint,
+    JointConfig,
+    build_topology,
+    cross_section,
+    forward_kinematics,
+    reduction,
+    solve_ik,
+    topology,
+)
 from cuspidal.cli import main
 from cuspidal.errors import RobotFileSyntaxError, RobotValidationError
 from cuspidal.report import dumps, emit_csv, load_schema
 from cuspidal.robotfile import parse_robot_file
 from cuspidal.svgplot import render_c3s3
 
-from conftest import REFERENCE
+from conftest import REFERENCE, TEST_GRID
 
 BATTERY = os.path.join(os.path.dirname(__file__), "..", "robots", "battery.json")
 
@@ -332,9 +342,11 @@ def test_plot_rerun_byte_identical(tmp_path, capsys):
 # benchmark tooling
 # --------------------------------------------------------------------------
 
-def test_benchmark_tracer_names_resolve():
+def test_benchmark_tracer_names_resolve(analysis):
     """Every (module, attribute) the benchmark's tracer spans or counts still
-    names a callable of the package, so `perfbench/run.py --trace 1` runs."""
+    names a callable of the package, the tracer installs over all of them,
+    and one solve_ik and one label_solutions call record their spans, so
+    `perfbench/run.py --trace 1` runs and sees the IK engine."""
     path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "tracer.py")
     with open(path, encoding="utf-8") as fh:
         tree = ast.parse(fh.read())
@@ -349,3 +361,20 @@ def test_benchmark_tracer_names_resolve():
             assert hasattr(obj, part), f"{modname}.{attr}"
             obj = getattr(obj, part)
         assert callable(obj), f"{modname}.{attr}"
+
+    maps = build_topology(REFERENCE, analysis.curves(REFERENCE), TEST_GRID)
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer_mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_mod)
+    tracer = tracer_mod.Tracer()
+    try:
+        tracer.install()
+        pose = forward_kinematics(REFERENCE, JointConfig(0.4, 1.1, -2.0))
+        reduction.solve_ik(REFERENCE, pose)
+        topology.label_solutions(REFERENCE, maps, cross_section(pose))
+    finally:
+        tracer.uninstall()
+    names = {span[0] for span in tracer.spans}
+    assert {"reduction.solve_ik", "reduction.f_coefficients",
+            "topology.label_solutions"} <= names
+    assert reduction.solve_ik is solve_ik

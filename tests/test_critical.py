@@ -24,6 +24,7 @@ from cuspidal import (
 )
 from cuspidal import critical, topology
 from cuspidal.critical import (
+    MAX_BOUNDARY_SAMPLES,
     _candidate_pairs,
     _census_clearance,
     _census_crossings,
@@ -53,7 +54,7 @@ from conftest import (
     TEST_GRID,
     random_valid_params,
 )
-from census_refs import census_walk
+from census_refs import audit_all_at_once, census_walk
 from engine_refs import SegmentHash, chain_loops, damped_newton, marching_segments
 from segment_refs import point_segment_dist, seg_intersect
 
@@ -436,6 +437,34 @@ def test_census_audit_equals_scalar_walk(ref_census, node_census, analysis):
         assert [(s.rho, s.z, s.count, s.low, s.high) for s in census.boundary_samples] == samples
         assert samples
     assert misses > 0
+
+
+def test_census_rounds_equal_refining_every_crossing(monkeypatch, analysis):
+    """Refining each boundary kind's next candidates in rounds gives the
+    audit of refining every crossing at once, bit for bit, on the battery
+    and 20 random robots, while refining fewer crossings on the cuspidal
+    reference."""
+    refined = []
+    slide = critical._slide_onto_values
+
+    def record(p, pencil, start, *args):
+        refined.append(len(start))
+        return slide(p, pencil, start, *args)
+    monkeypatch.setattr(critical, "_slide_onto_values", record)
+    rng = np.random.default_rng(41)
+    robots = list(BATTERY.values()) + [random_valid_params(rng) for _ in range(20)]
+    for robot in robots:
+        wcurves = analysis.wcurves(robot)
+        refined.clear()
+        census = region_census(robot, wcurves, census_n=96)
+        audited, violations, samples = audit_all_at_once(robot, wcurves, census)
+        assert census.audited_pairs == audited
+        assert list(census.violations) == violations
+        assert [(s.rho, s.z, s.count, s.low, s.high) for s in census.boundary_samples] == samples
+        if robot is REFERENCE:
+            kinds = {(s.low, s.high) for s in census.boundary_samples}
+            assert refined[0] <= MAX_BOUNDARY_SAMPLES * len(kinds)
+            assert sum(refined) < audited
 
 
 # --------------------------------------------------------------------------

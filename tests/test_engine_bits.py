@@ -1,0 +1,263 @@
+"""The root engine, the conic stack and the labels against the references in
+engine_refs, bit for bit, plus the engine's work bounds per call."""
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cuspidal import DhParams, JointConfig, build_topology, cross_section, forward_kinematics
+from cuspidal import reduction, topology
+from cuspidal.geometry import TorusCurveIndex, torus_dists
+from cuspidal.reduction import (
+    _quartic_stack,
+    f_coefficients,
+    solve_ik,
+    solve_ik_batch,
+    solve_quartics,
+)
+from cuspidal.topology import _labels
+
+import engine_refs
+from conftest import BATTERY, REFERENCE, TEST_GRID, random_valid_params
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _same_roots(batch, ref):
+    return (_same_bits(batch.t, ref.t) and _same_bits(batch.mult, ref.mult)
+            and _same_bits(batch.zero, ref.zero))
+
+
+def _special_rows(rng):
+    """Quartic rows the engine treats specially, one of each kind."""
+    r, s, u = rng.uniform(-2.0, 2.0, 3)
+    big = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(4.0, 6.0)     # theta3 near pi
+    rows = [rng.normal(size=5)]
+    drop = rng.normal(size=5)
+    drop[0] = rng.uniform(-1.0, 1.0) * 1e-11                         # degree drop
+    rows.append(drop)
+    drop2 = rng.normal(size=5)
+    drop2[:2] = rng.uniform(-1.0, 1.0, 2) * 1e-11                    # double drop
+    rows.append(drop2)
+    exact = rng.normal(size=5)
+    exact[0] = 0.0                                                     # exact degree drop
+    rows.append(exact)
+    trailing = rng.normal(size=5)
+    trailing[4] = 0.0                                                  # t = 0 is a root
+    rows.append(trailing)
+    trailing2 = rng.normal(size=5)
+    trailing2[3:] = 0.0                                                # t = 0 twice
+    rows.append(trailing2)
+    for roots in ([r, r, s, u], [r, r, r, s], [r, r, r, r], [r, r, s, s], [big, r, s, u],
+                  [big, big, r, s], [-big, r, r, s]):
+        noise = rng.choice([0.0, 1e-15, 1e-13])
+        rows.append(np.poly(roots) * (1.0 + noise * rng.normal(size=5)))
+    rows.append(np.poly([r, r + 1e-9, s, u]))                        # near-double root
+    rows.append(np.poly([r, r, r + 1e-7, s]))                        # near-triple root
+    rows.append(np.zeros(5))                                           # all-zero row
+    return [np.asarray(row, float) for row in rows]
+
+
+def _stack(rng, k):
+    rows = _special_rows(rng)
+    pick = rng.integers(len(rows), size=k)
+    stack = np.array([rows[i] for i in pick])
+    scale = 10.0 ** rng.uniform(-3.0, 3.0, (k, 1))
+    return stack * scale
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_solve_quartics_bits_equal_reference(k, seed):
+    stack = _stack(np.random.default_rng(seed), k)
+    assert _same_roots(solve_quartics(stack), engine_refs.solve_quartics(stack))
+
+
+@settings(max_examples=8)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_solve_quartics_bits_equal_reference_4096_rows(seed):
+    stack = _stack(np.random.default_rng(seed), 4096)
+    assert _same_roots(solve_quartics(stack), engine_refs.solve_quartics(stack))
+
+
+def test_solve_quartics_bits_on_every_special_row():
+    rng = np.random.default_rng(5)
+    for row in _special_rows(rng):
+        assert _same_roots(solve_quartics(row), engine_refs.solve_quartics(row)), row
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_polish_plain_bits_equal_reference(seed):
+    rng = np.random.default_rng(seed)
+    stack = _stack(rng, 5)
+    stack = stack[np.any(stack != 0.0, axis=1)]
+    coeffs = stack / np.max(np.abs(stack), axis=1, keepdims=True)
+    rows = np.repeat(np.arange(len(coeffs)), 3)
+    t = rng.normal(size=len(rows)) * 10.0 ** rng.uniform(-1.0, 1.0, len(rows))
+    with np.errstate(all="ignore"):
+        best_t, best_val = reduction._polish_plain(coeffs[rows], t)
+        ref = engine_refs.polish_plain(coeffs[rows], t)
+        residual = np.abs(reduction._horner(coeffs[rows], ref))
+    assert _same_bits(best_t, ref)
+    assert _same_bits(best_val, residual)
+
+
+def _robots():
+    """Battery robots, random robots and signed-zero variants."""
+    rng = np.random.default_rng(17)
+    robots = list(BATTERY.values()) + [random_valid_params(rng) for _ in range(6)]
+    robots.append(DhParams(-0.0, 1.0, -0.0, 1.0, 2.0, 1.5, -math.pi / 2, math.pi / 2))
+    robots.append(DhParams(0.0, -0.0, 0.0, 3.0, 1.0, 0.5, -math.pi / 2, -0.0))
+    return robots
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 4096])
+def test_quartic_stack_bits_equal_reference(k):
+    rng = np.random.default_rng(k)
+    for p in _robots():
+        z = rng.uniform(-6.0, 6.0, k)
+        R = rng.uniform(0.0, 6.0, k) ** 2 + z * z
+        m, norm = _quartic_stack(p, R, z)
+        ref_m, ref_norm = engine_refs.quartic_stack(p, f_coefficients(p), R, z)
+        assert _same_bits(m, np.ascontiguousarray(ref_m)), p
+        assert _same_bits(norm, ref_norm), p
+
+
+def _targets(p, rng, n):
+    """FK images, points just off them, and unreachable points."""
+    pts = []
+    for _ in range(n):
+        cs = cross_section(forward_kinematics(p, JointConfig(*rng.uniform(-math.pi, math.pi, 3))))
+        pts.append((cs.rho, cs.z))
+    rho, z = np.array(pts).T
+    off = 10.0 ** rng.uniform(-9.0, -3.0, n)
+    rho = np.concatenate([rho, np.abs(rho + off), [0.0, 50.0]])
+    z = np.concatenate([z, z - off, [0.0, 0.0]])
+    return rho, z
+
+
+def _same_ik(a, b):
+    return all(_same_bits(getattr(a, name), getattr(b, name))
+               for name in ("row", "t", "mult", "theta", "solved", "status"))
+
+
+@pytest.mark.parametrize("name", sorted(BATTERY))
+def test_solve_ik_batch_bits_equal_reference(name):
+    p = BATTERY[name]
+    rng = np.random.default_rng(len(name))
+    rho, z = _targets(p, rng, 200)
+    phi = rng.uniform(-math.pi, math.pi, len(rho))
+    assert _same_ik(solve_ik_batch(p, rho, z, phi), engine_refs.solve_ik_batch(p, rho, z, phi))
+    for k in range(0, len(rho), 37):
+        one = solve_ik_batch(p, rho[k], z[k], phi[k])
+        assert _same_ik(one, engine_refs.solve_ik_batch(p, rho[k], z[k], phi[k]))
+
+
+@pytest.mark.parametrize("name", sorted(BATTERY))
+def test_label_solutions_bits_equal_reference(name, analysis):
+    p = BATTERY[name]
+    maps = build_topology(p, analysis.curves(p), TEST_GRID)
+    rng = np.random.default_rng(len(name) + 1)
+    rho, z = _targets(p, rng, 60)
+    ref = engine_refs.labels(maps, engine_refs.solve_ik_batch(p, rho, z))
+    got = topology.label_solutions_batch(p, maps, rho, z)
+    # repr spells every float exactly and tells -0.0 from 0.0
+    assert [k for k in range(len(rho)) if repr(got[k]) != repr(ref[k])] == []
+    for k in range(0, len(rho), 11):
+        one = _labels(maps, solve_ik_batch(p, rho[k], z[k]))
+        assert repr(one) == repr([ref[k]])
+
+
+def test_torus_dists_of_both_indexes_is_the_smaller_distance():
+    rng = np.random.default_rng(3)
+    loops = [rng.uniform(-math.pi, math.pi, (40, 2)), rng.uniform(-math.pi, math.pi, (25, 2))]
+    s_index, ps_index = TorusCurveIndex(loops[:1]), TorusCurveIndex(loops[1:])
+    empty = TorusCurveIndex([])
+    pts = rng.uniform(-4.0, 4.0, (500, 2))
+    both = torus_dists((s_index, ps_index), pts)
+    assert _same_bits(both, np.minimum(s_index.dists(pts), ps_index.dists(pts)))
+    assert _same_bits(torus_dists((s_index, empty), pts), s_index.dists(pts))
+    assert np.all(np.isinf(torus_dists((empty, empty), pts)))
+
+
+# --------------------------------------------------------------------------
+# work bounds
+# --------------------------------------------------------------------------
+
+def test_one_row_polish_makes_at_most_three_horner_calls_per_iteration(monkeypatch):
+    """Inside _polish_plain, each iteration evaluates the slope once (rows of
+    the derivative, whose leading slot is 0), the full step once and the
+    halvings at most once."""
+    calls = {"slope": 0, "other": 0}
+    inside = []
+    horner, polish = reduction._horner, reduction._polish_plain
+
+    def counting_horner(d, t):
+        if inside:
+            calls["slope" if not np.any(d[..., 0]) else "other"] += 1
+        return horner(d, t)
+
+    def flagged_polish(*args, **kwargs):
+        inside.append(True)
+        try:
+            return polish(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(reduction, "_horner", counting_horner)
+    monkeypatch.setattr(reduction, "_polish_plain", flagged_polish)
+    for roots in ([0.3, 0.3 + 1e-7, -1.0, 2.0], [0.5, 0.5, 0.5, -0.25], [-1.2, 0.1, 0.7, 3.0]):
+        calls.update(slope=0, other=0)
+        solve_quartics(np.poly(roots))
+        assert calls["slope"] >= 1
+        assert calls["slope"] + calls["other"] <= 1 + 3 * calls["slope"], (roots, calls)
+
+
+def test_one_eigvals_call_per_companion_size_present(monkeypatch):
+    sizes = []
+    eigvals = np.linalg.eigvals
+
+    def counting(a):
+        sizes.append(a.shape[-1])
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    solve_quartics(np.poly([0.1, 0.2, -0.5, 1.5]))
+    assert sizes == [4]
+    sizes.clear()
+    stack = np.array([np.poly([0.1, 0.2, -0.5, 1.5]), [0.0, 1.0, -3.0, 2.0, 0.0],
+                      np.poly([0.3, -0.4, 2.0, 1.0]), np.zeros(5)])
+    solve_quartics(stack)
+    assert sorted(sizes) == [2, 4]
+
+
+def test_repeated_solve_ik_evaluates_f_coefficients_once(monkeypatch):
+    calls = []
+    body = reduction._sum_of_squares_reduced
+    monkeypatch.setattr(reduction, "_sum_of_squares_reduced",
+                        lambda forms: calls.append(1) or body(forms))
+    # parameters no other test uses, so the memo starts without them
+    p = DhParams(0.0, 1.0, 0.0, 1.0, 2.0, 1.4873, -math.pi / 2, math.pi / 2)
+    for x in (1.0, 1.5, 2.0):
+        solve_ik(p, forward_kinematics(p, JointConfig(0.3, x, -x)))
+    solve_ik_batch(p, [1.0, 2.0], [0.5, -0.5])
+    reduction.ik_counts(p, [1.0, 2.0], [0.5, -0.5])
+    assert len(calls) == 1
+    # -0.0 == 0.0 as DhParams, but the signed zero is another robot
+    signed = DhParams(-0.0, 1.0, 0.0, 1.0, 2.0, 1.4873, -math.pi / 2, math.pi / 2)
+    assert signed == p
+    solve_ik(signed, forward_kinematics(signed, JointConfig(0.3, 1.0, -1.0)))
+    assert len(calls) == 2
+
+
+def test_f_coefficients_are_shared_read_only():
+    f = f_coefficients(REFERENCE)
+    assert f is f_coefficients(DhParams(*(float(v) for v in (0, 1, 0, 1, 2, 1.5)),
+                                        -math.pi / 2, math.pi / 2))
+    with pytest.raises(ValueError):
+        f.u[0] = 1.0
