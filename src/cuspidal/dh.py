@@ -171,9 +171,9 @@ def forward_kinematics(p: DhParams, q: JointConfig) -> Pose3:
     return Pose3(float(T3[0, 3]), float(T3[1, 3]), float(T3[2, 3]))
 
 
-def fk_arrays(p: DhParams, theta1, theta2, theta3):
-    """Vectorized forward kinematics; returns (x, y, z) broadcast arrays."""
-    c1, s1 = np.cos(theta1), np.sin(theta1)
+def fk_arm(p: DhParams, theta2, theta3):
+    """The end effector at theta1 = 0, before the d1 shift, as (x, y, z)
+    arrays: the part of fk_arrays that theta1 does not touch."""
     c2, s2 = np.cos(theta2), np.sin(theta2)
     c3, s3 = np.cos(theta3), np.sin(theta3)
     ca1, sa1 = math.cos(p.alpha1), math.sin(p.alpha1)
@@ -190,6 +190,13 @@ def fk_arrays(p: DhParams, theta1, theta2, theta3):
     wx = p.a1 + vx
     wy = ca1 * vy - sa1 * vz
     wz = sa1 * vy + ca1 * vz
+    return wx, wy, wz
+
+
+def fk_arrays(p: DhParams, theta1, theta2, theta3):
+    """Vectorized forward kinematics; returns (x, y, z) broadcast arrays."""
+    c1, s1 = np.cos(theta1), np.sin(theta1)
+    wx, wy, wz = fk_arm(p, theta2, theta3)
     x = c1 * wx - s1 * wy
     y = s1 * wx + c1 * wy
     z = wz + p.d1

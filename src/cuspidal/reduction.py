@@ -24,7 +24,7 @@ from .dh import (
     DhParams,
     JointConfig,
     Pose3,
-    fk_arrays,
+    fk_arm,
     wrap_angle,
     wrap_float,
 )
@@ -79,18 +79,20 @@ def _sum_of_squares_reduced(forms) -> np.ndarray:
 _MEMO_SIZE = 64
 
 
-def _per_robot(build):
-    """Memoise build(p) on the parameters' exact bits.
+def _robot_key(p: DhParams) -> bytes:
+    """The eight parameters' IEEE bits.  DhParams equality makes -0.0 ==
+    0.0, and signed zeros reach atan2, so robots are told apart by these."""
+    return struct.pack("<8d", p.d1, p.d2, p.d3, p.a1, p.a2, p.a3, p.alpha1, p.alpha2)
 
-    DhParams equality makes -0.0 == 0.0, and signed zeros reach atan2, so
-    the key is the eight floats' IEEE bits, not the dataclass.  The oldest
-    entry goes once _MEMO_SIZE robots are held.
-    """
+
+def _per_robot(build):
+    """Memoise build(p) on the parameters' exact bits (_robot_key).  The
+    oldest entry goes once _MEMO_SIZE robots are held."""
     memo = {}
 
     @functools.wraps(build)
     def get(p: DhParams):
-        key = struct.pack("<8d", p.d1, p.d2, p.d3, p.a1, p.a2, p.a3, p.alpha1, p.alpha2)
+        key = _robot_key(p)
         value = memo.get(key)
         if value is None:
             if len(memo) >= _MEMO_SIZE:
@@ -797,15 +799,85 @@ def _atan2(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.array([math.atan2(a, b) for a, b in zip(y.tolist(), x.tolist())], dtype=float)
 
 
-def solve_ik_batch(p: DhParams, rho, z, phi=0.0) -> IkBatch:
-    """IK of targets at distance rho >= 0 from the base axis, height z and
-    azimuth phi (arrays), in one engine pass.
+def _base_xy(p: DhParams, theta2, theta3):
+    """x and y of fk_arrays(p, 0.0, theta2, theta3), bit for bit, without
+    the z row and the trig of theta1 = 0: cos 0 = 1 and sin 0 = 0 exactly,
+    and the products by 0.0 stay, since they keep fk_arrays' signed zeros."""
+    wx, wy, _ = fk_arm(p, theta2, theta3)
+    return wx - 0.0 * wy, 0.0 * wx + wy
 
-    Roots of the quartic give theta3; theta2 comes from the linear system in
-    (cos theta2, sin theta2); theta1 from planar angle matching in (x, y).
+
+# A refinement step that moves an angle this far is not a rounding fix.
+_REFINE_MAX_STEP = 1e-6
+
+
+def _back_substitution(p: DhParams, f: FCoefficients, R, zr, theta2, theta3, jacobian: bool):
+    """Residuals (e1, e2) of the two equations theta2 is solved from,
+
+        F1 cos(theta2) + F2 sin(theta2) = (R - F3) / (2 a1),
+        F1 sin(theta2) - F2 cos(theta2) = (zr - F4) / sin(alpha1),
+
+    at arrays of (theta2, theta3), and with `jacobian` their partials
+    (j11, j12, j21, j22) in (theta2, theta3), from F's exact
+    theta3-derivative."""
+    c2, s2 = np.cos(theta2), np.sin(theta2)
+    c3, s3 = np.cos(theta3)[:, None], np.sin(theta3)[:, None]
+    f1, f2, f3, f4 = (f.u * c3 + f.v * s3 + f.w).T
+    two_a1, sa1 = 2.0 * p.a1, math.sin(p.alpha1)
+    a = f1 * c2 + f2 * s2
+    b = f1 * s2 - f2 * c2
+    e1, e2 = a - (R - f3) / two_a1, b - (zr - f4) / sa1
+    if not jacobian:
+        return e1, e2
+    g1, g2, g3, g4 = (f.v * c3 - f.u * s3).T
+    return e1, e2, (-b, g1 * c2 + g2 * s2 + g3 / two_a1, a, g1 * s2 - g2 * c2 + g4 / sa1)
+
+
+def _refine(p: DhParams, f: FCoefficients, R, zr, theta2, theta3, mask):
+    """One Newton step on the back-substitution equations for the roots in
+    `mask`, one (theta2, theta3, R, zr) per root.
+
+    A simple root of M close to another is only known to the quartic's
+    conditioning, and theta2's 1 / (F1^2 + F2^2) amplifies that; one step on
+    the equations themselves takes the angles to their rounding floor.  A
+    root keeps the step only when it lowers e1^2 + e2^2 and moves each angle
+    by less than _REFINE_MAX_STEP.
     """
-    rho = np.asarray(rho, float).ravel()
-    zr = np.asarray(z, float).ravel() - p.d1
+    e1, e2, (j11, j12, j21, j22) = _back_substitution(p, f, R, zr, theta2, theta3, True)
+    with np.errstate(all="ignore"):
+        det = j11 * j22 - j12 * j21
+        d2 = (e1 * j22 - e2 * j12) / det
+        d3 = (j11 * e2 - j21 * e1) / det
+        t2, t3 = theta2 - d2, theta3 - d3
+        n1, n2 = _back_substitution(p, f, R, zr, t2, t3, False)
+        keep = (mask & (np.abs(d2) < _REFINE_MAX_STEP) & (np.abs(d3) < _REFINE_MAX_STEP)
+                & (n1 * n1 + n2 * n2 < e1 * e1 + e2 * e2))
+    return np.where(keep, t2, theta2), np.where(keep, t3, theta3)
+
+
+@dataclass(frozen=True)
+class _CrossSectionIk:
+    """The azimuth-independent part of solve_ik_batch, one entry per root in
+    root order (read-only arrays): the roots, their angles (theta2, theta3),
+    which ones were back-substituted, each target's status, the solution
+    order of IkBatch, and per root the azimuth atan2(y, x) its end effector
+    has at theta1 = 0, or whether that end effector lies on the base axis."""
+
+    row: np.ndarray
+    t: np.ndarray
+    mult: np.ndarray
+    theta2: np.ndarray
+    theta3: np.ndarray
+    solved: np.ndarray
+    status: np.ndarray
+    order: np.ndarray
+    azimuth: np.ndarray
+    on_axis: np.ndarray
+
+
+def _solve_cross_section(p: DhParams, rho: np.ndarray, zr: np.ndarray) -> _CrossSectionIk:
+    """IK of targets (rho, z - d1): one engine pass, back-substitution and
+    refinement, with theta1 left to the caller's azimuth."""
     R = rho * rho + zr * zr
     f = f_coefficients(p)
     m, norm = _quartic_stack(p, R, zr)
@@ -820,21 +892,64 @@ def solve_ik_batch(p: DhParams, rho, z, phi=0.0) -> IkBatch:
     c3 = np.where(inf, -1.0, (1.0 - tf * tf) / den)
     s3 = np.where(inf, 0.0, 2.0 * tf / den)
     f1, f2, f3, f4 = (f.u * c3[:, None] + f.v * s3[:, None] + f.w).T
+    R_root, zr_root = R[row], zr[row]
     det = f1 * f1 + f2 * f2
-    solved = ~(det < 1e-14 * np.maximum(1.0, np.abs(R[row])))
+    solved = ~(det < 1e-14 * np.maximum(1.0, np.abs(R_root)))
     det = np.where(solved, det, 1.0)
-    rhs1 = (R[row] - f3) / (2.0 * p.a1)
-    rhs2 = (zr[row] - f4) / math.sin(p.alpha1)
+    rhs1 = (R_root - f3) / (2.0 * p.a1)
+    rhs2 = (zr_root - f4) / math.sin(p.alpha1)
     theta2 = _atan2((f2 * rhs1 + f1 * rhs2) / det, (f1 * rhs1 - f2 * rhs2) / det)
     theta3 = np.array([theta3_of_t(v) for v in t.tolist()], dtype=float)
-    x0, y0, _ = fk_arrays(p, 0.0, theta2, theta3)
+    theta2, theta3 = _refine(p, f, R_root, zr_root, theta2, theta3, solved & (mult == 1))
+    x0, y0 = _base_xy(p, theta2, theta3)
+    order = np.lexsort((np.where(solved, wrap_angle(theta3), np.inf), row))
+    stage = _CrossSectionIk(row, t, mult, theta2, theta3, solved, status, order,
+                            _atan2(y0, x0), np.hypot(x0, y0) < 1e-12)
+    for a in vars(stage).values():
+        a.flags.writeable = False
+    return stage
+
+
+# The last _solve_cross_section call, shared by all robots, as one (key,
+# result) tuple that is read once and replaced whole, so no caller pairs one
+# call's key with another call's arrays; the arrays are only read.  A
+# target's solve_ik and its label_solutions differ only in the azimuth, so
+# they share one engine pass.
+_last_cross_section = None
+
+
+def _cross_section(p: DhParams, rho: np.ndarray, zr: np.ndarray) -> _CrossSectionIk:
+    """_solve_cross_section, or its last result when p's bits, rho's and
+    zr's bytes are those of the last call."""
+    global _last_cross_section
+    key = (_robot_key(p), rho.tobytes(), zr.tobytes())
+    last = _last_cross_section
+    if last is not None and last[0] == key:
+        return last[1]
+    stage = _solve_cross_section(p, rho, zr)
+    _last_cross_section = (key, stage)
+    return stage
+
+
+def solve_ik_batch(p: DhParams, rho, z, phi=0.0) -> IkBatch:
+    """IK of targets at distance rho >= 0 from the base axis, height z and
+    azimuth phi (arrays), in one engine pass.
+
+    Roots of the quartic give theta3; theta2 comes from the linear system in
+    (cos theta2, sin theta2), and simple roots are refined on that system;
+    theta1 from planar angle matching in (x, y).  Everything but theta1 is
+    shared with the last call on the same robot and (rho, z).
+    """
+    rho = np.asarray(rho, float).ravel()
+    s = _cross_section(p, rho, np.asarray(z, float).ravel() - p.d1)
     phi = np.asarray(phi, float)
     if phi.ndim:
-        phi = np.broadcast_to(phi, rho.shape)[row]
-    theta1 = np.where(np.hypot(x0, y0) < 1e-12, 0.0, phi - _atan2(y0, x0))
-    order = np.lexsort((np.where(solved, wrap_angle(theta3), np.inf), row))
-    return IkBatch(row[order], t[order], mult[order],
-                   np.column_stack([theta1, theta2, theta3])[order], solved[order], status)
+        phi = np.broadcast_to(phi, rho.shape)[s.row]
+    theta1 = np.where(s.on_axis, 0.0, phi - s.azimuth)
+    order = s.order
+    return IkBatch(s.row[order], s.t[order], s.mult[order],
+                   np.column_stack([theta1, s.theta2, s.theta3])[order], s.solved[order],
+                   s.status.copy())
 
 
 def solve_ik_cross_section(p: DhParams, target: CrossSectionPoint) -> IkSolutionSet:

@@ -418,42 +418,48 @@ def find_nonsingular_path(p: DhParams, maps: TopologyMaps,
     allowed[start] = True
     allowed[goal] = True
 
-    def heuristic(c):
-        d2 = abs(wrap_float((c[0] - goal[0]) * h))
-        d3 = abs(wrap_float((c[1] - goal[1]) * h))
+    def heuristic(i, j):
+        d2 = abs(wrap_float((i - goal[0]) * h))
+        d3 = abs(wrap_float((j - goal[1]) * h))
         return math.hypot(d2, d3)
 
-    dist = {start: 0.0}
-    prev = {}
-    pq = [(heuristic(start), start)]
-    visited = set()
+    # state over the flat cell index i * n + j, whose order is the order of
+    # (i, j), so heap ties break as they would on the cell tuples
+    open_cell = allowed.ravel()
+    cost = (h * (1.0 + 0.05 / (det_abs + 1e-3))).ravel()
+    dist = np.full(n * n, math.inf)
+    prev = np.full(n * n, -1, dtype=np.intp)
+    visited = np.zeros(n * n, dtype=bool)
+    first, last = start[0] * n + start[1], goal[0] * n + goal[1]
+    dist[first] = 0.0
+    pq = [(heuristic(*start), first)]
     while pq:
         _, cur = heapq.heappop(pq)
-        if cur == goal:
+        if cur == last:
             break
-        if cur in visited:
+        if visited[cur]:
             continue
-        visited.add(cur)
-        i, j = cur
-        for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            nb = ((i + di) % n, (j + dj) % n)
-            if not allowed[nb]:
+        visited[cur] = True
+        i, j = divmod(cur, n)
+        base = float(dist[cur])
+        for ni, nj in (((i + 1) % n, j), ((i - 1) % n, j), (i, (j + 1) % n), (i, (j - 1) % n)):
+            nb = ni * n + nj
+            if not open_cell[nb]:
                 continue
-            cost = h * (1.0 + 0.05 / (float(det_abs[nb]) + 1e-3))
-            nd = dist[cur] + cost
-            if nd < dist.get(nb, math.inf):
+            nd = base + float(cost[nb])
+            if nd < dist[nb]:
                 dist[nb] = nd
                 prev[nb] = cur
-                heapq.heappush(pq, (nd + heuristic(nb), nb))
-    if goal not in dist:
+                heapq.heappush(pq, (nd + heuristic(ni, nj), nb))
+    if dist[last] == math.inf:
         return None
-    cells = [goal]
-    while cells[-1] != start:
-        cells.append(prev[cells[-1]])
+    cells = [last]
+    while cells[-1] != first:
+        cells.append(int(prev[cells[-1]]))
     cells.reverse()
     pts = [np.array([q_start.theta2, q_start.theta3])]
     for c in cells[1:-1]:
-        pts.append(np.array(amap.center(*c)))
+        pts.append(np.array(amap.center(*divmod(c, n))))
     pts.append(np.array([q_goal.theta2, q_goal.theta3]))
     waypoints = np.array(pts)
     path = JointPath(waypoints, q_start.theta1, q_goal.theta1, 0.0)

@@ -2,8 +2,9 @@
 flood fill as one sparse graph over every cell, the damped Newton with one
 fun_jac call per line-search lambda, marching squares and its chain walk over
 dicts keyed by ("u" | "v", i, j), a segment hash filled one segment at a
-time, and the quartic root engine and label distance as they stood before the
-per-robot conic constants."""
+time, the quartic root engine and label distance as they stood before the
+per-robot conic constants, and the A* path search over cell tuples."""
+import heapq
 import math
 from collections import defaultdict
 
@@ -12,7 +13,16 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from cuspidal.critical import _HALVINGS, _NEWTON_MAX_ITER, _lstsq_steps, _mixed_cells
-from cuspidal.dh import TWO_PI, JointConfig, fk_arrays, wrap_angle
+from cuspidal.dh import (
+    TWO_PI,
+    JointConfig,
+    det_jacobian,
+    fk_arrays,
+    singularity_scale,
+    wrap_angle,
+    wrap_float,
+)
+from cuspidal.errors import StartOrGoalSingularError
 from cuspidal.reduction import (
     _CONIC_ZERO,
     _DEGREE_DROP_TOL,
@@ -27,7 +37,7 @@ from cuspidal.reduction import (
     f_coefficients,
     theta3_of_t,
 )
-from cuspidal.topology import SolutionLabel
+from cuspidal.topology import PATH_DET_TOL, JointPath, SolutionLabel, verify_path
 
 
 def components(key, excluded=None):
@@ -405,9 +415,37 @@ def label_distance(maps, pts):
     return np.minimum(maps.s_index.dists(pts), maps.ps_index.dists(pts))
 
 
+def back_substitution(p, f, R, zr, theta2, theta3):
+    """reduction._back_substitution at one root: (e1, e2) and the Jacobian."""
+    c2, s2, c3, s3 = np.cos(theta2), np.sin(theta2), np.cos(theta3), np.sin(theta3)
+    f1, f2, f3, f4 = (f.u[i] * c3 + f.v[i] * s3 + f.w[i] for i in range(4))
+    g1, g2, g3, g4 = (f.v[i] * c3 - f.u[i] * s3 for i in range(4))
+    a = f1 * c2 + f2 * s2
+    b = f1 * s2 - f2 * c2
+    return (a - (R - f3) / (2.0 * p.a1), b - (zr - f4) / math.sin(p.alpha1),
+            (-b, g1 * c2 + g2 * s2 + g3 / (2.0 * p.a1), a,
+             g1 * s2 - g2 * c2 + g4 / math.sin(p.alpha1)))
+
+
+def refine(p, f, R, zr, theta2, theta3):
+    """reduction._refine at one root: one Newton step on the
+    back-substitution equations, kept when it is below 1e-6 in each angle
+    and lowers the squared residual."""
+    e1, e2, (j11, j12, j21, j22) = back_substitution(p, f, R, zr, theta2, theta3)
+    with np.errstate(all="ignore"):
+        det = j11 * j22 - j12 * j21
+        d2 = (e1 * j22 - e2 * j12) / det
+        d3 = (j11 * e2 - j21 * e1) / det
+        n1, n2, _ = back_substitution(p, f, R, zr, theta2 - d2, theta3 - d3)
+        if abs(d2) < 1e-6 and abs(d3) < 1e-6 and n1 * n1 + n2 * n2 < e1 * e1 + e2 * e2:
+            return theta2 - d2, theta3 - d3
+    return theta2, theta3
+
+
 def solve_ik_batch(p, rho, z, phi=0.0):
     """reduction.solve_ik_batch on the references above, with F1..F4
-    evaluated one form at a time."""
+    evaluated one form at a time, the refinement one root at a time and
+    theta1 from fk_arrays."""
     rho = np.asarray(rho, float).ravel()
     zr = np.asarray(z, float).ravel() - p.d1
     R = rho * rho + zr * zr
@@ -431,6 +469,8 @@ def solve_ik_batch(p, rho, z, phi=0.0):
     rhs2 = (zr[row] - f4) / math.sin(p.alpha1)
     theta2 = _atan2((f2 * rhs1 + f1 * rhs2) / det, (f1 * rhs1 - f2 * rhs2) / det)
     theta3 = np.array([theta3_of_t(v) for v in t.tolist()], dtype=float)
+    for n in np.flatnonzero(solved & (mult == 1)).tolist():
+        theta2[n], theta3[n] = refine(p, f, R[row[n]], zr[row[n]], theta2[n], theta3[n])
     x0, y0, _ = fk_arrays(p, 0.0, theta2, theta3)
     theta1 = np.where(np.hypot(x0, y0) < 1e-12, 0.0,
                       np.broadcast_to(phi, rho.shape)[row] - _atan2(y0, x0))
@@ -453,3 +493,71 @@ def labels(maps, ik):
         out[k].append(SolutionLabel(JointConfig(*q), m, aspect[n], int(reduced[n]),
                                     on_boundary[n], aspect[n] < 0))
     return out
+
+
+# --------------------------------------------------------------------------
+# posture-change path search over cell tuples
+# --------------------------------------------------------------------------
+
+def find_nonsingular_path(p, maps, q_start, q_goal):
+    """topology.find_nonsingular_path with its A* state in dicts and a set
+    keyed by (i, j) cell tuples."""
+    scale = singularity_scale(p)
+    tol = PATH_DET_TOL * scale
+    for q in (q_start, q_goal):
+        if abs(float(det_jacobian(p, q.theta2, q.theta3))) <= tol:
+            raise StartOrGoalSingularError("configuration is singular within tolerance")
+    amap = maps.aspects
+    n = amap.grid_n
+    h = amap.cell_size
+    start = amap.cell_of(q_start.theta2, q_start.theta3)
+    goal = amap.cell_of(q_goal.theta2, q_goal.theta3)
+    if amap.labels[start] != amap.labels[goal] or amap.labels[start] < 0:
+        return None
+    label = amap.labels[start]
+    det_abs = np.abs(amap.det_center) / scale
+    allowed = (amap.labels == label) & (np.abs(amap.det_center) > 3.0 * tol)
+    allowed[start] = True
+    allowed[goal] = True
+
+    def heuristic(c):
+        d2 = abs(wrap_float((c[0] - goal[0]) * h))
+        d3 = abs(wrap_float((c[1] - goal[1]) * h))
+        return math.hypot(d2, d3)
+
+    dist = {start: 0.0}
+    prev = {}
+    pq = [(heuristic(start), start)]
+    visited = set()
+    while pq:
+        _, cur = heapq.heappop(pq)
+        if cur == goal:
+            break
+        if cur in visited:
+            continue
+        visited.add(cur)
+        i, j = cur
+        for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+            nb = ((i + di) % n, (j + dj) % n)
+            if not allowed[nb]:
+                continue
+            cost = h * (1.0 + 0.05 / (float(det_abs[nb]) + 1e-3))
+            nd = dist[cur] + cost
+            if nd < dist.get(nb, math.inf):
+                dist[nb] = nd
+                prev[nb] = cur
+                heapq.heappush(pq, (nd + heuristic(nb), nb))
+    if goal not in dist:
+        return None
+    cells = [goal]
+    while cells[-1] != start:
+        cells.append(prev[cells[-1]])
+    cells.reverse()
+    pts = [np.array([q_start.theta2, q_start.theta3])]
+    for c in cells[1:-1]:
+        pts.append(np.array(amap.center(*c)))
+    pts.append(np.array([q_goal.theta2, q_goal.theta3]))
+    waypoints = np.array(pts)
+    path = JointPath(waypoints, q_start.theta1, q_goal.theta1, 0.0)
+    check = verify_path(p, path)
+    return JointPath(waypoints, q_start.theta1, q_goal.theta1, check.min_det)

@@ -1,5 +1,7 @@
-"""The root engine, the conic stack and the labels against the references in
-engine_refs, bit for bit, plus the engine's work bounds per call."""
+"""The root engine, the conic stack, the IK slot, the labels and the path
+search against the references in engine_refs, bit for bit, plus the engine's
+work bounds per call."""
+import itertools
 import math
 
 import numpy as np
@@ -7,10 +9,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuspidal import DhParams, JointConfig, build_topology, cross_section, forward_kinematics
+from cuspidal import (
+    CrossSectionPoint,
+    DhParams,
+    JointConfig,
+    build_topology,
+    cross_section,
+    forward_kinematics,
+)
 from cuspidal import reduction, topology
+from cuspidal.dh import fk_arrays
 from cuspidal.geometry import TorusCurveIndex, torus_dists
 from cuspidal.reduction import (
+    _base_xy,
     _quartic_stack,
     f_coefficients,
     solve_ik,
@@ -173,6 +184,98 @@ def test_label_solutions_bits_equal_reference(name, analysis):
         assert repr(one) == repr([ref[k]])
 
 
+def test_base_xy_is_fk_arrays_at_theta1_zero():
+    """x and y bit for bit, signed zeros included, on angles and robots with
+    -0.0 and on the quarter turns where products vanish exactly."""
+    angles = np.array([0.0, -0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi, 1.0, -2.5])
+    th2, th3 = (a.ravel() for a in np.meshgrid(angles, angles))
+    # parameters of +-0.0 and 1.0: end effectors at x or y = -0.0, which the
+    # products by 0.0 turn into +0.0 on one side of the other coordinate
+    zeros = [DhParams(*v) for v in itertools.product((0.0, -0.0, 1.0), repeat=8)]
+    for p in _robots() + zeros:
+        x, y, _ = fk_arrays(p, 0.0, th2, th3)
+        bx, by = _base_xy(p, th2, th3)
+        assert _same_bits(bx, x) and _same_bits(by, y), p
+
+
+def _pose_checks(p, maps, pose):
+    """solve_ik and then label_solutions of one pose, as a query makes
+    them, each against the reference engine run cold."""
+    rho = math.hypot(pose.x, pose.y)
+    phi = math.atan2(pose.y, pose.x) if rho > 1e-14 else 0.0
+    ref = engine_refs.solve_ik_batch(p, rho, pose.z, phi)
+    assert repr(solve_ik(p, pose)) == repr(ref.solution_set(0))
+    got = topology.label_solutions(p, maps, CrossSectionPoint(rho, pose.z))
+    ref = engine_refs.labels(maps, engine_refs.solve_ik_batch(p, rho, pose.z))
+    assert repr(got) == repr(ref[0])
+
+
+def _fk_poses(p, rng, n):
+    return [forward_kinematics(p, JointConfig(*rng.uniform(-math.pi, math.pi, 3)))
+            for _ in range(n)]
+
+
+@pytest.fixture(scope="module")
+def query_maps(analysis):
+    return {name: build_topology(BATTERY[name], analysis.curves(BATTERY[name]), TEST_GRID)
+            for name in ("orthogonal_cuspidal", "orthogonal_node")}
+
+
+def test_ik_then_labels_of_one_target_equal_reference(query_maps):
+    p = BATTERY["orthogonal_cuspidal"]
+    for pose in _fk_poses(p, np.random.default_rng(21), 12):
+        _pose_checks(p, query_maps["orthogonal_cuspidal"], pose)
+
+
+def test_robots_alternating_as_queries_do_equal_reference(query_maps):
+    rng = np.random.default_rng(22)
+    for _ in range(8):
+        for name, maps in query_maps.items():
+            _pose_checks(BATTERY[name], maps, _fk_poses(BATTERY[name], rng, 1)[0])
+
+
+def test_one_target_on_two_robots_equals_reference():
+    a, b = BATTERY["orthogonal_cuspidal"], BATTERY["nonortho_cuspidal"]
+    cs = cross_section(forward_kinematics(a, JointConfig(0.2, 0.7, -1.1)))
+    for p in (a, b, a):
+        assert _same_ik(solve_ik_batch(p, cs.rho, cs.z, 0.4),
+                        engine_refs.solve_ik_batch(p, cs.rho, cs.z, 0.4))
+
+
+def test_signed_zeros_are_other_targets_and_robots():
+    """rho = -0.0 after 0.0, z = -0.7 after 0.5 at the same rho, and a robot
+    whose d1 is -0.0 after its twin with 0.0 (equal as DhParams; z - d1
+    differs in its sign at z = +-0.0)."""
+    p = BATTERY["orthogonal_cuspidal"]
+    twin = DhParams(-0.0, *(getattr(p, k) for k in ("d2", "d3", "a1", "a2", "a3",
+                                                     "alpha1", "alpha2")))
+    assert twin == p
+    for robot, rho, z in ((p, 0.0, 1.5), (p, -0.0, 1.5), (p, 2.0, 0.5), (p, 2.0, -0.7),
+                          (p, 2.0, 0.0), (twin, 2.0, 0.0),
+                          (twin, 2.0, -0.0), (p, 2.0, -0.0)):
+        assert _same_ik(solve_ik_batch(robot, rho, z, 0.3),
+                        engine_refs.solve_ik_batch(robot, rho, z, 0.3))
+
+
+def test_one_target_then_a_batch_that_starts_with_it():
+    p = BATTERY["nonortho_noncuspidal"]
+    rho, z = _targets(p, np.random.default_rng(23), 3)
+    rho, z = rho[:5], z[:5]
+    for k in (1, 5, 1):
+        assert _same_ik(solve_ik_batch(p, rho[:k], z[:k], 0.1),
+                        engine_refs.solve_ik_batch(p, rho[:k], z[:k], 0.1))
+
+
+def test_mutating_a_result_leaves_the_next_call_alone():
+    p = BATTERY["ellipse_conic"]
+    rho, z = _targets(p, np.random.default_rng(24), 4)
+    first = solve_ik_batch(p, rho, z, 0.5)
+    for name in ("row", "t", "mult", "theta", "solved", "status"):
+        getattr(first, name)[...] = 1
+    assert _same_ik(solve_ik_batch(p, rho, z, 0.5), engine_refs.solve_ik_batch(p, rho, z, 0.5))
+    assert _same_ik(solve_ik_batch(p, rho, z, -0.5), engine_refs.solve_ik_batch(p, rho, z, -0.5))
+
+
 def test_torus_dists_of_both_indexes_is_the_smaller_distance():
     rng = np.random.default_rng(3)
     loops = [rng.uniform(-math.pi, math.pi, (40, 2)), rng.uniform(-math.pi, math.pi, (25, 2))]
@@ -255,9 +358,50 @@ def test_repeated_solve_ik_evaluates_f_coefficients_once(monkeypatch):
     assert len(calls) == 2
 
 
+def test_ik_and_labels_of_one_target_make_one_engine_pass(monkeypatch, query_maps):
+    calls = []
+    engine = reduction.solve_quartics
+    monkeypatch.setattr(reduction, "solve_quartics", lambda m: calls.append(1) or engine(m))
+    p = BATTERY["orthogonal_cuspidal"]
+    maps = query_maps["orthogonal_cuspidal"]
+    # a configuration no other test uses, so the slot does not hold its target
+    for k, q in enumerate([(0.123, 0.456, -0.789), (-0.321, 0.654, 0.987)]):
+        pose = forward_kinematics(p, JointConfig(*q))
+        solve_ik(p, pose)
+        topology.label_solutions(p, maps, CrossSectionPoint(math.hypot(pose.x, pose.y), pose.z))
+        assert len(calls) == k + 1
+
+
 def test_f_coefficients_are_shared_read_only():
     f = f_coefficients(REFERENCE)
     assert f is f_coefficients(DhParams(*(float(v) for v in (0, 1, 0, 1, 2, 1.5)),
                                         -math.pi / 2, math.pi / 2))
     with pytest.raises(ValueError):
         f.u[0] = 1.0
+
+
+# --------------------------------------------------------------------------
+# posture-change paths
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", ["orthogonal_cuspidal", "nonortho_cuspidal", "orthogonal_node"])
+def test_path_search_equals_the_cell_tuple_reference(name, analysis):
+    """The first two same-aspect pairs (none on orthogonal_node) and two
+    pairs in different aspects of clean labels of FK targets."""
+    p = BATTERY[name]
+    maps = build_topology(p, analysis.curves(p), TEST_GRID)
+    rho, z = _targets(p, np.random.default_rng(len(name) + 2), 60)
+    same, other = [], []
+    for labels in topology.label_solutions_batch(p, maps, rho, z):
+        clean = [l for l in labels or [] if not (l.on_boundary or l.singular_cell)]
+        for a, b in itertools.combinations(clean, 2):
+            (same if a.aspect == b.aspect else other).append((a.config, b.config))
+    assert len(same) >= 2 or name == "orthogonal_node"
+    for qa, qb in same[:2] + other[:2]:
+        got = topology.find_nonsingular_path(p, maps, qa, qb)
+        ref = engine_refs.find_nonsingular_path(p, maps, qa, qb)
+        assert (got is None) == (ref is None)
+        if got is not None:
+            assert _same_bits(got.waypoints, ref.waypoints)
+            assert (got.theta1_start, got.theta1_end) == (ref.theta1_start, ref.theta1_end)
+            assert _same_bits(got.min_det, ref.min_det)

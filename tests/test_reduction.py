@@ -294,6 +294,20 @@ def test_round_trip_contains_original(rng):
         assert best < 1e-8
 
 
+@pytest.mark.parametrize("q", [(1.6316193523099392, 1.2931474901593232, 1.910596469831762),
+                               (0.35416314401972837, -1.3051438689355028, -1.9106186115608335)])
+def test_round_trip_next_to_a_full_circle_of_s(q):
+    """Configurations 3.7e-5 and 1.5e-5 rad from NODE_ROBOT's full S circle
+    theta3 = +-arccos(-1/3), where the quartic's two roots lie ~2e-4 apart:
+    the back-substituted angles missed them by 1.0e-8 and 3.6e-8 before
+    the Newton step on the back-substitution equations."""
+    q = JointConfig(*q)
+    sols = solve_ik(NODE_ROBOT, forward_kinematics(NODE_ROBOT, q))
+    best = min(max(_angle_gap(s.config.theta1, q.theta1), _angle_gap(s.config.theta2, q.theta2),
+                   _angle_gap(s.config.theta3, q.theta3)) for s in sols.solutions)
+    assert best <= 1e-8
+
+
 def test_solutions_reproduce_target(rng):
     for _ in range(300):
         p = random_valid_params(rng)

@@ -1,6 +1,7 @@
 """Static checks on the source tree, written with `ast` since no linter is a
-dependency: one root-acceptance rule, no unused imports, no per-cell loop over a
-2-D mask, and no heavyweight third-party module imported when the package loads."""
+dependency: one root-acceptance rule, the root engine called only where no IK
+result is built, no unused imports, no per-cell loop over a 2-D mask, and no
+heavyweight third-party module imported when the package loads."""
 import ast
 import os
 import pathlib
@@ -32,6 +33,26 @@ def _root_rule_names(tree) -> list:
             if any(a.name == "cluster_real_roots" for a in node.names):
                 lines.append(node.lineno)
     return lines
+
+
+def _callers(tree, name: str) -> list:
+    """(innermost enclosing function or "<module>", line) of every call of
+    `name`, bare or as an attribute."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if isinstance(node, ast.Call):
+            f = node.func
+            if (isinstance(f, ast.Name) and f.id == name) or (
+                    isinstance(f, ast.Attribute) and f.attr == name):
+                found.append((scope, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "<module>")
+    return found
 
 
 def _unused_imports(tree) -> list:
@@ -73,6 +94,21 @@ def test_only_reduction_names_the_root_rule(path):
         assert lines
     else:
         assert lines == [], f"{path.name} names np.roots or cluster_real_roots at {lines}"
+
+
+# Every IK result comes from reduction's cross-section stage, whose slot lets
+# a target's solve_ik and label_solutions share one engine pass; the census
+# counts and the one-quartic API call the engine without building IK.
+SOLVE_QUARTICS_CALLERS = {"_solve_cross_section", "ik_counts", "solve_quartic"}
+
+
+def test_only_the_cross_section_stage_and_the_counts_call_the_root_engine():
+    callers = {path.name: _callers(_tree(path), "solve_quartics")
+               for path in [*PACKAGE.glob("*.py"), *(ROOT / "scripts").glob("*.py")]}
+    outside = {name: found for name, found in callers.items()
+               if any(scope not in SOLVE_QUARTICS_CALLERS for scope, _ in found)}
+    assert outside == {}
+    assert {scope for scope, _ in callers["reduction.py"]} == SOLVE_QUARTICS_CALLERS
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
@@ -138,3 +174,6 @@ def test_checks_see_what_they_look_for():
                      "for k in np.nonzero(m)[0]:\n    pass\n"
                      "for i, j in zip(a, b):\n    pass\n")
     assert _mask_cell_loops(tree) == [1, 3]
+    tree = ast.parse("solve_quartics(m)\ndef f():\n    def g():\n        r.solve_quartics(m)\n"
+                     "    return solve_quartics\n")
+    assert _callers(tree, "solve_quartics") == [("<module>", 1), ("g", 4)]
