@@ -38,6 +38,7 @@ log = logging.getLogger(__name__)
 DEFAULT_GRID_N = 720
 _REFINE_TOL = 1e-13  # target |det J| / scale after vertex refinement
 _NEWTON_MAX_ITER = 50
+_NEWTON_FLOOR = 1e-24         # ||F||^2 a stopped Newton seed counts as converged at
 _HALVINGS = 25                # line-search lambdas per Newton step: 1, 1/2, ..., 2^-24
 CUSP_RESIDUAL_TOL = 1e-7
 CUSP_THIRD_DERIV_MIN = 1e-4
@@ -251,15 +252,15 @@ def _centers(grid_n: int) -> np.ndarray:
     return -math.pi + h * (np.arange(grid_n) + 0.5)
 
 
-def _center_field(field, grid_n: int, rows: int = 48) -> np.ndarray:
-    """field(theta2, theta3) at the cell centers, evaluated in row blocks so
-    that the temporaries stay small.  `field` gets the block's theta2 as a
+def _center_field(field, grid_n: int) -> np.ndarray:
+    """field(theta2, theta3) at the cell centers, evaluated in blocks of 48
+    rows so that the temporaries stay small.  `field` gets the block's theta2 as a
     column and theta3 as a row and must broadcast them elementwise, so each
     value is the one a full lattice gives while the trig runs on the axes."""
     th = _centers(grid_n)
     out = np.empty((grid_n, grid_n))
-    for i in range(0, grid_n, rows):
-        out[i:i + rows] = field(th[i:i + rows, None], th[None, :])
+    for i in range(0, grid_n, 48):
+        out[i:i + 48] = field(th[i:i + 48, None], th[None, :])
     return out
 
 
@@ -424,13 +425,13 @@ def _lstsq_steps(jac, fval):
     return steps, solved
 
 
-def _damped_newton(fun_jac, x0, max_iter: int = _NEWTON_MAX_ITER, tol: float = 0.0):
+def _damped_newton(fun_jac, x0):
     """Damped (Gauss-)Newton with step halving on ||F||^2, over a batch of seeds.
 
     `fun_jac(x, rows)` evaluates the systems of seeds `rows` (indices into
     the batch, repeated when a seed is tried at several points) at x of
     shape (len(rows), n) and returns F (len(rows), m) and J (len(rows), m, n).
-    Each seed runs as it would alone: up to max_iter steps from least
+    Each seed runs as it would alone: up to _NEWTON_MAX_ITER steps from least
     squares, so rank-deficient Jacobians (symmetry slices, overdetermined
     certification systems) degrade gracefully to the minimum-norm direction
     instead of blowing up; each step takes the first lambda of 1, 1/2, ...,
@@ -438,7 +439,8 @@ def _damped_newton(fun_jac, x0, max_iter: int = _NEWTON_MAX_ITER, tol: float = 0
     first step where none does.  The line search costs at most two fun_jac
     calls per iteration: lambda = 1 for every active seed, then all the
     smaller lambdas of the seeds still pending, stacked in one call.
-    Returns x (K, n) and a (K,) converged mask.
+    Returns x (K, n) and a (K,) converged mask: ||F|| = 0 reached, or
+    ||F||^2 <= _NEWTON_FLOOR where the seed stopped.
     """
     x = np.array(x0, float)
     k, n = x.shape
@@ -446,10 +448,9 @@ def _damped_newton(fun_jac, x0, max_iter: int = _NEWTON_MAX_ITER, tol: float = 0
     norm2 = np.sum(fval * fval, axis=1)
     ok = np.zeros(k, dtype=bool)
     done = np.zeros(k, dtype=bool)
-    floor = max(tol * tol, 1e-24)
     lams = 0.5 ** np.arange(1, _HALVINGS)      # every lambda after the first
-    for _ in range(max_iter):
-        reached = ~done & (norm2 <= tol * tol)
+    for _ in range(_NEWTON_MAX_ITER):
+        reached = ~done & (norm2 == 0.0)
         ok |= reached
         done |= reached
         act = np.nonzero(~done)[0]
@@ -478,9 +479,9 @@ def _damped_newton(fun_jac, x0, max_iter: int = _NEWTON_MAX_ITER, tol: float = 0
             up = rows[better]
             x[up], fval[up], jac[up], norm2[up] = xn[pick], fn[pick], jn[pick], n2[pick]
             rows = rows[~better]
-        ok[rows] = norm2[rows] <= floor
+        ok[rows] = norm2[rows] <= _NEWTON_FLOOR
         done[rows] = True
-    ok[~done] = norm2[~done] <= floor
+    ok[~done] = norm2[~done] <= _NEWTON_FLOOR
     return x, ok
 
 

@@ -7,6 +7,9 @@ import numpy as np
 
 from .dh import TWO_PI, wrap_angle
 
+# segments each torus distance query measures, by midpoint nearness
+_NEAR_SEGMENTS = 16
+
 
 def seg_intersect_many(a0, a1, b0, b1):
     """Proper intersections of segment pairs [a0, a1], [b0, b1], endpoints (k, 2) each.
@@ -44,12 +47,6 @@ def polyline_min_dist(point, polylines) -> float:
 # --------------------------------------------------------------------------
 # torus-aware helpers: points live in [-pi, pi)^2, segments take the short way
 # --------------------------------------------------------------------------
-
-def unwrap_segment(a, b):
-    """Endpoint b shifted to the representative nearest to a."""
-    d = wrap_angle(np.asarray(b, float) - np.asarray(a, float))
-    return np.asarray(a, float), np.asarray(a, float) + d
-
 
 def split_torus_polyline(vertices, closed: bool, jump: float = math.pi):
     """Split a torus polyline into planar pieces with no wrap jumps.
@@ -98,31 +95,32 @@ class TorusCurveIndex:
             self.tree = cKDTree(np.vstack(tiles))
             self.tile_of = np.tile(np.arange(len(self.seg_a)), 9)
 
-    def dist(self, point, k: int = 16) -> float:
-        return float(self.dists(point, k)[0])
+    def dist(self, point) -> float:
+        return float(self.dists(point)[0])
 
-    def dists(self, points, k: int = 16) -> np.ndarray:
+    def dists(self, points) -> np.ndarray:
         """Torus distances from a point or an (m, 2) point array to the
         indexed curves, minimised over the segments whose midpoints are the
-        k nearest."""
-        return torus_dists((self,), points, k)
+        _NEAR_SEGMENTS nearest."""
+        return torus_dists((self,), points)
 
-    def near_segments(self, pts: np.ndarray, k: int):
+    def near_segments(self, pts: np.ndarray):
         """Endpoints (a, b), each (m, k, 2), of the segments whose midpoints
-        are the k nearest to each of the wrapped points pts (m, 2)."""
-        k = min(k, len(self.tile_of))
+        are the k = _NEAR_SEGMENTS nearest to each of the wrapped points pts
+        (m, 2), or all of them when there are fewer."""
+        k = min(_NEAR_SEGMENTS, len(self.tile_of))
         _, idx = self.tree.query(pts, k=k)
         seg = self.tile_of[np.reshape(idx, (len(pts), k))]
         return self.seg_a[seg], self.seg_b[seg]
 
 
-def torus_dists(indexes, points, k: int = 16) -> np.ndarray:
+def torus_dists(indexes, points) -> np.ndarray:
     """Torus distances from a point or an (m, 2) point array to the union of
-    the indexes' curves: each index lists its k nearest-midpoint segments,
+    the indexes' curves: each index lists its nearest-midpoint segments,
     and one pass measures them all.  The minimum over the union is the
     minimum of the per-index minima, bit for bit."""
     pts = wrap_angle(np.asarray(points, float).reshape(-1, 2))
-    near = [index.near_segments(pts, k) for index in indexes if not index.empty]
+    near = [index.near_segments(pts) for index in indexes if not index.empty]
     if not near:
         return np.full(len(pts), math.inf)
     a, b = near[0] if len(near) == 1 else (np.concatenate(ends, axis=1) for ends in zip(*near))

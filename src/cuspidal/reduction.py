@@ -481,13 +481,14 @@ def _derivative(coeffs: np.ndarray, order) -> np.ndarray:
     return coeffs[rows, _JET_INDEX[order]] * _JET_WEIGHT[order]
 
 
+_ROOT_NEWTON_ITERS = 12
 # the line search's step fractions after a full step: 2^-1 ... 2^-7
 _HALF_STEPS = np.ldexp(1.0, -np.arange(1, 8))[:, None]
 
 
-def _polish_plain(coeffs: np.ndarray, t: np.ndarray, iters: int = 18):
-    """Line-searched Newton on M itself, one quartic row per root; contracts
-    multiple-root scatter.
+def _polish_plain(coeffs: np.ndarray, t: np.ndarray):
+    """Line-searched Newton on M itself, one quartic row per root, for up to
+    18 steps; contracts multiple-root scatter.
 
     Each root runs as it would alone: every step is halved up to 7 times
     until |M| drops, and a root stops at a zero or non-finite slope, at a
@@ -501,7 +502,7 @@ def _polish_plain(coeffs: np.ndarray, t: np.ndarray, iters: int = 18):
     f = _horner(coeffs, t)                  # M at the current iterate
     best_t, best_val = t.copy(), np.abs(f)
     act = np.arange(len(t))
-    for _ in range(iters):
+    for _ in range(18):
         df = _horner(dcoeffs[act], t[act])
         ok = (df != 0.0) & np.isfinite(df)
         act = act[ok]
@@ -530,10 +531,10 @@ def _polish_plain(coeffs: np.ndarray, t: np.ndarray, iters: int = 18):
     return best_t, best_val
 
 
-def _polish_root(coeffs: np.ndarray, t: np.ndarray, mult: np.ndarray,
-                 iters: int = 12) -> np.ndarray:
-    """Newton polishing on the (mult-1)-th derivative, where the root is
-    simple; one quartic row per root, each keeping its best iterate.
+def _polish_root(coeffs: np.ndarray, t: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    """Up to _ROOT_NEWTON_ITERS Newton steps on the (mult-1)-th derivative,
+    where the root is simple; one quartic row per root, each keeping its best
+    iterate.
 
     One Horner call per iteration gives the value and the slope at the new
     iterates.  A root stops at a zero slope, at a zero value, or at a step
@@ -546,10 +547,10 @@ def _polish_root(coeffs: np.ndarray, t: np.ndarray, mult: np.ndarray,
     t = t.copy()
     f, df = _horner(pair, t[:, None]).T.copy()
     best_t, best_val = t.copy(), np.abs(f)
-    seen = np.empty((len(t), iters + 1))
+    seen = np.empty((len(t), _ROOT_NEWTON_ITERS + 1))
     seen[:, 0] = t
     act = np.arange(len(t))
-    for it in range(1, iters + 1):
+    for it in range(1, _ROOT_NEWTON_ITERS + 1):
         act = act[df[act] != 0.0]
         tn = t[act] - f[act] / df[act]
         new = ~np.any(seen[act, :it] == tn[:, None], axis=1)
@@ -807,10 +808,6 @@ def _base_xy(p: DhParams, theta2, theta3):
     return wx - 0.0 * wy, 0.0 * wx + wy
 
 
-# A refinement step that moves an angle this far is not a rounding fix.
-_REFINE_MAX_STEP = 1e-6
-
-
 def _back_substitution(p: DhParams, f: FCoefficients, R, zr, theta2, theta3, jacobian: bool):
     """Residuals (e1, e2) of the two equations theta2 is solved from,
 
@@ -833,15 +830,32 @@ def _back_substitution(p: DhParams, f: FCoefficients, R, zr, theta2, theta3, jac
     return e1, e2, (-b, g1 * c2 + g2 * s2 + g3 / two_a1, a, g1 * s2 - g2 * c2 + g4 / sa1)
 
 
-def _refine(p: DhParams, f: FCoefficients, R, zr, theta2, theta3, mask):
+_SELF_GAP = np.diag(np.full(4, math.pi))      # a root's gap to itself in _half_gaps
+
+
+def _half_gaps(row, slot, theta2, theta3, solved, k_rows: int) -> np.ndarray:
+    """Per solved root, half its distance to the nearest other solved root
+    of its target: the larger of the theta2 and theta3 gaps on the circle,
+    pi (the farthest two points can be) when there is no other.  NaN for an
+    unsolved root."""
+    ang = np.full((2, k_rows, 4), np.nan)
+    ang[:, row, slot] = np.where(solved, (theta2, theta3), np.nan)
+    gap = np.abs(ang[:, :, :, None] - ang[:, :, None, :])
+    gap = np.max(np.minimum(gap, TWO_PI - gap), axis=0) + _SELF_GAP
+    return 0.5 * np.fmin.reduce(gap, axis=2)[row, slot]
+
+
+def _refine(p: DhParams, f: FCoefficients, R, zr, theta2, theta3, mask, cap):
     """One Newton step on the back-substitution equations for the roots in
-    `mask`, one (theta2, theta3, R, zr) per root.
+    `mask`, one (theta2, theta3, R, zr, cap) per root.
 
     A simple root of M close to another is only known to the quartic's
     conditioning, and theta2's 1 / (F1^2 + F2^2) amplifies that; one step on
     the equations themselves takes the angles to their rounding floor.  A
     root keeps the step only when it lowers e1^2 + e2^2 and moves each angle
-    by less than _REFINE_MAX_STEP.
+    by less than its cap, half the distance to the nearest other root of its
+    target (_half_gaps), so a refined root stays nearer to where it started
+    than to any other root.
     """
     e1, e2, (j11, j12, j21, j22) = _back_substitution(p, f, R, zr, theta2, theta3, True)
     with np.errstate(all="ignore"):
@@ -850,7 +864,7 @@ def _refine(p: DhParams, f: FCoefficients, R, zr, theta2, theta3, mask):
         d3 = (j11 * e2 - j21 * e1) / det
         t2, t3 = theta2 - d2, theta3 - d3
         n1, n2 = _back_substitution(p, f, R, zr, t2, t3, False)
-        keep = (mask & (np.abs(d2) < _REFINE_MAX_STEP) & (np.abs(d3) < _REFINE_MAX_STEP)
+        keep = (mask & (np.abs(d2) < cap) & (np.abs(d3) < cap)
                 & (n1 * n1 + n2 * n2 < e1 * e1 + e2 * e2))
     return np.where(keep, t2, theta2), np.where(keep, t3, theta3)
 
@@ -900,7 +914,8 @@ def _solve_cross_section(p: DhParams, rho: np.ndarray, zr: np.ndarray) -> _Cross
     rhs2 = (zr_root - f4) / math.sin(p.alpha1)
     theta2 = _atan2((f2 * rhs1 + f1 * rhs2) / det, (f1 * rhs1 - f2 * rhs2) / det)
     theta3 = np.array([theta3_of_t(v) for v in t.tolist()], dtype=float)
-    theta2, theta3 = _refine(p, f, R_root, zr_root, theta2, theta3, solved & (mult == 1))
+    theta2, theta3 = _refine(p, f, R_root, zr_root, theta2, theta3, solved & (mult == 1),
+                             _half_gaps(row, slot, theta2, theta3, solved, len(rho)))
     x0, y0 = _base_xy(p, theta2, theta3)
     order = np.lexsort((np.where(solved, wrap_angle(theta3), np.inf), row))
     stage = _CrossSectionIk(row, t, mult, theta2, theta3, solved, status, order,

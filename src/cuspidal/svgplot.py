@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 
+from .critical import _mixed_cells
 from .dh import TWO_PI, CrossSectionPoint, DhParams
 from .errors import CuspidalError
 from .geometry import split_torus_polyline
@@ -18,6 +19,8 @@ VIEW_W = 800.0
 VIEW_H = 600.0
 MARGIN = 48.0
 MARKER_RADIUS = 6.0
+SHADE_BLOCKS = 90     # aspect shading squares per side of the joint-space plot
+C3S3_GRID = 240      # conic samples per side of the c3s3 plot
 
 _STYLE = """\
   <style>
@@ -109,11 +112,11 @@ def render_workspace(workspace_curves, cusps, nodes) -> str:
     return cv.document()
 
 
-def render_jointspace(curves, ps, aspect_map, shade_blocks: int = 90) -> str:
+def render_jointspace(curves, ps, aspect_map) -> str:
     """S (blue), PS (red) and aspect shading on the (theta2, theta3) square."""
     cv = _Canvas(-math.pi, math.pi, -math.pi, math.pi)
     n = aspect_map.grid_n
-    step = max(1, n // shade_blocks)
+    step = max(1, n // SHADE_BLOCKS)
     h = TWO_PI / n
     for bi in range(0, n, step):
         for bj in range(0, n, step):
@@ -132,33 +135,27 @@ def render_jointspace(curves, ps, aspect_map, shade_blocks: int = 90) -> str:
 
 
 def _marching_squares_plane(values, xs, ys):
-    """Zero-level segments of a scalar field on a plane grid (no wrap)."""
-    segs = []
+    """Zero-level segments of a scalar field on a plane grid (no wrap), as
+    an (m, 2, 2) array of end points in row-major cell order: the cells of
+    critical._mixed_cells but its wrapping last row and column, each with
+    its crossed edges, in the turn bottom, right, top, left, joined in
+    pairs, the first two and, in a four-edge cell, the last two."""
     neg = values < 0
-    nx, ny = values.shape
-    for i in range(nx - 1):
-        for j in range(ny - 1):
-            corners = (neg[i, j], neg[i + 1, j], neg[i + 1, j + 1], neg[i, j + 1])
-            if all(corners) or not any(corners):
-                continue
-            pts = []
-            edges = (((i, j), (i + 1, j)), ((i + 1, j), (i + 1, j + 1)),
-                     ((i + 1, j + 1), (i, j + 1)), ((i, j + 1), (i, j)))
-            for (i0, j0), (i1, j1) in edges:
-                f0, f1 = values[i0, j0], values[i1, j1]
-                if (f0 < 0) != (f1 < 0):
-                    frac = f0 / (f0 - f1)
-                    pts.append((xs[i0] + frac * (xs[i1] - xs[i0]),
-                                ys[j0] + frac * (ys[j1] - ys[j0])))
-            if len(pts) == 2:
-                segs.append(pts)
-            elif len(pts) == 4:
-                segs.append(pts[:2])
-                segs.append(pts[2:])
-    return segs
+    ci, cj = np.nonzero(_mixed_cells(neg)[:-1, :-1])
+    i0 = np.column_stack([ci, ci + 1, ci + 1, ci])
+    j0 = np.column_stack([cj, cj, cj + 1, cj + 1])
+    i1, j1 = np.roll(i0, -1, axis=1), np.roll(j0, -1, axis=1)
+    f0 = values[i0, j0]
+    with np.errstate(divide="ignore", invalid="ignore"):   # uncrossed edges
+        frac = f0 / (f0 - values[i1, j1])
+    pts = np.stack([xs[i0] + frac * (xs[i1] - xs[i0]), ys[j0] + frac * (ys[j1] - ys[j0])], axis=-1)
+    crossed = neg[i0, j0] != neg[i1, j1]
+    first = np.argsort(~crossed, axis=1, kind="stable")
+    pairs = np.take_along_axis(pts, first[..., None], axis=1).reshape(-1, 2, 2, 2)
+    return pairs[np.column_stack([np.ones(len(ci), dtype=bool), np.all(crossed, axis=1)])]
 
 
-def render_c3s3(p: DhParams, target: CrossSectionPoint, grid: int = 240) -> str:
+def render_c3s3(p: DhParams, target: CrossSectionPoint) -> str:
     """Unit circle, the conic of the target point, and intersection markers.
 
     Unreachable targets render the conic with zero markers.
@@ -173,7 +170,7 @@ def render_c3s3(p: DhParams, target: CrossSectionPoint, grid: int = 240) -> str:
     circle_pts = [(math.cos(a), math.sin(a))
                   for a in np.linspace(0.0, TWO_PI, 257)]
     cv.polyline(circle_pts, "unit-circle")
-    xs = np.linspace(-lim, lim, grid)
+    xs = np.linspace(-lim, lim, C3S3_GRID)
     vals = conic.evaluate(xs[:, None], xs[None, :])
     d_parts = []
     for (x0, y0), (x1, y1) in _marching_squares_plane(vals, xs, xs):

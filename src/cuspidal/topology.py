@@ -15,13 +15,12 @@ points and asking whether two IK solutions ever share an aspect.
 from __future__ import annotations
 
 import functools
-import heapq
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse import coo_matrix, csr_matrix
+from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .dh import (
     TWO_PI,
@@ -33,11 +32,11 @@ from .dh import (
     singularity_scale,
     validate_params,
     wrap_angle,
-    wrap_float,
 )
 from .errors import NonGenericRobotError, StartOrGoalSingularError
-from .geometry import TorusCurveIndex, torus_dists, unwrap_segment
+from .geometry import TorusCurveIndex, torus_dists
 from .critical import (
+    CUSP_RESIDUAL_TOL,
     DEFAULT_GRID_N,
     CriticalSet,
     _center_field,
@@ -91,7 +90,8 @@ class AspectMap:
         j = ((wrap_angle(theta3) + math.pi) // h).astype(int) % self.grid_n
         return (int(i), int(j)) if np.ndim(i) == 0 else (i, j)
 
-    def center(self, i: int, j: int):
+    def center(self, i, j):
+        """Center (theta2, theta3) of cell (i, j), or arrays of them for index arrays."""
         h = self.cell_size
         return (-math.pi + (i + 0.5) * h, -math.pi + (j + 0.5) * h)
 
@@ -251,8 +251,9 @@ def _discriminant(p: DhParams, theta2, theta3):
     return quartic_discriminant(quartic_coeffs_from_conic(cc))
 
 
-def _refine_crossings(field, ids, th, f, iters: int = 36):
-    """Bisect the sign change of a field along each crossed grid edge.
+def _refine_crossings(field, ids, th, f):
+    """Bisect the sign change of a field along each crossed grid edge, 36
+    steps each.
 
     `ids` are the integer crossing-node ids `_marching_segments` gives for
     the samples `f` on th x th; returns their positions on the torus.
@@ -261,7 +262,7 @@ def _refine_crossings(field, ids, th, f, iters: int = 36):
     neg0 = f[ii, jj] < 0
     lo = np.zeros(len(ids))
     hi = np.ones(len(ids))
-    for _ in range(iters):
+    for _ in range(36):
         mid = 0.5 * (lo + hi)
         pts = start + mid[:, None] * step
         same = (field(pts[:, 0], pts[:, 1]) < 0) == neg0
@@ -395,92 +396,68 @@ def label_solutions(p: DhParams, maps: TopologyMaps, target: CrossSectionPoint):
 # paths
 # --------------------------------------------------------------------------
 
+def _path_graph(amap: AspectMap, allowed: np.ndarray, scale: float):
+    """The cells of `allowed` (flat, row-major) and the directed graph over
+    them: node k, the k-th cell, has an edge to each allowed cell among
+    (i +- 1, j) and (i, j +- 1) on the wrapped grid, weighted by the cost of
+    entering it, h (1 + 0.05 / (|det J| / scale + 1e-3)).  The grid-sized
+    temporaries die on return, before the search allocates its state."""
+    cells = np.flatnonzero(allowed)
+    node = np.full(allowed.shape, -1, dtype=np.int32)
+    node[allowed] = np.arange(len(cells), dtype=np.int32)
+    to = np.column_stack([np.roll(node, shift, axis=axis).ravel()[cells]
+                          for shift, axis in ((-1, 0), (1, 0), (-1, 1), (1, 1))])
+    edge = to >= 0
+    indptr = np.insert(np.cumsum(np.count_nonzero(edge, axis=1), dtype=np.int32), 0, 0)
+    to = to[edge]
+    cost = amap.cell_size * (1.0 + 0.05 / (np.abs(amap.det_center.ravel()[cells]) / scale + 1e-3))
+    return cells, csr_matrix((cost[to], to, indptr), shape=(len(cells),) * 2)
+
+
 def find_nonsingular_path(p: DhParams, maps: TopologyMaps,
                           q_start: JointConfig, q_goal: JointConfig) -> JointPath | None:
-    """A* on the aspect grid between two configurations, or None when they
-    lie in different aspects.  theta1 is irrelevant to singularities and is
-    carried only at the endpoints."""
+    """Cheapest path between two configurations through the open cells of
+    their aspect (|det J| > 3 PATH_DET_TOL L^3, plus the end cells), from one
+    Dijkstra run on _path_graph, or None when they lie in different aspects.
+    theta1 is irrelevant to singularities and is carried only at the ends."""
     scale = singularity_scale(p)
     tol = PATH_DET_TOL * scale
     for q in (q_start, q_goal):
         if abs(float(det_jacobian(p, q.theta2, q.theta3))) <= tol:
             raise StartOrGoalSingularError("configuration is singular within tolerance")
     amap = maps.aspects
-    n = amap.grid_n
-    h = amap.cell_size
     start = amap.cell_of(q_start.theta2, q_start.theta3)
     goal = amap.cell_of(q_goal.theta2, q_goal.theta3)
     if amap.labels[start] != amap.labels[goal] or amap.labels[start] < 0:
         return None
-    label = amap.labels[start]
-    det_abs = np.abs(amap.det_center) / scale
-    allowed = (amap.labels == label) & (np.abs(amap.det_center) > 3.0 * tol)
-    allowed[start] = True
-    allowed[goal] = True
-
-    def heuristic(i, j):
-        d2 = abs(wrap_float((i - goal[0]) * h))
-        d3 = abs(wrap_float((j - goal[1]) * h))
-        return math.hypot(d2, d3)
-
-    # state over the flat cell index i * n + j, whose order is the order of
-    # (i, j), so heap ties break as they would on the cell tuples
-    open_cell = allowed.ravel()
-    cost = (h * (1.0 + 0.05 / (det_abs + 1e-3))).ravel()
-    dist = np.full(n * n, math.inf)
-    prev = np.full(n * n, -1, dtype=np.intp)
-    visited = np.zeros(n * n, dtype=bool)
-    first, last = start[0] * n + start[1], goal[0] * n + goal[1]
-    dist[first] = 0.0
-    pq = [(heuristic(*start), first)]
-    while pq:
-        _, cur = heapq.heappop(pq)
-        if cur == last:
-            break
-        if visited[cur]:
-            continue
-        visited[cur] = True
-        i, j = divmod(cur, n)
-        base = float(dist[cur])
-        for ni, nj in (((i + 1) % n, j), ((i - 1) % n, j), (i, (j + 1) % n), (i, (j - 1) % n)):
-            nb = ni * n + nj
-            if not open_cell[nb]:
-                continue
-            nd = base + float(cost[nb])
-            if nd < dist[nb]:
-                dist[nb] = nd
-                prev[nb] = cur
-                heapq.heappush(pq, (nd + heuristic(ni, nj), nb))
+    allowed = (amap.labels == amap.labels[start]) & (np.abs(amap.det_center) > 3.0 * tol)
+    allowed[start] = allowed[goal] = True
+    cells, graph = _path_graph(amap, allowed, scale)
+    first, last = (int(np.searchsorted(cells, i * amap.grid_n + j)) for i, j in (start, goal))
+    dist, prev = dijkstra(graph, indices=first, return_predecessors=True)
     if dist[last] == math.inf:
         return None
-    cells = [last]
-    while cells[-1] != first:
-        cells.append(int(prev[cells[-1]]))
-    cells.reverse()
-    pts = [np.array([q_start.theta2, q_start.theta3])]
-    for c in cells[1:-1]:
-        pts.append(np.array(amap.center(*divmod(c, n))))
-    pts.append(np.array([q_goal.theta2, q_goal.theta3]))
-    waypoints = np.array(pts)
+    route = [last]
+    while route[-1] != first:
+        route.append(int(prev[route[-1]]))
+    inner = np.column_stack(amap.center(*np.divmod(cells[route[-2:0:-1]], amap.grid_n)))
+    waypoints = np.vstack([(q_start.theta2, q_start.theta3), inner, (q_goal.theta2, q_goal.theta3)])
     path = JointPath(waypoints, q_start.theta1, q_goal.theta1, 0.0)
-    check = verify_path(p, path)
-    return JointPath(waypoints, q_start.theta1, q_goal.theta1, check.min_det)
+    return JointPath(waypoints, q_start.theta1, q_goal.theta1, verify_path(p, path).min_det)
 
 
 def verify_path(p: DhParams, path: JointPath, samples_per_segment: int = 10) -> PathCheck:
-    """Dense |det J| audit along the path; valid iff min > 1e-4 scale."""
-    scale = singularity_scale(p)
+    """Dense |det J| audit along the path, every segment (the short way
+    round the torus) sampled in one call; valid iff min > 1e-4 scale."""
     w = path.waypoints
-    min_det = math.inf
     if len(w) == 1:
-        min_det = abs(float(det_jacobian(p, w[0, 0], w[0, 1])))
-    for k in range(len(w) - 1):
-        a, b = unwrap_segment(w[k], w[k + 1])
-        ts = np.linspace(0.0, 1.0, max(samples_per_segment, 2))
-        pts = a[None, :] + ts[:, None] * (b - a)[None, :]
-        vals = np.abs(det_jacobian(p, pts[:, 0], pts[:, 1]))
-        min_det = min(min_det, float(np.min(vals)))
-    return PathCheck(min_det, min_det > PATH_DET_TOL * scale)
+        w = np.vstack([w, w])        # one waypoint: a segment of length zero
+    a = w[:-1]
+    b = a + wrap_angle(w[1:] - a)
+    ts = np.linspace(0.0, 1.0, max(samples_per_segment, 2))
+    pts = a[:, None, :] + ts[None, :, None] * (b - a)[:, None, :]
+    min_det = float(np.min(np.abs(det_jacobian(p, pts[..., 0], pts[..., 1])), initial=math.inf))
+    return PathCheck(min_det, min_det > PATH_DET_TOL * singularity_scale(p))
 
 
 # --------------------------------------------------------------------------
@@ -588,6 +565,13 @@ def is_cuspidal(p: DhParams, grid_n: int = DEFAULT_GRID_N, census_n: int = 128,
         # same-aspect oracle cannot inspect the regions where pairs may live
         anomalies.append("four-solution regions unresolved at this resolution")
 
+    if (len(cusps) > 0) != (witness is not None):
+        res = ", ".join(f"{max(c.res_m, c.res_m1, c.res_m2):.3g}" for c in cusps) or "none"
+        anomalies.append(
+            f"pillars disagree: {len(cusps)} cusps (max residuals {res} against tolerance "
+            f"{CUSP_RESIDUAL_TOL * singularity_scale(p):.3g}), {'a' if witness else 'no'} "
+            f"shared aspect in {len(picked)} points examined, "
+            f"{int(np.count_nonzero(census.counts >= 4))} four-solution census cells")
     cross = CrossValidation(len(picked), witness is not None, witness, tuple(theorem2))
     work = {
         "grid_cells": grid_n * grid_n,

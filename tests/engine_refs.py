@@ -3,7 +3,9 @@ flood fill as one sparse graph over every cell, the damped Newton with one
 fun_jac call per line-search lambda, marching squares and its chain walk over
 dicts keyed by ("u" | "v", i, j), a segment hash filled one segment at a
 time, the quartic root engine and label distance as they stood before the
-per-robot conic constants, and the A* path search over cell tuples."""
+per-robot conic constants, the A* path search over cell tuples, the path
+audit one segment at a time, and the c3s3 plot's plane marching squares as a
+loop over cells."""
 import heapq
 import math
 from collections import defaultdict
@@ -12,7 +14,13 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from cuspidal.critical import _HALVINGS, _NEWTON_MAX_ITER, _lstsq_steps, _mixed_cells
+from cuspidal.critical import (
+    _HALVINGS,
+    _NEWTON_FLOOR,
+    _NEWTON_MAX_ITER,
+    _lstsq_steps,
+    _mixed_cells,
+)
 from cuspidal.dh import (
     TWO_PI,
     JointConfig,
@@ -37,7 +45,9 @@ from cuspidal.reduction import (
     f_coefficients,
     theta3_of_t,
 )
-from cuspidal.topology import PATH_DET_TOL, JointPath, SolutionLabel, verify_path
+from cuspidal.topology import PATH_DET_TOL, JointPath, PathCheck, SolutionLabel
+
+from segment_refs import unwrap_segment
 
 
 def components(key, excluded=None):
@@ -65,7 +75,7 @@ def components(key, excluded=None):
     return len(comps), labels
 
 
-def damped_newton(fun_jac, x0, max_iter: int = _NEWTON_MAX_ITER, tol: float = 0.0):
+def damped_newton(fun_jac, x0):
     """critical._damped_newton with the line search as a loop: the pending
     seeds are evaluated at lambda = 1, 1/2, ..., 2^-(_HALVINGS - 1) in turn,
     one fun_jac call per lambda, and each takes the first that lowers
@@ -76,9 +86,8 @@ def damped_newton(fun_jac, x0, max_iter: int = _NEWTON_MAX_ITER, tol: float = 0.
     norm2 = np.sum(fval * fval, axis=1)
     ok = np.zeros(k, dtype=bool)
     done = np.zeros(k, dtype=bool)
-    floor = max(tol * tol, 1e-24)
-    for _ in range(max_iter):
-        reached = ~done & (norm2 <= tol * tol)
+    for _ in range(_NEWTON_MAX_ITER):
+        reached = ~done & (norm2 == 0.0)
         ok |= reached
         done |= reached
         act = np.nonzero(~done)[0]
@@ -103,9 +112,9 @@ def damped_newton(fun_jac, x0, max_iter: int = _NEWTON_MAX_ITER, tol: float = 0.
             pending[idx[better]] = False
             lam *= 0.5
         stalled = act[pending]
-        ok[stalled] = norm2[stalled] <= floor
+        ok[stalled] = norm2[stalled] <= _NEWTON_FLOOR
         done[stalled] = True
-    ok[~done] = norm2[~done] <= floor
+    ok[~done] = norm2[~done] <= _NEWTON_FLOOR
     return x, ok
 
 
@@ -427,9 +436,21 @@ def back_substitution(p, f, R, zr, theta2, theta3):
              g1 * s2 - g2 * c2 + g4 / math.sin(p.alpha1)))
 
 
-def refine(p, f, R, zr, theta2, theta3):
+def half_gap(n, row, theta2, theta3, solved):
+    """reduction._half_gaps for root n: half the larger of the theta2 and
+    theta3 circle gaps to the nearest other solved root of its row, pi when
+    there is none."""
+    near = math.pi
+    for m in np.flatnonzero((row == row[n]) & solved).tolist():
+        if m != n:
+            gaps = [abs(float(a[n]) - float(a[m])) for a in (theta2, theta3)]
+            near = min(near, max(min(g, TWO_PI - g) for g in gaps))
+    return 0.5 * near
+
+
+def refine(p, f, R, zr, theta2, theta3, cap):
     """reduction._refine at one root: one Newton step on the
-    back-substitution equations, kept when it is below 1e-6 in each angle
+    back-substitution equations, kept when it is below cap in each angle
     and lowers the squared residual."""
     e1, e2, (j11, j12, j21, j22) = back_substitution(p, f, R, zr, theta2, theta3)
     with np.errstate(all="ignore"):
@@ -437,7 +458,7 @@ def refine(p, f, R, zr, theta2, theta3):
         d2 = (e1 * j22 - e2 * j12) / det
         d3 = (j11 * e2 - j21 * e1) / det
         n1, n2, _ = back_substitution(p, f, R, zr, theta2 - d2, theta3 - d3)
-        if abs(d2) < 1e-6 and abs(d3) < 1e-6 and n1 * n1 + n2 * n2 < e1 * e1 + e2 * e2:
+        if abs(d2) < cap and abs(d3) < cap and n1 * n1 + n2 * n2 < e1 * e1 + e2 * e2:
             return theta2 - d2, theta3 - d3
     return theta2, theta3
 
@@ -469,8 +490,9 @@ def solve_ik_batch(p, rho, z, phi=0.0):
     rhs2 = (zr[row] - f4) / math.sin(p.alpha1)
     theta2 = _atan2((f2 * rhs1 + f1 * rhs2) / det, (f1 * rhs1 - f2 * rhs2) / det)
     theta3 = np.array([theta3_of_t(v) for v in t.tolist()], dtype=float)
+    caps = [half_gap(n, row, theta2, theta3, solved) for n in range(len(row))]
     for n in np.flatnonzero(solved & (mult == 1)).tolist():
-        theta2[n], theta3[n] = refine(p, f, R[row[n]], zr[row[n]], theta2[n], theta3[n])
+        theta2[n], theta3[n] = refine(p, f, R[row[n]], zr[row[n]], theta2[n], theta3[n], caps[n])
     x0, y0, _ = fk_arrays(p, 0.0, theta2, theta3)
     theta1 = np.where(np.hypot(x0, y0) < 1e-12, 0.0,
                       np.broadcast_to(phi, rho.shape)[row] - _atan2(y0, x0))
@@ -500,8 +522,8 @@ def labels(maps, ik):
 # --------------------------------------------------------------------------
 
 def find_nonsingular_path(p, maps, q_start, q_goal):
-    """topology.find_nonsingular_path with its A* state in dicts and a set
-    keyed by (i, j) cell tuples."""
+    """topology.find_nonsingular_path as an A* search with its state in dicts
+    and a set keyed by (i, j) cell tuples, audited by verify_path below."""
     scale = singularity_scale(p)
     tol = PATH_DET_TOL * scale
     for q in (q_start, q_goal):
@@ -561,3 +583,47 @@ def find_nonsingular_path(p, maps, q_start, q_goal):
     path = JointPath(waypoints, q_start.theta1, q_goal.theta1, 0.0)
     check = verify_path(p, path)
     return JointPath(waypoints, q_start.theta1, q_goal.theta1, check.min_det)
+
+
+def verify_path(p, path, samples_per_segment: int = 10):
+    """topology.verify_path with one det_jacobian call per segment."""
+    scale = singularity_scale(p)
+    w = path.waypoints
+    min_det = math.inf
+    if len(w) == 1:
+        min_det = abs(float(det_jacobian(p, w[0, 0], w[0, 1])))
+    for k in range(len(w) - 1):
+        a, b = unwrap_segment(w[k], w[k + 1])
+        ts = np.linspace(0.0, 1.0, max(samples_per_segment, 2))
+        pts = a[None, :] + ts[:, None] * (b - a)[None, :]
+        vals = np.abs(det_jacobian(p, pts[:, 0], pts[:, 1]))
+        min_det = min(min_det, float(np.min(vals)))
+    return PathCheck(min_det, min_det > PATH_DET_TOL * scale)
+
+
+def marching_squares_plane(values, xs, ys):
+    """svgplot._marching_squares_plane as a loop over the cells, one list of
+    two end points per segment."""
+    segs = []
+    neg = values < 0
+    nx, ny = values.shape
+    for i in range(nx - 1):
+        for j in range(ny - 1):
+            corners = (neg[i, j], neg[i + 1, j], neg[i + 1, j + 1], neg[i, j + 1])
+            if all(corners) or not any(corners):
+                continue
+            pts = []
+            edges = (((i, j), (i + 1, j)), ((i + 1, j), (i + 1, j + 1)),
+                     ((i + 1, j + 1), (i, j + 1)), ((i, j + 1), (i, j)))
+            for (i0, j0), (i1, j1) in edges:
+                f0, f1 = values[i0, j0], values[i1, j1]
+                if (f0 < 0) != (f1 < 0):
+                    frac = f0 / (f0 - f1)
+                    pts.append((xs[i0] + frac * (xs[i1] - xs[i0]),
+                                ys[j0] + frac * (ys[j1] - ys[j0])))
+            if len(pts) == 2:
+                segs.append(pts)
+            elif len(pts) == 4:
+                segs.append(pts[:2])
+                segs.append(pts[2:])
+    return segs

@@ -1,6 +1,10 @@
 """Scalar segment references the array geometry in the package is tested against."""
 import math
 
+import numpy as np
+
+from cuspidal.dh import wrap_angle
+
 
 def seg_intersect(a0, a1, b0, b1):
     """Proper intersection point of segments [a0,a1] and [b0,b1], or None."""
@@ -24,3 +28,9 @@ def point_segment_dist(px, py, ax, ay, bx, by):
     t = 0.0 if vv == 0.0 else min(1.0, max(0.0, (wx * vx + wy * vy) / vv))
     fx, fy = ax + t * vx, ay + t * vy
     return math.hypot(px - fx, py - fy)
+
+
+def unwrap_segment(a, b):
+    """Endpoint b shifted to the representative nearest to a."""
+    d = wrap_angle(np.asarray(b, float) - np.asarray(a, float))
+    return np.asarray(a, float), np.asarray(a, float) + d

@@ -40,7 +40,7 @@ from cuspidal.critical import (
 )
 from cuspidal.dh import length_scale
 from cuspidal.errors import DegenerateGeometryError
-from cuspidal.geometry import polyline_min_dist, seg_intersect_many, unwrap_segment
+from cuspidal.geometry import polyline_min_dist, seg_intersect_many
 from cuspidal.reduction import QuarticPencil
 
 from conftest import (
@@ -56,7 +56,7 @@ from conftest import (
 )
 from census_refs import audit_all_at_once, census_walk
 from engine_refs import SegmentHash, chain_loops, damped_newton, marching_segments
-from segment_refs import point_segment_dist, seg_intersect
+from segment_refs import point_segment_dist, seg_intersect, unwrap_segment
 
 
 _SEED = st.integers(0, 2 ** 32 - 1)

@@ -1,8 +1,11 @@
-"""The root engine, the conic stack, the IK slot, the labels and the path
-search against the references in engine_refs, bit for bit, plus the engine's
-work bounds per call."""
+"""The root engine, the conic stack, the IK slot, the labels, the path
+search and its audit, and the c3s3 plot's marching squares against the
+references in engine_refs, bit for bit, plus the engine's work bounds per
+call."""
+import importlib.util
 import itertools
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -17,21 +20,24 @@ from cuspidal import (
     cross_section,
     forward_kinematics,
 )
-from cuspidal import reduction, topology
+from cuspidal import critical, reduction, robotfile, svgplot, topology
 from cuspidal.dh import fk_arrays
 from cuspidal.geometry import TorusCurveIndex, torus_dists
 from cuspidal.reduction import (
     _base_xy,
     _quartic_stack,
+    conic_coefficients,
     f_coefficients,
     solve_ik,
     solve_ik_batch,
     solve_quartics,
 )
-from cuspidal.topology import _labels
+from cuspidal.topology import JointPath, _labels
 
 import engine_refs
-from conftest import BATTERY, REFERENCE, TEST_GRID, random_valid_params
+from conftest import BATTERY, NODE_ROBOT, REFERENCE, TEST_GRID, random_valid_params
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def _same_bits(a, b):
@@ -234,6 +240,19 @@ def test_robots_alternating_as_queries_do_equal_reference(query_maps):
             _pose_checks(BATTERY[name], maps, _fk_poses(BATTERY[name], rng, 1)[0])
 
 
+def test_solve_ik_batch_next_to_a_full_circle_equals_reference():
+    """Targets 1e-6 to 4e-6 rad off NODE_ROBOT's full S circles, where the
+    refinement step is capped by the distance between roots."""
+    rng = np.random.default_rng(25)
+    r = math.acos(-1.0 / 3.0)
+    th3 = rng.choice([-1.0, 1.0], 60) * r + rng.choice([1e-6, -2e-6, 4e-6], 60)
+    th2 = rng.uniform(-math.pi, math.pi, 60)
+    x, y, z = fk_arrays(NODE_ROBOT, 0.0, th2, th3)
+    rho = np.hypot(x, y)
+    assert _same_ik(solve_ik_batch(NODE_ROBOT, rho, z, 0.3),
+                    engine_refs.solve_ik_batch(NODE_ROBOT, rho, z, 0.3))
+
+
 def test_one_target_on_two_robots_equals_reference():
     a, b = BATTERY["orthogonal_cuspidal"], BATTERY["nonortho_cuspidal"]
     cs = cross_section(forward_kinematics(a, JointConfig(0.2, 0.7, -1.1)))
@@ -398,10 +417,129 @@ def test_path_search_equals_the_cell_tuple_reference(name, analysis):
             (same if a.aspect == b.aspect else other).append((a.config, b.config))
     assert len(same) >= 2 or name == "orthogonal_node"
     for qa, qb in same[:2] + other[:2]:
+        _same_path(topology.find_nonsingular_path(p, maps, qa, qb),
+                   engine_refs.find_nonsingular_path(p, maps, qa, qb))
+
+
+def _same_path(got, ref):
+    assert (got is None) == (ref is None)
+    if got is not None:
+        assert _same_bits(got.waypoints, ref.waypoints)
+        assert (got.theta1_start, got.theta1_end) == (ref.theta1_start, ref.theta1_end)
+        assert _same_bits(got.min_det, ref.min_det)
+
+
+def _query_stream_pairs(seed, count):
+    """The first `count` same-aspect pairs of clean labels on
+    orthogonal_cuspidal that query_mix's QueryStream(seed) draws against maps
+    at grid 720, one pair per query point, and the robot and its maps."""
+    spec = importlib.util.spec_from_file_location("perfbench_inputs",
+                                                  ROOT / "perfbench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    battery = robotfile.parse_robot_file(str(ROOT / "robots" / "battery.json"))
+    robots, maps = [], None
+    for name in ("orthogonal_cuspidal", "orthogonal_node"):
+        p = battery.get(name)[1]
+        curves = critical.trace_critical_points(p, 720)
+        if name == "orthogonal_cuspidal":
+            maps = build_topology(p, curves, 720)
+        robots.append((name, p, np.vstack([w.vertices for w in critical.critical_values(p, curves)])))
+    stream = inputs.QueryStream(seed, robots)
+    pairs = []
+    while len(pairs) < count:
+        name, p, pose, _, _ = stream.next()
+        if name != "orthogonal_cuspidal":
+            continue
+        labels = topology.label_solutions(p, maps, CrossSectionPoint(math.hypot(pose.x, pose.y),
+                                                                     pose.z))
+        clean = [l for l in labels if not (l.on_boundary or l.singular_cell)]
+        pairs.extend([(a.config, b.config) for a, b in itertools.combinations(clean, 2)
+                      if a.aspect == b.aspect][:1])
+    return robots[0][1], maps, pairs
+
+
+def test_path_search_at_grid_720_equals_the_cell_tuple_reference():
+    """The first three same-aspect pairs of QueryStream seed 501, the
+    queries query_mix makes, on the 255k open cells of an aspect."""
+    p, maps, pairs = _query_stream_pairs(501, 3)
+    for qa, qb in pairs:
         got = topology.find_nonsingular_path(p, maps, qa, qb)
-        ref = engine_refs.find_nonsingular_path(p, maps, qa, qb)
-        assert (got is None) == (ref is None)
-        if got is not None:
-            assert _same_bits(got.waypoints, ref.waypoints)
-            assert (got.theta1_start, got.theta1_end) == (ref.theta1_start, ref.theta1_end)
-            assert _same_bits(got.min_det, ref.min_det)
+        assert got is not None and len(got) > 100
+        _same_path(got, engine_refs.find_nonsingular_path(p, maps, qa, qb))
+
+
+# --------------------------------------------------------------------------
+# path audit
+# --------------------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 12),
+       samples=st.sampled_from([1, 2, 10, 41]))
+def test_verify_path_equals_the_segment_loop(seed, m, samples):
+    """Random waypoints, a third of their coordinates next to the +-pi seam
+    on either side, so segments cross it; m = 1 is a one-waypoint path."""
+    rng = np.random.default_rng(seed)
+    p = random_valid_params(rng)
+    w = rng.uniform(-math.pi, math.pi, (m, 2))
+    seam = rng.random((m, 2)) < 1.0 / 3.0
+    w[seam] = rng.choice([-1.0, 1.0], int(seam.sum())) * (math.pi - rng.uniform(0.0, 0.1, int(seam.sum())))
+    path = JointPath(w, 0.1, -0.2, 0.0)
+    got = topology.verify_path(p, path, samples)
+    ref = engine_refs.verify_path(p, path, samples)
+    assert _same_bits(got.min_det, ref.min_det) and got.valid == ref.valid
+
+
+def test_verify_path_across_the_seam_takes_the_short_way():
+    """A segment from theta2 = pi - 0.01 to -pi + 0.01 crosses the seam; the
+    long way round would pass theta2 = 0."""
+    p = BATTERY["orthogonal_cuspidal"]
+    for w in ([[math.pi - 0.01, 0.4], [-math.pi + 0.01, 0.5]],
+              [[0.3, math.pi - 0.02], [0.35, -math.pi + 0.03], [0.4, math.pi - 0.01]],
+              [[0.7, -1.2]]):
+        path = JointPath(np.array(w), 0.0, 0.0, 0.0)
+        got = topology.verify_path(p, path)
+        assert _same_bits(got.min_det, engine_refs.verify_path(p, path).min_det)
+        assert got == engine_refs.verify_path(p, path)
+
+
+# --------------------------------------------------------------------------
+# c3s3 marching squares
+# --------------------------------------------------------------------------
+
+def _plane_segments_equal_reference(vals, xs):
+    got = svgplot._marching_squares_plane(vals, xs, xs)
+    ref = np.array(engine_refs.marching_squares_plane(vals, xs, xs), dtype=float).reshape(-1, 2, 2)
+    assert _same_bits(got, ref)
+    return len(got)
+
+
+def test_plane_marching_squares_on_the_c3s3_test_targets(analysis):
+    """The three targets the c3s3 plot tests draw: a cusp of REFERENCE,
+    an ellipse-class conic and an unreachable point, whose conic misses the
+    plot window."""
+    cusp = max(analysis.cusps(REFERENCE), key=lambda c: c.z)
+    xs = np.linspace(-2.6, 2.6, svgplot.C3S3_GRID)
+    counts = []
+    for p, target in ((REFERENCE, CrossSectionPoint(cusp.rho, cusp.z)),
+                      (BATTERY["ellipse_conic"], CrossSectionPoint(2.4, 0.6)),
+                      (BATTERY["orthogonal_cuspidal"], CrossSectionPoint(40.0, 0.0))):
+        vals = conic_coefficients(p, target).evaluate(xs[:, None], xs[None, :])
+        counts.append(_plane_segments_equal_reference(vals, xs))
+    assert counts[0] > 0 and counts[1] > 0 and counts[2] == 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_plane_marching_squares_on_random_conics_and_fields(seed):
+    """Random conics on the c3s3 grid, a crossing pair of lines through a
+    cell center, and a random field on a small grid, whose cells include
+    four-edge saddles."""
+    rng = np.random.default_rng(seed)
+    xs = np.linspace(-2.6, 2.6, svgplot.C3S3_GRID)
+    conic = reduction.ConicCoeffs(*rng.normal(size=6))
+    _plane_segments_equal_reference(conic.evaluate(xs[:, None], xs[None, :]), xs)
+    x0, y0 = rng.uniform(-2.0, 2.0, 2)
+    _plane_segments_equal_reference((xs[:, None] - x0) * (xs[None, :] - y0), xs)
+    small = np.linspace(-1.0, 1.0, 12)
+    _plane_segments_equal_reference(rng.normal(size=(12, 12)), small)

@@ -23,6 +23,7 @@ from cuspidal import (
     solve_quartic,
     wrap_angle,
 )
+from cuspidal import reduction
 from cuspidal.errors import ZeroPolynomialError
 from cuspidal.reduction import (
     ConicCoeffs,
@@ -306,6 +307,70 @@ def test_round_trip_next_to_a_full_circle_of_s(q):
     best = min(max(_angle_gap(s.config.theta1, q.theta1), _angle_gap(s.config.theta2, q.theta2),
                    _angle_gap(s.config.theta3, q.theta3)) for s in sols.solutions)
     assert best <= 1e-8
+
+
+def _poses_off_the_full_circle(delta, rng, n):
+    """n NODE_ROBOT configurations delta rad off its full S circles theta3 =
+    +-arccos(-1/3), on either side, at uniform theta1 and theta2."""
+    r = math.acos(-1.0 / 3.0)
+    out = []
+    for _ in range(n):
+        th1, th2 = rng.uniform(-math.pi, math.pi, 2)
+        out.append(JointConfig(th1, th2, rng.choice([-1.0, 1.0]) * r
+                               + rng.choice([-1.0, 1.0]) * delta))
+    return out
+
+
+@pytest.mark.parametrize("delta", [2e-6, 4e-6])
+def test_round_trip_within_microradians_of_a_full_circle(delta):
+    """Poses 2e-6 and 4e-6 rad from the circle need refinement steps up to
+    ~1e-5 rad, above a fixed 1e-6 cap that refused them (105 and 25 misses
+    of 200 here).  Below ~1e-6 rad the pose itself is too ill-conditioned:
+    the circle maps to one point."""
+    misses = []
+    for q in _poses_off_the_full_circle(delta, np.random.default_rng(7), 200):
+        sols = solve_ik(NODE_ROBOT, forward_kinematics(NODE_ROBOT, q))
+        best = min(max(_angle_gap(s.config.theta1, q.theta1), _angle_gap(s.config.theta2, q.theta2),
+                       _angle_gap(s.config.theta3, q.theta3)) for s in sols.solutions)
+        if best > 1e-8:
+            misses.append((q, best))
+    assert misses == []
+
+
+def test_refined_root_stays_nearest_to_its_own_start(monkeypatch):
+    """Every refined root ends nearer (in the larger of its theta2 and
+    theta3 circle gaps) to where it started than to where any other solved
+    root of its target started, on poses whose steps reach 1e-5 rad and on
+    random robots."""
+    calls = []
+    refine = reduction._refine
+
+    def recorded(p, f, R, zr, theta2, theta3, mask, cap):
+        out = refine(p, f, R, zr, theta2, theta3, mask, cap)
+        calls.append((theta2.copy(), theta3.copy(), *out))
+        return out
+    monkeypatch.setattr(reduction, "_refine", recorded)
+    rng = np.random.default_rng(11)
+    cases = [(NODE_ROBOT, forward_kinematics(NODE_ROBOT, q))
+             for delta in (1e-6, 2e-6, 4e-6)
+             for q in _poses_off_the_full_circle(delta, rng, 40)]
+    for _ in range(40):
+        p = random_valid_params(rng)
+        cases.append((p, forward_kinematics(p, JointConfig(*rng.uniform(-math.pi, math.pi, 3)))))
+    moved = 0
+    for p, pose in cases:
+        reduction._last_cross_section = None
+        solve_ik_batch(p, math.hypot(pose.x, pose.y), pose.z)
+        t2, t3, n2, n3 = calls[-1]
+        solved = reduction._last_cross_section[1].solved
+        step = np.maximum(np.abs(wrap_angle(n2 - t2)), np.abs(wrap_angle(n3 - t3)))
+        moved += int(np.sum(step > 1e-6))
+        for k in np.flatnonzero(step > 0.0):
+            other = solved & (np.arange(len(t2)) != k)
+            gaps = np.maximum(np.abs(wrap_angle(n2[k] - t2[other])),
+                              np.abs(wrap_angle(n3[k] - t3[other])))
+            assert np.all(step[k] < gaps), (p, pose, k)
+    assert moved > 0
 
 
 def test_solutions_reproduce_target(rng):

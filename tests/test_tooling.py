@@ -1,7 +1,8 @@
 """Static checks on the source tree, written with `ast` since no linter is a
 dependency: one root-acceptance rule, the root engine called only where no IK
-result is built, no unused imports, no per-cell loop over a 2-D mask, and no
-heavyweight third-party module imported when the package loads."""
+result is built, no unused imports, no per-cell loop over a 2-D mask, no
+hand-written heap search, and no heavyweight third-party module imported when
+the package loads."""
 import ast
 import os
 import pathlib
@@ -123,6 +124,24 @@ def test_no_unused_imports(path):
     assert _unused_imports(_tree(path)) == []
 
 
+def _imported_modules(tree) -> set:
+    """Absolute modules imported anywhere in the tree, function bodies included."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module)
+    return found
+
+
+# Graph searches run in scipy.sparse.csgraph (path queries on its Dijkstra),
+# not on a heap loop in Python.
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_hand_written_heap_search(path):
+    assert "heapq" not in {name.split(".")[0] for name in _imported_modules(_tree(path))}
+
+
 # Every run of the package pays for what importing it loads, so a new
 # module-level import is a start-up cost: `python -X importtime` puts
 # scipy.ndimage alone at ~70 ms on top of the package (2-vCPU x86-64 host);
@@ -169,6 +188,7 @@ def test_checks_see_what_they_look_for():
                      "def f():\n    from scipy.spatial import cKDTree\n"
                      "class C:\n    import json\n")
     assert _module_level_imports(tree) == {"numpy", "scipy.ndimage"}
+    assert _imported_modules(tree) == {"numpy", "scipy.ndimage", "scipy.spatial", "json"}
     tree = ast.parse("for i, j in zip(*np.nonzero(m)):\n    pass\n"
                      "x = [i for i, j in zip(*numpy.nonzero(m))]\n"
                      "for k in np.nonzero(m)[0]:\n    pass\n"

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from cuspidal import critical, topology
 from cuspidal import (
     CrossSectionPoint,
+    DhParams,
     JointConfig,
     build_topology,
     compute_aspects,
@@ -25,7 +26,7 @@ from cuspidal import (
     wrap_angle,
 )
 from cuspidal.errors import NonGenericRobotError, StartOrGoalSingularError
-from cuspidal.geometry import TorusCurveIndex, polyline_min_dist, unwrap_segment
+from cuspidal.geometry import TorusCurveIndex, polyline_min_dist
 from cuspidal.robotfile import parse_robot_file
 from cuspidal.topology import JointPath, _components, _curve_band, label_solutions_batch
 
@@ -42,7 +43,7 @@ from conftest import (
     TEST_GRID,
 )
 from engine_refs import components
-from segment_refs import point_segment_dist
+from segment_refs import point_segment_dist, unwrap_segment
 
 BATTERY = parse_robot_file(str(Path(__file__).resolve().parent.parent / "robots" / "battery.json"))
 
@@ -446,6 +447,28 @@ def test_nonortho_robots_verdicts():
     assert not rep_b.verdict
     assert not rep_b.cusps
     assert rep_b.agrees
+
+
+def test_a_disagreement_is_an_anomaly_with_its_numbers():
+    """d = [0, 1, 0], a = [2.4, 2, 6] has one cusp certified at |M| = 4.5e-5
+    against a tolerance of 1.5e-4, and the oracle finds no shared aspect
+    (ROADMAP item 1's loose threshold).  The anomaly names each cusp's
+    largest residual, the tolerance, the points examined and the
+    four-solution census cells; a robot whose pillars agree gets none."""
+    p = DhParams(0.0, 1.0, 0.0, 2.4, 2.0, 6.0, -math.pi / 2, math.pi / 2)
+    rep = is_cuspidal(p, grid_n=TEST_GRID)
+    assert not rep.agrees
+    res = ", ".join(f"{max(c.res_m, c.res_m1, c.res_m2):.3g}" for c in rep.cusps)
+    tol = critical.CUSP_RESIDUAL_TOL * singularity_scale(p)
+    four = int(np.count_nonzero(rep.census.counts >= 4))
+    assert rep.anomalies == (
+        f"pillars disagree: {len(rep.cusps)} cusps (max residuals {res} against tolerance "
+        f"{tol:.3g}), no shared aspect in {rep.cross_validation.points_examined} points "
+        f"examined, {four} four-solution census cells",)
+    assert len(rep.cusps) == 1 and four > 0
+    agreeing = is_cuspidal(REFERENCE, grid_n=TEST_GRID, census_n=96, samples=150)
+    assert agreeing.agrees
+    assert not any(a.startswith("pillars disagree") for a in agreeing.anomalies)
 
 
 def test_non_generic_robot_raises():
