@@ -64,17 +64,13 @@ class JointCurve:
 
 class CriticalSet(tuple):
     """The JointCurves of S = {det J = 0}, longest first, traced for `robot` on the
-    grid_n x grid_n torus grid, with what later stages read: det J on the vertex lattice
-    (det_vertex), and det J at the cell centers and the S index, each built on first use."""
+    grid_n x grid_n vertex lattice, with what later stages read: det J on that lattice
+    (det_vertex), kept from the trace, and the S index, built on first use."""
 
     def __new__(cls, robot: DhParams, grid_n: int, curves, det_vertex: np.ndarray):
         self = super().__new__(cls, curves)
         self.robot, self.grid_n, self.det_vertex = robot, grid_n, det_vertex
         return self
-
-    @functools.cached_property
-    def det_center(self) -> np.ndarray:
-        return _center_field(functools.partial(det_jacobian, self.robot), self.grid_n)
 
     @functools.cached_property
     def s_index(self) -> TorusCurveIndex:
@@ -239,29 +235,18 @@ def _mixed_cells(neg: np.ndarray) -> np.ndarray:
     return (n_neg > 0) & (n_neg < 4)
 
 
-def _det_on_vertices(p: DhParams, grid_n: int):
-    """det J on the wrapped vertex grid th x th; returns (values, th).  The
-    axes broadcast, so the trig and A, B, C of det J's factored form run on
-    grid_n angles, and the lattice costs two products and two sums."""
+def _sample_lattice(field, grid_n: int):
+    """field(theta2, theta3) on the wrapped vertex lattice th x th, th_k =
+    -pi + k 2 pi / grid_n, the one lattice every torus map reads; returns
+    (values, th).  Blocks of 48 rows keep the temporaries small.  `field` gets
+    the block's theta2 as a column and theta3 as a row and must broadcast
+    them elementwise, so each value is the one the same angles give point by
+    point while the trig runs on the axes."""
     th = -math.pi + TWO_PI * np.arange(grid_n) / grid_n
-    return det_jacobian(p, th[:, None], th[None, :]), th
-
-
-def _centers(grid_n: int) -> np.ndarray:
-    h = TWO_PI / grid_n
-    return -math.pi + h * (np.arange(grid_n) + 0.5)
-
-
-def _center_field(field, grid_n: int) -> np.ndarray:
-    """field(theta2, theta3) at the cell centers, evaluated in blocks of 48
-    rows so that the temporaries stay small.  `field` gets the block's theta2 as a
-    column and theta3 as a row and must broadcast them elementwise, so each
-    value is the one a full lattice gives while the trig runs on the axes."""
-    th = _centers(grid_n)
     out = np.empty((grid_n, grid_n))
     for i in range(0, grid_n, 48):
         out[i:i + 48] = field(th[i:i + 48, None], th[None, :])
-    return out
+    return out, th
 
 
 def _chain_loops(nbr: np.ndarray, keep=None) -> list:
@@ -334,8 +319,9 @@ def trace_critical_points(p: DhParams, grid_n: int = DEFAULT_GRID_N) -> Critical
     if grid_n < 64:
         raise ValueError("grid_n must be >= 64")
     scale = singularity_scale(p)
-    f, th = _det_on_vertices(p, grid_n)
-    ids, nbr = _marching_segments(f, th, functools.partial(det_jacobian, p))
+    field = functools.partial(det_jacobian, p)
+    f, th = _sample_lattice(field, grid_n)
+    ids, nbr = _marching_segments(f, th, field)
     pos = _crossing_points(f, th, ids)
     curves = []
     for chain, closed in _chain_loops(nbr):
@@ -751,8 +737,9 @@ def find_nodes(p: DhParams, workspace_curves) -> list:
 def genericity_check(p: DhParams, grid_n: int, curves: CriticalSet, workspace_curves,
                      cusps) -> GenericityReport:
     """Three genericity tests: no quadruple roots, smooth critical curves,
-    no isolated singular cells.  `curves` is p's CriticalSet traced on
-    grid_n (ValueError otherwise); its samples are read, not redrawn."""
+    no isolated singular points on the lattice.  `curves` is p's CriticalSet
+    traced on grid_n (ValueError otherwise); its samples are read, not
+    redrawn."""
     curves.check(p, grid_n)
     scale = singularity_scale(p)
     evidence = []
@@ -793,18 +780,19 @@ def genericity_check(p: DhParams, grid_n: int, curves: CriticalSet, workspace_cu
     if worst < 1e-5 * scale:
         evidence.append({"kind": "curve_gradient", "min_grad": worst})
 
-    # (c) isolated singular cells: small |det J| far from every traced curve
+    # (c) isolated singular points: small |det J| at a lattice point far from
+    # every cell the traced curves cross
     on_curve = _mixed_cells(curves.det_vertex < 0)
     near_curve = on_curve.copy()
     for shift in ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1)):
         near_curve |= np.roll(np.roll(on_curve, shift[0], axis=0), shift[1], axis=1)
-    isolated = (np.abs(curves.det_center) < 1e-6 * scale) & ~near_curve
+    isolated = (np.abs(curves.det_vertex) < 1e-6 * scale) & ~near_curve
     if bool(np.any(isolated)):
         ii, jj = np.nonzero(isolated)
         evidence.append({
             "kind": "isolated_singular_cells",
             "count": int(len(ii)),
-            "first_cell": _centers(grid_n)[[ii[0], jj[0]]].tolist(),
+            "first_cell": (-math.pi + TWO_PI * np.array([ii[0], jj[0]]) / grid_n).tolist(),
         })
 
     if not curves:

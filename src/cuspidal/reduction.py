@@ -316,6 +316,15 @@ _JET_WEIGHT = np.array([[math.perm(4 - (i - j), j) if i >= j else 0.0 for i in r
                         for j in range(5)])
 
 
+def _horner(d: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Each coefficient row d[..., :] at the matching t by Horner, with t
+    broadcast against d[..., 0]: np.polyval's value."""
+    y = d[..., 0]
+    for k in range(1, d.shape[-1]):
+        y = y * t + d[..., k]
+    return y
+
+
 def quartic_jet(coeffs: np.ndarray, t: np.ndarray, order: int) -> np.ndarray:
     """Derivatives 0..order of quartics at t, by Horner.
 
@@ -324,11 +333,7 @@ def quartic_jet(coeffs: np.ndarray, t: np.ndarray, order: int) -> np.ndarray:
     np.polyval(np.polyder(coeffs, j), t) gives.
     """
     d = coeffs[..., _JET_INDEX[:order + 1]] * _JET_WEIGHT[:order + 1]
-    tt = np.reshape(t, (-1,) + (1,) * (d.ndim - 2))
-    acc = d[..., 0]
-    for i in range(1, 5):
-        acc = acc * tt + d[..., i]
-    return acc
+    return _horner(d, np.reshape(t, (-1,) + (1,) * (d.ndim - 2)))
 
 
 class QuarticPencil:
@@ -462,15 +467,6 @@ def cluster_real_roots(ts: list) -> list:
 # the widest merge radius of cluster_real_roots, reached by four roots, is
 # 8 (64 eps)^(1/4) ~ 2.8e-3 rad.
 _SEPARATED = 1e-2
-
-
-def _horner(d: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Each coefficient row d[..., :] at the matching t by Horner, with t
-    broadcast against d[..., 0]: np.polyval's value."""
-    y = d[..., 0]
-    for k in range(1, d.shape[-1]):
-        y = y * t + d[..., k]
-    return y
 
 
 def _derivative(coeffs: np.ndarray, order) -> np.ndarray:

@@ -1,16 +1,17 @@
 """Aspects, pseudosingularities, reduced aspects and the cuspidality verdict.
 
-Aspects are the connected components of the torus minus the critical-point
-curves S: one flood fill over the cell grid joins neighboring cells whose
-centers carry the same sign of det J.  Pseudosingularities are the
-nonsingular preimages of critical values, PS = f^-1(f(S)) \\ S.
-f^-1(f(S)) is the zero set of one scalar field, the pulled-back IK
-discriminant D(theta2, theta3) = disc_t M(t; f), and PS is where D changes
-sign; S, where f folds, is an even-order zero.  Reduced aspects are the
-components of the complement of S union PS: the same flood fill, blocked
-where det J or D changes sign.  The verdict (existence of a cusp) is
-cross-validated against an independent oracle: sampling regular workspace
-points and asking whether two IK solutions ever share an aspect.
+Every map reads the vertex lattice S is traced on.  Aspects are the
+connected components of the torus minus the critical-point curves S: one
+flood fill over the lattice joins neighboring points that carry the same
+sign of det J.  Pseudosingularities are the nonsingular preimages of
+critical values, PS = f^-1(f(S)) \\ S.  f^-1(f(S)) is the zero set of one
+scalar field, the pulled-back IK discriminant D(theta2, theta3) =
+disc_t M(t; f), and PS is where D changes sign; S, where f folds, is an
+even-order zero.  Reduced aspects are the components of the complement of
+S union PS: the same flood fill, blocked where det J or D changes sign.
+The verdict (existence of a cusp) is cross-validated against an independent
+oracle: sampling regular workspace points and asking whether two IK
+solutions ever share an aspect.
 """
 from __future__ import annotations
 
@@ -39,11 +40,10 @@ from .critical import (
     CUSP_RESIDUAL_TOL,
     DEFAULT_GRID_N,
     CriticalSet,
-    _center_field,
-    _centers,
     _chain_loops,
     _crossing_edges,
     _marching_segments,
+    _sample_lattice,
     critical_values,
     find_cusps,
     find_nodes,
@@ -71,29 +71,29 @@ _SINGULAR_CELL_TOL = 1e-12
 
 @dataclass(frozen=True)
 class AspectMap:
-    """Aspect labels on the torus cell grid; -1 marks singular cells."""
+    """Aspect labels on the torus vertex lattice theta_k = -pi + k 2 pi / N;
+    -1 marks singular points."""
 
     grid_n: int
     labels: np.ndarray        # (N, N) int32
     count: int
-    det_center: np.ndarray    # (N, N) det J at cell centers
+    det_vertex: np.ndarray    # (N, N) det J on the lattice
 
     @property
-    def cell_size(self) -> float:
+    def spacing(self) -> float:
         return TWO_PI / self.grid_n
 
-    def cell_of(self, theta2, theta3):
-        """Grid cell (i, j) of torus points, shared by every map of this grid:
-        ints for one point, index arrays for arrays of points."""
-        h = self.cell_size
-        i = ((wrap_angle(theta2) + math.pi) // h).astype(int) % self.grid_n
-        j = ((wrap_angle(theta3) + math.pi) // h).astype(int) % self.grid_n
+    def nearest(self, theta2, theta3):
+        """Nearest lattice point (i, j) of torus points, shared by every map of
+        this lattice: ints for one point, index arrays for arrays of points."""
+        h = self.spacing
+        i = np.floor((wrap_angle(theta2) + math.pi) / h + 0.5).astype(int) % self.grid_n
+        j = np.floor((wrap_angle(theta3) + math.pi) / h + 0.5).astype(int) % self.grid_n
         return (int(i), int(j)) if np.ndim(i) == 0 else (i, j)
 
-    def center(self, i, j):
-        """Center (theta2, theta3) of cell (i, j), or arrays of them for index arrays."""
-        h = self.cell_size
-        return (-math.pi + (i + 0.5) * h, -math.pi + (j + 0.5) * h)
+    def point(self, i, j):
+        """(theta2, theta3) of lattice point (i, j), or arrays of them for index arrays."""
+        return (-math.pi + TWO_PI * i / self.grid_n, -math.pi + TWO_PI * j / self.grid_n)
 
 
 @dataclass(frozen=True)
@@ -108,11 +108,12 @@ class ReducedAspectMap:
 
 @dataclass(frozen=True)
 class PseudoSingularitySet:
-    """Nonsingular preimages of the critical values, chained into polylines."""
+    """Nonsingular preimages of the critical values, chained into polylines
+    that stop where the S band begins."""
 
     polylines: tuple          # of (k, 2) arrays on the torus; closed loops repeat their first point
-    exclusion_radius: float
-    d_positive: np.ndarray    # (N, N) D > 0 at the cell centers of the grid it was traced on
+    d_positive: np.ndarray    # (N, N) D > 0 on the vertex lattice it was traced on
+    s_band: np.ndarray        # (N, N) lattice points of the S band (_s_band)
 
     def total_points(self) -> int:
         return sum(len(c) for c in self.polylines)
@@ -228,14 +229,15 @@ def _components(key, excluded=None):
 
 
 def compute_aspects(curves: CriticalSet) -> AspectMap:
-    """Aspects as the components of constant det J sign at the set's cell centers.
+    """Aspects as the components of constant det J sign on the set's vertex
+    lattice, from the det J the trace sampled.
 
-    Cells whose center is singular within tolerance are labeled -1.
+    Lattice points singular within tolerance are labeled -1.
     """
-    det_c = curves.det_center
-    count, labels = _components(det_c >= 0)
-    labels[np.abs(det_c) < _SINGULAR_CELL_TOL * singularity_scale(curves.robot)] = -1
-    return AspectMap(curves.grid_n, labels, count, det_c)
+    det = curves.det_vertex
+    count, labels = _components(det >= 0)
+    labels[np.abs(det) < _SINGULAR_CELL_TOL * singularity_scale(curves.robot)] = -1
+    return AspectMap(curves.grid_n, labels, count, det)
 
 
 def _discriminant(p: DhParams, theta2, theta3):
@@ -252,7 +254,7 @@ def _discriminant(p: DhParams, theta2, theta3):
 
 
 def _refine_crossings(field, ids, th, f):
-    """Bisect the sign change of a field along each crossed grid edge, 36
+    """Bisect the sign change of a field along each crossed lattice edge, 36
     steps each.
 
     `ids` are the integer crossing-node ids `_marching_segments` gives for
@@ -271,74 +273,15 @@ def _refine_crossings(field, ids, th, f):
     return wrap_angle(start + (0.5 * (lo + hi))[:, None] * step)
 
 
-def compute_pseudosingularities(curves: CriticalSet) -> PseudoSingularitySet:
-    """PS = f^-1(f(S)) \\ S as the sign-change set of the pulled-back discriminant.
-
-    f^-1(f(S)) is the zero set of D(theta2, theta3) = disc_t M(t; f(theta2,
-    theta3)).  D changes sign across PS, where f is a local diffeomorphism,
-    and touches zero without a sign change on S, where f folds.  D is sampled
-    once at the cell centers of S's grid; the same marching squares that
-    traces S extracts its sign changes, each crossing is bisected along its
-    grid edge, and the chain walk keeps only the points outside the
-    exclusion radius of S (where the even-order zero leaves the sign to
-    rounding noise), which opens the chains that run into S.
-    """
-    th = _centers(curves.grid_n)
-    field = functools.partial(_discriminant, curves.robot)
-    d = _center_field(field, curves.grid_n)
-    ids, nbr = _marching_segments(d, th, field)
-    polylines = []
-    if len(ids):
-        pts = _refine_crossings(field, ids, th, d)
-        keep = curves.s_index.dists(pts) > PS_EXCLUSION_RADIUS
-        for chain, closed in _chain_loops(nbr, keep):
-            verts = pts[chain]
-            if closed:
-                verts = np.vstack([verts, verts[:1]])
-            if len(verts) >= 2:
-                polylines.append(verts)
-    return PseudoSingularitySet(tuple(polylines), PS_EXCLUSION_RADIUS, d > 0)
-
-
-def compute_reduced_aspects(curves, ps: PseudoSingularitySet,
-                            aspects: AspectMap) -> ReducedAspectMap:
-    """Flood fill of the torus minus S union PS.
-
-    Edges are blocked where det J or D changes sign between cell centers.
-    D has an even-order zero on S, and PS branches end on S inside the
-    exclusion band, where cell-center signs cannot resolve which side of
-    the boundary a cell is on.  That band is therefore boundary territory:
-    its cells are labeled -1 and removed from the connectivity, which is
-    the honest resolution-limited reading of the decomposition (extra
-    splitting is safe, leaking between reduced aspects is not).  Without
-    pseudosingularities S is the only boundary and the reduced aspects are
-    the aspects.  `aspects` is the AspectMap of the grid to refine; its
-    singular cells stay -1.
-    """
-    grid_n = aspects.grid_n
-    if not ps.total_points():
-        return ReducedAspectMap(grid_n, aspects.labels, aspects.count,
-                                np.arange(aspects.count, dtype=np.int32))
-    if ps.d_positive.shape != (grid_n, grid_n):
-        raise ValueError("pseudosingularities were computed on another grid")
-    key = 2 * (aspects.det_center >= 0) + ps.d_positive
-    band = _curve_band(curves, grid_n, ps.exclusion_radius)
-    count, labels = _components(key, excluded=band)
-    ids, first = np.unique(labels, return_index=True)
-    parent = aspects.labels.ravel()[first[ids >= 0]]
-    labels[aspects.labels < 0] = -1
-    return ReducedAspectMap(grid_n, labels, count, parent)
-
-
-def _curve_band(curves, grid_n: int, exclusion_radius: float):
-    """Cells within roughly one exclusion radius of the traced curves."""
-    h = TWO_PI / grid_n
-    band = np.zeros((grid_n, grid_n), dtype=bool)
-    for c in curves:
-        ii = ((c.vertices[:, 0] + math.pi) // h).astype(int) % grid_n
-        jj = ((c.vertices[:, 1] + math.pi) // h).astype(int) % grid_n
-        band[ii, jj] = True
-    for _ in range(int(math.ceil(exclusion_radius / h)) + 1):
+def _s_band(det_vertex: np.ndarray) -> np.ndarray:
+    """Both ends of every lattice edge where det J changes sign, grown
+    ceil(PS_EXCLUSION_RADIUS / h) + 1 times over the 4-neighbourhood."""
+    neg = det_vertex < 0
+    band = np.zeros(neg.shape, dtype=bool)
+    for axis in (0, 1):
+        crossed = neg != np.roll(neg, -1, axis=axis)
+        band |= crossed | np.roll(crossed, 1, axis=axis)
+    for _ in range(int(math.ceil(PS_EXCLUSION_RADIUS / (TWO_PI / len(neg)))) + 1):
         grown = band.copy()
         for shift in ((1, 0), (-1, 0), (0, 1), (0, -1)):
             grown |= np.roll(np.roll(band, shift[0], axis=0), shift[1], axis=1)
@@ -346,12 +289,71 @@ def _curve_band(curves, grid_n: int, exclusion_radius: float):
     return band
 
 
+def compute_pseudosingularities(curves: CriticalSet) -> PseudoSingularitySet:
+    """PS = f^-1(f(S)) \\ S as the sign-change set of the pulled-back discriminant.
+
+    f^-1(f(S)) is the zero set of D(theta2, theta3) = disc_t M(t; f(theta2,
+    theta3)).  D changes sign across PS, where f is a local diffeomorphism,
+    and touches zero without a sign change on S, where f folds.  D is sampled
+    once on S's vertex lattice, and the same marching squares that traces S
+    extracts its sign changes.  Near S the even-order zero leaves D's sign
+    to rounding noise, so the crossings on edges that touch the S band are
+    dropped, which opens the chains that run into S where the reduced fill's
+    boundary territory begins; the rest are bisected along their edges.
+    """
+    field = functools.partial(_discriminant, curves.robot)
+    d, th = _sample_lattice(field, curves.grid_n)
+    band = _s_band(curves.det_vertex)
+    ids, nbr = _marching_segments(d, th, field)
+    polylines = []
+    if len(ids):
+        n = curves.grid_n
+        i, j, along_v, _, _ = _crossing_edges(ids, th)
+        keep = ~band[i, j] & ~band[(i + 1 - along_v) % n, (j + along_v) % n]
+        pts = np.empty((len(ids), 2))
+        pts[keep] = _refine_crossings(field, ids[keep], th, d)
+        for chain, closed in _chain_loops(nbr, keep):
+            verts = pts[chain]
+            if closed:
+                verts = np.vstack([verts, verts[:1]])
+            if len(verts) >= 2:
+                polylines.append(verts)
+    return PseudoSingularitySet(tuple(polylines), d > 0, band)
+
+
+def compute_reduced_aspects(ps: PseudoSingularitySet, aspects: AspectMap) -> ReducedAspectMap:
+    """Flood fill of the torus minus S union PS on the vertex lattice.
+
+    Edges are blocked where det J or D changes sign.  D has an even-order
+    zero on S, and PS branches end on S, where lattice signs cannot resolve
+    which side of the boundary a point is on.  The S band the PS chains
+    stop at is therefore boundary territory: its points are labeled -1 and
+    removed from the connectivity, which is the honest resolution-limited
+    reading of the decomposition (extra splitting is safe, leaking between
+    reduced aspects is not).  Without pseudosingularities S is the only
+    boundary and the reduced aspects are the aspects.  `aspects` is the
+    AspectMap of the lattice to refine; its singular points stay -1.
+    """
+    grid_n = aspects.grid_n
+    if not ps.total_points():
+        return ReducedAspectMap(grid_n, aspects.labels, aspects.count,
+                                np.arange(aspects.count, dtype=np.int32))
+    if ps.d_positive.shape != (grid_n, grid_n):
+        raise ValueError("pseudosingularities were computed on another grid")
+    key = 2 * (aspects.det_vertex >= 0) + ps.d_positive
+    count, labels = _components(key, excluded=ps.s_band)
+    ids, first = np.unique(labels, return_index=True)
+    parent = aspects.labels.ravel()[first[ids >= 0]]
+    labels[aspects.labels < 0] = -1
+    return ReducedAspectMap(grid_n, labels, count, parent)
+
+
 def build_topology(p: DhParams, curves: CriticalSet, grid_n: int) -> TopologyMaps:
     """All maps of p from its CriticalSet traced on grid_n (ValueError otherwise)."""
     curves.check(p, grid_n)
     aspects = compute_aspects(curves)
     ps = compute_pseudosingularities(curves)
-    reduced = compute_reduced_aspects(curves, ps, aspects)
+    reduced = compute_reduced_aspects(ps, aspects)
     ps_index = TorusCurveIndex([np.vstack([c, c[::-1]]) for c in ps.polylines])
     return TopologyMaps(aspects, reduced, ps, curves.s_index, ps_index)
 
@@ -361,12 +363,12 @@ def _labels(maps: TopologyMaps, ik: IkBatch) -> list:
     targets solve_ik refuses."""
     row, theta, mult = ik.row[ik.solved], ik.theta[ik.solved], ik.mult[ik.solved]
     th2, th3 = wrap_angle(theta[:, 1]), wrap_angle(theta[:, 2])
-    cells = maps.aspects.cell_of(th2, th3)
-    aspect = maps.aspects.labels[cells].tolist()
-    reduced = maps.reduced.labels[cells]
+    at = maps.aspects.nearest(th2, th3)
+    aspect = maps.aspects.labels[at].tolist()
+    reduced = maps.reduced.labels[at]
     pts = np.column_stack([th2, th3])
     dist = torus_dists((maps.s_index, maps.ps_index), pts)
-    on_boundary = ((dist < maps.aspects.cell_size) | (reduced < 0)).tolist()
+    on_boundary = ((dist < maps.aspects.spacing) | (reduced < 0)).tolist()
     out = [None if status else [] for status in ik.status.tolist()]
     for n, (k, q, m) in enumerate(zip(row.tolist(), theta.tolist(), mult.tolist())):
         out[k].append(SolutionLabel(JointConfig(*q), m, aspect[n], int(reduced[n]),
@@ -397,50 +399,52 @@ def label_solutions(p: DhParams, maps: TopologyMaps, target: CrossSectionPoint):
 # --------------------------------------------------------------------------
 
 def _path_graph(amap: AspectMap, allowed: np.ndarray, scale: float):
-    """The cells of `allowed` (flat, row-major) and the directed graph over
-    them: node k, the k-th cell, has an edge to each allowed cell among
-    (i +- 1, j) and (i, j +- 1) on the wrapped grid, weighted by the cost of
-    entering it, h (1 + 0.05 / (|det J| / scale + 1e-3)).  The grid-sized
-    temporaries die on return, before the search allocates its state."""
-    cells = np.flatnonzero(allowed)
+    """The lattice points of `allowed` (flat, row-major) and the directed
+    graph over them: node k, the k-th point, has an edge to each allowed
+    point among (i +- 1, j) and (i, j +- 1) on the wrapped lattice, weighted
+    by the cost of entering it, h (1 + 0.05 / (|det J| / scale + 1e-3)).  The
+    lattice-sized temporaries die on return, before the search allocates its
+    state."""
+    points = np.flatnonzero(allowed)
     node = np.full(allowed.shape, -1, dtype=np.int32)
-    node[allowed] = np.arange(len(cells), dtype=np.int32)
-    to = np.column_stack([np.roll(node, shift, axis=axis).ravel()[cells]
+    node[allowed] = np.arange(len(points), dtype=np.int32)
+    to = np.column_stack([np.roll(node, shift, axis=axis).ravel()[points]
                           for shift, axis in ((-1, 0), (1, 0), (-1, 1), (1, 1))])
     edge = to >= 0
     indptr = np.insert(np.cumsum(np.count_nonzero(edge, axis=1), dtype=np.int32), 0, 0)
     to = to[edge]
-    cost = amap.cell_size * (1.0 + 0.05 / (np.abs(amap.det_center.ravel()[cells]) / scale + 1e-3))
-    return cells, csr_matrix((cost[to], to, indptr), shape=(len(cells),) * 2)
+    cost = amap.spacing * (1.0 + 0.05 / (np.abs(amap.det_vertex.ravel()[points]) / scale + 1e-3))
+    return points, csr_matrix((cost[to], to, indptr), shape=(len(points),) * 2)
 
 
 def find_nonsingular_path(p: DhParams, maps: TopologyMaps,
                           q_start: JointConfig, q_goal: JointConfig) -> JointPath | None:
-    """Cheapest path between two configurations through the open cells of
-    their aspect (|det J| > 3 PATH_DET_TOL L^3, plus the end cells), from one
-    Dijkstra run on _path_graph, or None when they lie in different aspects.
-    theta1 is irrelevant to singularities and is carried only at the ends."""
+    """Cheapest path between two configurations through the open lattice
+    points of their aspect (|det J| > 3 PATH_DET_TOL L^3, plus the points
+    nearest the two ends), from one Dijkstra run on _path_graph, or None
+    when they lie in different aspects.  theta1 is irrelevant to
+    singularities and is carried only at the ends."""
     scale = singularity_scale(p)
     tol = PATH_DET_TOL * scale
     for q in (q_start, q_goal):
         if abs(float(det_jacobian(p, q.theta2, q.theta3))) <= tol:
             raise StartOrGoalSingularError("configuration is singular within tolerance")
     amap = maps.aspects
-    start = amap.cell_of(q_start.theta2, q_start.theta3)
-    goal = amap.cell_of(q_goal.theta2, q_goal.theta3)
+    start = amap.nearest(q_start.theta2, q_start.theta3)
+    goal = amap.nearest(q_goal.theta2, q_goal.theta3)
     if amap.labels[start] != amap.labels[goal] or amap.labels[start] < 0:
         return None
-    allowed = (amap.labels == amap.labels[start]) & (np.abs(amap.det_center) > 3.0 * tol)
+    allowed = (amap.labels == amap.labels[start]) & (np.abs(amap.det_vertex) > 3.0 * tol)
     allowed[start] = allowed[goal] = True
-    cells, graph = _path_graph(amap, allowed, scale)
-    first, last = (int(np.searchsorted(cells, i * amap.grid_n + j)) for i, j in (start, goal))
+    points, graph = _path_graph(amap, allowed, scale)
+    first, last = (int(np.searchsorted(points, i * amap.grid_n + j)) for i, j in (start, goal))
     dist, prev = dijkstra(graph, indices=first, return_predecessors=True)
     if dist[last] == math.inf:
         return None
     route = [last]
     while route[-1] != first:
         route.append(int(prev[route[-1]]))
-    inner = np.column_stack(amap.center(*np.divmod(cells[route[-2:0:-1]], amap.grid_n)))
+    inner = np.column_stack(amap.point(*np.divmod(points[route[-2:0:-1]], amap.grid_n)))
     waypoints = np.vstack([(q_start.theta2, q_start.theta3), inner, (q_goal.theta2, q_goal.theta3)])
     path = JointPath(waypoints, q_start.theta1, q_goal.theta1, 0.0)
     return JointPath(waypoints, q_start.theta1, q_goal.theta1, verify_path(p, path).min_det)

@@ -3,9 +3,9 @@ flood fill as one sparse graph over every cell, the damped Newton with one
 fun_jac call per line-search lambda, marching squares and its chain walk over
 dicts keyed by ("u" | "v", i, j), a segment hash filled one segment at a
 time, the quartic root engine and label distance as they stood before the
-per-robot conic constants, the A* path search over cell tuples, the path
-audit one segment at a time, and the c3s3 plot's plane marching squares as a
-loop over cells."""
+per-robot conic constants, the quartic jet with its own Horner loop, the A*
+path search over lattice-point tuples, the path audit one segment at a time,
+and the c3s3 plot's plane marching squares as a loop over cells."""
 import heapq
 import math
 from collections import defaultdict
@@ -34,6 +34,8 @@ from cuspidal.errors import StartOrGoalSingularError
 from cuspidal.reduction import (
     _CONIC_ZERO,
     _DEGREE_DROP_TOL,
+    _JET_INDEX,
+    _JET_WEIGHT,
     _QUARTIC_ZERO,
     _SEPARATED,
     IkBatch,
@@ -419,6 +421,16 @@ def solve_quartics(m):
                      np.take_along_axis(out_m, order, axis=1), zero)
 
 
+def quartic_jet(coeffs, t, order):
+    """reduction.quartic_jet with its own Horner loop over the five slots."""
+    d = coeffs[..., _JET_INDEX[:order + 1]] * _JET_WEIGHT[:order + 1]
+    tt = np.reshape(t, (-1,) + (1,) * (d.ndim - 2))
+    acc = d[..., 0]
+    for i in range(1, 5):
+        acc = acc * tt + d[..., i]
+    return acc
+
+
 def label_distance(maps, pts):
     """topology._labels' distance to the boundary: one query per index."""
     return np.minimum(maps.s_index.dists(pts), maps.ps_index.dists(pts))
@@ -505,11 +517,11 @@ def labels(maps, ik):
     """topology._labels with label_distance."""
     row, theta, mult = ik.row[ik.solved], ik.theta[ik.solved], ik.mult[ik.solved]
     th2, th3 = wrap_angle(theta[:, 1]), wrap_angle(theta[:, 2])
-    cells = maps.aspects.cell_of(th2, th3)
-    aspect = maps.aspects.labels[cells].tolist()
-    reduced = maps.reduced.labels[cells]
+    at = maps.aspects.nearest(th2, th3)
+    aspect = maps.aspects.labels[at].tolist()
+    reduced = maps.reduced.labels[at]
     dist = label_distance(maps, np.column_stack([th2, th3]))
-    on_boundary = ((dist < maps.aspects.cell_size) | (reduced < 0)).tolist()
+    on_boundary = ((dist < maps.aspects.spacing) | (reduced < 0)).tolist()
     out = [None if status else [] for status in ik.status.tolist()]
     for n, (k, q, m) in enumerate(zip(row.tolist(), theta.tolist(), mult.tolist())):
         out[k].append(SolutionLabel(JointConfig(*q), m, aspect[n], int(reduced[n]),
@@ -518,12 +530,13 @@ def labels(maps, ik):
 
 
 # --------------------------------------------------------------------------
-# posture-change path search over cell tuples
+# posture-change path search over lattice-point tuples
 # --------------------------------------------------------------------------
 
 def find_nonsingular_path(p, maps, q_start, q_goal):
     """topology.find_nonsingular_path as an A* search with its state in dicts
-    and a set keyed by (i, j) cell tuples, audited by verify_path below."""
+    and a set keyed by (i, j) lattice-point tuples, audited by verify_path
+    below."""
     scale = singularity_scale(p)
     tol = PATH_DET_TOL * scale
     for q in (q_start, q_goal):
@@ -531,14 +544,14 @@ def find_nonsingular_path(p, maps, q_start, q_goal):
             raise StartOrGoalSingularError("configuration is singular within tolerance")
     amap = maps.aspects
     n = amap.grid_n
-    h = amap.cell_size
-    start = amap.cell_of(q_start.theta2, q_start.theta3)
-    goal = amap.cell_of(q_goal.theta2, q_goal.theta3)
+    h = amap.spacing
+    start = amap.nearest(q_start.theta2, q_start.theta3)
+    goal = amap.nearest(q_goal.theta2, q_goal.theta3)
     if amap.labels[start] != amap.labels[goal] or amap.labels[start] < 0:
         return None
     label = amap.labels[start]
-    det_abs = np.abs(amap.det_center) / scale
-    allowed = (amap.labels == label) & (np.abs(amap.det_center) > 3.0 * tol)
+    det_abs = np.abs(amap.det_vertex) / scale
+    allowed = (amap.labels == label) & (np.abs(amap.det_vertex) > 3.0 * tol)
     allowed[start] = True
     allowed[goal] = True
 
@@ -577,7 +590,7 @@ def find_nonsingular_path(p, maps, q_start, q_goal):
     cells.reverse()
     pts = [np.array([q_start.theta2, q_start.theta3])]
     for c in cells[1:-1]:
-        pts.append(np.array(amap.center(*c)))
+        pts.append(np.array(amap.point(*c)))
     pts.append(np.array([q_goal.theta2, q_goal.theta3]))
     waypoints = np.array(pts)
     path = JointPath(waypoints, q_start.theta1, q_goal.theta1, 0.0)

@@ -1,5 +1,6 @@
 import math
 from collections import defaultdict
+from functools import partial
 
 import numpy as np
 import pytest
@@ -33,10 +34,10 @@ from cuspidal.critical import (
     _crossing_points,
     _damped_newton,
     _dedup_sorted,
-    _det_on_vertices,
     _marching_segments,
     _mixed_cells,
     _multiple_root_system,
+    _sample_lattice,
 )
 from cuspidal.dh import length_scale
 from cuspidal.errors import DegenerateGeometryError
@@ -617,14 +618,12 @@ def test_chain_walk_with_a_kept_mask_equals_the_dict_walk(n, seed):
 
 
 def test_array_marching_equals_the_dict_engine_on_robot_fields():
-    """det J on the vertex grid and D on the cell centers, saddle centers
-    evaluated in one vectorised call against one scalar call each."""
+    """det J and D on the one vertex lattice, saddle centers evaluated in
+    one vectorised call against one scalar call each."""
     for robot in (REFERENCE, NODE_ROBOT, NONORTHO_NONCUSPIDAL):
-        f, th = _det_on_vertices(robot, TEST_GRID)
-        _assert_marching_equals_the_dict_engine(f, th, lambda t2, t3: det_jacobian(robot, t2, t3))
-        field = lambda t2, t3: topology._discriminant(robot, t2, t3)
-        th = critical._centers(TEST_GRID)
-        _assert_marching_equals_the_dict_engine(critical._center_field(field, TEST_GRID), th, field)
+        for field in (partial(det_jacobian, robot), partial(topology._discriminant, robot)):
+            f, th = _sample_lattice(field, TEST_GRID)
+            _assert_marching_equals_the_dict_engine(f, th, field)
 
 
 @settings(max_examples=200)
@@ -647,36 +646,32 @@ def test_candidate_pairs_equal_the_segment_hash(seed):
 
 
 def test_det_lattices_equal_the_pointwise_values_on_the_battery():
-    """det J on the vertex and cell-center lattices (A, B, C on the axes)
-    has the bytes of det J evaluated point by point at the same angles, as
-    flattened arrays and as Python floats."""
+    """det J and D on the vertex lattice, sampled in row blocks from the
+    axes (det J's A, B, C on the theta3 axis), have the bytes of the fields
+    evaluated point by point at the same angles, as flattened arrays and as
+    Python floats."""
     n = 128
     vertices = -math.pi + 2 * math.pi * np.arange(n) / n
-    centers = -math.pi + 2 * math.pi / n * (np.arange(n) + 0.5)
+    t2, t3 = np.meshgrid(vertices, vertices, indexing="ij")
     pick = np.random.default_rng(3).integers(0, n, (40, 2))
     for robot in BATTERY.values():
-        f, th = _det_on_vertices(robot, n)
-        g = critical._center_field(lambda t2, t3: det_jacobian(robot, t2, t3), n)
-        assert th.tobytes() == vertices.tobytes()
-        for lattice, axis in ((f, vertices), (g, centers)):
-            t2, t3 = np.meshgrid(axis, axis, indexing="ij")
-            points = det_jacobian(robot, t2.ravel(), t3.ravel()).reshape(n, n)
-            assert lattice.tobytes() == points.tobytes()
-            scalars = [float(det_jacobian(robot, float(axis[i]), float(axis[j]))) for i, j in pick]
+        for field in (partial(det_jacobian, robot), partial(topology._discriminant, robot)):
+            lattice, th = _sample_lattice(field, n)
+            assert th.tobytes() == vertices.tobytes()
+            assert lattice.tobytes() == field(t2.ravel(), t3.ravel()).reshape(n, n).tobytes()
+            scalars = [float(field(float(vertices[i]), float(vertices[j]))) for i, j in pick]
             assert np.array(scalars).tobytes() == lattice[pick[:, 0], pick[:, 1]].tobytes()
 
 
 def test_critical_set_keeps_the_samples_a_fresh_evaluation_gives(analysis):
-    """The set is the tuple of its curves, and its det J grids and S index
+    """The set is the tuple of its curves, and its det J lattice and S index
     equal what sampling and indexing from scratch give, bit for bit."""
     curves = analysis.curves(REFERENCE)
     assert isinstance(curves, tuple) and len(curves) == len(list(curves)) > 0
     assert curves[0] is next(iter(curves))
-    assert np.array_equal(curves.det_vertex, _det_on_vertices(REFERENCE, TEST_GRID)[0])
-    centers = -math.pi + 2 * math.pi / TEST_GRID * (np.arange(TEST_GRID) + 0.5)
-    c2, c3 = np.meshgrid(centers, centers, indexing="ij")
-    assert np.array_equal(curves.det_center, det_jacobian(REFERENCE, c2, c3))
-    assert curves.det_center is curves.det_center and curves.s_index is curves.s_index
+    assert np.array_equal(curves.det_vertex,
+                          _sample_lattice(partial(det_jacobian, REFERENCE), TEST_GRID)[0])
+    assert curves.s_index is curves.s_index
     segs = [unwrap_segment(c.vertices[k], c.vertices[(k + 1) % len(c)])
             for c in curves for k in range(len(c))]
     assert np.array_equal(curves.s_index.seg_a, np.array([a for a, _ in segs]))
@@ -685,7 +680,7 @@ def test_critical_set_keeps_the_samples_a_fresh_evaluation_gives(analysis):
 
 def test_corner_sign_mask_equals_marching_cells_on_det_j():
     for robot in (REFERENCE, NODE_ROBOT, NONORTHO_NONCUSPIDAL):
-        f, th = _det_on_vertices(robot, TEST_GRID)
+        f, th = _sample_lattice(partial(det_jacobian, robot), TEST_GRID)
         mask = _mixed_cells(f < 0)
         assert {(int(i), int(j)) for i, j in zip(*np.nonzero(mask))} == _crossing_cells(f, th)
 

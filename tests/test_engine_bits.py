@@ -124,6 +124,23 @@ def test_polish_plain_bits_equal_reference(seed):
     assert _same_bits(best_val, residual)
 
 
+@settings(max_examples=200)
+@given(seed=st.integers(0, 2 ** 32 - 1), order=st.integers(0, 4),
+       inner=st.sampled_from([(), (3,), (2, 3)]))
+def test_quartic_jet_bits_equal_reference(seed, order, inner):
+    """Quartic rows with extra axes between the row and the coefficients, as
+    the pencil's (K, 3, 5) stacks have, at points from 1e-3 to 1e3 of
+    either sign, zeros and degree-dropped rows among them."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, 12))
+    coeffs = rng.normal(size=(k, *inner, 5)) * 10.0 ** rng.uniform(-3.0, 3.0, (k, *inner, 5))
+    coeffs[rng.random((k, *inner, 5)) < 0.1] = 0.0
+    t = rng.choice([-1.0, 1.0], k) * 10.0 ** rng.uniform(-3.0, 3.0, k)
+    t[rng.random(k) < 0.1] = 0.0
+    assert _same_bits(reduction.quartic_jet(coeffs, t, order),
+                      engine_refs.quartic_jet(coeffs, t, order))
+
+
 def _robots():
     """Battery robots, random robots and signed-zero variants."""
     rng = np.random.default_rng(17)

@@ -1,11 +1,12 @@
 """Static checks on the source tree, written with `ast` since no linter is a
 dependency: one root-acceptance rule, the root engine called only where no IK
-result is built, no unused imports, no per-cell loop over a 2-D mask, no
-hand-written heap search, and no heavyweight third-party module imported when
-the package loads."""
+result is built, no unused imports, no unread private definitions, no per-cell
+loop over a 2-D mask, no hand-written heap search, and no heavyweight
+third-party module imported when the package loads."""
 import ast
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -179,6 +180,54 @@ def test_importing_the_cli_loads_no_lazy_scipy_module():
     assert out.stdout.strip() == "[]"
 
 
+def _private_definitions(tree) -> list:
+    """(name, first line, last line) of every private module-level function
+    and class and every private module-level constant in capitals."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)
+                     and re.fullmatch(r"_[A-Z][A-Z0-9_]*", t.id)]
+        else:
+            continue
+        found.extend((name, node.lineno, node.end_lineno) for name in names
+                     if name.startswith("_") and not name.startswith("__"))
+    return found
+
+
+def _reads(tree) -> list:
+    """(name, line) of every name the tree loads, bare or as an attribute."""
+    return ([(n.id, n.lineno) for n in ast.walk(tree)
+             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)]
+            + [(n.attr, n.lineno) for n in ast.walk(tree)
+               if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)])
+
+
+def _unread_private_names(trees: dict) -> list:
+    """(file, name) of every private definition that no tree reads outside
+    the definition itself; `trees` maps file names to parsed modules."""
+    reads = {path: _reads(tree) for path, tree in trees.items()}
+    unread = []
+    for path, tree in trees.items():
+        for name, first, last in _private_definitions(tree):
+            if not any(n == name and (other != path or not first <= line <= last)
+                       for other, found in reads.items() for n, line in found):
+                unread.append((path, name))
+    return sorted(unread)
+
+
+def test_no_private_definition_goes_unread():
+    """No dead code: every private module-level function, class and capital
+    constant of the package is read in the package or in scripts/ outside
+    its own definition."""
+    trees = {str(path.relative_to(ROOT)): _tree(path)
+             for path in [*PACKAGE.glob("*.py"), *(ROOT / "scripts").glob("*.py")]}
+    assert _unread_private_names(trees) == []
+
+
 def test_checks_see_what_they_look_for():
     tree = ast.parse("import numpy as np\nfrom a import cluster_real_roots, b\n"
                      "import os.path\nx = np.roots([1, 0])\n")
@@ -197,3 +246,9 @@ def test_checks_see_what_they_look_for():
     tree = ast.parse("solve_quartics(m)\ndef f():\n    def g():\n        r.solve_quartics(m)\n"
                      "    return solve_quartics\n")
     assert _callers(tree, "solve_quartics") == [("<module>", 1), ("g", 4)]
+    trees = {"a.py": ast.parse("def _centers(n):\n    return _centers(n - 1)\n"
+                               "def _used():\n    pass\n_LIMIT = 2\n_TOL: float = 1.0\n"
+                               "_lower = 3\nclass _Box:\n    pass\n"),
+             "b.py": ast.parse("from a import _used\nx = _used() + a._TOL\n")}
+    assert _unread_private_names(trees) == [("a.py", "_Box"), ("a.py", "_LIMIT"),
+                                            ("a.py", "_centers")]

@@ -28,7 +28,7 @@ from cuspidal import (
 from cuspidal.errors import NonGenericRobotError, StartOrGoalSingularError
 from cuspidal.geometry import TorusCurveIndex, polyline_min_dist
 from cuspidal.robotfile import parse_robot_file
-from cuspidal.topology import JointPath, _components, _curve_band, label_solutions_batch
+from cuspidal.topology import PS_EXCLUSION_RADIUS, JointPath, _components, label_solutions_batch
 
 from conftest import (
     BINARY_ROBOT,
@@ -93,7 +93,7 @@ def test_aspect_labels_partition_torus(ref_maps):
 
 def test_det_sign_constant_inside_aspect(ref_maps):
     labels = ref_maps.aspects.labels
-    det = ref_maps.aspects.det_center
+    det = ref_maps.aspects.det_vertex
     for k in range(ref_maps.aspects.count):
         signs = np.sign(det[labels == k])
         assert len(set(signs.tolist())) == 1
@@ -124,10 +124,11 @@ def test_ps_points_map_onto_critical_values(analysis, ref_maps):
 
 
 def test_ps_points_keep_exclusion_distance(ref_maps):
-    ps = ref_maps.ps
-    for chain in ps.polylines:
+    """PS measures no crossing against S; the S band alone keeps every
+    kept one more than the exclusion radius away from it."""
+    for chain in ref_maps.ps.polylines:
         for pt in chain[::7]:
-            assert ref_maps.s_index.dist(pt) > ps.exclusion_radius * 0.999
+            assert ref_maps.s_index.dist(pt) > PS_EXCLUSION_RADIUS
 
 
 def test_torus_distance_index_matches_brute_force(analysis):
@@ -153,8 +154,8 @@ def test_build_topology_refuses_a_set_from_another_grid_or_robot(analysis):
 
 
 def test_is_cuspidal_samples_the_torus_once(monkeypatch):
-    """One analysis evaluates det J once on each lattice (vertices, cell
-    centers), D once on the cell centers, and builds the S index once."""
+    """One analysis samples det J and D once each, on the one vertex
+    lattice, and builds the S index and the PS index once each."""
     calls = Counter()
 
     def counted(key, fn):
@@ -163,16 +164,14 @@ def test_is_cuspidal_samples_the_torus_once(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    centers = counted(lambda field, grid_n: "centers:" + field.func.__name__,
-                      critical._center_field)
-    monkeypatch.setattr(critical, "_det_on_vertices",
-                        counted("vertices", critical._det_on_vertices))
-    monkeypatch.setattr(critical, "_center_field", centers)
-    monkeypatch.setattr(topology, "_center_field", centers)
+    lattice = counted(lambda field, grid_n: f"lattice:{field.func.__name__}:{grid_n}",
+                      critical._sample_lattice)
+    monkeypatch.setattr(critical, "_sample_lattice", lattice)
+    monkeypatch.setattr(topology, "_sample_lattice", lattice)
     monkeypatch.setattr(critical, "TorusCurveIndex", counted("s_index", TorusCurveIndex))
     monkeypatch.setattr(topology, "TorusCurveIndex", counted("ps_index", TorusCurveIndex))
     is_cuspidal(REFERENCE, grid_n=128)
-    assert calls == {"vertices": 1, "centers:det_jacobian": 1, "centers:_discriminant": 1,
+    assert calls == {"lattice:det_jacobian:128": 1, "lattice:_discriminant:128": 1,
                      "s_index": 1, "ps_index": 1}
 
 
@@ -223,15 +222,20 @@ def test_is_cuspidal_bounds_its_newton_and_sweep_work(monkeypatch):
 @pytest.mark.parametrize("name", sorted(BATTERY.robots))
 def test_sampled_grids_have_the_full_shape(name):
     """det J and D sampled from the broadcast axes fill the whole lattice:
-    no field of a battery robot comes back as one row or one column."""
+    no field of a battery robot comes back as one row or one column, and
+    every map of the set lives on the lattice the trace sampled."""
     _, p = BATTERY.get(name)
     n = 64
     curves = critical.trace_critical_points(p, n)
-    assert curves.det_vertex.shape == curves.det_center.shape == (n, n)
-    th = critical._centers(n)
+    th = -math.pi + 2 * math.pi * np.arange(n) / n
     for field in (det_jacobian, topology._discriminant):
         assert field(p, th[:, None], th[None, :]).shape == (n, n)
-    assert compute_pseudosingularities(curves).d_positive.shape == (n, n)
+    ps = compute_pseudosingularities(curves)
+    aspects = compute_aspects(curves)
+    reduced = compute_reduced_aspects(ps, aspects)
+    assert (curves.det_vertex.shape == aspects.labels.shape == reduced.labels.shape
+            == ps.d_positive.shape == ps.s_band.shape == (n, n))
+    assert aspects.det_vertex is curves.det_vertex
 
 
 def test_binary_robot_has_empty_ps(analysis):
@@ -239,7 +243,7 @@ def test_binary_robot_has_empty_ps(analysis):
     ps = compute_pseudosingularities(curves)
     assert ps.total_points() == 0
     aspects = compute_aspects(curves)
-    reduced = compute_reduced_aspects(curves, ps, aspects)
+    reduced = compute_reduced_aspects(ps, aspects)
     assert reduced.count == aspects.count
     assert np.array_equal(reduced.labels, aspects.labels)
 
@@ -295,6 +299,71 @@ def test_reference_aspect_splits_into_reduced(ref_maps):
 
 
 # --------------------------------------------------------------------------
+# one lattice: S, aspects, PS and the reduced fill meet edge by edge
+# --------------------------------------------------------------------------
+
+def _battery_maps(analysis, name):
+    p = BATTERY.get(name)[1]
+    curves = analysis.curves(p)
+    return curves, build_topology(p, curves, TEST_GRID)
+
+
+@pytest.mark.parametrize("name", sorted(BATTERY.robots))
+def test_every_sign_change_edge_of_det_j_separates_aspects(name, analysis):
+    """A lattice edge where det J changes sign joins two different aspect
+    labels or touches a singular (-1) point."""
+    curves, maps = _battery_maps(analysis, name)
+    neg = curves.det_vertex < 0
+    labels = maps.aspects.labels
+    crossed = 0
+    for axis in (0, 1):
+        edge = neg != np.roll(neg, -1, axis=axis)
+        a, b = labels[edge], np.roll(labels, -1, axis=axis)[edge]
+        assert np.all((a != b) | (a < 0) | (b < 0))
+        crossed += int(np.count_nonzero(edge))
+    assert crossed > 0
+
+
+def _dilated(core, steps):
+    """core grown `steps` times over the 4-neighbourhood on the torus, by
+    SciPy's dilation of a copy padded with its own wrap."""
+    from scipy.ndimage import binary_dilation, generate_binary_structure
+
+    padded = np.pad(core, steps, mode="wrap")
+    grown = binary_dilation(padded, generate_binary_structure(2, 1), iterations=steps)
+    return grown[steps:-steps, steps:-steps]
+
+
+@pytest.mark.parametrize("name", sorted(BATTERY.robots))
+def test_ps_crossings_lie_on_edges_outside_the_reduced_fills_band(name, analysis):
+    """The S band is both ends of every sign-change edge of det J, grown
+    ceil(PS_EXCLUSION_RADIUS / h) + 1 times; compute_reduced_aspects labels
+    it -1, and every kept PS crossing lies on a lattice edge whose two ends
+    are outside it."""
+    curves, maps = _battery_maps(analysis, name)
+    n, h = TEST_GRID, 2 * math.pi / TEST_GRID
+    neg = curves.det_vertex < 0
+    core = np.zeros((n, n), dtype=bool)
+    for axis in (0, 1):
+        edge = neg != np.roll(neg, -1, axis=axis)
+        core |= edge | np.roll(edge, 1, axis=axis)
+    band = maps.ps.s_band
+    assert np.array_equal(band, _dilated(core, math.ceil(PS_EXCLUSION_RADIUS / h) + 1))
+    assert maps.ps.total_points() > 0
+    assert np.all(maps.reduced.labels[band] == -1)
+    pts = np.vstack(maps.ps.polylines)
+    u = (pts + math.pi) / h
+    fixed = np.argmin(np.abs(u - np.rint(u)), axis=1)      # the axis the edge does not run along
+    rows = np.arange(len(u))
+    assert np.all(np.abs(u[rows, fixed] - np.rint(u[rows, fixed])) < 1e-9)
+    at = np.rint(u[rows, fixed]).astype(int) % n
+    lo = np.floor(u[rows, 1 - fixed]).astype(int) % n
+    for end in (lo, (lo + 1) % n):
+        i, j = np.where(fixed == 1, end, at), np.where(fixed == 1, at, end)
+        assert not np.any(band[i, j])
+
+
+# --------------------------------------------------------------------------
 # flood fill against the cell-graph reference
 # --------------------------------------------------------------------------
 
@@ -332,15 +401,14 @@ def test_row_run_fill_equals_the_cell_graph(n, values, seed, layout, exclusion):
 
 
 def test_row_run_fill_equals_the_cell_graph_on_robot_grids(analysis):
-    """The aspect and reduced-aspect fills of the battery's grids, keys and
-    exclusion band as compute_aspects and compute_reduced_aspects pass them."""
+    """The aspect and reduced-aspect fills of the battery's lattices, keys
+    and S band as compute_aspects and compute_reduced_aspects pass them."""
     for robot in (REFERENCE, NODE_ROBOT, NONORTHO_NONCUSPIDAL):
         curves = analysis.curves(robot)
         ps = compute_pseudosingularities(curves)
-        det_c = curves.det_center
-        _assert_fill_equals_reference(det_c >= 0)
-        _assert_fill_equals_reference(2 * (det_c >= 0) + ps.d_positive,
-                                      _curve_band(curves, TEST_GRID, ps.exclusion_radius))
+        det = curves.det_vertex
+        _assert_fill_equals_reference(det >= 0)
+        _assert_fill_equals_reference(2 * (det >= 0) + ps.d_positive, ps.s_band)
 
 
 # --------------------------------------------------------------------------
