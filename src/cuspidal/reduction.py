@@ -291,12 +291,12 @@ class Quartic:
 def quartic_coeffs_from_conic(cc) -> np.ndarray:
     """Tangent half-angle substitution, cleared by (1 + t^2)^2.
 
-    Works on a coefficient stack of shape (6, ...) and returns (5, ...) with
-    the leading coefficient equal to the conic value at (c3, s3) = (-1, 0).
+    Works on a coefficient stack of shape (6, ...), or on six broadcastable
+    coefficients, and returns (5, ...) with the leading coefficient equal to
+    the conic value at (c3, s3) = (-1, 0).
     """
-    cc = np.asarray(cc)
     axx, axy, ayy, bx, by, c = cc
-    out = np.empty((5,) + cc.shape[1:])
+    out = np.empty((5,) + np.broadcast_shapes(*map(np.shape, (axx, axy, ayy, bx, by, c))))
     out[0] = axx - 2 * bx + c
     out[1] = -4 * axy + 4 * by
     out[2] = -2 * axx + 4 * ayy + 2 * c

@@ -84,12 +84,9 @@ def load_schema() -> dict:
 
 
 def census_summary(census) -> dict:
-    counts = census.counts.ravel()
-    hist = {}
-    for v in sorted(set(int(c) for c in counts)):
-        hist[str(v)] = int(np.sum(counts == v))
+    values, sizes = np.unique(census.counts, return_counts=True)
     return {
-        "counts_histogram": hist,
+        "counts_histogram": {str(v): n for v, n in zip(values.tolist(), sizes.tolist())},
         "audited_pairs": int(census.audited_pairs),
         "audit_ok": bool(census.audit_ok),
         "violations": int(len(census.violations)),

@@ -64,9 +64,13 @@ class _Canvas:
                 self.off_y + (self.y1 - y) * self.sx)
 
     def polyline(self, pts, cls: str):
+        """One polyline element; the vertices are transformed as arrays and
+        formatted in one pass, with to_view_fmt's digits."""
         if len(pts) < 2:
             return
-        coords = " ".join("%s,%s" % self.to_view_fmt(x, y) for x, y in pts)
+        xy = np.asarray(pts, dtype=float)
+        vx, vy = self.to_view(xy[:, 0], xy[:, 1])
+        coords = " ".join(["%.3f,%.3f"] * len(xy)) % tuple(np.column_stack([vx, vy]).ravel().tolist())
         self.parts.append(f'  <polyline class="{cls}" points="{coords}"/>')
 
     def to_view_fmt(self, x, y):

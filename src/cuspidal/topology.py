@@ -29,7 +29,6 @@ from .dh import (
     DhParams,
     JointConfig,
     det_jacobian,
-    fk_arrays,
     singularity_scale,
     validate_params,
     wrap_angle,
@@ -53,8 +52,9 @@ from .critical import (
 )
 from .reduction import (
     IkBatch,
+    _conic_terms,
     conic_classify,
-    conic_raw,
+    f_coefficients,
     quartic_coeffs_from_conic,
     quartic_discriminant,
     solve_ik_batch,
@@ -63,6 +63,7 @@ from .reduction import (
 PS_EXCLUSION_RADIUS = 1e-2
 PATH_DET_TOL = 1e-4  # times singularity scale
 _SINGULAR_CELL_TOL = 1e-12
+_CROSSING_BRACKET = 2.0 ** -36  # final bracket of a PS crossing, in lattice edges
 
 
 # --------------------------------------------------------------------------
@@ -202,7 +203,9 @@ def _components(key, excluded=None):
     cumsum.  The graph joins runs across each row's seam (column n - 1 to
     column 0) and across the open edges between rows, with one edge wherever
     the pair of runs changes along the row, so it has thousands of nodes
-    where a graph of cells has grid_n^2.
+    where a graph of cells has grid_n^2.  Returns the count, the labels and
+    each label's first lattice point (row-major flat index), the first cell
+    of its first free run.
     """
     free = np.ones(key.shape, dtype=bool) if excluded is None else ~excluded
     joined = (key[:, 1:] == key[:, :-1]) & free[:, 1:] & free[:, :-1]
@@ -222,10 +225,13 @@ def _components(key, excluded=None):
     n_comp, comp = connected_components(graph, directed=False)
     # an excluded cell is a run of its own without edges, so its component
     # holds no free run and keeps the label -1
-    comps, first = np.unique(comp[free.ravel()[start.ravel()]], return_index=True)
+    starts = np.flatnonzero(start)
+    free_runs = np.flatnonzero(free.ravel()[starts])
+    comps, first = np.unique(comp[free_runs], return_index=True)
+    order = np.argsort(first)
     remap = -np.ones(n_comp, dtype=np.int32)
-    remap[comps[np.argsort(first)]] = np.arange(len(comps), dtype=np.int32)
-    return len(comps), remap[comp][run]
+    remap[comps[order]] = np.arange(len(comps), dtype=np.int32)
+    return len(comps), remap[comp][run], starts[free_runs[first[order]]]
 
 
 def compute_aspects(curves: CriticalSet) -> AspectMap:
@@ -235,41 +241,75 @@ def compute_aspects(curves: CriticalSet) -> AspectMap:
     Lattice points singular within tolerance are labeled -1.
     """
     det = curves.det_vertex
-    count, labels = _components(det >= 0)
+    count, labels, _ = _components(det >= 0)
     labels[np.abs(det) < _SINGULAR_CELL_TOL * singularity_scale(curves.robot)] = -1
     return AspectMap(curves.grid_n, labels, count, det)
 
 
 def _discriminant(p: DhParams, theta2, theta3):
-    """D = disc_t M(t; f(theta2, theta3)), up to a positive factor.
+    """D = disc_t M(t; f(theta2, theta3)), up to a positive factor, in the
+    factored form of det J.
 
-    The conic is scaled to unit max-norm per point, which keeps D of order one
-    and leaves its sign and zero set unchanged.
+    The conic's target terms at f(theta2, theta3) are P = (F3 - w2) / (2 a1)
+    + F1 c2 + F2 s2 and Q = (F4 - w3) / sin(alpha1) + F1 s2 - F2 c2, with
+    the F_i at theta3.  Those are per-theta3 terms against c2 and s2, so a
+    column of theta2 against a row of theta3 takes the trig and the F_i on
+    the axes, and every value equals the one the same angles give point by
+    point.  Bx, By and C follow from P and Q as in the IK conic.  D is not
+    normalised: its sign does not depend on scale.
     """
-    x, y, z = fk_arrays(p, 0.0, theta2, theta3)
-    zr = z - p.d1
-    cc = conic_raw(p, x * x + y * y + zr * zr, zr)
-    cc = cc / np.maximum(np.max(np.abs(cc), axis=0), 1e-300)
-    return quartic_discriminant(quartic_coeffs_from_conic(cc))
+    f = f_coefficients(p)
+    k = _conic_terms(p)
+    c3, s3 = np.cos(theta3), np.sin(theta3)
+    f1 = f.u[0] * c3 + f.v[0] * s3 + f.w[0]
+    f2 = f.u[1] * c3 + f.v[1] * s3 + f.w[1]
+    p3 = (f.u[2] * c3 + f.v[2] * s3) / k.two_a1
+    q3 = (f.u[3] * c3 + f.v[3] * s3) / k.sa1
+    c2, s2 = np.cos(theta2), np.sin(theta2)
+    pw = p3 + f1 * c2 + f2 * s2
+    qw = q3 + f1 * s2 - f2 * c2
+    bx = k.pu * pw + k.qu * qw - k.uw[0] - k.uw[1]
+    by = k.pv * pw + k.qv * qw - k.vw[0] - k.vw[1]
+    c = pw * pw + qw * qw - k.ww[0] - k.ww[1]
+    return quartic_discriminant(quartic_coeffs_from_conic((k.axx, k.axy, k.ayy, bx, by, c)))
 
 
 def _refine_crossings(field, ids, th, f):
-    """Bisect the sign change of a field along each crossed lattice edge, 36
-    steps each.
+    """Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971) on the sign
+    change of a field along each crossed lattice edge, until its bracket is
+    _CROSSING_BRACKET of an edge; returns the bracket midpoints on the torus.
 
     `ids` are the integer crossing-node ids `_marching_segments` gives for
-    the samples `f` on th x th; returns their positions on the torus.
+    the samples `f` on th x th, whose values at both ends of an edge open
+    its bracket.  Each round evaluates the field once at every crossing
+    still open: at the secant point of its bracket, held half the final
+    width inside it so that a root next to an end closes the bracket.  An
+    end kept twice or more in a row has its value halved (the Illinois
+    step); once kept three times in a row, the crossing bisects instead,
+    which bounds the rounds where the far end's value is orders of magnitude
+    above the near one's or the field bends between them.
     """
-    ii, jj, _, start, step = _crossing_edges(ids, th)
-    neg0 = f[ii, jj] < 0
-    lo = np.zeros(len(ids))
-    hi = np.ones(len(ids))
-    for _ in range(36):
-        mid = 0.5 * (lo + hi)
-        pts = start + mid[:, None] * step
-        same = (field(pts[:, 0], pts[:, 1]) < 0) == neg0
-        lo = np.where(same, mid, lo)
-        hi = np.where(same, hi, mid)
+    n = len(th)
+    i, j, along_v, start, step = _crossing_edges(ids, th)
+    lo, hi = np.zeros(len(ids)), np.ones(len(ids))
+    f_lo, f_hi = f[i, j], f[(i + 1 - along_v) % n, (j + along_v) % n]
+    neg = f_lo < 0
+    kept = np.zeros(len(ids), dtype=np.int8)    # rounds in a row hi (> 0) or lo (< 0) stayed
+    tol = _CROSSING_BRACKET
+    active = np.arange(len(ids))
+    while len(active):
+        a, b, fa, fb, run = lo[active], hi[active], f_lo[active], f_hi[active], kept[active]
+        x = np.clip(a - fa * (b - a) / (fb - fa), a + 0.5 * tol, b - 0.5 * tol)
+        x = np.where(np.abs(run) >= 3, 0.5 * (a + b), x)
+        pts = start[active] + x[:, None] * step[active]
+        fx = field(pts[:, 0], pts[:, 1])
+        up = (fx < 0) == neg[active]              # x replaces lo, hi stays
+        run = np.where(up, np.maximum(run, 0) + 1, np.minimum(run, 0) - 1)
+        lo[active], hi[active] = np.where(up, x, a), np.where(up, b, x)
+        f_lo[active] = np.where(up, fx, np.where(run <= -2, 0.5 * fa, fa))
+        f_hi[active] = np.where(up, np.where(run >= 2, 0.5 * fb, fb), fx)
+        kept[active] = run
+        active = active[hi[active] - lo[active] > tol]
     return wrap_angle(start + (0.5 * (lo + hi))[:, None] * step)
 
 
@@ -341,9 +381,8 @@ def compute_reduced_aspects(ps: PseudoSingularitySet, aspects: AspectMap) -> Red
     if ps.d_positive.shape != (grid_n, grid_n):
         raise ValueError("pseudosingularities were computed on another grid")
     key = 2 * (aspects.det_vertex >= 0) + ps.d_positive
-    count, labels = _components(key, excluded=ps.s_band)
-    ids, first = np.unique(labels, return_index=True)
-    parent = aspects.labels.ravel()[first[ids >= 0]]
+    count, labels, first = _components(key, excluded=ps.s_band)
+    parent = aspects.labels.ravel()[first]
     labels[aspects.labels < 0] = -1
     return ReducedAspectMap(grid_n, labels, count, parent)
 
@@ -477,19 +516,24 @@ def _sample_regular_points(p: DhParams, census, maps: TopologyMaps, samples: int
     """Deterministic stratified sample of regular points with >= 2 IKS.
 
     Four-solution cells are taken first (same-aspect pairs can only occur
-    where at least four solutions exist), then two-solution cells.  All
-    candidates are labelled in one batch; the first `samples` clean ones,
-    in candidate order, are kept.
+    where at least four solutions exist), then two-solution cells.  The
+    first `samples` clean candidates, in candidate order, are kept.
+    Candidates are labelled on demand, in batches of the points still
+    missing plus an eighth, so the two-solution stratum is labelled only
+    where the four-solution one leaves too few clean points.
     """
     rc, zc = census.centers()
     counts = census.counts
-    ordered = []
+    picked = []
     for cells in (np.argwhere(counts >= 4), np.argwhere(counts == 2)):
-        if len(cells):
-            ordered.extend(cells[::max(1, len(cells) // samples)].tolist())
-    targets = [CrossSectionPoint(float(rc[i]), float(zc[j])) for i, j in ordered]
-    labelled = label_solutions_batch(p, maps, [t.rho for t in targets], [t.z for t in targets])
-    picked = [(t, labels) for t, labels in zip(targets, labelled) if _clean(labels)]
+        cells = cells[::max(1, len(cells) // samples)].tolist()
+        while cells and len(picked) < samples:
+            size = samples - len(picked)
+            size += size // 8
+            targets = [CrossSectionPoint(float(rc[i]), float(zc[j])) for i, j in cells[:size]]
+            del cells[:size]
+            labelled = label_solutions_batch(p, maps, [t.rho for t in targets], [t.z for t in targets])
+            picked.extend((t, labels) for t, labels in zip(targets, labelled) if _clean(labels))
     return picked[:samples]
 
 

@@ -5,7 +5,10 @@ dicts keyed by ("u" | "v", i, j), a segment hash filled one segment at a
 time, the quartic root engine and label distance as they stood before the
 per-robot conic constants, the quartic jet with its own Horner loop, the A*
 path search over lattice-point tuples, the path audit one segment at a time,
-and the c3s3 plot's plane marching squares as a loop over cells."""
+the c3s3 plot's plane marching squares as a loop over cells, the SVG
+polyline formatted one vertex at a time, the pulled-back discriminant D
+through the end effector and the conic, its crossings bisected 36 times,
+and the reduced aspects' parents from a sort of the whole lattice."""
 import heapq
 import math
 from collections import defaultdict
@@ -19,6 +22,7 @@ from cuspidal.critical import (
     _NEWTON_FLOOR,
     _NEWTON_MAX_ITER,
     _lstsq_steps,
+    _crossing_edges,
     _mixed_cells,
 )
 from cuspidal.dh import (
@@ -44,7 +48,10 @@ from cuspidal.reduction import (
     _derivative,
     _horner,
     cluster_real_roots,
+    conic_raw,
     f_coefficients,
+    quartic_coeffs_from_conic,
+    quartic_discriminant,
     theta3_of_t,
 )
 from cuspidal.topology import PATH_DET_TOL, JointPath, PathCheck, SolutionLabel
@@ -640,3 +647,42 @@ def marching_squares_plane(values, xs, ys):
                 segs.append(pts[:2])
                 segs.append(pts[2:])
     return segs
+
+
+def polyline_points(canvas, pts):
+    """The points attribute of svgplot._Canvas.polyline, one to_view_fmt call
+    per vertex."""
+    return " ".join("%s,%s" % canvas.to_view_fmt(x, y) for x, y in pts)
+
+
+def discriminant(p, theta2, theta3):
+    """topology._discriminant through the end effector: R and z - d1 from
+    fk_arrays, the conic from conic_raw, scaled to unit max-norm per point."""
+    x, y, z = fk_arrays(p, 0.0, theta2, theta3)
+    zr = z - p.d1
+    cc = conic_raw(p, x * x + y * y + zr * zr, zr)
+    cc = cc / np.maximum(np.max(np.abs(cc), axis=0), 1e-300)
+    return quartic_discriminant(quartic_coeffs_from_conic(cc))
+
+
+def refine_crossings(field, ids, th, f):
+    """topology._refine_crossings as 36 bisection steps on every crossing."""
+    ii, jj, _, start, step = _crossing_edges(ids, th)
+    neg0 = f[ii, jj] < 0
+    lo = np.zeros(len(ids))
+    hi = np.ones(len(ids))
+    for _ in range(36):
+        mid = 0.5 * (lo + hi)
+        pts = start + mid[:, None] * step
+        same = (field(pts[:, 0], pts[:, 1]) < 0) == neg0
+        lo = np.where(same, mid, lo)
+        hi = np.where(same, hi, mid)
+    return wrap_angle(start + (0.5 * (lo + hi))[:, None] * step)
+
+
+def reduced_parent(reduced_labels, aspect_labels):
+    """ReducedAspectMap.parent_aspect from each label's first row-major
+    lattice point, found by np.unique over the whole lattice; the labels are
+    the fill's, before the aspects' singular points are marked -1."""
+    ids, first = np.unique(reduced_labels, return_index=True)
+    return aspect_labels.ravel()[first[ids >= 0]]

@@ -6,6 +6,7 @@ import math
 import os
 
 import jsonschema
+import numpy as np
 import pytest
 
 from cuspidal import (
@@ -24,6 +25,7 @@ from cuspidal.report import dumps, emit_csv, load_schema
 from cuspidal.robotfile import parse_robot_file
 from cuspidal.svgplot import render_c3s3
 
+from conftest import BATTERY as BATTERY_ROBOTS
 from conftest import REFERENCE, TEST_GRID
 
 BATTERY = os.path.join(os.path.dirname(__file__), "..", "robots", "battery.json")
@@ -98,6 +100,23 @@ def test_dumps_is_deterministic_and_sorted():
 def test_dumps_rejects_nan():
     with pytest.raises(ValueError):
         dumps({"x": float("nan")})
+
+
+def test_census_summary_histogram_equals_the_value_loop(analysis):
+    """One np.unique pass gives the histogram a set of the values and one
+    comparison per value gave: the same keys in the same order, the same
+    Python ints, the same JSON bytes."""
+    from cuspidal import region_census
+    from cuspidal.report import census_summary
+
+    for p in (REFERENCE, BATTERY_ROBOTS["orthogonal_node"]):
+        census = region_census(p, analysis.wcurves(p), census_n=64)
+        counts = census.counts.ravel()
+        ref = {str(v): int(np.sum(counts == v)) for v in sorted(set(int(c) for c in counts))}
+        got = census_summary(census)["counts_histogram"]
+        assert list(got.items()) == list(ref.items()) and len(got) >= 3
+        assert all(type(n) is int for n in got.values())
+        assert dumps(got) == dumps(ref)
 
 
 def test_emit_csv_format(tmp_path):

@@ -1,7 +1,7 @@
 """The root engine, the conic stack, the IK slot, the labels, the path
 search and its audit, and the c3s3 plot's marching squares against the
 references in engine_refs, bit for bit, plus the engine's work bounds per
-call."""
+call, and the SVG polylines against the per-vertex formatter."""
 import importlib.util
 import itertools
 import math
@@ -560,3 +560,40 @@ def test_plane_marching_squares_on_random_conics_and_fields(seed):
     _plane_segments_equal_reference((xs[:, None] - x0) * (xs[None, :] - y0), xs)
     small = np.linspace(-1.0, 1.0, 12)
     _plane_segments_equal_reference(rng.normal(size=(12, 12)), small)
+
+
+# --------------------------------------------------------------------------
+# SVG polylines
+# --------------------------------------------------------------------------
+
+def _polyline_equals_reference(canvas, pts):
+    canvas.polyline(pts, "critical-curve")
+    assert canvas.parts[-1] == (f'  <polyline class="critical-curve" '
+                                f'points="{engine_refs.polyline_points(canvas, pts)}"/>')
+
+
+def test_workspace_polylines_equal_the_per_vertex_formatter(analysis):
+    """Every closed critical-value curve render_workspace draws, on a
+    canvas spanning them, has the points the per-vertex formatter gives."""
+    for p in BATTERY.values():
+        wcurves = analysis.wcurves(p)
+        allv = np.vstack([w.vertices for w in wcurves])
+        canvas = svgplot._Canvas(float(allv[:, 0].min()), float(allv[:, 0].max()),
+                                 float(allv[:, 1].min()), float(allv[:, 1].max()))
+        for w in wcurves:
+            _polyline_equals_reference(canvas, np.vstack([w.vertices, w.vertices[:1]]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_polylines_of_random_points_equal_the_per_vertex_formatter(seed):
+    """Arrays and lists of tuples, with values that round to -0.000 and to
+    the half-way digits, on a random canvas."""
+    rng = np.random.default_rng(seed)
+    lo = rng.uniform(-5.0, 0.0, 2)
+    canvas = svgplot._Canvas(lo[0], lo[0] + rng.uniform(1e-3, 10.0), lo[1], lo[1] + rng.uniform(1e-3, 10.0))
+    pts = rng.uniform(-6.0, 6.0, (int(rng.integers(2, 40)), 2))
+    pts[::3] = np.round(pts[::3], 4)
+    _polyline_equals_reference(canvas, pts)
+    _polyline_equals_reference(canvas, [tuple(v) for v in pts.tolist()])
+    _polyline_equals_reference(canvas, [(canvas.x0, canvas.y1), (-0.0, 0.0), (1e-300, -1e-300)])

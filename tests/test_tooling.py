@@ -1,8 +1,9 @@
 """Static checks on the source tree, written with `ast` since no linter is a
 dependency: one root-acceptance rule, the root engine called only where no IK
 result is built, no unused imports, no unread private definitions, no per-cell
-loop over a 2-D mask, no hand-written heap search, and no heavyweight
-third-party module imported when the package loads."""
+loop over a 2-D mask, no hand-written heap search, no heavyweight
+third-party module imported when the package loads, and one formula for the
+pulled-back discriminant."""
 import ast
 import os
 import pathlib
@@ -228,6 +229,20 @@ def test_no_private_definition_goes_unread():
     assert _unread_private_names(trees) == []
 
 
+def _names(tree) -> set:
+    """Every name the tree binds, loads or imports, bare or as an attribute."""
+    return ({n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+            | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+            | {a.asname or a.name for n in ast.walk(tree)
+               if isinstance(n, (ast.Import, ast.ImportFrom)) for a in n.names})
+
+
+# D has one formula in the package: topology's _discriminant builds the
+# conic's target terms from the F coefficients, not from the end effector.
+def test_topology_computes_d_without_the_end_effector_or_the_raw_conic():
+    assert _names(_tree(PACKAGE / "topology.py")) & {"fk_arrays", "conic_raw"} == set()
+
+
 def test_checks_see_what_they_look_for():
     tree = ast.parse("import numpy as np\nfrom a import cluster_real_roots, b\n"
                      "import os.path\nx = np.roots([1, 0])\n")
@@ -246,6 +261,8 @@ def test_checks_see_what_they_look_for():
     tree = ast.parse("solve_quartics(m)\ndef f():\n    def g():\n        r.solve_quartics(m)\n"
                      "    return solve_quartics\n")
     assert _callers(tree, "solve_quartics") == [("<module>", 1), ("g", 4)]
+    assert {"fk_arrays", "conic_raw", "dh"} <= _names(ast.parse(
+        "from .dh import fk_arrays\nimport reduction as conic_raw\nx = dh.y\n"))
     trees = {"a.py": ast.parse("def _centers(n):\n    return _centers(n - 1)\n"
                                "def _used():\n    pass\n_LIMIT = 2\n_TOL: float = 1.0\n"
                                "_lower = 3\nclass _Box:\n    pass\n"),

@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +42,9 @@ from conftest import (
     NONORTHO_NONCUSPIDAL,
     REFERENCE,
     TEST_GRID,
+    random_valid_params,
 )
+import engine_refs
 from engine_refs import components
 from segment_refs import point_segment_dist, unwrap_segment
 
@@ -238,6 +241,124 @@ def test_sampled_grids_have_the_full_shape(name):
     assert aspects.det_vertex is curves.det_vertex
 
 
+def _ps_crossings(p, curves):
+    """D on the lattice and the crossing ids compute_pseudosingularities
+    keeps: those whose edge has no end in the S band."""
+    n = curves.grid_n
+    field = partial(topology._discriminant, p)
+    d, th = critical._sample_lattice(field, n)
+    band = topology._s_band(curves.det_vertex)
+    ids, _ = critical._marching_segments(d, th, field)
+    i, j, along_v, _, _ = critical._crossing_edges(ids, th)
+    keep = ~band[i, j] & ~band[(i + 1 - along_v) % n, (j + along_v) % n]
+    return field, d, th, ids[keep]
+
+
+def _assert_d_sign_off_the_band(p, curves):
+    n = curves.grid_n
+    d, _ = critical._sample_lattice(partial(topology._discriminant, p), n)
+    ref, _ = critical._sample_lattice(partial(engine_refs.discriminant, p), n)
+    off = ~topology._s_band(curves.det_vertex)
+    assert np.array_equal(np.sign(d)[off], np.sign(ref)[off])
+
+
+@pytest.mark.parametrize("name", sorted(BATTERY.robots))
+def test_factored_d_has_the_conic_route_sign_off_the_s_band(name, analysis):
+    """D from P and Q has the sign of D through the end effector and the
+    normalised conic at every lattice point outside the S band, where D's
+    even-order zero on S leaves its sign to rounding."""
+    _, p = BATTERY.get(name)
+    _assert_d_sign_off_the_band(p, analysis.curves(p))
+
+
+def test_factored_d_has_the_conic_route_sign_on_random_robots():
+    rng = np.random.default_rng(1971)
+    for _ in range(6):
+        p = random_valid_params(rng)
+        _assert_d_sign_off_the_band(p, critical.trace_critical_points(p, TEST_GRID))
+
+
+@pytest.mark.parametrize("name", sorted(BATTERY.robots))
+def test_illinois_crossings_lie_within_four_brackets_of_the_bisection(name, analysis):
+    """On every kept edge the Illinois crossing and the 36-step bisection
+    lie within 4 2^-36 h of each other: each bracket of width <= 2^-36 h
+    holds a sign change of D."""
+    _, p = BATTERY.get(name)
+    field, d, th, ids = _ps_crossings(p, analysis.curves(p))
+    assert len(ids)
+    got = topology._refine_crossings(field, ids, th, d)
+    ref = engine_refs.refine_crossings(field, ids, th, d)
+    h = 2 * math.pi / TEST_GRID
+    assert float(np.max(np.abs(wrap_angle(got - ref)))) <= 4 * 2.0 ** -36 * h
+
+
+def test_ps_refinement_makes_at_most_20_field_calls(monkeypatch, analysis):
+    """One compute_pseudosingularities refines its crossings in at most 20
+    field calls on every battery robot (the bisection made 36)."""
+    calls = []
+    refine = topology._refine_crossings
+
+    def counted(field, *args):
+        count = Counter()
+
+        def counted_field(*points):
+            count["field"] += 1
+            return field(*points)
+        out = refine(counted_field, *args)
+        calls.append(count["field"])
+        return out
+    monkeypatch.setattr(topology, "_refine_crossings", counted)
+    for name in sorted(BATTERY.robots):
+        _, p = BATTERY.get(name)
+        assert compute_pseudosingularities(analysis.curves(p)).total_points() > 0
+    assert len(calls) == len(BATTERY.robots) and max(calls) <= 20, calls
+
+
+@pytest.mark.parametrize("name", sorted(BATTERY.robots))
+def test_reduced_parents_equal_the_lattice_sort(name, analysis):
+    """Each reduced aspect's parent, read at the first lattice point the
+    fill returns, is the one np.unique over the whole lattice finds."""
+    _, p = BATTERY.get(name)
+    curves = analysis.curves(p)
+    maps = build_topology(p, curves, TEST_GRID)
+    key = 2 * (curves.det_vertex >= 0) + maps.ps.d_positive
+    _, raw, _ = _components(key, excluded=maps.ps.s_band)
+    ref = engine_refs.reduced_parent(raw, maps.aspects.labels)
+    parent = maps.reduced.parent_aspect
+    assert parent.dtype == ref.dtype and np.array_equal(parent, ref)
+
+
+def _sample_every_candidate(p, census, maps, samples):
+    """_sample_regular_points with every candidate of both strata labelled
+    in one batch."""
+    rc, zc = census.centers()
+    ordered = []
+    for cells in (np.argwhere(census.counts >= 4), np.argwhere(census.counts == 2)):
+        if len(cells):
+            ordered.extend(cells[::max(1, len(cells) // samples)].tolist())
+    targets = [CrossSectionPoint(float(rc[i]), float(zc[j])) for i, j in ordered]
+    labelled = label_solutions_batch(p, maps, [t.rho for t in targets], [t.z for t in targets])
+    return [(t, labels) for t, labels in zip(targets, labelled) if topology._clean(labels)][:samples]
+
+
+@pytest.mark.parametrize("robot", [REFERENCE, NONORTHO_NONCUSPIDAL], ids=["reference", "noncuspidal"])
+def test_sampling_strata_on_demand_equals_labelling_every_candidate(robot, analysis):
+    """The same points with the same labels, whether the four-solution
+    stratum alone suffices or the two-solution one is needed: `samples`
+    below, at and above the first stratum's clean count."""
+    from cuspidal import region_census
+
+    census = region_census(robot, analysis.wcurves(robot), census_n=64)
+    maps = build_topology(robot, analysis.curves(robot), TEST_GRID)
+    first = int(np.count_nonzero(census.counts >= 4))
+    solutions = {}
+    for samples in (50, 150, 200, first, first + 25):
+        picked = topology._sample_regular_points(robot, census, maps, samples)
+        assert picked == _sample_every_candidate(robot, census, maps, samples)
+        solutions[samples] = {len(labels) for _, labels in picked}
+    assert solutions[200] == {4} and 2 in solutions[first + 25], solutions
+
+
 def test_binary_robot_has_empty_ps(analysis):
     curves = analysis.curves(BINARY_ROBOT)
     ps = compute_pseudosingularities(curves)
@@ -368,10 +489,12 @@ def test_ps_crossings_lie_on_edges_outside_the_reduced_fills_band(name, analysis
 # --------------------------------------------------------------------------
 
 def _assert_fill_equals_reference(key, excluded=None):
-    count, labels = _components(key, excluded)
+    count, labels, first = _components(key, excluded)
     ref_count, ref_labels = components(key, excluded)
     assert count == ref_count
     assert labels.dtype == ref_labels.dtype and np.array_equal(labels, ref_labels)
+    ids, ref_first = np.unique(ref_labels, return_index=True)
+    assert np.array_equal(first, ref_first[ids >= 0])
 
 
 @settings(max_examples=300)
