@@ -4,9 +4,9 @@ Marching squares traces the zero set of det(J); its image under the forward
 map is the locus of critical values.  Cusps are triple roots of the IK
 quartic (M = M' = M'' = 0, M''' != 0), nodes are pairs of distinct double
 roots, and quadruple roots make a robot non-generic.  Each kind is located
-by one batched damped Newton over all its seeds from the traced curves,
-evaluated on the robot's QuarticPencil, and certified post hoc by its
-defining residuals.
+by one batched damped Newton over all its seeds from the traced curves, in
+theta3 on the conic restricted to the unit circle, and certified post hoc by
+the defining residuals of M.
 """
 from __future__ import annotations
 
@@ -31,7 +31,15 @@ from .dh import (
     wrap_float,
 )
 from .geometry import TorusCurveIndex, polyline_min_dist, seg_intersect_many
-from .reduction import QuarticPencil, ik_counts, quartic_jet, solve_ik_batch
+from .reduction import (
+    circle_harmonics,
+    circle_jet,
+    conic_raw,
+    ik_counts,
+    quartic_coeffs_from_conic,
+    quartic_jet,
+    solve_ik_batch,
+)
 
 log = logging.getLogger(__name__)
 
@@ -350,23 +358,20 @@ def critical_values(p: DhParams, curves) -> list:
 
 
 # --------------------------------------------------------------------------
-# batched Newton refinements on the robot's quartic pencil (reduced z)
+# batched Newton refinements on the conic restricted to the theta3 circle
 #
-# Roots near theta3 = pi are ill-conditioned in the t = tan(theta3/2) chart,
-# so each seed runs in the chart that keeps it well conditioned (flip flag,
-# see QuarticPencil); one batch mixes both charts.
+# Every multiple-root system runs in theta3 itself, on g(theta3) =
+# h0 + h1 . (cos, sin)(theta3) + h2 . (cos, sin)(2 theta3) (circle_harmonics),
+# which no point of the circle makes ill-conditioned.  Only the certification
+# reads the quartic M(t), in the chart _chart_seed picks.
 # --------------------------------------------------------------------------
 
 def _chart_seed(theta3: float):
-    """(chart coordinate, flip flag) placing the seed in the well-conditioned chart."""
+    """(chart coordinate, flip flag) of the chart that keeps theta3 well
+    conditioned: t = tan(theta3 / 2), or u = tan((theta3 - pi) / 2) when flipped."""
     if abs(theta3) <= math.pi / 2:
         return math.tan(theta3 / 2.0), False
     return math.tan(wrap_float(theta3 - math.pi) / 2.0), True
-
-
-def _chart_theta3(u: float, flip: bool) -> float:
-    th = 2.0 * math.atan(u)
-    return wrap_float(th + math.pi) if flip else th
 
 
 def _tan_half(theta3: float) -> float:
@@ -471,61 +476,49 @@ def _damped_newton(fun_jac, x0):
     return x, ok
 
 
-def _multiple_root_system(pencil: QuarticPencil, flip, mult: int):
-    """M = M' = ... = M^(mult-1) = 0 in (u, R, z): mult 3 for cusps, 4 for
-    quadruple roots.  flip[k] is seed k's chart."""
+def _multiple_root_system(p: DhParams, mult: int):
+    """g = g' = ... = g^(mult-1) = 0 in (theta3, R, z): mult 3 for cusps, 4
+    for quadruple roots."""
     def fun_jac(x, rows):
-        jet = quartic_jet(pencil.quartic(x[:, 1], x[:, 2], flip[rows]), x[:, 0], mult)
+        jet = circle_jet(circle_harmonics(p, x[:, 1], x[:, 2]), x[:, 0], mult)
         jac = np.stack([jet[:, 0, 1:], jet[:, 1, :mult], jet[:, 2, :mult]], axis=2)
         return jet[:, 0, :mult], jac
     return fun_jac
 
 
-def _node_system(pencil: QuarticPencil, flip1, flip2):
-    """Double roots at u1 and u2 (M = M' = 0 at each) in (u1, u2, R, z)."""
-    def fun_jac(x, rows):
-        k = len(x)
-        R, zr = np.tile(x[:, 2], 2), np.tile(x[:, 3], 2)
-        flips = np.concatenate([flip1[rows], flip2[rows]])
-        jet = quartic_jet(pencil.quartic(R, zr, flips), x[:, :2].T.ravel(), 2)
-        jet = jet.reshape(2, k, 3, 3)
-        fval = np.zeros((k, 4))
-        jac = np.zeros((k, 4, 4))
-        for root in (0, 1):
-            eqs = slice(2 * root, 2 * root + 2)
-            fval[:, eqs] = jet[root, :, 0, :2]
-            jac[:, eqs, root] = jet[root, :, 0, 1:]
-            jac[:, eqs, 2] = jet[root, :, 1, :2]
-            jac[:, eqs, 3] = jet[root, :, 2, :2]
-        return fval, jac
-    return fun_jac
+def _node_system(p: DhParams):
+    """Two double roots at theta3 = m +/- arccos(e), by matching g's five
+    harmonics against K (cos(theta3 - m) - e)^2 in (K, m, e, R, z).
 
-
-def _node_system_symmetric(pencil: QuarticPencil, flip):
-    """Two double roots at s +/- sqrt(e) via coefficient matching.
-
-    A quartic with double roots t1, t2 factors as a [(t-s)^2 - e]^2 with
-    s = (t1+t2)/2 and e = ((t1-t2)/2)^2, so matching all five coefficients
-    in the unknowns (a, s, e, R, z) stays square and well conditioned even
-    when the two double roots nearly coincide (near-quadruple points), where
-    evaluation-based formulations lose rank.
+    The square expands to K (1/2 + e^2), -2 K e (cos m, sin m) and
+    K / 2 (cos 2m, sin 2m).  The system is square and stays well conditioned
+    whether the double roots are far apart or nearly coincide (e -> 1, near
+    a quadruple root), where evaluation-based formulations lose rank.
     """
     def fun_jac(x, rows):
-        a, s, e = x[:, 0:1], x[:, 1:2], x[:, 2:3]
-        m = pencil.quartic(x[:, 3], x[:, 4], flip[rows])
-        one, zero = np.ones_like(s), np.zeros_like(s)
-        se = s * s - e
-        q = np.hstack([one, -4.0 * s, 6.0 * s * s - 2.0 * e, -4.0 * s * se, se * se])
-        dq_ds = np.hstack([zero, -4.0 * one, 12.0 * s, -12.0 * s * s + 4.0 * e, 4.0 * s * se])
-        dq_de = np.hstack([zero, zero, -2.0 * one, 4.0 * s, -2.0 * se])
-        jac = np.stack([-q, -a * dq_ds, -a * dq_de, m[:, 1], m[:, 2]], axis=2)
-        return m[:, 0] - a * q, jac
+        big_k, m, e = x[:, 0:1], x[:, 1], x[:, 2]
+        h = circle_harmonics(p, x[:, 3], x[:, 4])
+        c1, s1, c2, s2 = np.cos(m), np.sin(m), np.cos(2.0 * m), np.sin(2.0 * m)
+        zero = np.zeros_like(m)
+        q = np.column_stack([0.5 + e * e, -2.0 * e * c1, -2.0 * e * s1, 0.5 * c2, 0.5 * s2])
+        dq_dm = np.column_stack([zero, 2.0 * e * s1, -2.0 * e * c1, -s2, c2])
+        dq_de = np.column_stack([2.0 * e, -2.0 * c1, -2.0 * s1, zero, zero])
+        jac = np.stack([-q, -big_k * dq_dm, -big_k * dq_de, h[:, 1], h[:, 2]], axis=2)
+        return h[:, 0] - big_k * q, jac
     return fun_jac
 
 
-def _residuals(pencil: QuarticPencil, u, R, zr, flip, order: int):
-    """|M^(j)(u)|, j = 0..order, of the conic scaled to max |coefficient| = 1."""
-    return np.abs(quartic_jet(pencil.normalized_quartic(R, zr, flip), u, order))
+def _residuals(p: DhParams, theta3, R, zr, order: int):
+    """|M^(j)|, j = 0..order, at each theta3 (K,) of the quartic of the conic
+    at (R, zr) scaled to max |coefficient| = 1, the scale on which every
+    residual threshold is stated, in the chart _chart_seed picks."""
+    charts = [_chart_seed(t) for t in theta3.tolist()]
+    u = np.array([c[0] for c in charts])
+    flip = np.array([c[1] for c in charts], dtype=bool)
+    cc = conic_raw(p, R, zr).T
+    cc[flip, 3:5] = -cc[flip, 3:5]
+    cc = cc / np.maximum(np.max(np.abs(cc), axis=1), 1e-300)[:, None]
+    return np.abs(quartic_jet(quartic_coeffs_from_conic(cc.T).T, u, order))
 
 
 # --------------------------------------------------------------------------
@@ -547,7 +540,7 @@ def _dedup_sorted(points, radius: float, quantum: float):
 
 
 def find_cusps(p: DhParams, workspace_curves) -> list:
-    """Locate all cusps: Newton on {M = M' = M'' = 0} in (t, R, z).
+    """Locate all cusps: Newton on {g = g' = g'' = 0} in (theta3, R, z).
 
     Seeds sit at local minima of the image speed along each workspace curve
     (the image velocity of the critical curve vanishes at a cusp) and run as
@@ -563,19 +556,17 @@ def find_cusps(p: DhParams, workspace_curves) -> list:
             continue
         speed = wc.speed
         for k in np.nonzero((speed <= np.roll(speed, 1)) & (speed <= np.roll(speed, -1)))[0]:
-            u0, flip = _chart_seed(float(wc.joint.vertices[k, 1]))
             rho, z = wc.vertices[k]
             zr = z - p.d1
-            seeds.append((u0, rho * rho + zr * zr, zr, flip, wc.source_index))
+            seeds.append((float(wc.joint.vertices[k, 1]), rho * rho + zr * zr, zr,
+                          wc.source_index))
     if not seeds:
         return []
-    pencil = QuarticPencil(p)
-    flip = np.array([s[3] for s in seeds])
     # convergence is certified by the normalized residuals below, not by the
     # raw Newton norm (the unnormalized system never reaches an absolute floor)
-    x, _ = _damped_newton(_multiple_root_system(pencil, flip, 3), [s[:3] for s in seeds])
-    u, R, zr = x.T
-    res = _residuals(pencil, u, R, zr, flip, 3)
+    x, _ = _damped_newton(_multiple_root_system(p, 3), [s[:3] for s in seeds])
+    theta3, R, zr = wrap_angle(x[:, 0]), x[:, 1], x[:, 2]
+    res = _residuals(p, theta3, R, zr, 3)
     rho2 = R - zr * zr
     converged = np.max(res[:, :3], axis=1) <= CUSP_RESIDUAL_TOL * scale
     log.debug("%d of %d cusp seeds diverged", int(np.sum(~converged)), len(seeds))
@@ -588,8 +579,8 @@ def find_cusps(p: DhParams, workspace_curves) -> list:
         z_s = float(zr[k] + p.d1)
         if polyline_min_dist((rho_s, z_s), polylines) > near_max:
             continue
-        t_out = _tan_half(_chart_theta3(float(u[k]), bool(flip[k])))
-        found.append((rho_s, z_s, t_out, *(float(r) for r in res[k]), seeds[k][4]))
+        found.append((rho_s, z_s, _tan_half(float(theta3[k])), *(float(r) for r in res[k]),
+                      seeds[k][3]))
     kept = _dedup_sorted(found, DEDUP_RADIUS * scale, 1e-9 * lscale)
     return [CuspPoint(*c) for c in kept]
 
@@ -603,56 +594,34 @@ def _median_step(workspace_curves) -> float:
     return float(np.median(steps)) if steps else 0.0
 
 
-def _refine_nodes(p: DhParams, pencil: QuarticPencil, cands) -> list:
-    """Newton-refine node candidates (theta3_a, theta3_b, rho, z) in two batches.
-
-    Nearby tangency angles use the symmetric center/half-gap formulation in a
-    common chart; well-separated ones use the plain four-root system with a
-    chart per root.  Returns, per candidate, (th1, th2, R, zr, residual) or
-    None.
-    """
-    sym, plain = [], []
-    for k, (th3a, th3b, rho, z) in enumerate(cands):
-        zr = z - p.d1
-        r0 = rho * rho + zr * zr
-        gap = abs(wrap_float(th3a - th3b))
-        if gap < 0.5:
-            mean = th3a + wrap_float(th3b - th3a) / 2.0
-            s0, flip = _chart_seed(mean)
-            # chart half-gap: d(theta)/du = 2/(1+u^2)
-            d0 = gap / 2.0 * (1.0 + s0 * s0) / 2.0
-            sym.append((k, flip, (s0, d0 * d0, r0, zr)))
-        else:
-            u1, flip1 = _chart_seed(th3a)
-            u2, flip2 = _chart_seed(th3b)
-            plain.append((k, flip1, flip2, (u1, u2, r0, zr)))
-    n = len(cands)
-    u, flips = np.zeros((2, n)), np.zeros((2, n), dtype=bool)     # per double root
-    R, zr, live = np.zeros(n), np.zeros(n), np.ones(n, dtype=bool)
-    if sym:
-        k = [c[0] for c in sym]
-        flip = np.array([c[1] for c in sym])
-        x0 = np.array([c[2] for c in sym])
-        lead = pencil.quartic(x0[:, 2], x0[:, 3], flip)[:, 0, 0]
-        x, _ = _damped_newton(_node_system_symmetric(pencil, flip),
-                              np.column_stack([lead, x0]))
-        _, s, e, R[k], zr[k] = x.T
-        d = np.sqrt(np.maximum(e, 0.0))
-        u[0, k], u[1, k] = s + d, s - d
-        flips[:, k] = flip
-        live[k] = e > 0.0
-    if plain:
-        k = [c[0] for c in plain]
-        flips[0, k], flips[1, k] = [c[1] for c in plain], [c[2] for c in plain]
-        x, _ = _damped_newton(_node_system(pencil, flips[0, k], flips[1, k]),
-                              [c[3] for c in plain])
-        u[0, k], u[1, k], R[k], zr[k] = x.T
+def _refine_nodes(p: DhParams, cands) -> list:
+    """Newton-refine node candidates (theta3_a, theta3_b, rho, z) in one
+    _node_system batch, seeded at the mean m and the cosine e of the half
+    gap of the candidate's two tangency angles, with K from h2, which fixes
+    K / 2 (cos 2m, sin 2m) whatever the target.  Returns, per candidate,
+    (th1, th2, R, zr, residual), or None where the double roots are not
+    real (|e| > 1)."""
+    if not cands:
+        return []
+    th3a, th3b, rho, z = np.array(cands, float).T
+    zr = z - p.d1
+    R = rho * rho + zr * zr
+    half = wrap_angle(th3b - th3a) / 2.0
+    m = th3a + half
+    h = circle_harmonics(p, R, zr)[:, 0]
+    big_k = 2.0 * (h[:, 3] * np.cos(2.0 * m) + h[:, 4] * np.sin(2.0 * m))
+    x, _ = _damped_newton(_node_system(p), np.column_stack([big_k, m, np.cos(half), R, zr]))
+    _, m, e, R, zr = x.T
+    live = np.abs(e) <= 1.0
+    d = np.arccos(np.where(live, e, 1.0))
+    th = wrap_angle(np.concatenate([m + d, m - d]))
     # both double roots of every candidate in one residual evaluation
-    res = _residuals(pencil, u.ravel(), np.tile(R, 2), np.tile(zr, 2), flips.ravel(), 1)
+    n = len(cands)
+    res = _residuals(p, th, np.tile(R, 2), np.tile(zr, 2), 1)
     worst = np.max(res.reshape(2, n, 2), axis=(0, 2))
-    return [(_chart_theta3(u1, f1), _chart_theta3(u2, f2), r, z, w) if ok else None
-            for u1, u2, f1, f2, r, z, w, ok in zip(*u.tolist(), *flips.tolist(), R.tolist(),
-                                                   zr.tolist(), worst.tolist(), live.tolist())]
+    return [(t1, t2, r, z, w) if ok else None
+            for t1, t2, r, z, w, ok in zip(th[:n].tolist(), th[n:].tolist(), R.tolist(),
+                                           zr.tolist(), worst.tolist(), live.tolist())]
 
 
 def _segments(workspace_curves):
@@ -703,7 +672,7 @@ def find_nodes(p: DhParams, workspace_curves) -> list:
     th3 = _segment_theta3(workspace_curves)
     cands = [(a, b, rho, z) for a, b, (rho, z)
              in zip(th3[ia].tolist(), th3[ib].tolist(), pts[hit].tolist())]
-    refined = _refine_nodes(p, QuarticPencil(p), cands)
+    refined = _refine_nodes(p, cands)
     found = []
     for curve_a, curve_b, (_, _, rho, z), ref in zip(curve[ia].tolist(), curve[ib].tolist(),
                                                       cands, refined):
@@ -744,27 +713,22 @@ def genericity_check(p: DhParams, grid_n: int, curves: CriticalSet, workspace_cu
     scale = singularity_scale(p)
     evidence = []
 
-    # (a) quadruple roots: Gauss-Newton on {M = M' = M'' = M''' = 0}
+    # (a) quadruple roots: Gauss-Newton on {g = g' = g'' = g''' = 0}
     seeds = []
     for c in cusps:
-        u0, flip = _chart_seed(2.0 * math.atan(c.t))
-        seeds.append((u0, flip, c.rho * c.rho + (c.z - p.d1) ** 2, c.z - p.d1))
+        seeds.append((2.0 * math.atan(c.t), c.rho * c.rho + (c.z - p.d1) ** 2, c.z - p.d1))
     for wc in workspace_curves:
         if len(wc) == 0:
             continue
         for k in sorted({int(np.argmin(wc.vertices[:, 0])), int(np.argmax(wc.vertices[:, 0])),
                          int(np.argmin(wc.vertices[:, 1])), int(np.argmax(wc.vertices[:, 1]))}):
-            u0, flip = _chart_seed(float(wc.joint.vertices[k, 1]))
             rho, z = wc.vertices[k]
             zr = z - p.d1
-            seeds.append((u0, flip, rho * rho + zr * zr, zr))
+            seeds.append((float(wc.joint.vertices[k, 1]), rho * rho + zr * zr, zr))
     if seeds:
-        pencil = QuarticPencil(p)
-        flip = np.array([s[1] for s in seeds])
-        x, _ = _damped_newton(_multiple_root_system(pencil, flip, 4),
-                              [(u0, R0, zr0) for u0, _, R0, zr0 in seeds])
-        u, R, zr = x.T
-        res = np.max(_residuals(pencil, u, R, zr, flip, 3), axis=1)
+        x, _ = _damped_newton(_multiple_root_system(p, 4), seeds)
+        theta3, R, zr = wrap_angle(x[:, 0]), x[:, 1], x[:, 2]
+        res = np.max(_residuals(p, theta3, R, zr, 3), axis=1)
         # the evidence is the first certified seed, in seed order
         certified = np.nonzero((R - zr * zr >= -1e-9 * scale) & (res < 1e-8 * scale))[0]
         if len(certified):
@@ -772,7 +736,7 @@ def genericity_check(p: DhParams, grid_n: int, curves: CriticalSet, workspace_cu
             evidence.append({"kind": "quadruple_root",
                              "rho": math.sqrt(max(float(R[k] - zr[k] * zr[k]), 0.0)),
                              "z": float(zr[k] + p.d1),
-                             "t": _tan_half(_chart_theta3(float(u[k]), bool(flip[k]))),
+                             "t": _tan_half(float(theta3[k])),
                              "residual": float(res[k])})
 
     # (b) the critical curve must be smooth: |grad det J| bounded away from 0
@@ -805,19 +769,19 @@ def genericity_check(p: DhParams, grid_n: int, curves: CriticalSet, workspace_cu
 # workspace census
 # --------------------------------------------------------------------------
 
-def _tangency_system(pencil: QuarticPencil, start, direction, flip, d1: float):
-    """Double root (M = M' = 0) at chart coordinate u of the quartic at
-    start + lambda direction in (rho, z), in (u, lambda): slides each census
-    crossing along its pair's direction onto the critical values."""
+def _tangency_system(p: DhParams, start, direction):
+    """Double root (g = g' = 0) at theta3 of the conic at start + lambda
+    direction in (rho, z), in (theta3, lambda): slides each census crossing
+    along its pair's direction onto the critical values."""
     def fun_jac(x, rows):
         lam = x[:, 1]
         drho, dz = direction[rows, 0], direction[rows, 1]
         rr = start[rows, 0] + lam * drho
-        zr = start[rows, 1] + lam * dz - d1
-        jet = quartic_jet(pencil.quartic(rr * rr + zr * zr, zr, flip[rows]), x[:, 0], 2)
+        zr = start[rows, 1] + lam * dz - p.d1
+        jet = circle_jet(circle_harmonics(p, rr * rr + zr * zr, zr), x[:, 0], 2)
         dR_dlam = (2 * rr * drho + 2 * zr * dz)[:, None]
-        dm_dlam = jet[:, 1, :2] * dR_dlam + jet[:, 2, :2] * dz[:, None]
-        return jet[:, 0, :2], np.stack([jet[:, 0, 1:], dm_dlam], axis=2)
+        dg_dlam = jet[:, 1, :2] * dR_dlam + jet[:, 2, :2] * dz[:, None]
+        return jet[:, 0, :2], np.stack([jet[:, 0, 1:], dg_dlam], axis=2)
     return fun_jac
 
 
@@ -926,17 +890,13 @@ def _census_crossings(rc, zc, clear, seg_a, seg_b, cell: float):
     return crossings, hit_at, hit_seg
 
 
-def _slide_onto_values(p: DhParams, pencil: QuarticPencil, start, direction, theta3,
-                       cell: float):
+def _slide_onto_values(p: DhParams, start, direction, theta3, cell: float):
     """Census crossings slid along their pairs' directions onto the critical
     values in one damped-Newton batch, seeded at the crossed segments'
     theta3: (boundary points, landed within 2 cells, counts there by one
     ik_counts call, the cells' root rule)."""
-    seeds = [_chart_seed(t) for t in theta3.tolist()]
-    x, refined = _damped_newton(
-        _tangency_system(pencil, start, direction,
-                         np.array([f for _, f in seeds], dtype=bool), p.d1),
-        np.array([(u0, 0.0) for u0, _ in seeds]).reshape(-1, 2))
+    x, refined = _damped_newton(_tangency_system(p, start, direction),
+                                np.column_stack([theta3, np.zeros(len(theta3))]))
     boundary = start + x[:, 1:] * direction
     landed = refined & np.array([math.hypot(dr, dz) <= 2 * cell
                                  for dr, dz in (boundary - start).tolist()], dtype=bool)
@@ -999,7 +959,6 @@ def region_census(p: DhParams, workspace_curves, census_n: int = 128):
     theta3 = _segment_theta3(workspace_curves)[hit_seg[slide]]
     start = hit_at[slide]
     direction = np.column_stack([rc[i2[slide]] - rc[i[slide]], zc[j2[slide]] - zc[j[slide]]])
-    pencil = QuarticPencil(p)
     boundary = start.copy()
     boundary_count = np.zeros(len(slide), dtype=int)
     landed = np.zeros(len(slide), dtype=bool)
@@ -1014,7 +973,7 @@ def region_census(p: DhParams, workspace_curves, census_n: int = 128):
         if len(batch) == 0:
             break
         boundary[batch], landed[batch], boundary_count[batch] = _slide_onto_values(
-            p, pencil, start[batch], direction[batch], theta3[batch], cell)
+            p, start[batch], direction[batch], theta3[batch], cell)
         tried[batch] = True
 
     violations = []

@@ -88,12 +88,10 @@ class TorusCurveIndex:
         if not self.empty:
             self.seg_a = np.vstack(polys)
             self.seg_b = np.vstack([a + wrap_angle(np.roll(a, -1, axis=0) - a) for a in polys])
-            m = wrap_angle(0.5 * (self.seg_a + self.seg_b))
-            # 3x3 tiling turns torus distance into plain Euclidean distance
-            tiles = [m + np.array([dx, dy])
-                     for dx in (-TWO_PI, 0.0, TWO_PI) for dy in (-TWO_PI, 0.0, TWO_PI)]
-            self.tree = cKDTree(np.vstack(tiles))
-            self.tile_of = np.tile(np.arange(len(self.seg_a)), 9)
+            # a periodic tree on [0, 2 pi)^2 measures torus distance; it refuses
+            # a coordinate that rounds to 2 pi, so those wrap to 0
+            m = wrap_angle(0.5 * (self.seg_a + self.seg_b)) + math.pi
+            self.tree = cKDTree(np.where(m < TWO_PI, m, m - TWO_PI), boxsize=TWO_PI)
 
     def dist(self, point) -> float:
         return float(self.dists(point)[0])
@@ -108,9 +106,9 @@ class TorusCurveIndex:
         """Endpoints (a, b), each (m, k, 2), of the segments whose midpoints
         are the k = _NEAR_SEGMENTS nearest to each of the wrapped points pts
         (m, 2), or all of them when there are fewer."""
-        k = min(_NEAR_SEGMENTS, len(self.tile_of))
-        _, idx = self.tree.query(pts, k=k)
-        seg = self.tile_of[np.reshape(idx, (len(pts), k))]
+        k = min(_NEAR_SEGMENTS, len(self.seg_a))
+        _, idx = self.tree.query(pts + math.pi, k=k)
+        seg = np.reshape(idx, (len(pts), k))
         return self.seg_a[seg], self.seg_b[seg]
 
 

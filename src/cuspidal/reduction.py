@@ -5,8 +5,9 @@ are linear in (cos theta2, sin theta2) with coefficients F1..F4 affine in
 (cos theta3, sin theta3).  Eliminating theta2 yields a conic in the
 c3s3-plane whose intersections with the unit circle are the IK solutions;
 the tangent half-angle substitution turns that intersection condition into
-the quartic M(t).  QuarticPencil keeps both, per robot, as exact
-polynomials in (R, z) for the batched Newton refinements in `critical`.
+the quartic M(t).  The same conic restricted to the circle is a
+trigonometric polynomial of degree 2 in theta3 (circle_harmonics), on which
+`critical` runs its batched Newton refinements.
 """
 from __future__ import annotations
 
@@ -217,6 +218,47 @@ def conic_raw(p: DhParams, R, z):
     return np.stack(np.broadcast_arrays(*_conic(p, np.asarray(R, float), np.asarray(z, float))))
 
 
+def circle_harmonics(p: DhParams, R, z) -> np.ndarray:
+    """The conic on the unit circle, g(theta3) = h0 + h1 . (cos, sin)(theta3)
+    + h2 . (cos, sin)(2 theta3), at targets (R, z), both (K,), with its exact
+    R and z partials: (K, 3, 5) holding (h0, h1, h2) and the two partials.
+    h2 = ((Axx - Ayy) / 2, Axy) is target-independent, h1 = 2 (Bx, By) is
+    affine and h0 = (Axx + Ayy) / 2 + C quadratic in (R, z)."""
+    k = _conic_terms(p)
+    axx, axy, ayy, bx, by, c = _conic(p, R, z)
+    out = np.zeros((len(R), 3, 5))
+    out[:, 0, 0] = 0.5 * (axx + ayy) + c
+    out[:, 0, 1], out[:, 0, 2] = 2.0 * bx, 2.0 * by
+    out[:, 0, 3], out[:, 0, 4] = 0.5 * (axx - ayy), axy
+    # C = pw^2 + qw^2 - ... with pw = (R - w2) / (2 a1) and qw = (z - w3) / sin(alpha1)
+    out[:, 1, 0] = 2.0 * ((R - k.w2) / k.two_a1) / k.two_a1
+    out[:, 1, 1], out[:, 1, 2] = 2.0 * k.pu / k.two_a1, 2.0 * k.pv / k.two_a1
+    out[:, 2, 0] = 2.0 * ((z - k.w3) / k.sa1) / k.sa1
+    out[:, 2, 1], out[:, 2, 2] = 2.0 * k.qu / k.sa1, 2.0 * k.qv / k.sa1
+    return out
+
+
+# d/dtheta of the harmonics (h0, a1, b1, a2, b2), a_n cos(n theta) + b_n
+# sin(n theta), is (0, b1, -a1, 2 b2, -2 a2): a quarter turn of each pair
+# scaled by n.  Column block j holds the j-th power, so h @ _THETA_JET gives
+# the harmonics of every derivative; each entry is one exact product.
+_D_THETA = np.array([[0.0, 0.0, 0.0, 0.0, 0.0],
+                     [0.0, 0.0, -1.0, 0.0, 0.0],
+                     [0.0, 1.0, 0.0, 0.0, 0.0],
+                     [0.0, 0.0, 0.0, 0.0, -2.0],
+                     [0.0, 0.0, 0.0, 2.0, 0.0]])
+_THETA_JET = np.hstack([np.linalg.matrix_power(_D_THETA, j) for j in range(5)])
+
+
+def circle_jet(h: np.ndarray, theta: np.ndarray, order: int) -> np.ndarray:
+    """Derivatives 0..order in theta of the harmonics h (K, ..., 5), laid out
+    as circle_harmonics gives them, at theta (K,): shape (K, ..., order + 1)."""
+    trig = np.stack([np.ones_like(theta), np.cos(theta), np.sin(theta),
+                     np.cos(2.0 * theta), np.sin(2.0 * theta)], axis=-1)
+    turned = np.reshape(h @ _THETA_JET[:, :5 * (order + 1)], h.shape[:-1] + (order + 1, 5))
+    return np.sum(turned * np.reshape(trig, (len(theta),) + (1,) * (h.ndim - 1) + (5,)), axis=-1)
+
+
 def conic_coefficients(p: DhParams, target: CrossSectionPoint) -> ConicCoeffs:
     """Normalized conic of the IK problem at workspace point (rho, z).
 
@@ -305,10 +347,6 @@ def quartic_coeffs_from_conic(cc) -> np.ndarray:
     return out
 
 
-# Negating the linear conic coefficients maps the chart t = tan(theta3/2) to
-# u = tan((theta3 - pi)/2), where roots near theta3 = pi are well conditioned.
-_FLIP = np.array([1.0, 1.0, 1.0, -1.0, -1.0, 1.0])
-
 # d^j/dt^j of a quartic as weights on its coefficients, shifted right by j so
 # that Horner over all five slots evaluates every derivative order at once
 _JET_INDEX = np.array([[max(i - j, 0) for i in range(5)] for j in range(5)])
@@ -334,59 +372,6 @@ def quartic_jet(coeffs: np.ndarray, t: np.ndarray, order: int) -> np.ndarray:
     """
     d = coeffs[..., _JET_INDEX[:order + 1]] * _JET_WEIGHT[:order + 1]
     return _horner(d, np.reshape(t, (-1,) + (1,) * (d.ndim - 2)))
-
-
-class QuarticPencil:
-    """The conic and its quartic M(t) as exact polynomials in (R, z), per robot.
-
-    cc(R, z) = C0 + R C_R + z C_z + R^2 C_RR + z^2 C_zz: the quadratic part
-    of the conic is constant, Bx and By are affine in (R, z), and C is
-    quadratic with no cross term.  Both charts are kept (index 1 holds the
-    flipped one, see _FLIP), so M and its R and z partials at any batch of
-    points in either chart are a few vectorised products.  Grid callers use
-    conic_raw instead, whose arithmetic is the reference.
-    """
-
-    def __init__(self, p: DhParams):
-        k = _conic_terms(p)
-        # conic_raw with P = P0 + R / (2 a1) and Q = Q0 + z / sin(alpha1)
-        two_a1, sa1 = k.two_a1, k.sa1
-        pw0, qw0 = -k.w2 / two_a1, -k.w3 / sa1
-        c0 = conic_raw(p, 0.0, 0.0)
-        c_r = np.array([0.0, 0.0, 0.0, k.pu / two_a1, k.pv / two_a1, 2.0 * pw0 / two_a1])
-        c_z = np.array([0.0, 0.0, 0.0, k.qu / sa1, k.qv / sa1, 2.0 * qw0 / sa1])
-        c_rr = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 1.0 / (two_a1 * two_a1)])
-        c_zz = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 1.0 / (sa1 * sa1)])
-        terms = np.array([c0, c_r, c_z, c_rr, c_zz])
-        self.conic_terms = np.stack([terms, terms * _FLIP])      # (chart, term, 6)
-        self.quartic_terms = np.moveaxis(                          # (chart, term, 5)
-            quartic_coeffs_from_conic(np.moveaxis(self.conic_terms, -1, 0)), 0, -1)
-
-    @staticmethod
-    def _combine(terms, R, z):
-        R = R[:, None]
-        z = z[:, None]
-        return terms[:, 0] + R * terms[:, 1] + z * terms[:, 2] + R * R * terms[:, 3] + z * z * terms[:, 4]
-
-    def conic(self, R, z, flip) -> np.ndarray:
-        """Raw conic coefficients (K, 6) at points (R, z) in charts `flip`, all (K,)."""
-        return self._combine(self.conic_terms[flip.astype(int)], R, z)
-
-    def quartic(self, R, z, flip) -> np.ndarray:
-        """M and its R and z partials, stacked as (K, 3, 5)."""
-        q = self.quartic_terms[flip.astype(int)]
-        R2 = 2.0 * R[:, None]
-        z2 = 2.0 * z[:, None]
-        return np.stack([self._combine(q, R, z),
-                         q[:, 1] + R2 * q[:, 3],
-                         q[:, 2] + z2 * q[:, 4]], axis=1)
-
-    def normalized_quartic(self, R, z, flip) -> np.ndarray:
-        """M (K, 5) from the conic scaled to max |coefficient| = 1, the scale
-        on which every residual threshold is stated."""
-        cc = self.conic(R, z, flip)
-        cc = cc / np.maximum(np.max(np.abs(cc), axis=1), 1e-300)[:, None]
-        return quartic_coeffs_from_conic(cc.T).T
 
 
 def quartic_discriminant(m: np.ndarray) -> np.ndarray:

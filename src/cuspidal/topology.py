@@ -537,30 +537,6 @@ def _sample_regular_points(p: DhParams, census, maps: TopologyMaps, samples: int
     return picked[:samples]
 
 
-def _sample_cusp_rings(p: DhParams, census, maps: TopologyMaps, cusps):
-    """Clean sample points on small rings around each cusp, labelled in one
-    batch.
-
-    Same-aspect pairs concentrate near cusps; when the four-solution region
-    is small, the stratified census sample can miss it entirely.
-    """
-    rc, zc = census.centers()
-    if len(rc) < 2:
-        return []
-    cell = math.hypot(float(rc[1] - rc[0]), float(zc[1] - zc[0]))
-    targets = []
-    for c in cusps:
-        for radius in (cell, 2 * cell, 4 * cell):
-            for k in range(8):
-                ang = TWO_PI * k / 8
-                rho = c.rho + radius * math.cos(ang)
-                z = c.z + radius * math.sin(ang)
-                if rho > 0:
-                    targets.append(CrossSectionPoint(rho, z))
-    labelled = label_solutions_batch(p, maps, [t.rho for t in targets], [t.z for t in targets])
-    return [(t, labels) for t, labels in zip(targets, labelled) if _clean(labels)]
-
-
 def _has_shared_aspect(labels) -> bool:
     seen = set()
     for l in labels:
@@ -590,7 +566,6 @@ def is_cuspidal(p: DhParams, grid_n: int = DEFAULT_GRID_N, census_n: int = 128,
     census = region_census(p, wcurves, census_n=census_n)
     maps = build_topology(p, curves, grid_n)
     picked = _sample_regular_points(p, census, maps, samples)
-    picked.extend(_sample_cusp_rings(p, census, maps, cusps))
 
     witness = None
     theorem2 = []

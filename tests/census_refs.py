@@ -12,39 +12,44 @@ from cuspidal.critical import (
     _census_clearance,
     _census_crossings,
     _chart_seed,
-    _chart_theta3,
     _damped_newton,
     _segment_theta3,
     _segments,
     _tangency_system,
 )
-from cuspidal.reduction import QuarticPencil, cluster_real_roots, ik_counts, quartic_jet
+from cuspidal.dh import wrap_float
+from cuspidal.reduction import (
+    circle_harmonics,
+    circle_jet,
+    cluster_real_roots,
+    conic_raw,
+    ik_counts,
+    quartic_coeffs_from_conic,
+)
 
 
-def tangency_refine(p, pencil, rho, z, theta3_0, direction):
+def tangency_refine(p, rho, z, theta3_0, direction):
     """Slide (rho, z) along `direction` onto the critical-value set.
 
-    Newton on {M = 0, M' = 0} in (chart coordinate, lambda); returns
-    (theta3, rho, z) or None.
+    Newton on {g = 0, g' = 0} in (theta3, lambda), g the conic on the theta3
+    circle; returns (theta3, rho, z) or None.
     """
     drho, dz = direction
-    u0, flip = _chart_seed(theta3_0)
-    flips = np.array([flip])
 
     def fun_jac(x, rows):
         lam = x[:, 1]
         rr = rho + lam * drho
         zr = z + lam * dz - p.d1
-        jet = quartic_jet(pencil.quartic(rr * rr + zr * zr, zr, flips[rows]), x[:, 0], 2)
+        jet = circle_jet(circle_harmonics(p, rr * rr + zr * zr, zr), x[:, 0], 2)
         dR_dlam = (2 * rr * drho + 2 * zr * dz)[:, None]
-        dm_dlam = jet[:, 1, :2] * dR_dlam + jet[:, 2, :2] * dz
-        return jet[:, 0, :2], np.stack([jet[:, 0, 1:], dm_dlam], axis=2)
+        dg_dlam = jet[:, 1, :2] * dR_dlam + jet[:, 2, :2] * dz
+        return jet[:, 0, :2], np.stack([jet[:, 0, 1:], dg_dlam], axis=2)
 
-    x, ok = _damped_newton(fun_jac, [(u0, 0.0)])
+    x, ok = _damped_newton(fun_jac, [(theta3_0, 0.0)])
     if not ok[0]:
         return None
-    u, lam = x[0].tolist()
-    return _chart_theta3(u, flip), rho + lam * drho, z + lam * dz
+    theta3, lam = x[0].tolist()
+    return theta3, rho + lam * drho, z + lam * dz
 
 
 def synthetic_division(coeffs, root):
@@ -56,14 +61,16 @@ def synthetic_division(coeffs, root):
     return out
 
 
-def count_at_boundary(p, pencil, rho, z, theta3_double):
+def count_at_boundary(p, rho, z, theta3_double):
     """Distinct IKS at a point on the critical-value set: the known double
-    root is deflated out in its well-conditioned chart, the remaining
-    quadratic solved by np.roots."""
-    u, flip = _chart_seed(theta3_double)
+    root is deflated out of the max-normalised quartic in its
+    well-conditioned chart, the remaining quadratic solved by np.roots."""
+    u, flip = _chart_seed(wrap_float(theta3_double))
     zr = z - p.d1
-    poly = pencil.normalized_quartic(np.array([rho * rho + zr * zr]), np.array([zr]),
-                                     np.array([flip]))[0]
+    cc = conic_raw(p, rho * rho + zr * zr, zr)
+    if flip:
+        cc[3:5] = -cc[3:5]
+    poly = quartic_coeffs_from_conic(cc / np.max(np.abs(cc)))
     for _ in range(2):
         poly = synthetic_division(poly, u)
     roots = [r.real for r in np.roots(poly) if abs(r.imag) <= 1e-7 * (1 + r.real ** 2)]
@@ -86,7 +93,6 @@ def census_walk(p, workspace_curves, census):
     tags = [(w.source_index, k) for w in workspace_curves for k in range(len(w))]
     clear = _census_clearance(rc, zc, seg_a, seg_b, cell, 0.3 * cell)
     crossings, hit_at, hit_seg = _census_crossings(rc, zc, clear, seg_a, seg_b, cell)
-    pencil = QuarticPencil(p)
     audited, violations, samples, misses = 0, [], [], 0
     per_kind = defaultdict(int)
     for i in range(n):
@@ -115,13 +121,13 @@ def census_walk(p, workspace_curves, census):
                 hx, hy = hit_at[e]
                 ci, vertex = tags[hit_seg[e]]
                 curve = next(w for w in workspace_curves if w.source_index == ci)
-                ref = tangency_refine(p, pencil, hx, hy, float(curve.joint.vertices[vertex, 1]),
+                ref = tangency_refine(p, hx, hy, float(curve.joint.vertices[vertex, 1]),
                                       (float(rc[i2]) - float(rc[i]), float(zc[j2]) - float(zc[j])))
                 if ref is None or math.hypot(ref[1] - hx, ref[2] - hy) > 2 * cell:
                     misses += 1
                     continue
                 th_star, rr, zz = ref
-                cnt = count_at_boundary(p, pencil, rr, zz, th_star)
+                cnt = count_at_boundary(p, rr, zz, th_star)
                 per_kind[(low, high)] += 1
                 samples.append((rr, zz, cnt, low, high))
                 if cnt != low + 1:
@@ -154,13 +160,11 @@ def audit_all_at_once(p, workspace_curves, census):
     audited = both & (crossings == 1)
 
     slide = np.nonzero(audited & (np.abs(c_a - c_b) == 2))[0]
-    seeds = [_chart_seed(t) for t in _segment_theta3(workspace_curves)[hit_seg[slide]].tolist()]
+    theta3 = _segment_theta3(workspace_curves)[hit_seg[slide]]
     start = hit_at[slide]
     direction = np.column_stack([rc[i2[slide]] - rc[i[slide]], zc[j2[slide]] - zc[j[slide]]])
-    x, refined = _damped_newton(
-        _tangency_system(QuarticPencil(p), start, direction,
-                         np.array([f for _, f in seeds], dtype=bool), p.d1),
-        np.array([(u0, 0.0) for u0, _ in seeds]).reshape(-1, 2))
+    x, refined = _damped_newton(_tangency_system(p, start, direction),
+                                np.column_stack([theta3, np.zeros(len(theta3))]))
     boundary = start + x[:, 1:] * direction
     landed = refined & np.array([math.hypot(dr, dz) <= 2 * cell
                                  for dr, dz in (boundary - start).tolist()], dtype=bool)

@@ -8,7 +8,10 @@ path search over lattice-point tuples, the path audit one segment at a time,
 the c3s3 plot's plane marching squares as a loop over cells, the SVG
 polyline formatted one vertex at a time, the pulled-back discriminant D
 through the end effector and the conic, its crossings bisected 36 times,
-and the reduced aspects' parents from a sort of the whole lattice."""
+the reduced aspects' parents from a sort of the whole lattice, and the chart
+engine: cusps, nodes, quadruple roots and census boundary points solved on
+the quartic M in the half-angle chart that keeps each seed well conditioned,
+as they stood before the Newton systems moved onto the theta3 circle."""
 import heapq
 import math
 from collections import defaultdict
@@ -21,8 +24,16 @@ from cuspidal.critical import (
     _HALVINGS,
     _NEWTON_FLOOR,
     _NEWTON_MAX_ITER,
-    _lstsq_steps,
+    CUSP_RESIDUAL_TOL,
+    CUSP_THIRD_DERIV_MIN,
+    DEDUP_RADIUS,
+    CuspPoint,
+    _chart_seed,
     _crossing_edges,
+    _damped_newton,
+    _dedup_sorted,
+    _lstsq_steps,
+    _median_step,
     _mixed_cells,
 )
 from cuspidal.dh import (
@@ -30,11 +41,13 @@ from cuspidal.dh import (
     JointConfig,
     det_jacobian,
     fk_arrays,
+    length_scale,
     singularity_scale,
     wrap_angle,
     wrap_float,
 )
 from cuspidal.errors import StartOrGoalSingularError
+from cuspidal.geometry import polyline_min_dist
 from cuspidal.reduction import (
     _CONIC_ZERO,
     _DEGREE_DROP_TOL,
@@ -45,11 +58,13 @@ from cuspidal.reduction import (
     IkBatch,
     RootBatch,
     _atan2,
+    _conic_terms,
     _derivative,
     _horner,
     cluster_real_roots,
     conic_raw,
     f_coefficients,
+    ik_counts,
     quartic_coeffs_from_conic,
     quartic_discriminant,
     theta3_of_t,
@@ -686,3 +701,262 @@ def reduced_parent(reduced_labels, aspect_labels):
     the fill's, before the aspects' singular points are marked -1."""
     ids, first = np.unique(reduced_labels, return_index=True)
     return aspect_labels.ravel()[first[ids >= 0]]
+
+
+# --------------------------------------------------------------------------
+# the chart engine: every multiple-root system in t = tan(theta3 / 2), or in
+# u = tan((theta3 - pi) / 2) where the seed is nearer theta3 = pi
+# --------------------------------------------------------------------------
+
+# Negating the linear conic coefficients maps the chart t to the chart u.
+_FLIP = np.array([1.0, 1.0, 1.0, -1.0, -1.0, 1.0])
+
+
+def chart_theta3(u, flip):
+    th = 2.0 * math.atan(u)
+    return wrap_float(th + math.pi) if flip else th
+
+
+class QuarticPencil:
+    """The conic and its quartic M(t) as exact polynomials in (R, z), per
+    robot, in both charts (index 1 holds the flipped one)."""
+
+    def __init__(self, p):
+        k = _conic_terms(p)
+        two_a1, sa1 = k.two_a1, k.sa1
+        pw0, qw0 = -k.w2 / two_a1, -k.w3 / sa1
+        c0 = conic_raw(p, 0.0, 0.0)
+        c_r = np.array([0.0, 0.0, 0.0, k.pu / two_a1, k.pv / two_a1, 2.0 * pw0 / two_a1])
+        c_z = np.array([0.0, 0.0, 0.0, k.qu / sa1, k.qv / sa1, 2.0 * qw0 / sa1])
+        c_rr = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 1.0 / (two_a1 * two_a1)])
+        c_zz = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 1.0 / (sa1 * sa1)])
+        terms = np.array([c0, c_r, c_z, c_rr, c_zz])
+        self.conic_terms = np.stack([terms, terms * _FLIP])      # (chart, term, 6)
+        self.quartic_terms = np.moveaxis(                          # (chart, term, 5)
+            quartic_coeffs_from_conic(np.moveaxis(self.conic_terms, -1, 0)), 0, -1)
+
+    @staticmethod
+    def _combine(terms, R, z):
+        R = R[:, None]
+        z = z[:, None]
+        return terms[:, 0] + R * terms[:, 1] + z * terms[:, 2] + R * R * terms[:, 3] + z * z * terms[:, 4]
+
+    def conic(self, R, z, flip):
+        """Raw conic coefficients (K, 6) at points (R, z) in charts `flip`, all (K,)."""
+        return self._combine(self.conic_terms[flip.astype(int)], R, z)
+
+    def quartic(self, R, z, flip):
+        """M and its R and z partials, stacked as (K, 3, 5)."""
+        q = self.quartic_terms[flip.astype(int)]
+        R2 = 2.0 * R[:, None]
+        z2 = 2.0 * z[:, None]
+        return np.stack([self._combine(q, R, z),
+                         q[:, 1] + R2 * q[:, 3],
+                         q[:, 2] + z2 * q[:, 4]], axis=1)
+
+    def normalized_quartic(self, R, z, flip):
+        """M (K, 5) from the conic scaled to max |coefficient| = 1."""
+        cc = self.conic(R, z, flip)
+        cc = cc / np.maximum(np.max(np.abs(cc), axis=1), 1e-300)[:, None]
+        return quartic_coeffs_from_conic(cc.T).T
+
+
+def chart_multiple_root_system(pencil, flip, mult):
+    """M = M' = ... = M^(mult-1) = 0 in (u, R, z); flip[k] is seed k's chart."""
+    def fun_jac(x, rows):
+        jet = quartic_jet(pencil.quartic(x[:, 1], x[:, 2], flip[rows]), x[:, 0], mult)
+        jac = np.stack([jet[:, 0, 1:], jet[:, 1, :mult], jet[:, 2, :mult]], axis=2)
+        return jet[:, 0, :mult], jac
+    return fun_jac
+
+
+def chart_node_system(pencil, flip1, flip2):
+    """Double roots at u1 and u2 (M = M' = 0 at each) in (u1, u2, R, z)."""
+    def fun_jac(x, rows):
+        k = len(x)
+        R, zr = np.tile(x[:, 2], 2), np.tile(x[:, 3], 2)
+        flips = np.concatenate([flip1[rows], flip2[rows]])
+        jet = quartic_jet(pencil.quartic(R, zr, flips), x[:, :2].T.ravel(), 2)
+        jet = jet.reshape(2, k, 3, 3)
+        fval = np.zeros((k, 4))
+        jac = np.zeros((k, 4, 4))
+        for root in (0, 1):
+            eqs = slice(2 * root, 2 * root + 2)
+            fval[:, eqs] = jet[root, :, 0, :2]
+            jac[:, eqs, root] = jet[root, :, 0, 1:]
+            jac[:, eqs, 2] = jet[root, :, 1, :2]
+            jac[:, eqs, 3] = jet[root, :, 2, :2]
+        return fval, jac
+    return fun_jac
+
+
+def chart_node_system_symmetric(pencil, flip):
+    """Two double roots at s +/- sqrt(e) by matching M's five coefficients
+    against a [(t - s)^2 - e]^2 in (a, s, e, R, z)."""
+    def fun_jac(x, rows):
+        a, s, e = x[:, 0:1], x[:, 1:2], x[:, 2:3]
+        m = pencil.quartic(x[:, 3], x[:, 4], flip[rows])
+        one, zero = np.ones_like(s), np.zeros_like(s)
+        se = s * s - e
+        q = np.hstack([one, -4.0 * s, 6.0 * s * s - 2.0 * e, -4.0 * s * se, se * se])
+        dq_ds = np.hstack([zero, -4.0 * one, 12.0 * s, -12.0 * s * s + 4.0 * e, 4.0 * s * se])
+        dq_de = np.hstack([zero, zero, -2.0 * one, 4.0 * s, -2.0 * se])
+        jac = np.stack([-q, -a * dq_ds, -a * dq_de, m[:, 1], m[:, 2]], axis=2)
+        return m[:, 0] - a * q, jac
+    return fun_jac
+
+
+def chart_tangency_system(pencil, start, direction, flip, d1):
+    """Double root (M = M' = 0) at chart coordinate u of the quartic at
+    start + lambda direction in (rho, z), in (u, lambda)."""
+    def fun_jac(x, rows):
+        lam = x[:, 1]
+        drho, dz = direction[rows, 0], direction[rows, 1]
+        rr = start[rows, 0] + lam * drho
+        zr = start[rows, 1] + lam * dz - d1
+        jet = quartic_jet(pencil.quartic(rr * rr + zr * zr, zr, flip[rows]), x[:, 0], 2)
+        dR_dlam = (2 * rr * drho + 2 * zr * dz)[:, None]
+        dm_dlam = jet[:, 1, :2] * dR_dlam + jet[:, 2, :2] * dz[:, None]
+        return jet[:, 0, :2], np.stack([jet[:, 0, 1:], dm_dlam], axis=2)
+    return fun_jac
+
+
+def _chart_residuals(pencil, u, R, zr, flip, order):
+    return np.abs(quartic_jet(pencil.normalized_quartic(R, zr, flip), u, order))
+
+
+def chart_find_cusps(p, workspace_curves):
+    """critical.find_cusps on the chart engine: Newton on M = M' = M'' = 0 in
+    (u, R, z), each seed in the chart _chart_seed picks for it."""
+    scale = singularity_scale(p)
+    lscale = length_scale(p)
+    seeds = []
+    for wc in workspace_curves:
+        if len(wc) < 4:
+            continue
+        speed = wc.speed
+        for k in np.nonzero((speed <= np.roll(speed, 1)) & (speed <= np.roll(speed, -1)))[0]:
+            u0, flip = _chart_seed(float(wc.joint.vertices[k, 1]))
+            rho, z = wc.vertices[k]
+            zr = z - p.d1
+            seeds.append((u0, rho * rho + zr * zr, zr, flip, wc.source_index))
+    if not seeds:
+        return []
+    pencil = QuarticPencil(p)
+    flip = np.array([s[3] for s in seeds])
+    x, _ = _damped_newton(chart_multiple_root_system(pencil, flip, 3), [s[:3] for s in seeds])
+    u, R, zr = x.T
+    res = _chart_residuals(pencil, u, R, zr, flip, 3)
+    rho2 = R - zr * zr
+    converged = np.max(res[:, :3], axis=1) <= CUSP_RESIDUAL_TOL * scale
+    certified = (rho2 >= -1e-12 * scale) & converged & (res[:, 3] >= CUSP_THIRD_DERIV_MIN * scale)
+    near_max = max(0.05 * lscale, 10.0 * _median_step(workspace_curves))
+    polylines = [w.vertices for w in workspace_curves]
+    found = []
+    for k in np.nonzero(certified)[0]:
+        rho_s = math.sqrt(max(float(rho2[k]), 0.0))
+        z_s = float(zr[k] + p.d1)
+        if polyline_min_dist((rho_s, z_s), polylines) > near_max:
+            continue
+        t_out = math.tan(chart_theta3(float(u[k]), bool(flip[k])) / 2.0)
+        found.append((rho_s, z_s, t_out, *(float(r) for r in res[k]), seeds[k][4]))
+    kept = _dedup_sorted(found, DEDUP_RADIUS * scale, 1e-9 * lscale)
+    return [CuspPoint(*c) for c in kept]
+
+
+def chart_refine_nodes(p, cands):
+    """critical._refine_nodes on the chart engine: tangency angles less than
+    0.5 apart use the symmetric centre/half-gap system in a common chart,
+    the others the four-unknown system with a chart per root."""
+    pencil = QuarticPencil(p)
+    sym, plain = [], []
+    for k, (th3a, th3b, rho, z) in enumerate(cands):
+        zr = z - p.d1
+        r0 = rho * rho + zr * zr
+        gap = abs(wrap_float(th3a - th3b))
+        if gap < 0.5:
+            mean = th3a + wrap_float(th3b - th3a) / 2.0
+            s0, flip = _chart_seed(mean)
+            # chart half-gap: d(theta)/du = 2/(1+u^2)
+            d0 = gap / 2.0 * (1.0 + s0 * s0) / 2.0
+            sym.append((k, flip, (s0, d0 * d0, r0, zr)))
+        else:
+            u1, flip1 = _chart_seed(th3a)
+            u2, flip2 = _chart_seed(th3b)
+            plain.append((k, flip1, flip2, (u1, u2, r0, zr)))
+    n = len(cands)
+    u, flips = np.zeros((2, n)), np.zeros((2, n), dtype=bool)
+    R, zr, live = np.zeros(n), np.zeros(n), np.ones(n, dtype=bool)
+    if sym:
+        k = [c[0] for c in sym]
+        flip = np.array([c[1] for c in sym])
+        x0 = np.array([c[2] for c in sym])
+        lead = pencil.quartic(x0[:, 2], x0[:, 3], flip)[:, 0, 0]
+        x, _ = _damped_newton(chart_node_system_symmetric(pencil, flip),
+                              np.column_stack([lead, x0]))
+        _, s, e, R[k], zr[k] = x.T
+        d = np.sqrt(np.maximum(e, 0.0))
+        u[0, k], u[1, k] = s + d, s - d
+        flips[:, k] = flip
+        live[k] = e > 0.0
+    if plain:
+        k = [c[0] for c in plain]
+        flips[0, k], flips[1, k] = [c[1] for c in plain], [c[2] for c in plain]
+        x, _ = _damped_newton(chart_node_system(pencil, flips[0, k], flips[1, k]),
+                              [c[3] for c in plain])
+        u[0, k], u[1, k], R[k], zr[k] = x.T
+    res = _chart_residuals(pencil, u.ravel(), np.tile(R, 2), np.tile(zr, 2), flips.ravel(), 1)
+    worst = np.max(res.reshape(2, n, 2), axis=(0, 2))
+    return [(chart_theta3(u1, f1), chart_theta3(u2, f2), r, z, w) if ok else None
+            for u1, u2, f1, f2, r, z, w, ok in zip(*u.tolist(), *flips.tolist(), R.tolist(),
+                                                   zr.tolist(), worst.tolist(), live.tolist())]
+
+
+def chart_quadruple_root(p, workspace_curves, cusps):
+    """The quadruple-root evidence of critical.genericity_check on the chart
+    engine (Gauss-Newton on M = M' = M'' = M''' = 0 in (u, R, z)), or None."""
+    scale = singularity_scale(p)
+    seeds = []
+    for c in cusps:
+        u0, flip = _chart_seed(2.0 * math.atan(c.t))
+        seeds.append((u0, flip, c.rho * c.rho + (c.z - p.d1) ** 2, c.z - p.d1))
+    for wc in workspace_curves:
+        if len(wc) == 0:
+            continue
+        for k in sorted({int(np.argmin(wc.vertices[:, 0])), int(np.argmax(wc.vertices[:, 0])),
+                         int(np.argmin(wc.vertices[:, 1])), int(np.argmax(wc.vertices[:, 1]))}):
+            u0, flip = _chart_seed(float(wc.joint.vertices[k, 1]))
+            rho, z = wc.vertices[k]
+            zr = z - p.d1
+            seeds.append((u0, flip, rho * rho + zr * zr, zr))
+    if not seeds:
+        return None
+    pencil = QuarticPencil(p)
+    flip = np.array([s[1] for s in seeds])
+    x, _ = _damped_newton(chart_multiple_root_system(pencil, flip, 4),
+                          [(u0, R0, zr0) for u0, _, R0, zr0 in seeds])
+    u, R, zr = x.T
+    res = np.max(_chart_residuals(pencil, u, R, zr, flip, 3), axis=1)
+    certified = np.nonzero((R - zr * zr >= -1e-9 * scale) & (res < 1e-8 * scale))[0]
+    if len(certified) == 0:
+        return None
+    k = certified[0]
+    return {"kind": "quadruple_root",
+            "rho": math.sqrt(max(float(R[k] - zr[k] * zr[k]), 0.0)),
+            "z": float(zr[k] + p.d1),
+            "t": math.tan(chart_theta3(float(u[k]), bool(flip[k])) / 2.0),
+            "residual": float(res[k])}
+
+
+def chart_slide_onto_values(p, start, direction, theta3, cell):
+    """critical._slide_onto_values on the chart engine: Newton on M = M' = 0
+    in (u, lambda), each crossing in the chart _chart_seed picks for it."""
+    seeds = [_chart_seed(t) for t in theta3.tolist()]
+    x, refined = _damped_newton(
+        chart_tangency_system(QuarticPencil(p), start, direction,
+                              np.array([f for _, f in seeds], dtype=bool), p.d1),
+        np.array([(u0, 0.0) for u0, _ in seeds]).reshape(-1, 2))
+    boundary = start + x[:, 1:] * direction
+    landed = refined & np.array([math.hypot(dr, dz) <= 2 * cell
+                                 for dr, dz in (boundary - start).tolist()], dtype=bool)
+    return boundary, landed, ik_counts(p, boundary[:, 0], boundary[:, 1])

@@ -30,19 +30,20 @@ from cuspidal.critical import (
     _census_clearance,
     _census_crossings,
     _chain_loops,
-    _chart_seed,
     _crossing_points,
     _damped_newton,
     _dedup_sorted,
     _marching_segments,
     _mixed_cells,
     _multiple_root_system,
+    _node_system,
     _sample_lattice,
+    _tangency_system,
 )
 from cuspidal.dh import length_scale
 from cuspidal.errors import DegenerateGeometryError
 from cuspidal.geometry import polyline_min_dist, seg_intersect_many
-from cuspidal.reduction import QuarticPencil
+from cuspidal.reduction import circle_harmonics, conic_raw
 
 from conftest import (
     BATTERY,
@@ -56,7 +57,16 @@ from conftest import (
     random_valid_params,
 )
 from census_refs import audit_all_at_once, census_walk
-from engine_refs import SegmentHash, chain_loops, damped_newton, marching_segments
+from engine_refs import (
+    SegmentHash,
+    chain_loops,
+    chart_find_cusps,
+    chart_quadruple_root,
+    chart_refine_nodes,
+    chart_slide_onto_values,
+    damped_newton,
+    marching_segments,
+)
 from segment_refs import point_segment_dist, seg_intersect, unwrap_segment
 
 
@@ -261,6 +271,53 @@ def test_node_count_matches_intersection_oracle(analysis):
         assert len(analysis.nodes(robot)) == len(dedup)
 
 
+def _sympy_harmonics(sp, expr, w):
+    """(h0, h1c, h1s, h2c, h2s) of a real trigonometric polynomial of degree
+    <= 2 in theta, given as a Laurent polynomial in w = exp(i theta)."""
+    poly = sp.expand(expr * w ** 2)
+    out = [poly.coeff(w, 2)]
+    for n in (1, 2):
+        up, down = poly.coeff(w, 2 + n), poly.coeff(w, 2 - n)
+        out += [up + down, sp.I * (up - down)]
+    return [sp.simplify(sp.expand_complex(h)) for h in out]
+
+
+def test_sympy_harmonics_of_the_conic_and_of_the_node_square():
+    """Exact oracle for the two identities the circle engine rests on: the
+    harmonics of the conic on the unit circle reproduce Axx c^2 + 2 Axy c s +
+    Ayy s^2 + 2 Bx c + 2 By s + C modulo c^2 + s^2 = 1, and K (cos(theta -
+    m) - e)^2 expands to the five harmonics _node_system matches.  Both are
+    derived in w = exp(i theta) and compared with circle_harmonics and
+    _node_system on random robots, targets and unknowns."""
+    sp = pytest.importorskip("sympy")
+    w = sp.symbols("w")
+    c, s = sp.symbols("c s", real=True)
+    axx, axy, ayy, bx, by, cc, big_k, m, e = sp.symbols("A_xx A_xy A_yy B_x B_y C K m e",
+                                                        real=True)
+    conic = axx * c ** 2 + 2 * axy * c * s + ayy * s ** 2 + 2 * bx * c + 2 * by * s + cc
+    h = _sympy_harmonics(sp, conic.subs({c: (w + 1 / w) / 2, s: (w - 1 / w) / (2 * sp.I)}), w)
+    on_circle = h[0] + h[1] * c + h[2] * s + h[3] * (c ** 2 - s ** 2) + h[4] * 2 * c * s
+    assert sp.rem(sp.expand(on_circle - conic), s ** 2 + c ** 2 - 1, s) == 0
+    square = big_k * ((w * sp.exp(-sp.I * m) + sp.exp(sp.I * m) / w) / 2 - e) ** 2
+    q = _sympy_harmonics(sp, square, w)
+    h_of = sp.lambdify([axx, axy, ayy, bx, by, cc], h, "numpy")
+    q_of = sp.lambdify([big_k, m, e], q, "numpy")
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        p = random_valid_params(rng)
+        zr = rng.uniform(-2.0, 2.0, 6)
+        R = rng.uniform(0.1, 3.0, 6) ** 2 + zr * zr
+        raw = conic_raw(p, R, zr)
+        expected = np.column_stack(np.broadcast_arrays(*h_of(*raw)))
+        harmonics = circle_harmonics(p, R, zr)[:, 0]
+        assert np.all(np.abs(harmonics - expected) <= 1e-13 * np.max(np.abs(raw)))
+        x = np.column_stack([rng.uniform(-3.0, 3.0, 6), rng.uniform(-math.pi, math.pi, 6),
+                             rng.uniform(-1.0, 1.0, 6), R, zr])
+        fval, _ = _node_system(p)(x, np.arange(6))
+        expected = np.column_stack(np.broadcast_arrays(*q_of(*x[:, :3].T)))
+        assert np.all(np.abs(harmonics - fval - expected) <= 1e-13 * np.max(np.abs(raw)))
+
+
 # --------------------------------------------------------------------------
 # genericity
 # --------------------------------------------------------------------------
@@ -448,9 +505,9 @@ def test_census_rounds_equal_refining_every_crossing(monkeypatch, analysis):
     refined = []
     slide = critical._slide_onto_values
 
-    def record(p, pencil, start, *args):
+    def record(p, start, *args):
         refined.append(len(start))
-        return slide(p, pencil, start, *args)
+        return slide(p, start, *args)
     monkeypatch.setattr(critical, "_slide_onto_values", record)
     rng = np.random.default_rng(41)
     robots = list(BATTERY.values()) + [random_valid_params(rng) for _ in range(20)]
@@ -468,38 +525,102 @@ def test_census_rounds_equal_refining_every_crossing(monkeypatch, analysis):
             assert sum(refined) < audited
 
 
+def _assert_points_close(found, ref, angles, what):
+    """Equal counts; (rho, z) within 1e-12 of the point's distance from the
+    origin (rho alone loses digits near the axis, where it enters only
+    through R = rho^2 + z^2) and the named tan-half-angles within 1e-12 on
+    the circle."""
+    assert len(found) == len(ref), what
+    for a, b in zip(found, ref):
+        assert math.hypot(a.rho - b.rho, a.z - b.z) <= 1e-12 * math.hypot(b.rho, b.z), what
+        for t in angles:
+            gap = wrap_angle(2 * math.atan(getattr(a, t)) - 2 * math.atan(getattr(b, t)))
+            assert abs(gap) <= 1e-12, what
+
+
+def test_circle_engine_equals_the_chart_engine(monkeypatch, analysis):
+    """Solved on the theta3 circle, the cusps, nodes, quadruple-root decisions
+    and census boundary samples are those the chart engine (every system on
+    M in the half-angle chart that keeps its seed well conditioned) gives,
+    to 1e-12 relative, on the battery, both non-generic robots and 10 random
+    draws.  Non-generic robots are compared by their decision only: their
+    cusps sit next to a quadruple root, where either engine may land."""
+    rng = np.random.default_rng(424242)
+    robots = [*BATTERY.items(), ("quad", NONGENERIC_QUAD), ("curve", NONGENERIC_CURVE),
+              *((f"random {k}", random_valid_params(rng)) for k in range(10))]
+    for name, robot in robots:
+        curves, wcurves = analysis.curves(robot), analysis.wcurves(robot)
+        cusps, ref_cusps = analysis.cusps(robot), chart_find_cusps(robot, wcurves)
+        rep = genericity_check(robot, TEST_GRID, curves, wcurves, cusps)
+        quadruple = any(e["kind"] == "quadruple_root" for e in rep.evidence)
+        assert quadruple == (chart_quadruple_root(robot, wcurves, ref_cusps) is not None), name
+        if not rep.is_generic:
+            continue
+        _assert_points_close(cusps, ref_cusps, ("t",), name)
+        with monkeypatch.context() as m:
+            m.setattr(critical, "_refine_nodes", chart_refine_nodes)
+            ref_nodes = find_nodes(robot, wcurves)
+        _assert_points_close(analysis.nodes(robot), ref_nodes, ("t1", "t2"), name)
+        census = region_census(robot, wcurves, census_n=96)
+        with monkeypatch.context() as m:
+            m.setattr(critical, "_slide_onto_values", chart_slide_onto_values)
+            ref_census = region_census(robot, wcurves, census_n=96)
+        assert census.audited_pairs == ref_census.audited_pairs, name
+        assert census.violations == ref_census.violations, name
+        assert ([(s.count, s.low, s.high) for s in census.boundary_samples]
+                == [(s.count, s.low, s.high) for s in ref_census.boundary_samples]), name
+        _assert_points_close(census.boundary_samples, ref_census.boundary_samples, (), name)
+
+
 # --------------------------------------------------------------------------
 # vectorised engines against their loop references
 # --------------------------------------------------------------------------
 
+def _newton_cases(p, rng, k):
+    """(name, system(rows of the batch), x0) for each Newton system at k
+    random seeds; system(order) builds it for the seeds in that order."""
+    zr = rng.uniform(-2.0, 2.0, k)
+    R = rng.uniform(0.1, 3.0, k) ** 2 + zr * zr
+    theta3 = rng.uniform(-math.pi, math.pi, k)
+    start = np.column_stack([np.sqrt(R - zr * zr), zr + p.d1])
+    direction = rng.standard_normal((k, 2)) * 0.05
+    node_x0 = np.column_stack([rng.uniform(-3.0, 3.0, k), theta3,
+                               rng.uniform(-1.0, 1.0, k), R, zr])
+    return [
+        ("cusp", lambda order: _multiple_root_system(p, 3), np.column_stack([theta3, R, zr])),
+        ("quadruple", lambda order: _multiple_root_system(p, 4),
+         np.column_stack([theta3, R, zr])),
+        ("node", lambda order: _node_system(p), node_x0),
+        ("tangency", lambda order: _tangency_system(p, start[order], direction[order]),
+         np.column_stack([theta3, np.zeros(k)])),
+    ]
+
+
 @settings(max_examples=12)
-@given(_SEED, st.sampled_from([3, 4]))
-def test_batched_newton_equals_single_seed_runs(seed, mult):
-    """Each seed of a batch ends where it ends alone, in any batch order:
-    the determinism behind byte-identical reports."""
+@given(_SEED)
+def test_batched_newton_equals_single_seed_runs(seed):
+    """Each seed of a batch ends where it ends alone, in any batch order, bit
+    for bit, on every Newton system: the determinism behind byte-identical
+    reports."""
     rng = np.random.default_rng(seed)
     p = random_valid_params(rng)
-    pencil = QuarticPencil(p)
     k = 5
-    charts = [_chart_seed(t3) for t3 in rng.uniform(-math.pi, math.pi, k)]
-    flip = np.array([f for _, f in charts])
-    zr = rng.uniform(-2.0, 2.0, k)
-    x0 = np.column_stack([[u for u, _ in charts], rng.uniform(0.1, 3.0, k) ** 2 + zr * zr, zr])
-    x, ok = _damped_newton(_multiple_root_system(pencil, flip, mult), x0)
     perm = rng.permutation(k)
-    xp, okp = _damped_newton(_multiple_root_system(pencil, flip[perm], mult), x0[perm])
-    assert np.all(np.abs(xp - x[perm]) <= 1e-12 * np.maximum(1.0, np.abs(x[perm])))
-    assert np.array_equal(okp, ok[perm])
-    for i in range(k):
-        xs, oks = _damped_newton(_multiple_root_system(pencil, flip[i:i + 1], mult), x0[i:i + 1])
-        assert np.all(np.abs(xs[0] - x[i]) <= 1e-12 * np.maximum(1.0, np.abs(x[i])))
-        assert oks[0] == ok[i]
+    for name, system, x0 in _newton_cases(p, rng, k):
+        x, ok = _damped_newton(system(np.arange(k)), x0)
+        xp, okp = _damped_newton(system(perm), x0[perm])
+        assert xp.tobytes() == x[perm].tobytes(), name
+        assert np.array_equal(okp, ok[perm]), name
+        for i in range(k):
+            xs, oks = _damped_newton(system(np.array([i])), x0[i:i + 1])
+            assert xs[0].tobytes() == x[i].tobytes(), name
+            assert oks[0] == ok[i], name
 
 
 def test_batched_line_search_equals_the_lambda_loop(monkeypatch, analysis):
     """Every damped Newton batch that cusps, genericity, nodes and the census
     run ends bit for bit where the one-call-per-lambda loop ends, on the
-    cusp, quadruple-root, both node and the tangency systems."""
+    cusp, quadruple-root, node and tangency systems."""
     batches = []
     batched = critical._damped_newton
 
@@ -522,8 +643,7 @@ def test_batched_line_search_equals_the_lambda_loop(monkeypatch, analysis):
         fval, _ = fun_jac(x0[:1], np.arange(1))
         systems.add((fun_jac.__qualname__.split(".")[0], fval.shape[1]))
     assert systems == {("_multiple_root_system", 3), ("_multiple_root_system", 4),
-                       ("_node_system", 4), ("_node_system_symmetric", 5),
-                       ("_tangency_system", 2)}
+                       ("_node_system", 5), ("_tangency_system", 2)}
 
 
 def _crossing_cells(f, th):

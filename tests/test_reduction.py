@@ -27,10 +27,10 @@ from cuspidal import reduction
 from cuspidal.errors import ZeroPolynomialError
 from cuspidal.reduction import (
     ConicCoeffs,
-    QuarticPencil,
+    circle_harmonics,
+    circle_jet,
     conic_raw,
     ik_counts,
-    quartic_coeffs_from_conic,
     quartic_discriminant,
     quartic_jet,
     solve_ik_batch,
@@ -514,39 +514,41 @@ def test_ik_batch_equals_targets_solved_alone(seed):
 
 
 # --------------------------------------------------------------------------
-# per-robot quartic pencil
+# the conic on the theta3 circle
 # --------------------------------------------------------------------------
 
-_FLIP = np.array([1.0, 1.0, 1.0, -1.0, -1.0, 1.0])
+def _conic_on_circle(cc, theta):
+    """g, g' and g'' in theta of conic_raw's conic cc (6, K) at (cos, sin)(theta)."""
+    axx, axy, ayy, bx, by, c = cc
+    co, si = np.cos(theta), np.sin(theta)
+    g = axx * co * co + 2 * axy * co * si + ayy * si * si + 2 * bx * co + 2 * by * si + c
+    g1 = -2 * axx * co * si + 2 * axy * (co * co - si * si) + 2 * ayy * si * co - 2 * bx * si + 2 * by * co
+    g2 = -2 * axx * (co * co - si * si) - 8 * axy * co * si + 2 * ayy * (co * co - si * si) \
+        - 2 * bx * co - 2 * by * si
+    return np.stack([g, g1, g2], axis=1)
 
 
-@given(st.integers(0, 2 ** 32 - 1), st.booleans())
-def test_pencil_reproduces_conic_quartic_and_partials(seed, flipped):
-    """The pencil gives conic_raw's conic and its quartic at any (R, z), in
-    either chart; its R and z partials equal central differences, which are
-    exact up to rounding because M is quadratic in (R, z)."""
+@given(st.integers(0, 2 ** 32 - 1))
+def test_circle_jet_reproduces_the_conic_on_the_circle_and_its_partials(seed):
+    """g, g' and g'' from the harmonics equal conic_raw's conic evaluated on
+    the circle and differentiated by hand; their R and z partials equal
+    central differences, which are exact up to rounding because the conic
+    is quadratic in (R, z)."""
     rng = np.random.default_rng(seed)
     p = random_valid_params(rng)
-    pencil = QuarticPencil(p)
     z = rng.uniform(-6.0, 6.0, 8)
     R = rng.uniform(0.0, 6.0, 8) ** 2 + z * z
-    flip = np.full(8, flipped)
-    sign = _FLIP if flipped else np.ones(6)
-    ref = conic_raw(p, R, z).T * sign
-
-    def quartic_of(rr, zz):
-        return quartic_coeffs_from_conic(conic_raw(p, rr, zz) * sign[:, None]).T
-
-    tol = 1e-12 * np.max(np.abs(ref), axis=1, keepdims=True)
-    assert np.all(np.abs(pencil.conic(R, z, flip) - ref) <= tol)
-    m, m_r, m_z = np.moveaxis(pencil.quartic(R, z, flip), 1, 0)
-    assert np.all(np.abs(m - quartic_of(R, z)) <= 8 * tol)
-    for partial, dR, dz in ((m_r, 1.0, 0.0), (m_z, 0.0, 1.0)):
-        hi, lo = quartic_of(R + dR, z + dz), quartic_of(R - dR, z - dz)
-        scale = np.max(np.abs(np.concatenate([hi, lo], axis=1)), axis=1, keepdims=True)
-        assert np.all(np.abs(partial - (hi - lo) / 2.0) <= 1e-12 * scale)
-    normalized = quartic_coeffs_from_conic((ref / np.max(np.abs(ref), axis=1, keepdims=True)).T).T
-    assert np.all(np.abs(pencil.normalized_quartic(R, z, flip) - normalized) <= 1e-12)
+    theta = rng.uniform(-math.pi, math.pi, 8)
+    g, g_r, g_z = np.moveaxis(circle_jet(circle_harmonics(p, R, z), theta, 2), 1, 0)
+    ref = _conic_on_circle(conic_raw(p, R, z), theta)
+    scale = np.max(np.abs(conic_raw(p, R, z)), axis=0)[:, None]
+    assert np.all(np.abs(g - ref) <= 1e-12 * scale)
+    for partial, dR, dz in ((g_r, 1.0, 0.0), (g_z, 0.0, 1.0)):
+        hi = _conic_on_circle(conic_raw(p, R + dR, z + dz), theta)
+        lo = _conic_on_circle(conic_raw(p, R - dR, z - dz), theta)
+        width = np.max(np.abs(np.concatenate([conic_raw(p, R + dR, z + dz),
+                                              conic_raw(p, R - dR, z - dz)])), axis=0)[:, None]
+        assert np.all(np.abs(partial - (hi - lo) / 2.0) <= 1e-12 * width)
 
 
 @given(st.lists(st.floats(-5.0, 5.0), min_size=5, max_size=5), st.floats(-4.0, 4.0))

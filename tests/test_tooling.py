@@ -2,8 +2,9 @@
 dependency: one root-acceptance rule, the root engine called only where no IK
 result is built, no unused imports, no unread private definitions, no per-cell
 loop over a 2-D mask, no hand-written heap search, no heavyweight
-third-party module imported when the package loads, and one formula for the
-pulled-back discriminant."""
+third-party module imported when the package loads, one formula for the
+pulled-back discriminant, and Newton systems that run on the theta3 circle
+with no half-angle chart."""
 import ast
 import os
 import pathlib
@@ -243,6 +244,34 @@ def test_topology_computes_d_without_the_end_effector_or_the_raw_conic():
     assert _names(_tree(PACKAGE / "topology.py")) & {"fk_arrays", "conic_raw"} == set()
 
 
+def _reading_scopes(tree, name: str) -> set:
+    """Innermost enclosing functions (or "<module>") of every load of `name`,
+    bare or as an attribute."""
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if ((isinstance(node, ast.Name) and node.id == name)
+                or (isinstance(node, ast.Attribute) and node.attr == name)) \
+                and isinstance(node.ctx, ast.Load):
+            found.add(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "<module>")
+    return found
+
+
+# Every multiple-root system runs in theta3 on the conic restricted to the
+# circle: no second copy of the conic algebra and no chart flag reaches a
+# Newton system; only the residual certification picks a half-angle chart.
+def test_critical_solves_on_the_circle_and_only_certification_picks_a_chart():
+    tree = _tree(PACKAGE / "critical.py")
+    assert _names(tree) & {"QuarticPencil", "_chart_theta3", "_FLIP"} == set()
+    assert _reading_scopes(tree, "_chart_seed") == {"_residuals"}
+
+
 def test_checks_see_what_they_look_for():
     tree = ast.parse("import numpy as np\nfrom a import cluster_real_roots, b\n"
                      "import os.path\nx = np.roots([1, 0])\n")
@@ -261,6 +290,7 @@ def test_checks_see_what_they_look_for():
     tree = ast.parse("solve_quartics(m)\ndef f():\n    def g():\n        r.solve_quartics(m)\n"
                      "    return solve_quartics\n")
     assert _callers(tree, "solve_quartics") == [("<module>", 1), ("g", 4)]
+    assert _reading_scopes(tree, "solve_quartics") == {"<module>", "g", "f"}
     assert {"fk_arrays", "conic_raw", "dh"} <= _names(ast.parse(
         "from .dh import fk_arrays\nimport reduction as conic_raw\nx = dh.y\n"))
     trees = {"a.py": ast.parse("def _centers(n):\n    return _centers(n - 1)\n"

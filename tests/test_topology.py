@@ -641,12 +641,12 @@ def test_nonortho_robots_verdicts():
 
 
 def test_a_disagreement_is_an_anomaly_with_its_numbers():
-    """d = [0, 1, 0], a = [2.4, 2, 6] has one cusp certified at |M| = 4.5e-5
+    """d = [0, 1, 0], a = [2.38, 2, 6] has one cusp certified at |M| = 3.7e-5
     against a tolerance of 1.5e-4, and the oracle finds no shared aspect
     (ROADMAP item 1's loose threshold).  The anomaly names each cusp's
     largest residual, the tolerance, the points examined and the
     four-solution census cells; a robot whose pillars agree gets none."""
-    p = DhParams(0.0, 1.0, 0.0, 2.4, 2.0, 6.0, -math.pi / 2, math.pi / 2)
+    p = DhParams(0.0, 1.0, 0.0, 2.38, 2.0, 6.0, -math.pi / 2, math.pi / 2)
     rep = is_cuspidal(p, grid_n=TEST_GRID)
     assert not rep.agrees
     res = ", ".join(f"{max(c.res_m, c.res_m1, c.res_m2):.3g}" for c in rep.cusps)
