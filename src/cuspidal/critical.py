@@ -56,6 +56,9 @@ MAX_BOUNDARY_SAMPLES = 20     # census boundary samples per (low, high) count pa
 # segment whose length times the longest one's is below this (1e-15 less a
 # few ulps of rounding) crosses nothing, so the node sweep leaves it out
 _MIN_CROSS = 1e-15 * (1.0 - 1e-12)
+# the node sweep's hash cell is at least the critical values' extent over
+# this (on the battery at grid 720 the extent is 170-233 cells, so it never binds)
+_HASH_SPAN = 4096
 
 
 @dataclass(frozen=True)
@@ -650,8 +653,11 @@ def find_nodes(p: DhParams, workspace_curves) -> list:
     a node is one whose IK shows exactly two distinct roots, both double.
     """
     scale = singularity_scale(p)
-    cell = max(_median_step(workspace_curves) * 4.0, 1e-6)
     seg_a, seg_b = _segments(workspace_curves)
+    # where the critical values collapse the median step is rounding, and a
+    # cell that small would list a long segment in ~(length / cell)^2 buckets
+    extent = float(np.ptp(seg_a, axis=0).max()) if len(seg_a) else 0.0
+    cell = max(_median_step(workspace_curves) * 4.0, extent / _HASH_SPAN)
     sizes = [len(w) for w in workspace_curves]
     curve = np.repeat(np.array([w.source_index for w in workspace_curves], dtype=int), sizes)
     size = np.repeat(np.array(sizes, dtype=int), sizes)

@@ -968,10 +968,86 @@ def solve_ik(p: DhParams, target: Pose3) -> IkSolutionSet:
     return batch.solution_set(0)
 
 
+# Chordal distance |sin(gap / 2)| below which the engine may merge two roots
+# or accept a conjugate pair as one real root: cluster_real_roots merges at a
+# circle gap of 2 CLUSTER_RADIUS_T (first pass) or 64 sqrt(eps) (second),
+# both at most 2 CLUSTER_RADIUS_T in angle, i.e. CLUSTER_RADIUS_T in chord;
+# the factor 2 covers the polished candidates' distance to the exact roots.
+_MERGE_CHORD = 2.0 * CLUSTER_RADIUS_T
+
+
+def _invariant_counts(m: np.ndarray):
+    """Distinct real roots of quartic rows (K, 5) from the signs of their
+    invariants, and the rows the signs cannot decide, which must go to
+    solve_quartics.
+
+    Each row is scaled to max-norm 1 as the engine scales it, and read as
+    the binary form in the chart (t or 1/t) with the larger of |a| and |e|,
+    so a root at theta3 = pi counts like any other.  Delta < 0: 2 roots;
+    Delta > 0: 4 when P = 8ac - 3b^2 < 0 and D = 64a^3e - 16a^2c^2 +
+    16ab^2c - 16a^2bd - 3b^4 < 0, else 0 (Rees 1922; Lazard 1988).
+
+    Undecided: all-zero rows, degree drops (|lead| < _DEGREE_DROP_TOL, which
+    the engine answers with t = inf), rows with P or D within their rounding
+    of 0, and rows with |Delta| inside the band
+
+      (i)  rounding: I and J carry at most 8 roundings per term, so
+           |dI| <= 8u I~ and |dJ| <= 8u J~ over the sums of the terms'
+           absolute values I~, J~; 4 I^3 adds 3 x 8u + 3u, J^2 2 x 8u + u,
+           the difference and the division 2u: at most 31u < 16 eps times
+           (4 I~^3 + J~^2) / 27.
+      (ii) the engine's resolution: in chordal distances
+           chi_ij = |r_i - r_j| / sqrt((1 + |r_i|^2)(1 + |r_j|^2)) <= 1,
+           Delta = (a^2 prod (1 + |r_i|^2))^3 prod_{i<j} chi_ij^2, and
+           a^2 prod (1 + |r_i|^2) <= 16 Mahler^2 <= 16 ||row||_2^2 = W
+           (1 + |r|^2 <= 2 max(1, |r|)^2; Landau).  Two real roots closer
+           than _MERGE_CHORD, or a conjugate pair that close (its chord is
+           the engine's imaginary-angle test), leave |Delta| <= W^3
+           _MERGE_CHORD^2.  A conjugate pair further apart is accepted only
+           where the circle value M / (1 + t^2)^2 dips below 64 eps (plus
+           Horner's rounding); M less that much times (1 + t^2)^2 has a
+           double root, so there |Delta| <= 128 eps |dDelta/dshift| <=
+           2e-10, below W^3 _MERGE_CHORD^2 >= 1.6e-8 (||row||_2 >= 1): the
+           second term covers both.
+    """
+    m = np.asarray(m, float).reshape(-1, 5)
+    norm = np.abs(m).max(axis=1)
+    zero = norm < 1e-300
+    q = m / np.where(zero, 1.0, norm)[:, None]
+    a, b, c, d, e = np.where((np.abs(q[:, 4]) > np.abs(q[:, 0]))[:, None], q[:, ::-1], q).T
+    disc = quartic_discriminant((a, b, c, d, e))
+    aa, ab, ac, ad, ae = np.abs((a, b, c, d, e))
+    i_abs = 12.0 * aa * ae + 3.0 * ab * ad + ac * ac
+    j_abs = 72.0 * aa * ac * ae + 9.0 * ab * ac * ad + 27.0 * (aa * ad * ad + ab * ab * ae) \
+        + 2.0 * ac * ac * ac
+    eps = float(np.finfo(float).eps)
+    w = 16.0 * np.sum(q * q, axis=1)
+    band = 16.0 * eps * (4.0 * i_abs ** 3 + j_abs ** 2) / 27.0 + w ** 3 * _MERGE_CHORD ** 2
+    # P and D to their rounding: P carries 3 roundings per term, D at most 9,
+    # each bounded in eps, twice the unit roundoff
+    p_inv = 8.0 * a * c - 3.0 * b * b
+    p_err = 3.0 * eps * (8.0 * aa * ac + 3.0 * ab * ab)
+    d_inv = (64.0 * a ** 3 * e - 16.0 * a * a * c * c + 16.0 * a * b * b * c
+             - 16.0 * a * a * b * d - 3.0 * b ** 4)
+    d_err = 9.0 * eps * (64.0 * aa ** 3 * ae + 16.0 * aa * aa * ac * ac + 16.0 * aa * ab * ab * ac
+                         + 16.0 * aa * aa * ab * ad + 3.0 * ab ** 4)
+    four = (p_inv < -p_err) & (d_inv < -d_err)
+    none = (p_inv > p_err) | (d_inv > d_err)
+    undecided = (zero | (np.abs(q[:, 0]) < _DEGREE_DROP_TOL) | ~(np.abs(disc) > band)
+                 | ((disc > 0.0) & ~four & ~none))
+    return np.where(disc < 0.0, 2, np.where(four, 4, 0)), undecided
+
+
 def ik_counts(p: DhParams, rho, z):
     """Multiplicity-free IK solution counts for arrays of (rho, z) targets:
     the distinct real roots of each target's quartic, 0 where the conic
-    vanishes.  Used by the workspace census."""
+    vanishes.  Used by the workspace census.  The quartic's invariants count
+    every row they decide (_invariant_counts); the rest, next to Delta = 0,
+    go to solve_quartics, whose count each decided row equals."""
     rho = np.asarray(rho, float).ravel()
     zr = np.asarray(z, float).ravel() - p.d1
-    return solve_quartics(_quartic_stack(p, rho * rho + zr * zr, zr)[0]).count
+    m = _quartic_stack(p, rho * rho + zr * zr, zr)[0]
+    counts, undecided = _invariant_counts(m)
+    if undecided.any():
+        counts[undecided] = solve_quartics(m[undecided]).count
+    return counts

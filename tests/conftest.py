@@ -3,7 +3,9 @@
 The battery mirrors robots/battery.json; moderate grid resolutions keep the
 unit tests fast while the acceptance module runs the spec resolution.
 """
+import importlib.util
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -63,6 +65,15 @@ def random_valid_params(rng) -> DhParams:
     alpha1 = rng.choice([-1.0, 1.0]) * rng.uniform(0.35, math.pi - 0.35)
     alpha2 = rng.uniform(-math.pi, math.pi)
     return DhParams(d[0], d[1], d[2], a[0], a[1], a[2], alpha1, alpha2)
+
+
+def perfbench_inputs():
+    """perfbench/inputs.py as a module: the benchmark's robots and query streams."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_inputs", pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return inputs
 
 
 class _AnalysisCache:

@@ -5,13 +5,14 @@ dicts keyed by ("u" | "v", i, j), a segment hash filled one segment at a
 time, the quartic root engine and label distance as they stood before the
 per-robot conic constants, the quartic jet with its own Horner loop, the A*
 path search over lattice-point tuples, the path audit one segment at a time,
-the c3s3 plot's plane marching squares as a loop over cells, the SVG
-polyline formatted one vertex at a time, the pulled-back discriminant D
-through the end effector and the conic, its crossings bisected 36 times,
-the reduced aspects' parents from a sort of the whole lattice, and the chart
-engine: cusps, nodes, quadruple roots and census boundary points solved on
-the quartic M in the half-angle chart that keeps each seed well conditioned,
-as they stood before the Newton systems moved onto the theta3 circle."""
+the census counts from the root engine at every target, the c3s3 plot's
+plane marching squares as a loop over cells, the SVG polyline formatted one
+vertex at a time, the pulled-back discriminant D through the end effector
+and the conic, its crossings bisected 36 times, the reduced aspects' parents
+from a sort of the whole lattice, and the chart engine: cusps, nodes,
+quadruple roots and census boundary points solved on the quartic M in the
+half-angle chart that keeps each seed well conditioned, as they stood before
+the Newton systems moved onto the theta3 circle."""
 import heapq
 import math
 from collections import defaultdict
@@ -46,6 +47,7 @@ from cuspidal.dh import (
     wrap_angle,
     wrap_float,
 )
+from cuspidal import reduction
 from cuspidal.errors import StartOrGoalSingularError
 from cuspidal.geometry import polyline_min_dist
 from cuspidal.reduction import (
@@ -64,7 +66,6 @@ from cuspidal.reduction import (
     cluster_real_roots,
     conic_raw,
     f_coefficients,
-    ik_counts,
     quartic_coeffs_from_conic,
     quartic_discriminant,
     theta3_of_t,
@@ -303,6 +304,16 @@ def quartic_stack(p, f, R, zr):
                                      -2 * axx + 4 * ayy + 2 * c, 4 * axy + 4 * by,
                                      axx + 2 * bx + c))
     return m.T, norm
+
+
+def ik_counts(p, rho, z):
+    """reduction.ik_counts as the root engine alone gives it: the distinct
+    real roots solve_quartics finds at every target, with no invariant
+    count in front of it."""
+    rho = np.asarray(rho, float).ravel()
+    zr = np.asarray(z, float).ravel() - p.d1
+    m, _ = quartic_stack(p, f_coefficients(p), rho * rho + zr * zr, zr)
+    return reduction.solve_quartics(m).count
 
 
 def polish_plain(coeffs, t, iters=18):

@@ -13,6 +13,7 @@ from cuspidal import (
     CrossSectionPoint,
     JointConfig,
     build_topology,
+    critical,
     cross_section,
     forward_kinematics,
     reduction,
@@ -210,6 +211,22 @@ def test_cmd_aspects(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["aspect_count"] == 2
     assert doc["reduced_aspect_count"] > 2
+
+
+def test_cmd_nodes_on_collapsed_critical_values_stays_bounded(tmp_path, capsys, monkeypatch):
+    """Where the critical values collapse (median segment step ~1e-18), the
+    node sweep's hash cell stays a fixed fraction of their extent: no
+    bucket expansion lists more than 2^22 entries, and the command ends."""
+    expand = critical._expand
+
+    def bounded(counts):
+        assert int(np.sum(counts)) <= 2 ** 22, int(np.sum(counts))
+        return expand(counts)
+    monkeypatch.setattr(critical, "_expand", bounded)
+    path = _write_robot(tmp_path, d=(0, 0, 0), a=(2, 2, 2))
+    for grid in ("240", "720"):
+        assert main(["nodes", "--robot", path, "--grid", grid]) == 0
+        assert json.loads(capsys.readouterr().out)["nodes"] == []
 
 
 def test_cmd_pseudo(tmp_path, capsys):

@@ -54,6 +54,7 @@ from conftest import (
     PAPER_BATTERY,
     REFERENCE,
     TEST_GRID,
+    perfbench_inputs,
     random_valid_params,
 )
 from census_refs import audit_all_at_once, census_walk
@@ -67,6 +68,7 @@ from engine_refs import (
     damped_newton,
     marching_segments,
 )
+from engine_refs import ik_counts as engine_ik_counts
 from segment_refs import point_segment_dist, seg_intersect, unwrap_segment
 
 
@@ -495,6 +497,28 @@ def test_census_audit_equals_scalar_walk(ref_census, node_census, analysis):
         assert [(s.rho, s.z, s.count, s.low, s.high) for s in census.boundary_samples] == samples
         assert samples
     assert misses > 0
+
+
+def test_census_equals_the_engine_only_count(monkeypatch, analysis):
+    """Counted by the quartic's invariants with the root engine only near
+    Delta = 0, the census has the counts, audited pairs, violations and
+    boundary samples the engine alone gives (engine_refs.ik_counts), on the
+    battery, criterion 9's first 24 random draws and the 12 screen_family
+    robots."""
+    rng = np.random.default_rng(424242)
+    robots = [*BATTERY.items(), *((f"draw {k}", random_valid_params(rng)) for k in range(24)),
+              *((label, robot) for label, robot, _ in perfbench_inputs().screen_robots(0))]
+    assert len(robots) == 8 + 24 + 12
+    for name, robot in robots:
+        wcurves = analysis.wcurves(robot)
+        census = region_census(robot, wcurves)
+        with monkeypatch.context() as m:
+            m.setattr(critical, "ik_counts", engine_ik_counts)
+            ref = region_census(robot, wcurves)
+        assert np.array_equal(census.counts, ref.counts), name
+        assert census.audited_pairs == ref.audited_pairs, name
+        assert census.violations == ref.violations, name
+        assert census.boundary_samples == ref.boundary_samples, name
 
 
 def test_census_rounds_equal_refining_every_crossing(monkeypatch, analysis):

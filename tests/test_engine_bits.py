@@ -2,7 +2,6 @@
 search and its audit, and the c3s3 plot's marching squares against the
 references in engine_refs, bit for bit, plus the engine's work bounds per
 call, and the SVG polylines against the per-vertex formatter."""
-import importlib.util
 import itertools
 import math
 import pathlib
@@ -35,7 +34,14 @@ from cuspidal.reduction import (
 from cuspidal.topology import JointPath, _labels
 
 import engine_refs
-from conftest import BATTERY, NODE_ROBOT, REFERENCE, TEST_GRID, random_valid_params
+from conftest import (
+    BATTERY,
+    NODE_ROBOT,
+    REFERENCE,
+    TEST_GRID,
+    perfbench_inputs,
+    random_valid_params,
+)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -450,10 +456,7 @@ def _query_stream_pairs(seed, count):
     """The first `count` same-aspect pairs of clean labels on
     orthogonal_cuspidal that query_mix's QueryStream(seed) draws against maps
     at grid 720, one pair per query point, and the robot and its maps."""
-    spec = importlib.util.spec_from_file_location("perfbench_inputs",
-                                                  ROOT / "perfbench" / "inputs.py")
-    inputs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(inputs)
+    inputs = perfbench_inputs()
     battery = robotfile.parse_robot_file(str(ROOT / "robots" / "battery.json"))
     robots, maps = [], None
     for name in ("orthogonal_cuspidal", "orthogonal_node"):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuspidal import (
@@ -13,6 +13,7 @@ from cuspidal import (
     Quartic,
     conic_classify,
     conic_coefficients,
+    critical_values,
     cross_section,
     f_coefficients,
     forward_kinematics,
@@ -21,9 +22,12 @@ from cuspidal import (
     solve_ik,
     solve_ik_cross_section,
     solve_quartic,
+    trace_critical_points,
     wrap_angle,
 )
-from cuspidal import reduction
+from cuspidal import critical, reduction
+from cuspidal.critical import region_census
+from cuspidal.dh import fk_arrays
 from cuspidal.errors import ZeroPolynomialError
 from cuspidal.reduction import (
     ConicCoeffs,
@@ -45,6 +49,7 @@ from conftest import (
     REFERENCE,
     random_valid_params,
 )
+import engine_refs
 
 
 def _angle_gap(a, b):
@@ -448,6 +453,118 @@ def test_ik_counts_matches_solver(rng):
         for k in range(200):
             sols = solve_ik_cross_section(p, CrossSectionPoint(float(rho[k]), float(z[k])))
             assert batch[k] == sols.distinct(), (p, k)
+
+
+def _sturm_count(sp, row) -> int:
+    """Distinct real roots of the quartic row (highest degree first, exact
+    rationals of the floats), by the sign changes of its Sturm sequence at
+    -inf and +inf."""
+    t = sp.Symbol("t")
+    seq = sp.sturm(sp.Poly([sp.Rational(c) for c in row], t))
+
+    def changes(signs):
+        return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
+    return (changes([int(sp.sign(g.LC())) * (-1) ** g.degree() for g in seq])
+            - changes([int(sp.sign(g.LC())) for g in seq]))
+
+
+def test_invariant_count_equals_a_sturm_count():
+    """Exact oracle for the invariant count: on random rational quartics,
+    every row _invariant_counts decides has the Sturm count of the row it
+    reads (scaled to max-norm 1), and every row with an exact repeated root
+    (Delta = 0) is left to the engine.  The rows include exact roots t = 0
+    (e = 0), leads 2^-33 ... 2^-2 against e = +-1 (the 1/t chart), both
+    ends small, exact double roots and degree drops."""
+    sp = pytest.importorskip("sympy")
+    rng = np.random.default_rng(20240517)
+    generic = rng.integers(-1024, 1025, (120, 5)) / 1024.0
+    trailing = rng.integers(-1024, 1025, (30, 5)) / 1024.0
+    trailing[:, 4] = 0.0
+    swap = rng.integers(-1024, 1025, (40, 5)) / 1024.0
+    swap[:, 0] = rng.choice([-1.0, 1.0], 40) * np.ldexp(1.0, -rng.integers(2, 34, 40))
+    swap[:, 4] = rng.choice([-1.0, 1.0], 40)
+    ends = rng.integers(-1024, 1025, (40, 5)) / 1024.0
+    ends[:, [0, 4]] = rng.choice([-1.0, 1.0], (40, 2)) * np.ldexp(1.0, -rng.integers(4, 30, (40, 2)))
+    roots = rng.integers(-12, 13, (40, 4)) / 4.0
+    roots[:20, 1] = roots[:20, 0]                           # an exact double root
+    doubles = np.array([np.poly(r) for r in roots])
+    drops = rng.integers(-1024, 1025, (10, 5)) / 1024.0
+    drops[:, 0] = rng.uniform(-1.0, 1.0, 10) * 1e-11
+    rows = np.vstack([generic, trailing, swap, ends, doubles, drops])
+    counts, undecided = reduction._invariant_counts(rows)
+    q = rows / np.abs(rows).max(axis=1)[:, None]
+    t = sp.Symbol("t")
+    for k in range(len(rows)):
+        exact_zero = sp.discriminant(sp.Poly([sp.Rational(c) for c in q[k]], t)) == 0
+        if exact_zero or abs(q[k, 0]) < 1e-10:
+            assert undecided[k], q[k]
+        if not undecided[k]:
+            assert counts[k] == _sturm_count(sp, q[k]), q[k]
+    # the filter decides nearly every generic row and rows of every family
+    # away from Delta = 0; the exact double roots all go to the engine
+    assert np.mean(undecided[:120]) < 0.05
+    assert all(not undecided[lo:lo + 30].all() for lo in (120, 150, 190))
+    assert undecided[230:250].all() and undecided[-10:].all()
+
+
+@settings(max_examples=25)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_invariant_counts_equal_the_engine_off_the_band(seed):
+    """On a random robot, ik_counts equals the root engine alone
+    (engine_refs.ik_counts) at every target, and the invariant count equals
+    the engine on every row it decides: reachable targets, targets 1e-12 to
+    1e-2 off the traced critical values, and targets at and next to
+    theta3 = pi, where the quartic's degree drops."""
+    rng = np.random.default_rng(seed)
+    p = random_valid_params(rng)
+    values = np.vstack([np.empty((0, 2))]
+                       + [w.vertices for w in critical_values(p, trace_critical_points(p, 96))])
+    n = 300
+    q = rng.uniform(-math.pi, math.pi, (n, 2))
+    q[:100, 1] = math.pi + rng.choice([0.0, -1.0, 1.0], 100) * 10.0 ** rng.uniform(-14, -2, 100)
+    x, y, z = fk_arrays(p, 0.0, q[:, 0], q[:, 1])
+    rho = np.hypot(x, y)
+    if len(values):
+        near = values[rng.integers(len(values), size=n)]
+        ang = rng.uniform(0.0, 2.0 * math.pi, n)
+        off = 10.0 ** rng.uniform(-12, -2, n)
+        rho = np.concatenate([rho, np.abs(near[:, 0] + off * np.cos(ang))])
+        z = np.concatenate([z, near[:, 1] + off * np.sin(ang)])
+    zr = z - p.d1
+    m, _ = reduction._quartic_stack(p, rho * rho + zr * zr, zr)
+    counts, undecided = reduction._invariant_counts(m)
+    engine = solve_quartics(m).count
+    assert np.array_equal(counts[~undecided], engine[~undecided])
+    assert np.array_equal(ik_counts(p, rho, z), engine_refs.ik_counts(p, rho, z))
+    assert not undecided[100:n].all()
+
+
+def test_only_the_band_reaches_the_eigensolver(monkeypatch, analysis):
+    """On a battery census the companion eigensolver sees only the rows the
+    invariants leave undecided: the census boundary points, which lie on the
+    critical values, and at most 1 % of the cells."""
+    p = REFERENCE
+    wcurves = analysis.wcurves(p)
+    calls = []
+    counts = reduction.ik_counts
+
+    def recording_counts(p_, rho, z):
+        calls.append((np.asarray(rho, float), np.asarray(z, float)))
+        return counts(p_, rho, z)
+    reached = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: reached.append(len(a)) or eigvals(a))
+    monkeypatch.setattr(critical, "ik_counts", recording_counts)
+    census = region_census(p, wcurves, census_n=128)
+    undecided = []
+    for rho, z in calls:
+        zr = z - p.d1
+        undecided.append(reduction._invariant_counts(
+            reduction._quartic_stack(p, rho * rho + zr * zr, zr)[0])[1])
+    cells, boundary = undecided[0], np.concatenate(undecided[1:])
+    assert len(cells) == 128 * 128 and census.boundary_samples
+    assert boundary.all() and cells.sum() <= 0.01 * len(cells)
+    assert 0 < sum(reached) <= cells.sum() + boundary.sum()
 
 
 def _quartic_stack_cases(rng):

@@ -3,7 +3,8 @@ dependency: one root-acceptance rule, the root engine called only where no IK
 result is built, no unused imports, no unread private definitions, no per-cell
 loop over a 2-D mask, no hand-written heap search, no heavyweight
 third-party module imported when the package loads, one formula for the
-pulled-back discriminant, and Newton systems that run on the theta3 circle
+pulled-back discriminant, one for the quartic's discriminant and one
+invariant count, and Newton systems that run on the theta3 circle
 with no half-angle chart."""
 import ast
 import os
@@ -102,7 +103,8 @@ def test_only_reduction_names_the_root_rule(path):
 
 # Every IK result comes from reduction's cross-section stage, whose slot lets
 # a target's solve_ik and label_solutions share one engine pass; the census
-# counts and the one-quartic API call the engine without building IK.
+# counts (for the rows their invariants leave undecided) and the one-quartic
+# API call the engine without building IK.
 SOLVE_QUARTICS_CALLERS = {"_solve_cross_section", "ik_counts", "solve_quartic"}
 
 
@@ -113,6 +115,67 @@ def test_only_the_cross_section_stage_and_the_counts_call_the_root_engine():
                if any(scope not in SOLVE_QUARTICS_CALLERS for scope, _ in found)}
     assert outside == {}
     assert {scope for scope, _ in callers["reduction.py"]} == SOLVE_QUARTICS_CALLERS
+
+
+def _monomial(node):
+    """(constant, sorted factor names) of a product of numbers, names and
+    integer powers of names, or None for any other expression."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+        left, right = _monomial(node.left), _monomial(node.right)
+        if left is None or right is None:
+            return None
+        return left[0] * right[0], tuple(sorted(left[1] + right[1]))
+    if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+            and isinstance(node.left, ast.Name) and isinstance(node.right, ast.Constant)
+            and isinstance(node.right.value, int)):
+        return 1, (node.left.id,) * node.right.value
+    if isinstance(node, ast.Name):
+        return 1, (node.id,)
+    if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
+        return node.value, ()
+    return None
+
+
+def _invariant_differences(tree) -> list:
+    """(innermost enclosing function or "<module>", kind) of every
+    difference of two monomials shaped like 4 I^3 - J^2 (kind "disc", the
+    discriminant from the invariants) or 8 a c - 3 b^2 (kind "P", the sign
+    that splits 4 real roots from none)."""
+    found = []
+
+    def power(names, k):
+        return len(names) == k and len(set(names)) == 1
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub):
+            first, second = _monomial(node.left), _monomial(node.right)
+            if first and second:
+                (c1, f1), (c2, f2) = first, second
+                if c1 == 4 and power(f1, 3) and c2 == 1 and power(f2, 2) and f1[0] != f2[0]:
+                    found.append((scope, "disc"))
+                elif c1 == 8 and len(set(f1)) == len(f1) == 2 and c2 == 3 and power(f2, 2):
+                    found.append((scope, "P"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "<module>")
+    return found
+
+
+# Delta has one formula, quartic_discriminant, which topology's D and the
+# census' invariant count both call; the count by invariants lives in
+# reduction, in front of the root engine that answers what it leaves open.
+def test_one_discriminant_formula_and_one_invariant_count():
+    found = {str(path.relative_to(ROOT)): _invariant_differences(_tree(path)) for path in CHECKED}
+    found = {name: hits for name, hits in found.items() if hits}
+    assert found == {"src/cuspidal/reduction.py": [("quartic_discriminant", "disc"),
+                                                    ("_invariant_counts", "P")]}
+    callers = {path.name: _callers(_tree(path), "_invariant_counts")
+               for path in [*PACKAGE.glob("*.py"), *(ROOT / "scripts").glob("*.py")]}
+    assert {name: [scope for scope, _ in hits] for name, hits in callers.items() if hits} \
+        == {"reduction.py": ["ik_counts"]}
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
@@ -291,6 +354,9 @@ def test_checks_see_what_they_look_for():
                      "    return solve_quartics\n")
     assert _callers(tree, "solve_quartics") == [("<module>", 1), ("g", 4)]
     assert _reading_scopes(tree, "solve_quartics") == {"<module>", "g", "f"}
+    tree = ast.parse("d = (4.0 * i * i * i - j * j) / 27.0\ndef f():\n    return 4 * i ** 3 - j ** 2\n"
+                     "def g():\n    return 8.0 * a * c - 3.0 * b * b, 4 * i * i - j * j, a * a - b\n")
+    assert _invariant_differences(tree) == [("<module>", "disc"), ("f", "disc"), ("g", "P")]
     assert {"fk_arrays", "conic_raw", "dh"} <= _names(ast.parse(
         "from .dh import fk_arrays\nimport reduction as conic_raw\nx = dh.y\n"))
     trees = {"a.py": ast.parse("def _centers(n):\n    return _centers(n - 1)\n"
