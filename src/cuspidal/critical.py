@@ -30,7 +30,7 @@ from .dh import (
     wrap_angle,
     wrap_float,
 )
-from .geometry import TorusCurveIndex, polyline_min_dist, seg_intersect_many
+from .geometry import polyline_min_dist, seg_intersect_many
 from .reduction import (
     circle_harmonics,
     circle_jet,
@@ -76,16 +76,12 @@ class JointCurve:
 class CriticalSet(tuple):
     """The JointCurves of S = {det J = 0}, longest first, traced for `robot` on the
     grid_n x grid_n vertex lattice, with what later stages read: det J on that lattice
-    (det_vertex), kept from the trace, and the S index, built on first use."""
+    (det_vertex), kept from the trace."""
 
     def __new__(cls, robot: DhParams, grid_n: int, curves, det_vertex: np.ndarray):
         self = super().__new__(cls, curves)
         self.robot, self.grid_n, self.det_vertex = robot, grid_n, det_vertex
         return self
-
-    @functools.cached_property
-    def s_index(self) -> TorusCurveIndex:
-        return TorusCurveIndex([c.vertices for c in self])
 
     def check(self, p: DhParams, grid_n: int) -> None:
         if p != self.robot or grid_n != self.grid_n:

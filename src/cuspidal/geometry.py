@@ -99,32 +99,17 @@ class TorusCurveIndex:
     def dists(self, points) -> np.ndarray:
         """Torus distances from a point or an (m, 2) point array to the
         indexed curves, minimised over the segments whose midpoints are the
-        _NEAR_SEGMENTS nearest."""
-        return torus_dists((self,), points)
-
-    def near_segments(self, pts: np.ndarray):
-        """Endpoints (a, b), each (m, k, 2), of the segments whose midpoints
-        are the k = _NEAR_SEGMENTS nearest to each of the wrapped points pts
-        (m, 2), or all of them when there are fewer."""
+        _NEAR_SEGMENTS nearest, or all of them when there are fewer."""
+        pts = wrap_angle(np.asarray(points, float).reshape(-1, 2))
+        if self.empty:
+            return np.full(len(pts), math.inf)
         k = min(_NEAR_SEGMENTS, len(self.seg_a))
         _, idx = self.tree.query(pts + math.pi, k=k)
         seg = np.reshape(idx, (len(pts), k))
-        return self.seg_a[seg], self.seg_b[seg]
-
-
-def torus_dists(indexes, points) -> np.ndarray:
-    """Torus distances from a point or an (m, 2) point array to the union of
-    the indexes' curves: each index lists its nearest-midpoint segments,
-    and one pass measures them all.  The minimum over the union is the
-    minimum of the per-index minima, bit for bit."""
-    pts = wrap_angle(np.asarray(points, float).reshape(-1, 2))
-    near = [index.near_segments(pts) for index in indexes if not index.empty]
-    if not near:
-        return np.full(len(pts), math.inf)
-    a, b = near[0] if len(near) == 1 else (np.concatenate(ends, axis=1) for ends in zip(*near))
-    ab = b - a
-    w = wrap_angle(pts[:, None, :] - a)
-    vv = np.sum(ab * ab, axis=-1)
-    t = np.clip(np.sum(w * ab, axis=-1) / np.where(vv == 0.0, 1.0, vv), 0.0, 1.0)
-    off = w - t[..., None] * ab
-    return np.min(np.hypot(off[..., 0], off[..., 1]), axis=1)
+        a, b = self.seg_a[seg], self.seg_b[seg]
+        ab = b - a
+        w = wrap_angle(pts[:, None, :] - a)
+        vv = np.sum(ab * ab, axis=-1)
+        t = np.clip(np.sum(w * ab, axis=-1) / np.where(vv == 0.0, 1.0, vv), 0.0, 1.0)
+        off = w - t[..., None] * ab
+        return np.min(np.hypot(off[..., 0], off[..., 1]), axis=1)

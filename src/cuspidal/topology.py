@@ -34,7 +34,6 @@ from .dh import (
     wrap_angle,
 )
 from .errors import NonGenericRobotError, StartOrGoalSingularError
-from .geometry import TorusCurveIndex, torus_dists
 from .critical import (
     CUSP_RESIDUAL_TOL,
     DEFAULT_GRID_N,
@@ -144,12 +143,18 @@ class TopologyMaps:
     aspects: AspectMap
     reduced: ReducedAspectMap
     ps: PseudoSingularitySet
-    s_index: TorusCurveIndex
-    ps_index: TorusCurveIndex
 
 
 @dataclass(frozen=True)
 class SolutionLabel:
+    """One IK solution's labels, read at its nearest lattice point.
+
+    on_boundary is set unless the four corners of the lattice cell that
+    holds the solution carry one reduced label >= 0, so that the lattice
+    sees S and PS cross none of the cell's edges (a sliver of a region
+    thinner than a cell can still pass between its corners unseen).
+    singular_cell marks a nearest point on S."""
+
     config: JointConfig
     multiplicity: int
     aspect: int
@@ -392,22 +397,32 @@ def build_topology(p: DhParams, curves: CriticalSet, grid_n: int) -> TopologyMap
     curves.check(p, grid_n)
     aspects = compute_aspects(curves)
     ps = compute_pseudosingularities(curves)
-    reduced = compute_reduced_aspects(ps, aspects)
-    ps_index = TorusCurveIndex([np.vstack([c, c[::-1]]) for c in ps.polylines])
-    return TopologyMaps(aspects, reduced, ps, curves.s_index, ps_index)
+    return TopologyMaps(aspects, compute_reduced_aspects(ps, aspects), ps)
 
 
 def _labels(maps: TopologyMaps, ik: IkBatch) -> list:
     """SolutionLabel lists of the targets of an IK batch; None for the
-    targets solve_ik refuses."""
+    targets solve_ik refuses.
+
+    Labels are read at each solution's nearest lattice point, a corner of
+    the cell floor((theta + pi) / h) that holds it.  The solution is
+    on_boundary unless the cell's four corners carry one reduced label
+    >= 0.  By _components' construction that holds exactly when det J and D
+    keep their signs on the cell's edges and no corner lies in the S band
+    or on a singular lattice point: the only cells where the nearest-point
+    read cannot name the wrong region.
+    """
     row, theta, mult = ik.row[ik.solved], ik.theta[ik.solved], ik.mult[ik.solved]
     th2, th3 = wrap_angle(theta[:, 1]), wrap_angle(theta[:, 2])
     at = maps.aspects.nearest(th2, th3)
     aspect = maps.aspects.labels[at].tolist()
     reduced = maps.reduced.labels[at]
-    pts = np.column_stack([th2, th3])
-    dist = torus_dists((maps.s_index, maps.ps_index), pts)
-    on_boundary = ((dist < maps.aspects.spacing) | (reduced < 0)).tolist()
+    grid_n, h, lattice = maps.aspects.grid_n, maps.aspects.spacing, maps.reduced.labels
+    i, j = (np.floor((th + math.pi) / h).astype(int) % grid_n for th in (th2, th3))
+    i1, j1 = (i + 1) % grid_n, (j + 1) % grid_n
+    corner = lattice[i, j]
+    on_boundary = ((corner < 0) | (lattice[i1, j] != corner) | (lattice[i, j1] != corner)
+                   | (lattice[i1, j1] != corner)).tolist()
     out = [None if status else [] for status in ik.status.tolist()]
     for n, (k, q, m) in enumerate(zip(row.tolist(), theta.tolist(), mult.tolist())):
         out[k].append(SolutionLabel(JointConfig(*q), m, aspect[n], int(reduced[n]),
@@ -417,16 +432,17 @@ def _labels(maps: TopologyMaps, ik: IkBatch) -> list:
 
 def label_solutions_batch(p: DhParams, maps: TopologyMaps, rho, z) -> list:
     """label_solutions for arrays of cross-section points (rho, z), from one
-    IK engine pass and one distance pass over both curve indexes; targets
-    whose IK is degenerate get None instead of raising."""
+    IK engine pass and one read of the lattice; targets whose IK is
+    degenerate get None instead of raising."""
     return _labels(maps, solve_ik_batch(p, rho, z))
 
 
 def label_solutions(p: DhParams, maps: TopologyMaps, target: CrossSectionPoint):
     """Aspect and reduced-aspect labels for every IK solution of the target.
 
-    Solutions inside the unresolved band around the critical curves carry
-    reduced label -1 and are flagged on_boundary.
+    A solution whose lattice cell has a corner off its region (a corner in
+    the S band, on a singular point, or across S or PS) is flagged
+    on_boundary; see SolutionLabel.
     """
     ik = solve_ik_batch(p, target.rho, target.z)
     ik.check(0)

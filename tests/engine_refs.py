@@ -1,18 +1,19 @@
 """Loop references the array engines in the package are tested against: the
 flood fill as one sparse graph over every cell, the damped Newton with one
 fun_jac call per line-search lambda, marching squares and its chain walk over
-dicts keyed by ("u" | "v", i, j), a segment hash filled one segment at a
-time, the quartic root engine and label distance as they stood before the
-per-robot conic constants, the quartic jet with its own Horner loop, the A*
-path search over lattice-point tuples, the path audit one segment at a time,
-the census counts from the root engine at every target, the c3s3 plot's
-plane marching squares as a loop over cells, the SVG polyline formatted one
-vertex at a time, the pulled-back discriminant D through the end effector
-and the conic, its crossings bisected 36 times, the reduced aspects' parents
-from a sort of the whole lattice, and the chart engine: cusps, nodes,
-quadruple roots and census boundary points solved on the quartic M in the
-half-angle chart that keeps each seed well conditioned, as they stood before
-the Newton systems moved onto the theta3 circle."""
+dicts keyed by ("u" | "v", i, j), a segment hash filled one segment at a time,
+the quartic root engine as it stood before the per-robot conic constants, the
+labels one solution at a time over its lattice cell's four corners, the
+quartic jet with its own Horner loop, the A* path search over lattice-point
+tuples, the path audit one segment at a time, the census counts from the root
+engine at every target, the c3s3 plot's plane marching squares as a loop over
+cells, the SVG polyline formatted one vertex at a time, the pulled-back
+discriminant D through the end effector and the conic, its crossings bisected
+36 times, the reduced aspects' parents from a sort of the whole lattice, and
+the chart engine: cusps, nodes, quadruple roots and census boundary points
+solved on the quartic M in the half-angle chart that keeps each seed well
+conditioned, as they stood before the Newton systems moved onto the theta3
+circle."""
 import heapq
 import math
 from collections import defaultdict
@@ -464,11 +465,6 @@ def quartic_jet(coeffs, t, order):
     return acc
 
 
-def label_distance(maps, pts):
-    """topology._labels' distance to the boundary: one query per index."""
-    return np.minimum(maps.s_index.dists(pts), maps.ps_index.dists(pts))
-
-
 def back_substitution(p, f, R, zr, theta2, theta3):
     """reduction._back_substitution at one root: (e1, e2) and the Jacobian."""
     c2, s2, c3, s3 = np.cos(theta2), np.sin(theta2), np.cos(theta3), np.sin(theta3)
@@ -547,18 +543,22 @@ def solve_ik_batch(p, rho, z, phi=0.0):
 
 
 def labels(maps, ik):
-    """topology._labels with label_distance."""
-    row, theta, mult = ik.row[ik.solved], ik.theta[ik.solved], ik.mult[ik.solved]
-    th2, th3 = wrap_angle(theta[:, 1]), wrap_angle(theta[:, 2])
-    at = maps.aspects.nearest(th2, th3)
-    aspect = maps.aspects.labels[at].tolist()
-    reduced = maps.reduced.labels[at]
-    dist = label_distance(maps, np.column_stack([th2, th3]))
-    on_boundary = ((dist < maps.aspects.spacing) | (reduced < 0)).tolist()
+    """topology._labels one solution at a time: the lattice cell that holds
+    it, from Python floats, its four corners' reduced labels, and the labels
+    at the nearest of those corners."""
+    amap, reduced = maps.aspects, maps.reduced.labels
+    n, h = amap.grid_n, amap.spacing
     out = [None if status else [] for status in ik.status.tolist()]
-    for n, (k, q, m) in enumerate(zip(row.tolist(), theta.tolist(), mult.tolist())):
-        out[k].append(SolutionLabel(JointConfig(*q), m, aspect[n], int(reduced[n]),
-                                    on_boundary[n], aspect[n] < 0))
+    for k in np.flatnonzero(ik.solved).tolist():
+        q = ik.theta[k].tolist()
+        u, v = ((wrap_float(a) + math.pi) / h for a in q[1:])
+        i, j = math.floor(u), math.floor(v)
+        corners = {int(reduced[(i + di) % n, (j + dj) % n]) for di in (0, 1) for dj in (0, 1)}
+        near = ((i + (u - i >= 0.5)) % n, (j + (v - j >= 0.5)) % n)
+        aspect = int(amap.labels[near])
+        out[int(ik.row[k])].append(SolutionLabel(
+            JointConfig(*q), int(ik.mult[k]), aspect, int(reduced[near]),
+            len(corners) > 1 or min(corners) < 0, aspect < 0))
     return out
 
 

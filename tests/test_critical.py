@@ -69,7 +69,7 @@ from engine_refs import (
     marching_segments,
 )
 from engine_refs import ik_counts as engine_ik_counts
-from segment_refs import point_segment_dist, seg_intersect, unwrap_segment
+from segment_refs import point_segment_dist, seg_intersect
 
 
 _SEED = st.integers(0, 2 ** 32 - 1)
@@ -808,18 +808,13 @@ def test_det_lattices_equal_the_pointwise_values_on_the_battery():
 
 
 def test_critical_set_keeps_the_samples_a_fresh_evaluation_gives(analysis):
-    """The set is the tuple of its curves, and its det J lattice and S index
-    equal what sampling and indexing from scratch give, bit for bit."""
+    """The set is the tuple of its curves, and its det J lattice equals what
+    sampling from scratch gives, bit for bit."""
     curves = analysis.curves(REFERENCE)
     assert isinstance(curves, tuple) and len(curves) == len(list(curves)) > 0
     assert curves[0] is next(iter(curves))
     assert np.array_equal(curves.det_vertex,
                           _sample_lattice(partial(det_jacobian, REFERENCE), TEST_GRID)[0])
-    assert curves.s_index is curves.s_index
-    segs = [unwrap_segment(c.vertices[k], c.vertices[(k + 1) % len(c)])
-            for c in curves for k in range(len(c))]
-    assert np.array_equal(curves.s_index.seg_a, np.array([a for a, _ in segs]))
-    assert np.array_equal(curves.s_index.seg_b, np.array([b for _, b in segs]))
 
 
 def test_corner_sign_mask_equals_marching_cells_on_det_j():

@@ -21,7 +21,6 @@ from cuspidal import (
 )
 from cuspidal import critical, reduction, robotfile, svgplot, topology
 from cuspidal.dh import fk_arrays
-from cuspidal.geometry import TorusCurveIndex, torus_dists
 from cuspidal.reduction import (
     _base_xy,
     _quartic_stack,
@@ -316,18 +315,6 @@ def test_mutating_a_result_leaves_the_next_call_alone():
         getattr(first, name)[...] = 1
     assert _same_ik(solve_ik_batch(p, rho, z, 0.5), engine_refs.solve_ik_batch(p, rho, z, 0.5))
     assert _same_ik(solve_ik_batch(p, rho, z, -0.5), engine_refs.solve_ik_batch(p, rho, z, -0.5))
-
-
-def test_torus_dists_of_both_indexes_is_the_smaller_distance():
-    rng = np.random.default_rng(3)
-    loops = [rng.uniform(-math.pi, math.pi, (40, 2)), rng.uniform(-math.pi, math.pi, (25, 2))]
-    s_index, ps_index = TorusCurveIndex(loops[:1]), TorusCurveIndex(loops[1:])
-    empty = TorusCurveIndex([])
-    pts = rng.uniform(-4.0, 4.0, (500, 2))
-    both = torus_dists((s_index, ps_index), pts)
-    assert _same_bits(both, np.minimum(s_index.dists(pts), ps_index.dists(pts)))
-    assert _same_bits(torus_dists((s_index, empty), pts), s_index.dists(pts))
-    assert np.all(np.isinf(torus_dists((empty, empty), pts)))
 
 
 # --------------------------------------------------------------------------

@@ -2,9 +2,9 @@
 dependency: one root-acceptance rule, the root engine called only where no IK
 result is built, no unused imports, no unread private definitions, no per-cell
 loop over a 2-D mask, no hand-written heap search, no heavyweight
-third-party module imported when the package loads, one formula for the
-pulled-back discriminant, one for the quartic's discriminant and one
-invariant count, and Newton systems that run on the theta3 circle
+third-party module imported when the package loads or an analysis runs, one
+formula for the pulled-back discriminant, one for the quartic's discriminant
+and one invariant count, and Newton systems that run on the theta3 circle
 with no half-angle chart."""
 import ast
 import os
@@ -211,7 +211,8 @@ def test_no_hand_written_heap_search(path):
 # Every run of the package pays for what importing it loads, so a new
 # module-level import is a start-up cost: `python -X importtime` puts
 # scipy.ndimage alone at ~70 ms on top of the package (2-vCPU x86-64 host);
-# cKDTree (scipy.spatial) is imported inside the one function that uses it.
+# cKDTree (scipy.spatial) is imported inside the one function that uses it,
+# which no analysis calls.
 MODULE_LEVEL_THIRD_PARTY = {"numpy", "scipy.sparse", "scipy.sparse.csgraph"}
 
 
@@ -240,6 +241,16 @@ def test_package_imports_only_its_light_dependencies_at_module_level():
 def test_importing_the_cli_loads_no_lazy_scipy_module():
     probe = ("import sys, cuspidal.cli; "
              "print(sorted(m for m in sys.modules if m.startswith(('scipy.spatial', 'scipy.ndimage'))))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert out.stdout.strip() == "[]"
+
+
+def test_a_full_analysis_loads_no_scipy_spatial():
+    """Labels read the vertex lattice, so an analysis builds no kd-tree."""
+    probe = ("import math, sys; from cuspidal import DhParams, is_cuspidal; "
+             "is_cuspidal(DhParams(0, 1, 0, 1, 2, 1.5, -math.pi / 2, math.pi / 2), grid_n=128); "
+             "print(sorted(m for m in sys.modules if m.startswith('scipy.spatial')))")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
     assert out.stdout.strip() == "[]"
