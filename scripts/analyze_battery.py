@@ -5,8 +5,9 @@ Usage:
     python scripts/analyze_battery.py [--robot robots/battery.json]
                                       [--grid 720] [--out out/battery]
 
-Writes one report JSON, cusp/node CSVs and workspace/jointspace SVGs per
-robot, plus a summary table on stdout.
+Writes, per robot, the files `cuspidal classify --format json,csv,svg`
+writes (report JSON, cusp/node CSVs, workspace SVG; the report bytes equal
+the command's) plus a jointspace SVG, and a summary table on stdout.
 """
 import argparse
 import os
@@ -15,11 +16,11 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from cuspidal import report as reportmod  # noqa: E402
 from cuspidal import svgplot  # noqa: E402
-from cuspidal.errors import NonGenericRobotError  # noqa: E402
+from cuspidal.cli import classify_robot, write_classify_files  # noqa: E402
 from cuspidal.robotfile import parse_robot_file  # noqa: E402
-from cuspidal.topology import is_cuspidal  # noqa: E402
+
+FORMATS = ["json", "csv", "svg"]
 
 
 def main() -> int:
@@ -33,31 +34,19 @@ def main() -> int:
     args = ap.parse_args()
 
     spec = parse_robot_file(args.robot)
-    os.makedirs(args.out, exist_ok=True)
-    settings = {"grid_n": args.grid, "census_n": args.census, "samples": args.samples}
     rows = []
     for name, p in spec.robots.items():
         t0 = time.time()
-        try:
-            rep = is_cuspidal(p, grid_n=args.grid, census_n=args.census,
-                              samples=args.samples)
-        except NonGenericRobotError as exc:
-            doc = reportmod.build_report(name, p, settings, genericity=exc.report)
+        doc, rep = classify_robot(name, p, args.grid, args.census, args.samples, FORMATS)
+        write_classify_files(args.out, name, doc, FORMATS, rep)
+        if rep is None:
             rows.append((name, "non-generic", "-", "-", time.time() - t0))
-        else:
-            doc = reportmod.build_report(name, p, settings, report=rep)
-            rows.append((name, doc["verdict"], len(rep.cusps), len(rep.nodes),
-                         time.time() - t0))
-            with open(os.path.join(args.out, f"{name}.workspace.svg"), "w",
-                      encoding="utf-8", newline="\n") as fh:
-                fh.write(svgplot.render_workspace(rep.workspace_curves, rep.cusps, rep.nodes))
-            curves = [w.joint for w in rep.workspace_curves]
-            with open(os.path.join(args.out, f"{name}.jointspace.svg"), "w",
-                      encoding="utf-8", newline="\n") as fh:
-                fh.write(svgplot.render_jointspace(curves, rep.maps.ps, rep.maps.aspects))
-        with open(os.path.join(args.out, f"{name}.report.json"), "w",
+            continue
+        rows.append((name, doc["verdict"], len(rep.cusps), len(rep.nodes), time.time() - t0))
+        curves = [w.joint for w in rep.workspace_curves]
+        with open(os.path.join(args.out, f"{name}.jointspace.svg"), "w",
                   encoding="utf-8", newline="\n") as fh:
-            fh.write(reportmod.dumps(doc))
+            fh.write(svgplot.render_jointspace(curves, rep.maps.ps, rep.maps.aspects))
     width = max(len(r[0]) for r in rows)
     print(f"{'robot':<{width}}  verdict       cusps  nodes  seconds")
     for name, verdict, cusps, nodes, secs in rows:

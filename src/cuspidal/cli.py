@@ -121,25 +121,20 @@ def _print(doc) -> None:
     sys.stdout.write(reportmod.dumps(doc))
 
 
-def cmd_classify(args) -> int:
-    name, p = _robot(args)
-    fmts = _formats(args)
-    settings = {"grid_n": args.grid, "census_n": args.census,
-                "samples": args.samples, "formats": fmts}
+def classify_robot(name, p, grid_n, census_n, samples, fmts):
+    """(report document, CuspidalityReport or None for a non-generic robot)
+    of `classify --format fmts` with these settings."""
+    settings = {"grid_n": grid_n, "census_n": census_n, "samples": samples, "formats": fmts}
     try:
-        rep = is_cuspidal(p, grid_n=args.grid, census_n=args.census, samples=args.samples)
+        rep = is_cuspidal(p, grid_n=grid_n, census_n=census_n, samples=samples)
     except NonGenericRobotError as exc:
-        doc = reportmod.build_report(name, p, settings, genericity=exc.report)
-        _emit_classify(args, name, doc, fmts, None)
-        return EXIT_NON_GENERIC
-    doc = reportmod.build_report(name, p, settings, report=rep)
-    _emit_classify(args, name, doc, fmts, rep)
-    return EXIT_CUSPIDAL if rep.verdict else EXIT_OK
+        return reportmod.build_report(name, p, settings, genericity=exc.report), None
+    return reportmod.build_report(name, p, settings, report=rep), rep
 
 
-def _emit_classify(args, name, doc, fmts, rep) -> None:
-    _print(doc)
-    out = _ensure_out(args)
+def write_classify_files(out, name, doc, fmts, rep) -> None:
+    """The files `classify --format fmts` writes into `out`."""
+    os.makedirs(out, exist_ok=True)
     if "json" in fmts:
         with open(os.path.join(out, f"{name}.report.json"), "w",
                   encoding="utf-8", newline="\n") as fh:
@@ -154,6 +149,17 @@ def _emit_classify(args, name, doc, fmts, rep) -> None:
         with open(os.path.join(out, f"{name}.workspace.svg"), "w",
                   encoding="utf-8", newline="\n") as fh:
             fh.write(svg)
+
+
+def cmd_classify(args) -> int:
+    name, p = _robot(args)
+    fmts = _formats(args)
+    doc, rep = classify_robot(name, p, args.grid, args.census, args.samples, fmts)
+    _print(doc)
+    write_classify_files(args.out, name, doc, fmts, rep)
+    if rep is None:
+        return EXIT_NON_GENERIC
+    return EXIT_CUSPIDAL if rep.verdict else EXIT_OK
 
 
 def _write_cusp_csv(path, cusps) -> None:

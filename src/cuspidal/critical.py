@@ -30,7 +30,7 @@ from .dh import (
     wrap_angle,
     wrap_float,
 )
-from .geometry import polyline_min_dist, seg_intersect_many
+from .geometry import seg_intersect_many
 from .reduction import (
     circle_harmonics,
     circle_jet,
@@ -46,11 +46,13 @@ log = logging.getLogger(__name__)
 DEFAULT_GRID_N = 720
 _REFINE_TOL = 1e-13  # target |det J| / scale after vertex refinement
 _NEWTON_MAX_ITER = 50
-_NEWTON_FLOOR = 1e-24         # ||F||^2 a stopped Newton seed counts as converged at
 _HALVINGS = 25                # line-search lambdas per Newton step: 1, 1/2, ..., 2^-24
-CUSP_RESIDUAL_TOL = 1e-7
-CUSP_THIRD_DERIV_MIN = 1e-4
-DEDUP_RADIUS = 1e-4
+# root certification on the max-normalised quartic (_residuals), whose
+# residuals have no unit; only rho^2 and the dedup radius carry lengths
+CUSP_RESIDUAL_TOL = 1e-7      # |M|, ..., |M^(mult-1)| at a root of multiplicity mult
+CUSP_THIRD_DERIV_MIN = 0.25   # |M'''| at a cusp, keeping quadruple roots out
+_RHO2_FLOOR = 1e-12           # times L^2: rounding allowance below rho^2 = 0
+DEDUP_RADIUS = 1e-4           # times L: certified points closer than this are one
 MAX_BOUNDARY_SAMPLES = 20     # census boundary samples per (low, high) count pair
 # seg_intersect_many needs |d1 x d2| >= 1e-15, and |d1 x d2| <= |d1| |d2|: a
 # segment whose length times the longest one's is below this (1e-15 less a
@@ -429,20 +431,17 @@ def _damped_newton(fun_jac, x0):
     first step where none does.  The line search costs at most two fun_jac
     calls per iteration: lambda = 1 for every active seed, then all the
     smaller lambdas of the seeds still pending, stacked in one call.
-    Returns x (K, n) and a (K,) converged mask: ||F|| = 0 reached, or
-    ||F||^2 <= _NEWTON_FLOOR where the seed stopped.
+    Returns x (K, n); whether a seed found a root is for the caller's
+    certification to decide.
     """
     x = np.array(x0, float)
     k, n = x.shape
     fval, jac = fun_jac(x, np.arange(k))
     norm2 = np.sum(fval * fval, axis=1)
-    ok = np.zeros(k, dtype=bool)
     done = np.zeros(k, dtype=bool)
     lams = 0.5 ** np.arange(1, _HALVINGS)      # every lambda after the first
     for _ in range(_NEWTON_MAX_ITER):
-        reached = ~done & (norm2 == 0.0)
-        ok |= reached
-        done |= reached
+        done |= norm2 == 0.0
         act = np.nonzero(~done)[0]
         if len(act) == 0:
             break
@@ -469,10 +468,8 @@ def _damped_newton(fun_jac, x0):
             up = rows[better]
             x[up], fval[up], jac[up], norm2[up] = xn[pick], fn[pick], jn[pick], n2[pick]
             rows = rows[~better]
-        ok[rows] = norm2[rows] <= _NEWTON_FLOOR
         done[rows] = True
-    ok[~done] = norm2[~done] <= _NEWTON_FLOOR
-    return x, ok
+    return x
 
 
 def _multiple_root_system(p: DhParams, mult: int):
@@ -507,17 +504,32 @@ def _node_system(p: DhParams):
     return fun_jac
 
 
-def _residuals(p: DhParams, theta3, R, zr, order: int):
-    """|M^(j)|, j = 0..order, at each theta3 (K,) of the quartic of the conic
-    at (R, zr) scaled to max |coefficient| = 1, the scale on which every
-    residual threshold is stated, in the chart _chart_seed picks."""
+def _residuals(p: DhParams, theta3, R, zr):
+    """|M^(j)|, j = 0..3, at each theta3 (K,) of the quartic of the conic at
+    (R, zr) scaled to max |coefficient| = 1, in the chart _chart_seed picks:
+    dimensionless, whatever the robot's unit of length."""
     charts = [_chart_seed(t) for t in theta3.tolist()]
     u = np.array([c[0] for c in charts])
     flip = np.array([c[1] for c in charts], dtype=bool)
     cc = conic_raw(p, R, zr).T
     cc[flip, 3:5] = -cc[flip, 3:5]
     cc = cc / np.maximum(np.max(np.abs(cc), axis=1), 1e-300)[:, None]
-    return np.abs(quartic_jet(quartic_coeffs_from_conic(cc.T).T, u, order))
+    return np.abs(quartic_jet(quartic_coeffs_from_conic(cc.T).T, u, 3))
+
+
+def _certify(p: DhParams, theta3, R, zr, mult: int):
+    """(residuals (K, 4), certified (K,)) of roots of multiplicity `mult` at
+    theta3 (K,) of the conics at (R, zr): the one acceptance rule of cusps
+    (3), quadruple roots (4) and each double root of a node (2).  M, ...,
+    M^(mult-1) of _residuals are at most CUSP_RESIDUAL_TOL, a cusp's |M'''|
+    is at least CUSP_THIRD_DERIV_MIN, and rho^2 = R - zr^2 is at least
+    -_RHO2_FLOOR L^2."""
+    res = _residuals(p, theta3, R, zr)
+    ok = ((R - zr * zr >= -_RHO2_FLOOR * length_scale(p) ** 2)
+          & (np.max(res[:, :mult], axis=1) <= CUSP_RESIDUAL_TOL))
+    if mult == 3:
+        ok &= res[:, 3] >= CUSP_THIRD_DERIV_MIN
+    return res, ok
 
 
 # --------------------------------------------------------------------------
@@ -543,11 +555,8 @@ def find_cusps(p: DhParams, workspace_curves) -> list:
 
     Seeds sit at local minima of the image speed along each workspace curve
     (the image velocity of the critical curve vanishes at a cusp) and run as
-    one batch.  Every find is certified by its residuals, the |M'''| lower
-    bound excluding quadruple roots, and proximity to the traced critical
-    values.
+    one batch.  Every find is certified by _certify.
     """
-    scale = singularity_scale(p)
     lscale = length_scale(p)
     seeds = []
     for wc in workspace_curves:
@@ -561,26 +570,14 @@ def find_cusps(p: DhParams, workspace_curves) -> list:
                           wc.source_index))
     if not seeds:
         return []
-    # convergence is certified by the normalized residuals below, not by the
-    # raw Newton norm (the unnormalized system never reaches an absolute floor)
-    x, _ = _damped_newton(_multiple_root_system(p, 3), [s[:3] for s in seeds])
+    x = _damped_newton(_multiple_root_system(p, 3), [s[:3] for s in seeds])
     theta3, R, zr = wrap_angle(x[:, 0]), x[:, 1], x[:, 2]
-    res = _residuals(p, theta3, R, zr, 3)
-    rho2 = R - zr * zr
-    converged = np.max(res[:, :3], axis=1) <= CUSP_RESIDUAL_TOL * scale
-    log.debug("%d of %d cusp seeds diverged", int(np.sum(~converged)), len(seeds))
-    certified = (rho2 >= -1e-12 * scale) & converged & (res[:, 3] >= CUSP_THIRD_DERIV_MIN * scale)
-    near_max = max(0.05 * lscale, 10.0 * _median_step(workspace_curves))
-    polylines = [w.vertices for w in workspace_curves]
-    found = []
-    for k in np.nonzero(certified)[0]:
-        rho_s = math.sqrt(max(float(rho2[k]), 0.0))
-        z_s = float(zr[k] + p.d1)
-        if polyline_min_dist((rho_s, z_s), polylines) > near_max:
-            continue
-        found.append((rho_s, z_s, _tan_half(float(theta3[k])), *(float(r) for r in res[k]),
-                      seeds[k][3]))
-    kept = _dedup_sorted(found, DEDUP_RADIUS * scale, 1e-9 * lscale)
+    res, certified = _certify(p, theta3, R, zr, 3)
+    log.debug("%d of %d cusp seeds not certified", int(np.sum(~certified)), len(seeds))
+    found = [(math.sqrt(max(float(R[k] - zr[k] * zr[k]), 0.0)), float(zr[k] + p.d1),
+              _tan_half(float(theta3[k])), *(float(r) for r in res[k]), seeds[k][3])
+             for k in np.nonzero(certified)[0]]
+    kept = _dedup_sorted(found, DEDUP_RADIUS * lscale, 1e-9 * lscale)
     return [CuspPoint(*c) for c in kept]
 
 
@@ -598,8 +595,8 @@ def _refine_nodes(p: DhParams, cands) -> list:
     _node_system batch, seeded at the mean m and the cosine e of the half
     gap of the candidate's two tangency angles, with K from h2, which fixes
     K / 2 (cos 2m, sin 2m) whatever the target.  Returns, per candidate,
-    (th1, th2, R, zr, residual), or None where the double roots are not
-    real (|e| > 1)."""
+    (th1, th2, R, zr), or None where the double roots are not real
+    (|e| > 1)."""
     if not cands:
         return []
     th3a, th3b, rho, z = np.array(cands, float).T
@@ -609,18 +606,14 @@ def _refine_nodes(p: DhParams, cands) -> list:
     m = th3a + half
     h = circle_harmonics(p, R, zr)[:, 0]
     big_k = 2.0 * (h[:, 3] * np.cos(2.0 * m) + h[:, 4] * np.sin(2.0 * m))
-    x, _ = _damped_newton(_node_system(p), np.column_stack([big_k, m, np.cos(half), R, zr]))
+    x = _damped_newton(_node_system(p), np.column_stack([big_k, m, np.cos(half), R, zr]))
     _, m, e, R, zr = x.T
     live = np.abs(e) <= 1.0
     d = np.arccos(np.where(live, e, 1.0))
-    th = wrap_angle(np.concatenate([m + d, m - d]))
-    # both double roots of every candidate in one residual evaluation
-    n = len(cands)
-    res = _residuals(p, th, np.tile(R, 2), np.tile(zr, 2), 1)
-    worst = np.max(res.reshape(2, n, 2), axis=(0, 2))
-    return [(t1, t2, r, z, w) if ok else None
-            for t1, t2, r, z, w, ok in zip(th[:n].tolist(), th[n:].tolist(), R.tolist(),
-                                           zr.tolist(), worst.tolist(), live.tolist())]
+    th1, th2 = wrap_angle(m + d), wrap_angle(m - d)
+    return [(t1, t2, r, z) if ok else None
+            for t1, t2, r, z, ok in zip(th1.tolist(), th2.tolist(), R.tolist(), zr.tolist(),
+                                        live.tolist())]
 
 
 def _segments(workspace_curves):
@@ -643,12 +636,13 @@ def find_nodes(p: DhParams, workspace_curves) -> list:
 
     Candidates are crossings of the critical-value polylines (including
     self-intersections) from one vectorised segment sweep, which leaves out
-    the segments too short to cross any other (_MIN_CROSS).  Every find is
-    certified by its residuals; candidates collapsing to a cusp (t1 -> t2)
-    are rejected.  The survivors are solved in one solve_ik_batch call, and
-    a node is one whose IK shows exactly two distinct roots, both double.
+    the segments too short to cross any other (_MIN_CROSS).  Candidates
+    collapsing to a cusp (t1 -> t2) are rejected, and both double roots of
+    every other one are certified by _certify in one batch.  The survivors
+    are solved in one solve_ik_batch call, and a node is one whose IK shows
+    exactly two distinct roots, both double.
     """
-    scale = singularity_scale(p)
+    lscale = length_scale(p)
     seg_a, seg_b = _segments(workspace_curves)
     # where the critical values collapse the median step is rounding, and a
     # cell that small would list a long segment in ~(length / cell)^2 buckets
@@ -674,30 +668,26 @@ def find_nodes(p: DhParams, workspace_curves) -> list:
     th3 = _segment_theta3(workspace_curves)
     cands = [(a, b, rho, z) for a, b, (rho, z)
              in zip(th3[ia].tolist(), th3[ib].tolist(), pts[hit].tolist())]
-    refined = _refine_nodes(p, cands)
+    # a candidate whose double roots collapse to one is a cusp
+    live = [(ref, pair) for ref, pair in zip(_refine_nodes(p, cands),
+                                             zip(curve[ia].tolist(), curve[ib].tolist()))
+            if ref is not None and abs(wrap_float(ref[0] - ref[1])) >= 1e-4]
+    th1, th2, R, zr = np.array([ref for ref, _ in live], float).reshape(-1, 4).T
+    n = len(live)
+    res, certified = _certify(p, np.concatenate([th1, th2]), np.tile(R, 2), np.tile(zr, 2), 2)
+    worst = np.max(res[:, :2].reshape(2, n, 2), axis=(0, 2))
+    certified = certified[:n] & certified[n:]
+    log.debug("%d of %d node candidates not certified", int(np.sum(~certified)), n)
     found = []
-    for curve_a, curve_b, (_, _, rho, z), ref in zip(curve[ia].tolist(), curve[ib].tolist(),
-                                                      cands, refined):
-        if ref is None:
-            continue
-        th1, th2, R, zr_s, residual = ref
-        if abs(wrap_float(th1 - th2)) < 1e-4:
-            continue  # collapsed to a cusp
-        rho2 = R - zr_s * zr_s
-        if rho2 < -1e-12 * scale:
-            continue
-        if residual > CUSP_RESIDUAL_TOL * scale:
-            log.debug("node seed near (%.4f, %.4f) diverged (residual %.2e)",
-                      rho, z, residual)
-            continue
-        tlo, thi = sorted((_tan_half(th1), _tan_half(th2)))
-        found.append((math.sqrt(max(rho2, 0.0)), float(zr_s + p.d1), tlo, thi, residual,
-                      tuple(sorted((curve_a, curve_b)))))
+    for k in np.nonzero(certified)[0].tolist():
+        tlo, thi = sorted((_tan_half(float(th1[k])), _tan_half(float(th2[k]))))
+        found.append((math.sqrt(max(float(R[k] - zr[k] * zr[k]), 0.0)), float(zr[k] + p.d1),
+                      tlo, thi, float(worst[k]), tuple(sorted(live[k][1]))))
     ik = solve_ik_batch(p, [f[0] for f in found], [f[1] for f in found])
     roots = np.bincount(ik.row, minlength=len(found))
     doubles = np.bincount(ik.row[ik.mult == 2], minlength=len(found))
     found = [f for f, ok in zip(found, (ik.status == 0) & (roots == 2) & (doubles == 2)) if ok]
-    kept = _dedup_sorted(found, DEDUP_RADIUS * scale, 1e-9 * length_scale(p))
+    kept = _dedup_sorted(found, DEDUP_RADIUS * lscale, 1e-9 * lscale)
     return [NodePoint(*c) for c in kept]
 
 
@@ -728,18 +718,18 @@ def genericity_check(p: DhParams, grid_n: int, curves: CriticalSet, workspace_cu
             zr = z - p.d1
             seeds.append((float(wc.joint.vertices[k, 1]), rho * rho + zr * zr, zr))
     if seeds:
-        x, _ = _damped_newton(_multiple_root_system(p, 4), seeds)
+        x = _damped_newton(_multiple_root_system(p, 4), seeds)
         theta3, R, zr = wrap_angle(x[:, 0]), x[:, 1], x[:, 2]
-        res = np.max(_residuals(p, theta3, R, zr, 3), axis=1)
+        res, certified = _certify(p, theta3, R, zr, 4)
         # the evidence is the first certified seed, in seed order
-        certified = np.nonzero((R - zr * zr >= -1e-9 * scale) & (res < 1e-8 * scale))[0]
+        certified = np.nonzero(certified)[0]
         if len(certified):
             k = certified[0]
             evidence.append({"kind": "quadruple_root",
                              "rho": math.sqrt(max(float(R[k] - zr[k] * zr[k]), 0.0)),
                              "z": float(zr[k] + p.d1),
                              "t": _tan_half(float(theta3[k])),
-                             "residual": float(res[k])})
+                             "residual": float(np.max(res[k]))})
 
     # (b) the critical curve must be smooth: |grad det J| bounded away from 0
     worst = min((float(np.min(c.grad_norm)) for c in curves if len(c)), default=math.inf)
@@ -770,22 +760,6 @@ def genericity_check(p: DhParams, grid_n: int, curves: CriticalSet, workspace_cu
 # --------------------------------------------------------------------------
 # workspace census
 # --------------------------------------------------------------------------
-
-def _tangency_system(p: DhParams, start, direction):
-    """Double root (g = g' = 0) at theta3 of the conic at start + lambda
-    direction in (rho, z), in (theta3, lambda): slides each census crossing
-    along its pair's direction onto the critical values."""
-    def fun_jac(x, rows):
-        lam = x[:, 1]
-        drho, dz = direction[rows, 0], direction[rows, 1]
-        rr = start[rows, 0] + lam * drho
-        zr = start[rows, 1] + lam * dz - p.d1
-        jet = circle_jet(circle_harmonics(p, rr * rr + zr * zr, zr), x[:, 0], 2)
-        dR_dlam = (2 * rr * drho + 2 * zr * dz)[:, None]
-        dg_dlam = jet[:, 1, :2] * dR_dlam + jet[:, 2, :2] * dz[:, None]
-        return jet[:, 0, :2], np.stack([jet[:, 0, 1:], dg_dlam], axis=2)
-    return fun_jac
-
 
 def _segment_buckets(seg_a, seg_b, cell: float):
     """Inclusive bucket ranges (lo (S, 2), hi (S, 2)) of the segments' bounding
@@ -869,12 +843,11 @@ def _census_crossings(rc, zc, clear, seg_a, seg_b, cell: float):
     bucket query around its midpoint (hash of side `cell`) that
     seg_intersect_many hits with the joining segment.  Returns the crossing
     count per pair (0 for pairs not both clear) and, where it is 1, the
-    crossing point and the crossing segment's index.
+    crossing segment's index.
     """
     n = len(rc)
     lo, hi = _segment_buckets(seg_a, seg_b, cell)
     crossings = np.zeros(2 * n * n, dtype=int)
-    hit_at = np.zeros((2 * n * n, 2))
     hit_seg = np.zeros(2 * n * n, dtype=int)
     mid_r, mid_z = 0.5 * (rc[:-1] + rc[1:]), 0.5 * (zc[:-1] + zc[1:])
     for d, (bx, by) in enumerate(((mid_r, zc), (rc, mid_z))):
@@ -883,26 +856,13 @@ def _census_crossings(rc, zc, clear, seg_a, seg_b, cell: float):
         i2, j2 = i + (1 - d), j + d
         both = clear[i, j] & clear[i2, j2]
         seg, i, j, i2, j2 = seg[both], i[both], j[both], i2[both], j2[both]
-        hit, pts = seg_intersect_many(np.column_stack([rc[i], zc[j]]),
-                                      np.column_stack([rc[i2], zc[j2]]),
-                                      seg_a[seg], seg_b[seg])
+        hit, _ = seg_intersect_many(np.column_stack([rc[i], zc[j]]),
+                                    np.column_stack([rc[i2], zc[j2]]),
+                                    seg_a[seg], seg_b[seg])
         e = 2 * (i[hit] * n + j[hit]) + d
         np.add.at(crossings, e, 1)
-        hit_at[e], hit_seg[e] = pts[hit], seg[hit]
-    return crossings, hit_at, hit_seg
-
-
-def _slide_onto_values(p: DhParams, start, direction, theta3, cell: float):
-    """Census crossings slid along their pairs' directions onto the critical
-    values in one damped-Newton batch, seeded at the crossed segments'
-    theta3: (boundary points, landed within 2 cells, counts there by one
-    ik_counts call, the cells' root rule)."""
-    x, refined = _damped_newton(_tangency_system(p, start, direction),
-                                np.column_stack([theta3, np.zeros(len(theta3))]))
-    boundary = start + x[:, 1:] * direction
-    landed = refined & np.array([math.hypot(dr, dz) <= 2 * cell
-                                 for dr, dz in (boundary - start).tolist()], dtype=bool)
-    return boundary, landed, ik_counts(p, boundary[:, 0], boundary[:, 1])
+        hit_seg[e] = seg[hit]
+    return crossings, hit_seg
 
 
 def region_census(p: DhParams, workspace_curves, census_n: int = 128):
@@ -915,16 +875,12 @@ def region_census(p: DhParams, workspace_curves, census_n: int = 128):
     smaller cell side) that cross the segment joining the two centers are
     its crossings.  Without one the counts must be equal; with exactly one
     they must differ by exactly 2, and the boundary point between them must
-    carry the intermediate count.  Those crossings are slid onto the
-    critical values by damped Newton and counted by ik_counts, the cells'
-    root rule.  The walk, in row-major pair order, samples up to
-    MAX_BOUNDARY_SAMPLES of the points that converged within 2 cells per
-    (low, high) boundary kind.  Only those are needed,
-    so the refinement runs in rounds: each kind refines as many of its next
-    crossings in walk order as it still lacks samples, until it is full or
-    has none left.  Refined rows do not interact, so the samples are those
-    of refining every crossing at once.  The clearance and the crossings of
-    all pairs are computed in one array pass each.
+    carry the intermediate count.  That point is the crossed segment's first
+    vertex, the image of a traced vertex of S and so a point of the critical
+    values, counted by ik_counts, the cells' root rule.  The walk, in
+    row-major pair order, samples up to MAX_BOUNDARY_SAMPLES of them per
+    (low, high) boundary kind, all counted in one call.  The clearance and
+    the crossings of all pairs are computed in one array pass each.
     """
     validate_params(p)
     allv = (np.vstack([w.vertices for w in workspace_curves])
@@ -943,7 +899,7 @@ def region_census(p: DhParams, workspace_curves, census_n: int = 128):
     seg_a, seg_b = _segments(workspace_curves)
     cell = float(min(rho_edges[1] - rho_edges[0], z_edges[1] - z_edges[0]))
     clear = _census_clearance(rc, zc, seg_a, seg_b, cell, 0.3 * cell)
-    crossings, hit_at, hit_seg = _census_crossings(rc, zc, clear, seg_a, seg_b, cell)
+    crossings, hit_seg = _census_crossings(rc, zc, clear, seg_a, seg_b, cell)
 
     n_pairs = 2 * census_n * census_n
     e = np.arange(n_pairs)
@@ -955,54 +911,32 @@ def region_census(p: DhParams, workspace_curves, census_n: int = 128):
     c_a, c_b = counts[i, j], counts[i2, j2]
     audited = both & (crossings == 1)
 
-    # every single crossing between counts 2 apart is a candidate sample
-    slide = np.nonzero(audited & (np.abs(c_a - c_b) == 2))[0]
-    slide_low = np.minimum(c_a[slide], c_b[slide])
-    theta3 = _segment_theta3(workspace_curves)[hit_seg[slide]]
-    start = hit_at[slide]
-    direction = np.column_stack([rc[i2[slide]] - rc[i[slide]], zc[j2[slide]] - zc[j[slide]]])
-    boundary = start.copy()
-    boundary_count = np.zeros(len(slide), dtype=int)
-    landed = np.zeros(len(slide), dtype=bool)
-    tried = np.zeros(len(slide), dtype=bool)
-    while True:
-        batch = []
-        for kind in np.unique(slide_low).tolist():
-            mine = np.flatnonzero(slide_low == kind)
-            lacking = MAX_BOUNDARY_SAMPLES - int(np.count_nonzero(landed[mine]))
-            batch.append(mine[~tried[mine]][:lacking])
-        batch = np.concatenate([np.zeros(0, dtype=int)] + batch)
-        if len(batch) == 0:
-            break
-        boundary[batch], landed[batch], boundary_count[batch] = _slide_onto_values(
-            p, start[batch], direction[batch], theta3[batch], cell)
-        tried[batch] = True
-
-    violations = []
-    samples = []
+    violations = []               # (pair, violation), a pair has at most one
+    picked = []                   # (pair, low, high) of each boundary sample
     samples_per_kind = defaultdict(int)
     for k in np.nonzero(audited | (both & (crossings == 0) & (c_a != c_b)))[0].tolist():
         cells = [[int(i[k]), int(j[k])], [int(i2[k]), int(j2[k])]]
         pair_counts = [int(c_a[k]), int(c_b[k])]
         if crossings[k] == 0:
-            violations.append({"kind": "no_crossing_count_change",
-                               "cells": cells, "counts": pair_counts})
+            violations.append((k, {"kind": "no_crossing_count_change",
+                                   "cells": cells, "counts": pair_counts}))
             continue
         if abs(pair_counts[0] - pair_counts[1]) != 2:
-            violations.append({"kind": "adjacent_region_delta",
-                               "cells": cells, "counts": pair_counts})
+            violations.append((k, {"kind": "adjacent_region_delta",
+                                   "cells": cells, "counts": pair_counts}))
             continue
         low, high = min(pair_counts), max(pair_counts)
-        s = np.searchsorted(slide, k)
-        if samples_per_kind[(low, high)] >= MAX_BOUNDARY_SAMPLES or not landed[s]:
-            continue
-        rr, zz = boundary[s]
-        cnt = int(boundary_count[s])
-        samples_per_kind[(low, high)] += 1
+        if samples_per_kind[(low, high)] < MAX_BOUNDARY_SAMPLES:
+            samples_per_kind[(low, high)] += 1
+            picked.append((k, low, high))
+    boundary = seg_a[hit_seg[[k for k, _, _ in picked]]].reshape(-1, 2)
+    samples = []
+    for (rr, zz), cnt, (k, low, high) in zip(
+            boundary.tolist(), ik_counts(p, boundary[:, 0], boundary[:, 1]).tolist(), picked):
         samples.append(BoundarySample(rr, zz, cnt, low, high))
         if cnt != low + 1:
-            violations.append({"kind": "boundary_count",
-                               "point": [rr, zz],
-                               "count": cnt, "expected": low + 1})
+            violations.append((k, {"kind": "boundary_count", "point": [rr, zz],
+                                   "count": cnt, "expected": low + 1}))
+    violations.sort(key=lambda v: v[0])
     return RegionCensus(rho_edges, z_edges, counts, int(np.sum(audited)),
-                        tuple(violations), tuple(samples))
+                        tuple(v for _, v in violations), tuple(samples))

@@ -117,13 +117,13 @@ class CrossSectionPoint:
 
 
 def length_scale(p: DhParams) -> float:
-    """Characteristic link length: max(1, sum |a_i| + sum |d_i|)."""
-    s = abs(p.a1) + abs(p.a2) + abs(p.a3) + abs(p.d1) + abs(p.d2) + abs(p.d3)
-    return max(1.0, s)
+    """Characteristic link length L = sum |a_i| + sum |d_i|, in the robot's
+    unit: scaling every length by lambda scales L by lambda."""
+    return abs(p.a1) + abs(p.a2) + abs(p.a3) + abs(p.d1) + abs(p.d2) + abs(p.d3)
 
 
 def singularity_scale(p: DhParams) -> float:
-    """Unit-robust scale for det(J) tolerances; det(J) has length dimension 3."""
+    """L^3, the scale of det(J) tolerances; det(J) has length dimension 3."""
     return length_scale(p) ** 3
 
 

@@ -608,7 +608,7 @@ def is_cuspidal(p: DhParams, grid_n: int = DEFAULT_GRID_N, census_n: int = 128,
         res = ", ".join(f"{max(c.res_m, c.res_m1, c.res_m2):.3g}" for c in cusps) or "none"
         anomalies.append(
             f"pillars disagree: {len(cusps)} cusps (max residuals {res} against tolerance "
-            f"{CUSP_RESIDUAL_TOL * singularity_scale(p):.3g}), {'a' if witness else 'no'} "
+            f"{CUSP_RESIDUAL_TOL:.3g}), {'a' if witness else 'no'} "
             f"shared aspect in {len(picked)} points examined, "
             f"{int(np.count_nonzero(census.counts >= 4))} four-solution census cells")
     cross = CrossValidation(len(picked), witness is not None, witness, tuple(theorem2))

@@ -10,10 +10,10 @@ engine at every target, the c3s3 plot's plane marching squares as a loop over
 cells, the SVG polyline formatted one vertex at a time, the pulled-back
 discriminant D through the end effector and the conic, its crossings bisected
 36 times, the reduced aspects' parents from a sort of the whole lattice, and
-the chart engine: cusps, nodes, quadruple roots and census boundary points
-solved on the quartic M in the half-angle chart that keeps each seed well
-conditioned, as they stood before the Newton systems moved onto the theta3
-circle."""
+the chart engine: cusps, nodes and quadruple roots solved on the quartic M
+in the half-angle chart that keeps each seed well conditioned, as they stood
+before the Newton systems moved onto the theta3 circle, certified by the
+unit-free rule on the chart's own residuals."""
 import heapq
 import math
 from collections import defaultdict
@@ -24,8 +24,8 @@ from scipy.sparse.csgraph import connected_components
 
 from cuspidal.critical import (
     _HALVINGS,
-    _NEWTON_FLOOR,
     _NEWTON_MAX_ITER,
+    _RHO2_FLOOR,
     CUSP_RESIDUAL_TOL,
     CUSP_THIRD_DERIV_MIN,
     DEDUP_RADIUS,
@@ -35,7 +35,6 @@ from cuspidal.critical import (
     _damped_newton,
     _dedup_sorted,
     _lstsq_steps,
-    _median_step,
     _mixed_cells,
 )
 from cuspidal.dh import (
@@ -50,7 +49,6 @@ from cuspidal.dh import (
 )
 from cuspidal import reduction
 from cuspidal.errors import StartOrGoalSingularError
-from cuspidal.geometry import polyline_min_dist
 from cuspidal.reduction import (
     _CONIC_ZERO,
     _DEGREE_DROP_TOL,
@@ -110,12 +108,9 @@ def damped_newton(fun_jac, x0):
     k = len(x)
     fval, jac = fun_jac(x, np.arange(k))
     norm2 = np.sum(fval * fval, axis=1)
-    ok = np.zeros(k, dtype=bool)
     done = np.zeros(k, dtype=bool)
     for _ in range(_NEWTON_MAX_ITER):
-        reached = ~done & (norm2 == 0.0)
-        ok |= reached
-        done |= reached
+        done |= norm2 == 0.0
         act = np.nonzero(~done)[0]
         if len(act) == 0:
             break
@@ -137,11 +132,8 @@ def damped_newton(fun_jac, x0):
             x[up], fval[up], jac[up], norm2[up] = xn[better], fn[better], jn[better], n2[better]
             pending[idx[better]] = False
             lam *= 0.5
-        stalled = act[pending]
-        ok[stalled] = norm2[stalled] <= _NEWTON_FLOOR
-        done[stalled] = True
-    ok[~done] = norm2[~done] <= _NEWTON_FLOOR
-    return x, ok
+        done[act[pending]] = True
+    return x
 
 
 def marching_segments(f, th, field):
@@ -817,29 +809,20 @@ def chart_node_system_symmetric(pencil, flip):
     return fun_jac
 
 
-def chart_tangency_system(pencil, start, direction, flip, d1):
-    """Double root (M = M' = 0) at chart coordinate u of the quartic at
-    start + lambda direction in (rho, z), in (u, lambda)."""
-    def fun_jac(x, rows):
-        lam = x[:, 1]
-        drho, dz = direction[rows, 0], direction[rows, 1]
-        rr = start[rows, 0] + lam * drho
-        zr = start[rows, 1] + lam * dz - d1
-        jet = quartic_jet(pencil.quartic(rr * rr + zr * zr, zr, flip[rows]), x[:, 0], 2)
-        dR_dlam = (2 * rr * drho + 2 * zr * dz)[:, None]
-        dm_dlam = jet[:, 1, :2] * dR_dlam + jet[:, 2, :2] * dz[:, None]
-        return jet[:, 0, :2], np.stack([jet[:, 0, 1:], dm_dlam], axis=2)
-    return fun_jac
-
-
-def _chart_residuals(pencil, u, R, zr, flip, order):
-    return np.abs(quartic_jet(pencil.normalized_quartic(R, zr, flip), u, order))
+def _chart_certified(p, pencil, u, R, zr, flip, mult):
+    """(|M^(j)|, j = 0..3, certified) of roots of multiplicity `mult` at chart
+    coordinates u, by the rule of critical._certify on M in the seeds' charts."""
+    res = np.abs(quartic_jet(pencil.normalized_quartic(R, zr, flip), u, 3))
+    ok = ((R - zr * zr >= -_RHO2_FLOOR * length_scale(p) ** 2)
+          & (np.max(res[:, :mult], axis=1) <= CUSP_RESIDUAL_TOL))
+    if mult == 3:
+        ok &= res[:, 3] >= CUSP_THIRD_DERIV_MIN
+    return res, ok
 
 
 def chart_find_cusps(p, workspace_curves):
     """critical.find_cusps on the chart engine: Newton on M = M' = M'' = 0 in
     (u, R, z), each seed in the chart _chart_seed picks for it."""
-    scale = singularity_scale(p)
     lscale = length_scale(p)
     seeds = []
     for wc in workspace_curves:
@@ -855,30 +838,24 @@ def chart_find_cusps(p, workspace_curves):
         return []
     pencil = QuarticPencil(p)
     flip = np.array([s[3] for s in seeds])
-    x, _ = _damped_newton(chart_multiple_root_system(pencil, flip, 3), [s[:3] for s in seeds])
+    x = _damped_newton(chart_multiple_root_system(pencil, flip, 3), [s[:3] for s in seeds])
     u, R, zr = x.T
-    res = _chart_residuals(pencil, u, R, zr, flip, 3)
-    rho2 = R - zr * zr
-    converged = np.max(res[:, :3], axis=1) <= CUSP_RESIDUAL_TOL * scale
-    certified = (rho2 >= -1e-12 * scale) & converged & (res[:, 3] >= CUSP_THIRD_DERIV_MIN * scale)
-    near_max = max(0.05 * lscale, 10.0 * _median_step(workspace_curves))
-    polylines = [w.vertices for w in workspace_curves]
+    res, certified = _chart_certified(p, pencil, u, R, zr, flip, 3)
     found = []
     for k in np.nonzero(certified)[0]:
-        rho_s = math.sqrt(max(float(rho2[k]), 0.0))
-        z_s = float(zr[k] + p.d1)
-        if polyline_min_dist((rho_s, z_s), polylines) > near_max:
-            continue
         t_out = math.tan(chart_theta3(float(u[k]), bool(flip[k])) / 2.0)
-        found.append((rho_s, z_s, t_out, *(float(r) for r in res[k]), seeds[k][4]))
-    kept = _dedup_sorted(found, DEDUP_RADIUS * scale, 1e-9 * lscale)
+        found.append((math.sqrt(max(float(R[k] - zr[k] * zr[k]), 0.0)), float(zr[k] + p.d1),
+                      t_out, *(float(r) for r in res[k]), seeds[k][4]))
+    kept = _dedup_sorted(found, DEDUP_RADIUS * lscale, 1e-9 * lscale)
     return [CuspPoint(*c) for c in kept]
 
 
 def chart_refine_nodes(p, cands):
     """critical._refine_nodes on the chart engine: tangency angles less than
     0.5 apart use the symmetric centre/half-gap system in a common chart,
-    the others the four-unknown system with a chart per root."""
+    the others the four-unknown system with a chart per root.  Returns,
+    per candidate, (theta3_1, theta3_2, R, zr), or None where the double
+    roots are not real."""
     pencil = QuarticPencil(p)
     sym, plain = [], []
     for k, (th3a, th3b, rho, z) in enumerate(cands):
@@ -903,8 +880,8 @@ def chart_refine_nodes(p, cands):
         flip = np.array([c[1] for c in sym])
         x0 = np.array([c[2] for c in sym])
         lead = pencil.quartic(x0[:, 2], x0[:, 3], flip)[:, 0, 0]
-        x, _ = _damped_newton(chart_node_system_symmetric(pencil, flip),
-                              np.column_stack([lead, x0]))
+        x = _damped_newton(chart_node_system_symmetric(pencil, flip),
+                           np.column_stack([lead, x0]))
         _, s, e, R[k], zr[k] = x.T
         d = np.sqrt(np.maximum(e, 0.0))
         u[0, k], u[1, k] = s + d, s - d
@@ -913,20 +890,17 @@ def chart_refine_nodes(p, cands):
     if plain:
         k = [c[0] for c in plain]
         flips[0, k], flips[1, k] = [c[1] for c in plain], [c[2] for c in plain]
-        x, _ = _damped_newton(chart_node_system(pencil, flips[0, k], flips[1, k]),
-                              [c[3] for c in plain])
+        x = _damped_newton(chart_node_system(pencil, flips[0, k], flips[1, k]),
+                           [c[3] for c in plain])
         u[0, k], u[1, k], R[k], zr[k] = x.T
-    res = _chart_residuals(pencil, u.ravel(), np.tile(R, 2), np.tile(zr, 2), flips.ravel(), 1)
-    worst = np.max(res.reshape(2, n, 2), axis=(0, 2))
-    return [(chart_theta3(u1, f1), chart_theta3(u2, f2), r, z, w) if ok else None
-            for u1, u2, f1, f2, r, z, w, ok in zip(*u.tolist(), *flips.tolist(), R.tolist(),
-                                                   zr.tolist(), worst.tolist(), live.tolist())]
+    return [(chart_theta3(u1, f1), chart_theta3(u2, f2), r, z) if ok else None
+            for u1, u2, f1, f2, r, z, ok in zip(*u.tolist(), *flips.tolist(), R.tolist(),
+                                                zr.tolist(), live.tolist())]
 
 
 def chart_quadruple_root(p, workspace_curves, cusps):
     """The quadruple-root evidence of critical.genericity_check on the chart
     engine (Gauss-Newton on M = M' = M'' = M''' = 0 in (u, R, z)), or None."""
-    scale = singularity_scale(p)
     seeds = []
     for c in cusps:
         u0, flip = _chart_seed(2.0 * math.atan(c.t))
@@ -944,11 +918,12 @@ def chart_quadruple_root(p, workspace_curves, cusps):
         return None
     pencil = QuarticPencil(p)
     flip = np.array([s[1] for s in seeds])
-    x, _ = _damped_newton(chart_multiple_root_system(pencil, flip, 4),
-                          [(u0, R0, zr0) for u0, _, R0, zr0 in seeds])
+    x = _damped_newton(chart_multiple_root_system(pencil, flip, 4),
+                       [(u0, R0, zr0) for u0, _, R0, zr0 in seeds])
     u, R, zr = x.T
-    res = np.max(_chart_residuals(pencil, u, R, zr, flip, 3), axis=1)
-    certified = np.nonzero((R - zr * zr >= -1e-9 * scale) & (res < 1e-8 * scale))[0]
+    res, certified = _chart_certified(p, pencil, u, R, zr, flip, 4)
+    res = np.max(res, axis=1)
+    certified = np.nonzero(certified)[0]
     if len(certified) == 0:
         return None
     k = certified[0]
@@ -957,17 +932,3 @@ def chart_quadruple_root(p, workspace_curves, cusps):
             "z": float(zr[k] + p.d1),
             "t": math.tan(chart_theta3(float(u[k]), bool(flip[k])) / 2.0),
             "residual": float(res[k])}
-
-
-def chart_slide_onto_values(p, start, direction, theta3, cell):
-    """critical._slide_onto_values on the chart engine: Newton on M = M' = 0
-    in (u, lambda), each crossing in the chart _chart_seed picks for it."""
-    seeds = [_chart_seed(t) for t in theta3.tolist()]
-    x, refined = _damped_newton(
-        chart_tangency_system(QuarticPencil(p), start, direction,
-                              np.array([f for _, f in seeds], dtype=bool), p.d1),
-        np.array([(u0, 0.0) for u0, _ in seeds]).reshape(-1, 2))
-    boundary = start + x[:, 1:] * direction
-    landed = refined & np.array([math.hypot(dr, dz) <= 2 * cell
-                                 for dr, dz in (boundary - start).tolist()], dtype=bool)
-    return boundary, landed, ik_counts(p, boundary[:, 0], boundary[:, 1])

@@ -21,6 +21,21 @@ def seg_intersect(a0, a1, b0, b1):
     return None
 
 
+def polyline_min_dist(point, polylines) -> float:
+    """Distance from a planar point to a collection of (n, 2) polylines."""
+    px, py = float(point[0]), float(point[1])
+    best = math.inf
+    for poly in polylines:
+        if len(poly) < 2:
+            continue
+        ax, ay = poly[:-1, 0], poly[:-1, 1]
+        vx, vy = poly[1:, 0] - ax, poly[1:, 1] - ay
+        vv = vx * vx + vy * vy
+        t = np.clip(((px - ax) * vx + (py - ay) * vy) / np.where(vv == 0.0, 1.0, vv), 0.0, 1.0)
+        best = min(best, float(np.min(np.hypot(px - (ax + t * vx), py - (ay + t * vy)))))
+    return best
+
+
 def point_segment_dist(px, py, ax, ay, bx, by):
     vx, vy = bx - ax, by - ay
     wx, wy = px - ax, py - ay

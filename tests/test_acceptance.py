@@ -31,7 +31,6 @@ from cuspidal import (
     wrap_angle,
 )
 from cuspidal.errors import NonGenericRobotError
-from cuspidal.geometry import polyline_min_dist
 from cuspidal.reduction import conic_coefficients, quartic_from_conic
 
 from conftest import (
@@ -46,6 +45,7 @@ from conftest import (
     REFERENCE,
     random_valid_params,
 )
+from segment_refs import polyline_min_dist
 
 GRID = 720
 BATTERY_PATH = os.path.join(os.path.dirname(__file__), "..", "robots", "battery.json")

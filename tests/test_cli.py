@@ -4,6 +4,9 @@ import importlib.util
 import json
 import math
 import os
+import subprocess
+import sys
+from dataclasses import replace
 
 import jsonschema
 import numpy as np
@@ -14,6 +17,11 @@ from cuspidal import (
     JointConfig,
     build_topology,
     critical,
+    critical_values,
+    find_cusps,
+    find_nodes,
+    genericity_check,
+    trace_critical_points,
     cross_section,
     forward_kinematics,
     reduction,
@@ -304,6 +312,54 @@ def test_classify_byte_identical_reruns(tmp_path, capsys):
         b1 = (outs[0] / fname).read_bytes()
         b2 = (outs[1] / fname).read_bytes()
         assert b1 == b2, f"{fname} differs between reruns"
+
+
+# --------------------------------------------------------------------------
+# scripts
+# --------------------------------------------------------------------------
+
+SCRIPTS = os.path.join(os.path.dirname(__file__), "..", "scripts")
+
+
+def _run_script(name, *args) -> str:
+    return subprocess.run([sys.executable, os.path.join(SCRIPTS, name), *args],
+                          capture_output=True, text=True, check=True).stdout
+
+
+def test_analyze_battery_writes_what_classify_writes(tmp_path, capsys):
+    """On a one-robot file at grid 120 the script writes the files `classify
+    --format json,csv,svg` writes, byte for byte, plus a jointspace SVG."""
+    path = _write_robot(tmp_path)
+    out = _run_script("analyze_battery.py", "--robot", path, "--grid", "120",
+                      "--out", str(tmp_path / "script"))
+    assert out.splitlines()[1].split()[:4] == ["bot", "cuspidal", "4", "0"]
+    rc = main(["classify", "--robot", path, "--grid", "120", "--out", str(tmp_path / "cli"),
+               "--format", "json,csv,svg"])
+    capsys.readouterr()
+    assert rc == 2
+    written = sorted(os.listdir(tmp_path / "cli"))
+    assert len(written) == 4
+    assert sorted(os.listdir(tmp_path / "script")) == sorted(written + ["bot.jointspace.svg"])
+    for fname in written:
+        assert (tmp_path / "script" / fname).read_bytes() == (tmp_path / "cli" / fname).read_bytes()
+
+
+def test_sweep_family_prints_one_row_per_step():
+    """Two a3 steps at grid 120 print the cusp and node counts, genericity and
+    verdict the critical stages give for each robot."""
+    lines = _run_script("sweep_family.py", "--param", "a3", "--lo", "1.5", "--hi", "2.5",
+                        "--steps", "2", "--grid", "120").splitlines()
+    assert lines[0].split() == ["a3", "cusps", "nodes", "generic", "verdict"]
+    assert len(lines) == 3
+    for line, a3 in zip(lines[1:], (1.5, 2.5)):
+        p = replace(REFERENCE, a3=a3)
+        curves = trace_critical_points(p, 120)
+        wcurves = critical_values(p, curves)
+        cusps = find_cusps(p, wcurves)
+        assert genericity_check(p, 120, curves, wcurves, cusps).is_generic
+        verdict = "cuspidal" if cusps else "non-cuspidal"
+        assert line.split() == [f"{a3:.4f}", str(len(cusps)), str(len(find_nodes(p, wcurves))),
+                                "True", verdict]
 
 
 # --------------------------------------------------------------------------

@@ -25,7 +25,9 @@ from cuspidal import (
 )
 from cuspidal import critical, topology
 from cuspidal.critical import (
-    MAX_BOUNDARY_SAMPLES,
+    CUSP_RESIDUAL_TOL,
+    CUSP_THIRD_DERIV_MIN,
+    DEDUP_RADIUS,
     _candidate_pairs,
     _census_clearance,
     _census_crossings,
@@ -38,11 +40,10 @@ from cuspidal.critical import (
     _multiple_root_system,
     _node_system,
     _sample_lattice,
-    _tangency_system,
 )
 from cuspidal.dh import length_scale
 from cuspidal.errors import DegenerateGeometryError
-from cuspidal.geometry import polyline_min_dist, seg_intersect_many
+from cuspidal.geometry import seg_intersect_many
 from cuspidal.reduction import circle_harmonics, conic_raw
 
 from conftest import (
@@ -57,19 +58,18 @@ from conftest import (
     perfbench_inputs,
     random_valid_params,
 )
-from census_refs import audit_all_at_once, census_walk
+from census_refs import census_walk
 from engine_refs import (
     SegmentHash,
     chain_loops,
     chart_find_cusps,
     chart_quadruple_root,
     chart_refine_nodes,
-    chart_slide_onto_values,
     damped_newton,
     marching_segments,
 )
 from engine_refs import ik_counts as engine_ik_counts
-from segment_refs import point_segment_dist, seg_intersect
+from segment_refs import point_segment_dist, polyline_min_dist, seg_intersect
 
 
 _SEED = st.integers(0, 2 ** 32 - 1)
@@ -169,10 +169,9 @@ def test_reference_has_four_cusps(analysis):
 
 
 def test_cusp_residual_invariants(analysis):
-    scale = singularity_scale(REFERENCE)
     for c in analysis.cusps(REFERENCE):
-        assert max(c.res_m, c.res_m1, c.res_m2) < 1e-7 * scale
-        assert c.abs_m3 > 1e-4 * scale
+        assert max(c.res_m, c.res_m1, c.res_m2) <= CUSP_RESIDUAL_TOL
+        assert c.abs_m3 >= CUSP_THIRD_DERIV_MIN
 
 
 def test_noncuspidal_robot_has_no_cusps(analysis):
@@ -201,7 +200,7 @@ def test_cusps_on_critical_value_set(analysis):
 
 
 def test_cusp_locations_stable_under_grid_doubling(analysis):
-    scale = singularity_scale(REFERENCE)
+    scale = length_scale(REFERENCE)
     coarse = analysis.cusps(REFERENCE, 128)
     fine = analysis.cusps(REFERENCE, 256)
     assert len(coarse) == len(fine) == 4
@@ -211,7 +210,7 @@ def test_cusp_locations_stable_under_grid_doubling(analysis):
 
 
 def test_node_locations_stable_under_grid_doubling(analysis):
-    scale = singularity_scale(NODE_ROBOT)
+    scale = length_scale(NODE_ROBOT)
     coarse = analysis.nodes(NODE_ROBOT, 128)
     fine = analysis.nodes(NODE_ROBOT, 256)
     assert len(coarse) == len(fine) == 2
@@ -266,7 +265,7 @@ def test_node_count_matches_intersection_oracle(analysis):
                     crossings.append(hit[0])
         # dedupe raw crossings within the node dedup radius
         dedup = []
-        radius = 1e-4 * singularity_scale(robot)
+        radius = DEDUP_RADIUS * length_scale(robot)
         for pt in sorted(crossings):
             if all(math.hypot(pt[0] - q[0], pt[1] - q[1]) > radius for q in dedup):
                 dedup.append(pt)
@@ -447,9 +446,8 @@ def _loop_census(rc, zc, seg_a, seg_b, cell):
                     continue
                 a, b = (float(rc[i]), float(zc[j])), (float(rc[i2]), float(zc[j2]))
                 mid = (0.5 * (a[0] + b[0]), 0.5 * (a[1] + b[1]))
-                found = [(s, seg_intersect(a, b, seg_a[s], seg_b[s]))
-                         for s in listed(mid[0], mid[1], 2)]
-                hits[2 * (i * n + j) + d] = [(s, h[0]) for s, h in found if h is not None]
+                hits[2 * (i * n + j) + d] = [s for s in listed(mid[0], mid[1], 2)
+                                             if seg_intersect(a, b, seg_a[s], seg_b[s])]
     return clear, hits
 
 
@@ -466,7 +464,7 @@ def test_census_clearance_and_crossings_equal_cell_loop(robot, analysis):
     seg_a = np.vstack([w.vertices for w in wcurves])
     seg_b = np.vstack([np.roll(w.vertices, -1, axis=0) for w in wcurves])
     clear = _census_clearance(rc, zc, seg_a, seg_b, cell, 0.3 * cell)
-    crossings, hit_at, hit_seg = _census_crossings(rc, zc, clear, seg_a, seg_b, cell)
+    crossings, hit_seg = _census_crossings(rc, zc, clear, seg_a, seg_b, cell)
     ref_clear, ref_hits = _loop_census(rc, zc, seg_a, seg_b, cell)
     assert np.array_equal(clear, ref_clear)
     assert 0 < np.count_nonzero(~clear) < clear.size
@@ -474,29 +472,24 @@ def test_census_clearance_and_crossings_equal_cell_loop(robot, analysis):
         found = ref_hits.get(e, [])
         assert crossings[e] == len(found), e
         if len(found) == 1:
-            assert hit_seg[e] == found[0][0]
-            assert tuple(hit_at[e]) == found[0][1]
+            assert hit_seg[e] == found[0]
     assert sum(len(h) == 1 for h in ref_hits.values()) == census.audited_pairs > 0
 
 
 def test_census_audit_equals_scalar_walk(ref_census, node_census, analysis):
-    """The batched boundary refinement and count give the audit of a pair-by-pair
-    walk that refines each boundary point alone and counts it with the double
-    root deflated: same audited pairs, violations and boundary samples, bit
-    for bit.  The random draw has a refinement that fails while its kind's
-    sample cap has room, which must leave the cap unused."""
+    """The batched boundary sampling and count give the audit of a pair-by-pair
+    walk that takes each crossed segment's first vertex alone and counts it
+    with the double root at its theta3 deflated: same audited pairs,
+    violations and boundary samples, bit for bit."""
     rand = random_valid_params(np.random.default_rng(0))
     cases = [(REFERENCE, ref_census), (NODE_ROBOT, node_census),
              (rand, region_census(rand, analysis.wcurves(rand), census_n=96))]
-    misses = 0
     for robot, census in cases:
-        audited, violations, samples, missed = census_walk(robot, analysis.wcurves(robot), census)
-        misses += missed
+        audited, violations, samples = census_walk(robot, analysis.wcurves(robot), census)
         assert census.audited_pairs == audited
         assert list(census.violations) == violations
         assert [(s.rho, s.z, s.count, s.low, s.high) for s in census.boundary_samples] == samples
         assert samples
-    assert misses > 0
 
 
 def test_census_equals_the_engine_only_count(monkeypatch, analysis):
@@ -521,34 +514,6 @@ def test_census_equals_the_engine_only_count(monkeypatch, analysis):
         assert census.boundary_samples == ref.boundary_samples, name
 
 
-def test_census_rounds_equal_refining_every_crossing(monkeypatch, analysis):
-    """Refining each boundary kind's next candidates in rounds gives the
-    audit of refining every crossing at once, bit for bit, on the battery
-    and 20 random robots, while refining fewer crossings on the cuspidal
-    reference."""
-    refined = []
-    slide = critical._slide_onto_values
-
-    def record(p, start, *args):
-        refined.append(len(start))
-        return slide(p, start, *args)
-    monkeypatch.setattr(critical, "_slide_onto_values", record)
-    rng = np.random.default_rng(41)
-    robots = list(BATTERY.values()) + [random_valid_params(rng) for _ in range(20)]
-    for robot in robots:
-        wcurves = analysis.wcurves(robot)
-        refined.clear()
-        census = region_census(robot, wcurves, census_n=96)
-        audited, violations, samples = audit_all_at_once(robot, wcurves, census)
-        assert census.audited_pairs == audited
-        assert list(census.violations) == violations
-        assert [(s.rho, s.z, s.count, s.low, s.high) for s in census.boundary_samples] == samples
-        if robot is REFERENCE:
-            kinds = {(s.low, s.high) for s in census.boundary_samples}
-            assert refined[0] <= MAX_BOUNDARY_SAMPLES * len(kinds)
-            assert sum(refined) < audited
-
-
 def _assert_points_close(found, ref, angles, what):
     """Equal counts; (rho, z) within 1e-12 of the point's distance from the
     origin (rho alone loses digits near the axis, where it enters only
@@ -563,12 +528,12 @@ def _assert_points_close(found, ref, angles, what):
 
 
 def test_circle_engine_equals_the_chart_engine(monkeypatch, analysis):
-    """Solved on the theta3 circle, the cusps, nodes, quadruple-root decisions
-    and census boundary samples are those the chart engine (every system on
-    M in the half-angle chart that keeps its seed well conditioned) gives,
-    to 1e-12 relative, on the battery, both non-generic robots and 10 random
-    draws.  Non-generic robots are compared by their decision only: their
-    cusps sit next to a quadruple root, where either engine may land."""
+    """Solved on the theta3 circle, the cusps, nodes and quadruple-root
+    decisions are those the chart engine (every system on M in the
+    half-angle chart that keeps its seed well conditioned) gives, to 1e-12
+    relative, on the battery, both non-generic robots and 10 random draws.
+    Non-generic robots are compared by their decision only: their cusps sit
+    next to a quadruple root, where either engine may land."""
     rng = np.random.default_rng(424242)
     robots = [*BATTERY.items(), ("quad", NONGENERIC_QUAD), ("curve", NONGENERIC_CURVE),
               *((f"random {k}", random_valid_params(rng)) for k in range(10))]
@@ -585,15 +550,6 @@ def test_circle_engine_equals_the_chart_engine(monkeypatch, analysis):
             m.setattr(critical, "_refine_nodes", chart_refine_nodes)
             ref_nodes = find_nodes(robot, wcurves)
         _assert_points_close(analysis.nodes(robot), ref_nodes, ("t1", "t2"), name)
-        census = region_census(robot, wcurves, census_n=96)
-        with monkeypatch.context() as m:
-            m.setattr(critical, "_slide_onto_values", chart_slide_onto_values)
-            ref_census = region_census(robot, wcurves, census_n=96)
-        assert census.audited_pairs == ref_census.audited_pairs, name
-        assert census.violations == ref_census.violations, name
-        assert ([(s.count, s.low, s.high) for s in census.boundary_samples]
-                == [(s.count, s.low, s.high) for s in ref_census.boundary_samples]), name
-        _assert_points_close(census.boundary_samples, ref_census.boundary_samples, (), name)
 
 
 # --------------------------------------------------------------------------
@@ -606,8 +562,6 @@ def _newton_cases(p, rng, k):
     zr = rng.uniform(-2.0, 2.0, k)
     R = rng.uniform(0.1, 3.0, k) ** 2 + zr * zr
     theta3 = rng.uniform(-math.pi, math.pi, k)
-    start = np.column_stack([np.sqrt(R - zr * zr), zr + p.d1])
-    direction = rng.standard_normal((k, 2)) * 0.05
     node_x0 = np.column_stack([rng.uniform(-3.0, 3.0, k), theta3,
                                rng.uniform(-1.0, 1.0, k), R, zr])
     return [
@@ -615,8 +569,6 @@ def _newton_cases(p, rng, k):
         ("quadruple", lambda order: _multiple_root_system(p, 4),
          np.column_stack([theta3, R, zr])),
         ("node", lambda order: _node_system(p), node_x0),
-        ("tangency", lambda order: _tangency_system(p, start[order], direction[order]),
-         np.column_stack([theta3, np.zeros(k)])),
     ]
 
 
@@ -631,27 +583,25 @@ def test_batched_newton_equals_single_seed_runs(seed):
     k = 5
     perm = rng.permutation(k)
     for name, system, x0 in _newton_cases(p, rng, k):
-        x, ok = _damped_newton(system(np.arange(k)), x0)
-        xp, okp = _damped_newton(system(perm), x0[perm])
+        x = _damped_newton(system(np.arange(k)), x0)
+        xp = _damped_newton(system(perm), x0[perm])
         assert xp.tobytes() == x[perm].tobytes(), name
-        assert np.array_equal(okp, ok[perm]), name
         for i in range(k):
-            xs, oks = _damped_newton(system(np.array([i])), x0[i:i + 1])
+            xs = _damped_newton(system(np.array([i])), x0[i:i + 1])
             assert xs[0].tobytes() == x[i].tobytes(), name
-            assert oks[0] == ok[i], name
 
 
 def test_batched_line_search_equals_the_lambda_loop(monkeypatch, analysis):
-    """Every damped Newton batch that cusps, genericity, nodes and the census
-    run ends bit for bit where the one-call-per-lambda loop ends, on the
-    cusp, quadruple-root, node and tangency systems."""
+    """Every damped Newton batch that cusps, genericity and nodes run ends
+    bit for bit where the one-call-per-lambda loop ends, on the cusp,
+    quadruple-root and node systems."""
     batches = []
     batched = critical._damped_newton
 
     def record(fun_jac, x0, *args, **kwargs):
-        x, ok = batched(fun_jac, x0, *args, **kwargs)
-        batches.append((fun_jac, np.array(x0, float), x, ok))
-        return x, ok
+        x = batched(fun_jac, x0, *args, **kwargs)
+        batches.append((fun_jac, np.array(x0, float), x))
+        return x
     monkeypatch.setattr(critical, "_damped_newton", record)
     rng = np.random.default_rng(8)
     for robot in [*PAPER_BATTERY.values(), *(random_valid_params(rng) for _ in range(3))]:
@@ -659,15 +609,13 @@ def test_batched_line_search_equals_the_lambda_loop(monkeypatch, analysis):
         cusps = find_cusps(robot, wcurves)
         genericity_check(robot, TEST_GRID, curves, wcurves, cusps)
         find_nodes(robot, wcurves)
-        region_census(robot, wcurves, census_n=64)
     systems = set()
-    for fun_jac, x0, x, ok in batches:
-        ref_x, ref_ok = damped_newton(fun_jac, x0)
-        assert x.tobytes() == ref_x.tobytes() and np.array_equal(ok, ref_ok)
+    for fun_jac, x0, x in batches:
+        assert x.tobytes() == damped_newton(fun_jac, x0).tobytes()
         fval, _ = fun_jac(x0[:1], np.arange(1))
         systems.add((fun_jac.__qualname__.split(".")[0], fval.shape[1]))
     assert systems == {("_multiple_root_system", 3), ("_multiple_root_system", 4),
-                       ("_node_system", 5), ("_tangency_system", 2)}
+                       ("_node_system", 5)}
 
 
 def _crossing_cells(f, th):

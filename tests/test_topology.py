@@ -27,7 +27,7 @@ from cuspidal import (
     wrap_angle,
 )
 from cuspidal.errors import NonGenericRobotError, StartOrGoalSingularError
-from cuspidal.geometry import TorusCurveIndex, polyline_min_dist
+from cuspidal.geometry import TorusCurveIndex
 from cuspidal.robotfile import parse_robot_file
 from cuspidal.topology import PS_EXCLUSION_RADIUS, JointPath, _components, label_solutions_batch
 
@@ -42,11 +42,12 @@ from conftest import (
     NONORTHO_NONCUSPIDAL,
     REFERENCE,
     TEST_GRID,
+    perfbench_inputs,
     random_valid_params,
 )
 import engine_refs
 from engine_refs import components
-from segment_refs import point_segment_dist, unwrap_segment
+from segment_refs import point_segment_dist, polyline_min_dist, unwrap_segment
 
 BATTERY = parse_robot_file(str(Path(__file__).resolve().parent.parent / "robots" / "battery.json"))
 
@@ -213,7 +214,7 @@ def test_is_cuspidal_bounds_its_newton_and_sweep_work(monkeypatch):
     monkeypatch.setattr(critical, "_damped_newton", counted_newton)
     monkeypatch.setattr(critical, "_candidate_pairs", recording_pairs)
     rep = is_cuspidal(NODE_ROBOT, grid_n=128)
-    assert len(batches) >= 4 and all(f <= 1 + 2 * s for f, s in batches), batches
+    assert len(batches) >= 3 and all(f <= 1 + 2 * s for f, s in batches), batches
     seg_a, seg_b = critical._segments(rep.workspace_curves)
     lengths = np.hypot(*(seg_b - seg_a).T)
     longest = float(np.max(lengths))
@@ -675,25 +676,34 @@ def test_nonortho_robots_verdicts():
 
 
 def test_a_disagreement_is_an_anomaly_with_its_numbers():
-    """d = [0, 1, 0], a = [2.38, 2, 6] has one cusp certified at |M| = 3.7e-5
-    against a tolerance of 1.5e-4, and the oracle finds no shared aspect
-    (ROADMAP item 1's loose threshold).  The anomaly names each cusp's
-    largest residual, the tolerance, the points examined and the
-    four-solution census cells; a robot whose pillars agree gets none."""
-    p = DhParams(0.0, 1.0, 0.0, 2.38, 2.0, 6.0, -math.pi / 2, math.pi / 2)
-    rep = is_cuspidal(p, grid_n=TEST_GRID)
+    """The screen robot pool_4 has two cusps certified at |M| <= 6.8e-15, and
+    the oracle finds no shared aspect (the open pool_4 defect).  The anomaly
+    names each cusp's largest residual, the tolerance, the points examined
+    and the four-solution census cells; a robot whose pillars agree gets
+    none."""
+    robots = {label: p for label, p, _ in perfbench_inputs().screen_robots(0)}
+    rep = is_cuspidal(robots["pool_4"], grid_n=720)
     assert not rep.agrees
     res = ", ".join(f"{max(c.res_m, c.res_m1, c.res_m2):.3g}" for c in rep.cusps)
-    tol = critical.CUSP_RESIDUAL_TOL * singularity_scale(p)
     four = int(np.count_nonzero(rep.census.counts >= 4))
     assert rep.anomalies == (
         f"pillars disagree: {len(rep.cusps)} cusps (max residuals {res} against tolerance "
-        f"{tol:.3g}), no shared aspect in {rep.cross_validation.points_examined} points "
-        f"examined, {four} four-solution census cells",)
-    assert len(rep.cusps) == 1 and four > 0
+        f"{critical.CUSP_RESIDUAL_TOL:.3g}), no shared aspect in "
+        f"{rep.cross_validation.points_examined} points examined, {four} four-solution "
+        f"census cells",)
+    assert len(rep.cusps) == 2
+    assert max(max(c.res_m, c.res_m1, c.res_m2) for c in rep.cusps) <= 6.8e-15
     agreeing = is_cuspidal(REFERENCE, grid_n=TEST_GRID, census_n=96, samples=150)
     assert agreeing.agrees
     assert not any(a.startswith("pillars disagree") for a in agreeing.anomalies)
+
+
+def test_a_false_cusp_robot_is_non_cuspidal_and_agrees():
+    """d = [0, 1, 0], a = [2.38, 2, 6] lands one cusp Newton at |M| = 3.7e-5,
+    which no unit-free tolerance certifies: no cusp, and the pillars agree."""
+    p = DhParams(0.0, 1.0, 0.0, 2.38, 2.0, 6.0, -math.pi / 2, math.pi / 2)
+    rep = is_cuspidal(p, grid_n=TEST_GRID)
+    assert not rep.verdict and rep.agrees and rep.anomalies == ()
 
 
 def test_non_generic_robot_raises():
