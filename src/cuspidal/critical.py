@@ -3,10 +3,13 @@
 Marching squares traces the zero set of det(J); its image under the forward
 map is the locus of critical values.  Cusps are triple roots of the IK
 quartic (M = M' = M'' = 0, M''' != 0), nodes are pairs of distinct double
-roots, and quadruple roots make a robot non-generic.  Each kind is located
-by one batched damped Newton over all its seeds from the traced curves, in
-theta3 on the conic restricted to the unit circle, and certified post hoc by
-the defining residuals of M.
+roots, and quadruple roots make a robot non-generic.  Cusps are seeded from
+the real roots of the cusp locus E(theta3), and quadruple roots are checked
+at its exact candidates (reduction.cusp_seeds, quadruple_candidates); node
+seeds are the crossings of the traced critical values.  One batched damped
+Newton per kind polishes the cusp and node seeds in theta3 on the conic
+restricted to the unit circle, and every find is certified post hoc by the
+defining residuals of M.
 """
 from __future__ import annotations
 
@@ -35,7 +38,9 @@ from .reduction import (
     circle_harmonics,
     circle_jet,
     conic_raw,
+    cusp_seeds,
     ik_counts,
+    quadruple_candidates,
     quartic_coeffs_from_conic,
     quartic_jet,
     solve_ik_batch,
@@ -97,7 +102,6 @@ class WorkspaceCurve:
     vertices: np.ndarray          # (n, 2) rho, z
     source_index: int
     joint: JointCurve
-    speed: np.ndarray             # (n,) image speed |d(rho,z)| / |d(theta2,theta3)|
 
     def __len__(self):
         return len(self.vertices)
@@ -114,7 +118,6 @@ class CuspPoint:
     res_m1: float
     res_m2: float
     abs_m3: float
-    source_curve: int
 
 
 @dataclass(frozen=True)
@@ -348,13 +351,7 @@ def critical_values(p: DhParams, curves) -> list:
         t2 = curve.vertices[:, 0]
         t3 = curve.vertices[:, 1]
         x, y, z = fk_arrays(p, 0.0, t2, t3)
-        w = np.column_stack([np.hypot(x, y), z])
-        # central differences over the neighbours k - 1 and k + 1
-        dj = np.abs(wrap_angle(np.roll(curve.vertices, 1, axis=0)
-                               - np.roll(curve.vertices, -1, axis=0)))
-        dw = np.roll(w, 1, axis=0) - np.roll(w, -1, axis=0)
-        speed = np.hypot(dw[:, 0], dw[:, 1]) / np.maximum(np.hypot(dj[:, 0], dj[:, 1]), 1e-12)
-        out.append(WorkspaceCurve(w, ci, curve, speed))
+        out.append(WorkspaceCurve(np.column_stack([np.hypot(x, y), z]), ci, curve))
     return out
 
 
@@ -473,8 +470,9 @@ def _damped_newton(fun_jac, x0):
 
 
 def _multiple_root_system(p: DhParams, mult: int):
-    """g = g' = ... = g^(mult-1) = 0 in (theta3, R, z): mult 3 for cusps, 4
-    for quadruple roots."""
+    """g = g' = ... = g^(mult-1) = 0 in (theta3, R, z): mult 3 polishes the
+    cusp seeds; mult 4 is the quadruple-root Newton the exact candidates
+    replaced, kept for the tests' reference."""
     def fun_jac(x, rows):
         jet = circle_jet(circle_harmonics(p, x[:, 1], x[:, 2]), x[:, 0], mult)
         jac = np.stack([jet[:, 0, 1:], jet[:, 1, :mult], jet[:, 2, :mult]], axis=2)
@@ -551,31 +549,23 @@ def _dedup_sorted(points, radius: float, quantum: float):
 
 
 def find_cusps(p: DhParams, workspace_curves) -> list:
-    """Locate all cusps: Newton on {g = g' = g'' = 0} in (theta3, R, z).
+    """Locate all cusps: one Newton batch on {g = g' = g'' = 0} in (theta3,
+    R, z) polishes the seeds of reduction.cusp_seeds, the real roots of the
+    cusp locus E, and _certify accepts each find.
 
-    Seeds sit at local minima of the image speed along each workspace curve
-    (the image velocity of the critical curve vanishes at a cusp) and run as
-    one batch.  Every find is certified by _certify.
+    `workspace_curves` is not read: the seeds come from p alone, so the
+    cusps do not depend on the grid the curves were traced on.
     """
     lscale = length_scale(p)
-    seeds = []
-    for wc in workspace_curves:
-        if len(wc) < 4:
-            continue
-        speed = wc.speed
-        for k in np.nonzero((speed <= np.roll(speed, 1)) & (speed <= np.roll(speed, -1)))[0]:
-            rho, z = wc.vertices[k]
-            zr = z - p.d1
-            seeds.append((float(wc.joint.vertices[k, 1]), rho * rho + zr * zr, zr,
-                          wc.source_index))
-    if not seeds:
+    theta3, R, zr = cusp_seeds(p)
+    if len(theta3) == 0:
         return []
-    x = _damped_newton(_multiple_root_system(p, 3), [s[:3] for s in seeds])
+    x = _damped_newton(_multiple_root_system(p, 3), np.column_stack([theta3, R, zr]))
     theta3, R, zr = wrap_angle(x[:, 0]), x[:, 1], x[:, 2]
     res, certified = _certify(p, theta3, R, zr, 3)
-    log.debug("%d of %d cusp seeds not certified", int(np.sum(~certified)), len(seeds))
+    log.debug("%d of %d cusp seeds not certified", int(np.sum(~certified)), len(theta3))
     found = [(math.sqrt(max(float(R[k] - zr[k] * zr[k]), 0.0)), float(zr[k] + p.d1),
-              _tan_half(float(theta3[k])), *(float(r) for r in res[k]), seeds[k][3])
+              _tan_half(float(theta3[k])), *(float(r) for r in res[k]))
              for k in np.nonzero(certified)[0]]
     kept = _dedup_sorted(found, DEDUP_RADIUS * lscale, 1e-9 * lscale)
     return [CuspPoint(*c) for c in kept]
@@ -700,36 +690,25 @@ def genericity_check(p: DhParams, grid_n: int, curves: CriticalSet, workspace_cu
     """Three genericity tests: no quadruple roots, smooth critical curves,
     no isolated singular points on the lattice.  `curves` is p's CriticalSet
     traced on grid_n (ValueError otherwise); its samples are read, not
-    redrawn."""
+    redrawn.  `workspace_curves` and `cusps` are not read: test (a) certifies
+    the exact candidates of reduction.quadruple_candidates, which come from p
+    alone, and runs no Newton."""
     curves.check(p, grid_n)
     scale = singularity_scale(p)
     evidence = []
 
-    # (a) quadruple roots: Gauss-Newton on {g = g' = g'' = g''' = 0}
-    seeds = []
-    for c in cusps:
-        seeds.append((2.0 * math.atan(c.t), c.rho * c.rho + (c.z - p.d1) ** 2, c.z - p.d1))
-    for wc in workspace_curves:
-        if len(wc) == 0:
-            continue
-        for k in sorted({int(np.argmin(wc.vertices[:, 0])), int(np.argmax(wc.vertices[:, 0])),
-                         int(np.argmin(wc.vertices[:, 1])), int(np.argmax(wc.vertices[:, 1]))}):
-            rho, z = wc.vertices[k]
-            zr = z - p.d1
-            seeds.append((float(wc.joint.vertices[k, 1]), rho * rho + zr * zr, zr))
-    if seeds:
-        x = _damped_newton(_multiple_root_system(p, 4), seeds)
-        theta3, R, zr = wrap_angle(x[:, 0]), x[:, 1], x[:, 2]
-        res, certified = _certify(p, theta3, R, zr, 4)
-        # the evidence is the first certified seed, in seed order
-        certified = np.nonzero(certified)[0]
-        if len(certified):
-            k = certified[0]
-            evidence.append({"kind": "quadruple_root",
-                             "rho": math.sqrt(max(float(R[k] - zr[k] * zr[k]), 0.0)),
-                             "z": float(zr[k] + p.d1),
-                             "t": _tan_half(float(theta3[k])),
-                             "residual": float(np.max(res[k]))})
+    # (a) quadruple roots: _certify at the candidates; the evidence is the
+    # first certified one, in candidate order
+    theta3, R, zr = quadruple_candidates(p)
+    res, certified = _certify(p, theta3, R, zr, 4)
+    certified = np.nonzero(certified)[0]
+    if len(certified):
+        k = certified[0]
+        evidence.append({"kind": "quadruple_root",
+                         "rho": math.sqrt(max(float(R[k] - zr[k] * zr[k]), 0.0)),
+                         "z": float(zr[k] + p.d1),
+                         "t": _tan_half(float(theta3[k])),
+                         "residual": float(np.max(res[k]))})
 
     # (b) the critical curve must be smooth: |grad det J| bounded away from 0
     worst = min((float(np.min(c.grad_norm)) for c in curves if len(c)), default=math.inf)

@@ -259,6 +259,166 @@ def circle_jet(h: np.ndarray, theta: np.ndarray, order: int) -> np.ndarray:
     return np.sum(turned * np.reshape(trig, (len(theta),) + (1,) * (h.ndim - 1) + (5,)), axis=-1)
 
 
+# --------------------------------------------------------------------------
+# The cusp locus: triple roots of g in closed form
+#
+# With c1 = (cos, sin)(theta3), c2 = (cos, sin)(2 theta3) and c1+, c2+ those
+# pairs turned a quarter turn, g' = h1 . c1+ + 2 h2 . c2+ and g'' = -h1 . c1
+# - 4 h2 . c2 hold no h0, so g' = g'' = 0 fixes h1 = H(theta3) = -4 (h2 . c2)
+# c1 - 2 (h2 . c2+) c1+, and then g = 0 reads h0 = 3 h2 . c2 (g + g'' = h0 -
+# 3 h2 . c2).  With y = (pw, qw), h1 = 2 (P y - (UW, VW)) for the constant P
+# = [[pu, qu], [pv, qv]] of _conic_terms (qu is exactly 0) and h0 = (Axx +
+# Ayy) / 2 + |y|^2 - WW.  So a triple root at theta3 is P y = b(theta3) =
+# H / 2 + (UW, VW) with |y|^2 = r2(theta3) = 3 h2 . c2 - (Axx + Ayy) / 2 +
+# WW.  In P's singular basis, P = U diag(s1, s2) V^T, beta = U^T b and eta =
+# V^T y, this is s1 eta1 = beta1, s2 eta2 = beta2, eta1^2 + eta2^2 = r2, and
+# eliminating eta gives
+#
+#   E(theta3) = |adj(P) b|^2 - det(P)^2 r2 = s1^2 (beta2^2 - s2^2 m2),
+#   m2 = r2 - (beta1 / s1)^2,
+#
+# a trigonometric polynomial of degree 6 (b has harmonics 1 and 3).  Its
+# real roots are the theta3 of every cusp.  Since g''' = -g' - 6 h2 . c2+, a
+# quadruple root sits on the locus only where 2 theta3 = arg h2 (mod pi).
+# --------------------------------------------------------------------------
+
+# A root whose theta3 is further than tanh^-1 of this from the real circle is
+# complex: the one prefilter of every polynomial root found here.
+_IMAG_ANGLE_MAX = 1e-3
+_LOCUS_SAMPLES = 16       # samples of E per turn, more than 2 x its degree 6
+_LOCUS_DEGREE = 12        # degree of E's polynomial in exp(i theta3)
+
+
+@dataclass(frozen=True)
+class _CuspLocus:
+    """The target-independent constants of the cusp locus, per robot."""
+
+    u: np.ndarray         # (2, 2) P's left singular vectors, as columns
+    s: np.ndarray         # (2,) P's singular values, s1 >= s2
+    vt: np.ndarray        # (2, 2) P's right singular vectors, as rows
+    uvw: np.ndarray       # (UW, VW)
+    h2: np.ndarray        # ((Axx - Ayy) / 2, Axy)
+    r0: float             # WW - (Axx + Ayy) / 2
+
+
+@_per_robot
+def _cusp_locus(p: DhParams) -> _CuspLocus:
+    k = _conic_terms(p)
+    u, s, vt = np.linalg.svd(np.array([[k.pu, k.qu], [k.pv, k.qv]]))
+    return _CuspLocus(u, s, vt, np.array([k.uw[0] + k.uw[1], k.vw[0] + k.vw[1]]),
+                      np.array([0.5 * (k.axx - k.ayy), k.axy]),
+                      k.ww[0] + k.ww[1] - 0.5 * (k.axx + k.ayy))
+
+
+def _locus_terms(loc: _CuspLocus, theta: np.ndarray):
+    """beta = U^T b (K, 2), r2 (K,) and c1 (K, 2) at theta (K,)."""
+    c1 = np.column_stack([np.cos(theta), np.sin(theta)])
+    c1_turned = np.column_stack([-c1[:, 1], c1[:, 0]])
+    h2_c2 = loc.h2[0] * np.cos(2.0 * theta) + loc.h2[1] * np.sin(2.0 * theta)
+    h2_turned = loc.h2[1] * np.cos(2.0 * theta) - loc.h2[0] * np.sin(2.0 * theta)
+    b = -2.0 * h2_c2[:, None] * c1 - h2_turned[:, None] * c1_turned + loc.uvw
+    return b @ loc.u, 3.0 * h2_c2 + loc.r0, c1
+
+
+def _locus_targets(p: DhParams, loc: _CuspLocus, eta: np.ndarray):
+    """(R, zr) of the conics whose y = (pw, qw) = V eta, eta (K, 2)."""
+    k = _conic_terms(p)
+    y = eta @ loc.vt
+    return k.two_a1 * y[:, 0] + k.w2, k.sa1 * y[:, 1] + k.w3
+
+
+def _real_circle_roots(e: np.ndarray) -> np.ndarray:
+    """theta in (-pi, pi] of the roots of the real trigonometric polynomial
+    sum_k e_k exp(i k theta), |k| <= 6, given e_0..e_6 (e_-k = conj(e_k)),
+    whose exp(i theta) the prefilter keeps: of the 12 roots of z^6 E(z)."""
+    poly = np.concatenate([e[6:0:-1], [e[0].real], np.conj(e[1:7])])
+    z = np.roots(poly)
+    # tanh |Im theta| = |1 - |z|^2| / (1 + |z|^2), the engine's imaginary angle
+    with np.errstate(over="ignore"):
+        im_angle = np.abs(1.0 - 2.0 / (1.0 + np.abs(z) ** 2))
+    return np.angle(z[im_angle <= _IMAG_ANGLE_MAX])
+
+
+def cusp_seeds(p: DhParams):
+    """(theta3, R, zr) seeds of every cusp of p, from the real roots of the
+    cusp locus E (see above), for Newton to polish.
+
+    Each root gives eta1 = beta1 / s1 and |eta2| = m = sqrt(max(m2, 0)), well
+    conditioned however small s2 is (orthogonal robots have s2 ~ 1e-16 and
+    double roots of E).  The sign of eta2 follows from a bound on beta2's
+    error at E's root.  np.roots' eigenvalues are the exact roots of
+    coefficients perturbed by a small multiple of eps times their size
+    (Edelman & Murakami 1995); with that multiple the degree 12, E / s1^2 is
+    perturbed by at most Delta = 12 eps sum |e_k| on the circle, its
+    harmonics e_k.  At a root of the perturbed E / s1^2 = beta2^2 - s2^2 m2,
+    (|beta2| - s2 m)(|beta2| + s2 m) = -delta, |delta| <= Delta, so beta2
+    lies within eps_b = sqrt(Delta) of sign(beta2) s2 m, and the other sign
+    misses it by |beta2| + s2 m.  Where 2 s2 m exceeds 2 eps_b the other
+    sign cannot be a root at this precision and only eta2 = sign(beta2) m is
+    seeded; elsewhere both are.
+
+    Only there can m2 be negative (a root with s2 m > eps_b has m > 0), and
+    a root with complex y is no cusp.  A real cusp at theta* nearby has
+    |beta2(theta*)| = s2 m(theta*) <= eps_b to first order, so |theta* -
+    theta| <= (|beta2| + eps_b) / |beta2'| and m2(theta*) >= m2 - |m2'|
+    (|beta2| + eps_b) / |beta2'|.  From b' = -3 (h2 . c2+) c1 and r2' = 6
+    h2 . c2+, beta2' = -3 (h2 . c2+) (u2 . c1) and m2' = 6 (h2 . c2+)(1 +
+    eta1 (u1 . c1) / s1): a root is dropped where m2 |u2 . c1| < -2 (|beta2|
+    + eps_b) |1 + eta1 (u1 . c1) / s1|, where no real cusp can be near.
+
+    If h2 = 0, g''' = -g' vanishes with g', and g has no triple root; if P =
+    0, h1 does not depend on the target and E vanishes: neither has seeds.
+    """
+    loc = _cusp_locus(p)
+    s1, s2 = loc.s
+    if s1 == 0.0 or not loc.h2.any():
+        return np.empty(0), np.empty(0), np.empty(0)
+    theta = TWO_PI * np.arange(_LOCUS_SAMPLES) / _LOCUS_SAMPLES
+    beta, r2, _ = _locus_terms(loc, theta)
+    # the harmonics of E / s1^2, exact from its samples (16 > 2 x 6)
+    e = np.fft.rfft((s2 / s1) ** 2 * beta[:, 0] ** 2 + beta[:, 1] ** 2 - s2 * s2 * r2) \
+        / _LOCUS_SAMPLES
+    eps_b = math.sqrt(_LOCUS_DEGREE * float(np.finfo(float).eps)
+                      * float(abs(e[0]) + 2.0 * np.sum(np.abs(e[1:7]))))
+    theta = _real_circle_roots(e)
+    beta, r2, c1 = _locus_terms(loc, theta)
+    eta1 = beta[:, 0] / s1
+    m2 = r2 - eta1 * eta1
+    m = np.sqrt(np.maximum(m2, 0.0))
+    both = s2 * m <= eps_b
+    u1_c1, u2_c1 = c1 @ loc.u[:, 0], c1 @ loc.u[:, 1]
+    real = ~both | (-m2 * np.abs(u2_c1)
+                    <= 2.0 * (np.abs(beta[:, 1]) + eps_b) * np.abs(1.0 + eta1 * u1_c1 / s1))
+    one = real & ~both
+    two = real & both
+    theta = np.concatenate([theta[one], np.repeat(theta[two], 2)])
+    eta = np.column_stack([
+        np.concatenate([eta1[one], np.repeat(eta1[two], 2)]),
+        np.concatenate([np.copysign(m[one], beta[one, 1]),
+                        np.repeat(m[two], 2) * np.tile([1.0, -1.0], int(np.sum(two)))])])
+    R, zr = _locus_targets(p, loc, eta)
+    return theta, R, zr
+
+
+def quadruple_candidates(p: DhParams):
+    """(theta3, R, zr) of the 8 exact candidates for a quadruple root of g:
+    on the cusp locus g''' = -6 h2 . c2+, so 2 theta3 = arg h2 (mod pi) at
+    four angles, each with eta1 = beta1 / s1 and both signs of eta2 = +/- m.
+    A quadruple root of g is one of them, exactly (E vanishes there, so
+    beta2 = +/- s2 m).  With h2 = 0, arg h2 = 0 and the candidates are the
+    targets where g vanishes on the whole circle, if any.  P = 0 gives none."""
+    loc = _cusp_locus(p)
+    if loc.s[0] == 0.0:
+        return np.empty(0), np.empty(0), np.empty(0)
+    theta = wrap_angle(0.5 * math.atan2(loc.h2[1], loc.h2[0]) + 0.5 * math.pi * np.arange(4))
+    beta, r2, _ = _locus_terms(loc, theta)
+    eta1 = beta[:, 0] / loc.s[0]
+    m = np.sqrt(np.maximum(r2 - eta1 * eta1, 0.0))
+    eta = np.column_stack([np.repeat(eta1, 2), np.repeat(m, 2) * np.tile([1.0, -1.0], 4)])
+    R, zr = _locus_targets(p, loc, eta)
+    return np.repeat(theta, 2), R, zr
+
+
 def conic_coefficients(p: DhParams, target: CrossSectionPoint) -> ConicCoeffs:
     """Normalized conic of the IK problem at workspace point (rho, z).
 
@@ -623,7 +783,7 @@ def solve_quartics(m) -> RootBatch:
         cand[rows, :n] = np.linalg.eigvals(comp)
     re, im = cand.real, cand.imag
     im_angle = 2.0 * np.abs(im) / (1.0 + re * re + im * im)
-    live = ~zero[:, None] & (np.arange(4) < 4 - drop[:, None]) & ~(im_angle > 1e-3)
+    live = ~zero[:, None] & (np.arange(4) < 4 - drop[:, None]) & ~(im_angle > _IMAG_ANGLE_MAX)
     row = np.nonzero(live)[0]
     r_re, r_im = re[live], im[live]
     with np.errstate(all="ignore"):

@@ -574,10 +574,12 @@ def is_cuspidal(p: DhParams, grid_n: int = DEFAULT_GRID_N, census_n: int = 128,
     validate_params(p)
     curves = trace_critical_points(p, grid_n)
     wcurves = critical_values(p, curves)
-    cusps = find_cusps(p, wcurves)
-    genericity = genericity_check(p, grid_n, curves, wcurves, cusps)
+    # genericity reads neither the critical values nor the cusps, so a
+    # refused robot runs no cusp search
+    genericity = genericity_check(p, grid_n, curves, wcurves, ())
     if not genericity.is_generic:
         raise NonGenericRobotError(genericity)
+    cusps = find_cusps(p, wcurves)
     nodes = find_nodes(p, wcurves)
     census = region_census(p, wcurves, census_n=census_n)
     maps = build_topology(p, curves, grid_n)

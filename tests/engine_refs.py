@@ -13,7 +13,9 @@ discriminant D through the end effector and the conic, its crossings bisected
 the chart engine: cusps, nodes and quadruple roots solved on the quartic M
 in the half-angle chart that keeps each seed well conditioned, as they stood
 before the Newton systems moved onto the theta3 circle, certified by the
-unit-free rule on the chart's own residuals."""
+unit-free rule on the chart's own residuals, and cusps and quadruple roots by
+Newton on the theta3 circle from seeds on the traced curves, as they were
+found before the cusp locus."""
 import heapq
 import math
 from collections import defaultdict
@@ -30,12 +32,14 @@ from cuspidal.critical import (
     CUSP_THIRD_DERIV_MIN,
     DEDUP_RADIUS,
     CuspPoint,
+    _certify,
     _chart_seed,
     _crossing_edges,
     _damped_newton,
     _dedup_sorted,
     _lstsq_steps,
     _mixed_cells,
+    _multiple_root_system,
 )
 from cuspidal.dh import (
     TWO_PI,
@@ -828,12 +832,11 @@ def chart_find_cusps(p, workspace_curves):
     for wc in workspace_curves:
         if len(wc) < 4:
             continue
-        speed = wc.speed
-        for k in np.nonzero((speed <= np.roll(speed, 1)) & (speed <= np.roll(speed, -1)))[0]:
+        for k in _speed_minima(wc):
             u0, flip = _chart_seed(float(wc.joint.vertices[k, 1]))
             rho, z = wc.vertices[k]
             zr = z - p.d1
-            seeds.append((u0, rho * rho + zr * zr, zr, flip, wc.source_index))
+            seeds.append((u0, rho * rho + zr * zr, zr, flip))
     if not seeds:
         return []
     pencil = QuarticPencil(p)
@@ -845,7 +848,7 @@ def chart_find_cusps(p, workspace_curves):
     for k in np.nonzero(certified)[0]:
         t_out = math.tan(chart_theta3(float(u[k]), bool(flip[k])) / 2.0)
         found.append((math.sqrt(max(float(R[k] - zr[k] * zr[k]), 0.0)), float(zr[k] + p.d1),
-                      t_out, *(float(r) for r in res[k]), seeds[k][4]))
+                      t_out, *(float(r) for r in res[k])))
     kept = _dedup_sorted(found, DEDUP_RADIUS * lscale, 1e-9 * lscale)
     return [CuspPoint(*c) for c in kept]
 
@@ -932,3 +935,78 @@ def chart_quadruple_root(p, workspace_curves, cusps):
             "z": float(zr[k] + p.d1),
             "t": math.tan(chart_theta3(float(u[k]), bool(flip[k])) / 2.0),
             "residual": float(res[k])}
+
+
+# --------------------------------------------------------------------------
+# cusps and quadruple roots as they were found before the cusp locus: Newton
+# on the theta3 circle from seeds on the traced curves
+# --------------------------------------------------------------------------
+
+def image_speed(wc):
+    """|d(rho, z)| / |d(theta2, theta3)| at every vertex of a WorkspaceCurve,
+    by central differences over the neighbours k - 1 and k + 1."""
+    dj = np.abs(wrap_angle(np.roll(wc.joint.vertices, 1, axis=0)
+                           - np.roll(wc.joint.vertices, -1, axis=0)))
+    dw = np.roll(wc.vertices, 1, axis=0) - np.roll(wc.vertices, -1, axis=0)
+    return np.hypot(dw[:, 0], dw[:, 1]) / np.maximum(np.hypot(dj[:, 0], dj[:, 1]), 1e-12)
+
+
+def _speed_minima(wc):
+    """Vertex indices of the local minima of the image speed along a curve of
+    at least four vertices, where a cusp's image velocity vanishes."""
+    if len(wc) < 4:
+        return []
+    speed = image_speed(wc)
+    return np.nonzero((speed <= np.roll(speed, 1)) & (speed <= np.roll(speed, -1)))[0].tolist()
+
+
+def speed_minimum_find_cusps(p, workspace_curves):
+    """critical.find_cusps seeded at the image-speed minima of the traced
+    critical values instead of the cusp locus: one Newton batch on g = g' =
+    g'' = 0, certified and deduplicated by the same rules."""
+    seeds = []
+    for wc in workspace_curves:
+        for k in _speed_minima(wc):
+            rho, z = wc.vertices[k]
+            zr = z - p.d1
+            seeds.append((float(wc.joint.vertices[k, 1]), rho * rho + zr * zr, zr))
+    if not seeds:
+        return []
+    x = _damped_newton(_multiple_root_system(p, 3), seeds)
+    theta3, R, zr = wrap_angle(x[:, 0]), x[:, 1], x[:, 2]
+    res, certified = _certify(p, theta3, R, zr, 3)
+    found = [(math.sqrt(max(float(R[k] - zr[k] * zr[k]), 0.0)), float(zr[k] + p.d1),
+              math.tan(float(theta3[k]) / 2.0), *(float(r) for r in res[k]))
+             for k in np.nonzero(certified)[0]]
+    lscale = length_scale(p)
+    return [CuspPoint(*c) for c in _dedup_sorted(found, DEDUP_RADIUS * lscale, 1e-9 * lscale)]
+
+
+def newton_quadruple_root(p, workspace_curves, cusps):
+    """The quadruple-root evidence of critical.genericity_check's test (a)
+    by Gauss-Newton on g = g' = g'' = g''' = 0, seeded at the cusps and at
+    each traced curve's extreme vertices in rho and z, or None."""
+    seeds = [(2.0 * math.atan(c.t), c.rho * c.rho + (c.z - p.d1) ** 2, c.z - p.d1)
+             for c in cusps]
+    for wc in workspace_curves:
+        if len(wc) == 0:
+            continue
+        for k in sorted({int(np.argmin(wc.vertices[:, 0])), int(np.argmax(wc.vertices[:, 0])),
+                         int(np.argmin(wc.vertices[:, 1])), int(np.argmax(wc.vertices[:, 1]))}):
+            rho, z = wc.vertices[k]
+            zr = z - p.d1
+            seeds.append((float(wc.joint.vertices[k, 1]), rho * rho + zr * zr, zr))
+    if not seeds:
+        return None
+    x = _damped_newton(_multiple_root_system(p, 4), seeds)
+    theta3, R, zr = wrap_angle(x[:, 0]), x[:, 1], x[:, 2]
+    res, certified = _certify(p, theta3, R, zr, 4)
+    certified = np.nonzero(certified)[0]
+    if len(certified) == 0:
+        return None
+    k = certified[0]
+    return {"kind": "quadruple_root",
+            "rho": math.sqrt(max(float(R[k] - zr[k] * zr[k]), 0.0)),
+            "z": float(zr[k] + p.d1),
+            "t": math.tan(float(theta3[k]) / 2.0),
+            "residual": float(np.max(res[k]))}

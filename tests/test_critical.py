@@ -67,6 +67,7 @@ from engine_refs import (
     chart_refine_nodes,
     damped_newton,
     marching_segments,
+    newton_quadruple_root,
 )
 from engine_refs import ik_counts as engine_ik_counts
 from segment_refs import point_segment_dist, polyline_min_dist, seg_intersect
@@ -529,11 +530,12 @@ def _assert_points_close(found, ref, angles, what):
 
 def test_circle_engine_equals_the_chart_engine(monkeypatch, analysis):
     """Solved on the theta3 circle, the cusps, nodes and quadruple-root
-    decisions are those the chart engine (every system on M in the
-    half-angle chart that keeps its seed well conditioned) gives, to 1e-12
-    relative, on the battery, both non-generic robots and 10 random draws.
-    Non-generic robots are compared by their decision only: their cusps sit
-    next to a quadruple root, where either engine may land."""
+    decisions (the Newton reference, engine_refs.newton_quadruple_root) are
+    those the chart engine (every system on M in the half-angle chart that
+    keeps its seed well conditioned) gives, to 1e-12 relative, on the
+    battery, both non-generic robots and 10 random draws.  Non-generic robots
+    are compared by their decision only: their cusps sit next to a quadruple
+    root, where either engine may land."""
     rng = np.random.default_rng(424242)
     robots = [*BATTERY.items(), ("quad", NONGENERIC_QUAD), ("curve", NONGENERIC_CURVE),
               *((f"random {k}", random_valid_params(rng)) for k in range(10))]
@@ -541,7 +543,7 @@ def test_circle_engine_equals_the_chart_engine(monkeypatch, analysis):
         curves, wcurves = analysis.curves(robot), analysis.wcurves(robot)
         cusps, ref_cusps = analysis.cusps(robot), chart_find_cusps(robot, wcurves)
         rep = genericity_check(robot, TEST_GRID, curves, wcurves, cusps)
-        quadruple = any(e["kind"] == "quadruple_root" for e in rep.evidence)
+        quadruple = newton_quadruple_root(robot, wcurves, cusps) is not None
         assert quadruple == (chart_quadruple_root(robot, wcurves, ref_cusps) is not None), name
         if not rep.is_generic:
             continue
@@ -592,9 +594,9 @@ def test_batched_newton_equals_single_seed_runs(seed):
 
 
 def test_batched_line_search_equals_the_lambda_loop(monkeypatch, analysis):
-    """Every damped Newton batch that cusps, genericity and nodes run ends
-    bit for bit where the one-call-per-lambda loop ends, on the cusp,
-    quadruple-root and node systems."""
+    """Every damped Newton batch that cusps and nodes run ends bit for bit
+    where the one-call-per-lambda loop ends, on the cusp and node systems;
+    genericity runs none."""
     batches = []
     batched = critical._damped_newton
 
@@ -614,8 +616,7 @@ def test_batched_line_search_equals_the_lambda_loop(monkeypatch, analysis):
         assert x.tobytes() == damped_newton(fun_jac, x0).tobytes()
         fval, _ = fun_jac(x0[:1], np.arange(1))
         systems.add((fun_jac.__qualname__.split(".")[0], fval.shape[1]))
-    assert systems == {("_multiple_root_system", 3), ("_multiple_root_system", 4),
-                       ("_node_system", 5)}
+    assert systems == {("_multiple_root_system", 3), ("_node_system", 5)}
 
 
 def _crossing_cells(f, th):
@@ -770,19 +771,6 @@ def test_corner_sign_mask_equals_marching_cells_on_det_j():
         f, th = _sample_lattice(partial(det_jacobian, robot), TEST_GRID)
         mask = _mixed_cells(f < 0)
         assert {(int(i), int(j)) for i, j in zip(*np.nonzero(mask))} == _crossing_cells(f, th)
-
-
-def test_image_speed_equals_vertex_loop(analysis):
-    for robot in (REFERENCE, NODE_ROBOT):
-        for wc in analysis.wcurves(robot):
-            v, w = wc.joint.vertices, wc.vertices
-            n = len(v)
-            loop = np.zeros(n)
-            for k in range(n):
-                dj = np.abs(wrap_angle(v[(k - 1) % n] - v[(k + 1) % n]))
-                denom = max(float(np.hypot(dj[0], dj[1])), 1e-12)
-                loop[k] = float(np.hypot(*(w[(k - 1) % n] - w[(k + 1) % n]))) / denom
-            assert np.array_equal(wc.speed, loop)
 
 
 @given(_SEED)

@@ -346,6 +346,18 @@ def test_critical_solves_on_the_circle_and_only_certification_picks_a_chart():
     assert _reading_scopes(tree, "_chart_seed") == {"_residuals"}
 
 
+# Cusps are seeded from the cusp locus and quadruple roots are its exact
+# candidates: genericity runs no Newton, and find_cusps reads nothing of the
+# traced curves, so neither depends on the grid.
+def test_genericity_runs_no_newton_and_cusps_read_no_traced_curve():
+    tree = _tree(PACKAGE / "critical.py")
+    assert "genericity_check" not in {scope for scope, _ in _callers(tree, "_damped_newton")}
+    for attr in ("speed", "vertices", "joint"):
+        assert "find_cusps" not in _reading_scopes(tree, attr), attr
+    assert {scope for scope, _ in _callers(tree, "cusp_seeds")} == {"find_cusps"}
+    assert {scope for scope, _ in _callers(tree, "quadruple_candidates")} == {"genericity_check"}
+
+
 def test_checks_see_what_they_look_for():
     tree = ast.parse("import numpy as np\nfrom a import cluster_real_roots, b\n"
                      "import os.path\nx = np.roots([1, 0])\n")

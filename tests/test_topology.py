@@ -182,7 +182,8 @@ def test_is_cuspidal_bounds_its_newton_and_sweep_work(monkeypatch):
     """Each damped Newton batch spends at most two fun_jac calls per step
     besides its first evaluation, and no segment too short to cross anything
     reaches the node sweep (the node robot has two curves whose image is one
-    point)."""
+    point).  Genericity runs no Newton, and every root of the node robot's
+    cusp locus has a complex y, so the node refinement is the only batch."""
     steps = Counter()
     batches = []
     lstsq, newton = critical._lstsq_steps, critical._damped_newton
@@ -214,7 +215,7 @@ def test_is_cuspidal_bounds_its_newton_and_sweep_work(monkeypatch):
     monkeypatch.setattr(critical, "_damped_newton", counted_newton)
     monkeypatch.setattr(critical, "_candidate_pairs", recording_pairs)
     rep = is_cuspidal(NODE_ROBOT, grid_n=128)
-    assert len(batches) >= 3 and all(f <= 1 + 2 * s for f, s in batches), batches
+    assert len(batches) == 1 and all(f <= 1 + 2 * s for f, s in batches), batches
     seg_a, seg_b = critical._segments(rep.workspace_curves)
     lengths = np.hypot(*(seg_b - seg_a).T)
     longest = float(np.max(lengths))
