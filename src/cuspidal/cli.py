@@ -236,7 +236,7 @@ def cmd_critical(args) -> int:
 def cmd_cusps(args) -> int:
     name, p = _robot(args)
     fmts = _formats(args)
-    cusps = find_cusps(p, critical_values(p, trace_critical_points(p, args.grid)))
+    cusps = find_cusps(p, ())
     if "csv" in fmts:
         _write_cusp_csv(os.path.join(_ensure_out(args), f"{name}.cusps.csv"), cusps)
     _print({
@@ -249,7 +249,7 @@ def cmd_cusps(args) -> int:
 def cmd_nodes(args) -> int:
     name, p = _robot(args)
     fmts = _formats(args)
-    nodes = find_nodes(p, critical_values(p, trace_critical_points(p, args.grid)))
+    nodes = find_nodes(p, ())
     if "csv" in fmts:
         _write_node_csv(os.path.join(_ensure_out(args), f"{name}.nodes.csv"), nodes)
     _print({

@@ -5,11 +5,11 @@ map is the locus of critical values.  Cusps are triple roots of the IK
 quartic (M = M' = M'' = 0, M''' != 0), nodes are pairs of distinct double
 roots, and quadruple roots make a robot non-generic.  Cusps are seeded from
 the real roots of the cusp locus E(theta3), and quadruple roots are checked
-at its exact candidates (reduction.cusp_seeds, quadruple_candidates); node
-seeds are the crossings of the traced critical values.  One batched damped
-Newton per kind polishes the cusp and node seeds in theta3 on the conic
-restricted to the unit circle, and every find is certified post hoc by the
-defining residuals of M.
+at its exact candidates (reduction.cusp_seeds, quadruple_candidates); nodes
+are the real roots of two quadratics (find_nodes).  One batched damped
+Newton polishes the cusp seeds in theta3 on the conic restricted to the
+unit circle, and every find is certified post hoc by the defining residuals
+of M.
 """
 from __future__ import annotations
 
@@ -35,6 +35,8 @@ from .dh import (
 )
 from .geometry import seg_intersect_many
 from .reduction import (
+    _cusp_locus,
+    _locus_targets,
     circle_harmonics,
     circle_jet,
     conic_raw,
@@ -59,13 +61,11 @@ CUSP_THIRD_DERIV_MIN = 0.25   # |M'''| at a cusp, keeping quadruple roots out
 _RHO2_FLOOR = 1e-12           # times L^2: rounding allowance below rho^2 = 0
 DEDUP_RADIUS = 1e-4           # times L: certified points closer than this are one
 MAX_BOUNDARY_SAMPLES = 20     # census boundary samples per (low, high) count pair
-# seg_intersect_many needs |d1 x d2| >= 1e-15, and |d1 x d2| <= |d1| |d2|: a
-# segment whose length times the longest one's is below this (1e-15 less a
-# few ulps of rounding) crosses nothing, so the node sweep leaves it out
-_MIN_CROSS = 1e-15 * (1.0 - 1e-12)
-# the node sweep's hash cell is at least the critical values' extent over
-# this (on the battery at grid 720 the extent is 170-233 cells, so it never binds)
-_HASH_SPAN = 4096
+# a node quadratic whose every coefficient is within this many ulps of the
+# summed magnitudes of its terms is identically zero (parabola_conic's K > 0
+# branch reads 1.5 ulps; the other battery robots, the screen robots and 600
+# random, tilted and orthogonal draws read at least 2e14 on both branches)
+_NODE_QUADRATIC_ZERO = 64
 
 
 @dataclass(frozen=True)
@@ -129,7 +129,6 @@ class NodePoint:
     t1: float
     t2: float
     residual: float
-    source_curves: tuple
 
 
 @dataclass(frozen=True)
@@ -469,36 +468,13 @@ def _damped_newton(fun_jac, x0):
     return x
 
 
-def _multiple_root_system(p: DhParams, mult: int):
-    """g = g' = ... = g^(mult-1) = 0 in (theta3, R, z): mult 3 polishes the
-    cusp seeds; mult 4 is the quadruple-root Newton the exact candidates
-    replaced, kept for the tests' reference."""
+def _multiple_root_system(p: DhParams):
+    """g = g' = g'' = 0 in (theta3, R, z), the triple-root system that
+    polishes the cusp seeds."""
     def fun_jac(x, rows):
-        jet = circle_jet(circle_harmonics(p, x[:, 1], x[:, 2]), x[:, 0], mult)
-        jac = np.stack([jet[:, 0, 1:], jet[:, 1, :mult], jet[:, 2, :mult]], axis=2)
-        return jet[:, 0, :mult], jac
-    return fun_jac
-
-
-def _node_system(p: DhParams):
-    """Two double roots at theta3 = m +/- arccos(e), by matching g's five
-    harmonics against K (cos(theta3 - m) - e)^2 in (K, m, e, R, z).
-
-    The square expands to K (1/2 + e^2), -2 K e (cos m, sin m) and
-    K / 2 (cos 2m, sin 2m).  The system is square and stays well conditioned
-    whether the double roots are far apart or nearly coincide (e -> 1, near
-    a quadruple root), where evaluation-based formulations lose rank.
-    """
-    def fun_jac(x, rows):
-        big_k, m, e = x[:, 0:1], x[:, 1], x[:, 2]
-        h = circle_harmonics(p, x[:, 3], x[:, 4])
-        c1, s1, c2, s2 = np.cos(m), np.sin(m), np.cos(2.0 * m), np.sin(2.0 * m)
-        zero = np.zeros_like(m)
-        q = np.column_stack([0.5 + e * e, -2.0 * e * c1, -2.0 * e * s1, 0.5 * c2, 0.5 * s2])
-        dq_dm = np.column_stack([zero, 2.0 * e * s1, -2.0 * e * c1, -s2, c2])
-        dq_de = np.column_stack([2.0 * e, -2.0 * c1, -2.0 * s1, zero, zero])
-        jac = np.stack([-q, -big_k * dq_dm, -big_k * dq_de, h[:, 1], h[:, 2]], axis=2)
-        return h[:, 0] - big_k * q, jac
+        jet = circle_jet(circle_harmonics(p, x[:, 1], x[:, 2]), x[:, 0], 3)
+        jac = np.stack([jet[:, 0, 1:], jet[:, 1, :3], jet[:, 2, :3]], axis=2)
+        return jet[:, 0, :3], jac
     return fun_jac
 
 
@@ -560,7 +536,7 @@ def find_cusps(p: DhParams, workspace_curves) -> list:
     theta3, R, zr = cusp_seeds(p)
     if len(theta3) == 0:
         return []
-    x = _damped_newton(_multiple_root_system(p, 3), np.column_stack([theta3, R, zr]))
+    x = _damped_newton(_multiple_root_system(p), np.column_stack([theta3, R, zr]))
     theta3, R, zr = wrap_angle(x[:, 0]), x[:, 1], x[:, 2]
     res, certified = _certify(p, theta3, R, zr, 3)
     log.debug("%d of %d cusp seeds not certified", int(np.sum(~certified)), len(theta3))
@@ -571,99 +547,91 @@ def find_cusps(p: DhParams, workspace_curves) -> list:
     return [CuspPoint(*c) for c in kept]
 
 
-def _median_step(workspace_curves) -> float:
-    steps = []
-    for wc in workspace_curves:
-        d = np.diff(wc.vertices, axis=0)
-        if len(d):
-            steps.append(np.median(np.hypot(d[:, 0], d[:, 1])))
-    return float(np.median(steps)) if steps else 0.0
-
-
-def _refine_nodes(p: DhParams, cands) -> list:
-    """Newton-refine node candidates (theta3_a, theta3_b, rho, z) in one
-    _node_system batch, seeded at the mean m and the cosine e of the half
-    gap of the candidate's two tangency angles, with K from h2, which fixes
-    K / 2 (cos 2m, sin 2m) whatever the target.  Returns, per candidate,
-    (th1, th2, R, zr), or None where the double roots are not real
-    (|e| > 1)."""
-    if not cands:
+def _quadratic_roots(qa: float, qb: float, qc: float) -> list:
+    """Real roots of qa t^2 + qb t + qc by the formula free of cancellation:
+    a double root comes out twice, the root of a linear one once."""
+    disc = qb * qb - 4.0 * qa * qc
+    if disc < 0.0:
         return []
-    th3a, th3b, rho, z = np.array(cands, float).T
-    zr = z - p.d1
-    R = rho * rho + zr * zr
-    half = wrap_angle(th3b - th3a) / 2.0
-    m = th3a + half
-    h = circle_harmonics(p, R, zr)[:, 0]
-    big_k = 2.0 * (h[:, 3] * np.cos(2.0 * m) + h[:, 4] * np.sin(2.0 * m))
-    x = _damped_newton(_node_system(p), np.column_stack([big_k, m, np.cos(half), R, zr]))
-    _, m, e, R, zr = x.T
-    live = np.abs(e) <= 1.0
-    d = np.arccos(np.where(live, e, 1.0))
-    th1, th2 = wrap_angle(m + d), wrap_angle(m - d)
-    return [(t1, t2, r, z) if ok else None
-            for t1, t2, r, z, ok in zip(th1.tolist(), th2.tolist(), R.tolist(), zr.tolist(),
-                                        live.tolist())]
+    q = -0.5 * (qb + math.copysign(math.sqrt(disc), qb))
+    return ([q / qa] if qa != 0.0 else []) + ([qc / q] if q != 0.0 else [])
 
 
-def _segments(workspace_curves):
-    """(seg_a, seg_b), each (S, 2): the critical-value segments, each vertex
-    to the next around its curve, curve by curve, vertex by vertex."""
-    seg_a = np.vstack([np.empty((0, 2))] + [w.vertices for w in workspace_curves])
-    seg_b = np.vstack([np.empty((0, 2))]
-                      + [np.roll(w.vertices, -1, axis=0) for w in workspace_curves])
-    return seg_a, seg_b
-
-
-def _segment_theta3(workspace_curves) -> np.ndarray:
-    """theta3 at the first vertex of every critical-value segment, in the
-    order _segments lists them."""
-    return np.concatenate([np.empty(0)] + [w.joint.vertices[:, 1] for w in workspace_curves])
+def _node_candidates(p: DhParams):
+    """(theta3_a, theta3_b, R, zr) of every real node candidate of p, from the
+    two quadratics of find_nodes, the two tangency angles m +/- arccos e."""
+    loc = _cusp_locus(p)
+    if loc.s[0] == 0.0 or not loc.h2.any():
+        return np.empty((4, 0))
+    s1, s2 = loc.s.tolist()
+    c1, c2 = (-(loc.uvw @ loc.u)).tolist()
+    k_abs, m0 = 2.0 * math.hypot(*loc.h2), 0.5 * math.atan2(loc.h2[1], loc.h2[0])
+    cands = []
+    for big_k, m in ((k_abs, m0), (-k_abs, m0 + 0.5 * math.pi)):
+        b1, b2 = (-big_k * (np.array([math.cos(m), math.sin(m)]) @ loc.u)).tolist()
+        n = np.array([s1 * s2, b1 * s2, s1 * b2])
+        norm2 = float(n @ n)
+        if norm2 == 0.0:
+            continue                      # s2 = b2 = 0: no line, so no isolated node
+        x0 = (c1 * np.array([b1 * s2 * s2, -s1 * (s2 * s2 + b2 * b2), b1 * b2 * s2])
+              + c2 * np.array([s1 * s1 * b2, s1 * b1 * b2, -s2 * (s1 * s1 + b1 * b1)])) / norm2
+        # |eta|^2 - r0 - K (1/2 + e^2) at (e, eta) = x0 + t n, term by term
+        terms = np.array([
+            [n[1] * n[1], n[2] * n[2], -big_k * n[0] * n[0], 0.0],
+            [2.0 * x0[1] * n[1], 2.0 * x0[2] * n[2], -2.0 * big_k * x0[0] * n[0], 0.0],
+            [x0[1] * x0[1], x0[2] * x0[2], -big_k * (0.5 + x0[0] * x0[0]), -loc.r0]])
+        quad = np.sum(terms, axis=1)
+        if np.all(np.abs(quad) <= _NODE_QUADRATIC_ZERO * np.finfo(float).eps
+                  * np.sum(np.abs(terms), axis=1)):
+            log.debug("node quadratic of the K = %.17g branch is identically zero", big_k)
+            continue
+        for t in _quadratic_roots(*quad.tolist()):
+            e, eta1, eta2 = (x0 + t * n).tolist()
+            if abs(e) < 1.0:
+                d = math.acos(e)
+                cands.append((m + d, m - d, eta1, eta2))
+    th_a, th_b, eta1, eta2 = np.array(cands, float).reshape(-1, 4).T
+    return (wrap_angle(th_a), wrap_angle(th_b),
+            *_locus_targets(p, loc, np.column_stack([eta1, eta2])))
 
 
 def find_nodes(p: DhParams, workspace_curves) -> list:
-    """Locate all nodes: Newton on the two-double-root system.
+    """Locate all nodes in closed form, with no seed, grid or Newton.
 
-    Candidates are crossings of the critical-value polylines (including
-    self-intersections) from one vectorised segment sweep, which leaves out
-    the segments too short to cross any other (_MIN_CROSS).  Candidates
-    collapsing to a cusp (t1 -> t2) are rejected, and both double roots of
-    every other one are certified by _certify in one batch.  The survivors
-    are solved in one solve_ik_batch call, and a node is one whose IK shows
-    exactly two distinct roots, both double.
+    At a node the conic on the theta3 circle is g = K (cos(theta3 - m) -
+    e)^2 with |e| < 1, and g's harmonics (circle_harmonics) read:
+
+    - h2 = K / 2 (cos 2m, sin 2m), which no target changes: (K, m) is (2 |h2|,
+      arg h2 / 2) or (-2 |h2|, arg h2 / 2 + pi / 2), as (K, m + pi) is the same
+      square with e negated;
+    - h1 = 2 (P y - (UW, VW)) = -2 K e (cos m, sin m), linear in y = (pw, qw):
+      in P's singular basis (reduction's cusp locus), s_i eta_i = a_i + b_i e
+      with a = U^T (UW, VW) and b = -K U^T (cos m, sin m), a line x0 + t n in
+      (e, eta1, eta2).  n = (s1 s2, b1 s2, s1 b2) is the cross product of the
+      rows of [[b1, -s1, 0], [b2, 0, -s2]] and x0 its point orthogonal to n;
+      both are sums of products of one sign, so the line stays well
+      conditioned as s2 -> 0 (orthogonal robots);
+    - h0 = |eta|^2 - r0 = K (1/2 + e^2), a quadratic in t on that line.
+
+    So a robot has at most 4 nodes.  Each real root with |e| < 1 is a
+    candidate at the target of its eta.  A candidate whose two tangency
+    angles are less than 1e-4 apart is a cusp's; both double roots of every
+    other one are certified by _certify in one batch.  The survivors are
+    solved in one solve_ik_batch call, and a node is one whose IK shows
+    exactly two distinct roots, both double.  A branch whose three
+    coefficients all lie within their rounding bound (_NODE_QUADRATIC_ZERO)
+    is identically zero, a family of two-double-root targets as on
+    parabola_conic, and lists no node.
+
+    `workspace_curves` is not read: the nodes come from p alone, so they do
+    not depend on the grid the curves were traced on.
     """
     lscale = length_scale(p)
-    seg_a, seg_b = _segments(workspace_curves)
-    # where the critical values collapse the median step is rounding, and a
-    # cell that small would list a long segment in ~(length / cell)^2 buckets
-    extent = float(np.ptp(seg_a, axis=0).max()) if len(seg_a) else 0.0
-    cell = max(_median_step(workspace_curves) * 4.0, extent / _HASH_SPAN)
-    sizes = [len(w) for w in workspace_curves]
-    curve = np.repeat(np.array([w.source_index for w in workspace_curves], dtype=int), sizes)
-    size = np.repeat(np.array(sizes, dtype=int), sizes)
-    d = seg_b - seg_a
-    length = np.hypot(d[:, 0], d[:, 1])
-    # the global index of every segment the sweep sees, in its order
-    swept = np.nonzero(length * np.max(length, initial=0.0) >= _MIN_CROSS)[0]
-    ia, ib = _candidate_pairs(seg_a[swept], seg_b[swept], cell)
-    if len(ia) == 0:
-        return []
-    ia, ib = swept[ia], swept[ib]
-    # a curve's segments are consecutive, so global index gaps are vertex gaps
-    neighbours = (curve[ia] == curve[ib]) & (
-        np.minimum((ia - ib) % size[ia], (ib - ia) % size[ia]) <= 1)
-    ia, ib = ia[~neighbours], ib[~neighbours]
-    hit, pts = seg_intersect_many(seg_a[ia], seg_b[ia], seg_a[ib], seg_b[ib])
-    ia, ib = ia[hit], ib[hit]
-    th3 = _segment_theta3(workspace_curves)
-    cands = [(a, b, rho, z) for a, b, (rho, z)
-             in zip(th3[ia].tolist(), th3[ib].tolist(), pts[hit].tolist())]
+    th1, th2, R, zr = _node_candidates(p)
     # a candidate whose double roots collapse to one is a cusp
-    live = [(ref, pair) for ref, pair in zip(_refine_nodes(p, cands),
-                                             zip(curve[ia].tolist(), curve[ib].tolist()))
-            if ref is not None and abs(wrap_float(ref[0] - ref[1])) >= 1e-4]
-    th1, th2, R, zr = np.array([ref for ref, _ in live], float).reshape(-1, 4).T
-    n = len(live)
+    apart = np.abs(wrap_angle(th1 - th2)) >= 1e-4
+    th1, th2, R, zr = th1[apart], th2[apart], R[apart], zr[apart]
+    n = len(R)
     res, certified = _certify(p, np.concatenate([th1, th2]), np.tile(R, 2), np.tile(zr, 2), 2)
     worst = np.max(res[:, :2].reshape(2, n, 2), axis=(0, 2))
     certified = certified[:n] & certified[n:]
@@ -672,7 +640,7 @@ def find_nodes(p: DhParams, workspace_curves) -> list:
     for k in np.nonzero(certified)[0].tolist():
         tlo, thi = sorted((_tan_half(float(th1[k])), _tan_half(float(th2[k]))))
         found.append((math.sqrt(max(float(R[k] - zr[k] * zr[k]), 0.0)), float(zr[k] + p.d1),
-                      tlo, thi, float(worst[k]), tuple(sorted(live[k][1]))))
+                      tlo, thi, float(worst[k])))
     ik = solve_ik_batch(p, [f[0] for f in found], [f[1] for f in found])
     roots = np.bincount(ik.row, minlength=len(found))
     doubles = np.bincount(ik.row[ik.mult == 2], minlength=len(found))
@@ -740,6 +708,15 @@ def genericity_check(p: DhParams, grid_n: int, curves: CriticalSet, workspace_cu
 # workspace census
 # --------------------------------------------------------------------------
 
+def _segments(workspace_curves):
+    """(seg_a, seg_b), each (S, 2): the critical-value segments, each vertex
+    to the next around its curve, curve by curve, vertex by vertex."""
+    seg_a = np.vstack([np.empty((0, 2))] + [w.vertices for w in workspace_curves])
+    seg_b = np.vstack([np.empty((0, 2))]
+                      + [np.roll(w.vertices, -1, axis=0) for w in workspace_curves])
+    return seg_a, seg_b
+
+
 def _segment_buckets(seg_a, seg_b, cell: float):
     """Inclusive bucket ranges (lo (S, 2), hi (S, 2)) of the segments' bounding
     boxes on a uniform hash of side `cell`: the buckets that list each segment."""
@@ -751,31 +728,6 @@ def _expand(counts):
     """(owner, offset) of every entry k < counts[r] of every owner r, in order."""
     owner = np.repeat(np.arange(len(counts)), counts)
     return owner, np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
-
-
-def _candidate_pairs(seg_a, seg_b, cell: float):
-    """Index pairs (first < second) of segments that share a bucket of a
-    uniform hash of side `cell`, each pair once.
-
-    The pairs come in the order of a walk over the buckets in (i, j) order
-    that lists, for each bucket, the upper triangle of its segments in
-    ascending index order, keeping each pair where the walk first meets it.
-    """
-    lo, hi = _segment_buckets(seg_a, seg_b, cell)
-    span = hi - lo + 1
-    seg, off = _expand(span[:, 0] * span[:, 1])
-    bi, bj = lo[seg, 0] + off // span[seg, 1], lo[seg, 1] + off % span[seg, 1]
-    order = np.lexsort((seg, bj, bi))
-    seg, bi, bj = seg[order], bi[order], bj[order]
-    # every entry pairs with the entries after it in its bucket
-    last = np.append((bi[1:] != bi[:-1]) | (bj[1:] != bj[:-1]), True)
-    end = np.flatnonzero(last)
-    after = end[np.searchsorted(end, np.arange(len(seg)))] - np.arange(len(seg))
-    entry, k = _expand(after)
-    first, second = seg[entry], seg[entry + 1 + k]
-    _, seen = np.unique(first * len(lo) + second, return_index=True)
-    seen.sort()
-    return first[seen], second[seen]
 
 
 def _bucket_pairs(lo, hi, bx, by, reach: int):

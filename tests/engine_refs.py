@@ -15,7 +15,9 @@ in the half-angle chart that keeps each seed well conditioned, as they stood
 before the Newton systems moved onto the theta3 circle, certified by the
 unit-free rule on the chart's own residuals, and cusps and quadruple roots by
 Newton on the theta3 circle from seeds on the traced curves, as they were
-found before the cusp locus."""
+found before the cusp locus, and nodes at the crossings of the traced
+critical values refined by Newton, as they were found before their closed
+form."""
 import heapq
 import math
 from collections import defaultdict
@@ -32,6 +34,7 @@ from cuspidal.critical import (
     CUSP_THIRD_DERIV_MIN,
     DEDUP_RADIUS,
     CuspPoint,
+    NodePoint,
     _certify,
     _chart_seed,
     _crossing_edges,
@@ -40,6 +43,8 @@ from cuspidal.critical import (
     _lstsq_steps,
     _mixed_cells,
     _multiple_root_system,
+    _segments,
+    _tan_half,
 )
 from cuspidal.dh import (
     TWO_PI,
@@ -53,6 +58,7 @@ from cuspidal.dh import (
 )
 from cuspidal import reduction
 from cuspidal.errors import StartOrGoalSingularError
+from cuspidal.geometry import seg_intersect_many
 from cuspidal.reduction import (
     _CONIC_ZERO,
     _DEGREE_DROP_TOL,
@@ -70,7 +76,10 @@ from cuspidal.reduction import (
     conic_raw,
     f_coefficients,
     quartic_coeffs_from_conic,
+    circle_harmonics,
+    circle_jet,
     quartic_discriminant,
+    solve_ik_batch,
     theta3_of_t,
 )
 from cuspidal.topology import PATH_DET_TOL, JointPath, PathCheck, SolutionLabel
@@ -854,7 +863,7 @@ def chart_find_cusps(p, workspace_curves):
 
 
 def chart_refine_nodes(p, cands):
-    """critical._refine_nodes on the chart engine: tangency angles less than
+    """refine_nodes on the chart engine: tangency angles less than
     0.5 apart use the symmetric centre/half-gap system in a common chart,
     the others the four-unknown system with a chart per root.  Returns,
     per candidate, (theta3_1, theta3_2, R, zr), or None where the double
@@ -972,7 +981,7 @@ def speed_minimum_find_cusps(p, workspace_curves):
             seeds.append((float(wc.joint.vertices[k, 1]), rho * rho + zr * zr, zr))
     if not seeds:
         return []
-    x = _damped_newton(_multiple_root_system(p, 3), seeds)
+    x = _damped_newton(_multiple_root_system(p), seeds)
     theta3, R, zr = wrap_angle(x[:, 0]), x[:, 1], x[:, 2]
     res, certified = _certify(p, theta3, R, zr, 3)
     found = [(math.sqrt(max(float(R[k] - zr[k] * zr[k]), 0.0)), float(zr[k] + p.d1),
@@ -980,6 +989,16 @@ def speed_minimum_find_cusps(p, workspace_curves):
              for k in np.nonzero(certified)[0]]
     lscale = length_scale(p)
     return [CuspPoint(*c) for c in _dedup_sorted(found, DEDUP_RADIUS * lscale, 1e-9 * lscale)]
+
+
+def quadruple_root_system(p):
+    """g = g' = g'' = g''' = 0 in (theta3, R, z): the quadruple-root system
+    that the exact candidates replaced."""
+    def fun_jac(x, rows):
+        jet = circle_jet(circle_harmonics(p, x[:, 1], x[:, 2]), x[:, 0], 4)
+        jac = np.stack([jet[:, 0, 1:], jet[:, 1, :4], jet[:, 2, :4]], axis=2)
+        return jet[:, 0, :4], jac
+    return fun_jac
 
 
 def newton_quadruple_root(p, workspace_curves, cusps):
@@ -998,7 +1017,7 @@ def newton_quadruple_root(p, workspace_curves, cusps):
             seeds.append((float(wc.joint.vertices[k, 1]), rho * rho + zr * zr, zr))
     if not seeds:
         return None
-    x = _damped_newton(_multiple_root_system(p, 4), seeds)
+    x = _damped_newton(quadruple_root_system(p), seeds)
     theta3, R, zr = wrap_angle(x[:, 0]), x[:, 1], x[:, 2]
     res, certified = _certify(p, theta3, R, zr, 4)
     certified = np.nonzero(certified)[0]
@@ -1010,3 +1029,114 @@ def newton_quadruple_root(p, workspace_curves, cusps):
             "z": float(zr[k] + p.d1),
             "t": math.tan(float(theta3[k]) / 2.0),
             "residual": float(np.max(res[k]))}
+
+
+# --------------------------------------------------------------------------
+# nodes as they were found before their closed form: crossings of the traced
+# critical values, refined by Newton on the circle harmonics
+# --------------------------------------------------------------------------
+
+# seg_intersect_many needs |d1 x d2| >= 1e-15, and |d1 x d2| <= |d1| |d2|: a
+# segment whose length times the longest one's is below this (1e-15 less a
+# few ulps of rounding) crosses nothing, so the sweep leaves it out
+MIN_CROSS = 1e-15 * (1.0 - 1e-12)
+# the sweep's hash cell is at least the critical values' extent over this
+HASH_SPAN = 4096
+
+
+def node_system(p):
+    """Two double roots at theta3 = m +/- arccos(e), by matching g's five
+    harmonics against K (cos(theta3 - m) - e)^2 in (K, m, e, R, z).
+
+    The square expands to K (1/2 + e^2), -2 K e (cos m, sin m) and
+    K / 2 (cos 2m, sin 2m).
+    """
+    def fun_jac(x, rows):
+        big_k, m, e = x[:, 0:1], x[:, 1], x[:, 2]
+        h = circle_harmonics(p, x[:, 3], x[:, 4])
+        c1, s1, c2, s2 = np.cos(m), np.sin(m), np.cos(2.0 * m), np.sin(2.0 * m)
+        zero = np.zeros_like(m)
+        q = np.column_stack([0.5 + e * e, -2.0 * e * c1, -2.0 * e * s1, 0.5 * c2, 0.5 * s2])
+        dq_dm = np.column_stack([zero, 2.0 * e * s1, -2.0 * e * c1, -s2, c2])
+        dq_de = np.column_stack([2.0 * e, -2.0 * c1, -2.0 * s1, zero, zero])
+        jac = np.stack([-q, -big_k * dq_dm, -big_k * dq_de, h[:, 1], h[:, 2]], axis=2)
+        return h[:, 0] - big_k * q, jac
+    return fun_jac
+
+
+def refine_nodes(p, cands):
+    """Newton-refine node candidates (theta3_a, theta3_b, rho, z) in one
+    node_system batch, seeded at the mean m and the cosine e of the half
+    gap of the candidate's two tangency angles, with K from h2.  Returns, per
+    candidate, (th1, th2, R, zr), or None where the double roots are not
+    real (|e| > 1)."""
+    if not cands:
+        return []
+    th3a, th3b, rho, z = np.array(cands, float).T
+    zr = z - p.d1
+    R = rho * rho + zr * zr
+    half = wrap_angle(th3b - th3a) / 2.0
+    m = th3a + half
+    h = circle_harmonics(p, R, zr)[:, 0]
+    big_k = 2.0 * (h[:, 3] * np.cos(2.0 * m) + h[:, 4] * np.sin(2.0 * m))
+    x = _damped_newton(node_system(p), np.column_stack([big_k, m, np.cos(half), R, zr]))
+    _, m, e, R, zr = x.T
+    live = np.abs(e) <= 1.0
+    d = np.arccos(np.where(live, e, 1.0))
+    th1, th2 = wrap_angle(m + d), wrap_angle(m - d)
+    return [(t1, t2, r, z) if ok else None
+            for t1, t2, r, z, ok in zip(th1.tolist(), th2.tolist(), R.tolist(), zr.tolist(),
+                                        live.tolist())]
+
+
+def sweep_find_nodes(p, workspace_curves, refine=refine_nodes):
+    """critical.find_nodes as a sweep: the candidates are the crossings of
+    critical-value segments (self-intersections included) that share a
+    bucket of a segment hash, leaving out the segments too short to cross
+    any other, each refined by `refine`.  Acceptance is find_nodes': the
+    tangency-angle gap, _certify on both double roots, the IK check and the
+    dedup."""
+    lscale = length_scale(p)
+    seg_a, seg_b = _segments(workspace_curves)
+    steps = [np.median(np.hypot(*np.diff(w.vertices, axis=0).T))
+             for w in workspace_curves if len(w) > 1]
+    extent = float(np.ptp(seg_a, axis=0).max()) if len(seg_a) else 0.0
+    cell = max(float(np.median(steps)) * 4.0 if steps else 0.0, extent / HASH_SPAN)
+    sizes = [len(w) for w in workspace_curves]
+    curve = np.repeat(np.array([w.source_index for w in workspace_curves], dtype=int), sizes)
+    size = np.repeat(np.array(sizes, dtype=int), sizes)
+    length = np.hypot(*(seg_b - seg_a).T)
+    swept = np.nonzero(length * np.max(length, initial=0.0) >= MIN_CROSS)[0]
+    sweep = SegmentHash(cell)
+    for k in swept.tolist():
+        sweep.add(k, seg_a[k], seg_b[k])
+    ia, ib = sweep.candidate_pairs()
+    if len(ia) == 0:
+        return []
+    ia, ib = swept[ia], swept[ib]
+    # a curve's segments are consecutive, so global index gaps are vertex gaps
+    neighbours = (curve[ia] == curve[ib]) & (
+        np.minimum((ia - ib) % size[ia], (ib - ia) % size[ia]) <= 1)
+    ia, ib = ia[~neighbours], ib[~neighbours]
+    hit, pts = seg_intersect_many(seg_a[ia], seg_b[ia], seg_a[ib], seg_b[ib])
+    ia, ib = ia[hit], ib[hit]
+    th3 = np.concatenate([np.empty(0)] + [w.joint.vertices[:, 1] for w in workspace_curves])
+    cands = [(a, b, rho, z) for a, b, (rho, z)
+             in zip(th3[ia].tolist(), th3[ib].tolist(), pts[hit].tolist())]
+    live = [ref for ref in refine(p, cands)
+            if ref is not None and abs(wrap_float(ref[0] - ref[1])) >= 1e-4]
+    th1, th2, R, zr = np.array(live, float).reshape(-1, 4).T
+    n = len(live)
+    res, certified = _certify(p, np.concatenate([th1, th2]), np.tile(R, 2), np.tile(zr, 2), 2)
+    worst = np.max(res[:, :2].reshape(2, n, 2), axis=(0, 2))
+    certified = certified[:n] & certified[n:]
+    found = []
+    for k in np.nonzero(certified)[0].tolist():
+        tlo, thi = sorted((_tan_half(float(th1[k])), _tan_half(float(th2[k]))))
+        found.append((math.sqrt(max(float(R[k] - zr[k] * zr[k]), 0.0)), float(zr[k] + p.d1),
+                      tlo, thi, float(worst[k])))
+    ik = solve_ik_batch(p, [f[0] for f in found], [f[1] for f in found])
+    roots = np.bincount(ik.row, minlength=len(found))
+    doubles = np.bincount(ik.row[ik.mult == 2], minlength=len(found))
+    found = [f for f, ok in zip(found, (ik.status == 0) & (roots == 2) & (doubles == 2)) if ok]
+    return [NodePoint(*c) for c in _dedup_sorted(found, DEDUP_RADIUS * lscale, 1e-9 * lscale)]

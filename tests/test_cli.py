@@ -28,6 +28,7 @@ from cuspidal import (
     solve_ik,
     topology,
 )
+from cuspidal import cli
 from cuspidal.cli import main
 from cuspidal.errors import RobotFileSyntaxError, RobotValidationError
 from cuspidal.report import dumps, emit_csv, load_schema
@@ -222,19 +223,35 @@ def test_cmd_aspects(capsys):
 
 
 def test_cmd_nodes_on_collapsed_critical_values_stays_bounded(tmp_path, capsys, monkeypatch):
-    """Where the critical values collapse (median segment step ~1e-18), the
-    node sweep's hash cell stays a fixed fraction of their extent: no
-    bucket expansion lists more than 2^22 entries, and the command ends."""
-    expand = critical._expand
-
-    def bounded(counts):
-        assert int(np.sum(counts)) <= 2 ** 22, int(np.sum(counts))
-        return expand(counts)
-    monkeypatch.setattr(critical, "_expand", bounded)
+    """A robot whose critical values collapse to a point once asked the
+    node sweep for terabytes.  The nodes now come from two quadratics: the
+    command expands no hash bucket at all, so its work is bounded whatever
+    --grid says, and it lists no node at either grid."""
+    def no_expansion(counts):
+        raise AssertionError("bucket expansion")
+    monkeypatch.setattr(critical, "_expand", no_expansion)
     path = _write_robot(tmp_path, d=(0, 0, 0), a=(2, 2, 2))
     for grid in ("240", "720"):
         assert main(["nodes", "--robot", path, "--grid", grid]) == 0
         assert json.loads(capsys.readouterr().out)["nodes"] == []
+
+
+def test_cmd_cusps_and_nodes_trace_nothing(capsys, monkeypatch):
+    """cusps and nodes come from the robot alone: neither command traces S,
+    whatever --grid says, and both list what find_cusps and find_nodes give
+    with no curves."""
+    def no_trace(*args, **kwargs):
+        raise AssertionError("trace_critical_points called")
+    monkeypatch.setattr(cli, "trace_critical_points", no_trace)
+    monkeypatch.setattr(critical, "trace_critical_points", no_trace)
+    for command, name, find in (("cusps", "orthogonal_cuspidal", find_cusps),
+                                ("nodes", "orthogonal_node", find_nodes)):
+        found = find(BATTERY_ROBOTS[name], ())
+        assert main([command, "--robot", BATTERY, "--name", name, "--grid", "64"]) == 0
+        listed = json.loads(capsys.readouterr().out)[command]
+        assert len(listed) == len(found) > 0
+        for c, f in zip(listed, found):
+            assert math.hypot(c["rho"] - f.rho, c["z"] - f.z) <= 1e-10
 
 
 def test_cmd_pseudo(tmp_path, capsys):

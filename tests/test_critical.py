@@ -28,7 +28,6 @@ from cuspidal.critical import (
     CUSP_RESIDUAL_TOL,
     CUSP_THIRD_DERIV_MIN,
     DEDUP_RADIUS,
-    _candidate_pairs,
     _census_clearance,
     _census_crossings,
     _chain_loops,
@@ -38,7 +37,6 @@ from cuspidal.critical import (
     _marching_segments,
     _mixed_cells,
     _multiple_root_system,
-    _node_system,
     _sample_lattice,
 )
 from cuspidal.dh import length_scale
@@ -60,7 +58,6 @@ from conftest import (
 )
 from census_refs import census_walk
 from engine_refs import (
-    SegmentHash,
     chain_loops,
     chart_find_cusps,
     chart_quadruple_root,
@@ -68,6 +65,8 @@ from engine_refs import (
     damped_newton,
     marching_segments,
     newton_quadruple_root,
+    quadruple_root_system,
+    sweep_find_nodes,
 )
 from engine_refs import ik_counts as engine_ik_counts
 from segment_refs import point_segment_dist, polyline_min_dist, seg_intersect
@@ -285,12 +284,14 @@ def _sympy_harmonics(sp, expr, w):
 
 
 def test_sympy_harmonics_of_the_conic_and_of_the_node_square():
-    """Exact oracle for the two identities the circle engine rests on: the
-    harmonics of the conic on the unit circle reproduce Axx c^2 + 2 Axy c s +
-    Ayy s^2 + 2 Bx c + 2 By s + C modulo c^2 + s^2 = 1, and K (cos(theta -
-    m) - e)^2 expands to the five harmonics _node_system matches.  Both are
-    derived in w = exp(i theta) and compared with circle_harmonics and
-    _node_system on random robots, targets and unknowns."""
+    """Exact oracle for the two identities the circle engine and the nodes
+    rest on: the harmonics of the conic on the unit circle reproduce Axx c^2
+    + 2 Axy c s + Ayy s^2 + 2 Bx c + 2 By s + C modulo c^2 + s^2 = 1, and K
+    (cos(theta - m) - e)^2 expands to five harmonics that circle_harmonics
+    gives at every node find_nodes lists, with m and e = cos(d) the mean and
+    the half gap of its two tangency angles and K / 2 = h2 . (cos 2m, sin
+    2m).  Both are derived in w = exp(i theta) and compared on random robots
+    and targets, and on the nodes of the battery and random robots."""
     sp = pytest.importorskip("sympy")
     w = sp.symbols("w")
     c, s = sp.symbols("c s", real=True)
@@ -305,19 +306,28 @@ def test_sympy_harmonics_of_the_conic_and_of_the_node_square():
     h_of = sp.lambdify([axx, axy, ayy, bx, by, cc], h, "numpy")
     q_of = sp.lambdify([big_k, m, e], q, "numpy")
     rng = np.random.default_rng(11)
-    for _ in range(5):
-        p = random_valid_params(rng)
+    robots = [*BATTERY.values(), *(random_valid_params(rng) for _ in range(8))]
+    seen = 0
+    for p in robots:
         zr = rng.uniform(-2.0, 2.0, 6)
         R = rng.uniform(0.1, 3.0, 6) ** 2 + zr * zr
         raw = conic_raw(p, R, zr)
         expected = np.column_stack(np.broadcast_arrays(*h_of(*raw)))
         harmonics = circle_harmonics(p, R, zr)[:, 0]
         assert np.all(np.abs(harmonics - expected) <= 1e-13 * np.max(np.abs(raw)))
-        x = np.column_stack([rng.uniform(-3.0, 3.0, 6), rng.uniform(-math.pi, math.pi, 6),
-                             rng.uniform(-1.0, 1.0, 6), R, zr])
-        fval, _ = _node_system(p)(x, np.arange(6))
-        expected = np.column_stack(np.broadcast_arrays(*q_of(*x[:, :3].T)))
-        assert np.all(np.abs(harmonics - fval - expected) <= 1e-13 * np.max(np.abs(raw)))
+        for node in find_nodes(p, ()):
+            th_a, th_b = 2.0 * math.atan(node.t1), 2.0 * math.atan(node.t2)
+            half = wrap_angle(th_b - th_a) / 2.0
+            mean = th_a + half
+            zr = np.array([node.z - p.d1])
+            R = node.rho * node.rho + zr * zr
+            harmonics = circle_harmonics(p, R, zr)[0, 0]
+            k = 2.0 * (harmonics[3] * math.cos(2.0 * mean) + harmonics[4] * math.sin(2.0 * mean))
+            expected = np.array(q_of(k, mean, math.cos(half)), float)
+            scale = np.max(np.abs(conic_raw(p, R, zr)))
+            assert np.all(np.abs(harmonics - expected) <= 1e-12 * scale)
+            seen += 1
+    assert seen >= 10
 
 
 # --------------------------------------------------------------------------
@@ -528,12 +538,13 @@ def _assert_points_close(found, ref, angles, what):
             assert abs(gap) <= 1e-12, what
 
 
-def test_circle_engine_equals_the_chart_engine(monkeypatch, analysis):
-    """Solved on the theta3 circle, the cusps, nodes and quadruple-root
-    decisions (the Newton reference, engine_refs.newton_quadruple_root) are
-    those the chart engine (every system on M in the half-angle chart that
-    keeps its seed well conditioned) gives, to 1e-12 relative, on the
-    battery, both non-generic robots and 10 random draws.  Non-generic robots
+def test_circle_engine_equals_the_chart_engine(analysis):
+    """Solved on the theta3 circle, the cusps, nodes (in closed form) and
+    quadruple-root decisions (the Newton reference,
+    engine_refs.newton_quadruple_root) are those the chart engine (every
+    system on M in the half-angle chart that keeps its seed well
+    conditioned, nodes by the reference sweep) gives, to 1e-12 relative, on
+    the battery, both non-generic robots and 10 random draws.  Non-generic robots
     are compared by their decision only: their cusps sit next to a quadruple
     root, where either engine may land."""
     rng = np.random.default_rng(424242)
@@ -548,9 +559,7 @@ def test_circle_engine_equals_the_chart_engine(monkeypatch, analysis):
         if not rep.is_generic:
             continue
         _assert_points_close(cusps, ref_cusps, ("t",), name)
-        with monkeypatch.context() as m:
-            m.setattr(critical, "_refine_nodes", chart_refine_nodes)
-            ref_nodes = find_nodes(robot, wcurves)
+        ref_nodes = sweep_find_nodes(robot, wcurves, refine=chart_refine_nodes)
         _assert_points_close(analysis.nodes(robot), ref_nodes, ("t1", "t2"), name)
 
 
@@ -564,13 +573,9 @@ def _newton_cases(p, rng, k):
     zr = rng.uniform(-2.0, 2.0, k)
     R = rng.uniform(0.1, 3.0, k) ** 2 + zr * zr
     theta3 = rng.uniform(-math.pi, math.pi, k)
-    node_x0 = np.column_stack([rng.uniform(-3.0, 3.0, k), theta3,
-                               rng.uniform(-1.0, 1.0, k), R, zr])
     return [
-        ("cusp", lambda order: _multiple_root_system(p, 3), np.column_stack([theta3, R, zr])),
-        ("quadruple", lambda order: _multiple_root_system(p, 4),
-         np.column_stack([theta3, R, zr])),
-        ("node", lambda order: _node_system(p), node_x0),
+        ("cusp", lambda order: _multiple_root_system(p), np.column_stack([theta3, R, zr])),
+        ("quadruple", lambda order: quadruple_root_system(p), np.column_stack([theta3, R, zr])),
     ]
 
 
@@ -594,9 +599,9 @@ def test_batched_newton_equals_single_seed_runs(seed):
 
 
 def test_batched_line_search_equals_the_lambda_loop(monkeypatch, analysis):
-    """Every damped Newton batch that cusps and nodes run ends bit for bit
-    where the one-call-per-lambda loop ends, on the cusp and node systems;
-    genericity runs none."""
+    """Every damped Newton batch that cusps run ends bit for bit where the
+    one-call-per-lambda loop ends, and it is the cusp system's: genericity
+    and nodes run none."""
     batches = []
     batched = critical._damped_newton
 
@@ -616,7 +621,7 @@ def test_batched_line_search_equals_the_lambda_loop(monkeypatch, analysis):
         assert x.tobytes() == damped_newton(fun_jac, x0).tobytes()
         fval, _ = fun_jac(x0[:1], np.arange(1))
         systems.add((fun_jac.__qualname__.split(".")[0], fval.shape[1]))
-    assert systems == {("_multiple_root_system", 3), ("_node_system", 5)}
+    assert systems == {("_multiple_root_system", 3)}
 
 
 def _crossing_cells(f, th):
@@ -719,25 +724,6 @@ def test_array_marching_equals_the_dict_engine_on_robot_fields():
             _assert_marching_equals_the_dict_engine(f, th, field)
 
 
-@settings(max_examples=200)
-@given(_SEED)
-def test_candidate_pairs_equal_the_segment_hash(seed):
-    """Random segments: short, zero-length, spanning several buckets, with
-    negative coordinates and endpoints on bucket edges."""
-    rng = np.random.default_rng(seed)
-    k = int(rng.integers(0, 80))
-    cell = float(rng.uniform(0.05, 1.0))
-    seg_a = rng.uniform(-3.0, 3.0, (k, 2))
-    seg_b = seg_a + rng.standard_normal((k, 2)) * rng.choice([0.0, 0.1, 1.0, 4.0], (k, 1))
-    seg_a[::5] = np.round(seg_a[::5] / cell) * cell
-    sweep = SegmentHash(cell)
-    for s in range(k):
-        sweep.add(s, seg_a[s], seg_b[s])
-    ref_a, ref_b = sweep.candidate_pairs()
-    ia, ib = _candidate_pairs(seg_a, seg_b, cell)
-    assert ia.tolist() == ref_a.tolist() and ib.tolist() == ref_b.tolist()
-
-
 def test_det_lattices_equal_the_pointwise_values_on_the_battery():
     """det J and D on the vertex lattice, sampled in row blocks from the
     axes (det J's A, B, C on the theta3 axis), have the bytes of the fields
@@ -787,27 +773,6 @@ def test_seg_intersect_many_equals_scalar(seed):
         assert hit[i] == (ref is not None)
         if ref is not None:
             assert tuple(pts[i]) == ref[0]
-
-
-def test_candidate_pairs_follow_the_bucket_walk(analysis):
-    """Pairs in the order the sorted buckets first list them."""
-    for robot in (REFERENCE, NODE_ROBOT):
-        sweep = SegmentHash(0.05)
-        for wc in analysis.wcurves(robot):
-            n = len(wc)
-            for k in range(n):
-                sweep.add(k, wc.vertices[k], wc.vertices[(k + 1) % n])
-        seen, walk = set(), []
-        for key in sorted(sweep.buckets):
-            lst = sweep.buckets[key]
-            for ii in range(len(lst)):
-                for jj in range(ii + 1, len(lst)):
-                    pair = (min(lst[ii], lst[jj]), max(lst[ii], lst[jj]))
-                    if pair not in seen:
-                        seen.add(pair)
-                        walk.append(pair)
-        ia, ib = _candidate_pairs(*critical._segments(analysis.wcurves(robot)), 0.05)
-        assert list(zip(ia.tolist(), ib.tolist())) == walk
 
 
 def test_polyline_min_dist_equals_segment_loop(analysis, rng):

@@ -358,6 +358,16 @@ def test_genericity_runs_no_newton_and_cusps_read_no_traced_curve():
     assert {scope for scope, _ in _callers(tree, "quadruple_candidates")} == {"genericity_check"}
 
 
+# Nodes are the roots of two quadratics: the damped Newton serves the cusps
+# alone, and neither find_nodes nor its candidates read a traced curve.
+def test_nodes_run_no_newton_and_read_no_traced_curve():
+    tree = _tree(PACKAGE / "critical.py")
+    assert {scope for scope, _ in _callers(tree, "_damped_newton")} == {"find_cusps"}
+    for attr in ("speed", "vertices", "joint"):
+        assert _reading_scopes(tree, attr) & {"find_nodes", "_node_candidates"} == set(), attr
+    assert {scope for scope, _ in _callers(tree, "_node_candidates")} == {"find_nodes"}
+
+
 def test_checks_see_what_they_look_for():
     tree = ast.parse("import numpy as np\nfrom a import cluster_real_roots, b\n"
                      "import os.path\nx = np.roots([1, 0])\n")

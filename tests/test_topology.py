@@ -179,48 +179,21 @@ def test_is_cuspidal_samples_the_torus_once(monkeypatch):
 
 
 def test_is_cuspidal_bounds_its_newton_and_sweep_work(monkeypatch):
-    """Each damped Newton batch spends at most two fun_jac calls per step
-    besides its first evaluation, and no segment too short to cross anything
-    reaches the node sweep (the node robot has two curves whose image is one
-    point).  Genericity runs no Newton, and every root of the node robot's
-    cusp locus has a complex y, so the node refinement is the only batch."""
-    steps = Counter()
+    """The node robot's analysis runs no damped Newton batch at all: every
+    root of its cusp locus has a complex y, so there is no cusp seed to
+    polish, genericity certifies exact candidates and the nodes come from
+    two quadratics, with no sweep of the critical values to bound."""
     batches = []
-    lstsq, newton = critical._lstsq_steps, critical._damped_newton
-
-    def counted_lstsq(*args):
-        steps["lstsq"] += 1
-        return lstsq(*args)
+    newton = critical._damped_newton
 
     def counted_newton(fun_jac, x0, *args, **kwargs):
-        calls = Counter()
+        batches.append(len(x0))
+        return newton(fun_jac, x0, *args, **kwargs)
 
-        def counted_fun_jac(x, rows):
-            calls["fun_jac"] += 1
-            return fun_jac(x, rows)
-        before = steps["lstsq"]
-        out = newton(counted_fun_jac, x0, *args, **kwargs)
-        batches.append((calls["fun_jac"], steps["lstsq"] - before))
-        return out
-
-    swept = []
-
-    pairs = critical._candidate_pairs
-
-    def recording_pairs(seg_a, seg_b, cell):
-        swept.extend(math.hypot(*d) for d in seg_b - seg_a)
-        return pairs(seg_a, seg_b, cell)
-
-    monkeypatch.setattr(critical, "_lstsq_steps", counted_lstsq)
     monkeypatch.setattr(critical, "_damped_newton", counted_newton)
-    monkeypatch.setattr(critical, "_candidate_pairs", recording_pairs)
     rep = is_cuspidal(NODE_ROBOT, grid_n=128)
-    assert len(batches) == 1 and all(f <= 1 + 2 * s for f, s in batches), batches
-    seg_a, seg_b = critical._segments(rep.workspace_curves)
-    lengths = np.hypot(*(seg_b - seg_a).T)
-    longest = float(np.max(lengths))
-    assert min(swept) * longest >= critical._MIN_CROSS
-    assert len(swept) == int(np.sum(lengths * longest >= critical._MIN_CROSS)) < len(lengths)
+    assert batches == []
+    assert len(rep.nodes) == 2
 
 
 @pytest.mark.parametrize("name", sorted(BATTERY.robots))
