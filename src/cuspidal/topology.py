@@ -7,8 +7,9 @@ sign of det J.  Pseudosingularities are the nonsingular preimages of
 critical values, PS = f^-1(f(S)) \\ S.  f^-1(f(S)) is the zero set of one
 scalar field, the pulled-back IK discriminant D(theta2, theta3) =
 disc_t M(t; f), and PS is where D changes sign; S, where f folds, is an
-even-order zero.  Reduced aspects are the components of the complement of
-S union PS: the same flood fill, blocked where det J or D changes sign.
+even-order zero, read on the lattice from D's exact series in theta2.
+Reduced aspects are the components of the complement of S union PS: the
+same flood fill, blocked where det J or D changes sign.
 The verdict (existence of a cusp) is cross-validated against an independent
 oracle: sampling regular workspace points and asking whether two IK
 solutions ever share an aspect.
@@ -41,7 +42,6 @@ from .critical import (
     _chain_loops,
     _crossing_edges,
     _marching_segments,
-    _sample_lattice,
     critical_values,
     find_cusps,
     find_nodes,
@@ -63,6 +63,9 @@ PS_EXCLUSION_RADIUS = 1e-2
 PATH_DET_TOL = 1e-4  # times singularity scale
 _SINGULAR_CELL_TOL = 1e-12
 _CROSSING_BRACKET = 2.0 ** -36  # final bracket of a PS crossing, in lattice edges
+_D_DEGREE = 6                   # D's degree in theta2 (_discriminant_lattice)
+_D_SAMPLES = 16                 # theta2 samples per column, at least 2 _D_DEGREE + 1
+_D_RECHECK = 1e-9               # pointwise below this times the largest column coefficient sum
 
 
 # --------------------------------------------------------------------------
@@ -114,6 +117,7 @@ class PseudoSingularitySet:
     polylines: tuple          # of (k, 2) arrays on the torus; closed loops repeat their first point
     d_positive: np.ndarray    # (N, N) D > 0 on the vertex lattice it was traced on
     s_band: np.ndarray        # (N, N) lattice points of the S band (_s_band)
+    rechecked: int            # lattice points whose D sign the series left to _discriminant
 
     def total_points(self) -> int:
         return sum(len(c) for c in self.polylines)
@@ -204,9 +208,9 @@ def _components(key, excluded=None):
     and neither cell is excluded; excluded cells get label -1.  Labels are
     numbered by first row-major appearance, so they are deterministic.  The
     fill runs over row runs, the maximal runs of cells joined by open edges
-    along a row (axis 1) up to its seam, numbered in row-major order by one
-    cumsum.  The graph joins runs across each row's seam (column n - 1 to
-    column 0) and across the open edges between rows, with one edge wherever
+    along a row (axis 1) up to its seam, numbered in row-major order.  The
+    graph joins runs across each row's seam (column n - 1 to column 0) and
+    across the open edges between rows, with one edge wherever
     the pair of runs changes along the row, so it has thousands of nodes
     where a graph of cells has grid_n^2.  Returns the count, the labels and
     each label's first lattice point (row-major flat index), the first cell
@@ -216,7 +220,10 @@ def _components(key, excluded=None):
     joined = (key[:, 1:] == key[:, :-1]) & free[:, 1:] & free[:, :-1]
     start = np.ones(key.shape, dtype=bool)
     start[:, 1:] = ~joined
-    run = np.cumsum(start.ravel()).reshape(key.shape) - 1
+    starts = np.flatnonzero(start)
+    n_runs = len(starts)
+    run = np.repeat(np.arange(n_runs, dtype=np.int32), np.diff(starts, append=key.size))
+    run = run.reshape(key.shape)
     seam = (key[:, -1] == key[:, 0]) & free[:, -1] & free[:, 0]
     # open edges from each row to the next (the last row to the first), kept
     # where the pair of runs they join differs from the pair one cell back
@@ -225,12 +232,10 @@ def _components(key, excluded=None):
     across[:, 1:] &= (run[:, 1:] != run[:, :-1]) | (below[:, 1:] != below[:, :-1])
     rows = np.concatenate([run[seam, -1], run[across]])
     cols = np.concatenate([run[seam, 0], below[across]])
-    n_runs = int(run[-1, -1]) + 1
     graph = coo_matrix((np.ones(len(rows), dtype=bool), (rows, cols)), shape=(n_runs, n_runs))
     n_comp, comp = connected_components(graph, directed=False)
     # an excluded cell is a run of its own without edges, so its component
     # holds no free run and keeps the label -1
-    starts = np.flatnonzero(start)
     free_runs = np.flatnonzero(free.ravel()[starts])
     comps, first = np.unique(comp[free_runs], return_index=True)
     order = np.argsort(first)
@@ -279,16 +284,43 @@ def _discriminant(p: DhParams, theta2, theta3):
     return quartic_discriminant(quartic_coeffs_from_conic((k.axx, k.axy, k.ayy, bx, by, c)))
 
 
-def _refine_crossings(field, ids, th, f):
+def _discriminant_lattice(p: DhParams, grid_n: int):
+    """D on the vertex lattice th x th from its theta2 series, with the
+    signs of _discriminant; returns (values, th, rechecked).
+
+    For fixed theta3, P, Q and P^2 + Q^2 (its quadratic terms add up to
+    F1^2 + F2^2) are affine in (c2, s2), and so are the quartic's five
+    coefficients: I is quadratic, J cubic and D of degree _D_DEGREE in
+    theta2.  One FFT of _D_SAMPLES samples per column gives its harmonics.
+    The `rechecked` points whose series value is within _D_RECHECK of the
+    robot's largest column coefficient sum (robot-wide: a whole column can
+    be zero up to rounding) are evaluated by _discriminant.
+    """
+    th = -math.pi + TWO_PI * np.arange(grid_n) / grid_n
+    phi = -math.pi + TWO_PI * np.arange(_D_SAMPLES) / _D_SAMPLES
+    harm = np.fft.rfft(_discriminant(p, phi[:, None], th[None, :]), axis=0)[:_D_DEGREE + 1]
+    harm[1:] *= 2.0
+    harm /= _D_SAMPLES
+    # theta2 + pi at lattice row i is 2 pi i / grid_n, reduced mod 2 pi exactly
+    angle = np.outer(np.arange(grid_n), np.arange(_D_DEGREE + 1)) % grid_n * (TWO_PI / grid_n)
+    # einsum's loop, not BLAS, whose thread pool costs more than this product
+    d = np.einsum("im,mj->ij", np.hstack([np.cos(angle), -np.sin(angle)]),
+                  np.vstack([harm.real, harm.imag]))
+    i, j = np.nonzero(np.abs(d) <= _D_RECHECK * float(np.max(np.sum(np.abs(harm), axis=0))))
+    d[i, j] = _discriminant(p, th[i], th[j])
+    return d, th, len(i)
+
+
+def _refine_crossings(field, ids, th):
     """Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971) on the sign
     change of a field along each crossed lattice edge, until its bracket is
     _CROSSING_BRACKET of an edge; returns the bracket midpoints on the torus.
 
-    `ids` are the integer crossing-node ids `_marching_segments` gives for
-    the samples `f` on th x th, whose values at both ends of an edge open
-    its bracket.  Each round evaluates the field once at every crossing
-    still open: at the secant point of its bracket, held half the final
-    width inside it so that a root next to an end closes the bracket.  An
+    `ids` are the integer crossing-node ids `_marching_segments` gives on
+    th x th; the field at both ends of each edge, in one call, opens its
+    bracket.  Each round evaluates the field once at every crossing still
+    open: at the secant point of its bracket, held half the final width
+    inside it so that a root next to an end closes the bracket.  An
     end kept twice or more in a row has its value halved (the Illinois
     step); once kept three times in a row, the crossing bisects instead,
     which bounds the rounds where the far end's value is orders of magnitude
@@ -297,7 +329,8 @@ def _refine_crossings(field, ids, th, f):
     n = len(th)
     i, j, along_v, start, step = _crossing_edges(ids, th)
     lo, hi = np.zeros(len(ids)), np.ones(len(ids))
-    f_lo, f_hi = f[i, j], f[(i + 1 - along_v) % n, (j + along_v) % n]
+    f_lo, f_hi = np.split(field(th[np.concatenate([i, (i + 1 - along_v) % n])],
+                                th[np.concatenate([j, (j + along_v) % n])]), 2)
     neg = f_lo < 0
     kept = np.zeros(len(ids), dtype=np.int8)    # rounds in a row hi (> 0) or lo (< 0) stayed
     tol = _CROSSING_BRACKET
@@ -328,8 +361,9 @@ def _s_band(det_vertex: np.ndarray) -> np.ndarray:
         band |= crossed | np.roll(crossed, 1, axis=axis)
     for _ in range(int(math.ceil(PS_EXCLUSION_RADIUS / (TWO_PI / len(neg)))) + 1):
         grown = band.copy()
-        for shift in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            grown |= np.roll(np.roll(band, shift[0], axis=0), shift[1], axis=1)
+        for src, dst in ((np.s_[:-1], np.s_[1:]), (np.s_[1:], np.s_[:-1]), (-1, 0), (0, -1)):
+            grown[dst] |= band[src]
+            grown[:, dst] |= band[:, src]
         band = grown
     return band
 
@@ -339,15 +373,16 @@ def compute_pseudosingularities(curves: CriticalSet) -> PseudoSingularitySet:
 
     f^-1(f(S)) is the zero set of D(theta2, theta3) = disc_t M(t; f(theta2,
     theta3)).  D changes sign across PS, where f is a local diffeomorphism,
-    and touches zero without a sign change on S, where f folds.  D is sampled
-    once on S's vertex lattice, and the same marching squares that traces S
-    extracts its sign changes.  Near S the even-order zero leaves D's sign
-    to rounding noise, so the crossings on edges that touch the S band are
-    dropped, which opens the chains that run into S where the reduced fill's
-    boundary territory begins; the rest are bisected along their edges.
+    and touches zero without a sign change on S, where f folds.  D comes on
+    S's vertex lattice from its theta2 series (_discriminant_lattice), and
+    the same marching squares that traces S extracts its sign changes.  Near
+    S the even-order zero leaves D's sign to rounding noise, so the crossings
+    on edges that touch the S band are dropped, which opens the chains that
+    run into S where the reduced fill's boundary territory begins; the rest
+    are refined along their edges from pointwise values of D.
     """
     field = functools.partial(_discriminant, curves.robot)
-    d, th = _sample_lattice(field, curves.grid_n)
+    d, th, rechecked = _discriminant_lattice(curves.robot, curves.grid_n)
     band = _s_band(curves.det_vertex)
     ids, nbr = _marching_segments(d, th, field)
     polylines = []
@@ -356,14 +391,14 @@ def compute_pseudosingularities(curves: CriticalSet) -> PseudoSingularitySet:
         i, j, along_v, _, _ = _crossing_edges(ids, th)
         keep = ~band[i, j] & ~band[(i + 1 - along_v) % n, (j + along_v) % n]
         pts = np.empty((len(ids), 2))
-        pts[keep] = _refine_crossings(field, ids[keep], th, d)
+        pts[keep] = _refine_crossings(field, ids[keep], th)
         for chain, closed in _chain_loops(nbr, keep):
             verts = pts[chain]
             if closed:
                 verts = np.vstack([verts, verts[:1]])
             if len(verts) >= 2:
                 polylines.append(verts)
-    return PseudoSingularitySet(tuple(polylines), d > 0, band)
+    return PseudoSingularitySet(tuple(polylines), d > 0, band, rechecked)
 
 
 def compute_reduced_aspects(ps: PseudoSingularitySet, aspects: AspectMap) -> ReducedAspectMap:
@@ -619,6 +654,7 @@ def is_cuspidal(p: DhParams, grid_n: int = DEFAULT_GRID_N, census_n: int = 128,
         "census_cells": census_n * census_n,
         "curve_vertices": int(sum(len(c) for c in curves)),
         "pseudosingular_points": maps.ps.total_points(),
+        "discriminant_rechecked": maps.ps.rechecked,
         "cross_validation_points": len(picked),
     }
     return CuspidalityReport(

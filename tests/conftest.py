@@ -3,6 +3,7 @@
 The battery mirrors robots/battery.json; moderate grid resolutions keep the
 unit tests fast while the acceptance module runs the spec resolution.
 """
+import dataclasses
 import importlib.util
 import math
 import pathlib
@@ -65,6 +66,23 @@ def random_valid_params(rng) -> DhParams:
     alpha1 = rng.choice([-1.0, 1.0]) * rng.uniform(0.35, math.pi - 0.35)
     alpha2 = rng.uniform(-math.pi, math.pi)
     return DhParams(d[0], d[1], d[2], a[0], a[1], a[2], alpha1, alpha2)
+
+
+def robot_draws(rng, k: int) -> list:
+    """k (label, robot) pairs in turn from random_valid_params, tilted 1e-10
+    to 1e-2 from orthogonal (both twists near +/- pi/2), and exactly
+    orthogonal."""
+    out = []
+    for n in range(k):
+        p = random_valid_params(rng)
+        kind = ("random", "tilted", "orthogonal")[n % 3]
+        if kind != "random":
+            tilt = 10.0 ** rng.uniform(-10.0, -2.0) if kind == "tilted" else 0.0
+            p = dataclasses.replace(
+                p, alpha1=math.copysign(HALF_PI, p.alpha1) + tilt * rng.choice([-1.0, 1.0]),
+                alpha2=math.copysign(HALF_PI, p.alpha2) + tilt * rng.uniform(-1.0, 1.0))
+        out.append((f"{kind} {n}", p))
+    return out
 
 
 def perfbench_inputs():

@@ -9,18 +9,20 @@ tuples, the path audit one segment at a time, the census counts from the root
 engine at every target, the c3s3 plot's plane marching squares as a loop over
 cells, the SVG polyline formatted one vertex at a time, the pulled-back
 discriminant D through the end effector and the conic, its crossings bisected
-36 times, the reduced aspects' parents from a sort of the whole lattice, and
-the chart engine: cusps, nodes and quadruple roots solved on the quartic M
-in the half-angle chart that keeps each seed well conditioned, as they stood
-before the Newton systems moved onto the theta3 circle, certified by the
-unit-free rule on the chart's own residuals, and cusps and quadruple roots by
-Newton on the theta3 circle from seeds on the traced curves, as they were
-found before the cusp locus, and nodes at the crossings of the traced
-critical values refined by Newton, as they were found before their closed
-form."""
+36 times, the pseudosingularities from D sampled at every lattice point, as
+they were traced before D's theta2 series, the reduced aspects' parents from
+a sort of the whole lattice, and the chart engine: cusps, nodes and
+quadruple roots solved on the quartic M in the half-angle chart that keeps
+each seed well conditioned, as they stood before the Newton systems moved
+onto the theta3 circle, certified by the unit-free rule on the chart's own
+residuals, and cusps and quadruple roots by Newton on the theta3 circle from
+seeds on the traced curves, as they were found before the cusp locus, and
+nodes at the crossings of the traced critical values refined by Newton, as
+they were found before their closed form."""
 import heapq
 import math
 from collections import defaultdict
+from functools import partial
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -36,13 +38,16 @@ from cuspidal.critical import (
     CuspPoint,
     NodePoint,
     _certify,
+    _chain_loops,
     _chart_seed,
     _crossing_edges,
     _damped_newton,
     _dedup_sorted,
     _lstsq_steps,
+    _marching_segments,
     _mixed_cells,
     _multiple_root_system,
+    _sample_lattice,
     _segments,
     _tan_half,
 )
@@ -56,7 +61,7 @@ from cuspidal.dh import (
     wrap_angle,
     wrap_float,
 )
-from cuspidal import reduction
+from cuspidal import reduction, topology
 from cuspidal.errors import StartOrGoalSingularError
 from cuspidal.geometry import seg_intersect_many
 from cuspidal.reduction import (
@@ -709,6 +714,30 @@ def refine_crossings(field, ids, th, f):
         lo = np.where(same, mid, lo)
         hi = np.where(same, hi, mid)
     return wrap_angle(start + (0.5 * (lo + hi))[:, None] * step)
+
+
+def pointwise_pseudosingularities(curves):
+    """(polylines, d_positive, s_band) of topology.compute_pseudosingularities
+    with D block-sampled at every point of the vertex lattice, as PS was
+    traced before D's theta2 series.  The crossings are refined by
+    topology._refine_crossings, whose pointwise end values equal this
+    lattice's samples bit for bit."""
+    p, n = curves.robot, curves.grid_n
+    field = partial(topology._discriminant, p)
+    d, th = _sample_lattice(field, n)
+    band = topology._s_band(curves.det_vertex)
+    ids, nbr = _marching_segments(d, th, field)
+    polylines = []
+    if len(ids):
+        i, j, along_v, _, _ = _crossing_edges(ids, th)
+        keep = ~band[i, j] & ~band[(i + 1 - along_v) % n, (j + along_v) % n]
+        pts = np.empty((len(ids), 2))
+        pts[keep] = topology._refine_crossings(field, ids[keep], th)
+        for chain, closed in _chain_loops(nbr, keep):
+            verts = pts[chain + chain[:1]] if closed else pts[chain]
+            if len(verts) >= 2:
+                polylines.append(verts)
+    return polylines, d > 0, band
 
 
 def reduced_parent(reduced_labels, aspect_labels):

@@ -1,7 +1,6 @@
 """Nodes in closed form: the two quadratics of find_nodes against the
 crossing sweep with Newton they replace (tests/engine_refs), against exact
 algebra, and for the grid they do not need."""
-import dataclasses
 import logging
 import math
 
@@ -23,27 +22,9 @@ from conftest import (
     PARABOLA_ROBOT,
     TEST_GRID,
     perfbench_inputs,
-    random_valid_params,
+    robot_draws,
 )
 from engine_refs import sweep_find_nodes
-
-HALF_PI = math.pi / 2
-
-
-def _draws(rng, k: int) -> list:
-    """k robots in turn from random_valid_params, tilted 1e-10 to 1e-2 from
-    orthogonal (both twists near +/- pi/2), and exactly orthogonal."""
-    out = []
-    for n in range(k):
-        p = random_valid_params(rng)
-        kind = ("random", "tilted", "orthogonal")[n % 3]
-        if kind != "random":
-            tilt = 10.0 ** rng.uniform(-10.0, -2.0) if kind == "tilted" else 0.0
-            p = dataclasses.replace(
-                p, alpha1=math.copysign(HALF_PI, p.alpha1) + tilt * rng.choice([-1.0, 1.0]),
-                alpha2=math.copysign(HALF_PI, p.alpha2) + tilt * rng.uniform(-1.0, 1.0))
-        out.append((f"{kind} {n}", p))
-    return out
 
 
 def test_closed_form_nodes_equal_the_reference_sweep():
@@ -53,7 +34,7 @@ def test_closed_form_nodes_equal_the_reference_sweep():
     within 1e-12 L."""
     robots = [*BATTERY.items(),
               *((label, p) for label, p, _ in perfbench_inputs().screen_robots(0)),
-              *_draws(np.random.default_rng(20261019), 210)]
+              *robot_draws(np.random.default_rng(20261019), 210)]
     counts = set()
     for name, p in robots:
         curves = trace_critical_points(p, TEST_GRID)

@@ -318,6 +318,16 @@ def test_topology_computes_d_without_the_end_effector_or_the_raw_conic():
     assert _names(_tree(PACKAGE / "topology.py")) & {"fk_arrays", "conic_raw"} == set()
 
 
+# D's lattice comes from its theta2 series: topology neither imports nor
+# calls the block sampler, which samples det J alone, in the trace.
+def test_no_module_samples_d_at_every_lattice_point():
+    assert "_sample_lattice" not in _names(_tree(PACKAGE / "topology.py"))
+    callers = {path.name: [scope for scope, _ in _callers(_tree(path), "_sample_lattice")]
+               for path in PACKAGE.glob("*.py")}
+    assert {name: scopes for name, scopes in callers.items() if scopes} \
+        == {"critical.py": ["trace_critical_points"]}
+
+
 def _reading_scopes(tree, name: str) -> set:
     """Innermost enclosing functions (or "<module>") of every load of `name`,
     bare or as an attribute."""

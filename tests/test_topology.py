@@ -159,8 +159,9 @@ def test_build_topology_refuses_a_set_from_another_grid_or_robot(analysis):
 
 
 def test_is_cuspidal_samples_the_torus_once(monkeypatch):
-    """One analysis samples det J and D once each, on the one vertex
-    lattice, and builds no curve distance index: labels read the lattice."""
+    """One analysis block-samples det J once and reads D once from its
+    theta2 series, both on the one vertex lattice; D is never block-sampled,
+    and no curve distance index is built: labels read the lattice."""
     calls = Counter()
 
     def counted(key, fn):
@@ -169,13 +170,13 @@ def test_is_cuspidal_samples_the_torus_once(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    lattice = counted(lambda field, grid_n: f"lattice:{field.func.__name__}:{grid_n}",
-                      critical._sample_lattice)
-    monkeypatch.setattr(critical, "_sample_lattice", lattice)
-    monkeypatch.setattr(topology, "_sample_lattice", lattice)
+    monkeypatch.setattr(critical, "_sample_lattice", counted(
+        lambda field, grid_n: f"lattice:{field.func.__name__}:{grid_n}", critical._sample_lattice))
+    monkeypatch.setattr(topology, "_discriminant_lattice", counted(
+        lambda p, grid_n: f"series:{grid_n}", topology._discriminant_lattice))
     monkeypatch.setattr(TorusCurveIndex, "__init__", counted("index", TorusCurveIndex.__init__))
     is_cuspidal(REFERENCE, grid_n=128)
-    assert calls == {"lattice:det_jacobian:128": 1, "lattice:_discriminant:128": 1}
+    assert calls == {"lattice:det_jacobian:128": 1, "series:128": 1}
 
 
 def test_is_cuspidal_bounds_its_newton_and_sweep_work(monkeypatch):
@@ -220,7 +221,7 @@ def _ps_crossings(p, curves):
     keeps: those whose edge has no end in the S band."""
     n = curves.grid_n
     field = partial(topology._discriminant, p)
-    d, th = critical._sample_lattice(field, n)
+    d, th, _ = topology._discriminant_lattice(p, n)
     band = topology._s_band(curves.det_vertex)
     ids, _ = critical._marching_segments(d, th, field)
     i, j, along_v, _, _ = critical._crossing_edges(ids, th)
@@ -260,32 +261,34 @@ def test_illinois_crossings_lie_within_four_brackets_of_the_bisection(name, anal
     _, p = BATTERY.get(name)
     field, d, th, ids = _ps_crossings(p, analysis.curves(p))
     assert len(ids)
-    got = topology._refine_crossings(field, ids, th, d)
+    got = topology._refine_crossings(field, ids, th)
     ref = engine_refs.refine_crossings(field, ids, th, d)
     h = 2 * math.pi / TEST_GRID
     assert float(np.max(np.abs(wrap_angle(got - ref)))) <= 4 * 2.0 ** -36 * h
 
 
-def test_ps_refinement_makes_at_most_20_field_calls(monkeypatch, analysis):
+def test_ps_refinement_runs_at_most_20_rounds(monkeypatch, analysis):
     """One compute_pseudosingularities refines its crossings in at most 20
-    field calls on every battery robot (the bisection made 36)."""
-    calls = []
+    rounds of one field call each on every battery robot (the bisection
+    made 36), after one call that reads both ends of every kept edge."""
+    rounds = []
     refine = topology._refine_crossings
 
-    def counted(field, *args):
-        count = Counter()
+    def counted(field, ids, th):
+        sizes = []
 
         def counted_field(*points):
-            count["field"] += 1
+            sizes.append(len(points[0]))
             return field(*points)
-        out = refine(counted_field, *args)
-        calls.append(count["field"])
+        out = refine(counted_field, ids, th)
+        assert sizes[0] == 2 * len(ids)
+        rounds.append(len(sizes) - 1)
         return out
     monkeypatch.setattr(topology, "_refine_crossings", counted)
     for name in sorted(BATTERY.robots):
         _, p = BATTERY.get(name)
         assert compute_pseudosingularities(analysis.curves(p)).total_points() > 0
-    assert len(calls) == len(BATTERY.robots) and max(calls) <= 20, calls
+    assert len(rounds) == len(BATTERY.robots) and max(rounds) <= 20, rounds
 
 
 @pytest.mark.parametrize("name", sorted(BATTERY.robots))
