@@ -3,13 +3,12 @@
 Marching squares traces the zero set of det(J); its image under the forward
 map is the locus of critical values.  Cusps are triple roots of the IK
 quartic (M = M' = M'' = 0, M''' != 0), nodes are pairs of distinct double
-roots, and quadruple roots make a robot non-generic.  Cusps are seeded from
-the real roots of the cusp locus E(theta3), and quadruple roots are checked
-at its exact candidates (reduction.cusp_seeds, quadruple_candidates); nodes
-are the real roots of two quadratics (find_nodes).  One batched damped
-Newton polishes the cusp seeds in theta3 on the conic restricted to the
-unit circle, and every find is certified post hoc by the defining residuals
-of M.
+roots, and quadruple roots make a robot non-generic.  Cusps are the real
+roots of the cusp locus E(theta3), polished on its branches in theta3 alone,
+and quadruple roots are checked at its exact candidates (reduction.cusp_seeds,
+polish_cusps, quadruple_candidates); nodes are the real roots of two
+quadratics (find_nodes).  Every find is certified post hoc by the defining
+residuals of M.
 """
 from __future__ import annotations
 
@@ -37,11 +36,10 @@ from .geometry import seg_intersect_many
 from .reduction import (
     _cusp_locus,
     _locus_targets,
-    circle_harmonics,
-    circle_jet,
     conic_raw,
     cusp_seeds,
     ik_counts,
+    polish_cusps,
     quadruple_candidates,
     quartic_coeffs_from_conic,
     quartic_jet,
@@ -52,8 +50,6 @@ log = logging.getLogger(__name__)
 
 DEFAULT_GRID_N = 720
 _REFINE_TOL = 1e-13  # target |det J| / scale after vertex refinement
-_NEWTON_MAX_ITER = 50
-_HALVINGS = 25                # line-search lambdas per Newton step: 1, 1/2, ..., 2^-24
 # root certification on the max-normalised quartic (_residuals), whose
 # residuals have no unit; only rho^2 and the dedup radius carry lengths
 CUSP_RESIDUAL_TOL = 1e-7      # |M|, ..., |M^(mult-1)| at a root of multiplicity mult
@@ -355,12 +351,12 @@ def critical_values(p: DhParams, curves) -> list:
 
 
 # --------------------------------------------------------------------------
-# batched Newton refinements on the conic restricted to the theta3 circle
+# certification
 #
-# Every multiple-root system runs in theta3 itself, on g(theta3) =
-# h0 + h1 . (cos, sin)(theta3) + h2 . (cos, sin)(2 theta3) (circle_harmonics),
-# which no point of the circle makes ill-conditioned.  Only the certification
-# reads the quartic M(t), in the chart _chart_seed picks.
+# Cusps, quadruple roots and nodes are found in theta3 on the conic restricted
+# to the unit circle (reduction's cusp locus), which no point of the circle
+# makes ill-conditioned.  Only the certification reads the quartic M(t), in
+# the chart _chart_seed picks.
 # --------------------------------------------------------------------------
 
 def _chart_seed(theta3: float):
@@ -373,109 +369,6 @@ def _chart_seed(theta3: float):
 
 def _tan_half(theta3: float) -> float:
     return math.tan(theta3 / 2.0)
-
-
-def _svd(jac):
-    """Thin SVDs of a stack of matrices and a mask of those LAPACK decomposed."""
-    try:
-        return np.linalg.svd(jac, full_matrices=False), np.ones(len(jac), dtype=bool)
-    except np.linalg.LinAlgError:
-        pass
-    k, m, n = jac.shape
-    r = min(m, n)
-    u, s, vh = np.zeros((k, m, r)), np.zeros((k, r)), np.zeros((k, r, n))
-    good = np.ones(k, dtype=bool)
-    for i in range(k):
-        try:
-            u[i], s[i], vh[i] = np.linalg.svd(jac[i], full_matrices=False)
-        except np.linalg.LinAlgError:
-            good[i] = False
-    return (u, s, vh), good
-
-
-def _lstsq_steps(jac, fval):
-    """Minimum-norm least-squares solutions of J step = F for a stack of systems.
-
-    Singular values at or below eps max(m, n) s_max count as zero, which is
-    np.linalg.lstsq's default cutoff.  Returns (steps, solved); a system is
-    unsolved when J or F is not finite or its SVD does not converge.
-    """
-    k, m, n = jac.shape
-    steps = np.zeros((k, n))
-    solved = np.all(np.isfinite(jac), axis=(1, 2)) & np.all(np.isfinite(fval), axis=1)
-    idx = np.nonzero(solved)[0]
-    (u, s, vh), good = _svd(jac[idx])
-    solved[idx[~good]] = False
-    kept = s > np.finfo(float).eps * max(m, n) * s[:, :1]
-    inv = np.where(kept, 1.0 / np.where(kept, s, 1.0), 0.0)
-    coef = np.sum(u * fval[idx, :, None], axis=1) * inv
-    steps[idx] = np.sum(vh * coef[:, :, None], axis=1)
-    return steps, solved
-
-
-def _damped_newton(fun_jac, x0):
-    """Damped (Gauss-)Newton with step halving on ||F||^2, over a batch of seeds.
-
-    `fun_jac(x, rows)` evaluates the systems of seeds `rows` (indices into
-    the batch, repeated when a seed is tried at several points) at x of
-    shape (len(rows), n) and returns F (len(rows), m) and J (len(rows), m, n).
-    Each seed runs as it would alone: up to _NEWTON_MAX_ITER steps from least
-    squares, so rank-deficient Jacobians (symmetry slices, overdetermined
-    certification systems) degrade gracefully to the minimum-norm direction
-    instead of blowing up; each step takes the first lambda of 1, 1/2, ...,
-    2^-(_HALVINGS - 1) that makes ||F||^2 drop, and a seed stops at the
-    first step where none does.  The line search costs at most two fun_jac
-    calls per iteration: lambda = 1 for every active seed, then all the
-    smaller lambdas of the seeds still pending, stacked in one call.
-    Returns x (K, n); whether a seed found a root is for the caller's
-    certification to decide.
-    """
-    x = np.array(x0, float)
-    k, n = x.shape
-    fval, jac = fun_jac(x, np.arange(k))
-    norm2 = np.sum(fval * fval, axis=1)
-    done = np.zeros(k, dtype=bool)
-    lams = 0.5 ** np.arange(1, _HALVINGS)      # every lambda after the first
-    for _ in range(_NEWTON_MAX_ITER):
-        done |= norm2 == 0.0
-        act = np.nonzero(~done)[0]
-        if len(act) == 0:
-            break
-        step, solved = _lstsq_steps(jac[act], fval[act])
-        done[act[~solved]] = True
-        act, step = act[solved], step[solved]
-        if len(act) == 0:
-            continue
-        xn = x[act] - step
-        fn, jn = fun_jac(xn, act)
-        n2 = np.sum(fn * fn, axis=1)
-        better = n2 < norm2[act]
-        up = act[better]
-        x[up], fval[up], jac[up], norm2[up] = xn[better], fn[better], jn[better], n2[better]
-        rows, step = act[~better], step[~better]
-        if len(rows):
-            # the smaller lambdas, seed-major: row r * len(lams) + l tries lams[l]
-            xn = (x[rows][:, None, :] - lams[:, None] * step[:, None, :]).reshape(-1, n)
-            fn, jn = fun_jac(xn, np.repeat(rows, len(lams)))
-            n2 = np.sum(fn * fn, axis=1)
-            drops = (n2 < np.repeat(norm2[rows], len(lams))).reshape(len(rows), -1)
-            better = np.any(drops, axis=1)
-            pick = (np.arange(len(rows)) * len(lams) + np.argmax(drops, axis=1))[better]
-            up = rows[better]
-            x[up], fval[up], jac[up], norm2[up] = xn[pick], fn[pick], jn[pick], n2[pick]
-            rows = rows[~better]
-        done[rows] = True
-    return x
-
-
-def _multiple_root_system(p: DhParams):
-    """g = g' = g'' = 0 in (theta3, R, z), the triple-root system that
-    polishes the cusp seeds."""
-    def fun_jac(x, rows):
-        jet = circle_jet(circle_harmonics(p, x[:, 1], x[:, 2]), x[:, 0], 3)
-        jac = np.stack([jet[:, 0, 1:], jet[:, 1, :3], jet[:, 2, :3]], axis=2)
-        return jet[:, 0, :3], jac
-    return fun_jac
 
 
 def _residuals(p: DhParams, theta3, R, zr):
@@ -525,19 +418,18 @@ def _dedup_sorted(points, radius: float, quantum: float):
 
 
 def find_cusps(p: DhParams, workspace_curves) -> list:
-    """Locate all cusps: one Newton batch on {g = g' = g'' = 0} in (theta3,
-    R, z) polishes the seeds of reduction.cusp_seeds, the real roots of the
-    cusp locus E, and _certify accepts each find.
+    """Locate all cusps: reduction.polish_cusps polishes the seeds of
+    reduction.cusp_seeds, the real roots of the cusp locus E, on their
+    branches of E in theta3 alone, and _certify accepts each find.
 
     `workspace_curves` is not read: the seeds come from p alone, so the
     cusps do not depend on the grid the curves were traced on.
     """
     lscale = length_scale(p)
-    theta3, R, zr = cusp_seeds(p)
+    theta3, sigma = cusp_seeds(p)
     if len(theta3) == 0:
         return []
-    x = _damped_newton(_multiple_root_system(p), np.column_stack([theta3, R, zr]))
-    theta3, R, zr = wrap_angle(x[:, 0]), x[:, 1], x[:, 2]
+    theta3, R, zr = polish_cusps(p, theta3, sigma)
     res, certified = _certify(p, theta3, R, zr, 3)
     log.debug("%d of %d cusp seeds not certified", int(np.sum(~certified)), len(theta3))
     found = [(math.sqrt(max(float(R[k] - zr[k] * zr[k]), 0.0)), float(zr[k] + p.d1),
@@ -599,7 +491,7 @@ def find_nodes(p: DhParams, workspace_curves) -> list:
     """Locate all nodes in closed form, with no seed, grid or Newton.
 
     At a node the conic on the theta3 circle is g = K (cos(theta3 - m) -
-    e)^2 with |e| < 1, and g's harmonics (circle_harmonics) read:
+    e)^2 with |e| < 1, and g's harmonics (reduction's cusp locus) read:
 
     - h2 = K / 2 (cos 2m, sin 2m), which no target changes: (K, m) is (2 |h2|,
       arg h2 / 2) or (-2 |h2|, arg h2 / 2 + pi / 2), as (K, m + pi) is the same

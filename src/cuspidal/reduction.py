@@ -218,51 +218,13 @@ def conic_raw(p: DhParams, R, z):
     return np.stack(np.broadcast_arrays(*_conic(p, np.asarray(R, float), np.asarray(z, float))))
 
 
-def circle_harmonics(p: DhParams, R, z) -> np.ndarray:
-    """The conic on the unit circle, g(theta3) = h0 + h1 . (cos, sin)(theta3)
-    + h2 . (cos, sin)(2 theta3), at targets (R, z), both (K,), with its exact
-    R and z partials: (K, 3, 5) holding (h0, h1, h2) and the two partials.
-    h2 = ((Axx - Ayy) / 2, Axy) is target-independent, h1 = 2 (Bx, By) is
-    affine and h0 = (Axx + Ayy) / 2 + C quadratic in (R, z)."""
-    k = _conic_terms(p)
-    axx, axy, ayy, bx, by, c = _conic(p, R, z)
-    out = np.zeros((len(R), 3, 5))
-    out[:, 0, 0] = 0.5 * (axx + ayy) + c
-    out[:, 0, 1], out[:, 0, 2] = 2.0 * bx, 2.0 * by
-    out[:, 0, 3], out[:, 0, 4] = 0.5 * (axx - ayy), axy
-    # C = pw^2 + qw^2 - ... with pw = (R - w2) / (2 a1) and qw = (z - w3) / sin(alpha1)
-    out[:, 1, 0] = 2.0 * ((R - k.w2) / k.two_a1) / k.two_a1
-    out[:, 1, 1], out[:, 1, 2] = 2.0 * k.pu / k.two_a1, 2.0 * k.pv / k.two_a1
-    out[:, 2, 0] = 2.0 * ((z - k.w3) / k.sa1) / k.sa1
-    out[:, 2, 1], out[:, 2, 2] = 2.0 * k.qu / k.sa1, 2.0 * k.qv / k.sa1
-    return out
-
-
-# d/dtheta of the harmonics (h0, a1, b1, a2, b2), a_n cos(n theta) + b_n
-# sin(n theta), is (0, b1, -a1, 2 b2, -2 a2): a quarter turn of each pair
-# scaled by n.  Column block j holds the j-th power, so h @ _THETA_JET gives
-# the harmonics of every derivative; each entry is one exact product.
-_D_THETA = np.array([[0.0, 0.0, 0.0, 0.0, 0.0],
-                     [0.0, 0.0, -1.0, 0.0, 0.0],
-                     [0.0, 1.0, 0.0, 0.0, 0.0],
-                     [0.0, 0.0, 0.0, 0.0, -2.0],
-                     [0.0, 0.0, 0.0, 2.0, 0.0]])
-_THETA_JET = np.hstack([np.linalg.matrix_power(_D_THETA, j) for j in range(5)])
-
-
-def circle_jet(h: np.ndarray, theta: np.ndarray, order: int) -> np.ndarray:
-    """Derivatives 0..order in theta of the harmonics h (K, ..., 5), laid out
-    as circle_harmonics gives them, at theta (K,): shape (K, ..., order + 1)."""
-    trig = np.stack([np.ones_like(theta), np.cos(theta), np.sin(theta),
-                     np.cos(2.0 * theta), np.sin(2.0 * theta)], axis=-1)
-    turned = np.reshape(h @ _THETA_JET[:, :5 * (order + 1)], h.shape[:-1] + (order + 1, 5))
-    return np.sum(turned * np.reshape(trig, (len(theta),) + (1,) * (h.ndim - 1) + (5,)), axis=-1)
-
-
 # --------------------------------------------------------------------------
 # The cusp locus: triple roots of g in closed form
 #
-# With c1 = (cos, sin)(theta3), c2 = (cos, sin)(2 theta3) and c1+, c2+ those
+# The conic on the unit circle is a trigonometric polynomial of degree 2,
+# g(theta3) = h0 + h1 . c1 + h2 . c2 with h2 = ((Axx - Ayy) / 2, Axy), which
+# no target changes, h1 = 2 (Bx, By) and h0 = (Axx + Ayy) / 2 + C.  With
+# c1 = (cos, sin)(theta3), c2 = (cos, sin)(2 theta3) and c1+, c2+ those
 # pairs turned a quarter turn, g' = h1 . c1+ + 2 h2 . c2+ and g'' = -h1 . c1
 # - 4 h2 . c2 hold no h0, so g' = g'' = 0 fixes h1 = H(theta3) = -4 (h2 . c2)
 # c1 - 2 (h2 . c2+) c1+, and then g = 0 reads h0 = 3 h2 . c2 (g + g'' = h0 -
@@ -280,6 +242,12 @@ def circle_jet(h: np.ndarray, theta: np.ndarray, order: int) -> np.ndarray:
 # a trigonometric polynomial of degree 6 (b has harmonics 1 and 3).  Its
 # real roots are the theta3 of every cusp.  Since g''' = -g' - 6 h2 . c2+, a
 # quadruple root sits on the locus only where 2 theta3 = arg h2 (mod pi).
+#
+# E factors as s1^2 f+ f-, with the branch f_sigma = beta2 - sigma s2 m, m =
+# sqrt(m2).  The lift eta = (beta1 / s1, sigma m) has |eta|^2 = r2, so g +
+# g'' = 0, and h1 - H = 2 (P y - b) = -2 f_sigma U (0, 1), so g' and g'' are
+# multiples of f_sigma: on the lift, f_sigma = 0 is the whole triple-root
+# system, one equation in theta3.
 # --------------------------------------------------------------------------
 
 # A root whose theta3 is further than tanh^-1 of this from the real circle is
@@ -287,6 +255,8 @@ def circle_jet(h: np.ndarray, theta: np.ndarray, order: int) -> np.ndarray:
 _IMAG_ANGLE_MAX = 1e-3
 _LOCUS_SAMPLES = 16       # samples of E per turn, more than 2 x its degree 6
 _LOCUS_DEGREE = 12        # degree of E's polynomial in exp(i theta3)
+_POLISH_MAX_ITER = 12     # Newton steps per cusp seed in polish_cusps
+_POLISH_STEP_ULPS = 4     # a step this many ulps of theta3 or less is a seed's last
 
 
 @dataclass(frozen=True)
@@ -311,13 +281,16 @@ def _cusp_locus(p: DhParams) -> _CuspLocus:
 
 
 def _locus_terms(loc: _CuspLocus, theta: np.ndarray):
-    """beta = U^T b (K, 2), r2 (K,) and c1 (K, 2) at theta (K,)."""
+    """beta = U^T b (K, 2), r2 (K,) and their theta derivatives beta' = U^T b'
+    (K, 2) and r2' (K,) at theta (K,), from b' = -3 (h2 . c2+) c1 and r2' = 6
+    h2 . c2+."""
     c1 = np.column_stack([np.cos(theta), np.sin(theta)])
     c1_turned = np.column_stack([-c1[:, 1], c1[:, 0]])
     h2_c2 = loc.h2[0] * np.cos(2.0 * theta) + loc.h2[1] * np.sin(2.0 * theta)
     h2_turned = loc.h2[1] * np.cos(2.0 * theta) - loc.h2[0] * np.sin(2.0 * theta)
     b = -2.0 * h2_c2[:, None] * c1 - h2_turned[:, None] * c1_turned + loc.uvw
-    return b @ loc.u, 3.0 * h2_c2 + loc.r0, c1
+    return (b @ loc.u, 3.0 * h2_c2 + loc.r0,
+            (-3.0 * h2_turned[:, None] * c1) @ loc.u, 6.0 * h2_turned)
 
 
 def _locus_targets(p: DhParams, loc: _CuspLocus, eta: np.ndarray):
@@ -340,8 +313,9 @@ def _real_circle_roots(e: np.ndarray) -> np.ndarray:
 
 
 def cusp_seeds(p: DhParams):
-    """(theta3, R, zr) seeds of every cusp of p, from the real roots of the
-    cusp locus E (see above), for Newton to polish.
+    """(theta3, sigma) seeds of every cusp of p, for polish_cusps: the real
+    roots of the cusp locus E (see above), each with the sign sigma of eta2
+    on its branch f_sigma.
 
     Each root gives eta1 = beta1 / s1 and |eta2| = m = sqrt(max(m2, 0)), well
     conditioned however small s2 is (orthogonal robots have s2 ~ 1e-16 and
@@ -354,17 +328,16 @@ def cusp_seeds(p: DhParams):
     (|beta2| - s2 m)(|beta2| + s2 m) = -delta, |delta| <= Delta, so beta2
     lies within eps_b = sqrt(Delta) of sign(beta2) s2 m, and the other sign
     misses it by |beta2| + s2 m.  Where 2 s2 m exceeds 2 eps_b the other
-    sign cannot be a root at this precision and only eta2 = sign(beta2) m is
-    seeded; elsewhere both are.
+    sign cannot be a root at this precision and only sigma = sign(beta2) is
+    seeded; elsewhere both signs are, as two seeds.
 
     Only there can m2 be negative (a root with s2 m > eps_b has m > 0), and
     a root with complex y is no cusp.  A real cusp at theta* nearby has
     |beta2(theta*)| = s2 m(theta*) <= eps_b to first order, so |theta* -
     theta| <= (|beta2| + eps_b) / |beta2'| and m2(theta*) >= m2 - |m2'|
-    (|beta2| + eps_b) / |beta2'|.  From b' = -3 (h2 . c2+) c1 and r2' = 6
-    h2 . c2+, beta2' = -3 (h2 . c2+) (u2 . c1) and m2' = 6 (h2 . c2+)(1 +
-    eta1 (u1 . c1) / s1): a root is dropped where m2 |u2 . c1| < -2 (|beta2|
-    + eps_b) |1 + eta1 (u1 . c1) / s1|, where no real cusp can be near.
+    (|beta2| + eps_b) / |beta2'|, with beta2' and m2' = r2' - 2 eta1 beta1'
+    / s1 from _locus_terms: a root is dropped where m2 |beta2'| < -|m2'|
+    (|beta2| + eps_b), where no real cusp can be near.
 
     If h2 = 0, g''' = -g' vanishes with g', and g has no triple root; if P =
     0, h1 does not depend on the target and E vanishes: neither has seeds.
@@ -372,32 +345,72 @@ def cusp_seeds(p: DhParams):
     loc = _cusp_locus(p)
     s1, s2 = loc.s
     if s1 == 0.0 or not loc.h2.any():
-        return np.empty(0), np.empty(0), np.empty(0)
+        return np.empty(0), np.empty(0)
     theta = TWO_PI * np.arange(_LOCUS_SAMPLES) / _LOCUS_SAMPLES
-    beta, r2, _ = _locus_terms(loc, theta)
+    beta, r2, _, _ = _locus_terms(loc, theta)
     # the harmonics of E / s1^2, exact from its samples (16 > 2 x 6)
     e = np.fft.rfft((s2 / s1) ** 2 * beta[:, 0] ** 2 + beta[:, 1] ** 2 - s2 * s2 * r2) \
         / _LOCUS_SAMPLES
     eps_b = math.sqrt(_LOCUS_DEGREE * float(np.finfo(float).eps)
                       * float(abs(e[0]) + 2.0 * np.sum(np.abs(e[1:7]))))
     theta = _real_circle_roots(e)
-    beta, r2, c1 = _locus_terms(loc, theta)
+    beta, r2, beta_d, r2_d = _locus_terms(loc, theta)
     eta1 = beta[:, 0] / s1
     m2 = r2 - eta1 * eta1
-    m = np.sqrt(np.maximum(m2, 0.0))
-    both = s2 * m <= eps_b
-    u1_c1, u2_c1 = c1 @ loc.u[:, 0], c1 @ loc.u[:, 1]
-    real = ~both | (-m2 * np.abs(u2_c1)
-                    <= 2.0 * (np.abs(beta[:, 1]) + eps_b) * np.abs(1.0 + eta1 * u1_c1 / s1))
+    both = s2 * np.sqrt(np.maximum(m2, 0.0)) <= eps_b
+    m2_d = r2_d - 2.0 * eta1 * beta_d[:, 0] / s1
+    real = ~both | (-m2 * np.abs(beta_d[:, 1])
+                    <= np.abs(m2_d) * (np.abs(beta[:, 1]) + eps_b))
     one = real & ~both
     two = real & both
-    theta = np.concatenate([theta[one], np.repeat(theta[two], 2)])
-    eta = np.column_stack([
-        np.concatenate([eta1[one], np.repeat(eta1[two], 2)]),
-        np.concatenate([np.copysign(m[one], beta[one, 1]),
-                        np.repeat(m[two], 2) * np.tile([1.0, -1.0], int(np.sum(two)))])])
+    return (np.concatenate([theta[one], np.repeat(theta[two], 2)]),
+            np.concatenate([np.copysign(1.0, beta[one, 1]),
+                            np.tile([1.0, -1.0], int(np.sum(two)))]))
+
+
+def _locus_branch(loc: _CuspLocus, theta: np.ndarray, sigma: np.ndarray):
+    """f_sigma = beta2 - sigma s2 m (K,), its theta derivative (K,) and the
+    lift eta = (beta1 / s1, sigma m) (K, 2) at theta (K,) on the branches
+    sigma (K,), with m' = m2' / (2 m), read as 0 where m = 0."""
+    s1, s2 = loc.s
+    beta, r2, beta_d, r2_d = _locus_terms(loc, theta)
+    eta1 = beta[:, 0] / s1
+    m = np.sqrt(np.maximum(r2 - eta1 * eta1, 0.0))
+    m_d = (0.5 * r2_d - eta1 * beta_d[:, 0] / s1) / np.where(m > 0.0, m, np.inf)
+    return (beta[:, 1] - sigma * s2 * m, beta_d[:, 1] - sigma * s2 * m_d,
+            np.column_stack([eta1, sigma * m]))
+
+
+def polish_cusps(p: DhParams, theta3: np.ndarray, sigma: np.ndarray):
+    """(theta3, R, zr) of the seeds (theta3, sigma) of cusp_seeds, each
+    polished by Newton on its branch f_sigma = 0 and lifted to its target.
+    theta3 is left unwrapped, within a step of the seed: wrapping would
+    round it to the ulps of pi.
+
+    On orthogonal robots (s2 ~ 1e-16) E ~ s1^2 beta2^2: a double root of E
+    is a simple root of f_sigma, so every step is well conditioned.  The
+    seeds step in one array batch, each as it would alone.  A step is taken
+    where it lowers |f_sigma|; a seed stops at the first step that does
+    not, after a step of at most _POLISH_STEP_ULPS ulps of theta3, or after
+    _POLISH_MAX_ITER steps.
+    """
+    loc = _cusp_locus(p)
+    theta3 = np.array(theta3, float)
+    f, f_d, eta = _locus_branch(loc, theta3, sigma)
+    act = np.arange(len(theta3))
+    for _ in range(_POLISH_MAX_ITER):
+        if len(act) == 0:
+            break
+        # where f' = 0 the step is 0, which lowers nothing and stops the seed
+        step = f[act] / np.where(f_d[act] != 0.0, f_d[act], np.inf)
+        th = theta3[act] - step
+        fn, fn_d, eta_n = _locus_branch(loc, th, sigma[act])
+        better = np.abs(fn) < np.abs(f[act])
+        up = act[better]
+        theta3[up], f[up], f_d[up], eta[up] = th[better], fn[better], fn_d[better], eta_n[better]
+        act = up[np.abs(step[better]) > _POLISH_STEP_ULPS * np.spacing(np.abs(th[better]))]
     R, zr = _locus_targets(p, loc, eta)
-    return theta, R, zr
+    return theta3, R, zr
 
 
 def quadruple_candidates(p: DhParams):
@@ -411,7 +424,7 @@ def quadruple_candidates(p: DhParams):
     if loc.s[0] == 0.0:
         return np.empty(0), np.empty(0), np.empty(0)
     theta = wrap_angle(0.5 * math.atan2(loc.h2[1], loc.h2[0]) + 0.5 * math.pi * np.arange(4))
-    beta, r2, _ = _locus_terms(loc, theta)
+    beta, r2, _, _ = _locus_terms(loc, theta)
     eta1 = beta[:, 0] / loc.s[0]
     m = np.sqrt(np.maximum(r2 - eta1 * eta1, 0.0))
     eta = np.column_stack([np.repeat(eta1, 2), np.repeat(m, 2) * np.tile([1.0, -1.0], 4)])

@@ -7,6 +7,7 @@ import dataclasses
 import importlib.util
 import math
 import pathlib
+import types
 
 import numpy as np
 import pytest
@@ -83,6 +84,30 @@ def robot_draws(rng, k: int) -> list:
                 alpha2=math.copysign(HALF_PI, p.alpha2) + tilt * rng.uniform(-1.0, 1.0))
         out.append((f"{kind} {n}", p))
     return out
+
+
+def rational_robot(sp):
+    """(robot, terms) of a non-orthogonal robot with rational lengths and
+    rational cosines and sines of its twists: d = (-3/2, 1, 1), a = (2, 1/2,
+    9/4), cos alpha = 5/13 and -3/5.  `terms` holds, in exact sympy
+    arithmetic, what f_coefficients and _conic_terms give: d1, a1, sa1, the
+    constant terms w of F1..F4, P = [[pu, qu], [pv, qv]], axx, axy, ayy and
+    uvw = (UW, VW)."""
+    rat = sp.Rational
+    d1, d2, d3, a1, a2, a3 = rat(-3, 2), rat(1), rat(1), rat(2), rat(1, 2), rat(9, 4)
+    ca1, sa1, ca2, sa2 = rat(5, 13), rat(12, 13), rat(-3, 5), rat(4, 5)
+    robot = DhParams(-1.5, 1.0, 1.0, 2.0, 0.5, 2.25, math.atan2(12, 5), math.atan2(4, -3))
+    forms = ((a3, 0, a2), (0, ca2 * a3, -sa2 * d3), (0, sa2 * a3, d2 + ca2 * d3))
+    f3 = (2 * sum(f[0] * f[2] for f in forms), 2 * sum(f[1] * f[2] for f in forms),
+          sum(f[2] ** 2 + f[0] ** 2 for f in forms) + a1 ** 2)
+    u, v, w = ((forms[0][i], -forms[1][i], f3[i], ca1 * forms[2][i]) for i in range(3))
+    P = sp.Matrix([[-u[2] / (2 * a1), -u[3] / sa1], [-v[2] / (2 * a1), -v[3] / sa1]])
+    return robot, types.SimpleNamespace(
+        d1=d1, a1=a1, sa1=sa1, w=w, P=P,
+        axx=P[0, 0] ** 2 + P[0, 1] ** 2 - u[0] ** 2 - u[1] ** 2,
+        axy=P[0, 0] * P[1, 0] + P[0, 1] * P[1, 1] - u[0] * v[0] - u[1] * v[1],
+        ayy=P[1, 0] ** 2 + P[1, 1] ** 2 - v[0] ** 2 - v[1] ** 2,
+        uvw=sp.Matrix([u[0] * w[0] + u[1] * w[1], v[0] * w[0] + v[1] * w[1]]))
 
 
 def perfbench_inputs():

@@ -1,24 +1,27 @@
 """Loop references the array engines in the package are tested against: the
-flood fill as one sparse graph over every cell, the damped Newton with one
-fun_jac call per line-search lambda, marching squares and its chain walk over
-dicts keyed by ("u" | "v", i, j), a segment hash filled one segment at a time,
-the quartic root engine as it stood before the per-robot conic constants, the
-labels one solution at a time over its lattice cell's four corners, the
-quartic jet with its own Horner loop, the A* path search over lattice-point
-tuples, the path audit one segment at a time, the census counts from the root
-engine at every target, the c3s3 plot's plane marching squares as a loop over
-cells, the SVG polyline formatted one vertex at a time, the pulled-back
-discriminant D through the end effector and the conic, its crossings bisected
-36 times, the pseudosingularities from D sampled at every lattice point, as
-they were traced before D's theta2 series, the reduced aspects' parents from
-a sort of the whole lattice, and the chart engine: cusps, nodes and
-quadruple roots solved on the quartic M in the half-angle chart that keeps
-each seed well conditioned, as they stood before the Newton systems moved
-onto the theta3 circle, certified by the unit-free rule on the chart's own
-residuals, and cusps and quadruple roots by Newton on the theta3 circle from
-seeds on the traced curves, as they were found before the cusp locus, and
-nodes at the crossings of the traced critical values refined by Newton, as
-they were found before their closed form."""
+flood fill as one sparse graph over every cell, marching squares and its chain
+walk over dicts keyed by ("u" | "v", i, j), a segment hash filled one segment
+at a time, the quartic root engine as it stood before the per-robot conic
+constants, the labels one solution at a time over its lattice cell's four
+corners, the quartic jet with its own Horner loop, the A* path search over
+lattice-point tuples, the path audit one segment at a time, the census counts
+from the root engine at every target, the c3s3 plot's plane marching squares
+as a loop over cells, the SVG polyline formatted one vertex at a time, the
+pulled-back discriminant D through the end effector and the conic, its
+crossings bisected 36 times, the pseudosingularities from D sampled at every
+lattice point, as they were traced before D's theta2 series, the reduced
+aspects' parents from a sort of the whole lattice, and the chart engine:
+cusps, nodes and quadruple roots solved on the quartic M in the half-angle
+chart that keeps each seed well conditioned, as they stood before the Newton
+systems moved onto the theta3 circle, certified by the unit-free rule on the
+chart's own residuals, cusps polished by Newton on g = g' = g'' = 0 in
+(theta3, R, z) on the conic's harmonics on the theta3 circle, as they were
+before the polish on the cusp locus's branches, cusps and quadruple roots by
+that Newton from seeds on the traced curves, as they were found before the
+cusp locus, and nodes at the crossings of the traced critical values refined
+by Newton, as they were found before their closed form.  Every Newton here is
+one damped Gauss-Newton, damped_newton, with one fun_jac call per line-search
+lambda."""
 import heapq
 import math
 from collections import defaultdict
@@ -29,8 +32,6 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from cuspidal.critical import (
-    _HALVINGS,
-    _NEWTON_MAX_ITER,
     _RHO2_FLOOR,
     CUSP_RESIDUAL_TOL,
     CUSP_THIRD_DERIV_MIN,
@@ -41,12 +42,9 @@ from cuspidal.critical import (
     _chain_loops,
     _chart_seed,
     _crossing_edges,
-    _damped_newton,
     _dedup_sorted,
-    _lstsq_steps,
     _marching_segments,
     _mixed_cells,
-    _multiple_root_system,
     _sample_lattice,
     _segments,
     _tan_half,
@@ -74,15 +72,18 @@ from cuspidal.reduction import (
     IkBatch,
     RootBatch,
     _atan2,
+    _conic,
     _conic_terms,
+    _cusp_locus,
     _derivative,
     _horner,
+    _locus_branch,
+    _locus_targets,
     cluster_real_roots,
     conic_raw,
+    cusp_seeds,
     f_coefficients,
     quartic_coeffs_from_conic,
-    circle_harmonics,
-    circle_jet,
     quartic_discriminant,
     solve_ik_batch,
     theta3_of_t,
@@ -117,27 +118,76 @@ def components(key, excluded=None):
     return len(comps), labels
 
 
+NEWTON_MAX_ITER = 50
+HALVINGS = 25                 # line-search lambdas per Newton step: 1, 1/2, ..., 2^-24
+
+
+def _svd(jac):
+    """Thin SVDs of a stack of matrices and a mask of those LAPACK decomposed."""
+    try:
+        return np.linalg.svd(jac, full_matrices=False), np.ones(len(jac), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    k, m, n = jac.shape
+    r = min(m, n)
+    u, s, vh = np.zeros((k, m, r)), np.zeros((k, r)), np.zeros((k, r, n))
+    good = np.ones(k, dtype=bool)
+    for i in range(k):
+        try:
+            u[i], s[i], vh[i] = np.linalg.svd(jac[i], full_matrices=False)
+        except np.linalg.LinAlgError:
+            good[i] = False
+    return (u, s, vh), good
+
+
+def lstsq_steps(jac, fval):
+    """Minimum-norm least-squares solutions of J step = F for a stack of systems.
+
+    Singular values at or below eps max(m, n) s_max count as zero, which is
+    np.linalg.lstsq's default cutoff.  Returns (steps, solved); a system is
+    unsolved when J or F is not finite or its SVD does not converge.
+    """
+    k, m, n = jac.shape
+    steps = np.zeros((k, n))
+    solved = np.all(np.isfinite(jac), axis=(1, 2)) & np.all(np.isfinite(fval), axis=1)
+    idx = np.nonzero(solved)[0]
+    (u, s, vh), good = _svd(jac[idx])
+    solved[idx[~good]] = False
+    kept = s > np.finfo(float).eps * max(m, n) * s[:, :1]
+    inv = np.where(kept, 1.0 / np.where(kept, s, 1.0), 0.0)
+    coef = np.sum(u * fval[idx, :, None], axis=1) * inv
+    steps[idx] = np.sum(vh * coef[:, :, None], axis=1)
+    return steps, solved
+
+
 def damped_newton(fun_jac, x0):
-    """critical._damped_newton with the line search as a loop: the pending
-    seeds are evaluated at lambda = 1, 1/2, ..., 2^-(_HALVINGS - 1) in turn,
-    one fun_jac call per lambda, and each takes the first that lowers
-    ||F||^2."""
+    """Damped (Gauss-)Newton with step halving on ||F||^2, over a batch of
+    seeds, the one Newton of every reference here.
+
+    `fun_jac(x, rows)` evaluates the systems of seeds `rows` (indices into
+    the batch) at x of shape (len(rows), n) and returns F (len(rows), m) and
+    J (len(rows), m, n).  Each seed runs as it would alone: up to
+    NEWTON_MAX_ITER steps from least squares (lstsq_steps), so
+    rank-deficient Jacobians degrade to the minimum-norm direction; the
+    pending seeds are evaluated at lambda = 1, 1/2, ..., 2^-(HALVINGS - 1)
+    in turn, one fun_jac call per lambda, each takes the first that lowers
+    ||F||^2, and a seed stops at the first step where none does."""
     x = np.array(x0, float)
     k = len(x)
     fval, jac = fun_jac(x, np.arange(k))
     norm2 = np.sum(fval * fval, axis=1)
     done = np.zeros(k, dtype=bool)
-    for _ in range(_NEWTON_MAX_ITER):
+    for _ in range(NEWTON_MAX_ITER):
         done |= norm2 == 0.0
         act = np.nonzero(~done)[0]
         if len(act) == 0:
             break
-        step, solved = _lstsq_steps(jac[act], fval[act])
+        step, solved = lstsq_steps(jac[act], fval[act])
         done[act[~solved]] = True
         act, step = act[solved], step[solved]
         pending = np.ones(len(act), dtype=bool)
         lam = 1.0
-        for _ in range(_HALVINGS):
+        for _ in range(HALVINGS):
             idx = np.nonzero(pending)[0]
             if len(idx) == 0:
                 break
@@ -879,7 +929,7 @@ def chart_find_cusps(p, workspace_curves):
         return []
     pencil = QuarticPencil(p)
     flip = np.array([s[3] for s in seeds])
-    x = _damped_newton(chart_multiple_root_system(pencil, flip, 3), [s[:3] for s in seeds])
+    x = damped_newton(chart_multiple_root_system(pencil, flip, 3), [s[:3] for s in seeds])
     u, R, zr = x.T
     res, certified = _chart_certified(p, pencil, u, R, zr, flip, 3)
     found = []
@@ -921,7 +971,7 @@ def chart_refine_nodes(p, cands):
         flip = np.array([c[1] for c in sym])
         x0 = np.array([c[2] for c in sym])
         lead = pencil.quartic(x0[:, 2], x0[:, 3], flip)[:, 0, 0]
-        x = _damped_newton(chart_node_system_symmetric(pencil, flip),
+        x = damped_newton(chart_node_system_symmetric(pencil, flip),
                            np.column_stack([lead, x0]))
         _, s, e, R[k], zr[k] = x.T
         d = np.sqrt(np.maximum(e, 0.0))
@@ -931,7 +981,7 @@ def chart_refine_nodes(p, cands):
     if plain:
         k = [c[0] for c in plain]
         flips[0, k], flips[1, k] = [c[1] for c in plain], [c[2] for c in plain]
-        x = _damped_newton(chart_node_system(pencil, flips[0, k], flips[1, k]),
+        x = damped_newton(chart_node_system(pencil, flips[0, k], flips[1, k]),
                            [c[3] for c in plain])
         u[0, k], u[1, k], R[k], zr[k] = x.T
     return [(chart_theta3(u1, f1), chart_theta3(u2, f2), r, z) if ok else None
@@ -959,7 +1009,7 @@ def chart_quadruple_root(p, workspace_curves, cusps):
         return None
     pencil = QuarticPencil(p)
     flip = np.array([s[1] for s in seeds])
-    x = _damped_newton(chart_multiple_root_system(pencil, flip, 4),
+    x = damped_newton(chart_multiple_root_system(pencil, flip, 4),
                        [(u0, R0, zr0) for u0, _, R0, zr0 in seeds])
     u, R, zr = x.T
     res, certified = _chart_certified(p, pencil, u, R, zr, flip, 4)
@@ -973,6 +1023,87 @@ def chart_quadruple_root(p, workspace_curves, cusps):
             "z": float(zr[k] + p.d1),
             "t": math.tan(chart_theta3(float(u[k]), bool(flip[k])) / 2.0),
             "residual": float(res[k])}
+
+
+# --------------------------------------------------------------------------
+# cusps as they were polished before the branch polish: Newton on g = g' =
+# g'' = 0 in (theta3, R, z), on the conic's harmonics on the theta3 circle
+# --------------------------------------------------------------------------
+
+def circle_harmonics(p, R, z):
+    """The conic on the unit circle, g(theta3) = h0 + h1 . (cos, sin)(theta3)
+    + h2 . (cos, sin)(2 theta3), at targets (R, z), both (K,), with its exact
+    R and z partials: (K, 3, 5) holding (h0, h1, h2) and the two partials.
+    h2 = ((Axx - Ayy) / 2, Axy) is target-independent, h1 = 2 (Bx, By) is
+    affine and h0 = (Axx + Ayy) / 2 + C quadratic in (R, z)."""
+    k = _conic_terms(p)
+    axx, axy, ayy, bx, by, c = _conic(p, R, z)
+    out = np.zeros((len(R), 3, 5))
+    out[:, 0, 0] = 0.5 * (axx + ayy) + c
+    out[:, 0, 1], out[:, 0, 2] = 2.0 * bx, 2.0 * by
+    out[:, 0, 3], out[:, 0, 4] = 0.5 * (axx - ayy), axy
+    # C = pw^2 + qw^2 - ... with pw = (R - w2) / (2 a1) and qw = (z - w3) / sin(alpha1)
+    out[:, 1, 0] = 2.0 * ((R - k.w2) / k.two_a1) / k.two_a1
+    out[:, 1, 1], out[:, 1, 2] = 2.0 * k.pu / k.two_a1, 2.0 * k.pv / k.two_a1
+    out[:, 2, 0] = 2.0 * ((z - k.w3) / k.sa1) / k.sa1
+    out[:, 2, 1], out[:, 2, 2] = 2.0 * k.qu / k.sa1, 2.0 * k.qv / k.sa1
+    return out
+
+
+# d/dtheta of the harmonics (h0, a1, b1, a2, b2), a_n cos(n theta) + b_n
+# sin(n theta), is (0, b1, -a1, 2 b2, -2 a2): a quarter turn of each pair
+# scaled by n.  Column block j holds the j-th power, so h @ THETA_JET gives
+# the harmonics of every derivative; each entry is one exact product.
+D_THETA = np.array([[0.0, 0.0, 0.0, 0.0, 0.0],
+                    [0.0, 0.0, -1.0, 0.0, 0.0],
+                    [0.0, 1.0, 0.0, 0.0, 0.0],
+                    [0.0, 0.0, 0.0, 0.0, -2.0],
+                    [0.0, 0.0, 0.0, 2.0, 0.0]])
+THETA_JET = np.hstack([np.linalg.matrix_power(D_THETA, j) for j in range(5)])
+
+
+def circle_jet(h, theta, order):
+    """Derivatives 0..order in theta of the harmonics h (K, ..., 5), laid out
+    as circle_harmonics gives them, at theta (K,): shape (K, ..., order + 1)."""
+    trig = np.stack([np.ones_like(theta), np.cos(theta), np.sin(theta),
+                     np.cos(2.0 * theta), np.sin(2.0 * theta)], axis=-1)
+    turned = np.reshape(h @ THETA_JET[:, :5 * (order + 1)], h.shape[:-1] + (order + 1, 5))
+    return np.sum(turned * np.reshape(trig, (len(theta),) + (1,) * (h.ndim - 1) + (5,)), axis=-1)
+
+
+def multiple_root_system(p):
+    """g = g' = g'' = 0 in (theta3, R, z), the triple-root system."""
+    def fun_jac(x, rows):
+        jet = circle_jet(circle_harmonics(p, x[:, 1], x[:, 2]), x[:, 0], 3)
+        jac = np.stack([jet[:, 0, 1:], jet[:, 1, :3], jet[:, 2, :3]], axis=2)
+        return jet[:, 0, :3], jac
+    return fun_jac
+
+
+def locus_seed_targets(p):
+    """(theta3, R, zr) of reduction.cusp_seeds, each lifted unpolished to
+    the target of eta = (beta1 / s1, sigma m)."""
+    theta3, sigma = cusp_seeds(p)
+    loc = _cusp_locus(p)
+    R, zr = _locus_targets(p, loc, _locus_branch(loc, theta3, sigma)[2])
+    return theta3, R, zr
+
+
+def newton_find_cusps(p, workspace_curves):
+    """critical.find_cusps with the 3-D polish: one damped Newton batch on
+    g = g' = g'' = 0 in (theta3, R, z) from the cusp-locus seeds, certified
+    and deduplicated by the same rules."""
+    theta3, R, zr = locus_seed_targets(p)
+    if len(theta3) == 0:
+        return []
+    x = damped_newton(multiple_root_system(p), np.column_stack([theta3, R, zr]))
+    theta3, R, zr = wrap_angle(x[:, 0]), x[:, 1], x[:, 2]
+    res, certified = _certify(p, theta3, R, zr, 3)
+    found = [(math.sqrt(max(float(R[k] - zr[k] * zr[k]), 0.0)), float(zr[k] + p.d1),
+              _tan_half(float(theta3[k])), *(float(r) for r in res[k]))
+             for k in np.nonzero(certified)[0]]
+    lscale = length_scale(p)
+    return [CuspPoint(*c) for c in _dedup_sorted(found, DEDUP_RADIUS * lscale, 1e-9 * lscale)]
 
 
 # --------------------------------------------------------------------------
@@ -1010,7 +1141,7 @@ def speed_minimum_find_cusps(p, workspace_curves):
             seeds.append((float(wc.joint.vertices[k, 1]), rho * rho + zr * zr, zr))
     if not seeds:
         return []
-    x = _damped_newton(_multiple_root_system(p), seeds)
+    x = damped_newton(multiple_root_system(p), seeds)
     theta3, R, zr = wrap_angle(x[:, 0]), x[:, 1], x[:, 2]
     res, certified = _certify(p, theta3, R, zr, 3)
     found = [(math.sqrt(max(float(R[k] - zr[k] * zr[k]), 0.0)), float(zr[k] + p.d1),
@@ -1046,7 +1177,7 @@ def newton_quadruple_root(p, workspace_curves, cusps):
             seeds.append((float(wc.joint.vertices[k, 1]), rho * rho + zr * zr, zr))
     if not seeds:
         return None
-    x = _damped_newton(quadruple_root_system(p), seeds)
+    x = damped_newton(quadruple_root_system(p), seeds)
     theta3, R, zr = wrap_angle(x[:, 0]), x[:, 1], x[:, 2]
     res, certified = _certify(p, theta3, R, zr, 4)
     certified = np.nonzero(certified)[0]
@@ -1108,7 +1239,7 @@ def refine_nodes(p, cands):
     m = th3a + half
     h = circle_harmonics(p, R, zr)[:, 0]
     big_k = 2.0 * (h[:, 3] * np.cos(2.0 * m) + h[:, 4] * np.sin(2.0 * m))
-    x = _damped_newton(node_system(p), np.column_stack([big_k, m, np.cos(half), R, zr]))
+    x = damped_newton(node_system(p), np.column_stack([big_k, m, np.cos(half), R, zr]))
     _, m, e, R, zr = x.T
     live = np.abs(e) <= 1.0
     d = np.arccos(np.where(live, e, 1.0))

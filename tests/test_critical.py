@@ -32,17 +32,15 @@ from cuspidal.critical import (
     _census_crossings,
     _chain_loops,
     _crossing_points,
-    _damped_newton,
     _dedup_sorted,
     _marching_segments,
     _mixed_cells,
-    _multiple_root_system,
     _sample_lattice,
 )
 from cuspidal.dh import length_scale
 from cuspidal.errors import DegenerateGeometryError
 from cuspidal.geometry import seg_intersect_many
-from cuspidal.reduction import circle_harmonics, conic_raw
+from cuspidal.reduction import conic_raw, cusp_seeds, polish_cusps
 
 from conftest import (
     BATTERY,
@@ -50,7 +48,6 @@ from conftest import (
     NONGENERIC_CURVE,
     NONGENERIC_QUAD,
     NONORTHO_NONCUSPIDAL,
-    PAPER_BATTERY,
     REFERENCE,
     TEST_GRID,
     perfbench_inputs,
@@ -62,10 +59,9 @@ from engine_refs import (
     chart_find_cusps,
     chart_quadruple_root,
     chart_refine_nodes,
-    damped_newton,
+    circle_harmonics,
     marching_segments,
     newton_quadruple_root,
-    quadruple_root_system,
     sweep_find_nodes,
 )
 from engine_refs import ik_counts as engine_ik_counts
@@ -567,61 +563,26 @@ def test_circle_engine_equals_the_chart_engine(analysis):
 # vectorised engines against their loop references
 # --------------------------------------------------------------------------
 
-def _newton_cases(p, rng, k):
-    """(name, system(rows of the batch), x0) for each Newton system at k
-    random seeds; system(order) builds it for the seeds in that order."""
-    zr = rng.uniform(-2.0, 2.0, k)
-    R = rng.uniform(0.1, 3.0, k) ** 2 + zr * zr
-    theta3 = rng.uniform(-math.pi, math.pi, k)
-    return [
-        ("cusp", lambda order: _multiple_root_system(p), np.column_stack([theta3, R, zr])),
-        ("quadruple", lambda order: quadruple_root_system(p), np.column_stack([theta3, R, zr])),
-    ]
-
-
 @settings(max_examples=12)
 @given(_SEED)
 def test_batched_newton_equals_single_seed_runs(seed):
-    """Each seed of a batch ends where it ends alone, in any batch order, bit
-    for bit, on every Newton system: the determinism behind byte-identical
-    reports."""
+    """Each seed of a polish_cusps batch ends where it ends alone, in any
+    batch order, bit for bit: the determinism behind byte-identical
+    reports.  The seeds are a robot's cusp seeds and random angles on
+    random branches, which step far and stop on every rule."""
     rng = np.random.default_rng(seed)
     p = random_valid_params(rng)
-    k = 5
+    theta3, sigma = cusp_seeds(p)
+    theta3 = np.concatenate([theta3, rng.uniform(-math.pi, math.pi, 5)])
+    sigma = np.concatenate([sigma, rng.choice([-1.0, 1.0], 5)])
+    k = len(theta3)
     perm = rng.permutation(k)
-    for name, system, x0 in _newton_cases(p, rng, k):
-        x = _damped_newton(system(np.arange(k)), x0)
-        xp = _damped_newton(system(perm), x0[perm])
-        assert xp.tobytes() == x[perm].tobytes(), name
-        for i in range(k):
-            xs = _damped_newton(system(np.array([i])), x0[i:i + 1])
-            assert xs[0].tobytes() == x[i].tobytes(), name
-
-
-def test_batched_line_search_equals_the_lambda_loop(monkeypatch, analysis):
-    """Every damped Newton batch that cusps run ends bit for bit where the
-    one-call-per-lambda loop ends, and it is the cusp system's: genericity
-    and nodes run none."""
-    batches = []
-    batched = critical._damped_newton
-
-    def record(fun_jac, x0, *args, **kwargs):
-        x = batched(fun_jac, x0, *args, **kwargs)
-        batches.append((fun_jac, np.array(x0, float), x))
-        return x
-    monkeypatch.setattr(critical, "_damped_newton", record)
-    rng = np.random.default_rng(8)
-    for robot in [*PAPER_BATTERY.values(), *(random_valid_params(rng) for _ in range(3))]:
-        curves, wcurves = analysis.curves(robot), analysis.wcurves(robot)
-        cusps = find_cusps(robot, wcurves)
-        genericity_check(robot, TEST_GRID, curves, wcurves, cusps)
-        find_nodes(robot, wcurves)
-    systems = set()
-    for fun_jac, x0, x in batches:
-        assert x.tobytes() == damped_newton(fun_jac, x0).tobytes()
-        fval, _ = fun_jac(x0[:1], np.arange(1))
-        systems.add((fun_jac.__qualname__.split(".")[0], fval.shape[1]))
-    assert systems == {("_multiple_root_system", 3)}
+    out = np.column_stack(polish_cusps(p, theta3, sigma))
+    assert np.column_stack(polish_cusps(p, theta3[perm], sigma[perm])).tobytes() \
+        == out[perm].tobytes()
+    for i in range(k):
+        alone = np.column_stack(polish_cusps(p, theta3[i:i + 1], sigma[i:i + 1]))
+        assert alone.tobytes() == out[i:i + 1].tobytes()
 
 
 def _crossing_cells(f, th):

@@ -1,7 +1,8 @@
-"""The cusp locus E(theta3): cusps seeded from its real roots and quadruple
-roots at its four exact candidates, against the traced-curve seeding they
-replace (tests/engine_refs), against exact algebra, and for the work and the
-grid they need."""
+"""The cusp locus E(theta3): cusps seeded from its real roots and polished
+on its branches, and quadruple roots at its four exact candidates, against
+the traced-curve seeding and the 3-D Newton polish they replace
+(tests/engine_refs), against exact algebra, and for the work and the grid
+they need."""
 import math
 
 import numpy as np
@@ -26,8 +27,17 @@ from conftest import (
     REFERENCE,
     perfbench_inputs,
     random_valid_params,
+    rational_robot,
+    robot_draws,
 )
-from engine_refs import newton_quadruple_root, speed_minimum_find_cusps
+from engine_refs import (
+    circle_harmonics,
+    circle_jet,
+    locus_seed_targets,
+    newton_find_cusps,
+    newton_quadruple_root,
+    speed_minimum_find_cusps,
+)
 
 HALF_PI = math.pi / 2
 EQUALITY_GRID = 360
@@ -59,6 +69,14 @@ def _equality_robots():
             *((f"random {k}", random_valid_params(rng)) for k in range(40))]
 
 
+def _assert_same_cusps(cusps, ref, scale, what):
+    assert len(cusps) == len(ref), what
+    for a, b in zip(cusps, ref):
+        assert math.hypot(a.rho - b.rho, a.z - b.z) <= 1e-12 * scale, what
+        gap = 2.0 * math.atan(a.t) - 2.0 * math.atan(b.t)
+        assert abs(math.remainder(gap, 2.0 * math.pi)) <= 1e-12, what
+
+
 def test_cusp_locus_equals_the_traced_curve_seeding():
     """On the battery, the screen robots, the non-generic and binary robots,
     the robots with a singular P and 40 random draws, at grid 360: the same
@@ -70,12 +88,7 @@ def test_cusp_locus_equals_the_traced_curve_seeding():
         curves = trace_critical_points(p, EQUALITY_GRID)
         wcurves = critical_values(p, curves)
         cusps, ref = find_cusps(p, wcurves), speed_minimum_find_cusps(p, wcurves)
-        scale = length_scale(p)
-        assert len(cusps) == len(ref), name
-        for a, b in zip(cusps, ref):
-            assert math.hypot(a.rho - b.rho, a.z - b.z) <= 1e-12 * scale, name
-            gap = 2.0 * math.atan(a.t) - 2.0 * math.atan(b.t)
-            assert abs(math.remainder(gap, 2.0 * math.pi)) <= 1e-12, name
+        _assert_same_cusps(cusps, ref, length_scale(p), name)
         rep = genericity_check(p, EQUALITY_GRID, curves, wcurves, cusps)
         kinds = [e["kind"] for e in rep.evidence]
         quadruple = newton_quadruple_root(p, wcurves, ref)
@@ -101,47 +114,94 @@ def test_cusps_and_quadruple_roots_do_not_depend_on_the_grid(p):
     assert results[0] == results[1] == results[2]
 
 
+def test_branch_polish_equals_the_newton_polish():
+    """On the battery, the screen robots and 300 draws (random, tilted and
+    orthogonal): the same cusps (count, (rho, z) within 1e-12 L and t within
+    1e-12 rad on the circle) as the 3-D damped Newton on g = g' = g'' = 0
+    from the same seeds."""
+    robots = [*BATTERY.items(),
+              *((label, p) for label, p, _ in perfbench_inputs().screen_robots(0)),
+              *robot_draws(np.random.default_rng(424243), 300)]
+    for name, p in robots:
+        _assert_same_cusps(find_cusps(p, ()), newton_find_cusps(p, ()), length_scale(p), name)
+
+
+@pytest.mark.parametrize("seed, draw", [(424242, 50), (7, 39), (7, 47), (7, 57)])
+def test_close_cusp_pairs_stay_apart(seed, draw):
+    """Four random robots (random_valid_params, 0-based draws) whose two
+    cusps are 0.001 to 0.032 apart list both, as the Newton reference does:
+    DEDUP_RADIUS keeps them apart, and no seed polishes onto its neighbour's
+    root."""
+    rng = np.random.default_rng(seed)
+    for _ in range(draw):
+        random_valid_params(rng)
+    p = random_valid_params(rng)
+    cusps = find_cusps(p, ())
+    _assert_same_cusps(cusps, newton_find_cusps(p, ()), length_scale(p), (seed, draw))
+    assert len(cusps) == 2
+    gap = math.hypot(cusps[0].rho - cusps[1].rho, cusps[0].z - cusps[1].z)
+    assert critical.DEDUP_RADIUS * length_scale(p) < gap < 1e-2 * length_scale(p)
+
+
 def test_cusp_polish_work_is_bounded(monkeypatch):
-    """One Newton batch polishes the cusp seeds: at most 13 fun_jac calls on
-    every battery and screen robot that genericity accepts.  The refused
-    parabola_conic and a3 = 2.0 keep the batch's general bound: their
-    quadruple roots are multiple roots of E, where the cusp system is
-    singular and each step still shaves rounding off ||F||."""
-    counts = []
-    newton = critical._damped_newton
+    """One polish batch per robot, at most 5 evaluations of the branches
+    (the seeds' and one per step; measured 2 to 4) on every battery and
+    screen robot, the refused parabola_conic and a3 = 2.0 included: their
+    seeds at quadruple roots (multiple roots of E) start at the rounding
+    floor of f_sigma and stop when |f_sigma| stops falling."""
+    batches, calls = [], [0]
+    polish, branch = critical.polish_cusps, reduction._locus_branch
 
-    def counted(fun_jac, x0):
-        calls = [0]
+    def counted_polish(p, theta3, sigma):
+        batches.append(len(theta3))
+        return polish(p, theta3, sigma)
 
-        def counted_fun_jac(x, rows):
-            calls[0] += 1
-            return fun_jac(x, rows)
-        out = newton(counted_fun_jac, x0)
-        counts.append(calls[0])
-        return out
+    def counted_branch(*args):
+        calls[0] += 1
+        return branch(*args)
 
-    monkeypatch.setattr(critical, "_damped_newton", counted)
+    monkeypatch.setattr(critical, "polish_cusps", counted_polish)
+    monkeypatch.setattr(reduction, "_locus_branch", counted_branch)
     robots = [*BATTERY.items(),
               *((label, p) for label, p, _ in perfbench_inputs().screen_robots(0))]
+    assert {"parabola_conic", "sweep_a3=2.0"} <= {name for name, _ in robots}
     for name, p in robots:
-        counts.clear()
+        batches.clear()
+        calls[0] = 0
         find_cusps(p, ())
-        assert len(counts) <= 1, name
-        bound = 13 if name not in ("parabola_conic", "sweep_a3=2.0") \
-            else 1 + 2 * critical._NEWTON_MAX_ITER
-        assert sum(counts) <= bound, (name, counts)
+        assert len(batches) <= 1, name
+        assert calls[0] <= 5, (name, calls[0])
+
+
+@pytest.mark.parametrize("name", ["orthogonal_cuspidal", "hyperbola_conic"])
+def test_split_double_roots_of_e_polish_to_one_theta3(name):
+    """On an orthogonal robot (s2 ~ 1e-16) E ~ s1^2 beta2^2 has double
+    roots, which np.roots splits in two about 1e-8 apart: each cusp gets two
+    seeds on each branch.  A double root of E is a simple root of f_sigma,
+    so each such pair polishes to one theta3 within 1 ulp."""
+    p = BATTERY[name]
+    theta3, sigma = reduction.cusp_seeds(p)
+    polished = reduction.polish_cusps(p, theta3, sigma)[0]
+    assert len(theta3) == 8
+    for branch in (1.0, -1.0):
+        order = np.argsort(theta3[sigma == branch])
+        seeds, ends = theta3[sigma == branch][order], polished[sigma == branch][order]
+        assert len(seeds) == 4
+        for i in (0, 2):
+            assert 1e-10 < seeds[i + 1] - seeds[i] < 1e-6
+            assert abs(ends[i + 1] - ends[i]) <= np.spacing(abs(ends[i]))
 
 
 def test_seeds_have_no_nan_and_stay_on_the_locus():
-    """Every seed is finite and satisfies g' = g'' = 0 to the bound its sign
-    rule allows, and the quadruple candidates of a robot without a quadruple
-    root are not certified."""
+    """Every seed is finite and, lifted unpolished to its target, satisfies
+    g' = g'' = 0 to the bound its sign rule allows, and the quadruple
+    candidates of a robot without a quadruple root are not certified."""
     rng = np.random.default_rng(5)
     for p in [*BATTERY.values(), *(random_valid_params(rng) for _ in range(10))]:
-        theta3, R, zr = reduction.cusp_seeds(p)
+        theta3, R, zr = locus_seed_targets(p)
         assert np.all(np.isfinite(np.concatenate([theta3, R, zr])))
-        jet = reduction.circle_jet(reduction.circle_harmonics(p, R, zr), theta3, 2)[:, 0]
-        scale = np.max(np.abs(reduction.circle_harmonics(p, R, zr)[:, 0]), axis=1)
+        jet = circle_jet(circle_harmonics(p, R, zr), theta3, 2)[:, 0]
+        scale = np.max(np.abs(circle_harmonics(p, R, zr)[:, 0]), axis=1)
         assert np.all(np.abs(jet[:, 1:]) <= 1e-6 * scale[:, None])
     theta3, R, zr = reduction.quadruple_candidates(REFERENCE)
     assert len(theta3) == 8
@@ -270,3 +330,38 @@ def test_exact_cusps_of_the_reference_robot():
     scale = length_scale(REFERENCE)
     for c in cusps:
         assert min(math.hypot(c.rho - r, c.z - z) for r, z in lifted) <= 1e-12 * scale
+
+
+def test_exact_cusps_of_a_non_orthogonal_rational_robot():
+    """The rational robot of the node oracle (d = (-3/2, 1, 1), a = (2, 1/2,
+    9/4), cos alpha = 5/13 and -3/5) in exact arithmetic: det P != 0, so
+    E = det(P)^2 (|P^-1 b|^2 - r2) and y = P^-1 b is the one lift of each
+    theta3.  E times (1 + t^2)^6 is a polynomial of degree 12 in t = tan(theta3
+    / 2) with rational coefficients; each of its real roots whose lift has
+    rho^2 >= 0, evaluated to 50 digits, is one of find_cusps' 2 cusps to
+    1e-12 L."""
+    sp = pytest.importorskip("sympy")
+    robot, k = rational_robot(sp)
+    t = sp.symbols("t", real=True)
+    c, s = (1 - t ** 2) / (1 + t ** 2), 2 * t / (1 + t ** 2)
+    c1, c1_turned = sp.Matrix([c, s]), sp.Matrix([-s, c])
+    c2, c2_turned = sp.Matrix([c * c - s * s, 2 * s * c]), sp.Matrix([-2 * s * c, c * c - s * s])
+    h2 = sp.Matrix([(k.axx - k.ayy) / 2, k.axy])
+    b = -2 * h2.dot(c2) * c1 - h2.dot(c2_turned) * c1_turned + k.uvw
+    r2 = 3 * h2.dot(c2) - (k.axx + k.ayy) / 2 + k.w[0] ** 2 + k.w[1] ** 2
+    assert k.P.det() != 0
+    adj_b = k.P.adjugate() * b
+    e_poly = sp.Poly(sp.numer(sp.together(adj_b.dot(adj_b) - k.P.det() ** 2 * r2)), t)
+    assert e_poly.degree() == 12          # so theta3 = pi is no root
+    lifted = []
+    for root in e_poly.real_roots():
+        tv = root.evalf(50)
+        y = k.P.inv() * b.subs(t, tv)
+        R, zr = sp.N(2 * k.a1 * y[0] + k.w[2], 50), sp.N(k.sa1 * y[1] + k.w[3], 50)
+        if R - zr ** 2 >= 0:
+            lifted.append((float(sp.sqrt(R - zr ** 2)), float(zr + k.d1)))
+    cusps = find_cusps(robot, ())
+    assert len(cusps) == len(lifted) == 2
+    scale = length_scale(robot)
+    for cusp in cusps:
+        assert min(math.hypot(cusp.rho - r, cusp.z - z) for r, z in lifted) <= 1e-12 * scale

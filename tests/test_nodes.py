@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from cuspidal import (
-    DhParams,
     critical_values,
     find_cusps,
     find_nodes,
@@ -22,6 +21,7 @@ from conftest import (
     PARABOLA_ROBOT,
     TEST_GRID,
     perfbench_inputs,
+    rational_robot,
     robot_draws,
 )
 from engine_refs import sweep_find_nodes
@@ -84,20 +84,9 @@ def test_sympy_node_quadratics_of_a_rational_robot():
     quadratic on it.  Its roots with |e| < 1 and rho^2 >= 0, evaluated to 50
     digits, are find_nodes' 4 nodes to 1e-12 L."""
     sp = pytest.importorskip("sympy")
-    rat = sp.Rational
-    d1, d2, d3, a1, a2, a3 = rat(-3, 2), rat(1), rat(1), rat(2), rat(1, 2), rat(9, 4)
-    ca1, sa1, ca2, sa2 = rat(5, 13), rat(12, 13), rat(-3, 5), rat(4, 5)
-    robot = DhParams(-1.5, 1.0, 1.0, 2.0, 0.5, 2.25, math.atan2(12, 5), math.atan2(4, -3))
-    # f_coefficients and _conic_terms in exact arithmetic
-    forms = ((a3, 0, a2), (0, ca2 * a3, -sa2 * d3), (0, sa2 * a3, d2 + ca2 * d3))
-    f3 = (2 * sum(f[0] * f[2] for f in forms), 2 * sum(f[1] * f[2] for f in forms),
-          sum(f[2] ** 2 + f[0] ** 2 for f in forms) + a1 ** 2)
-    u, v, w = ((forms[0][i], -forms[1][i], f3[i], ca1 * forms[2][i]) for i in range(3))
-    P = sp.Matrix([[-u[2] / (2 * a1), -u[3] / sa1], [-v[2] / (2 * a1), -v[3] / sa1]])
-    axx = P[0, 0] ** 2 + P[0, 1] ** 2 - u[0] ** 2 - u[1] ** 2
-    axy = P[0, 0] * P[1, 0] + P[0, 1] * P[1, 1] - u[0] * v[0] - u[1] * v[1]
-    ayy = P[1, 0] ** 2 + P[1, 1] ** 2 - v[0] ** 2 - v[1] ** 2
-    uvw = sp.Matrix([u[0] * w[0] + u[1] * w[1], v[0] * w[0] + v[1] * w[1]])
+    robot, k = rational_robot(sp)
+    d1, a1, sa1, w, P, axx, axy, ayy, uvw = (k.d1, k.a1, k.sa1, k.w, k.P, k.axx, k.axy, k.ayy,
+                                             k.uvw)
     pw, qw = sp.symbols("p_w q_w", real=True)
     y = sp.Matrix([pw, qw])
     h0 = (axx + ayy) / 2 + y.dot(y) - w[0] ** 2 - w[1] ** 2

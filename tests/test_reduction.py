@@ -31,8 +31,6 @@ from cuspidal.dh import fk_arrays
 from cuspidal.errors import ZeroPolynomialError
 from cuspidal.reduction import (
     ConicCoeffs,
-    circle_harmonics,
-    circle_jet,
     conic_raw,
     ik_counts,
     quartic_discriminant,
@@ -647,8 +645,9 @@ def _conic_on_circle(cc, theta):
 
 @given(st.integers(0, 2 ** 32 - 1))
 def test_circle_jet_reproduces_the_conic_on_the_circle_and_its_partials(seed):
-    """g, g' and g'' from the harmonics equal conic_raw's conic evaluated on
-    the circle and differentiated by hand; their R and z partials equal
+    """g, g' and g'' from the harmonics of the Newton references
+    (engine_refs.circle_harmonics and circle_jet) equal conic_raw's conic
+    evaluated on the circle and differentiated by hand; their R and z partials equal
     central differences, which are exact up to rounding because the conic
     is quadratic in (R, z)."""
     rng = np.random.default_rng(seed)
@@ -656,7 +655,8 @@ def test_circle_jet_reproduces_the_conic_on_the_circle_and_its_partials(seed):
     z = rng.uniform(-6.0, 6.0, 8)
     R = rng.uniform(0.0, 6.0, 8) ** 2 + z * z
     theta = rng.uniform(-math.pi, math.pi, 8)
-    g, g_r, g_z = np.moveaxis(circle_jet(circle_harmonics(p, R, z), theta, 2), 1, 0)
+    g, g_r, g_z = np.moveaxis(
+        engine_refs.circle_jet(engine_refs.circle_harmonics(p, R, z), theta, 2), 1, 0)
     ref = _conic_on_circle(conic_raw(p, R, z), theta)
     scale = np.max(np.abs(conic_raw(p, R, z)), axis=0)[:, None]
     assert np.all(np.abs(g - ref) <= 1e-12 * scale)

@@ -4,8 +4,8 @@ result is built, no unused imports, no unread private definitions, no per-cell
 loop over a 2-D mask, no hand-written heap search, no heavyweight
 third-party module imported when the package loads or an analysis runs, one
 formula for the pulled-back discriminant, one for the quartic's discriminant
-and one invariant count, and Newton systems that run on the theta3 circle
-with no half-angle chart."""
+and one invariant count, root finding in theta3 with no half-angle chart,
+and no least squares or multi-unknown Newton in the package."""
 import ast
 import os
 import pathlib
@@ -347,9 +347,9 @@ def _reading_scopes(tree, name: str) -> set:
     return found
 
 
-# Every multiple-root system runs in theta3 on the conic restricted to the
-# circle: no second copy of the conic algebra and no chart flag reaches a
-# Newton system; only the residual certification picks a half-angle chart.
+# Every multiple root is found in theta3 on the conic restricted to the
+# circle: no second copy of the conic algebra and no chart flag reaches the
+# root finding; only the residual certification picks a half-angle chart.
 def test_critical_solves_on_the_circle_and_only_certification_picks_a_chart():
     tree = _tree(PACKAGE / "critical.py")
     assert _names(tree) & {"QuarticPencil", "_chart_theta3", "_FLIP"} == set()
@@ -361,21 +361,36 @@ def test_critical_solves_on_the_circle_and_only_certification_picks_a_chart():
 # traced curves, so neither depends on the grid.
 def test_genericity_runs_no_newton_and_cusps_read_no_traced_curve():
     tree = _tree(PACKAGE / "critical.py")
-    assert "genericity_check" not in {scope for scope, _ in _callers(tree, "_damped_newton")}
+    assert "genericity_check" not in {scope for scope, _ in _callers(tree, "polish_cusps")}
     for attr in ("speed", "vertices", "joint"):
         assert "find_cusps" not in _reading_scopes(tree, attr), attr
     assert {scope for scope, _ in _callers(tree, "cusp_seeds")} == {"find_cusps"}
     assert {scope for scope, _ in _callers(tree, "quadruple_candidates")} == {"genericity_check"}
 
 
-# Nodes are the roots of two quadratics: the damped Newton serves the cusps
+# Nodes are the roots of two quadratics: the branch polish serves the cusps
 # alone, and neither find_nodes nor its candidates read a traced curve.
 def test_nodes_run_no_newton_and_read_no_traced_curve():
     tree = _tree(PACKAGE / "critical.py")
-    assert {scope for scope, _ in _callers(tree, "_damped_newton")} == {"find_cusps"}
+    assert {scope for scope, _ in _callers(tree, "polish_cusps")} == {"find_cusps"}
     for attr in ("speed", "vertices", "joint"):
         assert _reading_scopes(tree, attr) & {"find_nodes", "_node_candidates"} == set(), attr
     assert {scope for scope, _ in _callers(tree, "_node_candidates")} == {"find_nodes"}
+
+
+# Cusps are polished by one Newton in theta3 on the branches of the cusp
+# locus: no package module solves least squares or names the 3-D damped
+# Newton, the one SVD left is the cusp locus's of the constant 2 x 2 matrix
+# P, and the circle harmonics and their jet live on only as test oracles.
+def test_no_least_squares_or_circle_jet_in_the_package():
+    for path in PACKAGE.glob("*.py"):
+        tree = _tree(path)
+        assert _callers(tree, "lstsq") == [], path.name
+        allowed = {"_cusp_locus"} if path.name == "reduction.py" else set()
+        assert {scope for scope, _ in _callers(tree, "svd")} <= allowed, path.name
+        assert "_damped_newton" not in _names(tree), path.name
+        defined = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+        assert defined & {"circle_harmonics", "circle_jet"} == set(), path.name
 
 
 def test_checks_see_what_they_look_for():

@@ -180,18 +180,18 @@ def test_is_cuspidal_samples_the_torus_once(monkeypatch):
 
 
 def test_is_cuspidal_bounds_its_newton_and_sweep_work(monkeypatch):
-    """The node robot's analysis runs no damped Newton batch at all: every
-    root of its cusp locus has a complex y, so there is no cusp seed to
-    polish, genericity certifies exact candidates and the nodes come from
-    two quadratics, with no sweep of the critical values to bound."""
+    """The node robot's analysis runs no Newton at all: every root of its
+    cusp locus has a complex y, so there is no cusp seed to polish,
+    genericity certifies exact candidates and the nodes come from two
+    quadratics, with no sweep of the critical values to bound."""
     batches = []
-    newton = critical._damped_newton
+    polish = critical.polish_cusps
 
-    def counted_newton(fun_jac, x0, *args, **kwargs):
-        batches.append(len(x0))
-        return newton(fun_jac, x0, *args, **kwargs)
+    def counted_polish(p, theta3, sigma):
+        batches.append(len(theta3))
+        return polish(p, theta3, sigma)
 
-    monkeypatch.setattr(critical, "_damped_newton", counted_newton)
+    monkeypatch.setattr(critical, "polish_cusps", counted_polish)
     rep = is_cuspidal(NODE_ROBOT, grid_n=128)
     assert batches == []
     assert len(rep.nodes) == 2
@@ -653,7 +653,7 @@ def test_nonortho_robots_verdicts():
 
 
 def test_a_disagreement_is_an_anomaly_with_its_numbers():
-    """The screen robot pool_4 has two cusps certified at |M| <= 6.8e-15, and
+    """The screen robot pool_4 has two cusps certified at |M| <= 1.5e-14, and
     the oracle finds no shared aspect (the open pool_4 defect).  The anomaly
     names each cusp's largest residual, the tolerance, the points examined
     and the four-solution census cells; a robot whose pillars agree gets
@@ -669,7 +669,7 @@ def test_a_disagreement_is_an_anomaly_with_its_numbers():
         f"{rep.cross_validation.points_examined} points examined, {four} four-solution "
         f"census cells",)
     assert len(rep.cusps) == 2
-    assert max(max(c.res_m, c.res_m1, c.res_m2) for c in rep.cusps) <= 6.8e-15
+    assert max(max(c.res_m, c.res_m1, c.res_m2) for c in rep.cusps) <= 1.5e-14
     agreeing = is_cuspidal(REFERENCE, grid_n=TEST_GRID, census_n=96, samples=150)
     assert agreeing.agrees
     assert not any(a.startswith("pillars disagree") for a in agreeing.anomalies)
