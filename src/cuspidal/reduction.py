@@ -3,11 +3,12 @@
 The end-effector constraint R = rho^2 + z^2, z splits into two equations that
 are linear in (cos theta2, sin theta2) with coefficients F1..F4 affine in
 (cos theta3, sin theta3).  Eliminating theta2 yields a conic in the
-c3s3-plane whose intersections with the unit circle are the IK solutions;
-the tangent half-angle substitution turns that intersection condition into
-the quartic M(t).  The same conic restricted to the circle is a
-trigonometric polynomial of degree 2 in theta3 (circle_harmonics), on which
-`critical` runs its batched Newton refinements.
+c3s3-plane whose intersections with the unit circle are the IK solutions.
+Restricted to the circle the conic is a trigonometric polynomial of degree
+2 in theta3, g, whose real roots the IK engine (solve_circle) finds and
+whose triple roots lie on the cusp locus; the tangent half-angle
+substitution turns it into the quartic M(t), whose invariants count the
+roots of most census rows and certify cusps and nodes.
 """
 from __future__ import annotations
 
@@ -35,10 +36,6 @@ from .errors import (
     ZeroPolynomialError,
 )
 
-# Roots closer than this (measured on the theta3 circle) are merged into one
-# multiplicity cluster; on the t-line the radius widens like (1+t^2)/2 so that
-# multiplicity stays a property of the circle, not of the chart.
-CLUSTER_RADIUS_T = 1e-6
 _DEGREE_DROP_TOL = 1e-10
 _PARABOLA_BAND = 1e-9
 
@@ -300,16 +297,42 @@ def _locus_targets(p: DhParams, loc: _CuspLocus, eta: np.ndarray):
     return k.two_a1 * y[:, 0] + k.w2, k.sa1 * y[:, 1] + k.w3
 
 
-def _real_circle_roots(e: np.ndarray) -> np.ndarray:
-    """theta in (-pi, pi] of the roots of the real trigonometric polynomial
-    sum_k e_k exp(i k theta), |k| <= 6, given e_0..e_6 (e_-k = conj(e_k)),
-    whose exp(i theta) the prefilter keeps: of the 12 roots of z^6 E(z)."""
-    poly = np.concatenate([e[6:0:-1], [e[0].real], np.conj(e[1:7])])
-    z = np.roots(poly)
-    # tanh |Im theta| = |1 - |z|^2| / (1 + |z|^2), the engine's imaginary angle
+def _circle_roots(c: np.ndarray):
+    """Roots z = exp(i theta) (K, 2n) of real trigonometric polynomials
+    sum_k c_k exp(i k theta), |k| <= n, one per row of c (K, n + 1) = c_0..c_n
+    (c_-k = conj(c_k)), their imaginary angles tanh |Im theta| = |1 - |z|^2|
+    / (1 + |z|^2) and the prefilter's mask of the real ones.
+
+    Each row is solved as np.roots solves z^n g(z), by the eigenvalues of
+    its companion matrix, all rows in one eigvals call.  Top harmonics that
+    are zero in every row are left out: the rows of one robot share their
+    top harmonic up to scale (h2 for the IK conic), so this is the robot's
+    one branch.  A row whose top harmonic is still zero (a zero row) gets
+    eigenvalues 0, which the prefilter drops."""
+    n = c.shape[1] - 1
+    while n > 0 and not c[:, n].any():
+        n -= 1
+    z = np.zeros((len(c), 0), dtype=complex)
+    if n:
+        poly = np.concatenate([c[:, n:0:-1], c[:, :1].real, np.conj(c[:, 1:n + 1])], axis=1)
+        lead = poly[:, :1]
+        dead = lead[:, 0] == 0.0
+        comp = np.zeros((len(c), 2 * n, 2 * n), dtype=complex)
+        comp[:, 0, :] = -poly[:, 1:] / np.where(dead[:, None], 1.0, lead)
+        comp[dead, 0, :] = 0.0
+        comp[:, np.arange(1, 2 * n), np.arange(2 * n - 1)] = 1.0
+        z = np.linalg.eigvals(comp)
     with np.errstate(over="ignore"):
         im_angle = np.abs(1.0 - 2.0 / (1.0 + np.abs(z) ** 2))
-    return np.angle(z[im_angle <= _IMAG_ANGLE_MAX])
+    return z, im_angle, im_angle <= _IMAG_ANGLE_MAX
+
+
+def _real_circle_roots(e: np.ndarray) -> np.ndarray:
+    """theta in (-pi, pi] of the roots of the real trigonometric polynomial
+    sum_k e_k exp(i k theta), |k| <= 6, given e_0..e_6, that the prefilter
+    keeps: of the 12 roots of z^6 E(z)."""
+    z, _, real = _circle_roots(e[None, :7])
+    return np.angle(z[real])
 
 
 def cusp_seeds(p: DhParams):
@@ -381,34 +404,43 @@ def _locus_branch(loc: _CuspLocus, theta: np.ndarray, sigma: np.ndarray):
             np.column_stack([eta1, sigma * m]))
 
 
-def polish_cusps(p: DhParams, theta3: np.ndarray, sigma: np.ndarray):
-    """(theta3, R, zr) of the seeds (theta3, sigma) of cusp_seeds, each
-    polished by Newton on its branch f_sigma = 0 and lifted to its target.
-    theta3 is left unwrapped, within a step of the seed: wrapping would
-    round it to the ulps of pi.
-
-    On orthogonal robots (s2 ~ 1e-16) E ~ s1^2 beta2^2: a double root of E
-    is a simple root of f_sigma, so every step is well conditioned.  The
-    seeds step in one array batch, each as it would alone.  A step is taken
-    where it lowers |f_sigma|; a seed stops at the first step that does
-    not, after a step of at most _POLISH_STEP_ULPS ulps of theta3, or after
-    _POLISH_MAX_ITER steps.
-    """
-    loc = _cusp_locus(p)
-    theta3 = np.array(theta3, float)
-    f, f_d, eta = _locus_branch(loc, theta3, sigma)
-    act = np.arange(len(theta3))
+def _newton_in_theta(fun, theta: np.ndarray):
+    """Newton in theta on seeds theta (K,), in one array batch, each seed as
+    it would step alone.  fun(theta, idx) gives f and f' (K',) at theta (K',)
+    for the seeds idx, and an array of values (K', ...) to carry along, or
+    None.  A step is taken where it lowers |f|; a seed stops at the first
+    step that does not, after a step of at most _POLISH_STEP_ULPS ulps of
+    theta, or after _POLISH_MAX_ITER steps.  Returns theta, f and the
+    carried values at each seed's last step taken."""
+    theta = np.array(theta, float)
+    act = np.arange(len(theta))
+    f, f_d, carry = fun(theta, act)
     for _ in range(_POLISH_MAX_ITER):
         if len(act) == 0:
             break
         # where f' = 0 the step is 0, which lowers nothing and stops the seed
         step = f[act] / np.where(f_d[act] != 0.0, f_d[act], np.inf)
-        th = theta3[act] - step
-        fn, fn_d, eta_n = _locus_branch(loc, th, sigma[act])
+        th = theta[act] - step
+        fn, fn_d, carry_n = fun(th, act)
         better = np.abs(fn) < np.abs(f[act])
         up = act[better]
-        theta3[up], f[up], f_d[up], eta[up] = th[better], fn[better], fn_d[better], eta_n[better]
+        theta[up], f[up], f_d[up] = th[better], fn[better], fn_d[better]
+        if carry is not None:
+            carry[up] = carry_n[better]
         act = up[np.abs(step[better]) > _POLISH_STEP_ULPS * np.spacing(np.abs(th[better]))]
+    return theta, f, carry
+
+
+def polish_cusps(p: DhParams, theta3: np.ndarray, sigma: np.ndarray):
+    """(theta3, R, zr) of the seeds (theta3, sigma) of cusp_seeds, each
+    polished by _newton_in_theta on its branch f_sigma = 0 and lifted to its
+    target.  theta3 is left unwrapped, within a step of the seed.
+
+    On orthogonal robots (s2 ~ 1e-16) E ~ s1^2 beta2^2: a double root of E
+    is a simple root of f_sigma, so every step is well conditioned.
+    """
+    loc = _cusp_locus(p)
+    theta3, _, eta = _newton_in_theta(lambda th, idx: _locus_branch(loc, th, sigma[idx]), theta3)
     R, zr = _locus_targets(p, loc, eta)
     return theta3, R, zr
 
@@ -569,166 +601,115 @@ def quartic_from_conic(conic: ConicCoeffs) -> Quartic:
     return Quartic(*(float(v) for v in m))
 
 
-def theta3_of_t(t: float) -> float:
-    """theta3 = 2 atan(t); t = inf encodes theta3 = pi."""
-    if math.isinf(t):
-        return math.pi
-    return 2.0 * math.atan(t)
+# --------------------------------------------------------------------------
+# Real roots on the theta3 circle
+#
+# Each row is the circle form g = h0 + h1 . c1 + h2 . c2 of a conic, h =
+# (h0, h1x, h1y, h2x, h2y) (see the cusp locus above); M(t) = (1 + t^2)^2
+# g(theta3) with t = tan(theta3 / 2), and with z = exp(i theta3), z^2 g(z)
+# is a polynomial of degree 4 whose leading coefficient (h2x - i h2y) / 2 no
+# target changes.  So a robot's rows are of degree 4 in z, or all of degree
+# 2 where h2 = 0, and theta3 = pi is a root like any other.
+# --------------------------------------------------------------------------
 
-
-def _circle_gap(t1: float, t2: float) -> float:
-    """Distance between roots as seen on the theta3 circle, in t units near 0."""
-    d_t = abs(t1 - t2)
-    d_ang = abs(wrap_float(theta3_of_t(t1) - theta3_of_t(t2)))
-    return min(d_t, 0.5 * d_ang)
-
-
-def cluster_real_roots(ts: list) -> list:
-    """Merge nearby roots into (representative, multiplicity) clusters.
-
-    A first pass merges at the base radius; a second pass merges adjacent
-    clusters that fit inside the backward-error ball of a higher-order root:
-    m roots of a quartic known to machine precision scatter over a radius of
-    order eps^(1/m), so triple roots are only resolvable up to ~eps^(1/3).
-    """
-    out = []
-    for t in sorted(ts):
-        for k, (rep, mult, members) in enumerate(out):
-            if _circle_gap(t, rep) < CLUSTER_RADIUS_T:
-                members.append(t)
-                out[k] = (float(np.mean(members)), mult + 1, members)
-                break
-        else:
-            out.append((t, 1, [t]))
-    eps = float(np.finfo(float).eps)
-    merged = True
-    while merged and len(out) > 1:
-        merged = False
-        for k in range(len(out) - 1):
-            rep_a, m_a, mem_a = out[k]
-            rep_b, m_b, mem_b = out[k + 1]
-            m_sum = m_a + m_b
-            tt = max(abs(rep_a), abs(rep_b))
-            radius_t = 4.0 * (64.0 * eps * (1.0 + tt * tt) ** 2) ** (1.0 / m_sum)
-            radius_angle = radius_t * 2.0 / (1.0 + tt * tt)
-            gap_angle = abs(wrap_float(theta3_of_t(rep_a) - theta3_of_t(rep_b)))
-            if _circle_gap(rep_a, rep_b) < CLUSTER_RADIUS_T or gap_angle < radius_angle:
-                members = mem_a + mem_b
-                out[k] = (float(np.mean(members)), m_sum, members)
-                del out[k + 1]
-                merged = True
-                break
-    return [(rep, mult) for rep, mult, _ in out]
-
-
+# Roots closer than twice this in theta3 are merged into one multiplicity
+# cluster.
+CLUSTER_RADIUS_T = 1e-6
 # Accepted roots at least this far apart on the theta3 circle cannot merge:
-# the widest merge radius of cluster_real_roots, reached by four roots, is
-# 8 (64 eps)^(1/4) ~ 2.8e-3 rad.
+# the widest merge radius of _cluster, reached by four roots, is 8 (64
+# eps)^(1/4) ~ 2.8e-3 rad.
 _SEPARATED = 1e-2
 
 
-def _derivative(coeffs: np.ndarray, order) -> np.ndarray:
-    """d^order/dt^order of quartic rows (np.polyder's values), right-aligned in
-    five slots; `order` is one int, one per row, or a row of orders per row
-    (K, j), which gives (K, j, 5)."""
-    rows = np.arange(len(coeffs)).reshape((-1,) + (1,) * max(np.ndim(order), 1))
-    return coeffs[rows, _JET_INDEX[order]] * _JET_WEIGHT[order]
+def _circle_rows(cc) -> np.ndarray:
+    """Harmonics h (K, 5) of conics cc (6, K) on the unit circle."""
+    axx, axy, ayy, bx, by, c = cc
+    return np.column_stack(np.broadcast_arrays(
+        0.5 * (axx + ayy) + c, 2.0 * bx, 2.0 * by, 0.5 * (axx - ayy), axy))
 
 
-_ROOT_NEWTON_ITERS = 12
-# the line search's step fractions after a full step: 2^-1 ... 2^-7
-_HALF_STEPS = np.ldexp(1.0, -np.arange(1, 8))[:, None]
+def _quartic_norm(h: np.ndarray) -> np.ndarray:
+    """max |coefficient| of M(t) = (1 + t^2)^2 g of rows h (K, 5)."""
+    h0, h1x, h1y, h2x, h2y = h.T
+    return np.max(np.abs([h0 - h1x + h2x, 2.0 * h1y - 4.0 * h2y, 2.0 * h0 - 6.0 * h2x,
+                          2.0 * h1y + 4.0 * h2y, h0 + h1x + h2x]), axis=0)
 
 
-def _polish_plain(coeffs: np.ndarray, t: np.ndarray):
-    """Line-searched Newton on M itself, one quartic row per root, for up to
-    18 steps; contracts multiple-root scatter.
+def _circle_jet(h: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Harmonics (N, 2, 5) of g^(order) and g^(order + 1) of rows h (N, 5),
+    one order per row: each derivative turns harmonic n's (x, y) into n (y,
+    -x)."""
+    jet = [h]
+    for _ in range(int(np.max(order, initial=0)) + 1):
+        d = jet[-1]
+        jet.append(np.column_stack([np.zeros(len(d)), d[:, 2], -d[:, 1],
+                                    2.0 * d[:, 4], -2.0 * d[:, 3]]))
+    jet = np.stack(jet, axis=1)
+    return jet[np.arange(len(h))[:, None], np.column_stack([order, order + 1])]
 
-    Each root runs as it would alone: every step is halved up to 7 times
-    until |M| drops, and a root stops at a zero or non-finite slope, at a
-    step that never improves or at |M| = 0.  Every active root tries the
-    full step in one Horner call; the roots it did not improve try all
-    seven halvings in a second one and take the first that improves.
-    Returns each root's best iterate and |M| there.
+
+def _circle_values(rows: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Each harmonic row of rows (N, k, 5) at its root's theta (N,): (N, k)."""
+    c, s = np.cos(theta)[:, None], np.sin(theta)[:, None]
+    return (rows[..., 0] + rows[..., 1] * c + rows[..., 2] * s
+            + rows[..., 3] * (c * c - s * s) + rows[..., 4] * (2.0 * c * s))
+
+
+def _polish(h: np.ndarray, theta: np.ndarray, order: np.ndarray):
+    """theta and the residual g^(order) there after _newton_in_theta on each
+    root's derivative g^(order), where a root of multiplicity order + 1 is
+    simple; one row h per root."""
+    jet = _circle_jet(h, order)
+
+    def fun(th, idx):
+        v = _circle_values(jet[idx], th)
+        return v[:, 0], v[:, 1], None
+    theta, f, _ = _newton_in_theta(fun, theta)
+    return theta, f
+
+
+def _mean_angle(members: list) -> float:
+    """Mean of angles that lie within a small arc, unwrapped from the first."""
+    first = members[0]
+    return first + sum(wrap_float(a - first) for a in members) / len(members)
+
+
+def _cluster(thetas: list) -> list:
+    """Merge nearby roots on the theta3 circle into (representative,
+    multiplicity) clusters.
+
+    Runs of circle neighbours merge (the last root and the first are
+    neighbours): a run whose span is below 2 CLUSTER_RADIUS_T, or that fits
+    inside the backward-error ball of a root of the run's multiplicity m: m
+    roots of a row known to machine precision scatter over a radius of
+    order eps^(1/m), so that ball is 8 (64 eps)^(1/m).  The longest run that
+    fits merges first, until none does.
     """
-    dcoeffs = _derivative(coeffs, 1)
-    t = t.copy()
-    f = _horner(coeffs, t)                  # M at the current iterate
-    best_t, best_val = t.copy(), np.abs(f)
-    act = np.arange(len(t))
-    for _ in range(18):
-        df = _horner(dcoeffs[act], t[act])
-        ok = (df != 0.0) & np.isfinite(df)
-        act = act[ok]
-        step = f[act] / df[ok]
-        f_abs, t0, rows = np.abs(f[act]), t[act], coeffs[act]
-        tn = t0 - step
-        fn = _horner(rows, tn)
-        better = np.abs(fn) < f_abs
-        miss = np.flatnonzero(~better)
-        if len(miss):
-            tl = t0[miss] - _HALF_STEPS * step[miss]          # (7, misses)
-            fl = _horner(rows[miss], tl)
-            up = np.abs(fl) < f_abs[miss]
-            first = np.argmax(up, axis=0), np.arange(len(miss))
-            tn[miss], fn[miss], better[miss] = tl[first], fl[first], up[first]
-        act = act[better]
-        if len(act) == 0:
-            break
-        t[act], f[act] = tn[better], fn[better]
-        val = np.abs(f[act])
-        up = val < best_val[act]
-        best_t[act[up]], best_val[act[up]] = t[act[up]], val[up]
-        act = act[val != 0.0]
-        if len(act) == 0:
-            break
-    return best_t, best_val
-
-
-def _polish_root(coeffs: np.ndarray, t: np.ndarray, mult: np.ndarray) -> np.ndarray:
-    """Up to _ROOT_NEWTON_ITERS Newton steps on the (mult-1)-th derivative,
-    where the root is simple; one quartic row per root, each keeping its best
-    iterate.
-
-    One Horner call per iteration gives the value and the slope at the new
-    iterates.  A root stops at a zero slope, at a zero value, or at a step
-    that lands on one of its own earlier iterates (a step that rounds to
-    nothing lands on the current one): Newton is a function of the iterate
-    alone, so from there it would only revisit values it has already
-    weighed, and its best iterate cannot change.
-    """
-    pair = _derivative(coeffs, np.column_stack([mult - 1, mult]))
-    t = t.copy()
-    f, df = _horner(pair, t[:, None]).T.copy()
-    best_t, best_val = t.copy(), np.abs(f)
-    seen = np.empty((len(t), _ROOT_NEWTON_ITERS + 1))
-    seen[:, 0] = t
-    act = np.arange(len(t))
-    for it in range(1, _ROOT_NEWTON_ITERS + 1):
-        act = act[df[act] != 0.0]
-        tn = t[act] - f[act] / df[act]
-        new = ~np.any(seen[act, :it] == tn[:, None], axis=1)
-        act, tn = act[new], tn[new]
-        if len(act) == 0:
-            break
-        seen[act, it] = tn
-        t[act] = tn
-        f[act], df[act] = _horner(pair[act], tn[:, None]).T
-        val = np.abs(f[act])
-        up = val < best_val[act]
-        best_t[act[up]], best_val[act[up]] = t[act[up]], val[up]
-        act = act[val != 0.0]
-    return best_t
+    eps = float(np.finfo(float).eps)
+    out = [(th, 1, [th]) for th in sorted(thetas, key=wrap_float)]
+    while True:
+        n = len(out)
+        gap = [(out[(k + 1) % n][0] - out[k][0]) % TWO_PI for k in range(n)]
+        run = next(((k, j) for j in range(n - 1, 0, -1) for k in range(n)
+                    if sum(gap[(k + i) % n] for i in range(j)) < max(
+                        2.0 * CLUSTER_RADIUS_T,
+                        8.0 * (64.0 * eps) ** (1.0 / sum(out[(k + i) % n][1] for i in range(j + 1))))),
+                   None)
+        if run is None:
+            return [(rep, mult) for rep, mult, _ in out]
+        k, j = run
+        members = [a for i in range(j + 1) for a in out[(k + i) % n][2]]
+        out = [(_mean_angle(members), len(members), members)] + [
+            out[(k + j + 1 + i) % n] for i in range(n - j - 1)]
 
 
 _PAIRS = np.triu(np.ones((4, 4), dtype=bool), 1)
 
 
-def _separated(t: np.ndarray) -> np.ndarray:
-    """Rows of t (K, 4), nan = no root, whose roots are pairwise at least
-    _SEPARATED apart on the theta3 circle."""
-    th = 2.0 * np.arctan(t)
-    gap = np.abs(th[:, :, None] - th[:, None, :])
+def _separated(theta: np.ndarray) -> np.ndarray:
+    """Rows of theta (K, 4), nan = no root, whose roots are pairwise at
+    least _SEPARATED apart on the circle."""
+    gap = np.abs(theta[:, :, None] - theta[:, None, :])
     with np.errstate(invalid="ignore"):
         close = np.minimum(gap, TWO_PI - gap) < _SEPARATED
     return ~np.any(close & _PAIRS, axis=(1, 2))
@@ -736,17 +717,21 @@ def _separated(t: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RootBatch:
-    """Real roots of a stack of quartics with multiplicities, one row each.
+    """Real roots on the theta3 circle with multiplicities, one row each.
 
-    Row k holds quartic k's distinct real roots in theta3 order, t (K, 4),
-    and their multiplicities, mult (K, 4); empty slots have t = nan and
-    mult = 0, and t = inf encodes theta3 = pi.  `zero` marks rows whose
-    coefficients all vanish.
+    Row k holds its distinct real roots in theta3 order, theta (K, 4) in
+    [-pi, pi), and their multiplicities, mult (K, 4); empty slots have theta
+    = nan and mult = 0.  `zero` marks rows whose harmonics all vanish.
     """
 
-    t: np.ndarray
+    theta: np.ndarray
     mult: np.ndarray
     zero: np.ndarray
+
+    @property
+    def t(self) -> np.ndarray:
+        """tan(theta3 / 2) of every slot."""
+        return np.tan(0.5 * self.theta)
 
     @property
     def count(self) -> np.ndarray:
@@ -759,101 +744,72 @@ class RootBatch:
         return tuple(zip(self.t[k, keep].tolist(), self.mult[k, keep].tolist()))
 
 
-def solve_quartics(m) -> RootBatch:
-    """All real roots with multiplicities of a (K, 5) stack of quartics.
+def solve_circle(h) -> RootBatch:
+    """All real roots with multiplicities of a (K, 5) stack of harmonic
+    rows, each scaled so that its M has max-norm 1.
 
-    Per row: companion eigenvalues, plain-Newton polishing, backward-error
-    realness, then clustering.  Polishing runs before clustering because the
-    eigenvalue scatter of an m-fold root scales like eps^(1/m), well beyond
-    the cluster radius for triple roots; Newton contracts that scatter back
-    under it.  A candidate counts as real when its polished residual reaches
-    the attainable floating-point floor.  A leading coefficient within 1e-10
-    of ||coeffs|| drops the degree and injects the theta3 = pi solution
-    (t = inf) with the dropped multiplicity.
+    Per row: the prefiltered roots of z^2 g(z) (_circle_roots), Newton on g
+    in theta3 (_polish), acceptance, clustering, then Newton on g^(m-1) at
+    every cluster of multiplicity m.  Polishing runs before clustering
+    because the eigenvalue scatter of an m-fold root scales like eps^(1/m),
+    well beyond the cluster radius for triple roots; Newton contracts that
+    scatter back under it.  A candidate counts as real when |g| at its
+    polished theta3 reaches 64 eps and the polish moved it by at most 4
+    (tanh |Im theta3| + 1.2e-5), so that it did not migrate to another root.
 
-    The rows run together: one eigensolve per companion size present (the
-    matrices np.roots builds), masked Horner for the Newton polishing, and
-    cluster_real_roots only for rows with accepted roots closer than
-    _SEPARATED, where roots can merge.  Each row gets what it would get
-    alone, and a one-row call takes the same path as a census batch.
+    The rows run together: one eigensolve, masked Newton, and _cluster only
+    for rows with accepted roots closer than _SEPARATED, where roots can
+    merge.  Each row gets what it would get alone, and a one-row call takes
+    the same path as a census batch.  The rows of one batch have h2 = 0 in
+    all of them or in none (_circle_roots), as the rows of one robot have.
     """
-    m = np.asarray(m, float).reshape(-1, 5)
-    k_rows = len(m)
-    norm = np.abs(m).max(axis=1)
+    h = np.asarray(h, float).reshape(-1, 5)
+    k_rows = len(h)
+    norm = _quartic_norm(h)
     zero = norm < 1e-300
-    coeffs = m / np.where(zero, 1.0, norm)[:, None]
-    drop = (np.abs(coeffs[:, :4]) < _DEGREE_DROP_TOL).cumprod(axis=1).sum(axis=1)
-    # np.roots strips trailing zero coefficients and returns them as roots t = 0
-    trailing = (coeffs[:, ::-1] != 0.0).argmax(axis=1)
-    n_eig = np.where(zero, 0, 4 - drop - trailing)
-    cand = np.zeros((k_rows, 4), dtype=complex)
-    for n in np.flatnonzero(np.bincount(n_eig, minlength=5)[1:]) + 1:
-        rows = np.flatnonzero(n_eig == n)
-        lead = coeffs[rows[:, None], drop[rows, None] + np.arange(n + 1)]
-        comp = np.zeros((len(rows), n, n))
-        comp[:, 0, :] = -lead[:, 1:] / lead[:, :1]
-        comp[:, np.arange(1, n), np.arange(n - 1)] = 1.0
-        cand[rows, :n] = np.linalg.eigvals(comp)
-    re, im = cand.real, cand.imag
-    im_angle = 2.0 * np.abs(im) / (1.0 + re * re + im * im)
-    live = ~zero[:, None] & (np.arange(4) < 4 - drop[:, None]) & ~(im_angle > _IMAG_ANGLE_MAX)
-    row = np.nonzero(live)[0]
-    r_re, r_im = re[live], im[live]
+    h = h / np.where(zero, 1.0, norm)[:, None]
+    z, im_angle, real = _circle_roots(np.column_stack(
+        [h[:, 0], 0.5 * (h[:, 1] - 1j * h[:, 2]), 0.5 * (h[:, 3] - 1j * h[:, 4])]))
+    row, slot = np.nonzero(real)
+    start = np.angle(z[row, slot])
     with np.errstate(all="ignore"):
-        t, residual = _polish_plain(coeffs[row], r_re)
+        theta, g = _polish(h[row], start, np.zeros(len(row), dtype=int))
     eps = float(np.finfo(float).eps)
-    # travel bound: polishing may contract multiple-root scatter
-    # (~eps^(1/3) for triples) but must not migrate to another root
-    travel_max = 4.0 * (np.abs(r_im) + 6e-6 * (1.0 + r_re * r_re))
-    accept = (residual <= 64.0 * eps * np.square(1.0 + t * t)) & (np.abs(t - r_re) <= travel_max)
+    accept = (np.abs(g) <= 64.0 * eps) & (np.abs(theta - start)
+                                          <= 4.0 * (im_angle[row, slot] + 1.2e-5))
     accepted = np.full((k_rows, 4), np.nan)
-    accepted[live] = np.where(accept, t, np.nan)
+    accepted[row[accept], slot[accept]] = theta[accept]
 
-    # clusters: singletons where no merge can happen, cluster_real_roots elsewhere
+    out_th = np.full((k_rows, 4), np.nan)
+    out_m = np.zeros((k_rows, 4), dtype=int)
     singles = _separated(accepted)
-    s_row, s_slot = np.nonzero(singles[:, None] & ~np.isnan(accepted))
-    c_row, c_t = s_row, accepted[s_row, s_slot]
-    c_mult = np.ones(len(s_row), dtype=int)
-    if not singles.all():
-        merged = [(k, cluster_real_roots(accepted[k][~np.isnan(accepted[k])].tolist()))
-                  for k in np.flatnonzero(~singles).tolist()]
-        c_row = np.concatenate([s_row, np.array([k for k, c in merged for _ in c], dtype=int)])
-        c_t = np.concatenate([c_t, [rep for _, c in merged for rep, _ in c]])
-        c_mult = np.concatenate([c_mult, np.array([mult for _, c in merged for _, mult in c],
-                                                  dtype=int)])
-    # sharpen multiple roots on the derivative where they are simple
-    with np.errstate(all="ignore"):
-        polished = _polish_root(coeffs[c_row], c_t, c_mult)
-
-    out_t = np.full((k_rows, 5), np.nan)
-    out_m = np.zeros((k_rows, 5), dtype=int)
-    single_t = np.full((k_rows, 4), np.nan)
-    single_t[s_row, s_slot] = polished[:len(s_row)]
-    still = singles & _separated(single_t)
-    keep = still[s_row]
-    out_t[s_row[keep], s_slot[keep]] = polished[:len(s_row)][keep]
-    out_m[s_row[keep], s_slot[keep]] = 1
-    redo = ~still[c_row]
-    if redo.any():
+    ones = singles[:, None] & ~np.isnan(accepted)
+    out_th[ones], out_m[ones] = accepted[ones], 1
+    merged = [(k, _cluster(accepted[k][~np.isnan(accepted[k])].tolist()))
+              for k in np.flatnonzero(~singles).tolist()]
+    if merged:
+        c_row = np.array([k for k, c in merged for _ in c], dtype=int)
+        c_th = np.array([rep for _, c in merged for rep, _ in c])
+        c_m = np.array([mult for _, c in merged for _, mult in c], dtype=int)
+        many = c_m > 1
+        with np.errstate(all="ignore"):
+            c_th[many] = _polish(h[c_row[many]], c_th[many], c_m[many] - 1)[0]
         expanded = defaultdict(list)
-        for k, rep, mult in zip(c_row[redo].tolist(), polished[redo].tolist(),
-                                c_mult[redo].tolist()):
+        for k, rep, mult in zip(c_row.tolist(), c_th.tolist(), c_m.tolist()):
             expanded[k].extend([rep] * mult)
-        for k, ts in expanded.items():
-            for slot, (rep, mult) in enumerate(cluster_real_roots(ts)):
-                out_t[k, slot], out_m[k, slot] = rep, mult
-    dropped = ~zero & (drop > 0)
-    out_t[dropped, 4], out_m[dropped, 4] = math.inf, drop[dropped]
-    with np.errstate(invalid="ignore"):
-        key = np.where(out_m == 0, np.inf, np.where(np.isinf(out_t), math.pi, 2.0 * np.arctan(out_t)))
-    order = np.argsort(key, axis=1, kind="stable")[:, :4]
+        for k, ths in expanded.items():
+            for s, (rep, mult) in enumerate(_cluster(ths)):
+                out_th[k, s], out_m[k, s] = rep, mult
+    out_th = wrap_angle(out_th)
+    order = np.argsort(np.where(out_m > 0, out_th, np.inf), axis=1, kind="stable")
     rows = np.arange(k_rows)[:, None]
-    return RootBatch(out_t[rows, order], out_m[rows, order], zero)
+    return RootBatch(out_th[rows, order], out_m[rows, order], zero)
 
 
 @dataclass(frozen=True)
 class QuarticRoots:
-    """Real roots of M(t) with multiplicities; t = inf encodes theta3 = pi."""
+    """Real roots of M(t) with multiplicities; theta3 = pi has t = tan(pi /
+    2) to rounding, some 1.6e16 in size."""
 
     roots: tuple  # of (t, multiplicity)
 
@@ -863,8 +819,11 @@ class QuarticRoots:
 
 
 def solve_quartic(m: Quartic) -> QuarticRoots:
-    """All real roots of one quartic with multiplicities (see solve_quartics)."""
-    batch = solve_quartics(m.coeffs())
+    """All real roots of one quartic with multiplicities, by solve_circle on
+    the harmonics of g = M / (1 + t^2)^2."""
+    a, b, c, d, e = m.coeffs()
+    h2x = (a + e - c) / 8.0
+    batch = solve_circle([(a + e) / 2.0 - h2x, (e - a) / 2.0, (b + d) / 4.0, h2x, (d - b) / 8.0])
     if batch.zero[0]:
         raise ZeroPolynomialError("all quartic coefficients are zero")
     return QuarticRoots(batch.roots(0))
@@ -936,16 +895,16 @@ class IkBatch:
         return IkSolutionSet(tuple(sols), tuple(flagged))
 
 
-def _quartic_stack(p: DhParams, R, zr):
-    """Quartics (K, 5) of targets (R, zr) from the conic scaled to unit
-    max-norm, and that norm (0 where the conic vanishes)."""
+def _conic_stack(p: DhParams, R, zr):
+    """Conics (6, K) of targets (R, zr) scaled to unit max-norm, and that
+    norm (0 where the conic vanishes)."""
     axx, axy, ayy, bx, by, c = _conic(p, R, zr)
     cc = np.empty((6, len(R)))
     cc[:3] = ((axx,), (axy,), (ayy,))
     cc[3], cc[4], cc[5] = bx, by, c
     norm = np.abs(cc).max(axis=0)
     cc /= np.where(norm == 0.0, 1.0, norm)
-    return quartic_coeffs_from_conic(cc).T, norm
+    return cc, norm
 
 
 def _atan2(y: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -1048,17 +1007,14 @@ def _solve_cross_section(p: DhParams, rho: np.ndarray, zr: np.ndarray) -> _Cross
     refinement, with theta1 left to the caller's azimuth."""
     R = rho * rho + zr * zr
     f = f_coefficients(p)
-    m, norm = _quartic_stack(p, R, zr)
-    status = np.where(norm == 0.0, _CONIC_ZERO,
-                      np.where(np.abs(m).max(axis=1) < 1e-12, _QUARTIC_ZERO, 0))
-    roots = solve_quartics(m)
+    cc, norm = _conic_stack(p, R, zr)
+    h = _circle_rows(cc)
+    status = np.where(norm == 0.0, _CONIC_ZERO, np.where(_quartic_norm(h) < 1e-12, _QUARTIC_ZERO, 0))
+    roots = solve_circle(h)
     row, slot = np.nonzero((roots.mult > 0) & (status == 0)[:, None])
-    t, mult = roots.t[row, slot], roots.mult[row, slot]
-    inf = np.isinf(t)
-    tf = np.where(inf, 0.0, t)
-    den = 1.0 + tf * tf
-    c3 = np.where(inf, -1.0, (1.0 - tf * tf) / den)
-    s3 = np.where(inf, 0.0, 2.0 * tf / den)
+    theta3, mult = roots.theta[row, slot], roots.mult[row, slot]
+    t = np.tan(0.5 * theta3)
+    c3, s3 = np.cos(theta3), np.sin(theta3)
     f1, f2, f3, f4 = (f.u * c3[:, None] + f.v * s3[:, None] + f.w).T
     R_root, zr_root = R[row], zr[row]
     det = f1 * f1 + f2 * f2
@@ -1067,7 +1023,6 @@ def _solve_cross_section(p: DhParams, rho: np.ndarray, zr: np.ndarray) -> _Cross
     rhs1 = (R_root - f3) / (2.0 * p.a1)
     rhs2 = (zr_root - f4) / math.sin(p.alpha1)
     theta2 = _atan2((f2 * rhs1 + f1 * rhs2) / det, (f1 * rhs1 - f2 * rhs2) / det)
-    theta3 = np.array([theta3_of_t(v) for v in t.tolist()], dtype=float)
     theta2, theta3 = _refine(p, f, R_root, zr_root, theta2, theta3, solved & (mult == 1),
                              _half_gaps(row, slot, theta2, theta3, solved, len(rho)))
     x0, y0 = _base_xy(p, theta2, theta3)
@@ -1142,17 +1097,18 @@ def solve_ik(p: DhParams, target: Pose3) -> IkSolutionSet:
 
 
 # Chordal distance |sin(gap / 2)| below which the engine may merge two roots
-# or accept a conjugate pair as one real root: cluster_real_roots merges at a
-# circle gap of 2 CLUSTER_RADIUS_T (first pass) or 64 sqrt(eps) (second),
-# both at most 2 CLUSTER_RADIUS_T in angle, i.e. CLUSTER_RADIUS_T in chord;
-# the factor 2 covers the polished candidates' distance to the exact roots.
+# or accept a conjugate pair as one real root: _cluster merges two roots at
+# an angle gap below 2 CLUSTER_RADIUS_T (first pass) or 8 sqrt(64 eps) ~
+# 9.5e-7 (second), at most 2 CLUSTER_RADIUS_T in angle, i.e.
+# CLUSTER_RADIUS_T in chord; the factor 2 covers the polished candidates'
+# distance to the exact roots.
 _MERGE_CHORD = 2.0 * CLUSTER_RADIUS_T
 
 
 def _invariant_counts(m: np.ndarray):
     """Distinct real roots of quartic rows (K, 5) from the signs of their
     invariants, and the rows the signs cannot decide, which must go to
-    solve_quartics.
+    solve_circle.
 
     Each row is scaled to max-norm 1 as the engine scales it, and read as
     the binary form in the chart (t or 1/t) with the larger of |a| and |e|,
@@ -1160,9 +1116,11 @@ def _invariant_counts(m: np.ndarray):
     Delta > 0: 4 when P = 8ac - 3b^2 < 0 and D = 64a^3e - 16a^2c^2 +
     16ab^2c - 16a^2bd - 3b^4 < 0, else 0 (Rees 1922; Lazard 1988).
 
-    Undecided: all-zero rows, degree drops (|lead| < _DEGREE_DROP_TOL, which
-    the engine answers with t = inf), rows with P or D within their rounding
-    of 0, and rows with |Delta| inside the band
+    Undecided: all-zero rows, rows with |lead| < _DEGREE_DROP_TOL (a root
+    within about 2e-10 rad of theta3 = pi, or two; the engine finds them on
+    the circle like any other, and these rows stay with it so that the
+    census sends it the rows it always did), rows with P or D within their
+    rounding of 0, and rows with |Delta| inside the band
 
       (i)  rounding: I and J carry at most 8 roundings per term, so
            |dI| <= 8u I~ and |dJ| <= 8u J~ over the sums of the terms'
@@ -1175,13 +1133,16 @@ def _invariant_counts(m: np.ndarray):
            a^2 prod (1 + |r_i|^2) <= 16 Mahler^2 <= 16 ||row||_2^2 = W
            (1 + |r|^2 <= 2 max(1, |r|)^2; Landau).  Two real roots closer
            than _MERGE_CHORD, or a conjugate pair that close (its chord is
-           the engine's imaginary-angle test), leave |Delta| <= W^3
-           _MERGE_CHORD^2.  A conjugate pair further apart is accepted only
-           where the circle value M / (1 + t^2)^2 dips below 64 eps (plus
-           Horner's rounding); M less that much times (1 + t^2)^2 has a
-           double root, so there |Delta| <= 128 eps |dDelta/dshift| <=
-           2e-10, below W^3 _MERGE_CHORD^2 >= 1.6e-8 (||row||_2 >= 1): the
-           second term covers both.
+           tanh |Im theta3|, the engine's imaginary-angle test), leave
+           |Delta| <= W^3 _MERGE_CHORD^2.  A cluster of m >= 3 roots merged
+           inside the ball of radius 8 (64 eps)^(1/m) (2.8e-3 rad at most)
+           has three or more pairs that close, and smaller |Delta| still.
+           A conjugate pair further apart is accepted only where the circle
+           value g = M / (1 + t^2)^2 of this row dips below 64 eps (plus
+           the rounding of its evaluation); M less that much times (1 +
+           t^2)^2 has a double root, so there |Delta| <= 128 eps
+           |dDelta/dshift| <= 2e-10, below W^3 _MERGE_CHORD^2 >= 1.6e-8
+           (||row||_2 >= 1): the second term covers both.
     """
     m = np.asarray(m, float).reshape(-1, 5)
     norm = np.abs(m).max(axis=1)
@@ -1216,11 +1177,11 @@ def ik_counts(p: DhParams, rho, z):
     the distinct real roots of each target's quartic, 0 where the conic
     vanishes.  Used by the workspace census.  The quartic's invariants count
     every row they decide (_invariant_counts); the rest, next to Delta = 0,
-    go to solve_quartics, whose count each decided row equals."""
+    go to solve_circle, whose count each decided row equals."""
     rho = np.asarray(rho, float).ravel()
     zr = np.asarray(z, float).ravel() - p.d1
-    m = _quartic_stack(p, rho * rho + zr * zr, zr)[0]
-    counts, undecided = _invariant_counts(m)
+    cc = _conic_stack(p, rho * rho + zr * zr, zr)[0]
+    counts, undecided = _invariant_counts(quartic_coeffs_from_conic(cc).T)
     if undecided.any():
-        counts[undecided] = solve_quartics(m[undecided]).count
+        counts[undecided] = solve_circle(_circle_rows(cc[:, undecided])).count
     return counts

@@ -11,7 +11,9 @@ from cuspidal.critical import (
     _chart_seed,
 )
 from cuspidal.dh import wrap_float
-from cuspidal.reduction import cluster_real_roots, conic_raw, quartic_coeffs_from_conic
+from cuspidal.reduction import conic_raw, quartic_coeffs_from_conic
+
+from engine_refs import cluster_real_roots
 
 
 def synthetic_division(coeffs, root):

@@ -25,6 +25,7 @@ lambda."""
 import heapq
 import math
 from collections import defaultdict
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -65,28 +66,33 @@ from cuspidal.geometry import seg_intersect_many
 from cuspidal.reduction import (
     _CONIC_ZERO,
     _DEGREE_DROP_TOL,
+    _IMAG_ANGLE_MAX,
     _JET_INDEX,
     _JET_WEIGHT,
+    _POLISH_MAX_ITER,
+    _POLISH_STEP_ULPS,
     _QUARTIC_ZERO,
     _SEPARATED,
+    CLUSTER_RADIUS_T,
     IkBatch,
     RootBatch,
     _atan2,
+    _circle_jet,
+    _circle_values,
+    _cluster,
     _conic,
     _conic_terms,
     _cusp_locus,
-    _derivative,
     _horner,
     _locus_branch,
     _locus_targets,
-    cluster_real_roots,
+    _quartic_norm,
     conic_raw,
     cusp_seeds,
     f_coefficients,
     quartic_coeffs_from_conic,
     quartic_discriminant,
     solve_ik_batch,
-    theta3_of_t,
 )
 from cuspidal.topology import PATH_DET_TOL, JointPath, PathCheck, SolutionLabel
 
@@ -355,11 +361,26 @@ def conic(p, f, R, z):
     return np.stack(np.broadcast_arrays(axx, axy, ayy, bx, by, c))
 
 
-def quartic_stack(p, f, R, zr):
-    """reduction._quartic_stack through two broadcast stacks."""
+def harmonics(m):
+    """Harmonic rows h (K, 5) of g = M / (1 + t^2)^2 for quartic rows M
+    (K, 5), as reduction.solve_quartic converts them."""
+    a, b, c, d, e = np.asarray(m, float).reshape(-1, 5).T
+    h2x = (a + e - c) / 8.0
+    return np.column_stack([(a + e) / 2.0 - h2x, (e - a) / 2.0, (b + d) / 4.0, h2x,
+                            (d - b) / 8.0])
+
+
+def conic_stack(p, f, R, zr):
+    """reduction._conic_stack through one broadcast stack."""
     cc = conic(p, f, R, zr)
     norm = np.max(np.abs(cc), axis=0)
-    cc = cc / np.where(norm == 0.0, 1.0, norm)
+    return cc / np.where(norm == 0.0, 1.0, norm), norm
+
+
+def quartic_stack(p, f, R, zr):
+    """The quartics M (K, 5) of reduction._conic_stack's conics, by the
+    half-angle substitution written out."""
+    cc, norm = conic_stack(p, f, R, zr)
     axx, axy, ayy, bx, by, c = cc
     m = np.stack(np.broadcast_arrays(axx - 2 * bx + c, -4 * axy + 4 * by,
                                      -2 * axx + 4 * ayy + 2 * c, 4 * axy + 4 * by,
@@ -367,19 +388,154 @@ def quartic_stack(p, f, R, zr):
     return m.T, norm
 
 
+def circle_stack(p, f, R, zr):
+    """reduction._circle_rows of reduction._conic_stack, one harmonic at a
+    time."""
+    cc, norm = conic_stack(p, f, R, zr)
+    axx, axy, ayy, bx, by, c = np.broadcast_arrays(*cc)
+    h = np.empty((len(c), 5))
+    h[:, 0] = 0.5 * (axx + ayy) + c
+    h[:, 1], h[:, 2] = 2.0 * bx, 2.0 * by
+    h[:, 3], h[:, 4] = 0.5 * (axx - ayy), axy
+    return h, norm
+
+
 def ik_counts(p, rho, z):
     """reduction.ik_counts as the root engine alone gives it: the distinct
-    real roots solve_quartics finds at every target, with no invariant
-    count in front of it."""
+    real roots solve_circle finds at every target, with no invariant count
+    in front of it."""
     rho = np.asarray(rho, float).ravel()
     zr = np.asarray(z, float).ravel() - p.d1
-    m, _ = quartic_stack(p, f_coefficients(p), rho * rho + zr * zr, zr)
-    return reduction.solve_quartics(m).count
+    h, _ = circle_stack(p, f_coefficients(p), rho * rho + zr * zr, zr)
+    return reduction.solve_circle(h).count
+
+
+# --------------------------------------------------------------------------
+# the root engine on the theta3 circle, one row and one root at a time
+# --------------------------------------------------------------------------
+
+def circle_newton(rows, theta):
+    """reduction._newton_in_theta on one root: rows (2, 5) are the harmonics
+    of f and f'.  Returns theta and f at the last step taken."""
+    th = np.array([theta])
+    f, f_d = _circle_values(rows[None], th)[0]
+    for _ in range(_POLISH_MAX_ITER):
+        step = f / f_d if f_d != 0.0 else 0.0 * f
+        tn = th - step
+        fn, fn_d = _circle_values(rows[None], tn)[0]
+        if not abs(fn) < abs(f):
+            break
+        th, f, f_d = tn, fn, fn_d
+        if not abs(step) > _POLISH_STEP_ULPS * np.spacing(abs(tn[0])):
+            break
+    return th[0], f
+
+
+def solve_circle(h):
+    """reduction.solve_circle one row at a time: np.roots for each row's
+    roots, Newton one root at a time, and the cluster lists always
+    assembled."""
+    h = np.asarray(h, float).reshape(-1, 5)
+    k_rows = len(h)
+    eps = float(np.finfo(float).eps)
+    out_th = np.full((k_rows, 4), np.nan)
+    out_m = np.zeros((k_rows, 4), dtype=int)
+    zero = np.zeros(k_rows, dtype=bool)
+    for k in range(k_rows):
+        norm = _quartic_norm(h[k:k + 1])
+        if norm[0] < 1e-300:
+            zero[k] = True
+            continue
+        row = h[k:k + 1] / norm[:, None]
+        c1 = 0.5 * (row[:, 1] - 1j * row[:, 2])
+        c2 = 0.5 * (row[:, 3] - 1j * row[:, 4])
+        z = np.roots(np.concatenate([c2, c1, row[:, 0], np.conj(c1), np.conj(c2)]))
+        accepted = []
+        for root in z.tolist():
+            im_angle = abs(1.0 - 2.0 / (1.0 + abs(root) ** 2))
+            if not im_angle <= _IMAG_ANGLE_MAX:
+                continue
+            start = float(np.angle(root))
+            with np.errstate(all="ignore"):
+                theta, g = circle_newton(_circle_jet(row, np.zeros(1, dtype=int))[0], start)
+            if abs(g) <= 64.0 * eps and abs(theta - start) <= 4.0 * (im_angle + 1.2e-5):
+                accepted.append(float(theta))
+        expanded = []
+        for rep, mult in _cluster(accepted):
+            if mult > 1:
+                with np.errstate(all="ignore"):
+                    rep = float(circle_newton(_circle_jet(row, np.array([mult - 1]))[0], rep)[0])
+            expanded.extend([rep] * mult)
+        roots = sorted((float(wrap_angle(rep)), mult) for rep, mult in _cluster(expanded))
+        for slot, (rep, mult) in enumerate(roots):
+            out_th[k, slot], out_m[k, slot] = rep, mult
+    return RootBatch(out_th, out_m, zero)
+
+
+# --------------------------------------------------------------------------
+# the root engine in the half-angle chart t = tan(theta3 / 2), as it stood
+# before the engine moved onto the theta3 circle: the oracle of solve_circle
+# --------------------------------------------------------------------------
+
+def theta3_of_t(t: float) -> float:
+    """theta3 = 2 atan(t); t = inf encodes theta3 = pi."""
+    if math.isinf(t):
+        return math.pi
+    return 2.0 * math.atan(t)
+
+
+def circle_gap(t1: float, t2: float) -> float:
+    """Distance between roots as seen on the theta3 circle, in t units near 0."""
+    d_t = abs(t1 - t2)
+    d_ang = abs(wrap_float(theta3_of_t(t1) - theta3_of_t(t2)))
+    return min(d_t, 0.5 * d_ang)
+
+
+def cluster_real_roots(ts: list) -> list:
+    """Merge nearby roots t into (representative, multiplicity) clusters:
+    a first pass at the base radius, then adjacent clusters that fit inside
+    the backward-error ball of a higher-order root, which widens with t."""
+    out = []
+    for t in sorted(ts):
+        for k, (rep, mult, members) in enumerate(out):
+            if circle_gap(t, rep) < CLUSTER_RADIUS_T:
+                members.append(t)
+                out[k] = (float(np.mean(members)), mult + 1, members)
+                break
+        else:
+            out.append((t, 1, [t]))
+    eps = float(np.finfo(float).eps)
+    merged = True
+    while merged and len(out) > 1:
+        merged = False
+        for k in range(len(out) - 1):
+            rep_a, m_a, mem_a = out[k]
+            rep_b, m_b, mem_b = out[k + 1]
+            m_sum = m_a + m_b
+            tt = max(abs(rep_a), abs(rep_b))
+            radius_t = 4.0 * (64.0 * eps * (1.0 + tt * tt) ** 2) ** (1.0 / m_sum)
+            radius_angle = radius_t * 2.0 / (1.0 + tt * tt)
+            gap_angle = abs(wrap_float(theta3_of_t(rep_a) - theta3_of_t(rep_b)))
+            if circle_gap(rep_a, rep_b) < CLUSTER_RADIUS_T or gap_angle < radius_angle:
+                members = mem_a + mem_b
+                out[k] = (float(np.mean(members)), m_sum, members)
+                del out[k + 1]
+                merged = True
+                break
+    return [(rep, mult) for rep, mult, _ in out]
+
+
+def derivative(coeffs, order):
+    """d^order/dt^order of quartic rows (np.polyder's values), right-aligned
+    in five slots, one order per row."""
+    rows = np.arange(len(coeffs)).reshape((-1,) + (1,) * max(np.ndim(order), 1))
+    return coeffs[rows, _JET_INDEX[order]] * _JET_WEIGHT[order]
 
 
 def polish_plain(coeffs, t, iters=18):
-    """reduction._polish_plain with one Horner call per line-search lambda."""
-    dcoeffs = _derivative(coeffs, 1)
+    """Line-searched Newton on M itself, one quartic row per root: each step
+    halved up to 7 times until |M| drops; each root's best iterate."""
+    dcoeffs = derivative(coeffs, 1)
     t = t.copy()
     f = _horner(coeffs, t)
     best_t, best_val = t.copy(), np.abs(f)
@@ -414,9 +570,10 @@ def polish_plain(coeffs, t, iters=18):
 
 
 def polish_root(coeffs, t, mult, iters=12):
-    """reduction._polish_root."""
-    poly = _derivative(coeffs, mult - 1)
-    dpoly = _derivative(coeffs, mult)
+    """Newton on the (mult-1)-th derivative of M, where the root is simple;
+    each root's best iterate."""
+    poly = derivative(coeffs, mult - 1)
+    dpoly = derivative(coeffs, mult)
     t = t.copy()
     f = _horner(poly, t)
     best_t, best_val = t.copy(), np.abs(f)
@@ -445,9 +602,33 @@ def _separated(t):
     return ~np.any(close & np.triu(np.ones((4, 4), dtype=bool), 1), axis=(1, 2))
 
 
+@dataclass(frozen=True)
+class ChartRoots:
+    """solve_quartics' real roots: t (K, 4) in theta3 order, nan in empty
+    slots and inf for theta3 = pi, their multiplicities (K, 4), 0 in empty
+    slots, and the all-zero rows."""
+
+    t: np.ndarray
+    mult: np.ndarray
+    zero: np.ndarray
+
+    @property
+    def count(self):
+        return np.count_nonzero(self.mult, axis=1)
+
+    @property
+    def theta(self):
+        """theta3 = 2 atan(t) of every slot, pi for t = inf."""
+        return np.where(np.isinf(self.t), math.pi, 2.0 * np.arctan(self.t))
+
+
 def solve_quartics(m):
-    """reduction.solve_quartics with every size eigensolved, the cluster
-    lists always assembled and the residual evaluated after polishing."""
+    """All real roots with multiplicities of a (K, 5) stack of quartics in
+    t: companion eigenvalues of every size, the degree dropped where the
+    leading coefficients are below _DEGREE_DROP_TOL and theta3 = pi (t =
+    inf) injected with the dropped multiplicity, line-searched Newton on M,
+    acceptance at |M| <= 64 eps (1 + t^2)^2 and a travel bound, clusters,
+    and Newton on M^(mult-1)."""
     m = np.asarray(m, float).reshape(-1, 5)
     k_rows = len(m)
     norm = np.max(np.abs(m), axis=1)
@@ -511,8 +692,8 @@ def solve_quartics(m):
     with np.errstate(invalid="ignore"):
         key = np.where(out_m == 0, np.inf, np.where(np.isinf(out_t), math.pi, 2.0 * np.arctan(out_t)))
     order = np.argsort(key, axis=1, kind="stable")[:, :4]
-    return RootBatch(np.take_along_axis(out_t, order, axis=1),
-                     np.take_along_axis(out_m, order, axis=1), zero)
+    return ChartRoots(np.take_along_axis(out_t, order, axis=1),
+                      np.take_along_axis(out_m, order, axis=1), zero)
 
 
 def quartic_jet(coeffs, t, order):
@@ -572,17 +753,13 @@ def solve_ik_batch(p, rho, z, phi=0.0):
     zr = np.asarray(z, float).ravel() - p.d1
     R = rho * rho + zr * zr
     f = f_coefficients(p)
-    m, norm = quartic_stack(p, f, R, zr)
-    status = np.where(norm == 0.0, _CONIC_ZERO,
-                      np.where(np.max(np.abs(m), axis=1) < 1e-12, _QUARTIC_ZERO, 0))
-    roots = solve_quartics(m)
+    h, norm = circle_stack(p, f, R, zr)
+    status = np.where(norm == 0.0, _CONIC_ZERO, np.where(_quartic_norm(h) < 1e-12, _QUARTIC_ZERO, 0))
+    roots = solve_circle(h)
     row, slot = np.nonzero((roots.mult > 0) & (status == 0)[:, None])
-    t, mult = roots.t[row, slot], roots.mult[row, slot]
-    inf = np.isinf(t)
-    tf = np.where(inf, 0.0, t)
-    den = 1.0 + tf * tf
-    c3 = np.where(inf, -1.0, (1.0 - tf * tf) / den)
-    s3 = np.where(inf, 0.0, 2.0 * tf / den)
+    theta3, mult = roots.theta[row, slot], roots.mult[row, slot]
+    t = np.tan(0.5 * theta3)
+    c3, s3 = np.cos(theta3), np.sin(theta3)
     f1, f2, f3, f4 = (f.u[i] * c3 + f.v[i] * s3 + f.w[i] for i in range(4))
     det = f1 * f1 + f2 * f2
     solved = ~(det < 1e-14 * np.maximum(1.0, np.abs(R[row])))
@@ -590,7 +767,7 @@ def solve_ik_batch(p, rho, z, phi=0.0):
     rhs1 = (R[row] - f3) / (2.0 * p.a1)
     rhs2 = (zr[row] - f4) / math.sin(p.alpha1)
     theta2 = _atan2((f2 * rhs1 + f1 * rhs2) / det, (f1 * rhs1 - f2 * rhs2) / det)
-    theta3 = np.array([theta3_of_t(v) for v in t.tolist()], dtype=float)
+    theta3 = theta3.copy()
     caps = [half_gap(n, row, theta2, theta3, solved) for n in range(len(row))]
     for n in np.flatnonzero(solved & (mult == 1)).tolist():
         theta2[n], theta3[n] = refine(p, f, R[row[n]], zr[row[n]], theta2[n], theta3[n], caps[n])

@@ -23,12 +23,14 @@ from cuspidal import critical, reduction, robotfile, svgplot, topology
 from cuspidal.dh import fk_arrays
 from cuspidal.reduction import (
     _base_xy,
-    _quartic_stack,
+    _circle_rows,
+    _conic_stack,
     conic_coefficients,
     f_coefficients,
+    quartic_coeffs_from_conic,
+    solve_circle,
     solve_ik,
     solve_ik_batch,
-    solve_quartics,
 )
 from cuspidal.topology import JointPath, _labels
 
@@ -51,12 +53,14 @@ def _same_bits(a, b):
 
 
 def _same_roots(batch, ref):
-    return (_same_bits(batch.t, ref.t) and _same_bits(batch.mult, ref.mult)
+    return (_same_bits(batch.theta, ref.theta) and _same_bits(batch.mult, ref.mult)
             and _same_bits(batch.zero, ref.zero))
 
 
 def _special_rows(rng):
-    """Quartic rows the engine treats specially, one of each kind."""
+    """Quartic rows M(t) of the roots the engine treats specially, one of
+    each kind: theta3 = pi (leading coefficients near or at 0), theta3 = 0
+    (trailing ones at 0), multiple, near-multiple and scaled roots."""
     r, s, u = rng.uniform(-2.0, 2.0, 3)
     big = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(4.0, 6.0)     # theta3 near pi
     rows = [rng.normal(size=5)]
@@ -86,47 +90,57 @@ def _special_rows(rng):
 
 
 def _stack(rng, k):
+    """k harmonic rows of _special_rows' quartics, scaled by 1e-3 to 1e3."""
     rows = _special_rows(rng)
     pick = rng.integers(len(rows), size=k)
     stack = np.array([rows[i] for i in pick])
     scale = 10.0 ** rng.uniform(-3.0, 3.0, (k, 1))
-    return stack * scale
+    return engine_refs.harmonics(stack * scale)
 
 
 @pytest.mark.parametrize("k", [1, 2, 5])
 @given(seed=st.integers(0, 2 ** 32 - 1))
-def test_solve_quartics_bits_equal_reference(k, seed):
+def test_solve_circle_bits_equal_reference(k, seed):
     stack = _stack(np.random.default_rng(seed), k)
-    assert _same_roots(solve_quartics(stack), engine_refs.solve_quartics(stack))
+    assert _same_roots(solve_circle(stack), engine_refs.solve_circle(stack))
 
 
 @settings(max_examples=8)
 @given(seed=st.integers(0, 2 ** 32 - 1))
-def test_solve_quartics_bits_equal_reference_4096_rows(seed):
+def test_solve_circle_bits_equal_reference_4096_rows(seed):
     stack = _stack(np.random.default_rng(seed), 4096)
-    assert _same_roots(solve_quartics(stack), engine_refs.solve_quartics(stack))
+    assert _same_roots(solve_circle(stack), engine_refs.solve_circle(stack))
 
 
-def test_solve_quartics_bits_on_every_special_row():
+def test_solve_circle_bits_on_every_special_row():
+    """Each special row alone, and rows with h2 = 0 (degree 2 in z) as a
+    stack of their own, as one robot's rows are."""
     rng = np.random.default_rng(5)
     for row in _special_rows(rng):
-        assert _same_roots(solve_quartics(row), engine_refs.solve_quartics(row)), row
+        h = engine_refs.harmonics(row)
+        assert _same_roots(solve_circle(h), engine_refs.solve_circle(h)), row
+    flat = rng.normal(size=(64, 5))
+    flat[:, 3:] = 0.0
+    flat[::8, 1:] = 0.0                                             # g constant
+    flat[1::8] = 0.0                                                # all-zero row
+    assert _same_roots(solve_circle(flat), engine_refs.solve_circle(flat))
+    assert solve_circle(flat).count.max() == 2
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1))
-def test_polish_plain_bits_equal_reference(seed):
+def test_polish_bits_equal_reference(seed):
+    """reduction._polish on every derivative order, from random angles."""
     rng = np.random.default_rng(seed)
     stack = _stack(rng, 5)
-    stack = stack[np.any(stack != 0.0, axis=1)]
-    coeffs = stack / np.max(np.abs(stack), axis=1, keepdims=True)
-    rows = np.repeat(np.arange(len(coeffs)), 3)
-    t = rng.normal(size=len(rows)) * 10.0 ** rng.uniform(-1.0, 1.0, len(rows))
+    rows = np.repeat(np.arange(len(stack)), 3)
+    theta = rng.uniform(-math.pi, math.pi, len(rows))
+    order = rng.integers(0, 4, len(rows))
     with np.errstate(all="ignore"):
-        best_t, best_val = reduction._polish_plain(coeffs[rows], t)
-        ref = engine_refs.polish_plain(coeffs[rows], t)
-        residual = np.abs(reduction._horner(coeffs[rows], ref))
-    assert _same_bits(best_t, ref)
-    assert _same_bits(best_val, residual)
+        got, g = reduction._polish(stack[rows], theta, order)
+        ref = [engine_refs.circle_newton(reduction._circle_jet(stack[k:k + 1], order[n:n + 1])[0],
+                                         theta[n]) for n, k in enumerate(rows.tolist())]
+    assert _same_bits(got, np.array([r[0] for r in ref]))
+    assert _same_bits(g, np.array([r[1] for r in ref]))
 
 
 @settings(max_examples=200)
@@ -156,15 +170,18 @@ def _robots():
 
 
 @pytest.mark.parametrize("k", [1, 2, 5, 4096])
-def test_quartic_stack_bits_equal_reference(k):
+def test_conic_stack_bits_equal_reference(k):
+    """The conic stack, its quartics and its harmonic rows."""
     rng = np.random.default_rng(k)
     for p in _robots():
         z = rng.uniform(-6.0, 6.0, k)
         R = rng.uniform(0.0, 6.0, k) ** 2 + z * z
-        m, norm = _quartic_stack(p, R, z)
+        cc, norm = _conic_stack(p, R, z)
         ref_m, ref_norm = engine_refs.quartic_stack(p, f_coefficients(p), R, z)
-        assert _same_bits(m, np.ascontiguousarray(ref_m)), p
+        assert _same_bits(np.ascontiguousarray(quartic_coeffs_from_conic(cc).T),
+                          np.ascontiguousarray(ref_m)), p
         assert _same_bits(norm, ref_norm), p
+        assert _same_bits(_circle_rows(cc), engine_refs.circle_stack(p, f_coefficients(p), R, z)[0])
 
 
 def _targets(p, rng, n):
@@ -321,51 +338,57 @@ def test_mutating_a_result_leaves_the_next_call_alone():
 # work bounds
 # --------------------------------------------------------------------------
 
-def test_one_row_polish_makes_at_most_three_horner_calls_per_iteration(monkeypatch):
-    """Inside _polish_plain, each iteration evaluates the slope once (rows of
-    the derivative, whose leading slot is 0), the full step once and the
-    halvings at most once."""
-    calls = {"slope": 0, "other": 0}
+def test_each_newton_step_evaluates_once(monkeypatch):
+    """Inside _newton_in_theta, the start and each step evaluate value and
+    slope in one call, at most _POLISH_MAX_ITER steps per batch."""
+    calls = []
     inside = []
-    horner, polish = reduction._horner, reduction._polish_plain
+    values, newton = reduction._circle_values, reduction._newton_in_theta
 
-    def counting_horner(d, t):
+    def counting_values(rows, theta):
         if inside:
-            calls["slope" if not np.any(d[..., 0]) else "other"] += 1
-        return horner(d, t)
+            inside[-1] += 1
+        return values(rows, theta)
 
-    def flagged_polish(*args, **kwargs):
-        inside.append(True)
+    def counting_newton(*args):
+        inside.append(0)
         try:
-            return polish(*args, **kwargs)
+            return newton(*args)
         finally:
-            inside.pop()
+            calls.append(inside.pop())
 
-    monkeypatch.setattr(reduction, "_horner", counting_horner)
-    monkeypatch.setattr(reduction, "_polish_plain", flagged_polish)
+    monkeypatch.setattr(reduction, "_circle_values", counting_values)
+    monkeypatch.setattr(reduction, "_newton_in_theta", counting_newton)
     for roots in ([0.3, 0.3 + 1e-7, -1.0, 2.0], [0.5, 0.5, 0.5, -0.25], [-1.2, 0.1, 0.7, 3.0]):
-        calls.update(slope=0, other=0)
-        solve_quartics(np.poly(roots))
-        assert calls["slope"] >= 1
-        assert calls["slope"] + calls["other"] <= 1 + 3 * calls["slope"], (roots, calls)
+        calls.clear()
+        solve_circle(engine_refs.harmonics(np.poly(roots)))
+        assert calls and all(1 <= n <= 1 + reduction._POLISH_MAX_ITER for n in calls), (roots, calls)
 
 
-def test_one_eigvals_call_per_companion_size_present(monkeypatch):
-    sizes = []
+def test_one_eigvals_call_per_batch(monkeypatch):
+    """One eigensolve of 4 x 4 companions per batch, of 2 x 2 ones where h2
+    = 0 in every row, and none where every row is zero."""
+    shapes = []
     eigvals = np.linalg.eigvals
 
     def counting(a):
-        sizes.append(a.shape[-1])
+        shapes.append(a.shape)
         return eigvals(a)
 
     monkeypatch.setattr(np.linalg, "eigvals", counting)
-    solve_quartics(np.poly([0.1, 0.2, -0.5, 1.5]))
-    assert sizes == [4]
-    sizes.clear()
-    stack = np.array([np.poly([0.1, 0.2, -0.5, 1.5]), [0.0, 1.0, -3.0, 2.0, 0.0],
-                      np.poly([0.3, -0.4, 2.0, 1.0]), np.zeros(5)])
-    solve_quartics(stack)
-    assert sorted(sizes) == [2, 4]
+    solve_circle(engine_refs.harmonics(np.poly([0.1, 0.2, -0.5, 1.5])))
+    assert shapes == [(1, 4, 4)]
+    shapes.clear()
+    stack = engine_refs.harmonics(np.array([np.poly([0.1, 0.2, -0.5, 1.5]), [0.0, 1.0, -3.0, 2.0, 0.0],
+                                            np.poly([0.3, -0.4, 2.0, 1.0]), np.zeros(5)]))
+    solve_circle(stack)
+    assert shapes == [(4, 4, 4)]
+    shapes.clear()
+    solve_circle([[0.5, 1.0, -0.3, 0.0, 0.0], [1.0, 0.2, 0.1, 0.0, 0.0]])
+    assert shapes == [(2, 2, 2)]
+    shapes.clear()
+    solve_circle(np.zeros((3, 5)))
+    assert shapes == []
 
 
 def test_repeated_solve_ik_evaluates_f_coefficients_once(monkeypatch):
@@ -389,8 +412,8 @@ def test_repeated_solve_ik_evaluates_f_coefficients_once(monkeypatch):
 
 def test_ik_and_labels_of_one_target_make_one_engine_pass(monkeypatch, query_maps):
     calls = []
-    engine = reduction.solve_quartics
-    monkeypatch.setattr(reduction, "solve_quartics", lambda m: calls.append(1) or engine(m))
+    engine = reduction.solve_circle
+    monkeypatch.setattr(reduction, "solve_circle", lambda h: calls.append(1) or engine(h))
     p = BATTERY["orthogonal_cuspidal"]
     maps = query_maps["orthogonal_cuspidal"]
     # a configuration no other test uses, so the slot does not hold its target

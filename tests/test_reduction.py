@@ -35,17 +35,20 @@ from cuspidal.reduction import (
     ik_counts,
     quartic_discriminant,
     quartic_jet,
+    solve_circle,
     solve_ik_batch,
-    solve_quartics,
 )
 
 from conftest import (
+    BATTERY,
     ELLIPSE_ROBOT,
     HYPERBOLA_ROBOT,
     NODE_ROBOT,
     PARABOLA_ROBOT,
     REFERENCE,
+    perfbench_inputs,
     random_valid_params,
+    robot_draws,
 )
 import engine_refs
 
@@ -216,8 +219,9 @@ def test_solve_quartic_triple_root_at_cusp(analysis):
     assert max(mult for _, mult in roots.roots) == 3
 
 
-def test_solve_quartic_degree_drop_injects_pi(rng):
-    """Targets reached with theta3 = pi make t = inf a root."""
+def test_solve_quartic_finds_theta3_pi(rng):
+    """Targets reached with theta3 = pi have a root at theta3 = 2 atan(t) =
+    pi to rounding (t some 1e13 or more in size), where M's degree drops."""
     hits = 0
     for _ in range(50):
         p = random_valid_params(rng)
@@ -225,7 +229,7 @@ def test_solve_quartic_degree_drop_injects_pi(rng):
         cs = cross_section(forward_kinematics(p, q))
         m = quartic_from_conic(conic_coefficients(p, cs))
         roots = solve_quartic(m)
-        if any(math.isinf(t) for t, _ in roots.roots):
+        if any(abs(abs(2.0 * math.atan(t)) - math.pi) < 1e-12 for t, _ in roots.roots):
             hits += 1
     assert hits == 50
 
@@ -529,9 +533,9 @@ def test_invariant_counts_equal_the_engine_off_the_band(seed):
         rho = np.concatenate([rho, np.abs(near[:, 0] + off * np.cos(ang))])
         z = np.concatenate([z, near[:, 1] + off * np.sin(ang)])
     zr = z - p.d1
-    m, _ = reduction._quartic_stack(p, rho * rho + zr * zr, zr)
-    counts, undecided = reduction._invariant_counts(m)
-    engine = solve_quartics(m).count
+    cc, _ = reduction._conic_stack(p, rho * rho + zr * zr, zr)
+    counts, undecided = reduction._invariant_counts(reduction.quartic_coeffs_from_conic(cc).T)
+    engine = solve_circle(reduction._circle_rows(cc)).count
     assert np.array_equal(counts[~undecided], engine[~undecided])
     assert np.array_equal(ik_counts(p, rho, z), engine_refs.ik_counts(p, rho, z))
     assert not undecided[100:n].all()
@@ -557,8 +561,8 @@ def test_only_the_band_reaches_the_eigensolver(monkeypatch, analysis):
     undecided = []
     for rho, z in calls:
         zr = z - p.d1
-        undecided.append(reduction._invariant_counts(
-            reduction._quartic_stack(p, rho * rho + zr * zr, zr)[0])[1])
+        cc = reduction._conic_stack(p, rho * rho + zr * zr, zr)[0]
+        undecided.append(reduction._invariant_counts(reduction.quartic_coeffs_from_conic(cc).T)[1])
     cells, boundary = undecided[0], np.concatenate(undecided[1:])
     assert len(cells) == 128 * 128 and census.boundary_samples
     assert boundary.all() and cells.sum() <= 0.01 * len(cells)
@@ -566,7 +570,8 @@ def test_only_the_band_reaches_the_eigensolver(monkeypatch, analysis):
 
 
 def _quartic_stack_cases(rng):
-    """Random quartics mixed with the rows the root engine treats specially."""
+    """Random quartics mixed with the rows of special roots: theta3 = pi,
+    theta3 = 0, near-multiple roots and the zero row."""
     rows = [rng.normal(size=5) for _ in range(4)]
     drop = rng.normal(size=5)
     drop[0] = rng.uniform(-1.0, 1.0) * 1e-11              # theta3 = pi is a root
@@ -592,10 +597,10 @@ def test_stacked_quartics_equal_rows_solved_alone(seed):
     every row are bit-identical to that row solved alone, and solve_quartic
     (one row) raises on the all-zero row."""
     stack = _quartic_stack_cases(np.random.default_rng(seed))
-    batch = solve_quartics(stack)
+    batch = solve_circle(engine_refs.harmonics(stack))
     for k, m in enumerate(stack):
-        alone = solve_quartics(m[None])
-        assert batch.t[k].tobytes() == alone.t[0].tobytes()
+        alone = solve_circle(engine_refs.harmonics(m))
+        assert batch.theta[k].tobytes() == alone.theta[0].tobytes()
         assert batch.mult[k].tolist() == alone.mult[0].tolist()
         if not m.any():
             assert batch.zero[k] and batch.count[k] == 0
@@ -674,3 +679,144 @@ def test_quartic_jet_equals_polyval_of_polyder(coeffs, t):
     jet = quartic_jet(m[None, :], np.array([t]), 4)[0]
     expected = [np.polyval(np.polyder(m, j) if j else m, t) for j in range(5)]
     assert np.array_equal(jet, expected)
+
+
+# --------------------------------------------------------------------------
+# the circle engine against the half-angle chart engine
+# --------------------------------------------------------------------------
+
+def _oracle_targets(p, rng, n):
+    """(rho, z) of n FK targets, n / 4 FK targets at theta3 = pi and pi +-
+    1e-9, n uniform targets in a box around them, and 2 n targets 1e-12 to
+    1e-2 off the critical values traced at grid 96."""
+    q = rng.uniform(-math.pi, math.pi, (n, 2))
+    q[: n // 4, 1] = math.pi + rng.choice([0.0, -1e-9, 1e-9], n // 4)
+    x, y, z = fk_arrays(p, 0.0, q[:, 0], q[:, 1])
+    rho = np.hypot(x, y)
+    rho = np.concatenate([rho, rng.uniform(0.0, rho.max() + 0.5, n)])
+    z = np.concatenate([z, rng.uniform(z.min() - 0.5, z.max() + 0.5, n)])
+    values = [w.vertices for w in critical_values(p, trace_critical_points(p, 96))]
+    if values:
+        near = np.vstack(values)[rng.integers(sum(map(len, values)), size=2 * n)]
+        ang = rng.uniform(0.0, 2.0 * math.pi, 2 * n)
+        off = 10.0 ** rng.uniform(-12.0, -2.0, 2 * n)
+        rho = np.concatenate([rho, np.abs(near[:, 0] + off * np.cos(ang))])
+        z = np.concatenate([z, near[:, 1] + off * np.sin(ang)])
+    return rho, z
+
+
+def _engine_and_oracle(h, m):
+    """solve_circle on harmonic rows h and engine_refs.solve_quartics on
+    their quartics m: the two RootBatch-like results, `same`, which marks
+    rows with equal distinct counts and multiplicities, `gap`, the largest
+    circle distance from a root of the engine to the nearest root of the
+    oracle, and `slack`, the largest forward-error bound 8 eps sum |h| / |g'|
+    over the engine's roots, all per row."""
+    got, ref = solve_circle(h), engine_refs.solve_quartics(m)
+    same = got.count == ref.count
+    same &= np.all(np.sort(got.mult, axis=1) == np.sort(ref.mult, axis=1), axis=1)
+    d = np.abs(wrap_angle(got.theta[:, :, None] - ref.theta[:, None, :]))
+    d = np.where((got.mult[:, :, None] > 0) & (ref.mult[:, None, :] > 0), d, np.inf)
+    gap = np.max(np.where(got.mult > 0, np.min(d, axis=2), 0.0), axis=1)
+    hn = h / reduction._quartic_norm(h)[:, None]
+    k, s = np.nonzero(got.mult > 0)
+    slope = reduction._circle_values(reduction._circle_jet(hn[k], np.zeros(len(k), dtype=int)),
+                                     got.theta[k, s])[:, 1]
+    slack = np.zeros(got.theta.shape)
+    with np.errstate(divide="ignore"):
+        slack[k, s] = 8.0 * np.finfo(float).eps * np.abs(hn[k]).sum(axis=1) / np.abs(slope)
+    return got, ref, same, gap, slack.max(axis=1)
+
+
+def test_circle_engine_equals_the_chart_engine_off_the_band():
+    """On 60,000 rows of the battery, screen_robots(0) and 40 robot_draws
+    (FK, theta3 = pi, uniform and near-critical targets), the circle engine
+    has the distinct counts of the half-angle chart engine
+    (engine_refs.solve_quartics) on every row the invariants decide, and
+    each of its roots lies within 1e-12 rad of one of the chart's, or
+    within 8 eps sum |h| / |g'| where that is larger (two roots ~1e-4
+    apart).  Decided rows have Delta != 0, so every root there is simple:
+    the circle engine says so on all of them, and the chart engine on all
+    but one, an orthogonal draw's target with M's two leading coefficients
+    ~1e-6, where a complex root pair near theta3 = pi (|t| ~ 2e3, imaginary
+    angle just under 1e-3) passed the chart's travel bound, which grows
+    like 1 + t^2, polished onto a real root and made it triple.  Every other
+    row where the two engines differ in counts or multiplicities is one of
+    the 21,138 the invariants leave undecided: 106 rows, all next to Delta
+    = 0."""
+    robots = ([*BATTERY.values()] + [p for _, p, _ in perfbench_inputs().screen_robots(0)]
+              + [p for _, p in robot_draws(np.random.default_rng(3), 40)])
+    rng = np.random.default_rng(17)
+    rows = differing = chart_multiple = 0
+    for p in robots:
+        rho, z = _oracle_targets(p, rng, 250)
+        zr = z - p.d1
+        cc, _ = reduction._conic_stack(p, rho * rho + zr * zr, zr)
+        m = reduction.quartic_coeffs_from_conic(cc).T
+        counts, undecided = reduction._invariant_counts(m)
+        got, ref, same, gap, slack = _engine_and_oracle(reduction._circle_rows(cc), m)
+        decided = ~undecided
+        assert np.array_equal(got.count[decided], counts[decided]), p
+        assert np.all(got.mult[decided] <= 1), p
+        assert np.array_equal(ref.count[decided], counts[decided]), p
+        chart_multiple += int(np.sum(np.any(ref.mult[decided] > 1, axis=1)))
+        assert np.all(gap[decided] <= np.maximum(1e-12, slack[decided])), p
+        rows += len(m)
+        differing += int(np.sum(~same & undecided))
+    assert rows >= 50_000
+    assert chart_multiple == 1
+    assert differing < 0.005 * rows
+
+
+def _pi_rows(rng, k, double):
+    """k harmonic rows of dyadic rationals with a root at theta3 = pi
+    exactly, g(pi) = h0 - h1x + h2x = 0, double where g'(pi) = 2 h2y - h1y
+    = 0 too."""
+    h = rng.integers(-512, 513, (k, 5)) / 256.0
+    h[:, 0] = h[:, 1] - h[:, 3]
+    if double:
+        h[:, 2] = 2.0 * h[:, 4]
+    return h
+
+
+@pytest.mark.parametrize("double", [False, True])
+def test_roots_at_theta3_pi_equal_the_chart_engine(double):
+    """A simple and a double root at theta3 = pi exactly: in t, M's leading
+    coefficient (and the next one for the double root) is exactly 0, the
+    degree drop the chart engine answers with t = inf.  The circle engine
+    finds them as any other root, with the chart engine's roots and
+    multiplicities."""
+    h = _pi_rows(np.random.default_rng(29 + double), 400, double)
+    a, b, c, d, e = (h[:, 0] - h[:, 1] + h[:, 3], 2.0 * h[:, 2] - 4.0 * h[:, 4],
+                     2.0 * h[:, 0] - 6.0 * h[:, 3], 2.0 * h[:, 2] + 4.0 * h[:, 4],
+                     h[:, 0] + h[:, 1] + h[:, 3])
+    m = np.column_stack([a, b, c, d, e])
+    assert not a.any() and (not b.any()) == double
+    _, ref, same, gap, slack = _engine_and_oracle(h, m)
+    assert np.all(np.any((ref.mult == 1 + double) & np.isinf(ref.t), axis=1))
+    assert same.all()
+    assert np.all(gap <= np.maximum(1e-12, slack))
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e-9, -1e-9])
+def test_round_trip_at_theta3_pi(offset):
+    """FK targets of theta3 = pi and pi +- 1e-9 on the battery and random
+    robots: solve_ik returns the source configuration within 1e-8, and the
+    engine's roots and multiplicities are the chart engine's."""
+    rng = np.random.default_rng(31)
+    robots = [*BATTERY.values()] + [random_valid_params(rng) for _ in range(12)]
+    for p in robots:
+        for _ in range(10):
+            q = JointConfig(*rng.uniform(-math.pi, math.pi, 2), math.pi + offset)
+            sols = solve_ik(p, forward_kinematics(p, q))
+            best = min((max(_angle_gap(s.config.theta1, q.theta1),
+                            _angle_gap(s.config.theta2, q.theta2),
+                            _angle_gap(s.config.theta3, q.theta3)) for s in sols.solutions),
+                       default=math.inf)
+            assert best < 1e-8, (p, q)
+            cs = cross_section(forward_kinematics(p, q))
+            zr = np.array([cs.z - p.d1])
+            cc, _ = reduction._conic_stack(p, cs.rho ** 2 + zr * zr, zr)
+            same = _engine_and_oracle(reduction._circle_rows(cc),
+                                      reduction.quartic_coeffs_from_conic(cc).T)[2]
+            assert same.all(), (p, q)

@@ -26,16 +26,17 @@ def _tree(path):
 
 
 def _root_rule_names(tree) -> list:
-    """Line numbers that name np.roots / numpy.roots or cluster_real_roots."""
+    """Line numbers that name np.roots / numpy.roots, eigvals or _cluster."""
     lines = []
     for node in ast.walk(tree):
-        if (isinstance(node, ast.Attribute) and node.attr == "roots"
-                and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+        if isinstance(node, ast.Attribute) and (node.attr == "eigvals" or (
+                node.attr == "roots" and isinstance(node.value, ast.Name)
+                and node.value.id in ("np", "numpy"))):
             lines.append(node.lineno)
-        elif isinstance(node, ast.Name) and node.id == "cluster_real_roots":
+        elif isinstance(node, ast.Name) and node.id in ("eigvals", "_cluster"):
             lines.append(node.lineno)
         elif isinstance(node, ast.ImportFrom):
-            if any(a.name == "cluster_real_roots" for a in node.names):
+            if any(a.name in ("eigvals", "_cluster") for a in node.names):
                 lines.append(node.lineno)
     return lines
 
@@ -98,23 +99,23 @@ def test_only_reduction_names_the_root_rule(path):
     if path.name == "reduction.py":
         assert lines
     else:
-        assert lines == [], f"{path.name} names np.roots or cluster_real_roots at {lines}"
+        assert lines == [], f"{path.name} names np.roots, eigvals or _cluster at {lines}"
 
 
 # Every IK result comes from reduction's cross-section stage, whose slot lets
 # a target's solve_ik and label_solutions share one engine pass; the census
 # counts (for the rows their invariants leave undecided) and the one-quartic
 # API call the engine without building IK.
-SOLVE_QUARTICS_CALLERS = {"_solve_cross_section", "ik_counts", "solve_quartic"}
+SOLVE_CIRCLE_CALLERS = {"_solve_cross_section", "ik_counts", "solve_quartic"}
 
 
 def test_only_the_cross_section_stage_and_the_counts_call_the_root_engine():
-    callers = {path.name: _callers(_tree(path), "solve_quartics")
+    callers = {path.name: _callers(_tree(path), "solve_circle")
                for path in [*PACKAGE.glob("*.py"), *(ROOT / "scripts").glob("*.py")]}
     outside = {name: found for name, found in callers.items()
-               if any(scope not in SOLVE_QUARTICS_CALLERS for scope, _ in found)}
+               if any(scope not in SOLVE_CIRCLE_CALLERS for scope, _ in found)}
     assert outside == {}
-    assert {scope for scope, _ in callers["reduction.py"]} == SOLVE_QUARTICS_CALLERS
+    assert {scope for scope, _ in callers["reduction.py"]} == SOLVE_CIRCLE_CALLERS
 
 
 def _monomial(node):
@@ -394,10 +395,10 @@ def test_no_least_squares_or_circle_jet_in_the_package():
 
 
 def test_checks_see_what_they_look_for():
-    tree = ast.parse("import numpy as np\nfrom a import cluster_real_roots, b\n"
-                     "import os.path\nx = np.roots([1, 0])\n")
-    assert _root_rule_names(tree) == [2, 4]
-    assert _unused_imports(tree) == [(2, "b"), (2, "cluster_real_roots"), (3, "os")]
+    tree = ast.parse("import numpy as np\nfrom a import _cluster, b\n"
+                     "import os.path\nx = np.roots([1, 0])\ny = np.linalg.eigvals(x)\n")
+    assert _root_rule_names(tree) == [2, 4, 5]
+    assert _unused_imports(tree) == [(2, "_cluster"), (2, "b"), (3, "os")]
     tree = ast.parse("import numpy as np\nfrom . import dh\nif True:\n    import scipy.ndimage\n"
                      "def f():\n    from scipy.spatial import cKDTree\n"
                      "class C:\n    import json\n")
