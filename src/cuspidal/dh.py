@@ -28,14 +28,18 @@ _ZERO_TOL = 1e-12
 
 
 def wrap_angle(a):
-    """Normalize an angle (or array of angles) to [-pi, pi)."""
-    return (np.asarray(a) + math.pi) % TWO_PI - math.pi
+    """Normalize an angle (or array of angles) to [-pi, pi).  An angle
+    already there is returned unchanged, bit for bit; (a + pi) mod 2 pi -
+    pi would round it to the ulps of pi."""
+    a = np.asarray(a)
+    return np.where((a >= -math.pi) & (a < math.pi), a, (a + math.pi) % TWO_PI - math.pi)[()]
 
 
 def wrap_float(a: float) -> float:
     """wrap_angle of one number as a Python float, without NumPy: float %
     follows the same rule as np.remainder, so the bits are the same."""
-    return (float(a) + math.pi) % TWO_PI - math.pi
+    a = float(a)
+    return a if -math.pi <= a < math.pi else (a + math.pi) % TWO_PI - math.pi
 
 
 @dataclass(frozen=True)

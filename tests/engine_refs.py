@@ -1341,7 +1341,12 @@ def quadruple_root_system(p):
 def newton_quadruple_root(p, workspace_curves, cusps):
     """The quadruple-root evidence of critical.genericity_check's test (a)
     by Gauss-Newton on g = g' = g'' = g''' = 0, seeded at the cusps and at
-    each traced curve's extreme vertices in rho and z, or None."""
+    each traced curve's extreme vertices in rho and z, or None.  The
+    vertices' theta3 pass through (a + pi) mod 2 pi - pi, as the trace
+    wrapped them before dh.wrap_angle kept in-range angles: that rounding
+    to the ulps of pi put a seed of NONGENERIC_CURVE at theta3 = 0 exactly,
+    from where this Newton reaches its quadruple root, which it misses from
+    -2.1e-16."""
     seeds = [(2.0 * math.atan(c.t), c.rho * c.rho + (c.z - p.d1) ** 2, c.z - p.d1)
              for c in cusps]
     for wc in workspace_curves:
@@ -1351,7 +1356,8 @@ def newton_quadruple_root(p, workspace_curves, cusps):
                          int(np.argmin(wc.vertices[:, 1])), int(np.argmax(wc.vertices[:, 1]))}):
             rho, z = wc.vertices[k]
             zr = z - p.d1
-            seeds.append((float(wc.joint.vertices[k, 1]), rho * rho + zr * zr, zr))
+            theta3 = (float(wc.joint.vertices[k, 1]) + math.pi) % TWO_PI - math.pi
+            seeds.append((theta3, rho * rho + zr * zr, zr))
     if not seeds:
         return None
     x = damped_newton(quadruple_root_system(p), seeds)

@@ -17,7 +17,7 @@ from cuspidal import (
     validate_params,
     wrap_angle,
 )
-from cuspidal.dh import det_coefficients, det_jacobian_grad, wrap_float
+from cuspidal.dh import TWO_PI, det_coefficients, det_jacobian_grad, wrap_float
 from cuspidal.errors import DegenerateGeometryError, EliminationUnsupportedError
 
 from conftest import REFERENCE, random_valid_params
@@ -155,6 +155,26 @@ def test_wrap_angle_range():
     vals = wrap_angle(np.linspace(-10, 10, 101))
     assert np.all(vals >= -math.pi)
     assert np.all(vals < math.pi)
+
+
+def test_wrap_keeps_angles_in_range_and_wraps_the_rest_by_the_remainder():
+    """An angle in [-pi, pi) comes back bit for bit, signed zero, -pi and
+    the last double below pi included; any other one is (a + pi) mod 2 pi -
+    pi, as before.  The remainder alone moved 0.7254398651938152 by 2 ulps."""
+    rng = np.random.default_rng(11)
+    inside = np.concatenate([rng.uniform(-math.pi, math.pi, 100_000),
+                             10.0 ** rng.uniform(-320.0, 0.0, 1000) * rng.choice([-1.0, 1.0], 1000),
+                             [0.0, -0.0, -math.pi, math.nextafter(math.pi, 0.0),
+                              0.7254398651938152]])
+    outside = np.concatenate([rng.uniform(math.pi, 1e3, 10_000), rng.uniform(-1e3, -math.pi, 10_000),
+                              [math.pi, math.nextafter(-math.pi, -math.inf), 1e300, -1e300]])
+    assert wrap_angle(inside).tobytes() == inside.tobytes()
+    assert [wrap_float(x) for x in inside.tolist()] == inside.tolist()
+    assert all(math.copysign(1.0, wrap_float(x)) == math.copysign(1.0, x) for x in (0.0, -0.0))
+    formula = (outside + math.pi) % TWO_PI - math.pi
+    assert wrap_angle(outside).tobytes() == formula.tobytes()
+    assert np.array([wrap_float(x) for x in outside.tolist()]).tobytes() == formula.tobytes()
+    assert isinstance(wrap_angle(1.0), np.float64) and wrap_angle(np.ones((2, 3))).shape == (2, 3)
 
 
 def test_wrap_float_equals_wrap_angle_bit_for_bit():
