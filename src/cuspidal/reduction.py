@@ -687,20 +687,23 @@ def _cluster(thetas: list) -> list:
     """
     eps = float(np.finfo(float).eps)
     out = [(th, 1, [th]) for th in sorted(thetas, key=wrap_float)]
-    while True:
+    while len(out) > 1:
         n = len(out)
         gap = [(out[(k + 1) % n][0] - out[k][0]) % TWO_PI for k in range(n)]
-        run = next(((k, j) for j in range(n - 1, 0, -1) for k in range(n)
-                    if sum(gap[(k + i) % n] for i in range(j)) < max(
-                        2.0 * CLUSTER_RADIUS_T,
-                        8.0 * (64.0 * eps) ** (1.0 / sum(out[(k + i) % n][1] for i in range(j + 1))))),
-                   None)
+
+        def fits(k, j):
+            """Whether the run out[k], ..., out[k + j] (cyclic) merges."""
+            m = sum(out[(k + i) % n][1] for i in range(j + 1))
+            return sum(gap[(k + i) % n] for i in range(j)) < max(
+                2.0 * CLUSTER_RADIUS_T, 8.0 * (64.0 * eps) ** (1.0 / m))
+        run = next(((k, j) for j in range(n - 1, 0, -1) for k in range(n) if fits(k, j)), None)
         if run is None:
-            return [(rep, mult) for rep, mult, _ in out]
+            break
         k, j = run
         members = [a for i in range(j + 1) for a in out[(k + i) % n][2]]
         out = [(_mean_angle(members), len(members), members)] + [
             out[(k + j + 1 + i) % n] for i in range(n - j - 1)]
+    return [(rep, mult) for rep, mult, _ in out]
 
 
 _PAIRS = np.triu(np.ones((4, 4), dtype=bool), 1)
