@@ -609,42 +609,40 @@ def _segments(workspace_curves):
     return seg_a, seg_b
 
 
-def _segment_buckets(seg_a, seg_b, cell: float):
-    """Inclusive bucket ranges (lo (S, 2), hi (S, 2)) of the segments' bounding
-    boxes on a uniform hash of side `cell`: the buckets that list each segment."""
-    ka, kb = np.floor(seg_a / cell).astype(int), np.floor(seg_b / cell).astype(int)
-    return np.minimum(ka, kb), np.maximum(ka, kb)
-
-
 def _expand(counts):
     """(owner, offset) of every entry k < counts[r] of every owner r, in order."""
     owner = np.repeat(np.arange(len(counts)), counts)
     return owner, np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
-def _bucket_pairs(lo, hi, bx, by, reach: int):
-    """(segment, i, j) for every grid query (i, j) whose hash bucket
-    (bx[i], by[j]) lies within `reach` buckets of a segment's bucket range,
-    which is when a radius-`reach` bucket query there lists the segment.
-    bx and by must be non-decreasing."""
-    i0 = np.searchsorted(bx, lo[:, 0] - reach, "left")
-    i1 = np.searchsorted(bx, hi[:, 0] + reach, "right")
-    j0 = np.searchsorted(by, lo[:, 1] - reach, "left")
-    j1 = np.searchsorted(by, hi[:, 1] + reach, "right")
-    nj = j1 - j0
-    seg, off = _expand((i1 - i0) * nj)
+def _range_pairs(i0, i1, j0, j1):
+    """(segment, i, j) for every i in [i0, i1) and j in [j0, j1) of each
+    segment's index ranges, segment by segment, i-major."""
+    nj = np.maximum(j1 - j0, 0)
+    seg, off = _expand(np.maximum(i1 - i0, 0) * nj)
     nj = nj[seg]
     return seg, i0[seg] + off // np.maximum(nj, 1), j0[seg] + off % np.maximum(nj, 1)
 
 
-def _census_clearance(rc, zc, seg_a, seg_b, cell: float, margin: float):
+def _census_delta(rho_edges, z_edges) -> float:
+    """The census candidates' rounding margin: 1e-9 of the box's largest
+    coordinate, where the distance and intersection tests err by a few
+    roundings of those coordinates."""
+    return 1e-9 * float(max(rho_edges[-1], abs(z_edges[0]), abs(z_edges[-1])))
+
+
+def _census_clearance(rc, zc, seg_a, seg_b, margin: float, delta: float):
     """clear[i, j]: no segment passes within `margin` of the center
-    (rc[i], zc[j]).  Candidates are the segments a radius-1 bucket query
-    on a hash of side `cell` lists, which includes every segment within
-    margin < cell; distances are to each segment's closest point."""
-    lo, hi = _segment_buckets(seg_a, seg_b, cell)
-    seg, i, j = _bucket_pairs(lo, hi, np.floor(rc / cell).astype(int),
-                              np.floor(zc / cell).astype(int), 1)
+    (rc[i], zc[j]).  Candidates are the centers inside a segment's bounding
+    box grown by margin + delta on each axis (rc and zc ascending); a
+    segment nearer than margin has its closest point in that box, and delta
+    covers the rounding of the distance.  Distances are to each segment's
+    closest point."""
+    lo, hi = np.minimum(seg_a, seg_b) - (margin + delta), np.maximum(seg_a, seg_b) + (margin + delta)
+    seg, i, j = _range_pairs(np.searchsorted(rc, lo[:, 0], "left"),
+                             np.searchsorted(rc, hi[:, 0], "right"),
+                             np.searchsorted(zc, lo[:, 1], "left"),
+                             np.searchsorted(zc, hi[:, 1], "right"))
     centers = np.column_stack([rc[i], zc[j]])
     a, ab = seg_a[seg], seg_b[seg] - seg_a[seg]
     vv = np.sum(ab * ab, axis=1)
@@ -658,24 +656,33 @@ def _census_clearance(rc, zc, seg_a, seg_b, cell: float, margin: float):
     return clear
 
 
-def _census_crossings(rc, zc, clear, seg_a, seg_b, cell: float):
+def _census_crossings(rc, zc, clear, seg_a, seg_b, delta: float):
     """Crossings of the segments joining adjacent clear census centers.
 
     Pair e = 2 (i n + j) + d joins center (i, j) to (i + 1, j) (d = 0) or
-    (i, j + 1) (d = 1).  Its crossings are the segments listed by a radius-2
-    bucket query around its midpoint (hash of side `cell`) that
-    seg_intersect_many hits with the joining segment.  Returns the crossing
-    count per pair (0 for pairs not both clear) and, where it is 1, the
-    crossing segment's index.
+    (i, j + 1) (d = 1).  Its crossings are the segments seg_intersect_many
+    hits with the joining segment.  Candidates for d = 0, which lies on
+    z = zc[j], are the j with zc[j] in a segment's z-range and the i where
+    [rc[i], rc[i + 1]] meets its rho-range, both ranges grown by delta; d =
+    1 swaps the axes.  A hit implies that overlap to within delta: on the
+    line z = zc[j] the joining segment's direction has an exact zero, so u
+    is a ratio of two one-rounding differences (a few roundings, sign
+    exact) and s is off by a few roundings of the box's coordinates, far
+    below delta.  Returns the crossing count per pair (0 for pairs not both
+    clear) and, where it is 1, the crossing segment's index.
     """
     n = len(rc)
-    lo, hi = _segment_buckets(seg_a, seg_b, cell)
+    lo, hi = np.minimum(seg_a, seg_b) - delta, np.maximum(seg_a, seg_b) + delta
     crossings = np.zeros(2 * n * n, dtype=int)
     hit_seg = np.zeros(2 * n * n, dtype=int)
-    mid_r, mid_z = 0.5 * (rc[:-1] + rc[1:]), 0.5 * (zc[:-1] + zc[1:])
-    for d, (bx, by) in enumerate(((mid_r, zc), (rc, mid_z))):
-        seg, i, j = _bucket_pairs(lo, hi, np.floor(bx / cell).astype(int),
-                                  np.floor(by / cell).astype(int), 2)
+    for d, (along, line) in enumerate(((rc, zc), (zc, rc))):
+        # pairs k, k + 1 along axis d, on the line through center l of the other
+        k0 = np.searchsorted(along[1:], lo[:, d], "left")
+        k1 = np.minimum(np.searchsorted(along, hi[:, d], "right"), n - 1)
+        l0 = np.searchsorted(line, lo[:, 1 - d], "left")
+        l1 = np.searchsorted(line, hi[:, 1 - d], "right")
+        seg, k, l = _range_pairs(k0, k1, l0, l1)
+        i, j = (k, l) if d == 0 else (l, k)
         i2, j2 = i + (1 - d), j + d
         both = clear[i, j] & clear[i2, j2]
         seg, i, j, i2, j2 = seg[both], i[both], j[both], i2[both], j2[both]
@@ -692,18 +699,18 @@ def region_census(p: DhParams, workspace_curves, census_n: int = 128):
     """IKS counts over the padded bounding box of p's critical values.
 
     Counts come from one ik_counts pass over the cell centers.  A cell is
-    clear when no critical-value segment passes within 0.3 of a cell of its
-    center.  The audit walks adjacent clear cells: segments listed by a
-    radius-2 bucket query around the pair's midpoint (on a hash of the
-    smaller cell side) that cross the segment joining the two centers are
-    its crossings.  Without one the counts must be equal; with exactly one
+    clear when no critical-value segment passes within 0.3 of the smaller
+    cell side of its center.  The audit walks adjacent clear cells: the
+    segments that cross the segment joining the two centers are its
+    crossings.  Without one the counts must be equal; with exactly one
     they must differ by exactly 2, and the boundary point between them must
     carry the intermediate count.  That point is the crossed segment's first
     vertex, the image of a traced vertex of S and so a point of the critical
     values, counted by ik_counts, the cells' root rule.  The walk, in
     row-major pair order, samples up to MAX_BOUNDARY_SAMPLES of them per
     (low, high) boundary kind, all counted in one call.  The clearance and
-    the crossings of all pairs are computed in one array pass each.
+    the crossings of all pairs are computed in one array pass each, over the
+    centers and pairs inside each segment's coordinate ranges.
     """
     validate_params(p)
     allv = (np.vstack([w.vertices for w in workspace_curves])
@@ -721,8 +728,9 @@ def region_census(p: DhParams, workspace_curves, census_n: int = 128):
 
     seg_a, seg_b = _segments(workspace_curves)
     cell = float(min(rho_edges[1] - rho_edges[0], z_edges[1] - z_edges[0]))
-    clear = _census_clearance(rc, zc, seg_a, seg_b, cell, 0.3 * cell)
-    crossings, hit_seg = _census_crossings(rc, zc, clear, seg_a, seg_b, cell)
+    delta = _census_delta(rho_edges, z_edges)
+    clear = _census_clearance(rc, zc, seg_a, seg_b, 0.3 * cell, delta)
+    crossings, hit_seg = _census_crossings(rc, zc, clear, seg_a, seg_b, delta)
 
     n_pairs = 2 * census_n * census_n
     e = np.arange(n_pairs)

@@ -1,5 +1,6 @@
-"""Census reference the boundary audit in the package is tested against: a
-count that deflates the known double root, and the audit walk built on it."""
+"""Census references the package is tested against: a count that deflates
+the known double root, the audit walk built on it, and the clearance and
+crossings of every segment against every centre and pair."""
 from collections import defaultdict
 
 import numpy as np
@@ -8,9 +9,11 @@ from cuspidal.critical import (
     MAX_BOUNDARY_SAMPLES,
     _census_clearance,
     _census_crossings,
+    _census_delta,
     _chart_seed,
 )
 from cuspidal.dh import wrap_float
+from cuspidal.geometry import seg_intersect_many
 from cuspidal.reduction import conic_raw, quartic_coeffs_from_conic
 
 from engine_refs import cluster_real_roots
@@ -54,8 +57,9 @@ def census_walk(p, workspace_curves, census):
     seg_a = np.vstack([w.vertices for w in workspace_curves])
     seg_b = np.vstack([np.roll(w.vertices, -1, axis=0) for w in workspace_curves])
     tags = [(w.source_index, k) for w in workspace_curves for k in range(len(w))]
-    clear = _census_clearance(rc, zc, seg_a, seg_b, cell, 0.3 * cell)
-    crossings, hit_seg = _census_crossings(rc, zc, clear, seg_a, seg_b, cell)
+    delta = _census_delta(census.rho_edges, census.z_edges)
+    clear = _census_clearance(rc, zc, seg_a, seg_b, 0.3 * cell, delta)
+    crossings, hit_seg = _census_crossings(rc, zc, clear, seg_a, seg_b, delta)
     audited, violations, samples = 0, [], []
     per_kind = defaultdict(int)
     for i in range(n):
@@ -91,3 +95,70 @@ def census_walk(p, workspace_curves, census):
                     violations.append({"kind": "boundary_count", "point": [rr, zz],
                                        "count": cnt, "expected": low + 1})
     return audited, violations, samples
+
+
+def _within(lo, hi, x, reach):
+    """(S, len(x)): x[k] within reach of the range [lo[s], hi[s]]."""
+    return (x >= lo[:, None] - reach) & (x <= hi[:, None] + reach)
+
+
+def _spans_within(lo, hi, x, reach):
+    """(S, len(x) - 1): [x[k], x[k + 1]] within reach of [lo[s], hi[s]]."""
+    return (x[1:] >= lo[:, None] - reach) & (x[:-1] <= hi[:, None] + reach)
+
+
+def all_segments_census(rc, zc, seg_a, seg_b, margin, clear=None, reach=np.inf, chunk=64):
+    """(clear, crossings, hit_seg) of _census_clearance and _census_crossings
+    from every segment against every centre and every pair of adjacent
+    centres, segments in chunks, with the package's distance expression and
+    seg_intersect_many.  Combinations whose bounding boxes lie more than
+    `reach` apart on an axis are skipped (none at the default, inf); a
+    nearer centre or a hit needs them within a few roundings.  `clear`
+    (default: the clearance found here) selects the pairs; hit_seg is -1
+    where crossings != 1."""
+    n = len(rc)
+    lo, hi = np.minimum(seg_a, seg_b), np.maximum(seg_a, seg_b)
+    near_mask = np.zeros((n, n), dtype=bool)
+    for s0 in range(0, len(seg_a), chunk):
+        part = slice(s0, s0 + chunk)
+        box = (_within(lo[part, 0], hi[part, 0], rc, reach)[:, :, None]
+               & _within(lo[part, 1], hi[part, 1], zc, reach)[:, None, :])
+        seg, i, j = np.unravel_index(np.flatnonzero(box), box.shape)
+        seg += s0
+        centers = np.column_stack([rc[i], zc[j]])
+        a, ab = seg_a[seg], seg_b[seg] - seg_a[seg]
+        vv = np.sum(ab * ab, axis=1)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            u = np.where(vv == 0.0, 0.0,
+                         np.minimum(1.0, np.maximum(0.0, np.sum((centers - a) * ab, axis=1) / vv)))
+        off = centers - (a + u[:, None] * ab)
+        near = np.hypot(off[:, 0], off[:, 1]) < margin
+        near_mask[i[near], j[near]] = True
+    if clear is None:
+        clear = ~near_mask
+    hits_seg, hits_pair = [], []
+    for s0 in range(0, len(seg_a), chunk):
+        part = slice(s0, s0 + chunk)
+        for d in (0, 1):
+            if d == 0:
+                box = (_spans_within(lo[part, 0], hi[part, 0], rc, reach)[:, :, None]
+                       & _within(lo[part, 1], hi[part, 1], zc, reach)[:, None, :])
+            else:
+                box = (_within(lo[part, 0], hi[part, 0], rc, reach)[:, :, None]
+                       & _spans_within(lo[part, 1], hi[part, 1], zc, reach)[:, None, :])
+            seg, i, j = np.unravel_index(np.flatnonzero(box), box.shape)
+            seg += s0
+            i2, j2 = i + (1 - d), j + d
+            both = clear[i, j] & clear[i2, j2]
+            seg, i, j, i2, j2 = seg[both], i[both], j[both], i2[both], j2[both]
+            hit, _ = seg_intersect_many(np.column_stack([rc[i], zc[j]]),
+                                        np.column_stack([rc[i2], zc[j2]]),
+                                        seg_a[seg], seg_b[seg])
+            hits_seg.append(seg[hit])
+            hits_pair.append(2 * (i[hit] * n + j[hit]) + d)
+    hits_seg, hits_pair = np.concatenate(hits_seg), np.concatenate(hits_pair)
+    crossings = np.bincount(hits_pair, minlength=2 * n * n)
+    hit_seg = np.full(2 * n * n, -1)
+    single = crossings[hits_pair] == 1
+    hit_seg[hits_pair[single]] = hits_seg[single]
+    return ~near_mask, crossings, hit_seg

@@ -30,6 +30,7 @@ from cuspidal.critical import (
     DEDUP_RADIUS,
     _census_clearance,
     _census_crossings,
+    _census_delta,
     _chain_loops,
     _crossing_points,
     _dedup_sorted,
@@ -53,7 +54,7 @@ from conftest import (
     perfbench_inputs,
     random_valid_params,
 )
-from census_refs import census_walk
+from census_refs import all_segments_census, census_walk
 from engine_refs import (
     chain_loops,
     chart_find_cusps,
@@ -470,8 +471,9 @@ def test_census_clearance_and_crossings_equal_cell_loop(robot, analysis):
                      census.z_edges[1] - census.z_edges[0]))
     seg_a = np.vstack([w.vertices for w in wcurves])
     seg_b = np.vstack([np.roll(w.vertices, -1, axis=0) for w in wcurves])
-    clear = _census_clearance(rc, zc, seg_a, seg_b, cell, 0.3 * cell)
-    crossings, hit_seg = _census_crossings(rc, zc, clear, seg_a, seg_b, cell)
+    delta = _census_delta(census.rho_edges, census.z_edges)
+    clear = _census_clearance(rc, zc, seg_a, seg_b, 0.3 * cell, delta)
+    crossings, hit_seg = _census_crossings(rc, zc, clear, seg_a, seg_b, delta)
     ref_clear, ref_hits = _loop_census(rc, zc, seg_a, seg_b, cell)
     assert np.array_equal(clear, ref_clear)
     assert 0 < np.count_nonzero(~clear) < clear.size
@@ -481,6 +483,79 @@ def test_census_clearance_and_crossings_equal_cell_loop(robot, analysis):
         if len(found) == 1:
             assert hit_seg[e] == found[0]
     assert sum(len(h) == 1 for h in ref_hits.values()) == census.audited_pairs > 0
+
+
+def test_census_clearance_and_crossings_equal_every_segment(analysis):
+    """At census 128, on the battery and screen_robots(0), the clearance
+    mask and the crossings of every pair of adjacent clear centers equal the
+    reference that tests every segment against every center and pair
+    (census_refs.all_segments_census, skipping only combinations more than a
+    cell apart on an axis)."""
+    robots = [*BATTERY.values(), *(p for _, p, _ in perfbench_inputs().screen_robots(0))]
+    audited = 0
+    for robot in robots:
+        wcurves = analysis.wcurves(robot)
+        census = region_census(robot, wcurves, census_n=128)
+        rc, zc = census.centers()
+        cell = float(min(census.rho_edges[1] - census.rho_edges[0],
+                         census.z_edges[1] - census.z_edges[0]))
+        delta = _census_delta(census.rho_edges, census.z_edges)
+        seg_a, seg_b = critical._segments(wcurves)
+        clear = _census_clearance(rc, zc, seg_a, seg_b, 0.3 * cell, delta)
+        crossings, hit_seg = _census_crossings(rc, zc, clear, seg_a, seg_b, delta)
+        ref_clear, ref_crossings, ref_hit = all_segments_census(rc, zc, seg_a, seg_b,
+                                                                0.3 * cell, reach=cell)
+        assert np.array_equal(clear, ref_clear), robot
+        assert np.array_equal(crossings, ref_crossings), robot
+        assert np.array_equal(np.where(crossings == 1, hit_seg, -1), ref_hit), robot
+        assert np.count_nonzero(crossings == 1) == census.audited_pairs, robot
+        audited += census.audited_pairs
+    assert audited > 0
+
+
+def test_census_clearance_and_crossings_at_their_edge_cases():
+    """Synthetic segments on a 10 x 10 census of side 1/8, against the
+    reference that tests every segment against every center and pair: a
+    polyline many cells long that crosses pairs in both directions; ends
+    exactly on a pair's line (u = 1 and u = 0) and one ulp short of it,
+    where seg_intersect_many still hits (u rounds to 1); centers exactly
+    `margin` from a segment (clear: the test is strict) and a hair nearer."""
+    n, h = 10, 0.125
+    edges = np.arange(n + 1) * h
+    rc, zc = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[:-1] + edges[1:]) - 0.5
+    margin = h / 4
+    delta = _census_delta(edges, edges - 0.5)
+    polylines = [
+        [(0.1, -0.45), (0.7, 0.05), (1.2, 0.6)],                  # 12 cells long
+        [(0.40, zc[6] - 0.1), (0.40, zc[6])],                     # ends on z = zc[6]
+        [(rc[1], 0.25), (rc[1] + 0.1, 0.27)],                     # starts on rho = rc[1]
+        [(0.82, zc[4] - 0.1), (0.875, np.nextafter(zc[4], -np.inf))],
+        [(rc[1], zc[8] + margin), (rc[4], zc[8] + margin)],       # margin above row 8
+        [(rc[6] + margin, zc[0]), (rc[6] + 3 * margin, zc[0] + margin)],
+        [(rc[8] + margin * (1 - 2.0 ** -20), zc[0]), (rc[8] + 3 * margin, zc[0] + margin)],
+    ]
+    seg_a = np.array([a for line in polylines for a in line[:-1]], dtype=float)
+    seg_b = np.array([b for line in polylines for b in line[1:]], dtype=float)
+    owner = np.repeat(np.arange(len(polylines)), [len(line) - 1 for line in polylines])
+    clear = _census_clearance(rc, zc, seg_a, seg_b, margin, delta)
+    crossings, hit_seg = _census_crossings(rc, zc, clear, seg_a, seg_b, delta)
+    ref_clear, ref_crossings, ref_hit = all_segments_census(rc, zc, seg_a, seg_b, margin)
+    assert np.array_equal(clear, ref_clear)
+    assert np.array_equal(crossings, ref_crossings)
+    assert np.array_equal(np.where(crossings == 1, hit_seg, -1), ref_hit)
+    assert clear[2, 8] and clear[6, 0] and not clear[8, 0]
+    # every pair taken, so each edge case is a crossing
+    every = np.ones((n, n), dtype=bool)
+    crossings, hit_seg = _census_crossings(rc, zc, every, seg_a, seg_b, delta)
+    _, ref_crossings, ref_hit = all_segments_census(rc, zc, seg_a, seg_b, margin, clear=every)
+    assert np.array_equal(crossings, ref_crossings)
+    assert np.array_equal(np.where(crossings == 1, hit_seg, -1), ref_hit)
+    single = np.flatnonzero(crossings == 1)
+    by_owner = np.bincount(owner[hit_seg[single]], minlength=len(polylines))
+    assert by_owner[0] >= 10
+    for line, (i, j, d) in ((1, (2, 6, 0)), (2, (1, 5, 1)), (3, (6, 4, 0))):
+        e = 2 * (i * n + j) + d
+        assert crossings[e] == 1 and owner[hit_seg[e]] == line
 
 
 def test_census_audit_equals_scalar_walk(ref_census, node_census, analysis):
