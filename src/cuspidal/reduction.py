@@ -36,7 +36,6 @@ from .errors import (
     ZeroPolynomialError,
 )
 
-_DEGREE_DROP_TOL = 1e-10
 _PARABOLA_BAND = 1e-9
 
 
@@ -1119,11 +1118,8 @@ def _invariant_counts(m: np.ndarray):
     Delta > 0: 4 when P = 8ac - 3b^2 < 0 and D = 64a^3e - 16a^2c^2 +
     16ab^2c - 16a^2bd - 3b^4 < 0, else 0 (Rees 1922; Lazard 1988).
 
-    Undecided: all-zero rows, rows with |lead| < _DEGREE_DROP_TOL (a root
-    within about 2e-10 rad of theta3 = pi, or two; the engine finds them on
-    the circle like any other, and these rows stay with it so that the
-    census sends it the rows it always did), rows with P or D within their
-    rounding of 0, and rows with |Delta| inside the band
+    Undecided: all-zero rows, rows with P or D within their rounding of 0,
+    and rows with |Delta| inside the band
 
       (i)  rounding: I and J carry at most 8 roundings per term, so
            |dI| <= 8u I~ and |dJ| <= 8u J~ over the sums of the terms'
@@ -1160,18 +1156,20 @@ def _invariant_counts(m: np.ndarray):
     eps = float(np.finfo(float).eps)
     w = 16.0 * np.sum(q * q, axis=1)
     band = 16.0 * eps * (4.0 * i_abs ** 3 + j_abs ** 2) / 27.0 + w ** 3 * _MERGE_CHORD ** 2
-    # P and D to their rounding: P carries 3 roundings per term, D at most 9,
-    # each bounded in eps, twice the unit roundoff
+    # P and D to their rounding: P carries 3 roundings per term; D's powers
+    # are products (np.power is slow on negative bases), 3 roundings per
+    # term and 4 in the sum, within the 9 allowed; each bounded in eps,
+    # twice the unit roundoff
     p_inv = 8.0 * a * c - 3.0 * b * b
     p_err = 3.0 * eps * (8.0 * aa * ac + 3.0 * ab * ab)
-    d_inv = (64.0 * a ** 3 * e - 16.0 * a * a * c * c + 16.0 * a * b * b * c
-             - 16.0 * a * a * b * d - 3.0 * b ** 4)
+    a2, b2 = a * a, b * b
+    d_inv = (64.0 * a2 * a * e - 16.0 * a2 * c * c + 16.0 * a * b2 * c
+             - 16.0 * a2 * b * d - 3.0 * b2 * b2)
     d_err = 9.0 * eps * (64.0 * aa ** 3 * ae + 16.0 * aa * aa * ac * ac + 16.0 * aa * ab * ab * ac
                          + 16.0 * aa * aa * ab * ad + 3.0 * ab ** 4)
     four = (p_inv < -p_err) & (d_inv < -d_err)
     none = (p_inv > p_err) | (d_inv > d_err)
-    undecided = (zero | (np.abs(q[:, 0]) < _DEGREE_DROP_TOL) | ~(np.abs(disc) > band)
-                 | ((disc > 0.0) & ~four & ~none))
+    undecided = zero | ~(np.abs(disc) > band) | ((disc > 0.0) & ~four & ~none)
     return np.where(disc < 0.0, 2, np.where(four, 4, 0)), undecided
 
 

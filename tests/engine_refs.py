@@ -65,7 +65,6 @@ from cuspidal.errors import StartOrGoalSingularError
 from cuspidal.geometry import seg_intersect_many
 from cuspidal.reduction import (
     _CONIC_ZERO,
-    _DEGREE_DROP_TOL,
     _IMAG_ANGLE_MAX,
     _JET_INDEX,
     _JET_WEIGHT,
@@ -600,6 +599,11 @@ def _separated(t):
     with np.errstate(invalid="ignore"):
         close = np.minimum(gap, TWO_PI - gap) < _SEPARATED
     return ~np.any(close & np.triu(np.ones((4, 4), dtype=bool), 1), axis=(1, 2))
+
+
+# the chart engine drops a leading coefficient of the max-normalised
+# quartic below this and injects the root t = inf (theta3 = pi) for it
+_DEGREE_DROP_TOL = 1e-10
 
 
 @dataclass(frozen=True)
