@@ -617,9 +617,10 @@ def _expand(counts):
 
 def _range_pairs(i0, i1, j0, j1):
     """(segment, i, j) for every i in [i0, i1) and j in [j0, j1) of each
-    segment's index ranges, segment by segment, i-major."""
-    nj = np.maximum(j1 - j0, 0)
-    seg, off = _expand(np.maximum(i1 - i0, 0) * nj)
+    segment's index ranges (i1 >= i0, j1 >= j0), segment by segment,
+    i-major."""
+    nj = j1 - j0
+    seg, off = _expand((i1 - i0) * nj)
     nj = nj[seg]
     return seg, i0[seg] + off // np.maximum(nj, 1), j0[seg] + off % np.maximum(nj, 1)
 
