@@ -367,20 +367,18 @@ def _chart_seed(theta3: float):
     return math.tan(wrap_float(theta3 - math.pi) / 2.0), True
 
 
-def _tan_half(theta3: float) -> float:
-    return math.tan(theta3 / 2.0)
-
-
 def _residuals(p: DhParams, theta3, R, zr):
     """|M^(j)|, j = 0..3, at each theta3 (K,) of the quartic of the conic at
     (R, zr) scaled to max |coefficient| = 1, in the chart _chart_seed picks:
-    dimensionless, whatever the robot's unit of length."""
+    dimensionless, whatever the robot's unit of length; NaN where the conic
+    vanishes identically (every theta3 solves there, and none certifies)."""
     charts = [_chart_seed(t) for t in theta3.tolist()]
     u = np.array([c[0] for c in charts])
     flip = np.array([c[1] for c in charts], dtype=bool)
     cc = conic_raw(p, R, zr).T
     cc[flip, 3:5] = -cc[flip, 3:5]
-    cc = cc / np.maximum(np.max(np.abs(cc), axis=1), 1e-300)[:, None]
+    with np.errstate(invalid="ignore"):
+        cc = cc / np.max(np.abs(cc), axis=1)[:, None]
     return np.abs(quartic_jet(quartic_coeffs_from_conic(cc.T).T, u, 3))
 
 
@@ -388,9 +386,9 @@ def _certify(p: DhParams, theta3, R, zr, mult: int):
     """(residuals (K, 4), certified (K,)) of roots of multiplicity `mult` at
     theta3 (K,) of the conics at (R, zr): the one acceptance rule of cusps
     (3), quadruple roots (4) and each double root of a node (2).  M, ...,
-    M^(mult-1) of _residuals are at most CUSP_RESIDUAL_TOL, a cusp's |M'''|
-    is at least CUSP_THIRD_DERIV_MIN, and rho^2 = R - zr^2 is at least
-    -_RHO2_FLOOR L^2."""
+    M^(mult-1) of _residuals are at most CUSP_RESIDUAL_TOL (so a vanishing
+    conic is refused), a cusp's |M'''| is at least CUSP_THIRD_DERIV_MIN, and
+    rho^2 = R - zr^2 is at least -_RHO2_FLOOR L^2."""
     res = _residuals(p, theta3, R, zr)
     ok = ((R - zr * zr >= -_RHO2_FLOOR * length_scale(p) ** 2)
           & (np.max(res[:, :mult], axis=1) <= CUSP_RESIDUAL_TOL))
@@ -433,7 +431,7 @@ def find_cusps(p: DhParams, workspace_curves) -> list:
     res, certified = _certify(p, theta3, R, zr, 3)
     log.debug("%d of %d cusp seeds not certified", int(np.sum(~certified)), len(theta3))
     found = [(math.sqrt(max(float(R[k] - zr[k] * zr[k]), 0.0)), float(zr[k] + p.d1),
-              _tan_half(float(theta3[k])), *(float(r) for r in res[k]))
+              math.tan(float(theta3[k]) / 2.0), *(float(r) for r in res[k]))
              for k in np.nonzero(certified)[0]]
     kept = _dedup_sorted(found, DEDUP_RADIUS * lscale, 1e-9 * lscale)
     return [CuspPoint(*c) for c in kept]
@@ -530,7 +528,7 @@ def find_nodes(p: DhParams, workspace_curves) -> list:
     log.debug("%d of %d node candidates not certified", int(np.sum(~certified)), n)
     found = []
     for k in np.nonzero(certified)[0].tolist():
-        tlo, thi = sorted((_tan_half(float(th1[k])), _tan_half(float(th2[k]))))
+        tlo, thi = sorted((math.tan(float(th1[k]) / 2.0), math.tan(float(th2[k]) / 2.0)))
         found.append((math.sqrt(max(float(R[k] - zr[k] * zr[k]), 0.0)), float(zr[k] + p.d1),
                       tlo, thi, float(worst[k])))
     ik = solve_ik_batch(p, [f[0] for f in found], [f[1] for f in found])
@@ -558,17 +556,16 @@ def genericity_check(p: DhParams, grid_n: int, curves: CriticalSet, workspace_cu
     evidence = []
 
     # (a) quadruple roots: _certify at the candidates; the evidence is the
-    # first certified one, in candidate order
+    # first certified one, in candidate order, and the first whose conic
+    # vanishes identically (every theta3 solves there)
     theta3, R, zr = quadruple_candidates(p)
     res, certified = _certify(p, theta3, R, zr, 4)
-    certified = np.nonzero(certified)[0]
-    if len(certified):
-        k = certified[0]
-        evidence.append({"kind": "quadruple_root",
-                         "rho": math.sqrt(max(float(R[k] - zr[k] * zr[k]), 0.0)),
-                         "z": float(zr[k] + p.d1),
-                         "t": _tan_half(float(theta3[k])),
-                         "residual": float(np.max(res[k]))})
+    rho = np.sqrt(np.maximum(R - zr * zr, 0.0))
+    for k in np.flatnonzero(certified)[:1].tolist():
+        evidence.append({"kind": "quadruple_root", "rho": float(rho[k]), "z": float(zr[k] + p.d1),
+                         "t": math.tan(theta3[k] / 2.0), "residual": float(np.max(res[k]))})
+    for k in np.flatnonzero(np.isnan(res[:, 0]))[:1].tolist():
+        evidence.append({"kind": "vanishing_conic", "rho": float(rho[k]), "z": float(zr[k] + p.d1)})
 
     # (b) the critical curve must be smooth: |grad det J| bounded away from 0
     worst = min((float(np.min(c.grad_norm)) for c in curves if len(c)), default=math.inf)

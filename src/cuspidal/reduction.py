@@ -174,6 +174,13 @@ class _ConicTerms:
     vw: tuple
     ww: tuple
 
+    def conic(self, pw, qw):
+        """The unnormalized conic whose P and Q have constant terms pw and qw."""
+        bx = self.pu * pw + self.qu * qw - self.uw[0] - self.uw[1]
+        by = self.pv * pw + self.qv * qw - self.vw[0] - self.vw[1]
+        c = pw * pw + qw * qw - self.ww[0] - self.ww[1]
+        return self.axx, self.axy, self.ayy, bx, by, c
+
 
 @_per_robot
 def _conic_terms(p: DhParams) -> _ConicTerms:
@@ -196,12 +203,7 @@ def _conic(p: DhParams, R, z):
     """Axx, Axy, Ayy (per robot) and Bx, By, C (shaped like R and z) of the
     unnormalized conic at targets (R, z)."""
     k = _conic_terms(p)
-    pw = (R - k.w2) / k.two_a1
-    qw = (z - k.w3) / k.sa1
-    bx = k.pu * pw + k.qu * qw - k.uw[0] - k.uw[1]
-    by = k.pv * pw + k.qv * qw - k.vw[0] - k.vw[1]
-    c = pw * pw + qw * qw - k.ww[0] - k.ww[1]
-    return k.axx, k.axy, k.ayy, bx, by, c
+    return k.conic((R - k.w2) / k.two_a1, (z - k.w3) / k.sa1)
 
 
 def conic_raw(p: DhParams, R, z):
@@ -212,6 +214,114 @@ def conic_raw(p: DhParams, R, z):
     (R, z).
     """
     return np.stack(np.broadcast_arrays(*_conic(p, np.asarray(R, float), np.asarray(z, float))))
+
+
+# --------------------------------------------------------------------------
+# Trigonometric polynomials on the theta circle, one row format (_harmonics)
+# --------------------------------------------------------------------------
+
+# A root whose theta is further than tanh^-1 of this from the real circle is
+# complex: the one prefilter of every polynomial root found here.
+_IMAG_ANGLE_MAX = 1e-3
+_POLISH_MAX_ITER = 12     # Newton steps per seed in _newton_in_theta
+_POLISH_STEP_ULPS = 4     # a step this many ulps of theta or less is a seed's last
+
+
+def _harmonics(samples: np.ndarray, n: int) -> np.ndarray:
+    """Rows (a0, a1, b1, ..., an, bn), g = a0 + sum_k (ak cos k theta + bk
+    sin k theta), of degree-n samples at N > 2n angles 2 pi j / N along the
+    last axis: with c = rfft / N, a0 = c0, ak = 2 Re ck and bk = -2 Im ck,
+    exact scalings of c."""
+    c = np.fft.rfft(samples)[..., :n + 1] / samples.shape[-1]
+    rows = np.empty(c.shape[:-1] + (2 * n + 1,))
+    rows[..., 0] = c[..., 0].real
+    rows[..., 1::2], rows[..., 2::2] = 2.0 * c[..., 1:].real, -2.0 * c[..., 1:].imag
+    return rows
+
+
+def _harmonic_bound(rows: np.ndarray) -> np.ndarray:
+    """|a0| + sum_k |(ak, bk)| of rows (..., 2n + 1), bounding |g| on the circle."""
+    return np.abs(rows[..., 0]) + np.sum(np.hypot(rows[..., 1::2], rows[..., 2::2]), axis=-1)
+
+
+def _circle_values(rows: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Each row of rows (N, k, 2n + 1) at its theta (N,): (N, k), with cos and
+    sin of k theta by angle addition, summed term by term in row order."""
+    c, s = np.cos(theta)[:, None], np.sin(theta)[:, None]
+    ck, sk, v = c, s, rows[..., 0] + rows[..., 1] * c + rows[..., 2] * s
+    for k in range(2, rows.shape[-1] // 2 + 1):
+        ck, sk = ck * c - sk * s, sk * c + ck * s
+        v = v + rows[..., 2 * k - 1] * ck + rows[..., 2 * k] * sk
+    return v
+
+
+def _circle_jet(h: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Rows (N, 2, 2n + 1) of g^(order) and g^(order + 1) of rows h (N, 2n + 1),
+    one order per row; a derivative turns harmonic k's (a, b) into k (b, -a)."""
+    k = np.arange(1.0, h.shape[1] // 2 + 1)
+    jet = np.zeros((len(h), int(np.max(order, initial=0)) + 2, h.shape[1]))
+    jet[:, 0] = h
+    for j in range(1, jet.shape[1]):
+        jet[:, j, 1::2], jet[:, j, 2::2] = k * jet[:, j - 1, 2::2], -k * jet[:, j - 1, 1::2]
+    return jet[np.arange(len(h))[:, None], np.column_stack([order, order + 1])]
+
+
+def _circle_roots(rows: np.ndarray):
+    """Roots z = exp(i theta) (K, 2n) of rows (K, 2n + 1), their imaginary
+    angles tanh |Im theta| = |1 - |z|^2| / (1 + |z|^2) and the prefilter's
+    mask of the real ones.
+
+    Each row is solved as np.roots solves z^n g(z) = sum_k c_k z^(n + k),
+    |k| <= n, with c_0 = a0 and c_k = conj(c_-k) = (ak - i bk) / 2, by the
+    eigenvalues of its companion matrix, all rows in one eigvals call.  Top
+    harmonics that are zero in every row are left out: the rows of one
+    robot share their top harmonic up to scale (h2 for the IK conic), so
+    this is the robot's one branch.  A row whose top harmonic is still zero
+    (a zero row) gets eigenvalues 0, which the prefilter drops."""
+    c = 0.5 * (rows[:, 1::2] - 1j * rows[:, 2::2])      # c_1, ..., c_n
+    n = c.shape[1]
+    while n > 0 and not c[:, n - 1].any():
+        n -= 1
+    z = np.zeros((len(c), 0), dtype=complex)
+    if n:
+        poly = np.concatenate([c[:, n - 1::-1], rows[:, :1], np.conj(c[:, :n])], axis=1)
+        lead = poly[:, :1]
+        dead = lead[:, 0] == 0.0
+        comp = np.zeros((len(c), 2 * n, 2 * n), dtype=complex)
+        comp[:, 0, :] = -poly[:, 1:] / np.where(dead[:, None], 1.0, lead)
+        comp[dead, 0, :] = 0.0
+        comp[:, np.arange(1, 2 * n), np.arange(2 * n - 1)] = 1.0
+        z = np.linalg.eigvals(comp)
+    with np.errstate(over="ignore"):
+        im_angle = np.abs(1.0 - 2.0 / (1.0 + np.abs(z) ** 2))
+    return z, im_angle, im_angle <= _IMAG_ANGLE_MAX
+
+
+def _newton_in_theta(fun, theta: np.ndarray):
+    """Newton in theta on seeds theta (K,), in one array batch, each seed as
+    it would step alone.  fun(theta, idx) gives f and f' (K',) at theta (K',)
+    for the seeds idx, and an array of values (K', ...) to carry along, or
+    None.  A step is taken where it lowers |f|; a seed stops at the first
+    step that does not, after a step of at most _POLISH_STEP_ULPS ulps of
+    theta, or after _POLISH_MAX_ITER steps.  Returns theta, f and the
+    carried values at each seed's last step taken."""
+    theta = np.array(theta, float)
+    act = np.arange(len(theta))
+    f, f_d, carry = fun(theta, act)
+    for _ in range(_POLISH_MAX_ITER):
+        if len(act) == 0:
+            break
+        # where f' = 0 the step is 0, which lowers nothing and stops the seed
+        step = f[act] / np.where(f_d[act] != 0.0, f_d[act], np.inf)
+        th = theta[act] - step
+        fn, fn_d, carry_n = fun(th, act)
+        better = np.abs(fn) < np.abs(f[act])
+        up = act[better]
+        theta[up], f[up], f_d[up] = th[better], fn[better], fn_d[better]
+        if carry is not None:
+            carry[up] = carry_n[better]
+        act = up[np.abs(step[better]) > _POLISH_STEP_ULPS * np.spacing(np.abs(th[better]))]
+    return theta, f, carry
 
 
 # --------------------------------------------------------------------------
@@ -246,13 +356,8 @@ def conic_raw(p: DhParams, R, z):
 # system, one equation in theta3.
 # --------------------------------------------------------------------------
 
-# A root whose theta3 is further than tanh^-1 of this from the real circle is
-# complex: the one prefilter of every polynomial root found here.
-_IMAG_ANGLE_MAX = 1e-3
-_LOCUS_SAMPLES = 16       # samples of E per turn, more than 2 x its degree 6
-_LOCUS_DEGREE = 12        # degree of E's polynomial in exp(i theta3)
-_POLISH_MAX_ITER = 12     # Newton steps per cusp seed in polish_cusps
-_POLISH_STEP_ULPS = 4     # a step this many ulps of theta3 or less is a seed's last
+_LOCUS_SAMPLES = 16       # samples of E per turn, more than 2 x its degree
+_LOCUS_DEGREE = 6         # E's degree in theta3
 
 
 @dataclass(frozen=True)
@@ -280,6 +385,7 @@ def _locus_terms(loc: _CuspLocus, theta: np.ndarray):
     """beta = U^T b (K, 2), r2 (K,) and their theta derivatives beta' = U^T b'
     (K, 2) and r2' (K,) at theta (K,), from b' = -3 (h2 . c2+) c1 and r2' = 6
     h2 . c2+."""
+    # hand-written, not rows: as rows, the cusp seeds of 295 of 320 robots change bits
     c1 = np.column_stack([np.cos(theta), np.sin(theta)])
     c1_turned = np.column_stack([-c1[:, 1], c1[:, 0]])
     h2_c2 = loc.h2[0] * np.cos(2.0 * theta) + loc.h2[1] * np.sin(2.0 * theta)
@@ -296,44 +402,6 @@ def _locus_targets(p: DhParams, loc: _CuspLocus, eta: np.ndarray):
     return k.two_a1 * y[:, 0] + k.w2, k.sa1 * y[:, 1] + k.w3
 
 
-def _circle_roots(c: np.ndarray):
-    """Roots z = exp(i theta) (K, 2n) of real trigonometric polynomials
-    sum_k c_k exp(i k theta), |k| <= n, one per row of c (K, n + 1) = c_0..c_n
-    (c_-k = conj(c_k)), their imaginary angles tanh |Im theta| = |1 - |z|^2|
-    / (1 + |z|^2) and the prefilter's mask of the real ones.
-
-    Each row is solved as np.roots solves z^n g(z), by the eigenvalues of
-    its companion matrix, all rows in one eigvals call.  Top harmonics that
-    are zero in every row are left out: the rows of one robot share their
-    top harmonic up to scale (h2 for the IK conic), so this is the robot's
-    one branch.  A row whose top harmonic is still zero (a zero row) gets
-    eigenvalues 0, which the prefilter drops."""
-    n = c.shape[1] - 1
-    while n > 0 and not c[:, n].any():
-        n -= 1
-    z = np.zeros((len(c), 0), dtype=complex)
-    if n:
-        poly = np.concatenate([c[:, n:0:-1], c[:, :1].real, np.conj(c[:, 1:n + 1])], axis=1)
-        lead = poly[:, :1]
-        dead = lead[:, 0] == 0.0
-        comp = np.zeros((len(c), 2 * n, 2 * n), dtype=complex)
-        comp[:, 0, :] = -poly[:, 1:] / np.where(dead[:, None], 1.0, lead)
-        comp[dead, 0, :] = 0.0
-        comp[:, np.arange(1, 2 * n), np.arange(2 * n - 1)] = 1.0
-        z = np.linalg.eigvals(comp)
-    with np.errstate(over="ignore"):
-        im_angle = np.abs(1.0 - 2.0 / (1.0 + np.abs(z) ** 2))
-    return z, im_angle, im_angle <= _IMAG_ANGLE_MAX
-
-
-def _real_circle_roots(e: np.ndarray) -> np.ndarray:
-    """theta in (-pi, pi] of the roots of the real trigonometric polynomial
-    sum_k e_k exp(i k theta), |k| <= 6, given e_0..e_6, that the prefilter
-    keeps: of the 12 roots of z^6 E(z)."""
-    z, _, real = _circle_roots(e[None, :7])
-    return np.angle(z[real])
-
-
 def cusp_seeds(p: DhParams):
     """(theta3, sigma) seeds of every cusp of p, for polish_cusps: the real
     roots of the cusp locus E (see above), each with the sign sigma of eta2
@@ -344,14 +412,14 @@ def cusp_seeds(p: DhParams):
     double roots of E).  The sign of eta2 follows from a bound on beta2's
     error at E's root.  np.roots' eigenvalues are the exact roots of
     coefficients perturbed by a small multiple of eps times their size
-    (Edelman & Murakami 1995); with that multiple the degree 12, E / s1^2 is
-    perturbed by at most Delta = 12 eps sum |e_k| on the circle, its
-    harmonics e_k.  At a root of the perturbed E / s1^2 = beta2^2 - s2^2 m2,
-    (|beta2| - s2 m)(|beta2| + s2 m) = -delta, |delta| <= Delta, so beta2
-    lies within eps_b = sqrt(Delta) of sign(beta2) s2 m, and the other sign
-    misses it by |beta2| + s2 m.  Where 2 s2 m exceeds 2 eps_b the other
-    sign cannot be a root at this precision and only sigma = sign(beta2) is
-    seeded; elsewhere both signs are, as two seeds.
+    (Edelman & Murakami 1995); with that multiple the degree 12 of z^6 E(z),
+    E / s1^2 is perturbed by at most Delta = 12 eps times its row's
+    _harmonic_bound on the circle.  At a root of the perturbed E / s1^2 =
+    beta2^2 - s2^2 m2, (|beta2| - s2 m)(|beta2| + s2 m) = -delta, |delta| <=
+    Delta, so beta2 lies within eps_b = sqrt(Delta) of sign(beta2) s2 m, and
+    the other sign misses it by |beta2| + s2 m.  Where 2 s2 m exceeds 2 eps_b
+    the other sign cannot be a root at this precision and only sigma =
+    sign(beta2) is seeded; elsewhere both signs are, as two seeds.
 
     Only there can m2 be negative (a root with s2 m > eps_b has m > 0), and
     a root with complex y is no cusp.  A real cusp at theta* nearby has
@@ -370,12 +438,11 @@ def cusp_seeds(p: DhParams):
         return np.empty(0), np.empty(0)
     theta = TWO_PI * np.arange(_LOCUS_SAMPLES) / _LOCUS_SAMPLES
     beta, r2, _, _ = _locus_terms(loc, theta)
-    # the harmonics of E / s1^2, exact from its samples (16 > 2 x 6)
-    e = np.fft.rfft((s2 / s1) ** 2 * beta[:, 0] ** 2 + beta[:, 1] ** 2 - s2 * s2 * r2) \
-        / _LOCUS_SAMPLES
-    eps_b = math.sqrt(_LOCUS_DEGREE * float(np.finfo(float).eps)
-                      * float(abs(e[0]) + 2.0 * np.sum(np.abs(e[1:7]))))
-    theta = _real_circle_roots(e)
+    e = _harmonics((s2 / s1) ** 2 * beta[:, 0] ** 2 + beta[:, 1] ** 2 - s2 * s2 * r2,
+                   _LOCUS_DEGREE)
+    eps_b = math.sqrt(2 * _LOCUS_DEGREE * float(np.finfo(float).eps) * _harmonic_bound(e))
+    z, _, real = _circle_roots(e[None])
+    theta = np.angle(z[real])
     beta, r2, beta_d, r2_d = _locus_terms(loc, theta)
     eta1 = beta[:, 0] / s1
     m2 = r2 - eta1 * eta1
@@ -403,33 +470,6 @@ def _locus_branch(loc: _CuspLocus, theta: np.ndarray, sigma: np.ndarray):
             np.column_stack([eta1, sigma * m]))
 
 
-def _newton_in_theta(fun, theta: np.ndarray):
-    """Newton in theta on seeds theta (K,), in one array batch, each seed as
-    it would step alone.  fun(theta, idx) gives f and f' (K',) at theta (K',)
-    for the seeds idx, and an array of values (K', ...) to carry along, or
-    None.  A step is taken where it lowers |f|; a seed stops at the first
-    step that does not, after a step of at most _POLISH_STEP_ULPS ulps of
-    theta, or after _POLISH_MAX_ITER steps.  Returns theta, f and the
-    carried values at each seed's last step taken."""
-    theta = np.array(theta, float)
-    act = np.arange(len(theta))
-    f, f_d, carry = fun(theta, act)
-    for _ in range(_POLISH_MAX_ITER):
-        if len(act) == 0:
-            break
-        # where f' = 0 the step is 0, which lowers nothing and stops the seed
-        step = f[act] / np.where(f_d[act] != 0.0, f_d[act], np.inf)
-        th = theta[act] - step
-        fn, fn_d, carry_n = fun(th, act)
-        better = np.abs(fn) < np.abs(f[act])
-        up = act[better]
-        theta[up], f[up], f_d[up] = th[better], fn[better], fn_d[better]
-        if carry is not None:
-            carry[up] = carry_n[better]
-        act = up[np.abs(step[better]) > _POLISH_STEP_ULPS * np.spacing(np.abs(th[better]))]
-    return theta, f, carry
-
-
 def polish_cusps(p: DhParams, theta3: np.ndarray, sigma: np.ndarray):
     """(theta3, R, zr) of the seeds (theta3, sigma) of cusp_seeds, each
     polished by _newton_in_theta on its branch f_sigma = 0 and lifted to its
@@ -454,13 +494,10 @@ def quadruple_candidates(p: DhParams):
     loc = _cusp_locus(p)
     if loc.s[0] == 0.0:
         return np.empty(0), np.empty(0), np.empty(0)
-    theta = wrap_angle(0.5 * math.atan2(loc.h2[1], loc.h2[0]) + 0.5 * math.pi * np.arange(4))
-    beta, r2, _, _ = _locus_terms(loc, theta)
-    eta1 = beta[:, 0] / loc.s[0]
-    m = np.sqrt(np.maximum(r2 - eta1 * eta1, 0.0))
-    eta = np.column_stack([np.repeat(eta1, 2), np.repeat(m, 2) * np.tile([1.0, -1.0], 4)])
-    R, zr = _locus_targets(p, loc, eta)
-    return np.repeat(theta, 2), R, zr
+    theta = np.repeat(wrap_angle(0.5 * math.atan2(loc.h2[1], loc.h2[0])
+                                 + 0.5 * math.pi * np.arange(4)), 2)
+    R, zr = _locus_targets(p, loc, _locus_branch(loc, theta, np.tile([1.0, -1.0], 4))[2])
+    return theta, R, zr
 
 
 def conic_coefficients(p: DhParams, target: CrossSectionPoint) -> ConicCoeffs:
@@ -479,10 +516,9 @@ def conic_coefficients(p: DhParams, target: CrossSectionPoint) -> ConicCoeffs:
 
 @dataclass(frozen=True)
 class ConicClass:
-    """Conic taxonomy plus the (constant) principal-axis directions."""
+    """Conic taxonomy: the kind of the (constant) quadratic part."""
 
     kind: str  # "Ellipse" | "Parabola" | "Hyperbola"
-    orientation: np.ndarray  # columns are unit eigenvectors of D
 
 
 def conic_classify(p: DhParams) -> ConicClass:
@@ -503,14 +539,7 @@ def conic_classify(p: DhParams) -> ConicClass:
         kind = "Ellipse"
     else:
         kind = "Hyperbola"
-    _, vecs = np.linalg.eigh(d_mat)
-    # canonical sign: first nonzero component of each eigenvector positive
-    for k in range(2):
-        col = vecs[:, k]
-        lead = col[0] if abs(col[0]) > 1e-12 else col[1]
-        if lead < 0:
-            vecs[:, k] = -col
-    return ConicClass(kind, vecs)
+    return ConicClass(kind)
 
 
 # --------------------------------------------------------------------------
@@ -603,12 +632,11 @@ def quartic_from_conic(conic: ConicCoeffs) -> Quartic:
 # --------------------------------------------------------------------------
 # Real roots on the theta3 circle
 #
-# Each row is the circle form g = h0 + h1 . c1 + h2 . c2 of a conic, h =
-# (h0, h1x, h1y, h2x, h2y) (see the cusp locus above); M(t) = (1 + t^2)^2
-# g(theta3) with t = tan(theta3 / 2), and with z = exp(i theta3), z^2 g(z)
-# is a polynomial of degree 4 whose leading coefficient (h2x - i h2y) / 2 no
-# target changes.  So a robot's rows are of degree 4 in z, or all of degree
-# 2 where h2 = 0, and theta3 = pi is a root like any other.
+# Each row h = (h0, h1x, h1y, h2x, h2y) is a conic's g on the circle, M(t) =
+# (1 + t^2)^2 g(theta3) with t = tan(theta3 / 2); z^2 g(z)'s leading
+# coefficient (h2x - i h2y) / 2 does not depend on the target, so a robot's
+# rows are of degree 4 in z, or all of degree 2 where h2 = 0, and theta3 = pi
+# is a root like any other.
 # --------------------------------------------------------------------------
 
 # Roots closer than twice this in theta3 are merged into one multiplicity
@@ -632,26 +660,6 @@ def _quartic_norm(h: np.ndarray) -> np.ndarray:
     h0, h1x, h1y, h2x, h2y = h.T
     return np.max(np.abs([h0 - h1x + h2x, 2.0 * h1y - 4.0 * h2y, 2.0 * h0 - 6.0 * h2x,
                           2.0 * h1y + 4.0 * h2y, h0 + h1x + h2x]), axis=0)
-
-
-def _circle_jet(h: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """Harmonics (N, 2, 5) of g^(order) and g^(order + 1) of rows h (N, 5),
-    one order per row: each derivative turns harmonic n's (x, y) into n (y,
-    -x)."""
-    jet = [h]
-    for _ in range(int(np.max(order, initial=0)) + 1):
-        d = jet[-1]
-        jet.append(np.column_stack([np.zeros(len(d)), d[:, 2], -d[:, 1],
-                                    2.0 * d[:, 4], -2.0 * d[:, 3]]))
-    jet = np.stack(jet, axis=1)
-    return jet[np.arange(len(h))[:, None], np.column_stack([order, order + 1])]
-
-
-def _circle_values(rows: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Each harmonic row of rows (N, k, 5) at its root's theta (N,): (N, k)."""
-    c, s = np.cos(theta)[:, None], np.sin(theta)[:, None]
-    return (rows[..., 0] + rows[..., 1] * c + rows[..., 2] * s
-            + rows[..., 3] * (c * c - s * s) + rows[..., 4] * (2.0 * c * s))
 
 
 def _polish(h: np.ndarray, theta: np.ndarray, order: np.ndarray):
@@ -770,8 +778,7 @@ def solve_circle(h) -> RootBatch:
     norm = _quartic_norm(h)
     zero = norm < 1e-300
     h = h / np.where(zero, 1.0, norm)[:, None]
-    z, im_angle, real = _circle_roots(np.column_stack(
-        [h[:, 0], 0.5 * (h[:, 1] - 1j * h[:, 2]), 0.5 * (h[:, 3] - 1j * h[:, 4])]))
+    z, im_angle, real = _circle_roots(h)
     row, slot = np.nonzero(real)
     start = np.angle(z[row, slot])
     with np.errstate(all="ignore"):
@@ -814,10 +821,6 @@ class QuarticRoots:
     2) to rounding, some 1.6e16 in size."""
 
     roots: tuple  # of (t, multiplicity)
-
-    @property
-    def count_with_multiplicity(self) -> int:
-        return sum(m for _, m in self.roots)
 
 
 def solve_quartic(m: Quartic) -> QuarticRoots:
@@ -934,6 +937,7 @@ def _back_substitution(p: DhParams, f: FCoefficients, R, zr, theta2, theta3, jac
     theta3-derivative."""
     c2, s2 = np.cos(theta2), np.sin(theta2)
     c3, s3 = np.cos(theta3)[:, None], np.sin(theta3)[:, None]
+    # hand-written, not rows: F's affine forms sum in another order than a row's
     f1, f2, f3, f4 = (f.u * c3 + f.v * s3 + f.w).T
     two_a1, sa1 = 2.0 * p.a1, math.sin(p.alpha1)
     a = f1 * c2 + f2 * s2
@@ -1017,6 +1021,7 @@ def _solve_cross_section(p: DhParams, rho: np.ndarray, zr: np.ndarray) -> _Cross
     theta3, mult = roots.theta[row, slot], roots.mult[row, slot]
     t = np.tan(0.5 * theta3)
     c3, s3 = np.cos(theta3), np.sin(theta3)
+    # hand-written, not rows: F's affine forms sum in another order than a row's
     f1, f2, f3, f4 = (f.u * c3[:, None] + f.v * s3[:, None] + f.w).T
     R_root, zr_root = R[row], zr[row]
     det = f1 * f1 + f2 * f2

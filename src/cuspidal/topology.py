@@ -51,7 +51,10 @@ from .critical import (
 )
 from .reduction import (
     IkBatch,
+    _circle_values,
     _conic_terms,
+    _harmonic_bound,
+    _harmonics,
     conic_classify,
     f_coefficients,
     quartic_coeffs_from_conic,
@@ -65,7 +68,7 @@ _SINGULAR_CELL_TOL = 1e-12
 _CROSSING_BRACKET = 2.0 ** -36  # final bracket of a PS crossing, in lattice edges
 _D_DEGREE = 6                   # D's degree in theta2 (_discriminant_lattice)
 _D_SAMPLES = 16                 # theta2 samples per column, at least 2 _D_DEGREE + 1
-_D_RECHECK = 1e-9               # pointwise below this times the largest column coefficient sum
+_D_RECHECK = 1e-9               # pointwise below this times the largest column bound
 
 
 # --------------------------------------------------------------------------
@@ -271,6 +274,7 @@ def _discriminant(p: DhParams, theta2, theta3):
     f = f_coefficients(p)
     k = _conic_terms(p)
     c3, s3 = np.cos(theta3), np.sin(theta3)
+    # hand-written, not rows: F's affine forms sum in another order than a row's
     f1 = f.u[0] * c3 + f.v[0] * s3 + f.w[0]
     f2 = f.u[1] * c3 + f.v[1] * s3 + f.w[1]
     p3 = (f.u[2] * c3 + f.v[2] * s3) / k.two_a1
@@ -278,10 +282,7 @@ def _discriminant(p: DhParams, theta2, theta3):
     c2, s2 = np.cos(theta2), np.sin(theta2)
     pw = p3 + f1 * c2 + f2 * s2
     qw = q3 + f1 * s2 - f2 * c2
-    bx = k.pu * pw + k.qu * qw - k.uw[0] - k.uw[1]
-    by = k.pv * pw + k.qv * qw - k.vw[0] - k.vw[1]
-    c = pw * pw + qw * qw - k.ww[0] - k.ww[1]
-    return quartic_discriminant(quartic_coeffs_from_conic((k.axx, k.axy, k.ayy, bx, by, c)))
+    return quartic_discriminant(quartic_coeffs_from_conic(k.conic(pw, qw)))
 
 
 def _discriminant_lattice(p: DhParams, grid_n: int):
@@ -291,22 +292,20 @@ def _discriminant_lattice(p: DhParams, grid_n: int):
     For fixed theta3, P, Q and P^2 + Q^2 (its quadratic terms add up to
     F1^2 + F2^2) are affine in (c2, s2), and so are the quartic's five
     coefficients: I is quadratic, J cubic and D of degree _D_DEGREE in
-    theta2.  One FFT of _D_SAMPLES samples per column gives its harmonics.
-    The `rechecked` points whose series value is within _D_RECHECK of the
-    robot's largest column coefficient sum (robot-wide: a whole column can
-    be zero up to rounding) are evaluated by _discriminant.
+    theta2.  Each column's _D_SAMPLES samples give its row in theta2 + pi,
+    evaluated through the identity rows' values.  Only signs leave: the
+    `rechecked` points within _D_RECHECK of the robot's largest column
+    _harmonic_bound (robot-wide: a whole column can be zero up to rounding)
+    are evaluated by _discriminant.
     """
     th = -math.pi + TWO_PI * np.arange(grid_n) / grid_n
     phi = -math.pi + TWO_PI * np.arange(_D_SAMPLES) / _D_SAMPLES
-    harm = np.fft.rfft(_discriminant(p, phi[:, None], th[None, :]), axis=0)[:_D_DEGREE + 1]
-    harm[1:] *= 2.0
-    harm /= _D_SAMPLES
-    # theta2 + pi at lattice row i is 2 pi i / grid_n, reduced mod 2 pi exactly
-    angle = np.outer(np.arange(grid_n), np.arange(_D_DEGREE + 1)) % grid_n * (TWO_PI / grid_n)
-    # einsum's loop, not BLAS, whose thread pool costs more than this product
-    d = np.einsum("im,mj->ij", np.hstack([np.cos(angle), -np.sin(angle)]),
-                  np.vstack([harm.real, harm.imag]))
-    i, j = np.nonzero(np.abs(d) <= _D_RECHECK * float(np.max(np.sum(np.abs(harm), axis=0))))
+    rows = _harmonics(_discriminant(p, phi, th[:, None]), _D_DEGREE)
+    eye = np.broadcast_to(np.eye(rows.shape[1]), (grid_n,) + (rows.shape[1],) * 2)
+    # einsum's loop, not BLAS, whose thread pool costs more than this product;
+    # the loop runs at half the time with the rows' transpose contiguous
+    d = np.einsum("im,mj->ij", _circle_values(eye, th + math.pi), np.ascontiguousarray(rows.T))
+    i, j = np.nonzero(np.abs(d) <= _D_RECHECK * float(np.max(_harmonic_bound(rows))))
     d[i, j] = _discriminant(p, th[i], th[j])
     return d, th, len(i)
 

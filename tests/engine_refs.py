@@ -2,8 +2,9 @@
 flood fill as one sparse graph over every cell, marching squares and its chain
 walk over dicts keyed by ("u" | "v", i, j), a segment hash filled one segment
 at a time, the quartic root engine as it stood before the per-robot conic
-constants, the labels one solution at a time over its lattice cell's four
-corners, the quartic jet with its own Horner loop, the A* path search over
+constants, with the circle jet and values as they stood at degree 2, the
+labels one solution at a time over its lattice cell's four corners, the
+quartic jet with its own Horner loop, the A* path search over
 lattice-point tuples, the path audit one segment at a time, the census counts
 from the root engine at every target, the c3s3 plot's plane marching squares
 as a loop over cells, the SVG polyline formatted one vertex at a time, the
@@ -48,7 +49,6 @@ from cuspidal.critical import (
     _mixed_cells,
     _sample_lattice,
     _segments,
-    _tan_half,
 )
 from cuspidal.dh import (
     TWO_PI,
@@ -76,8 +76,6 @@ from cuspidal.reduction import (
     IkBatch,
     RootBatch,
     _atan2,
-    _circle_jet,
-    _circle_values,
     _cluster,
     _conic,
     _conic_terms,
@@ -413,15 +411,36 @@ def ik_counts(p, rho, z):
 # the root engine on the theta3 circle, one row and one root at a time
 # --------------------------------------------------------------------------
 
+def circle_jet2(h, order):
+    """reduction._circle_jet as it stood at degree 2: harmonics (N, 2, 5) of
+    g^(order) and g^(order + 1) of rows h (N, 5), one order per row."""
+    jet = [h]
+    for _ in range(int(np.max(order, initial=0)) + 1):
+        d = jet[-1]
+        jet.append(np.column_stack([np.zeros(len(d)), d[:, 2], -d[:, 1],
+                                    2.0 * d[:, 4], -2.0 * d[:, 3]]))
+    jet = np.stack(jet, axis=1)
+    return jet[np.arange(len(h))[:, None], np.column_stack([order, order + 1])]
+
+
+def circle_values2(rows, theta):
+    """reduction._circle_values as it stood at degree 2: each row of rows
+    (N, k, 5) at its theta (N,), with cos 2 theta = c c - s s and sin 2
+    theta = 2 c s."""
+    c, s = np.cos(theta)[:, None], np.sin(theta)[:, None]
+    return (rows[..., 0] + rows[..., 1] * c + rows[..., 2] * s
+            + rows[..., 3] * (c * c - s * s) + rows[..., 4] * (2.0 * c * s))
+
+
 def circle_newton(rows, theta):
     """reduction._newton_in_theta on one root: rows (2, 5) are the harmonics
     of f and f'.  Returns theta and f at the last step taken."""
     th = np.array([theta])
-    f, f_d = _circle_values(rows[None], th)[0]
+    f, f_d = circle_values2(rows[None], th)[0]
     for _ in range(_POLISH_MAX_ITER):
         step = f / f_d if f_d != 0.0 else 0.0 * f
         tn = th - step
-        fn, fn_d = _circle_values(rows[None], tn)[0]
+        fn, fn_d = circle_values2(rows[None], tn)[0]
         if not abs(fn) < abs(f):
             break
         th, f, f_d = tn, fn, fn_d
@@ -456,14 +475,14 @@ def solve_circle(h):
                 continue
             start = float(np.angle(root))
             with np.errstate(all="ignore"):
-                theta, g = circle_newton(_circle_jet(row, np.zeros(1, dtype=int))[0], start)
+                theta, g = circle_newton(circle_jet2(row, np.zeros(1, dtype=int))[0], start)
             if abs(g) <= 64.0 * eps and abs(theta - start) <= 4.0 * (im_angle + 1.2e-5):
                 accepted.append(float(theta))
         expanded = []
         for rep, mult in _cluster(accepted):
             if mult > 1:
                 with np.errstate(all="ignore"):
-                    rep = float(circle_newton(_circle_jet(row, np.array([mult - 1]))[0], rep)[0])
+                    rep = float(circle_newton(circle_jet2(row, np.array([mult - 1]))[0], rep)[0])
             expanded.extend([rep] * mult)
         roots = sorted((float(wrap_angle(rep)), mult) for rep, mult in _cluster(expanded))
         for slot, (rep, mult) in enumerate(roots):
@@ -1281,7 +1300,7 @@ def newton_find_cusps(p, workspace_curves):
     theta3, R, zr = wrap_angle(x[:, 0]), x[:, 1], x[:, 2]
     res, certified = _certify(p, theta3, R, zr, 3)
     found = [(math.sqrt(max(float(R[k] - zr[k] * zr[k]), 0.0)), float(zr[k] + p.d1),
-              _tan_half(float(theta3[k])), *(float(r) for r in res[k]))
+              math.tan(float(theta3[k]) / 2.0), *(float(r) for r in res[k]))
              for k in np.nonzero(certified)[0]]
     lscale = length_scale(p)
     return [CuspPoint(*c) for c in _dedup_sorted(found, DEDUP_RADIUS * lscale, 1e-9 * lscale)]
@@ -1343,14 +1362,15 @@ def quadruple_root_system(p):
 
 
 def newton_quadruple_root(p, workspace_curves, cusps):
-    """The quadruple-root evidence of critical.genericity_check's test (a)
-    by Gauss-Newton on g = g' = g'' = g''' = 0, seeded at the cusps and at
-    each traced curve's extreme vertices in rho and z, or None.  The
-    vertices' theta3 pass through (a + pi) mod 2 pi - pi, as the trace
-    wrapped them before dh.wrap_angle kept in-range angles: that rounding
-    to the ulps of pi put a seed of NONGENERIC_CURVE at theta3 = 0 exactly,
-    from where this Newton reaches its quadruple root, which it misses from
-    -2.1e-16."""
+    """The first evidence of critical.genericity_check's test (a) by
+    Gauss-Newton on g = g' = g'' = g''' = 0, seeded at the cusps and at each
+    traced curve's extreme vertices in rho and z, or None: the first
+    certified quadruple root, else the first landing where the conic
+    vanishes identically.  The vertices' theta3 pass through (a + pi) mod 2
+    pi - pi, as the trace wrapped them before dh.wrap_angle kept in-range
+    angles: that rounding to the ulps of pi put a seed of NONGENERIC_CURVE
+    at theta3 = 0 exactly, from where this Newton reaches (rho, z) = (2, 0),
+    where its conic vanishes, which it misses from -2.1e-16."""
     seeds = [(2.0 * math.atan(c.t), c.rho * c.rho + (c.z - p.d1) ** 2, c.z - p.d1)
              for c in cusps]
     for wc in workspace_curves:
@@ -1368,14 +1388,21 @@ def newton_quadruple_root(p, workspace_curves, cusps):
     theta3, R, zr = wrap_angle(x[:, 0]), x[:, 1], x[:, 2]
     res, certified = _certify(p, theta3, R, zr, 4)
     certified = np.nonzero(certified)[0]
-    if len(certified) == 0:
+    if len(certified):
+        k = certified[0]
+        return {"kind": "quadruple_root",
+                "rho": math.sqrt(max(float(R[k] - zr[k] * zr[k]), 0.0)),
+                "z": float(zr[k] + p.d1),
+                "t": math.tan(float(theta3[k]) / 2.0),
+                "residual": float(np.max(res[k]))}
+    # a conic that vanishes identically certifies nothing, as in test (a)
+    vanishing = np.nonzero(~np.abs(conic_raw(p, R, zr)).any(axis=0))[0]
+    if len(vanishing) == 0:
         return None
-    k = certified[0]
-    return {"kind": "quadruple_root",
+    k = vanishing[0]
+    return {"kind": "vanishing_conic",
             "rho": math.sqrt(max(float(R[k] - zr[k] * zr[k]), 0.0)),
-            "z": float(zr[k] + p.d1),
-            "t": math.tan(float(theta3[k]) / 2.0),
-            "residual": float(np.max(res[k]))}
+            "z": float(zr[k] + p.d1)}
 
 
 # --------------------------------------------------------------------------
@@ -1479,7 +1506,7 @@ def sweep_find_nodes(p, workspace_curves, refine=refine_nodes):
     certified = certified[:n] & certified[n:]
     found = []
     for k in np.nonzero(certified)[0].tolist():
-        tlo, thi = sorted((_tan_half(float(th1[k])), _tan_half(float(th2[k]))))
+        tlo, thi = sorted((math.tan(float(th1[k]) / 2.0), math.tan(float(th2[k]) / 2.0)))
         found.append((math.sqrt(max(float(R[k] - zr[k] * zr[k]), 0.0)), float(zr[k] + p.d1),
                       tlo, thi, float(worst[k])))
     ik = solve_ik_batch(p, [f[0] for f in found], [f[1] for f in found])

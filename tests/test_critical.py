@@ -372,6 +372,8 @@ def test_degenerate_curve_robot_flagged(analysis):
     assert not rep.is_generic
     kinds = [e["kind"] for e in rep.evidence]
     assert "curve_gradient" in kinds
+    # test (a) refuses it too: its conic vanishes at (rho, z) = (2, 0)
+    assert kinds[0] == "vanishing_conic" and "quadruple_root" not in kinds
 
 
 # --------------------------------------------------------------------------

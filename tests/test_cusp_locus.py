@@ -92,9 +92,9 @@ def test_cusp_locus_equals_the_traced_curve_seeding():
         rep = genericity_check(p, EQUALITY_GRID, curves, wcurves, cusps)
         kinds = [e["kind"] for e in rep.evidence]
         quadruple = newton_quadruple_root(p, wcurves, ref)
-        ref_kinds = [k for k in kinds if k != "quadruple_root"]
+        ref_kinds = [k for k in kinds if k not in ("quadruple_root", "vanishing_conic")]
         if quadruple is not None:
-            ref_kinds.insert(0, "quadruple_root")
+            ref_kinds.insert(0, quadruple["kind"])
         assert kinds == ref_kinds, name
         assert rep.is_generic == (not ref_kinds), name
 
@@ -110,7 +110,8 @@ def test_cusps_and_quadruple_roots_do_not_depend_on_the_grid(p):
         wcurves = critical_values(p, curves)
         cusps = find_cusps(p, wcurves)
         rep = genericity_check(p, grid_n, curves, wcurves, cusps)
-        results.append((cusps, [e for e in rep.evidence if e["kind"] == "quadruple_root"]))
+        results.append((cusps, [e for e in rep.evidence
+                                if e["kind"] in ("quadruple_root", "vanishing_conic")]))
     assert results[0] == results[1] == results[2]
 
 
@@ -211,12 +212,18 @@ def test_seeds_have_no_nan_and_stay_on_the_locus():
 def test_robots_without_a_cusp_locus_have_no_seeds():
     """P = 0 (a2 = 0 with alpha2 = 0: h1 does not depend on the target) and h2
     = 0 (NONGENERIC_CURVE) give no cusp seeds; the h2 = 0 robot's quadruple
-    candidates hold the target where g vanishes on the whole circle."""
+    candidates hold the target where g vanishes on the whole circle, whose
+    conic is identically zero: _certify refuses it, and test (a) reports it
+    as a vanishing conic."""
     assert len(reduction.cusp_seeds(DhParams(0, 1, 0, 1, 0.0, 1.5, -HALF_PI, 0.0))[0]) == 0
     assert len(reduction.quadruple_candidates(DhParams(0, 1, 0, 1, 0.0, 1.5, -HALF_PI, 0.0))[0]) == 0
     assert len(reduction.cusp_seeds(NONGENERIC_CURVE)[0]) == 0
     theta3, R, zr = reduction.quadruple_candidates(NONGENERIC_CURVE)
-    assert np.any(critical._certify(NONGENERIC_CURVE, theta3, R, zr, 4)[1])
+    assert not np.any(reduction.conic_raw(NONGENERIC_CURVE, R, zr))
+    assert not np.any(critical._certify(NONGENERIC_CURVE, theta3, R, zr, 4)[1])
+    curves = trace_critical_points(NONGENERIC_CURVE, 120)
+    rep = genericity_check(NONGENERIC_CURVE, 120, curves, (), ())
+    assert rep.evidence[0] == {"kind": "vanishing_conic", "rho": 2.0, "z": 0.0}
 
 
 # --------------------------------------------------------------------------
@@ -277,6 +284,23 @@ def test_cusp_locus_elimination():
     u = sp.symbols("u", real=True)
     half_angle = {sp.sin(th): 2 * u / (1 + u ** 2), sp.cos(th): (1 - u ** 2) / (1 + u ** 2)}
     assert sp.cancel(sp.expand_trig(E - in_ideal).subs(half_angle)) == 0
+
+
+def test_nongeneric_curve_conic_vanishes_at_two_zero():
+    """NONGENERIC_CURVE (a = 2, 2, 2, d = 0, alpha = -pi/2, pi/2) in exact
+    arithmetic: at (rho, z) = (2, 0) its conic P^2 + Q^2 - F1^2 - F2^2, with
+    P = (R - F3) / (2 a1) and Q = (z - F4) / sin(alpha1), is the zero
+    polynomial in (c3, s3), so every theta3 solves there."""
+    sp = pytest.importorskip("sympy")
+    a1 = a2 = a3 = sp.Integer(2)
+    ca1, sa1, ca2, sa2 = 0, -1, 0, 1
+    c, s = sp.symbols("c s", real=True)
+    qx, qy, qz = a3 * c + a2, ca2 * a3 * s, sa2 * a3 * s
+    f1, f2, f4 = qx, -qy, ca1 * qz
+    f3 = sp.expand(qx ** 2 + qy ** 2 + qz ** 2 + a1 ** 2).subs(s ** 2, 1 - c ** 2)
+    rho, z = 2, 0
+    conic = ((rho ** 2 + z ** 2 - f3) / (2 * a1)) ** 2 + ((z - f4) / sa1) ** 2 - f1 ** 2 - f2 ** 2
+    assert sp.Poly(sp.expand(conic), c, s).is_zero
 
 
 def test_exact_cusps_of_the_reference_robot():

@@ -133,21 +133,6 @@ def test_conic_quadratic_part_target_independent(rng):
             assert cos == pytest.approx(1.0, abs=1e-12)
 
 
-def test_conic_orientation_target_independent(rng):
-    for _ in range(20):
-        p = random_valid_params(rng)
-        ref = conic_classify(p).orientation
-        # rebuild the form matrix at random targets: eigenvectors agree up to sign
-        from cuspidal.reduction import conic_raw
-
-        for _ in range(20):
-            cc = conic_raw(p, rng.uniform(0, 20), rng.uniform(-4, 4))
-            d_mat = np.array([[cc[0], cc[1]], [cc[1], cc[2]]])
-            _, vecs = np.linalg.eigh(d_mat)
-            for k in range(2):
-                assert abs(float(np.dot(vecs[:, k], ref[:, k]))) > 1 - 1e-12
-
-
 def test_conic_taxonomy_trio():
     assert conic_classify(HYPERBOLA_ROBOT).kind == "Hyperbola"
     assert conic_classify(PARABOLA_ROBOT).kind == "Parabola"
@@ -673,6 +658,66 @@ def test_circle_jet_reproduces_the_conic_on_the_circle_and_its_partials(seed):
         width = np.max(np.abs(np.concatenate([conic_raw(p, R + dR, z + dz),
                                               conic_raw(p, R - dR, z - dz)])), axis=0)[:, None]
         assert np.all(np.abs(partial - (hi - lo) / 2.0) <= 1e-12 * width)
+
+
+def _degree_6_rows(rng, k):
+    """k random rows of degree 6, their harmonics spread over 1e-3 to 1e3."""
+    return rng.normal(size=(k, 13)) * 10.0 ** rng.uniform(-3.0, 3.0, (k, 13))
+
+
+def test_harmonics_recover_a_degree_6_row_from_16_samples():
+    """reduction._harmonics of 16 samples of a random degree-6 row, taken
+    with np.cos and np.sin of k theta, gives the row back to within 16 eps
+    times its _harmonic_bound (the worst of these rows reads about 5)."""
+    rng = np.random.default_rng(616)
+    rows = _degree_6_rows(rng, 200)
+    kth = np.outer(2.0 * math.pi * np.arange(16) / 16, np.arange(1, 7))
+    samples = rows[:, :1] + np.sum(rows[:, None, 1::2] * np.cos(kth)
+                                   + rows[:, None, 2::2] * np.sin(kth), axis=2)
+    got = reduction._harmonics(samples, 6)
+    eps = float(np.finfo(float).eps)
+    assert np.all(np.abs(got - rows) <= 16.0 * eps * reduction._harmonic_bound(rows)[:, None])
+
+
+def test_circle_jet_at_degree_6_is_the_exact_derivative():
+    """reduction._circle_jet of rows of degree 6 with dyadic rational
+    harmonics equals, exactly, the harmonics of sympy's derivatives of
+    every order 0 to 5."""
+    sp = pytest.importorskip("sympy")
+    rng = np.random.default_rng(66)
+    rows = rng.integers(-64, 65, (6, 13)) / 8.0
+    order = np.arange(6)
+    jet = reduction._circle_jet(rows, order)
+    th = sp.symbols("theta", real=True)
+    for n, row in enumerate(rows):
+        g = sp.Rational(row[0]) + sum(sp.Rational(row[2 * k - 1]) * sp.cos(k * th)
+                                      + sp.Rational(row[2 * k]) * sp.sin(k * th)
+                                      for k in range(1, 7))
+        for slot in range(2):
+            d = sp.expand(sp.diff(g, th, int(order[n]) + slot))
+            want = [d.subs(th, 0) - sum(d.coeff(sp.cos(k * th)) for k in range(1, 7))]
+            for k in range(1, 7):
+                want += [d.coeff(sp.cos(k * th)), d.coeff(sp.sin(k * th))]
+            assert jet[n, slot].tolist() == [float(w) for w in want], (n, slot)
+
+
+def test_circle_values_at_degree_6_are_within_ulps_of_the_bound():
+    """reduction._circle_values of random degree-6 rows at random angles in
+    (-4 pi, 4 pi) lies within 8 eps times the row's _harmonic_bound of a
+    50-digit mpmath evaluation (angle addition leaves about 2.4)."""
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(6060)
+    rows = _degree_6_rows(rng, 200)
+    theta = rng.uniform(-4.0 * math.pi, 4.0 * math.pi, 200)
+    got = reduction._circle_values(rows[:, None, :], theta)[:, 0]
+    bound = reduction._harmonic_bound(rows)
+    eps = float(np.finfo(float).eps)
+    with mpmath.workdps(50):
+        for row, t, value, b in zip(rows.tolist(), theta.tolist(), got.tolist(), bound.tolist()):
+            t = mpmath.mpf(t)
+            ref = row[0] + sum(row[2 * k - 1] * mpmath.cos(k * t) + row[2 * k] * mpmath.sin(k * t)
+                               for k in range(1, 7))
+            assert abs(value - ref) <= 8.0 * eps * b
 
 
 @given(st.lists(st.floats(-5.0, 5.0), min_size=5, max_size=5), st.floats(-4.0, 4.0))

@@ -5,7 +5,8 @@ loop over a 2-D mask, no hand-written heap search, no heavyweight
 third-party module imported when the package loads or an analysis runs, one
 formula for the pulled-back discriminant, one for the quartic's discriminant
 and one invariant count, root finding in theta3 with no half-angle chart,
-and no least squares or multi-unknown Newton in the package."""
+no least squares or multi-unknown Newton in the package, and one harmonic
+row format for the trigonometric polynomials on the theta circle."""
 import ast
 import os
 import pathlib
@@ -394,6 +395,73 @@ def test_no_least_squares_or_circle_jet_in_the_package():
         assert defined & {"circle_harmonics", "circle_jet"} == set(), path.name
 
 
+def _complex_scopes(tree) -> set:
+    """Innermost enclosing functions (or "<module>") that build or take
+    apart complex numbers: an imaginary literal, the name complex, or the
+    attribute real, imag, conj or an FFT."""
+    attrs = {"complex128", "conj", "conjugate", "real", "imag", "fft", "rfft"}
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if ((isinstance(node, ast.Constant) and isinstance(node.value, complex))
+                or (isinstance(node, ast.Name) and node.id == "complex")
+                or (isinstance(node, ast.Attribute) and node.attr in attrs)):
+            found.add(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "<module>")
+    return found
+
+
+HAND_WRITTEN = re.compile(r"#\s*hand-written, not rows:")
+
+
+def _hand_written_scopes(source: str) -> set:
+    """Innermost enclosing functions (or "<module>") of the comments that
+    mark a trigonometric polynomial evaluated by hand, not as rows."""
+    tree = ast.parse(source)
+    functions = [n for n in ast.walk(tree)
+                 if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    found = set()
+    for line, text in enumerate(source.splitlines(), 1):
+        if HAND_WRITTEN.search(text):
+            inner = [f for f in functions if f.lineno <= line <= f.end_lineno]
+            found.add(max(inner, key=lambda f: f.lineno).name if inner else "<module>")
+    return found
+
+
+# The trigonometric polynomials evaluated by hand instead of as harmonic
+# rows, each kept because rows change bits there, as its comment says.
+HAND_WRITTEN_EXCEPTIONS = {
+    "det J's A, B and C on (1, c3, s3, c3 s3, s3^2)": {("dh.py", "_theta3_terms")},
+    "the cusp locus's b and r2 and their derivatives": {("reduction.py", "_locus_terms")},
+    "F's affine forms u c3 + v s3 + w": {("reduction.py", "_back_substitution"),
+                                         ("reduction.py", "_solve_cross_section"),
+                                         ("topology.py", "_discriminant")},
+}
+
+
+# Every trigonometric polynomial on the theta circle is one row format with
+# one set of helpers in reduction: samples become rows only in _harmonics,
+# only reduction builds complex harmonics (for the companion matrix), and
+# the polynomials evaluated by hand are exactly the listed exceptions.
+def test_one_harmonic_row_format():
+    scopes = {path.name: _complex_scopes(_tree(path)) for path in PACKAGE.glob("*.py")}
+    assert {name: found for name, found in scopes.items() if found} \
+        == {"reduction.py": {"_harmonics", "_circle_roots"}}
+    callers = {(path.name, scope) for path in PACKAGE.glob("*.py")
+               for scope, _ in _callers(_tree(path), "rfft")}
+    assert callers == {("reduction.py", "_harmonics")}
+    for path in PACKAGE.glob("*.py"):
+        assert "_real_circle_roots" not in _names(_tree(path)), path.name
+    marked = {(path.name, scope) for path in PACKAGE.glob("*.py")
+              for scope in _hand_written_scopes(path.read_text(encoding="utf-8"))}
+    assert marked == set().union(*HAND_WRITTEN_EXCEPTIONS.values())
+
+
 def test_checks_see_what_they_look_for():
     tree = ast.parse("import numpy as np\nfrom a import _cluster, b\n"
                      "import os.path\nx = np.roots([1, 0])\ny = np.linalg.eigvals(x)\n")
@@ -418,6 +486,13 @@ def test_checks_see_what_they_look_for():
     assert _invariant_differences(tree) == [("<module>", "disc"), ("f", "disc"), ("g", "P")]
     assert {"fk_arrays", "conic_raw", "dh"} <= _names(ast.parse(
         "from .dh import fk_arrays\nimport reduction as conic_raw\nx = dh.y\n"))
+    tree = ast.parse("x = 1j\ndef f():\n    return a.imag\ndef g():\n    return np.fft.rfft(a)\n"
+                     "def h():\n    return np.zeros(2, dtype=complex)\n"
+                     "def k():\n    real = np.abs(a)\n")
+    assert _complex_scopes(tree) == {"<module>", "f", "g", "h"}
+    assert _hand_written_scopes("def f():\n    # hand-written, not rows: why\n    pass\n"
+                                "def g():\n    # written by hand\n    pass\n"
+                                "# hand-written, not rows: at module level\n") == {"f", "<module>"}
     trees = {"a.py": ast.parse("def _centers(n):\n    return _centers(n - 1)\n"
                                "def _used():\n    pass\n_LIMIT = 2\n_TOL: float = 1.0\n"
                                "_lower = 3\nclass _Box:\n    pass\n"),
