@@ -211,23 +211,17 @@ def _marching_segments(f: np.ndarray, th: np.ndarray, field):
     return ids, nbr.reshape(-1, 2)
 
 
-def _crossing_edges(ids: np.ndarray, th: np.ndarray):
-    """(i, j, along_v, start, step) of the grid edges of crossing node ids: each
-    edge runs from vertex (i, j) at `start` by `step`, along theta3 where
-    along_v (0 or 1), else along theta2."""
+def _crossing_points(f: np.ndarray, th: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """(m, 2) positions of crossing nodes, linearly interpolated along their
+    grid edges: node u(i, j)'s edge runs from vertex (i, j) along theta2,
+    node v(i, j)'s along theta3."""
     n = len(th)
     along_v, flat = np.divmod(ids, n * n)
     i, j = np.divmod(flat, n)
-    step = np.where(along_v[:, None] == 1, (0.0, TWO_PI / n), (TWO_PI / n, 0.0))
-    return i, j, along_v, np.column_stack([th[i], th[j]]), step
-
-
-def _crossing_points(f: np.ndarray, th: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """(m, 2) positions of crossing nodes, linearly interpolated along their edges."""
-    i, j, along_v, start, step = _crossing_edges(ids, th)
     f0 = f[i, j]
-    frac = f0 / (f0 - f[(i + 1 - along_v) % len(th), (j + along_v) % len(th)])
-    return start + frac[:, None] * step
+    frac = f0 / (f0 - f[(i + 1 - along_v) % n, (j + along_v) % n])
+    step = np.where(along_v[:, None] == 1, (0.0, TWO_PI / n), (TWO_PI / n, 0.0))
+    return np.column_stack([th[i], th[j]]) + frac[:, None] * step
 
 
 def _mixed_cells(neg: np.ndarray) -> np.ndarray:
@@ -256,27 +250,15 @@ def _sample_lattice(field, grid_n: int):
     return out, th
 
 
-def _chain_loops(nbr: np.ndarray, keep=None) -> list:
-    """Walk a crossing graph of degree <= 2 into chains of node indices.
-
-    `nbr` (m, 2) holds each node's neighbours, -1 for none, in the order the
-    walk prefers them.  With a `keep` mask only the kept nodes and the
-    edges between them are walked.  Open chains are walked from their
-    degree-1 ends first, so each comes out whole; the remaining nodes form
-    closed loops, each entered at its lowest index toward its first
-    neighbour.  Returns (index list, closed) pairs.
-    """
-    first, second = nbr[:, 0], nbr[:, 1]
-    nodes = np.arange(len(nbr))
-    if keep is not None:
-        first, second = np.where(keep[first], first, -1), np.where(keep[second], second, -1)
-        first, second = np.where(first < 0, second, first), np.where(first < 0, -1, second)
-        nodes = nodes[keep]
-    ends = nodes[(first[nodes] >= 0) & (second[nodes] < 0)]
-    first, second = first.tolist(), second.tolist()
+def _chain_loops(nbr: np.ndarray) -> list:
+    """Walk a crossing graph into its loops of node indices, each entered at
+    its lowest index toward its first neighbour.  `nbr` (m, 2) holds each
+    node's two neighbours: on the wrapped lattice every crossed edge borders
+    two mixed cells, so every chain of _marching_segments is closed."""
+    first, second = nbr[:, 0].tolist(), nbr[:, 1].tolist()
     seen = [False] * len(nbr)
     loops = []
-    for start in ends.tolist() + nodes.tolist():
+    for start in range(len(nbr)):
         if seen[start]:
             continue
         seen[start] = True
@@ -284,16 +266,12 @@ def _chain_loops(nbr: np.ndarray, keep=None) -> list:
         prev, cur = -1, start
         while True:
             nxt = first[cur] if first[cur] != prev else second[cur]
-            if nxt < 0 or nxt == prev:
-                closed = False
-                break
-            if seen[nxt]:               # only the start, on a graph of degree <= 2
-                closed = nxt == start
+            if seen[nxt]:               # only the start, on a graph of degree 2
                 break
             seen[nxt] = True
             chain.append(nxt)
             prev, cur = cur, nxt
-        loops.append((chain, closed))
+        loops.append(chain)
     return loops
 
 
@@ -331,10 +309,10 @@ def trace_critical_points(p: DhParams, grid_n: int = DEFAULT_GRID_N) -> Critical
     ids, nbr = _marching_segments(f, th, field)
     pos = _crossing_points(f, th, ids)
     curves = []
-    for chain, closed in _chain_loops(nbr):
+    for chain in _chain_loops(nbr):
         refined = _refine_on_zero_set(p, pos[chain], scale)
         g2, g3 = det_jacobian_grad(p, refined[:, 0], refined[:, 1])
-        curves.append(JointCurve(refined, closed, np.hypot(g2, g3)))
+        curves.append(JointCurve(refined, True, np.hypot(g2, g3)))
     curves.sort(key=lambda c: (-len(c), float(c.vertices[0, 0]), float(c.vertices[0, 1])))
     return CriticalSet(p, grid_n, curves, f)
 

@@ -27,6 +27,7 @@ from .dh import (
     JointConfig,
     Pose3,
     fk_arm,
+    fk_arrays,
     wrap_angle,
     wrap_float,
 )
@@ -655,11 +656,51 @@ def _circle_rows(cc) -> np.ndarray:
         0.5 * (axx + ayy) + c, 2.0 * bx, 2.0 * by, 0.5 * (axx - ayy), axy))
 
 
+def _half_angle_quartic(h: np.ndarray) -> tuple:
+    """Coefficients of t^4, t^3, t^2, t and 1 of M(t) = (1 + t^2)^2 g, t =
+    tan(theta / 2), of rows h (K, 5)."""
+    h0, h1x, h1y, h2x, h2y = h.T
+    return (h0 - h1x + h2x, 2.0 * h1y - 4.0 * h2y, 2.0 * h0 - 6.0 * h2x,
+            2.0 * h1y + 4.0 * h2y, h0 + h1x + h2x)
+
+
 def _quartic_norm(h: np.ndarray) -> np.ndarray:
     """max |coefficient| of M(t) = (1 + t^2)^2 g of rows h (K, 5)."""
-    h0, h1x, h1y, h2x, h2y = h.T
-    return np.max(np.abs([h0 - h1x + h2x, 2.0 * h1y - 4.0 * h2y, 2.0 * h0 - 6.0 * h2x,
-                          2.0 * h1y + 4.0 * h2y, h0 + h1x + h2x]), axis=0)
+    return np.max(np.abs(_half_angle_quartic(h)), axis=0)
+
+
+def _fold_lift(p: DhParams, theta2: np.ndarray, theta3: np.ndarray):
+    """The other two IK solutions over the images of critical points
+    (theta2, theta3) (K,), the pseudosingular points over them, as (theta2,
+    theta3) arrays (K, 2) in [-pi, pi), NaN for none.
+
+    M(t) of a critical point's image has a double root at its theta3;
+    turned by theta3 (h1 by theta3, h2 by 2 theta3) the root sits at t' =
+    tan(psi / 2) = 0 and M = t'^2 (a t'^2 + b t' + c).  With q = -(b +
+    sign(b) sqrt(b^2 - 4 a c)) / 2 the roots are psi = 2 atan2(q, a) and 2
+    atan2(c, q), none where b^2 < 4 a c.  Each is polished on g (_polish),
+    since a traced point is on S only to its tolerance, and theta2 comes
+    from _theta2, which may flag it.
+    """
+    x, y, z = fk_arrays(p, 0.0, theta2, theta3)
+    rho, zr = np.hypot(x, y), z - p.d1
+    R = rho * rho + zr * zr
+    h = _circle_rows(_conic_stack(p, R, zr)[0])
+    c1, s1 = np.cos(theta3), np.sin(theta3)
+    c2, s2 = np.cos(2.0 * theta3), np.sin(2.0 * theta3)
+    turned = np.column_stack([h[:, 0], h[:, 1] * c1 + h[:, 2] * s1, h[:, 2] * c1 - h[:, 1] * s1,
+                              h[:, 3] * c2 + h[:, 4] * s2, h[:, 4] * c2 - h[:, 3] * s2])
+    a, b, c = _half_angle_quartic(turned)[:3]
+    disc = b * b - 4.0 * a * c
+    row = np.flatnonzero(disc >= 0.0)
+    q = -0.5 * (b[row] + np.copysign(np.sqrt(disc[row]), b[row]))
+    psi = 2.0 * np.column_stack([np.arctan2(q, a[row]), np.arctan2(c[row], q)]).ravel()
+    row, slot = np.repeat(row, 2), np.tile([0, 1], len(row))
+    lift3 = wrap_angle(_polish(h[row], theta3[row] + psi, np.zeros(len(row), dtype=int))[0])
+    lift2, solved = _theta2(p, f_coefficients(p), R[row], zr[row], lift3)
+    out = np.full((2, len(theta3), 2), np.nan)
+    out[:, row[solved], slot[solved]] = wrap_angle(lift2[solved]), lift3[solved]
+    return out[0], out[1]
 
 
 def _polish(h: np.ndarray, theta: np.ndarray, order: np.ndarray):
@@ -949,6 +990,22 @@ def _back_substitution(p: DhParams, f: FCoefficients, R, zr, theta2, theta3, jac
     return e1, e2, (-b, g1 * c2 + g2 * s2 + g3 / two_a1, a, g1 * s2 - g2 * c2 + g4 / sa1)
 
 
+def _theta2(p: DhParams, f: FCoefficients, R, zr, theta3):
+    """theta2 of roots theta3 of targets (R, zr), one entry per root, from
+    the back-substitution equations as a linear system in (cos theta2, sin
+    theta2), and whether it was solved (its determinant F1^2 + F2^2 is not
+    singular)."""
+    c3, s3 = np.cos(theta3), np.sin(theta3)
+    # hand-written, not rows: F's affine forms sum in another order than a row's
+    f1, f2, f3, f4 = (f.u * c3[:, None] + f.v * s3[:, None] + f.w).T
+    det = f1 * f1 + f2 * f2
+    solved = ~(det < 1e-14 * np.maximum(1.0, np.abs(R)))
+    det = np.where(solved, det, 1.0)
+    rhs1 = (R - f3) / (2.0 * p.a1)
+    rhs2 = (zr - f4) / math.sin(p.alpha1)
+    return _atan2((f2 * rhs1 + f1 * rhs2) / det, (f1 * rhs1 - f2 * rhs2) / det), solved
+
+
 _SELF_GAP = np.diag(np.full(4, math.pi))      # a root's gap to itself in _half_gaps
 
 
@@ -1020,16 +1077,8 @@ def _solve_cross_section(p: DhParams, rho: np.ndarray, zr: np.ndarray) -> _Cross
     row, slot = np.nonzero((roots.mult > 0) & (status == 0)[:, None])
     theta3, mult = roots.theta[row, slot], roots.mult[row, slot]
     t = np.tan(0.5 * theta3)
-    c3, s3 = np.cos(theta3), np.sin(theta3)
-    # hand-written, not rows: F's affine forms sum in another order than a row's
-    f1, f2, f3, f4 = (f.u * c3[:, None] + f.v * s3[:, None] + f.w).T
     R_root, zr_root = R[row], zr[row]
-    det = f1 * f1 + f2 * f2
-    solved = ~(det < 1e-14 * np.maximum(1.0, np.abs(R_root)))
-    det = np.where(solved, det, 1.0)
-    rhs1 = (R_root - f3) / (2.0 * p.a1)
-    rhs2 = (zr_root - f4) / math.sin(p.alpha1)
-    theta2 = _atan2((f2 * rhs1 + f1 * rhs2) / det, (f1 * rhs1 - f2 * rhs2) / det)
+    theta2, solved = _theta2(p, f, R_root, zr_root, theta3)
     theta2, theta3 = _refine(p, f, R_root, zr_root, theta2, theta3, solved & (mult == 1),
                              _half_gaps(row, slot, theta2, theta3, solved, len(rho)))
     x0, y0 = _base_xy(p, theta2, theta3)

@@ -4,19 +4,19 @@ Every map reads the vertex lattice S is traced on.  Aspects are the
 connected components of the torus minus the critical-point curves S: one
 flood fill over the lattice joins neighboring points that carry the same
 sign of det J.  Pseudosingularities are the nonsingular preimages of
-critical values, PS = f^-1(f(S)) \\ S.  f^-1(f(S)) is the zero set of one
-scalar field, the pulled-back IK discriminant D(theta2, theta3) =
-disc_t M(t; f), and PS is where D changes sign; S, where f folds, is an
-even-order zero, read on the lattice from D's exact series in theta2.
+critical values, PS = f^-1(f(S)) \\ S: every PS point is another IK
+solution of a point of S, lifted from each traced vertex in closed form.
 Reduced aspects are the components of the complement of S union PS: the
-same flood fill, blocked where det J or D changes sign.
+same flood fill, blocked where det J or the pulled-back IK discriminant
+D(theta2, theta3) = disc_t M(t; f) changes sign (D vanishes on f^-1(f(S))
+and keeps its sign across S, where f folds), read on the lattice from D's
+exact series in theta2.
 The verdict (existence of a cusp) is cross-validated against an independent
 oracle: sampling regular workspace points and asking whether two IK
 solutions ever share an aspect.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -39,9 +39,6 @@ from .critical import (
     CUSP_RESIDUAL_TOL,
     DEFAULT_GRID_N,
     CriticalSet,
-    _chain_loops,
-    _crossing_edges,
-    _marching_segments,
     critical_values,
     find_cusps,
     find_nodes,
@@ -53,6 +50,7 @@ from .reduction import (
     IkBatch,
     _circle_values,
     _conic_terms,
+    _fold_lift,
     _harmonic_bound,
     _harmonics,
     conic_classify,
@@ -65,7 +63,6 @@ from .reduction import (
 PS_EXCLUSION_RADIUS = 1e-2
 PATH_DET_TOL = 1e-4  # times singularity scale
 _SINGULAR_CELL_TOL = 1e-12
-_CROSSING_BRACKET = 2.0 ** -36  # final bracket of a PS crossing, in lattice edges
 _D_DEGREE = 6                   # D's degree in theta2 (_discriminant_lattice)
 _D_SAMPLES = 16                 # theta2 samples per column, at least 2 _D_DEGREE + 1
 _D_RECHECK = 1e-9               # pointwise below this times the largest column bound
@@ -109,13 +106,12 @@ class ReducedAspectMap:
     grid_n: int
     labels: np.ndarray
     count: int
-    parent_aspect: np.ndarray  # (count,) aspect label per reduced label
 
 
 @dataclass(frozen=True)
 class PseudoSingularitySet:
-    """Nonsingular preimages of the critical values, chained into polylines
-    that stop where the S band begins."""
+    """Nonsingular preimages of the critical values, lifted from the traced
+    S into polylines that stop where the S band begins."""
 
     polylines: tuple          # of (k, 2) arrays on the torus; closed loops repeat their first point
     d_positive: np.ndarray    # (N, N) D > 0 on the vertex lattice it was traced on
@@ -215,9 +211,7 @@ def _components(key, excluded=None):
     graph joins runs across each row's seam (column n - 1 to column 0) and
     across the open edges between rows, with one edge wherever
     the pair of runs changes along the row, so it has thousands of nodes
-    where a graph of cells has grid_n^2.  Returns the count, the labels and
-    each label's first lattice point (row-major flat index), the first cell
-    of its first free run.
+    where a graph of cells has grid_n^2.  Returns the count and the labels.
     """
     free = np.ones(key.shape, dtype=bool) if excluded is None else ~excluded
     joined = (key[:, 1:] == key[:, :-1]) & free[:, 1:] & free[:, :-1]
@@ -244,7 +238,7 @@ def _components(key, excluded=None):
     order = np.argsort(first)
     remap = -np.ones(n_comp, dtype=np.int32)
     remap[comps[order]] = np.arange(len(comps), dtype=np.int32)
-    return len(comps), remap[comp][run], starts[free_runs[first[order]]]
+    return len(comps), remap[comp][run]
 
 
 def compute_aspects(curves: CriticalSet) -> AspectMap:
@@ -254,7 +248,7 @@ def compute_aspects(curves: CriticalSet) -> AspectMap:
     Lattice points singular within tolerance are labeled -1.
     """
     det = curves.det_vertex
-    count, labels, _ = _components(det >= 0)
+    count, labels = _components(det >= 0)
     labels[np.abs(det) < _SINGULAR_CELL_TOL * singularity_scale(curves.robot)] = -1
     return AspectMap(curves.grid_n, labels, count, det)
 
@@ -287,7 +281,7 @@ def _discriminant(p: DhParams, theta2, theta3):
 
 def _discriminant_lattice(p: DhParams, grid_n: int):
     """D on the vertex lattice th x th from its theta2 series, with the
-    signs of _discriminant; returns (values, th, rechecked).
+    signs of _discriminant; returns (values, rechecked).
 
     For fixed theta3, P, Q and P^2 + Q^2 (its quadratic terms add up to
     F1^2 + F2^2) are affine in (c2, s2), and so are the quartic's five
@@ -307,47 +301,7 @@ def _discriminant_lattice(p: DhParams, grid_n: int):
     d = np.einsum("im,mj->ij", _circle_values(eye, th + math.pi), np.ascontiguousarray(rows.T))
     i, j = np.nonzero(np.abs(d) <= _D_RECHECK * float(np.max(_harmonic_bound(rows))))
     d[i, j] = _discriminant(p, th[i], th[j])
-    return d, th, len(i)
-
-
-def _refine_crossings(field, ids, th):
-    """Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971) on the sign
-    change of a field along each crossed lattice edge, until its bracket is
-    _CROSSING_BRACKET of an edge; returns the bracket midpoints on the torus.
-
-    `ids` are the integer crossing-node ids `_marching_segments` gives on
-    th x th; the field at both ends of each edge, in one call, opens its
-    bracket.  Each round evaluates the field once at every crossing still
-    open: at the secant point of its bracket, held half the final width
-    inside it so that a root next to an end closes the bracket.  An
-    end kept twice or more in a row has its value halved (the Illinois
-    step); once kept three times in a row, the crossing bisects instead,
-    which bounds the rounds where the far end's value is orders of magnitude
-    above the near one's or the field bends between them.
-    """
-    n = len(th)
-    i, j, along_v, start, step = _crossing_edges(ids, th)
-    lo, hi = np.zeros(len(ids)), np.ones(len(ids))
-    f_lo, f_hi = np.split(field(th[np.concatenate([i, (i + 1 - along_v) % n])],
-                                th[np.concatenate([j, (j + along_v) % n])]), 2)
-    neg = f_lo < 0
-    kept = np.zeros(len(ids), dtype=np.int8)    # rounds in a row hi (> 0) or lo (< 0) stayed
-    tol = _CROSSING_BRACKET
-    active = np.arange(len(ids))
-    while len(active):
-        a, b, fa, fb, run = lo[active], hi[active], f_lo[active], f_hi[active], kept[active]
-        x = np.clip(a - fa * (b - a) / (fb - fa), a + 0.5 * tol, b - 0.5 * tol)
-        x = np.where(np.abs(run) >= 3, 0.5 * (a + b), x)
-        pts = start[active] + x[:, None] * step[active]
-        fx = field(pts[:, 0], pts[:, 1])
-        up = (fx < 0) == neg[active]              # x replaces lo, hi stays
-        run = np.where(up, np.maximum(run, 0) + 1, np.minimum(run, 0) - 1)
-        lo[active], hi[active] = np.where(up, x, a), np.where(up, b, x)
-        f_lo[active] = np.where(up, fx, np.where(run <= -2, 0.5 * fa, fa))
-        f_hi[active] = np.where(up, np.where(run >= 2, 0.5 * fb, fb), fx)
-        kept[active] = run
-        active = active[hi[active] - lo[active] > tol]
-    return wrap_angle(start + (0.5 * (lo + hi))[:, None] * step)
+    return d, len(i)
 
 
 def _s_band(det_vertex: np.ndarray) -> np.ndarray:
@@ -367,36 +321,60 @@ def _s_band(det_vertex: np.ndarray) -> np.ndarray:
     return band
 
 
-def compute_pseudosingularities(curves: CriticalSet) -> PseudoSingularitySet:
-    """PS = f^-1(f(S)) \\ S as the sign-change set of the pulled-back discriminant.
+def _cell_corners(grid_n: int, theta2, theta3):
+    """(i, j) index arrays of the four corners of the lattice cell that holds
+    each torus point (angles in [-pi, pi]), floor((theta + pi) / h) first."""
+    h = TWO_PI / grid_n
+    i, j = (np.floor((th + math.pi) / h).astype(int) % grid_n for th in (theta2, theta3))
+    i1, j1 = (i + 1) % grid_n, (j + 1) % grid_n
+    return (i, j), (i1, j), (i, j1), (i1, j1)
 
-    f^-1(f(S)) is the zero set of D(theta2, theta3) = disc_t M(t; f(theta2,
-    theta3)).  D changes sign across PS, where f is a local diffeomorphism,
-    and touches zero without a sign change on S, where f folds.  D comes on
-    S's vertex lattice from its theta2 series (_discriminant_lattice), and
-    the same marching squares that traces S extracts its sign changes.  Near
-    S the even-order zero leaves D's sign to rounding noise, so the crossings
-    on edges that touch the S band are dropped, which opens the chains that
-    run into S where the reduced fill's boundary territory begins; the rest
-    are refined along their edges from pointwise values of D.
+
+def _runs(points: np.ndarray, kept: np.ndarray, cyclic: bool) -> list:
+    """The runs of two or more kept consecutive points.  On a cyclic
+    sequence a run continues past the end to the start, and a sequence kept
+    whole is one closed polyline, which repeats its first point."""
+    if cyclic and kept.all():
+        return [np.vstack([points, points[:1]])]
+    if cyclic:
+        first = int(np.argmin(kept))         # a dropped point starts the sequence
+        points, kept = np.roll(points, -first, axis=0), np.roll(kept, -first)
+    ends = np.flatnonzero(np.diff(np.concatenate([[0], kept.astype(np.int8), [0]])))
+    return [points[a:b] for a, b in zip(ends[::2].tolist(), ends[1::2].tolist()) if b - a >= 2]
+
+
+def compute_pseudosingularities(curves: CriticalSet) -> PseudoSingularitySet:
+    """PS = f^-1(f(S)) \\ S lifted from the traced S (reduction._fold_lift),
+    and D's signs on the lattice (_discriminant_lattice) for the reduced fill.
+
+    Along a curve, each vertex's two lifted roots are paired with the next
+    vertex's by the smaller sum of torus distances, which sorts them onto
+    two sheets (one loop on a closed curve whose pairing swaps them an odd
+    number of times).  A point is dropped where a corner of its lattice cell
+    lies in the S band, the cell rule of _labels, so PS ends where the
+    reduced fill's boundary territory begins.  A polyline is a run of kept
+    points on one sheet.
     """
-    field = functools.partial(_discriminant, curves.robot)
-    d, th, rechecked = _discriminant_lattice(curves.robot, curves.grid_n)
+    d, rechecked = _discriminant_lattice(curves.robot, curves.grid_n)
     band = _s_band(curves.det_vertex)
-    ids, nbr = _marching_segments(d, th, field)
     polylines = []
-    if len(ids):
-        n = curves.grid_n
-        i, j, along_v, _, _ = _crossing_edges(ids, th)
-        keep = ~band[i, j] & ~band[(i + 1 - along_v) % n, (j + along_v) % n]
-        pts = np.empty((len(ids), 2))
-        pts[keep] = _refine_crossings(field, ids[keep], th)
-        for chain, closed in _chain_loops(nbr, keep):
-            verts = pts[chain]
-            if closed:
-                verts = np.vstack([verts, verts[:1]])
-            if len(verts) >= 2:
-                polylines.append(verts)
+    for curve in curves:
+        pts = np.stack(_fold_lift(curves.robot, curve.vertices[:, 0], curve.vertices[:, 1]),
+                       axis=-1)                          # (K, sheet, 2)
+        # torus distances from each root (axis 1) to each of the next vertex's (axis 2)
+        gap = np.abs(pts[:, :, None] - np.roll(pts, -1, axis=0)[:, None])
+        gap = np.hypot(*np.moveaxis(np.minimum(gap, TWO_PI - gap), -1, 0))
+        flip = gap[:, 0, 1] + gap[:, 1, 0] < gap[:, 0, 0] + gap[:, 1, 1]
+        swap = np.concatenate([[False], np.cumsum(flip[:-1]) % 2 == 1])
+        pts = np.where(swap[:, None, None], pts[:, ::-1], pts)
+        kept = ~np.isnan(pts[..., 0])
+        kept[kept] = ~np.any([band[at] for at in _cell_corners(curves.grid_n, *pts[kept].T)], axis=0)
+        if curve.closed and np.count_nonzero(flip) % 2:
+            sheets = [(np.concatenate([pts[:, 0], pts[:, 1]]), np.concatenate(kept.T))]
+        else:
+            sheets = [(pts[:, 0], kept[:, 0]), (pts[:, 1], kept[:, 1])]
+        for points, ok in sheets:
+            polylines.extend(_runs(points, ok, curve.closed))
     return PseudoSingularitySet(tuple(polylines), d > 0, band, rechecked)
 
 
@@ -409,21 +387,21 @@ def compute_reduced_aspects(ps: PseudoSingularitySet, aspects: AspectMap) -> Red
     stop at is therefore boundary territory: its points are labeled -1 and
     removed from the connectivity, which is the honest resolution-limited
     reading of the decomposition (extra splitting is safe, leaking between
-    reduced aspects is not).  Without pseudosingularities S is the only
-    boundary and the reduced aspects are the aspects.  `aspects` is the
-    AspectMap of the lattice to refine; its singular points stay -1.
+    reduced aspects is not).  Where D changes sign on no lattice edge with
+    both ends off the band, the reduced aspects are the aspects.  `aspects`
+    is the AspectMap of the lattice to refine; its singular points stay -1.
     """
     grid_n = aspects.grid_n
-    if not ps.total_points():
-        return ReducedAspectMap(grid_n, aspects.labels, aspects.count,
-                                np.arange(aspects.count, dtype=np.int32))
     if ps.d_positive.shape != (grid_n, grid_n):
         raise ValueError("pseudosingularities were computed on another grid")
+    off = ~ps.s_band
+    if not any(np.any((ps.d_positive != np.roll(ps.d_positive, -1, axis)) & off
+                      & np.roll(off, -1, axis)) for axis in (0, 1)):
+        return ReducedAspectMap(grid_n, aspects.labels, aspects.count)
     key = 2 * (aspects.det_vertex >= 0) + ps.d_positive
-    count, labels, first = _components(key, excluded=ps.s_band)
-    parent = aspects.labels.ravel()[first]
+    count, labels = _components(key, excluded=ps.s_band)
     labels[aspects.labels < 0] = -1
-    return ReducedAspectMap(grid_n, labels, count, parent)
+    return ReducedAspectMap(grid_n, labels, count)
 
 
 def build_topology(p: DhParams, curves: CriticalSet, grid_n: int) -> TopologyMaps:
@@ -451,12 +429,10 @@ def _labels(maps: TopologyMaps, ik: IkBatch) -> list:
     at = maps.aspects.nearest(th2, th3)
     aspect = maps.aspects.labels[at].tolist()
     reduced = maps.reduced.labels[at]
-    grid_n, h, lattice = maps.aspects.grid_n, maps.aspects.spacing, maps.reduced.labels
-    i, j = (np.floor((th + math.pi) / h).astype(int) % grid_n for th in (th2, th3))
-    i1, j1 = (i + 1) % grid_n, (j + 1) % grid_n
-    corner = lattice[i, j]
-    on_boundary = ((corner < 0) | (lattice[i1, j] != corner) | (lattice[i, j1] != corner)
-                   | (lattice[i1, j1] != corner)).tolist()
+    lattice = maps.reduced.labels
+    own, *others = _cell_corners(maps.aspects.grid_n, th2, th3)
+    corner = lattice[own]
+    on_boundary = ((corner < 0) | np.any([lattice[at] != corner for at in others], axis=0)).tolist()
     out = [None if status else [] for status in ik.status.tolist()]
     for n, (k, q, m) in enumerate(zip(row.tolist(), theta.tolist(), mult.tolist())):
         out[k].append(SolutionLabel(JointConfig(*q), m, aspect[n], int(reduced[n]),

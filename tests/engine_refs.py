@@ -8,10 +8,10 @@ quartic jet with its own Horner loop, the A* path search over
 lattice-point tuples, the path audit one segment at a time, the census counts
 from the root engine at every target, the c3s3 plot's plane marching squares
 as a loop over cells, the SVG polyline formatted one vertex at a time, the
-pulled-back discriminant D through the end effector and the conic, its
-crossings bisected 36 times, the pseudosingularities from D sampled at every
-lattice point, as they were traced before D's theta2 series, the reduced
-aspects' parents from a sort of the whole lattice, and the chart engine:
+pulled-back discriminant D through the end effector and the conic, the
+signs of D sampled at every lattice point, as PS was traced before D's
+theta2 series, the reduced aspects' parents from a sort of the whole
+lattice, and the chart engine:
 cusps, nodes and quadruple roots solved on the quartic M in the half-angle
 chart that keeps each seed well conditioned, as they stood before the Newton
 systems moved onto the theta3 circle, certified by the unit-free rule on the
@@ -41,11 +41,8 @@ from cuspidal.critical import (
     CuspPoint,
     NodePoint,
     _certify,
-    _chain_loops,
     _chart_seed,
-    _crossing_edges,
     _dedup_sorted,
-    _marching_segments,
     _mixed_cells,
     _sample_lattice,
     _segments,
@@ -951,49 +948,18 @@ def discriminant(p, theta2, theta3):
     return quartic_discriminant(quartic_coeffs_from_conic(cc))
 
 
-def refine_crossings(field, ids, th, f):
-    """topology._refine_crossings as 36 bisection steps on every crossing."""
-    ii, jj, _, start, step = _crossing_edges(ids, th)
-    neg0 = f[ii, jj] < 0
-    lo = np.zeros(len(ids))
-    hi = np.ones(len(ids))
-    for _ in range(36):
-        mid = 0.5 * (lo + hi)
-        pts = start + mid[:, None] * step
-        same = (field(pts[:, 0], pts[:, 1]) < 0) == neg0
-        lo = np.where(same, mid, lo)
-        hi = np.where(same, hi, mid)
-    return wrap_angle(start + (0.5 * (lo + hi))[:, None] * step)
-
-
 def pointwise_pseudosingularities(curves):
-    """(polylines, d_positive, s_band) of topology.compute_pseudosingularities
-    with D block-sampled at every point of the vertex lattice, as PS was
-    traced before D's theta2 series.  The crossings are refined by
-    topology._refine_crossings, whose pointwise end values equal this
-    lattice's samples bit for bit."""
-    p, n = curves.robot, curves.grid_n
-    field = partial(topology._discriminant, p)
-    d, th = _sample_lattice(field, n)
-    band = topology._s_band(curves.det_vertex)
-    ids, nbr = _marching_segments(d, th, field)
-    polylines = []
-    if len(ids):
-        i, j, along_v, _, _ = _crossing_edges(ids, th)
-        keep = ~band[i, j] & ~band[(i + 1 - along_v) % n, (j + along_v) % n]
-        pts = np.empty((len(ids), 2))
-        pts[keep] = topology._refine_crossings(field, ids[keep], th)
-        for chain, closed in _chain_loops(nbr, keep):
-            verts = pts[chain + chain[:1]] if closed else pts[chain]
-            if len(verts) >= 2:
-                polylines.append(verts)
-    return polylines, d > 0, band
+    """(d_positive, s_band) of topology.compute_pseudosingularities with D
+    block-sampled at every point of the vertex lattice, as PS was traced
+    before D's theta2 series."""
+    d, _ = _sample_lattice(partial(topology._discriminant, curves.robot), curves.grid_n)
+    return d > 0, topology._s_band(curves.det_vertex)
 
 
 def reduced_parent(reduced_labels, aspect_labels):
-    """ReducedAspectMap.parent_aspect from each label's first row-major
-    lattice point, found by np.unique over the whole lattice; the labels are
-    the fill's, before the aspects' singular points are marked -1."""
+    """Each reduced label's parent aspect, the aspect label at the reduced
+    label's first row-major lattice point, found by np.unique over the whole
+    lattice."""
     ids, first = np.unique(reduced_labels, return_index=True)
     return aspect_labels.ravel()[first[ids >= 0]]
 

@@ -709,7 +709,8 @@ def _assert_marching_equals_the_dict_engine(f, th, field):
 
 
 def _assert_chains_equal(chains, ref, pts):
-    assert [(pts[c].tobytes(), closed) for c, closed in chains] == [
+    """The walk's loops are the dict walk's chains, every one closed."""
+    assert [(pts[c].tobytes(), True) for c in chains] == [
         (verts.reshape(-1, 2).tobytes(), closed) for verts, closed in ref]
 
 
@@ -737,20 +738,6 @@ def test_array_marching_equals_the_dict_engine(n, seed):
     assert np.any((neg == np.roll(up, -1, 1)) & (up == right) & (neg != up))   # a saddle
     pts, nbr, pos, adj = _assert_marching_equals_the_dict_engine(f, th, field)
     _assert_chains_equal(_chain_loops(nbr), chain_loops(pos, adj), pts)
-
-
-@settings(max_examples=200)
-@given(st.integers(4, 24), _SEED)
-def test_chain_walk_with_a_kept_mask_equals_the_dict_walk(n, seed):
-    """Random kept masks leave open chains and isolated nodes; the walk over
-    the kept nodes equals the dict walk over the kept sub-graph."""
-    rng, f, th, field = _saddle_case(n, seed)
-    pts, nbr, pos, adj = _assert_marching_equals_the_dict_engine(f, th, field)
-    keys = sorted(pos)
-    keep = rng.uniform(size=len(keys)) < rng.choice([0.3, 0.7, 0.95, 1.0])
-    kept = {k: pos[k] for k, ok in zip(keys, keep.tolist()) if ok}
-    ref = chain_loops(kept, {k: [m for m in adj[k] if m in kept] for k in kept})
-    _assert_chains_equal(_chain_loops(nbr, keep), ref, pts)
 
 
 def test_array_marching_equals_the_dict_engine_on_robot_fields():

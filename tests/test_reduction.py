@@ -268,6 +268,40 @@ def test_quartic_discriminant_vectorized():
     assert out[1, 2] == quartic_discriminant(stack[:, 1, 2])
 
 
+def test_sympy_a_fold_row_deflates_to_a_quadratic():
+    """A row whose turned harmonics satisfy the fold conditions h0 + h1x +
+    h2x = 0 and h1y + 2 h2y = 0 (g = g' = 0 at psi = 0) has (1 + t^2)^2 g =
+    t^2 (a t^2 + b t + c) exactly, with a, b and c the first three
+    coefficients _half_angle_quartic gives: reduction._fold_lift's
+    quadratic."""
+    sp = pytest.importorskip("sympy")
+    t, h1x, h2x, h2y = sp.symbols("t h1x h2x h2y")
+    row = [-h1x - h2x, h1x, -2 * h2y, h2x, h2y]
+    c, s = (1 - t ** 2) / (1 + t ** 2), 2 * t / (1 + t ** 2)
+    g = row[0] + row[1] * c + row[2] * s + row[3] * (c * c - s * s) + row[4] * 2 * c * s
+    a, b, cq = (sp.nsimplify(e) for e in
+                reduction._half_angle_quartic(np.array([row], dtype=object))[:3])
+    assert sp.cancel((1 + t ** 2) ** 2 * g - t ** 2 * (a[0] * t ** 2 + b[0] * t + cq[0])) == 0
+
+
+def test_sympy_d_is_the_deflated_cubics_discriminant_times_a_square():
+    """For M = (t - r) C, Disc M = Disc C C(r)^2 and M'(r) = C(r), so at a
+    root t_q of M, D = disc(deflated cubic) M'(t_q)^2: D touches zero on S,
+    where t_q is double and M'(t_q) = 0, and takes the cubic's sign on both
+    sides, with no sign change.  The package's quartic_discriminant is that
+    discriminant."""
+    sp = pytest.importorskip("sympy")
+    t, r, *c = sp.symbols("t r c0:4")
+    cubic = c[3] * t ** 3 + c[2] * t ** 2 + c[1] * t + c[0]
+    m = sp.expand((t - r) * cubic)
+    assert sp.expand(sp.discriminant(m, t) - sp.discriminant(cubic, t) * cubic.subs(t, r) ** 2) == 0
+    assert sp.expand(sp.diff(m, t).subs(t, r) - cubic.subs(t, r)) == 0
+    at = dict(zip([r, *c], np.random.default_rng(8).uniform(-2.0, 2.0, 5).tolist()))
+    coeffs = [float(e.subs(at)) for e in sp.Poly(m, t).all_coeffs()]
+    exact = float(sp.discriminant(m, t).subs(at))
+    assert abs(float(quartic_discriminant(np.array(coeffs))) - exact) <= 1e-12 * max(1.0, abs(exact))
+
+
 # --------------------------------------------------------------------------
 # inverse kinematics
 # --------------------------------------------------------------------------

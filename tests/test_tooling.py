@@ -5,8 +5,9 @@ loop over a 2-D mask, no hand-written heap search, no heavyweight
 third-party module imported when the package loads or an analysis runs, one
 formula for the pulled-back discriminant, one for the quartic's discriminant
 and one invariant count, root finding in theta3 with no half-angle chart,
-no least squares or multi-unknown Newton in the package, and one harmonic
-row format for the trigonometric polynomials on the theta circle."""
+no least squares or multi-unknown Newton in the package, one harmonic row
+format for the trigonometric polynomials on the theta circle, and PS lifted
+from S with no marching squares or crossing refinement of its own."""
 import ast
 import os
 import pathlib
@@ -330,6 +331,20 @@ def test_no_module_samples_d_at_every_lattice_point():
         == {"critical.py": ["trace_critical_points"]}
 
 
+# PS is the IK lift of S: no crossing refinement is left, the chain walk
+# takes no mask, and marching squares and its walk run for S alone.
+def test_pseudosingularities_are_lifted_not_traced():
+    for path in PACKAGE.glob("*.py"):
+        assert _names(_tree(path)) & {"_refine_crossings", "_CROSSING_BRACKET"} == set(), path.name
+    walk = next(node for node in ast.walk(_tree(PACKAGE / "critical.py"))
+                if isinstance(node, ast.FunctionDef) and node.name == "_chain_loops")
+    assert [a.arg for a in walk.args.args] == ["nbr"] and not walk.args.kwonlyargs
+    for name in ("_marching_segments", "_chain_loops"):
+        callers = {(path.name, scope) for path in PACKAGE.glob("*.py")
+                   for scope, _ in _callers(_tree(path), name)}
+        assert callers == {("critical.py", "trace_critical_points")}, name
+
+
 def _reading_scopes(tree, name: str) -> set:
     """Innermost enclosing functions (or "<module>") of every load of `name`,
     bare or as an attribute."""
@@ -439,7 +454,7 @@ HAND_WRITTEN_EXCEPTIONS = {
     "det J's A, B and C on (1, c3, s3, c3 s3, s3^2)": {("dh.py", "_theta3_terms")},
     "the cusp locus's b and r2 and their derivatives": {("reduction.py", "_locus_terms")},
     "F's affine forms u c3 + v s3 + w": {("reduction.py", "_back_substitution"),
-                                         ("reduction.py", "_solve_cross_section"),
+                                         ("reduction.py", "_theta2"),
                                          ("topology.py", "_discriminant")},
 }
 

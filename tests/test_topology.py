@@ -22,12 +22,15 @@ from cuspidal import (
     forward_kinematics,
     is_cuspidal,
     label_solutions,
+    length_scale,
     singularity_scale,
     verify_path,
     wrap_angle,
 )
+from cuspidal.dh import fk_arrays
 from cuspidal.errors import NonGenericRobotError, StartOrGoalSingularError
 from cuspidal.geometry import TorusCurveIndex
+from cuspidal.reduction import solve_ik_batch
 from cuspidal.robotfile import parse_robot_file
 from cuspidal.topology import PS_EXCLUSION_RADIUS, JointPath, _components, label_solutions_batch
 
@@ -119,12 +122,12 @@ def test_ps_points_are_nonsingular(analysis, ref_maps):
 def test_ps_points_map_onto_critical_values(analysis, ref_maps):
     wcurves = analysis.wcurves(REFERENCE)
     polylines = [w.vertices for w in wcurves]
-    scale = singularity_scale(REFERENCE)
+    scale = length_scale(REFERENCE)
     for chain in ref_maps.ps.polylines:
         for t2, t3 in chain[::5]:
             pose = forward_kinematics(REFERENCE, JointConfig(0.0, t2, t3))
             d = polyline_min_dist((math.hypot(pose.x, pose.y), pose.z), polylines)
-            assert d < 1e-4 * scale
+            assert d < 1e-12 * scale
 
 
 def test_ps_points_keep_exclusion_distance(analysis, ref_maps):
@@ -134,6 +137,38 @@ def test_ps_points_keep_exclusion_distance(analysis, ref_maps):
     for chain in ref_maps.ps.polylines:
         for pt in chain[::7]:
             assert s_index.dist(pt) > PS_EXCLUSION_RADIUS
+
+
+_LIFT_ROBOTS = [*BATTERY.robots.items(),
+                *((label, p) for label, p, _ in perfbench_inputs().screen_robots(0))]
+
+
+@pytest.mark.parametrize("name,p", _LIFT_ROBOTS, ids=[name for name, _ in _LIFT_ROBOTS])
+def test_ps_points_are_simple_ik_roots_over_traced_critical_values(name, p, analysis):
+    """At grid 720 every PS point's image lies within 1e-12 L of the image
+    of a traced vertex of S, and the point is a simple root of
+    solve_ik_batch at that vertex's image, within 1e-9 rad in theta2 and
+    theta3 (pool_0 has no PS point)."""
+    grid = 720
+    pts = np.vstack([np.empty((0, 2)),
+                     *compute_pseudosingularities(analysis.curves(p, grid)).polylines])
+    targets = np.vstack([w.vertices for w in analysis.wcurves(p, grid)])
+    x, y, z = fk_arrays(p, 0.0, pts[:, 0], pts[:, 1])
+    image = np.column_stack([np.hypot(x, y), z])
+    nearest = np.concatenate([
+        np.argmin(np.sum((chunk[:, None] - targets[None]) ** 2, axis=2), axis=1)
+        for chunk in np.array_split(image, len(image) // 256 + 1)])
+    assert float(np.max(np.hypot(*(image - targets[nearest]).T), initial=0.0)) \
+        <= 1e-12 * length_scale(p)
+    rows, at = np.unique(nearest, return_inverse=True)
+    ik = solve_ik_batch(p, targets[rows, 0], targets[rows, 1])
+    simple = ik.solved & (ik.mult == 1)
+    slot = np.arange(len(ik.row)) - np.searchsorted(ik.row, ik.row)
+    roots = np.full((len(rows), 4, 2), np.nan)
+    roots[ik.row[simple], slot[simple]] = ik.theta[simple, 1:]
+    gap = np.abs(roots[at] - pts[:, None]) % (2 * math.pi)
+    gap = np.max(np.minimum(gap, 2 * math.pi - gap), axis=2)
+    assert float(np.max(np.fmin.reduce(gap, axis=1), initial=0.0)) <= 1e-9
 
 
 def test_torus_distance_index_matches_brute_force(analysis):
@@ -216,19 +251,6 @@ def test_sampled_grids_have_the_full_shape(name):
     assert aspects.det_vertex is curves.det_vertex
 
 
-def _ps_crossings(p, curves):
-    """D on the lattice and the crossing ids compute_pseudosingularities
-    keeps: those whose edge has no end in the S band."""
-    n = curves.grid_n
-    field = partial(topology._discriminant, p)
-    d, th, _ = topology._discriminant_lattice(p, n)
-    band = topology._s_band(curves.det_vertex)
-    ids, _ = critical._marching_segments(d, th, field)
-    i, j, along_v, _, _ = critical._crossing_edges(ids, th)
-    keep = ~band[i, j] & ~band[(i + 1 - along_v) % n, (j + along_v) % n]
-    return field, d, th, ids[keep]
-
-
 def _assert_d_sign_off_the_band(p, curves):
     n = curves.grid_n
     d, _ = critical._sample_lattice(partial(topology._discriminant, p), n)
@@ -251,58 +273,6 @@ def test_factored_d_has_the_conic_route_sign_on_random_robots():
     for _ in range(6):
         p = random_valid_params(rng)
         _assert_d_sign_off_the_band(p, critical.trace_critical_points(p, TEST_GRID))
-
-
-@pytest.mark.parametrize("name", sorted(BATTERY.robots))
-def test_illinois_crossings_lie_within_four_brackets_of_the_bisection(name, analysis):
-    """On every kept edge the Illinois crossing and the 36-step bisection
-    lie within 4 2^-36 h of each other: each bracket of width <= 2^-36 h
-    holds a sign change of D."""
-    _, p = BATTERY.get(name)
-    field, d, th, ids = _ps_crossings(p, analysis.curves(p))
-    assert len(ids)
-    got = topology._refine_crossings(field, ids, th)
-    ref = engine_refs.refine_crossings(field, ids, th, d)
-    h = 2 * math.pi / TEST_GRID
-    assert float(np.max(np.abs(wrap_angle(got - ref)))) <= 4 * 2.0 ** -36 * h
-
-
-def test_ps_refinement_runs_at_most_20_rounds(monkeypatch, analysis):
-    """One compute_pseudosingularities refines its crossings in at most 20
-    rounds of one field call each on every battery robot (the bisection
-    made 36), after one call that reads both ends of every kept edge."""
-    rounds = []
-    refine = topology._refine_crossings
-
-    def counted(field, ids, th):
-        sizes = []
-
-        def counted_field(*points):
-            sizes.append(len(points[0]))
-            return field(*points)
-        out = refine(counted_field, ids, th)
-        assert sizes[0] == 2 * len(ids)
-        rounds.append(len(sizes) - 1)
-        return out
-    monkeypatch.setattr(topology, "_refine_crossings", counted)
-    for name in sorted(BATTERY.robots):
-        _, p = BATTERY.get(name)
-        assert compute_pseudosingularities(analysis.curves(p)).total_points() > 0
-    assert len(rounds) == len(BATTERY.robots) and max(rounds) <= 20, rounds
-
-
-@pytest.mark.parametrize("name", sorted(BATTERY.robots))
-def test_reduced_parents_equal_the_lattice_sort(name, analysis):
-    """Each reduced aspect's parent, read at the first lattice point the
-    fill returns, is the one np.unique over the whole lattice finds."""
-    _, p = BATTERY.get(name)
-    curves = analysis.curves(p)
-    maps = build_topology(p, curves, TEST_GRID)
-    key = 2 * (curves.det_vertex >= 0) + maps.ps.d_positive
-    _, raw, _ = _components(key, excluded=maps.ps.s_band)
-    ref = engine_refs.reduced_parent(raw, maps.aspects.labels)
-    parent = maps.reduced.parent_aspect
-    assert parent.dtype == ref.dtype and np.array_equal(parent, ref)
 
 
 def _sample_every_candidate(p, census, maps, samples):
@@ -361,15 +331,17 @@ def test_reduced_aspects_refine_aspects(ref_maps):
             assert seen[r] == a, "reduced aspect straddles two aspects"
         else:
             seen[r] = a
+    parent = engine_refs.reduced_parent(ref_maps.reduced.labels, ref_maps.aspects.labels)
     for r, a in seen.items():
-        assert ref_maps.reduced.parent_aspect[r] == a
+        assert parent[r] == a
 
 
 def test_reduced_aspects_have_no_slivers(analysis, noncusp_maps):
     """The node robot splits each aspect in two; no robot has grid-scale
     slivers left over from unclosed PS branches or cut off by S."""
     node_maps = build_topology(NODE_ROBOT, analysis.curves(NODE_ROBOT), TEST_GRID)
-    per_aspect = np.bincount(node_maps.reduced.parent_aspect,
+    per_aspect = np.bincount(engine_refs.reduced_parent(node_maps.reduced.labels,
+                                                        node_maps.aspects.labels),
                              minlength=node_maps.aspects.count)
     assert per_aspect.tolist() == [2, 2, 2, 2]
     for maps in (node_maps, noncusp_maps):
@@ -391,7 +363,7 @@ def test_labels_numbered_by_first_row_major_appearance(ref_maps):
 
 
 def test_reference_aspect_splits_into_reduced(ref_maps):
-    parents = ref_maps.reduced.parent_aspect[:ref_maps.reduced.count]
+    parents = engine_refs.reduced_parent(ref_maps.reduced.labels, ref_maps.aspects.labels)
     counts = np.bincount(parents[parents >= 0], minlength=ref_maps.aspects.count)
     assert int(np.max(counts)) >= 3
 
@@ -433,11 +405,11 @@ def _dilated(core, steps):
 
 
 @pytest.mark.parametrize("name", sorted(BATTERY.robots))
-def test_ps_crossings_lie_on_edges_outside_the_reduced_fills_band(name, analysis):
+def test_ps_points_have_no_cell_corner_in_the_reduced_fills_band(name, analysis):
     """The S band is both ends of every sign-change edge of det J, grown
     ceil(PS_EXCLUSION_RADIUS / h) + 1 times; compute_reduced_aspects labels
-    it -1, and every kept PS crossing lies on a lattice edge whose two ends
-    are outside it."""
+    it -1, and no corner of the lattice cell that holds a PS point lies in
+    it."""
     curves, maps = _battery_maps(analysis, name)
     n, h = TEST_GRID, 2 * math.pi / TEST_GRID
     neg = curves.det_vertex < 0
@@ -449,16 +421,9 @@ def test_ps_crossings_lie_on_edges_outside_the_reduced_fills_band(name, analysis
     assert np.array_equal(band, _dilated(core, math.ceil(PS_EXCLUSION_RADIUS / h) + 1))
     assert maps.ps.total_points() > 0
     assert np.all(maps.reduced.labels[band] == -1)
-    pts = np.vstack(maps.ps.polylines)
-    u = (pts + math.pi) / h
-    fixed = np.argmin(np.abs(u - np.rint(u)), axis=1)      # the axis the edge does not run along
-    rows = np.arange(len(u))
-    assert np.all(np.abs(u[rows, fixed] - np.rint(u[rows, fixed])) < 1e-9)
-    at = np.rint(u[rows, fixed]).astype(int) % n
-    lo = np.floor(u[rows, 1 - fixed]).astype(int) % n
-    for end in (lo, (lo + 1) % n):
-        i, j = np.where(fixed == 1, end, at), np.where(fixed == 1, at, end)
-        assert not np.any(band[i, j])
+    i, j = (np.floor((np.vstack(maps.ps.polylines) + math.pi) / h).astype(int) % n).T
+    for di, dj in ((0, 0), (1, 0), (0, 1), (1, 1)):
+        assert not np.any(band[(i + di) % n, (j + dj) % n])
 
 
 # --------------------------------------------------------------------------
@@ -466,12 +431,10 @@ def test_ps_crossings_lie_on_edges_outside_the_reduced_fills_band(name, analysis
 # --------------------------------------------------------------------------
 
 def _assert_fill_equals_reference(key, excluded=None):
-    count, labels, first = _components(key, excluded)
+    count, labels = _components(key, excluded)
     ref_count, ref_labels = components(key, excluded)
     assert count == ref_count
     assert labels.dtype == ref_labels.dtype and np.array_equal(labels, ref_labels)
-    ids, ref_first = np.unique(ref_labels, return_index=True)
-    assert np.array_equal(first, ref_first[ids >= 0])
 
 
 @settings(max_examples=300)
