@@ -99,8 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _formats(args):
-    fmts = [f.strip() for f in args.format.split(",") if f.strip()]
+def _formats(text: str) -> list:
+    fmts = [f.strip() for f in text.split(",") if f.strip()]
     bad = set(fmts) - {"json", "csv", "svg"}
     if bad or not fmts:
         raise ValueError(f"unsupported formats: {','.join(sorted(bad)) or '(none)'}")
@@ -153,10 +153,9 @@ def write_classify_files(out, name, doc, fmts, rep) -> None:
 
 def cmd_classify(args) -> int:
     name, p = _robot(args)
-    fmts = _formats(args)
-    doc, rep = classify_robot(name, p, args.grid, args.census, args.samples, fmts)
+    doc, rep = classify_robot(name, p, args.grid, args.census, args.samples, args.format)
     _print(doc)
-    write_classify_files(args.out, name, doc, fmts, rep)
+    write_classify_files(args.out, name, doc, args.format, rep)
     if rep is None:
         return EXIT_NON_GENERIC
     return EXIT_CUSPIDAL if rep.verdict else EXIT_OK
@@ -211,10 +210,9 @@ def cmd_ik(args) -> int:
 
 def cmd_critical(args) -> int:
     name, p = _robot(args)
-    fmts = _formats(args)
     curves = trace_critical_points(p, args.grid)
     wcurves = critical_values(p, curves)
-    if "csv" in fmts:
+    if "csv" in args.format:
         out = _ensure_out(args)
         for k, c in enumerate(curves):
             reportmod.emit_csv(os.path.join(out, f"{name}.critical.joint-{k:02d}.csv"),
@@ -228,16 +226,14 @@ def cmd_critical(args) -> int:
         "robot": name,
         "curves": len(curves),
         "vertices": [len(c) for c in curves],
-        "closed": [bool(c.closed) for c in curves],
     })
     return EXIT_OK
 
 
 def cmd_cusps(args) -> int:
     name, p = _robot(args)
-    fmts = _formats(args)
     cusps = find_cusps(p, ())
-    if "csv" in fmts:
+    if "csv" in args.format:
         _write_cusp_csv(os.path.join(_ensure_out(args), f"{name}.cusps.csv"), cusps)
     _print({
         "robot": name,
@@ -248,9 +244,8 @@ def cmd_cusps(args) -> int:
 
 def cmd_nodes(args) -> int:
     name, p = _robot(args)
-    fmts = _formats(args)
     nodes = find_nodes(p, ())
-    if "csv" in fmts:
+    if "csv" in args.format:
         _write_node_csv(os.path.join(_ensure_out(args), f"{name}.nodes.csv"), nodes)
     _print({
         "robot": name,
@@ -275,10 +270,9 @@ def cmd_aspects(args) -> int:
 
 def cmd_pseudo(args) -> int:
     name, p = _robot(args)
-    fmts = _formats(args)
     curves = trace_critical_points(p, args.grid)
     ps = compute_pseudosingularities(curves)
-    if "csv" in fmts:
+    if "csv" in args.format:
         out = _ensure_out(args)
         for k, chain in enumerate(ps.polylines):
             reportmod.emit_csv(os.path.join(out, f"{name}.pseudo-{k:02d}.csv"),
@@ -304,8 +298,7 @@ def cmd_path(args) -> int:
         _print({"robot": name, "found": False})
         return EXIT_OK
     check = verify_path(p, path)
-    fmts = _formats(args)
-    if "csv" in fmts:
+    if "csv" in args.format:
         reportmod.emit_csv(os.path.join(_ensure_out(args), f"{name}.path.csv"),
                            ["theta2", "theta3"],
                            [(w[0], w[1]) for w in path.waypoints])
@@ -362,6 +355,7 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        args.format = _formats(args.format)
         return _COMMANDS[args.command](args)
     except (CuspidalError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

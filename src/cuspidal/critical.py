@@ -66,10 +66,10 @@ _NODE_QUADRATIC_ZERO = 64
 
 @dataclass(frozen=True)
 class JointCurve:
-    """Closed polyline of critical points on the torus."""
+    """Closed loop of critical points on the torus: the last vertex joins
+    the first."""
 
     vertices: np.ndarray          # (n, 2) theta2, theta3 in [-pi, pi)
-    closed: bool
     grad_norm: np.ndarray         # (n,) |grad det J| per vertex
 
     def __len__(self):
@@ -96,7 +96,6 @@ class WorkspaceCurve:
     """Image of a JointCurve in the (rho, z) half cross-section."""
 
     vertices: np.ndarray          # (n, 2) rho, z
-    source_index: int
     joint: JointCurve
 
     def __len__(self):
@@ -312,7 +311,7 @@ def trace_critical_points(p: DhParams, grid_n: int = DEFAULT_GRID_N) -> Critical
     for chain in _chain_loops(nbr):
         refined = _refine_on_zero_set(p, pos[chain], scale)
         g2, g3 = det_jacobian_grad(p, refined[:, 0], refined[:, 1])
-        curves.append(JointCurve(refined, True, np.hypot(g2, g3)))
+        curves.append(JointCurve(refined, np.hypot(g2, g3)))
     curves.sort(key=lambda c: (-len(c), float(c.vertices[0, 0]), float(c.vertices[0, 1])))
     return CriticalSet(p, grid_n, curves, f)
 
@@ -320,11 +319,11 @@ def trace_critical_points(p: DhParams, grid_n: int = DEFAULT_GRID_N) -> Critical
 def critical_values(p: DhParams, curves) -> list:
     """Images of the critical-point curves in the (rho, z) half cross-section."""
     out = []
-    for ci, curve in enumerate(curves):
+    for curve in curves:
         t2 = curve.vertices[:, 0]
         t3 = curve.vertices[:, 1]
         x, y, z = fk_arrays(p, 0.0, t2, t3)
-        out.append(WorkspaceCurve(np.column_stack([np.hypot(x, y), z]), ci, curve))
+        out.append(WorkspaceCurve(np.column_stack([np.hypot(x, y), z]), curve))
     return out
 
 
@@ -550,15 +549,16 @@ def genericity_check(p: DhParams, grid_n: int, curves: CriticalSet, workspace_cu
     if worst < 1e-5 * scale:
         evidence.append({"kind": "curve_gradient", "min_grad": worst})
 
-    # (c) isolated singular points: small |det J| at a lattice point far from
-    # every cell the traced curves cross
-    on_curve = _mixed_cells(curves.det_vertex < 0)
-    near_curve = on_curve.copy()
-    for shift in ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1)):
-        near_curve |= np.roll(np.roll(on_curve, shift[0], axis=0), shift[1], axis=1)
-    isolated = (np.abs(curves.det_vertex) < 1e-6 * scale) & ~near_curve
+    # (c) isolated singular points: small |det J| at a lattice point (i, j)
+    # whose 4 x 4 vertex block i-1..i+2, j-1..j+2 (wrapped) has one sign of
+    # det J, so none of the 9 cells around the point is crossed by S
+    ii, jj = np.divmod(np.flatnonzero(np.abs(curves.det_vertex) < 1e-6 * scale), grid_n)
+    k = np.arange(-1, 3)
+    n_neg = np.count_nonzero(curves.det_vertex[(ii[:, None, None] + k[:, None]) % grid_n,
+                                               (jj[:, None, None] + k) % grid_n] < 0, axis=(1, 2))
+    isolated = (n_neg == 0) | (n_neg == 16)
     if bool(np.any(isolated)):
-        ii, jj = np.nonzero(isolated)
+        ii, jj = ii[isolated], jj[isolated]
         evidence.append({
             "kind": "isolated_singular_cells",
             "count": int(len(ii)),

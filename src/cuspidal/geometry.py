@@ -33,32 +33,13 @@ def seg_intersect_many(a0, a1, b0, b1):
 # torus-aware helpers: points live in [-pi, pi)^2, segments take the short way
 # --------------------------------------------------------------------------
 
-def split_torus_polyline(vertices, closed: bool, jump: float = math.pi):
-    """Split a torus polyline into planar pieces with no wrap jumps.
-
-    Returns a list of (k, 2) arrays in unwrapped coordinates whose first
-    vertex lies in [-pi, pi)^2.
-    """
+def split_torus_polyline(vertices):
+    """Split a polyline of wrapped torus points at every step that jumps by
+    more than pi on either axis, which on points in [-pi, pi)^2 is a seam
+    crossing.  Returns the pieces as (k, 2) arrays of the input points, so
+    each lies in [-pi, pi)^2; a crossing leaves its step undrawn."""
     v = np.asarray(vertices, float)
-    if len(v) == 0:
-        return []
-    pts = [v[0]]
-    pieces = []
-    n = len(v)
-    last = v[0].copy()
-    rng = range(1, n + 1) if closed else range(1, n)
-    for k in rng:
-        cur = v[k % n]
-        step = wrap_angle(cur - last)
-        nxt = pts[-1] + step
-        if np.max(np.abs(step)) > jump:
-            pieces.append(np.array(pts))
-            pts = [wrap_angle(cur)]
-        else:
-            pts.append(nxt)
-        last = cur
-    pieces.append(np.array(pts))
-    return pieces
+    return np.split(v, np.flatnonzero(np.any(np.abs(np.diff(v, axis=0)) > math.pi, axis=1)) + 1)
 
 
 class TorusCurveIndex:

@@ -117,7 +117,9 @@ def render_workspace(workspace_curves, cusps, nodes) -> str:
 
 
 def render_jointspace(curves, ps, aspect_map) -> str:
-    """S (blue), PS (red) and aspect shading on the (theta2, theta3) square."""
+    """S (blue), PS (red) and aspect shading on the (theta2, theta3) square.
+    Curves are drawn in their wrapped coordinates, split where they cross a
+    seam of the torus (geometry.split_torus_polyline)."""
     cv = _Canvas(-math.pi, math.pi, -math.pi, math.pi)
     n = aspect_map.grid_n
     step = max(1, n // SHADE_BLOCKS)
@@ -129,11 +131,12 @@ def render_jointspace(curves, ps, aspect_map) -> str:
                 continue
             cv.rect(-math.pi + bi * h, -math.pi + bj * h,
                     step * h, step * h, f"aspect-{label % 8}")
+    # each S curve is a closed loop; a closed PS polyline repeats its first point
     for c in curves:
-        for piece in split_torus_polyline(c.vertices, c.closed):
+        for piece in split_torus_polyline(np.vstack([c.vertices, c.vertices[:1]])):
             cv.polyline(piece, "singular-curve")
     for chain in ps.polylines:
-        for piece in split_torus_polyline(chain, closed=False):
+        for piece in split_torus_polyline(chain):
             cv.polyline(piece, "pseudo-curve")
     return cv.document()
 

@@ -330,15 +330,14 @@ def _cell_corners(grid_n: int, theta2, theta3):
     return (i, j), (i1, j), (i, j1), (i1, j1)
 
 
-def _runs(points: np.ndarray, kept: np.ndarray, cyclic: bool) -> list:
-    """The runs of two or more kept consecutive points.  On a cyclic
-    sequence a run continues past the end to the start, and a sequence kept
-    whole is one closed polyline, which repeats its first point."""
-    if cyclic and kept.all():
+def _runs(points: np.ndarray, kept: np.ndarray) -> list:
+    """The runs of two or more kept consecutive points of a cyclic sequence:
+    a run continues past the end to the start, and a sequence kept whole is
+    one closed polyline, which repeats its first point."""
+    if kept.all():
         return [np.vstack([points, points[:1]])]
-    if cyclic:
-        first = int(np.argmin(kept))         # a dropped point starts the sequence
-        points, kept = np.roll(points, -first, axis=0), np.roll(kept, -first)
+    first = int(np.argmin(kept))             # a dropped point starts the sequence
+    points, kept = np.roll(points, -first, axis=0), np.roll(kept, -first)
     ends = np.flatnonzero(np.diff(np.concatenate([[0], kept.astype(np.int8), [0]])))
     return [points[a:b] for a, b in zip(ends[::2].tolist(), ends[1::2].tolist()) if b - a >= 2]
 
@@ -349,8 +348,8 @@ def compute_pseudosingularities(curves: CriticalSet) -> PseudoSingularitySet:
 
     Along a curve, each vertex's two lifted roots are paired with the next
     vertex's by the smaller sum of torus distances, which sorts them onto
-    two sheets (one loop on a closed curve whose pairing swaps them an odd
-    number of times).  A point is dropped where a corner of its lattice cell
+    two sheets (one loop on a curve whose pairing swaps them an odd number
+    of times).  A point is dropped where a corner of its lattice cell
     lies in the S band, the cell rule of _labels, so PS ends where the
     reduced fill's boundary territory begins.  A polyline is a run of kept
     points on one sheet.
@@ -369,12 +368,12 @@ def compute_pseudosingularities(curves: CriticalSet) -> PseudoSingularitySet:
         pts = np.where(swap[:, None, None], pts[:, ::-1], pts)
         kept = ~np.isnan(pts[..., 0])
         kept[kept] = ~np.any([band[at] for at in _cell_corners(curves.grid_n, *pts[kept].T)], axis=0)
-        if curve.closed and np.count_nonzero(flip) % 2:
+        if np.count_nonzero(flip) % 2:
             sheets = [(np.concatenate([pts[:, 0], pts[:, 1]]), np.concatenate(kept.T))]
         else:
             sheets = [(pts[:, 0], kept[:, 0]), (pts[:, 1], kept[:, 1])]
         for points, ok in sheets:
-            polylines.extend(_runs(points, ok, curve.closed))
+            polylines.extend(_runs(points, ok))
     return PseudoSingularitySet(tuple(polylines), d > 0, band, rechecked)
 
 

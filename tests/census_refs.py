@@ -56,7 +56,7 @@ def census_walk(p, workspace_curves, census):
                      census.z_edges[1] - census.z_edges[0]))
     seg_a = np.vstack([w.vertices for w in workspace_curves])
     seg_b = np.vstack([np.roll(w.vertices, -1, axis=0) for w in workspace_curves])
-    tags = [(w.source_index, k) for w in workspace_curves for k in range(len(w))]
+    tags = [(ci, k) for ci, w in enumerate(workspace_curves) for k in range(len(w))]
     delta = _census_delta(census.rho_edges, census.z_edges)
     clear = _census_clearance(rc, zc, seg_a, seg_b, 0.3 * cell, delta)
     crossings, hit_seg = _census_crossings(rc, zc, clear, seg_a, seg_b, delta)
@@ -86,7 +86,7 @@ def census_walk(p, workspace_curves, census):
                 if per_kind[(low, high)] >= MAX_BOUNDARY_SAMPLES:
                     continue
                 ci, vertex = tags[hit_seg[e]]
-                curve = next(w for w in workspace_curves if w.source_index == ci)
+                curve = workspace_curves[ci]
                 rr, zz = (float(v) for v in curve.vertices[vertex])
                 cnt = count_at_boundary(p, rr, zz, float(curve.joint.vertices[vertex, 1]))
                 per_kind[(low, high)] += 1

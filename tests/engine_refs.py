@@ -1,6 +1,7 @@
 """Loop references the array engines in the package are tested against: the
 flood fill as one sparse graph over every cell, marching squares and its chain
-walk over dicts keyed by ("u" | "v", i, j), a segment hash filled one segment
+walk over dicts keyed by ("u" | "v", i, j), genericity's isolated-point test
+as a dilation of the crossed cells, a segment hash filled one segment
 at a time, the quartic root engine as it stood before the per-robot conic
 constants, with the circle jet and values as they stood at degree 2, the
 labels one solution at a time over its lattice cell's four corners, the
@@ -289,6 +290,17 @@ def chain_loops(pos, adj):
             seen.add(cur)
         loops.append((np.array([pos[n] for n in loop]), closed))
     return loops
+
+
+def isolated_singular_points(det_vertex, scale):
+    """genericity_check's test (c) as a dilation of the cells S crosses: the
+    lattice points with |det J| < 1e-6 scale outside the mixed cells grown
+    by one cell in each of the eight directions."""
+    on_curve = _mixed_cells(det_vertex < 0)
+    near_curve = on_curve.copy()
+    for shift in ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1)):
+        near_curve |= np.roll(np.roll(on_curve, shift[0], axis=0), shift[1], axis=1)
+    return (np.abs(det_vertex) < 1e-6 * scale) & ~near_curve
 
 
 class SegmentHash:
@@ -1443,7 +1455,7 @@ def sweep_find_nodes(p, workspace_curves, refine=refine_nodes):
     extent = float(np.ptp(seg_a, axis=0).max()) if len(seg_a) else 0.0
     cell = max(float(np.median(steps)) * 4.0 if steps else 0.0, extent / HASH_SPAN)
     sizes = [len(w) for w in workspace_curves]
-    curve = np.repeat(np.array([w.source_index for w in workspace_curves], dtype=int), sizes)
+    curve = np.repeat(np.arange(len(workspace_curves)), sizes)
     size = np.repeat(np.array(sizes, dtype=int), sizes)
     length = np.hypot(*(seg_b - seg_a).T)
     swept = np.nonzero(length * np.max(length, initial=0.0) >= MIN_CROSS)[0]

@@ -274,6 +274,22 @@ def test_unknown_robot_name_errors(capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_every_command_refuses_a_bad_format_before_it_runs(tmp_path, capsys, command):
+    """A bad --format exits 1 with an error and no output, whatever the
+    command and before it reads a robot or writes a file."""
+    extra = {"fk": ["--config", "0,0,0"], "ik": ["--point", "2,0"],
+             "path": ["--config", "0,0,0", "--config", "0,1,1"], "plot": ["jointspace"]}
+    out = tmp_path / "out"
+    for fmt in ("bogus", "json,bogus", ","):
+        rc = main([command, *extra.get(command, []), "--robot", BATTERY, "--name",
+                   "orthogonal_cuspidal", "--grid", "64", "--out", str(out), "--format", fmt])
+        captured = capsys.readouterr()
+        assert rc == 1, fmt
+        assert captured.out == "" and captured.err.startswith("error: unsupported formats"), fmt
+    assert not out.exists()
+
+
 # --------------------------------------------------------------------------
 # classify: exit codes, determinism, schema
 # --------------------------------------------------------------------------

@@ -45,6 +45,7 @@ from cuspidal.reduction import conic_raw, cusp_seeds, polish_cusps
 
 from conftest import (
     BATTERY,
+    BINARY_ROBOT,
     NODE_ROBOT,
     NONGENERIC_CURVE,
     NONGENERIC_QUAD,
@@ -61,6 +62,7 @@ from engine_refs import (
     chart_quadruple_root,
     chart_refine_nodes,
     circle_harmonics,
+    isolated_singular_points,
     marching_segments,
     newton_quadruple_root,
     sweep_find_nodes,
@@ -86,7 +88,6 @@ def test_traced_vertices_lie_on_zero_set(analysis):
     for c in analysis.curves(REFERENCE):
         vals = det_jacobian(REFERENCE, c.vertices[:, 0], c.vertices[:, 1])
         assert float(np.max(np.abs(vals))) < 1e-6 * scale
-        assert c.closed
         steps = np.abs(wrap_angle(np.roll(c.vertices, -1, axis=0) - c.vertices))
         assert float(np.max(np.hypot(steps[:, 0], steps[:, 1]))) < 3 * h
 
@@ -132,7 +133,7 @@ def test_node_robot_curve_hits_node_value_twice(analysis):
     """Two distinct curve parameters map near the node point."""
     target = (2.84, 3.79)
     hits = []
-    for wc in analysis.wcurves(NODE_ROBOT):
+    for ci, wc in enumerate(analysis.wcurves(NODE_ROBOT)):
         d = np.hypot(wc.vertices[:, 0] - target[0], wc.vertices[:, 1] - target[1])
         close = np.nonzero(d < 0.05)[0]
         if len(close) == 0:
@@ -142,7 +143,7 @@ def test_node_robot_curve_hits_node_value_twice(analysis):
         for a, b in zip(close[:-1], close[1:]):
             if b - a > 5:
                 groups += 1
-        hits.append((wc.source_index, groups, len(close)))
+        hits.append((ci, groups, len(close)))
     assert sum(g for _, g, _ in hits) >= 2
 
 
@@ -240,10 +241,10 @@ def test_node_count_matches_intersection_oracle(analysis):
     for robot in (REFERENCE, NODE_ROBOT):
         wcs = analysis.wcurves(robot)
         segs = []
-        for wc in wcs:
+        for ci, wc in enumerate(wcs):
             n = len(wc)
             for k in range(n):
-                segs.append((wc.source_index, k, n, wc.vertices[k], wc.vertices[(k + 1) % n]))
+                segs.append((ci, k, n, wc.vertices[k], wc.vertices[(k + 1) % n]))
         crossings = []
         for i in range(len(segs)):
             ci, ki, ni, a0, a1 = segs[i]
@@ -374,6 +375,33 @@ def test_degenerate_curve_robot_flagged(analysis):
     assert "curve_gradient" in kinds
     # test (a) refuses it too: its conic vanishes at (rho, z) = (2, 0)
     assert kinds[0] == "vanishing_conic" and "quadruple_root" not in kinds
+
+
+def test_isolated_point_blocks_equal_the_dilation_reference():
+    """Test (c)'s evidence equals the dilation of the crossed cells
+    (engine_refs) on the battery, the screen robots, the a3 sweep 1.90 ...
+    2.30 across the cuspidal transition, the non-generic pair, the binary
+    robot and 60 random draws, at grids 240 and 720; the sweep near a3 = 2,
+    where S degenerates, and NONGENERIC_CURVE fire it."""
+    inputs = perfbench_inputs()
+    rng = np.random.default_rng(7)
+    robots = [*BATTERY.values(), *(p for _, p, _ in inputs.screen_robots(0)),
+              *(inputs.sweep_robot(round(1.9 + 0.01 * k, 2)) for k in range(41)),
+              NONGENERIC_QUAD, NONGENERIC_CURVE, BINARY_ROBOT,
+              *(inputs.random_robot(rng) for _ in range(60))]
+    fired = 0
+    for grid_n in (TEST_GRID, 720):
+        for p in robots:
+            curves = trace_critical_points(p, grid_n)
+            found = [e for e in genericity_check(p, grid_n, curves, (), ()).evidence
+                     if e["kind"] == "isolated_singular_cells"]
+            ii, jj = np.nonzero(isolated_singular_points(curves.det_vertex, singularity_scale(p)))
+            ref = [] if len(ii) == 0 else [{
+                "kind": "isolated_singular_cells", "count": len(ii),
+                "first_cell": (-math.pi + 2 * math.pi * np.array([ii[0], jj[0]]) / grid_n).tolist()}]
+            assert found == ref, (p, grid_n)
+            fired += bool(ref)
+    assert fired >= 20
 
 
 # --------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """The root engine, the conic stack, the IK slot, the labels, the path
 search and its audit, and the c3s3 plot's marching squares against the
 references in engine_refs, bit for bit, plus the engine's work bounds per
-call, and the SVG polylines against the per-vertex formatter."""
+call, the SVG polylines against the per-vertex formatter, and the
+jointspace figure's split at the torus seams."""
 import itertools
 import math
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -20,7 +22,8 @@ from cuspidal import (
     forward_kinematics,
 )
 from cuspidal import critical, reduction, robotfile, svgplot, topology
-from cuspidal.dh import fk_arrays
+from cuspidal.dh import fk_arrays, wrap_angle
+from cuspidal.geometry import split_torus_polyline
 from cuspidal.reduction import (
     _base_xy,
     _circle_rows,
@@ -626,3 +629,44 @@ def test_polylines_of_random_points_equal_the_per_vertex_formatter(seed):
     _polyline_equals_reference(canvas, pts)
     _polyline_equals_reference(canvas, [tuple(v) for v in pts.tolist()])
     _polyline_equals_reference(canvas, [(canvas.x0, canvas.y1), (-0.0, 0.0), (1e-300, -1e-300)])
+
+
+def _wrapped_circle(center, radius=1.0, n=200, phase=0.1):
+    """A circle on the torus as wrapped points, closed by repeating its first
+    point."""
+    a = phase + 2 * math.pi * np.arange(n + 1) / n
+    return wrap_angle(np.asarray(center) + radius * np.column_stack([np.cos(a), np.sin(a)]))
+
+
+@pytest.mark.parametrize("v, pieces", [
+    (_wrapped_circle((0.5, -0.3)), 1),                # crosses no seam
+    (_wrapped_circle((math.pi, 0.0)), 3),             # crosses the theta2 seam twice
+    (_wrapped_circle((math.pi, math.pi)), 5),         # crosses each seam twice
+    # winds once around both circles: one step crosses both seams
+    (wrap_angle(np.repeat(np.linspace(-3.0, -3.0 + 2 * math.pi, 101)[:, None], 2, axis=1)), 2),
+], ids=["inside", "theta2-seam", "both-seams", "winding"])
+def test_split_torus_polyline_cuts_each_seam_crossing(v, pieces):
+    """The pieces concatenate to the input bit for bit, one cut per seam
+    crossing, and no piece steps by more than pi or leaves the square."""
+    out = split_torus_polyline(v)
+    assert len(out) == pieces
+    assert np.concatenate(out).tobytes() == v.tobytes()
+    for piece in out:
+        assert np.all(np.abs(np.diff(piece, axis=0)) <= math.pi)
+        assert np.all((piece >= -math.pi) & (piece < math.pi))
+
+
+def test_jointspace_figure_stays_inside_its_square(analysis):
+    """Every S and PS point of render_jointspace lies in the square of the
+    torus on every battery robot; the %.3f view digits allow 5e-4."""
+    canvas = svgplot._Canvas(-math.pi, math.pi, -math.pi, math.pi)
+    lo, hi = canvas.to_view(-math.pi, math.pi), canvas.to_view(math.pi, -math.pi)
+    for p in BATTERY.values():
+        curves = analysis.curves(p)
+        svg = svgplot.render_jointspace(curves, topology.compute_pseudosingularities(curves),
+                                        topology.compute_aspects(curves))
+        for cls in ("singular-curve", "pseudo-curve"):
+            coords = re.findall(f'<polyline class="{cls}" points="([^"]*)"', svg)
+            assert coords, (p, cls)
+            xy = np.array([pt.split(",") for c in coords for pt in c.split()], float)
+            assert np.all((xy >= np.subtract(lo, 5e-4)) & (xy <= np.add(hi, 5e-4))), (p, cls)

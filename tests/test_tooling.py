@@ -6,8 +6,9 @@ third-party module imported when the package loads or an analysis runs, one
 formula for the pulled-back discriminant, one for the quartic's discriminant
 and one invariant count, root finding in theta3 with no half-angle chart,
 no least squares or multi-unknown Newton in the package, one harmonic row
-format for the trigonometric polynomials on the theta circle, and PS lifted
-from S with no marching squares or crossing refinement of its own."""
+format for the trigonometric polynomials on the theta circle, PS lifted
+from S with no marching squares or crossing refinement of its own, and S as
+closed loops with one seam rule."""
 import ast
 import os
 import pathlib
@@ -331,18 +332,42 @@ def test_no_module_samples_d_at_every_lattice_point():
         == {"critical.py": ["trace_critical_points"]}
 
 
+def _definition(path, name: str):
+    """The function or class `name` defined in `path`."""
+    return next(node for node in ast.walk(_tree(path)) if isinstance(
+        node, (ast.FunctionDef, ast.ClassDef)) and node.name == name)
+
+
 # PS is the IK lift of S: no crossing refinement is left, the chain walk
 # takes no mask, and marching squares and its walk run for S alone.
 def test_pseudosingularities_are_lifted_not_traced():
     for path in PACKAGE.glob("*.py"):
         assert _names(_tree(path)) & {"_refine_crossings", "_CROSSING_BRACKET"} == set(), path.name
-    walk = next(node for node in ast.walk(_tree(PACKAGE / "critical.py"))
-                if isinstance(node, ast.FunctionDef) and node.name == "_chain_loops")
+    walk = _definition(PACKAGE / "critical.py", "_chain_loops")
     assert [a.arg for a in walk.args.args] == ["nbr"] and not walk.args.kwonlyargs
     for name in ("_marching_segments", "_chain_loops"):
         callers = {(path.name, scope) for path in PACKAGE.glob("*.py")
                    for scope, _ in _callers(_tree(path), name)}
         assert callers == {("critical.py", "trace_critical_points")}, name
+
+
+# S is closed loops of wrapped vertices: no curve carries a closed flag or its
+# own index, one vectorized rule splits torus polylines at the seams, and
+# genericity's isolated-point test reads each point's own 4 x 4 block.
+def test_s_is_closed_loops_with_one_seam_rule():
+    for cls, field in (("JointCurve", "closed"), ("WorkspaceCurve", "source_index")):
+        fields = {node.target.id for node in _definition(PACKAGE / "critical.py", cls).body
+                  if isinstance(node, ast.AnnAssign)}
+        assert "vertices" in fields and field not in fields, cls
+    split = _definition(PACKAGE / "geometry.py", "split_torus_polyline")
+    assert [a.arg for a in split.args.args] == ["vertices"] and not split.args.kwonlyargs
+    loops = (ast.For, ast.While, ast.ListComp, ast.GeneratorExp, ast.SetComp, ast.DictComp)
+    assert not any(isinstance(node, loops) for node in ast.walk(split))
+    assert [a.arg for a in _definition(PACKAGE / "topology.py", "_runs").args.args] \
+        == ["points", "kept"]
+    tree = _tree(PACKAGE / "critical.py")
+    for name in ("_mixed_cells", "roll"):
+        assert "genericity_check" not in {scope for scope, _ in _callers(tree, name)}, name
 
 
 def _reading_scopes(tree, name: str) -> set:
