@@ -47,14 +47,17 @@ def _parse_floats(text: str, n: int, what: str):
     return [float(v) for v in parts]
 
 
-def _add_common(sub):
+def _add_common(sub, *options):
     sub.add_argument("--robot", required=True, help="robot spec file (JSON)")
     sub.add_argument("--name", default=None, help="robot name inside the file")
-    sub.add_argument("--grid", type=int, default=DEFAULT_GRID_N,
-                     help="torus grid resolution (default 720)")
-    sub.add_argument("--out", default="out", help="output directory")
-    sub.add_argument("--format", default="json",
-                     help="comma-separated subset of json,csv,svg")
+    if "grid" in options:
+        sub.add_argument("--grid", type=int, default=DEFAULT_GRID_N,
+                         help="torus grid resolution (default 720)")
+    if "out" in options:
+        sub.add_argument("--out", default="out", help="output directory")
+    if "format" in options:
+        sub.add_argument("--format", default="json",
+                         help="comma-separated subset of json,csv,svg")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -63,8 +66,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Decide whether a generic 3R serial manipulator is cuspidal.")
     subs = ap.add_subparsers(dest="command", required=True)
 
+    files = ("out", "format")          # the options of the commands that write files
     sub = subs.add_parser("classify", help="full analysis with verdict and report")
-    _add_common(sub)
+    _add_common(sub, "grid", *files)
     sub.add_argument("--census", type=int, default=128, help="workspace census resolution")
     sub.add_argument("--samples", type=int, default=200,
                      help="cross-validation sample count")
@@ -78,21 +82,22 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sub)
     sub.add_argument("--point", required=True, metavar="RHO,Z")
 
-    for cmd, doc in (("critical", "trace critical curves in joint space and workspace"),
-                     ("cusps", "locate cusp points"),
-                     ("nodes", "locate node points"),
-                     ("aspects", "count aspects and reduced aspects"),
-                     ("pseudo", "compute pseudosingularity curves")):
+    for cmd, doc, options in (("critical", "trace critical curves in joint space and workspace",
+                                ("grid", *files)),
+                               ("cusps", "locate cusp points", files),
+                               ("nodes", "locate node points", files),
+                               ("aspects", "count aspects and reduced aspects", ("grid",)),
+                               ("pseudo", "compute pseudosingularity curves", ("grid", *files))):
         sub = subs.add_parser(cmd, help=doc)
-        _add_common(sub)
+        _add_common(sub, *options)
 
     sub = subs.add_parser("path", help="nonsingular path between two configurations")
-    _add_common(sub)
+    _add_common(sub, "grid", *files)
     sub.add_argument("--config", action="append", required=True,
                      metavar="T1,T2,T3", help="give twice: start and goal")
 
     sub = subs.add_parser("plot", help="deterministic SVG figures")
-    _add_common(sub)
+    _add_common(sub, "grid", "out")
     sub.add_argument("what", choices=["workspace", "jointspace", "c3s3"])
     sub.add_argument("--point", default=None, metavar="RHO,Z",
                      help="target for the c3s3 plot")
@@ -355,7 +360,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        args.format = _formats(args.format)
+        if "format" in args:
+            args.format = _formats(args.format)
         return _COMMANDS[args.command](args)
     except (CuspidalError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

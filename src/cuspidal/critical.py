@@ -23,8 +23,10 @@ import numpy as np
 from .dh import (
     TWO_PI,
     DhParams,
+    _theta3_terms,
+    det_coefficients,
     det_jacobian,
-    det_jacobian_grad,
+    det_jacobian_jet,
     fk_arrays,
     length_scale,
     singularity_scale,
@@ -166,6 +168,16 @@ class RegionCensus:
 # tracing
 # --------------------------------------------------------------------------
 
+def _with_next(ufunc, a: np.ndarray, axis: int) -> np.ndarray:
+    """The booleans ufunc(a, np.roll(a, -1, axis)) without the rolled copy: each
+    point against its next neighbour along `axis` on the wrapped lattice."""
+    out = np.empty(a.shape, dtype=bool)
+    v, o = np.moveaxis(a, axis, 0), np.moveaxis(out, axis, 0)
+    ufunc(v[:-1], v[1:], out=o[:-1])
+    ufunc(v[-1], v[0], out=o[-1])
+    return out
+
+
 def _marching_segments(f: np.ndarray, th: np.ndarray, field):
     """Edge-crossing graph of the sign changes of a sampled field, as arrays.
 
@@ -182,10 +194,12 @@ def _marching_segments(f: np.ndarray, th: np.ndarray, field):
     n = len(th)
     h = TWO_PI / n
     neg = f < 0
-    cross_u = neg != np.roll(neg, -1, axis=0)
-    cross_v = neg != np.roll(neg, -1, axis=1)
-    ids = np.concatenate([np.flatnonzero(cross_u), n * n + np.flatnonzero(cross_v)])
-    ci, cj = np.divmod(np.flatnonzero(_mixed_cells(neg)), n)
+    u, v = (np.flatnonzero(_with_next(np.not_equal, neg, axis)) for axis in (0, 1))
+    ids = np.concatenate([u, n * n + v])
+    # the mixed cells: (i, j) and (i, j - 1) of each u(i, j), (i, j) and (i - 1, j) of each v(i, j)
+    mixed = np.zeros(n * n, dtype=bool)
+    mixed[u] = mixed[u - u % n + (u - 1) % n] = mixed[v] = mixed[(v - n) % (n * n)] = True
+    ci, cj = np.divmod(np.flatnonzero(mixed), n)
     ip, jp = (ci + 1) % n, (cj + 1) % n
     # each cell's edges and their node indices, -1 where an edge is not crossed
     edges = np.column_stack([ci * n + cj, n * n + ip * n + cj, ci * n + jp, n * n + ci * n + cj])
@@ -204,10 +218,13 @@ def _marching_segments(f: np.ndarray, th: np.ndarray, field):
         pairs[saddle, 0] = np.where(same, e[:, [3, 0]], e[:, [0, 1]])
         pairs[saddle, 1] = np.where(same, e[:, [2, 1]], e[:, [2, 3]])
     pairs = pairs[pairs[:, :, 0] >= 0]
-    # each node has one pair in each of its two cells: a stable sort of the
-    # pair ends by node keeps the cells' order
-    nbr = pairs[:, ::-1].ravel()[np.argsort(pairs.ravel(), kind="stable")]
-    return ids, nbr.reshape(-1, 2)
+    # each node ends one pair in each of its two cells: its neighbours are
+    # the other ends at its first and its last occurrence, in the cells' order
+    ends, slot = pairs.ravel(), np.arange(pairs.size)
+    first, last = np.full(len(ids), pairs.size), np.zeros(len(ids), dtype=int)
+    np.minimum.at(first, ends, slot)
+    np.maximum.at(last, ends, slot)
+    return ids, pairs[:, ::-1].ravel()[np.column_stack([first, last])]
 
 
 def _crossing_points(f: np.ndarray, th: np.ndarray, ids: np.ndarray) -> np.ndarray:
@@ -223,29 +240,20 @@ def _crossing_points(f: np.ndarray, th: np.ndarray, ids: np.ndarray) -> np.ndarr
     return np.column_stack([th[i], th[j]]) + frac[:, None] * step
 
 
-def _mixed_cells(neg: np.ndarray) -> np.ndarray:
-    """Cells of the wrapped grid whose four corners do not share a sign.
-
-    `neg[i, j]` is the sign test at vertex (i, j); cell (i, j) spans vertices
-    i..i+1 by j..j+1.  These are exactly the cells a crossing borders, where
-    marching squares draws one segment (two crossed edges) or two (four).
-    """
-    up = np.roll(neg, -1, axis=0)
-    n_neg = neg.astype(np.int8) + up + np.roll(neg, -1, axis=1) + np.roll(up, -1, axis=1)
-    return (n_neg > 0) & (n_neg < 4)
-
-
-def _sample_lattice(field, grid_n: int):
-    """field(theta2, theta3) on the wrapped vertex lattice th x th, th_k =
-    -pi + k 2 pi / grid_n, the one lattice every torus map reads; returns
-    (values, th).  Blocks of 48 rows keep the temporaries small.  `field` gets
-    the block's theta2 as a column and theta3 as a row and must broadcast
-    them elementwise, so each value is the one the same angles give point by
-    point while the trig runs on the axes."""
+def _sample_lattice(p: DhParams, grid_n: int):
+    """det J on the wrapped vertex lattice th x th, th_k = -pi + k 2 pi /
+    grid_n, the one lattice every torus map reads; returns (values, th).  A,
+    B and C are evaluated once, on the theta3 axis; blocks of 48 rows, which
+    keep the temporaries small, sum cos(theta2) A + sin(theta2) B + C in
+    det_jacobian's order, so each value is the one the angles give pointwise."""
     th = -math.pi + TWO_PI * np.arange(grid_n) / grid_n
+    a, b, c = _theta3_terms(th, det_coefficients(p))
     out = np.empty((grid_n, grid_n))
     for i in range(0, grid_n, 48):
-        out[i:i + 48] = field(th[i:i + 48, None], th[None, :])
+        block = out[i:i + 48]
+        np.multiply(np.cos(th[i:i + 48, None]), a, out=block)
+        block += np.sin(th[i:i + 48, None]) * b
+        block += c
     return out, th
 
 
@@ -278,14 +286,14 @@ def _refine_on_zero_set(p: DhParams, pts: np.ndarray, scale: float) -> np.ndarra
     """Newton steps along the gradient onto det J = 0 (vectorized).
 
     Runs to (near) machine precision so that the quartic at each image point
-    keeps its double root within the clustering radius.
+    keeps its double root within the clustering radius.  Each step takes the
+    value and the gradient from one evaluation of the trig.
     """
     pts = pts.copy()
     for _ in range(20):
-        fval = det_jacobian(p, pts[:, 0], pts[:, 1])
+        fval, g2, g3 = det_jacobian_jet(p, pts[:, 0], pts[:, 1])
         if float(np.max(np.abs(fval))) < _REFINE_TOL * scale:
             break
-        g2, g3 = det_jacobian_grad(p, pts[:, 0], pts[:, 1])
         gg = g2 * g2 + g3 * g3
         gg = np.where(gg < 1e-300, 1.0, gg)
         pts[:, 0] -= fval * g2 / gg
@@ -303,15 +311,13 @@ def trace_critical_points(p: DhParams, grid_n: int = DEFAULT_GRID_N) -> Critical
     if grid_n < 64:
         raise ValueError("grid_n must be >= 64")
     scale = singularity_scale(p)
-    field = functools.partial(det_jacobian, p)
-    f, th = _sample_lattice(field, grid_n)
-    ids, nbr = _marching_segments(f, th, field)
+    f, th = _sample_lattice(p, grid_n)
+    ids, nbr = _marching_segments(f, th, functools.partial(det_jacobian, p))
     pos = _crossing_points(f, th, ids)
     curves = []
     for chain in _chain_loops(nbr):
         refined = _refine_on_zero_set(p, pos[chain], scale)
-        g2, g3 = det_jacobian_grad(p, refined[:, 0], refined[:, 1])
-        curves.append(JointCurve(refined, np.hypot(g2, g3)))
+        curves.append(JointCurve(refined, np.hypot(*det_jacobian_jet(p, *refined.T)[1:])))
     curves.sort(key=lambda c: (-len(c), float(c.vertices[0, 0]), float(c.vertices[0, 1])))
     return CriticalSet(p, grid_n, curves, f)
 
@@ -552,10 +558,11 @@ def genericity_check(p: DhParams, grid_n: int, curves: CriticalSet, workspace_cu
     # (c) isolated singular points: small |det J| at a lattice point (i, j)
     # whose 4 x 4 vertex block i-1..i+2, j-1..j+2 (wrapped) has one sign of
     # det J, so none of the 9 cells around the point is crossed by S
-    ii, jj = np.divmod(np.flatnonzero(np.abs(curves.det_vertex) < 1e-6 * scale), grid_n)
+    det, tol = curves.det_vertex, 1e-6 * scale
+    ii, jj = np.divmod(np.flatnonzero((det < tol) & (det > -tol)), grid_n)
     k = np.arange(-1, 3)
-    n_neg = np.count_nonzero(curves.det_vertex[(ii[:, None, None] + k[:, None]) % grid_n,
-                                               (jj[:, None, None] + k) % grid_n] < 0, axis=(1, 2))
+    n_neg = np.count_nonzero(det[(ii[:, None, None] + k[:, None]) % grid_n,
+                                 (jj[:, None, None] + k) % grid_n] < 0, axis=(1, 2))
     isolated = (n_neg == 0) | (n_neg == 16)
     if bool(np.any(isolated)):
         ii, jj = ii[isolated], jj[isolated]

@@ -283,10 +283,11 @@ def det_jacobian(p: DhParams, theta2, theta3):
     return np.cos(theta2) * a + np.sin(theta2) * b + c
 
 
-def det_jacobian_grad(p: DhParams, theta2, theta3):
-    """Exact gradient of det_jacobian w.r.t. (theta2, theta3):
+def det_jacobian_jet(p: DhParams, theta2, theta3):
+    """(det J, d/dtheta2, d/dtheta3) from one evaluation of the trig: the
+    value is det_jacobian's, bit for bit, and the exact gradient is
     (-sin(theta2) A + cos(theta2) B, cos(theta2) A' + sin(theta2) B' + C')."""
     rows = det_coefficients(p)
-    a, b, da, db, dc = _theta3_terms(theta3, rows[:2] + tuple(_d_theta3(r) for r in rows))
+    a, b, c, da, db, dc = _theta3_terms(theta3, rows + tuple(_d_theta3(r) for r in rows))
     c2, s2 = np.cos(theta2), np.sin(theta2)
-    return c2 * b - s2 * a, c2 * da + s2 * db + dc
+    return c2 * a + s2 * b + c, c2 * b - s2 * a, c2 * da + s2 * db + dc

@@ -9,7 +9,6 @@ import math
 
 import numpy as np
 
-from .critical import _mixed_cells
 from .dh import TWO_PI, CrossSectionPoint, DhParams
 from .errors import CuspidalError
 from .geometry import split_torus_polyline
@@ -143,12 +142,13 @@ def render_jointspace(curves, ps, aspect_map) -> str:
 
 def _marching_squares_plane(values, xs, ys):
     """Zero-level segments of a scalar field on a plane grid (no wrap), as
-    an (m, 2, 2) array of end points in row-major cell order: the cells of
-    critical._mixed_cells but its wrapping last row and column, each with
-    its crossed edges, in the turn bottom, right, top, left, joined in
-    pairs, the first two and, in a four-edge cell, the last two."""
+    an (m, 2, 2) array of end points in row-major cell order: the cells
+    with a crossed edge, each with its crossed edges, in the turn bottom,
+    right, top, left, joined in pairs, the first two and, in a four-edge
+    cell, the last two."""
     neg = values < 0
-    ci, cj = np.nonzero(_mixed_cells(neg)[:-1, :-1])
+    along_x, along_y = neg[:-1] != neg[1:], neg[:, :-1] != neg[:, 1:]    # crossed edges
+    ci, cj = np.nonzero(along_x[:, :-1] | along_x[:, 1:] | along_y[:-1] | along_y[1:])
     i0 = np.column_stack([ci, ci + 1, ci + 1, ci])
     j0 = np.column_stack([cj, cj, cj + 1, cj + 1])
     i1, j1 = np.roll(i0, -1, axis=1), np.roll(j0, -1, axis=1)

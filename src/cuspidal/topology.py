@@ -39,6 +39,7 @@ from .critical import (
     CUSP_RESIDUAL_TOL,
     DEFAULT_GRID_N,
     CriticalSet,
+    _with_next,
     critical_values,
     find_cusps,
     find_nodes,
@@ -209,36 +210,39 @@ def _components(key, excluded=None):
     fill runs over row runs, the maximal runs of cells joined by open edges
     along a row (axis 1) up to its seam, numbered in row-major order.  The
     graph joins runs across each row's seam (column n - 1 to column 0) and
-    across the open edges between rows, with one edge wherever
-    the pair of runs changes along the row, so it has thousands of nodes
-    where a graph of cells has grid_n^2.  Returns the count and the labels.
+    across the open edges between rows, with one edge wherever a run starts
+    in either row, so it has thousands of nodes where a graph of cells has
+    grid_n^2.  Returns the count and the labels.
     """
-    free = np.ones(key.shape, dtype=bool) if excluded is None else ~excluded
-    joined = (key[:, 1:] == key[:, :-1]) & free[:, 1:] & free[:, :-1]
+    n = key.shape[1]
+    right = _with_next(np.equal, key, 1)        # open edges along each row, its seam last
+    below = _with_next(np.equal, key, 0)        # and from each row to the next
+    if excluded is not None:
+        free = ~excluded
+        right &= _with_next(np.logical_and, free, 1)
+        below &= _with_next(np.logical_and, free, 0)
     start = np.ones(key.shape, dtype=bool)
-    start[:, 1:] = ~joined
+    start[:, 1:] = ~right[:, :-1]
+    below &= _with_next(np.logical_or, start, 0)
     starts = np.flatnonzero(start)
     n_runs = len(starts)
-    run = np.repeat(np.arange(n_runs, dtype=np.int32), np.diff(starts, append=key.size))
-    run = run.reshape(key.shape)
-    seam = (key[:, -1] == key[:, 0]) & free[:, -1] & free[:, 0]
-    # open edges from each row to the next (the last row to the first), kept
-    # where the pair of runs they join differs from the pair one cell back
-    below = np.roll(run, -1, axis=0)
-    across = (key == np.roll(key, -1, axis=0)) & free & np.roll(free, -1, axis=0)
-    across[:, 1:] &= (run[:, 1:] != run[:, :-1]) | (below[:, 1:] != below[:, :-1])
-    rows = np.concatenate([run[seam, -1], run[across]])
-    cols = np.concatenate([run[seam, 0], below[across]])
+    edge, seam = np.flatnonzero(below), np.flatnonzero(right[:, -1]) * n
+    rows = np.searchsorted(starts, np.concatenate([seam + n - 1, edge]), "right") - 1
+    cols = np.searchsorted(starts, np.concatenate([seam, (edge + n) % key.size]), "right") - 1
     graph = coo_matrix((np.ones(len(rows), dtype=bool), (rows, cols)), shape=(n_runs, n_runs))
     n_comp, comp = connected_components(graph, directed=False)
     # an excluded cell is a run of its own without edges, so its component
     # holds no free run and keeps the label -1
-    free_runs = np.flatnonzero(free.ravel()[starts])
-    comps, first = np.unique(comp[free_runs], return_index=True)
-    order = np.argsort(first)
-    remap = -np.ones(n_comp, dtype=np.int32)
-    remap[comps[order]] = np.arange(len(comps), dtype=np.int32)
-    return len(comps), remap[comp][run]
+    free_runs = np.arange(n_runs) if excluded is None else np.flatnonzero(free.ravel()[starts])
+    first = np.full(n_comp, n_runs)
+    np.minimum.at(first, comp[free_runs], free_runs)
+    named = first < n_runs
+    is_first = np.zeros(n_runs, dtype=bool)
+    is_first[first[named]] = True
+    remap = np.full(n_comp, -1, dtype=np.int32)
+    remap[named] = (np.cumsum(is_first, dtype=np.int32) - 1)[first[named]]
+    labels = np.repeat(remap[comp], np.diff(starts, append=key.size))
+    return int(np.count_nonzero(named)), labels.reshape(key.shape)
 
 
 def compute_aspects(curves: CriticalSet) -> AspectMap:
@@ -247,9 +251,9 @@ def compute_aspects(curves: CriticalSet) -> AspectMap:
 
     Lattice points singular within tolerance are labeled -1.
     """
-    det = curves.det_vertex
+    det, tol = curves.det_vertex, _SINGULAR_CELL_TOL * singularity_scale(curves.robot)
     count, labels = _components(det >= 0)
-    labels[np.abs(det) < _SINGULAR_CELL_TOL * singularity_scale(curves.robot)] = -1
+    labels[(det < tol) & (det > -tol)] = -1
     return AspectMap(curves.grid_n, labels, count, det)
 
 
@@ -299,7 +303,8 @@ def _discriminant_lattice(p: DhParams, grid_n: int):
     # einsum's loop, not BLAS, whose thread pool costs more than this product;
     # the loop runs at half the time with the rows' transpose contiguous
     d = np.einsum("im,mj->ij", _circle_values(eye, th + math.pi), np.ascontiguousarray(rows.T))
-    i, j = np.nonzero(np.abs(d) <= _D_RECHECK * float(np.max(_harmonic_bound(rows))))
+    thr = _D_RECHECK * float(np.max(_harmonic_bound(rows)))
+    i, j = np.divmod(np.flatnonzero((d <= thr) & (d >= -thr)), grid_n)
     d[i, j] = _discriminant(p, th[i], th[j])
     return d, len(i)
 
@@ -308,10 +313,12 @@ def _s_band(det_vertex: np.ndarray) -> np.ndarray:
     """Both ends of every lattice edge where det J changes sign, grown
     ceil(PS_EXCLUSION_RADIUS / h) + 1 times over the 4-neighbourhood."""
     neg = det_vertex < 0
-    band = np.zeros(neg.shape, dtype=bool)
-    for axis in (0, 1):
-        crossed = neg != np.roll(neg, -1, axis=axis)
-        band |= crossed | np.roll(crossed, 1, axis=axis)
+    cu, cv = _with_next(np.not_equal, neg, 0), _with_next(np.not_equal, neg, 1)
+    band = cu | cv
+    band[1:] |= cu[:-1]
+    band[0] |= cu[-1]
+    band[:, 1:] |= cv[:, :-1]
+    band[:, 0] |= cv[:, -1]
     for _ in range(int(math.ceil(PS_EXCLUSION_RADIUS / (TWO_PI / len(neg)))) + 1):
         grown = band.copy()
         for src, dst in ((np.s_[:-1], np.s_[1:]), (np.s_[1:], np.s_[:-1]), (-1, 0), (0, -1)):
@@ -394,10 +401,10 @@ def compute_reduced_aspects(ps: PseudoSingularitySet, aspects: AspectMap) -> Red
     if ps.d_positive.shape != (grid_n, grid_n):
         raise ValueError("pseudosingularities were computed on another grid")
     off = ~ps.s_band
-    if not any(np.any((ps.d_positive != np.roll(ps.d_positive, -1, axis)) & off
-                      & np.roll(off, -1, axis)) for axis in (0, 1)):
+    if not any(np.any(_with_next(np.not_equal, ps.d_positive, axis)
+                      & _with_next(np.logical_and, off, axis)) for axis in (0, 1)):
         return ReducedAspectMap(grid_n, aspects.labels, aspects.count)
-    key = 2 * (aspects.det_vertex >= 0) + ps.d_positive
+    key = np.int8(2) * (aspects.det_vertex >= 0) + ps.d_positive
     count, labels = _components(key, excluded=ps.s_band)
     labels[aspects.labels < 0] = -1
     return ReducedAspectMap(grid_n, labels, count)
@@ -469,11 +476,13 @@ def _path_graph(amap: AspectMap, allowed: np.ndarray, scale: float):
     by the cost of entering it, h (1 + 0.05 / (|det J| / scale + 1e-3)).  The
     lattice-sized temporaries die on return, before the search allocates its
     state."""
+    n = amap.grid_n
     points = np.flatnonzero(allowed)
-    node = np.full(allowed.shape, -1, dtype=np.int32)
-    node[allowed] = np.arange(len(points), dtype=np.int32)
-    to = np.column_stack([np.roll(node, shift, axis=axis).ravel()[points]
-                          for shift, axis in ((-1, 0), (1, 0), (-1, 1), (1, 1))])
+    node = np.full(allowed.size, -1, dtype=np.int32)
+    node[points] = np.arange(len(points), dtype=np.int32)
+    i, j = np.divmod(points, n)
+    to = node[np.column_stack([(i + 1) % n * n + j, (i - 1) % n * n + j,
+                               i * n + (j + 1) % n, i * n + (j - 1) % n])]
     edge = to >= 0
     indptr = np.insert(np.cumsum(np.count_nonzero(edge, axis=1), dtype=np.int32), 0, 0)
     to = to[edge]
@@ -498,7 +507,8 @@ def find_nonsingular_path(p: DhParams, maps: TopologyMaps,
     goal = amap.nearest(q_goal.theta2, q_goal.theta3)
     if amap.labels[start] != amap.labels[goal] or amap.labels[start] < 0:
         return None
-    allowed = (amap.labels == amap.labels[start]) & (np.abs(amap.det_vertex) > 3.0 * tol)
+    det = amap.det_vertex
+    allowed = (amap.labels == amap.labels[start]) & ((det > 3.0 * tol) | (det < -3.0 * tol))
     allowed[start] = allowed[goal] = True
     points, graph = _path_graph(amap, allowed, scale)
     first, last = (int(np.searchsorted(points, i * amap.grid_n + j)) for i, j in (start, goal))

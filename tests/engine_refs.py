@@ -1,6 +1,7 @@
 """Loop references the array engines in the package are tested against: the
 flood fill as one sparse graph over every cell, marching squares and its chain
-walk over dicts keyed by ("u" | "v", i, j), genericity's isolated-point test
+walk over dicts keyed by ("u" | "v", i, j), with its mixed cells counted over
+rolled copies of the lattice, genericity's isolated-point test
 as a dilation of the crossed cells, a segment hash filled one segment
 at a time, the quartic root engine as it stood before the per-robot conic
 constants, with the circle jet and values as they stood at degree 2, the
@@ -12,7 +13,10 @@ as a loop over cells, the SVG polyline formatted one vertex at a time, the
 pulled-back discriminant D through the end effector and the conic, the
 signs of D sampled at every lattice point, as PS was traced before D's
 theta2 series, the reduced aspects' parents from a sort of the whole
-lattice, and the chart engine:
+lattice, the lattice passes as they stood before they dropped their rolled
+copies and abs temporaries (the block sampler with A, B and C per block,
+the trace's Newton with separate value and gradient calls, the S band and
+D's recheck), and the chart engine:
 cusps, nodes and quadruple roots solved on the quartic M in the half-angle
 chart that keeps each seed well conditioned, as they stood before the Newton
 systems moved onto the theta3 circle, certified by the unit-free rule on the
@@ -35,6 +39,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from cuspidal.critical import (
+    _REFINE_TOL,
     _RHO2_FLOOR,
     CUSP_RESIDUAL_TOL,
     CUSP_THIRD_DERIV_MIN,
@@ -44,13 +49,14 @@ from cuspidal.critical import (
     _certify,
     _chart_seed,
     _dedup_sorted,
-    _mixed_cells,
-    _sample_lattice,
     _segments,
 )
 from cuspidal.dh import (
     TWO_PI,
     JointConfig,
+    _d_theta3,
+    _theta3_terms,
+    det_coefficients,
     det_jacobian,
     fk_arrays,
     length_scale,
@@ -205,6 +211,19 @@ def damped_newton(fun_jac, x0):
     return x
 
 
+def mixed_cells(neg):
+    """Cells of the wrapped grid whose four corners do not share a sign,
+    from a count of each cell's negative corners over rolled copies.
+
+    `neg[i, j]` is the sign test at vertex (i, j); cell (i, j) spans vertices
+    i..i+1 by j..j+1.  These are exactly the cells a crossing borders, where
+    marching squares draws one segment (two crossed edges) or two (four).
+    """
+    up = np.roll(neg, -1, axis=0)
+    n_neg = neg.astype(np.int8) + up + np.roll(neg, -1, axis=1) + np.roll(up, -1, axis=1)
+    return (n_neg > 0) & (n_neg < 4)
+
+
 def marching_segments(f, th, field):
     """Edge-crossing graph of the sign changes of a sampled field.
 
@@ -231,7 +250,7 @@ def marching_segments(f, th, field):
         pos[("v", int(i), int(j))] = (th[i], th[j] + frac * h)
 
     adj = defaultdict(list)
-    for i, j in zip(*np.nonzero(_mixed_cells(neg))):
+    for i, j in zip(*np.nonzero(mixed_cells(neg))):
         i, j = int(i), int(j)
         ip, jp = (i + 1) % grid_n, (j + 1) % grid_n
         edges = []
@@ -296,11 +315,79 @@ def isolated_singular_points(det_vertex, scale):
     """genericity_check's test (c) as a dilation of the cells S crosses: the
     lattice points with |det J| < 1e-6 scale outside the mixed cells grown
     by one cell in each of the eight directions."""
-    on_curve = _mixed_cells(det_vertex < 0)
+    on_curve = mixed_cells(det_vertex < 0)
     near_curve = on_curve.copy()
     for shift in ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1)):
         near_curve |= np.roll(np.roll(on_curve, shift[0], axis=0), shift[1], axis=1)
     return (np.abs(det_vertex) < 1e-6 * scale) & ~near_curve
+
+
+def sample_lattice(field, grid_n: int):
+    """field(theta2, theta3) on the wrapped vertex lattice in blocks of 48
+    rows, each block's theta2 as a column against the theta3 row: the trig
+    runs on the axes, and det J's A, B and C once per block."""
+    th = -math.pi + TWO_PI * np.arange(grid_n) / grid_n
+    out = np.empty((grid_n, grid_n))
+    for i in range(0, grid_n, 48):
+        out[i:i + 48] = field(th[i:i + 48, None], th[None, :])
+    return out, th
+
+
+def det_jacobian_grad(p, theta2, theta3):
+    """The exact gradient of det J alone: (-sin(theta2) A + cos(theta2) B,
+    cos(theta2) A' + sin(theta2) B' + C')."""
+    rows = det_coefficients(p)
+    a, b, da, db, dc = _theta3_terms(theta3, rows[:2] + tuple(_d_theta3(r) for r in rows))
+    c2, s2 = np.cos(theta2), np.sin(theta2)
+    return c2 * b - s2 * a, c2 * da + s2 * db + dc
+
+
+def refine_on_zero_set(p, pts, scale):
+    """critical._refine_on_zero_set with the value and the gradient from
+    separate calls, each doing its own trig."""
+    pts = pts.copy()
+    for _ in range(20):
+        fval = det_jacobian(p, pts[:, 0], pts[:, 1])
+        if float(np.max(np.abs(fval))) < _REFINE_TOL * scale:
+            break
+        g2, g3 = det_jacobian_grad(p, pts[:, 0], pts[:, 1])
+        gg = g2 * g2 + g3 * g3
+        gg = np.where(gg < 1e-300, 1.0, gg)
+        pts[:, 0] -= fval * g2 / gg
+        pts[:, 1] -= fval * g3 / gg
+    return wrap_angle(pts)
+
+
+def s_band(det_vertex):
+    """topology._s_band with the crossed edges and their far ends as rolled
+    copies of the lattice."""
+    neg = det_vertex < 0
+    band = np.zeros(neg.shape, dtype=bool)
+    for axis in (0, 1):
+        crossed = neg != np.roll(neg, -1, axis=axis)
+        band |= crossed | np.roll(crossed, 1, axis=axis)
+    for _ in range(int(math.ceil(topology.PS_EXCLUSION_RADIUS / (TWO_PI / len(neg)))) + 1):
+        grown = band.copy()
+        for src, dst in ((np.s_[:-1], np.s_[1:]), (np.s_[1:], np.s_[:-1]), (-1, 0), (0, -1)):
+            grown[dst] |= band[src]
+            grown[:, dst] |= band[:, src]
+        band = grown
+    return band
+
+
+def discriminant_lattice(p, grid_n):
+    """topology._discriminant_lattice with its recheck set from the 2-D
+    nonzero of |d| <= threshold."""
+    th = -math.pi + TWO_PI * np.arange(grid_n) / grid_n
+    phi = -math.pi + TWO_PI * np.arange(topology._D_SAMPLES) / topology._D_SAMPLES
+    rows = reduction._harmonics(topology._discriminant(p, phi, th[:, None]), topology._D_DEGREE)
+    eye = np.broadcast_to(np.eye(rows.shape[1]), (grid_n,) + (rows.shape[1],) * 2)
+    d = np.einsum("im,mj->ij", reduction._circle_values(eye, th + math.pi),
+                  np.ascontiguousarray(rows.T))
+    thr = topology._D_RECHECK * float(np.max(reduction._harmonic_bound(rows)))
+    i, j = np.nonzero(np.abs(d) <= thr)
+    d[i, j] = topology._discriminant(p, th[i], th[j])
+    return d, len(i)
 
 
 class SegmentHash:
@@ -964,7 +1051,7 @@ def pointwise_pseudosingularities(curves):
     """(d_positive, s_band) of topology.compute_pseudosingularities with D
     block-sampled at every point of the vertex lattice, as PS was traced
     before D's theta2 series."""
-    d, _ = _sample_lattice(partial(topology._discriminant, curves.robot), curves.grid_n)
+    d, _ = sample_lattice(partial(topology._discriminant, curves.robot), curves.grid_n)
     return d > 0, topology._s_band(curves.det_vertex)
 
 

@@ -196,7 +196,7 @@ def test_cmd_critical_writes_csv(tmp_path, capsys):
 
 def test_cmd_cusps_csv_schema(tmp_path, capsys):
     rc = main(["cusps", "--robot", BATTERY, "--name", "orthogonal_cuspidal",
-               "--grid", "240", "--out", str(tmp_path), "--format", "json,csv"])
+               "--out", str(tmp_path), "--format", "json,csv"])
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
     assert len(doc["cusps"]) == 4
@@ -225,21 +225,19 @@ def test_cmd_aspects(capsys):
 def test_cmd_nodes_on_collapsed_critical_values_stays_bounded(tmp_path, capsys, monkeypatch):
     """A robot whose critical values collapse to a point once asked the
     node sweep for terabytes.  The nodes now come from two quadratics: the
-    command expands no hash bucket at all, so its work is bounded whatever
-    --grid says, and it lists no node at either grid."""
+    command expands no hash bucket at all and reads no grid, so its work is
+    bounded, and it lists no node."""
     def no_expansion(counts):
         raise AssertionError("bucket expansion")
     monkeypatch.setattr(critical, "_expand", no_expansion)
     path = _write_robot(tmp_path, d=(0, 0, 0), a=(2, 2, 2))
-    for grid in ("240", "720"):
-        assert main(["nodes", "--robot", path, "--grid", grid]) == 0
-        assert json.loads(capsys.readouterr().out)["nodes"] == []
+    assert main(["nodes", "--robot", path]) == 0
+    assert json.loads(capsys.readouterr().out)["nodes"] == []
 
 
 def test_cmd_cusps_and_nodes_trace_nothing(capsys, monkeypatch):
     """cusps and nodes come from the robot alone: neither command traces S,
-    whatever --grid says, and both list what find_cusps and find_nodes give
-    with no curves."""
+    and both list what find_cusps and find_nodes give with no curves."""
     def no_trace(*args, **kwargs):
         raise AssertionError("trace_critical_points called")
     monkeypatch.setattr(cli, "trace_critical_points", no_trace)
@@ -247,7 +245,7 @@ def test_cmd_cusps_and_nodes_trace_nothing(capsys, monkeypatch):
     for command, name, find in (("cusps", "orthogonal_cuspidal", find_cusps),
                                 ("nodes", "orthogonal_node", find_nodes)):
         found = find(BATTERY_ROBOTS[name], ())
-        assert main([command, "--robot", BATTERY, "--name", name, "--grid", "64"]) == 0
+        assert main([command, "--robot", BATTERY, "--name", name]) == 0
         listed = json.loads(capsys.readouterr().out)[command]
         assert len(listed) == len(found) > 0
         for c, f in zip(listed, found):
@@ -274,19 +272,48 @@ def test_unknown_robot_name_errors(capsys):
     assert rc == 1
 
 
-@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+# the options of each command beyond --robot and --name, and its own arguments
+READS = {"classify": {"--grid", "--out", "--format"}, "fk": set(), "ik": set(),
+         "critical": {"--grid", "--out", "--format"}, "cusps": {"--out", "--format"},
+         "nodes": {"--out", "--format"}, "aspects": {"--grid"},
+         "pseudo": {"--grid", "--out", "--format"}, "path": {"--grid", "--out", "--format"},
+         "plot": {"--grid", "--out"}}
+EXTRA = {"fk": ["--config", "0,0,0"], "ik": ["--point", "2,0"],
+         "path": ["--config", "0,0,0", "--config", "0,1,1"], "plot": ["jointspace"]}
+
+
+def test_read_options_cover_every_command():
+    assert set(READS) == set(cli._COMMANDS)
+
+
+@pytest.mark.parametrize("command", sorted(c for c in READS if "--format" in READS[c]))
 def test_every_command_refuses_a_bad_format_before_it_runs(tmp_path, capsys, command):
     """A bad --format exits 1 with an error and no output, whatever the
-    command and before it reads a robot or writes a file."""
-    extra = {"fk": ["--config", "0,0,0"], "ik": ["--point", "2,0"],
-             "path": ["--config", "0,0,0", "--config", "0,1,1"], "plot": ["jointspace"]}
+    command that takes it and before it reads a robot or writes a file."""
     out = tmp_path / "out"
+    grid = ["--grid", "64"] if "--grid" in READS[command] else []
     for fmt in ("bogus", "json,bogus", ","):
-        rc = main([command, *extra.get(command, []), "--robot", BATTERY, "--name",
-                   "orthogonal_cuspidal", "--grid", "64", "--out", str(out), "--format", fmt])
+        rc = main([command, *EXTRA.get(command, []), "--robot", BATTERY, "--name",
+                   "orthogonal_cuspidal", *grid, "--out", str(out), "--format", fmt])
         captured = capsys.readouterr()
         assert rc == 1, fmt
         assert captured.out == "" and captured.err.startswith("error: unsupported formats"), fmt
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", sorted(c for c in READS if len(READS[c]) < 3))
+def test_every_command_refuses_the_options_it_does_not_read(tmp_path, capsys, command):
+    """--grid, --out and --format are argparse errors (exit 2, usage on
+    stderr, nothing on stdout) for a command that would ignore them."""
+    out = tmp_path / "out"
+    values = {"--grid": "64", "--out": str(out), "--format": "csv"}
+    for option in sorted(set(values) - READS[command]):
+        with pytest.raises(SystemExit) as exc:
+            main([command, *EXTRA.get(command, []), "--robot", BATTERY, "--name",
+                  "orthogonal_cuspidal", option, values[option]])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2, option
+        assert captured.out == "" and "unrecognized arguments: " + option in captured.err, option
     assert not out.exists()
 
 

@@ -35,7 +35,6 @@ from cuspidal.critical import (
     _crossing_points,
     _dedup_sorted,
     _marching_segments,
-    _mixed_cells,
     _sample_lattice,
 )
 from cuspidal.dh import length_scale
@@ -64,7 +63,9 @@ from engine_refs import (
     circle_harmonics,
     isolated_singular_points,
     marching_segments,
+    mixed_cells,
     newton_quadruple_root,
+    sample_lattice,
     sweep_find_nodes,
 )
 from engine_refs import ik_counts as engine_ik_counts
@@ -714,7 +715,7 @@ def test_corner_sign_mask_equals_marching_cells_on_random_fields(seed):
     n = 16
     f = rng.standard_normal((n, n)) + rng.uniform(-1.5, 1.5)
     th = -math.pi + 2 * math.pi * np.arange(n) / n
-    mask = _mixed_cells(f < 0)
+    mask = mixed_cells(f < 0)
     assert {(int(i), int(j)) for i, j in zip(*np.nonzero(mask))} == _crossing_cells(f, th)
 
 
@@ -773,22 +774,23 @@ def test_array_marching_equals_the_dict_engine_on_robot_fields():
     one vectorised call against one scalar call each."""
     for robot in (REFERENCE, NODE_ROBOT, NONORTHO_NONCUSPIDAL):
         for field in (partial(det_jacobian, robot), partial(topology._discriminant, robot)):
-            f, th = _sample_lattice(field, TEST_GRID)
+            f, th = sample_lattice(field, TEST_GRID)
             _assert_marching_equals_the_dict_engine(f, th, field)
 
 
 def test_det_lattices_equal_the_pointwise_values_on_the_battery():
-    """det J and D on the vertex lattice, sampled in row blocks from the
-    axes (det J's A, B, C on the theta3 axis), have the bytes of the fields
-    evaluated point by point at the same angles, as flattened arrays and as
-    Python floats."""
+    """det J on the vertex lattice (A, B and C once on the theta3 axis) and
+    D block-sampled from the axes have the bytes of the fields evaluated
+    point by point at the same angles, as flattened arrays and as Python
+    floats."""
     n = 128
     vertices = -math.pi + 2 * math.pi * np.arange(n) / n
     t2, t3 = np.meshgrid(vertices, vertices, indexing="ij")
     pick = np.random.default_rng(3).integers(0, n, (40, 2))
     for robot in BATTERY.values():
-        for field in (partial(det_jacobian, robot), partial(topology._discriminant, robot)):
-            lattice, th = _sample_lattice(field, n)
+        d_field = partial(topology._discriminant, robot)
+        for field, (lattice, th) in ((partial(det_jacobian, robot), _sample_lattice(robot, n)),
+                                     (d_field, sample_lattice(d_field, n))):
             assert th.tobytes() == vertices.tobytes()
             assert lattice.tobytes() == field(t2.ravel(), t3.ravel()).reshape(n, n).tobytes()
             scalars = [float(field(float(vertices[i]), float(vertices[j]))) for i, j in pick]
@@ -802,13 +804,13 @@ def test_critical_set_keeps_the_samples_a_fresh_evaluation_gives(analysis):
     assert isinstance(curves, tuple) and len(curves) == len(list(curves)) > 0
     assert curves[0] is next(iter(curves))
     assert np.array_equal(curves.det_vertex,
-                          _sample_lattice(partial(det_jacobian, REFERENCE), TEST_GRID)[0])
+                          _sample_lattice(REFERENCE, TEST_GRID)[0])
 
 
 def test_corner_sign_mask_equals_marching_cells_on_det_j():
     for robot in (REFERENCE, NODE_ROBOT, NONORTHO_NONCUSPIDAL):
-        f, th = _sample_lattice(partial(det_jacobian, robot), TEST_GRID)
-        mask = _mixed_cells(f < 0)
+        f, th = _sample_lattice(robot, TEST_GRID)
+        mask = mixed_cells(f < 0)
         assert {(int(i), int(j)) for i, j in zip(*np.nonzero(mask))} == _crossing_cells(f, th)
 
 

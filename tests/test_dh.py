@@ -17,7 +17,7 @@ from cuspidal import (
     validate_params,
     wrap_angle,
 )
-from cuspidal.dh import TWO_PI, det_coefficients, det_jacobian_grad, wrap_float
+from cuspidal.dh import TWO_PI, det_coefficients, det_jacobian_jet, wrap_float
 from cuspidal.errors import DegenerateGeometryError, EliminationUnsupportedError
 
 from conftest import REFERENCE, random_valid_params
@@ -209,7 +209,8 @@ def test_det_jacobian_grad_matches_fourth_order_differences(rng):
     t3 = np.concatenate([rng.uniform(-math.pi, math.pi, 200), [0.0, -math.pi, math.pi]])
     h = 1e-3
     for p in [REFERENCE] + [random_valid_params(rng) for _ in range(20)]:
-        g2, g3 = det_jacobian_grad(p, t2, t3)
+        value, g2, g3 = det_jacobian_jet(p, t2, t3)
+        assert value.tobytes() == det_jacobian(p, t2, t3).tobytes()
         fd2 = _fd4(lambda a: det_jacobian(p, a, t3), t2, h)
         fd3 = _fd4(lambda b: det_jacobian(p, t2, b), t3, h)
         tol = 1e-9 * singularity_scale(p)
@@ -283,7 +284,7 @@ def test_det_jacobian_grad_matches_the_symbolic_derivative(symbolic_det, rng):
     for p in [REFERENCE] + [random_valid_params(rng) for _ in range(5)]:
         sub = _numeric_params(p, names)
         ref = [sp.lambdify((c2, s2, c3, s3), d.subs(sub), "numpy") for d in (d_theta2, d_theta3)]
-        g = det_jacobian_grad(p, t2, t3)
+        g = det_jacobian_jet(p, t2, t3)[1:]
         tol = 1e-13 * singularity_scale(p)
         for ours, f in zip(g, ref):
             assert np.max(np.abs(ours - f(np.cos(t2), np.sin(t2), np.cos(t3), np.sin(t3)))) < tol

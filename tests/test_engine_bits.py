@@ -1,12 +1,13 @@
 """The root engine, the conic stack, the IK slot, the labels, the path
-search and its audit, and the c3s3 plot's marching squares against the
-references in engine_refs, bit for bit, plus the engine's work bounds per
+search and its audit, the c3s3 plot's marching squares and the lattice
+passes against the references in engine_refs, bit for bit, plus the engine's work bounds per
 call, the SVG polylines against the per-vertex formatter, and the
 jointspace figure's split at the torus seams."""
 import itertools
 import math
 import pathlib
 import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from cuspidal import (
     forward_kinematics,
 )
 from cuspidal import critical, reduction, robotfile, svgplot, topology
-from cuspidal.dh import fk_arrays, wrap_angle
+from cuspidal.dh import det_jacobian, fk_arrays, singularity_scale, wrap_angle
 from cuspidal.geometry import split_torus_polyline
 from cuspidal.reduction import (
     _base_xy,
@@ -670,3 +671,37 @@ def test_jointspace_figure_stays_inside_its_square(analysis):
             assert coords, (p, cls)
             xy = np.array([pt.split(",") for c in coords for pt in c.split()], float)
             assert np.all((xy >= np.subtract(lo, 5e-4)) & (xy <= np.add(hi, 5e-4))), (p, cls)
+
+
+def _lattice_robots():
+    """The battery, screen_robots(0) and 30 draws of random_robot."""
+    inputs = perfbench_inputs()
+    rng = np.random.default_rng(7)
+    return [*BATTERY.values(), *(p for _, p, _ in inputs.screen_robots(0)),
+            *(inputs.random_robot(rng) for _ in range(30))]
+
+
+@pytest.mark.parametrize("grid_n", [TEST_GRID, 720])
+def test_lattice_passes_equal_their_parent_forms(grid_n):
+    """The det J lattice, the traced S (vertices from the Newton with
+    separate value and gradient calls, and their gradient norms), the S band
+    and D's lattice with its recheck have the bytes of their parent forms."""
+    for p in _lattice_robots():
+        field = partial(det_jacobian, p)
+        f, th = engine_refs.sample_lattice(field, grid_n)
+        curves = critical.trace_critical_points(p, grid_n)
+        assert _same_bits(curves.det_vertex, f), p
+        ids, nbr = critical._marching_segments(f, th, field)
+        pos = critical._crossing_points(f, th, ids)
+        ref = []
+        for chain in critical._chain_loops(nbr):
+            v = engine_refs.refine_on_zero_set(p, pos[chain], singularity_scale(p))
+            ref.append((v, np.hypot(*engine_refs.det_jacobian_grad(p, v[:, 0], v[:, 1]))))
+        ref.sort(key=lambda c: (-len(c[0]), float(c[0][0, 0]), float(c[0][0, 1])))
+        assert len(curves) == len(ref), p
+        for c, (v, g) in zip(curves, ref):
+            assert _same_bits(c.vertices, v) and _same_bits(c.grad_norm, g), p
+        assert _same_bits(topology._s_band(f), engine_refs.s_band(f)), p
+        d, rechecked = topology._discriminant_lattice(p, grid_n)
+        d_ref, rechecked_ref = engine_refs.discriminant_lattice(p, grid_n)
+        assert _same_bits(d, d_ref) and rechecked == rechecked_ref, p
