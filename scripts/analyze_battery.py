@@ -16,7 +16,7 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from cuspidal import svgplot  # noqa: E402
+from cuspidal import report, svgplot  # noqa: E402
 from cuspidal.cli import classify_robot, write_classify_files  # noqa: E402
 from cuspidal.robotfile import parse_robot_file  # noqa: E402
 
@@ -38,7 +38,7 @@ def main() -> int:
     for name, p in spec.robots.items():
         t0 = time.time()
         doc, rep = classify_robot(name, p, args.grid, args.census, args.samples, FORMATS)
-        write_classify_files(args.out, name, doc, FORMATS, rep)
+        write_classify_files(args.out, name, report.dumps(doc), FORMATS, rep)
         if rep is None:
             rows.append((name, "non-generic", "-", "-", time.time() - t0))
             continue

@@ -47,7 +47,9 @@ def _parse_floats(text: str, n: int, what: str):
     return [float(v) for v in parts]
 
 
-def _add_common(sub, *options):
+def _add_common(sub, *options, writes=("json", "csv")):
+    """--robot and --name, and of "grid", "out" and "format" the options
+    given; a command that takes --format writes the formats `writes`."""
     sub.add_argument("--robot", required=True, help="robot spec file (JSON)")
     sub.add_argument("--name", default=None, help="robot name inside the file")
     if "grid" in options:
@@ -57,7 +59,8 @@ def _add_common(sub, *options):
         sub.add_argument("--out", default="out", help="output directory")
     if "format" in options:
         sub.add_argument("--format", default="json",
-                         help="comma-separated subset of json,csv,svg")
+                         help=f"comma-separated subset of {','.join(writes)}")
+        sub.set_defaults(writes=writes)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -68,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     files = ("out", "format")          # the options of the commands that write files
     sub = subs.add_parser("classify", help="full analysis with verdict and report")
-    _add_common(sub, "grid", *files)
+    _add_common(sub, "grid", *files, writes=("json", "csv", "svg"))
     sub.add_argument("--census", type=int, default=128, help="workspace census resolution")
     sub.add_argument("--samples", type=int, default=200,
                      help="cross-validation sample count")
@@ -98,17 +101,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("plot", help="deterministic SVG figures")
     _add_common(sub, "grid", "out")
+    sub.set_defaults(grid=None)        # c3s3 draws no torus grid and refuses one
     sub.add_argument("what", choices=["workspace", "jointspace", "c3s3"])
     sub.add_argument("--point", default=None, metavar="RHO,Z",
                      help="target for the c3s3 plot")
     return ap
 
 
-def _formats(text: str) -> list:
+def _formats(text: str, writes) -> list:
     fmts = [f.strip() for f in text.split(",") if f.strip()]
-    bad = set(fmts) - {"json", "csv", "svg"}
+    bad = set(fmts) - set(writes)
     if bad or not fmts:
-        raise ValueError(f"unsupported formats: {','.join(sorted(bad)) or '(none)'}")
+        raise ValueError(f"unsupported formats: {','.join(sorted(bad)) or '(none)'}"
+                         f" (this command writes {','.join(writes)})")
     return fmts
 
 
@@ -137,13 +142,14 @@ def classify_robot(name, p, grid_n, census_n, samples, fmts):
     return reportmod.build_report(name, p, settings, report=rep), rep
 
 
-def write_classify_files(out, name, doc, fmts, rep) -> None:
-    """The files `classify --format fmts` writes into `out`."""
+def write_classify_files(out, name, text, fmts, rep) -> None:
+    """The files `classify --format fmts` writes into `out`; text is the
+    report document as reportmod.dumps serialises it."""
     os.makedirs(out, exist_ok=True)
     if "json" in fmts:
         with open(os.path.join(out, f"{name}.report.json"), "w",
                   encoding="utf-8", newline="\n") as fh:
-            fh.write(reportmod.dumps(doc))
+            fh.write(text)
     if rep is None:
         return
     if "csv" in fmts:
@@ -159,8 +165,9 @@ def write_classify_files(out, name, doc, fmts, rep) -> None:
 def cmd_classify(args) -> int:
     name, p = _robot(args)
     doc, rep = classify_robot(name, p, args.grid, args.census, args.samples, args.format)
-    _print(doc)
-    write_classify_files(args.out, name, doc, args.format, rep)
+    text = reportmod.dumps(doc)
+    sys.stdout.write(text)
+    write_classify_files(args.out, name, text, args.format, rep)
     if rep is None:
         return EXIT_NON_GENERIC
     return EXIT_CUSPIDAL if rep.verdict else EXIT_OK
@@ -318,15 +325,18 @@ def cmd_path(args) -> int:
 
 
 def cmd_plot(args) -> int:
+    if args.what == "c3s3" and args.grid is not None:
+        raise ValueError("plot c3s3 takes no --grid")
+    grid = DEFAULT_GRID_N if args.grid is None else args.grid
     name, p = _robot(args)
     out = _ensure_out(args)
     if args.what == "workspace":
-        wcurves = critical_values(p, trace_critical_points(p, args.grid))
+        wcurves = critical_values(p, trace_critical_points(p, grid))
         svg = svgplot.render_workspace(wcurves, find_cusps(p, wcurves),
                                        find_nodes(p, wcurves))
         fname = f"{name}.workspace.svg"
     elif args.what == "jointspace":
-        curves = trace_critical_points(p, args.grid)
+        curves = trace_critical_points(p, grid)
         svg = svgplot.render_jointspace(curves, compute_pseudosingularities(curves),
                                         compute_aspects(curves))
         fname = f"{name}.jointspace.svg"
@@ -361,7 +371,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if "format" in args:
-            args.format = _formats(args.format)
+            args.format = _formats(args.format, args.writes)
         return _COMMANDS[args.command](args)
     except (CuspidalError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -693,7 +693,9 @@ def region_census(p: DhParams, workspace_curves, census_n: int = 128):
     row-major pair order, samples up to MAX_BOUNDARY_SAMPLES of them per
     (low, high) boundary kind, all counted in one call.  The clearance and
     the crossings of all pairs are computed in one array pass each, over the
-    centers and pairs inside each segment's coordinate ranges.
+    centers and pairs inside each segment's coordinate ranges; the pairs the
+    walk visits are flagged on 2-D slices of the clearance, the counts and
+    the crossings.
     """
     validate_params(p)
     allv = (np.vstack([w.vertices for w in workspace_curves])
@@ -715,23 +717,27 @@ def region_census(p: DhParams, workspace_curves, census_n: int = 128):
     clear = _census_clearance(rc, zc, seg_a, seg_b, 0.3 * cell, delta)
     crossings, hit_seg = _census_crossings(rc, zc, clear, seg_a, seg_b, delta)
 
-    n_pairs = 2 * census_n * census_n
-    e = np.arange(n_pairs)
-    i, j, d = e // (2 * census_n), (e // 2) % census_n, e % 2
-    i2, j2 = i + (1 - d), j + d
-    inside = (i2 < census_n) & (j2 < census_n)
-    i2, j2 = np.minimum(i2, census_n - 1), np.minimum(j2, census_n - 1)
-    both = inside & clear[i, j] & clear[i2, j2]
-    c_a, c_b = counts[i, j], counts[i2, j2]
+    # pair (i, j, d) joins cell (i, j) to (i + 1, j) (d = 0) or (i, j + 1) (d
+    # = 1); row-major over (i, j, d) is the crossings' pair order
+    crossings = crossings.reshape(census_n, census_n, 2)
+    both = np.zeros((census_n, census_n, 2), dtype=bool)
+    both[:-1, :, 0] = clear[:-1] & clear[1:]
+    both[:, :-1, 1] = clear[:, :-1] & clear[:, 1:]
+    changed = np.zeros((census_n, census_n, 2), dtype=bool)
+    changed[:-1, :, 0] = counts[:-1] != counts[1:]
+    changed[:, :-1, 1] = counts[:, :-1] != counts[:, 1:]
     audited = both & (crossings == 1)
-
+    i, j, d = np.nonzero(audited | (both & (crossings == 0) & changed))
+    i2, j2 = i + (1 - d), j + d
+    pairs = zip((2 * (i * census_n + j) + d).tolist(),
+                np.stack([i, j, i2, j2], axis=1).reshape(-1, 2, 2).tolist(),
+                np.stack([counts[i, j], counts[i2, j2]], axis=1).tolist(),
+                crossings[i, j, d].tolist())
     violations = []               # (pair, violation), a pair has at most one
     picked = []                   # (pair, low, high) of each boundary sample
     samples_per_kind = defaultdict(int)
-    for k in np.nonzero(audited | (both & (crossings == 0) & (c_a != c_b)))[0].tolist():
-        cells = [[int(i[k]), int(j[k])], [int(i2[k]), int(j2[k])]]
-        pair_counts = [int(c_a[k]), int(c_b[k])]
-        if crossings[k] == 0:
+    for k, cells, pair_counts, crossed in pairs:
+        if crossed == 0:
             violations.append((k, {"kind": "no_crossing_count_change",
                                    "cells": cells, "counts": pair_counts}))
             continue

@@ -168,6 +168,47 @@ class SolutionLabel:
 
 
 @dataclass(frozen=True)
+class _LabelBatch:
+    """The labels of an IK batch's solved solutions as arrays, one entry per
+    solution in the batch's order (row ascending): the target's row, the
+    angles, multiplicity, aspect, reduced aspect and on_boundary of
+    SolutionLabel, and per target its IK status (!= 0: refused)."""
+
+    row: np.ndarray
+    theta: np.ndarray          # (N, 3) theta1, theta2, theta3
+    mult: np.ndarray
+    aspect: np.ndarray
+    reduced: np.ndarray
+    on_boundary: np.ndarray
+    status: np.ndarray
+
+    def lists(self) -> list:
+        """SolutionLabel lists per target, None for the refused ones."""
+        out = [None if status else [] for status in self.status.tolist()]
+        for k, q, m, aspect, reduced, boundary in zip(
+                self.row.tolist(), self.theta.tolist(), self.mult.tolist(),
+                self.aspect.tolist(), self.reduced.tolist(), self.on_boundary.tolist()):
+            out[k].append(SolutionLabel(JointConfig(*q), m, aspect, reduced, boundary, aspect < 0))
+        return out
+
+    def table(self, values: np.ndarray) -> np.ndarray:
+        """One entry array as a (K, 4) table, a target's solutions in order
+        along its row, -1 in empty slots."""
+        out = np.full((len(self.status), 4), -1, dtype=values.dtype)
+        out[self.row, np.arange(len(self.row)) - np.searchsorted(self.row, self.row)] = values
+        return out
+
+    def clean(self) -> np.ndarray:
+        """Targets solve_ik accepts with two or more solutions, none of them
+        on_boundary, on a singular lattice point or multiple: the ones whose
+        labels the oracle reads."""
+        k = len(self.status)
+        bad = self.on_boundary | (self.aspect < 0) | (self.mult != 1)
+        return ((self.status == 0) & (np.bincount(self.row, minlength=k) >= 2)
+                & (np.bincount(self.row, weights=bad, minlength=k) == 0))
+
+
+@dataclass(frozen=True)
 class CrossValidation:
     points_examined: int
     same_aspect_found: bool
@@ -283,27 +324,33 @@ def _discriminant(p: DhParams, theta2, theta3):
     return quartic_discriminant(quartic_coeffs_from_conic(k.conic(pw, qw)))
 
 
-def _discriminant_lattice(p: DhParams, grid_n: int):
-    """D on the vertex lattice th x th from its theta2 series, with the
-    signs of _discriminant; returns (values, rechecked).
+def _d_series(p: DhParams, grid_n: int):
+    """D on the vertex lattice th x th from its theta2 series: the lattice
+    angles th, the values and the recheck threshold.
 
     For fixed theta3, P, Q and P^2 + Q^2 (its quadratic terms add up to
     F1^2 + F2^2) are affine in (c2, s2), and so are the quartic's five
     coefficients: I is quadratic, J cubic and D of degree _D_DEGREE in
     theta2.  Each column's _D_SAMPLES samples give its row in theta2 + pi,
-    evaluated through the identity rows' values.  Only signs leave: the
-    `rechecked` points within _D_RECHECK of the robot's largest column
-    _harmonic_bound (robot-wide: a whole column can be zero up to rounding)
-    are evaluated by _discriminant.
+    evaluated at every theta2 by one matrix product with the identity
+    rows' values.  The threshold is _D_RECHECK times the robot's largest
+    column _harmonic_bound (robot-wide: a whole column can be zero up to
+    rounding).
     """
     th = -math.pi + TWO_PI * np.arange(grid_n) / grid_n
     phi = -math.pi + TWO_PI * np.arange(_D_SAMPLES) / _D_SAMPLES
     rows = _harmonics(_discriminant(p, phi, th[:, None]), _D_DEGREE)
     eye = np.broadcast_to(np.eye(rows.shape[1]), (grid_n,) + (rows.shape[1],) * 2)
-    # einsum's loop, not BLAS, whose thread pool costs more than this product;
-    # the loop runs at half the time with the rows' transpose contiguous
-    d = np.einsum("im,mj->ij", _circle_values(eye, th + math.pi), np.ascontiguousarray(rows.T))
-    thr = _D_RECHECK * float(np.max(_harmonic_bound(rows)))
+    d = _circle_values(eye, th + math.pi) @ rows.T
+    return th, d, _D_RECHECK * float(np.max(_harmonic_bound(rows)))
+
+
+def _discriminant_lattice(p: DhParams, grid_n: int):
+    """D on the vertex lattice with the signs of _discriminant; returns
+    (values, rechecked).  Only signs leave the series (_d_series): the
+    `rechecked` points within its threshold of 0 are evaluated by
+    _discriminant."""
+    th, d, thr = _d_series(p, grid_n)
     i, j = np.divmod(np.flatnonzero((d <= thr) & (d >= -thr)), grid_n)
     d[i, j] = _discriminant(p, th[i], th[j])
     return d, len(i)
@@ -418,9 +465,8 @@ def build_topology(p: DhParams, curves: CriticalSet, grid_n: int) -> TopologyMap
     return TopologyMaps(aspects, compute_reduced_aspects(ps, aspects), ps)
 
 
-def _labels(maps: TopologyMaps, ik: IkBatch) -> list:
-    """SolutionLabel lists of the targets of an IK batch; None for the
-    targets solve_ik refuses.
+def _labels(maps: TopologyMaps, ik: IkBatch) -> _LabelBatch:
+    """The labels of the solved solutions of an IK batch.
 
     Labels are read at each solution's nearest lattice point, a corner of
     the cell floor((theta + pi) / h) that holds it.  The solution is
@@ -430,27 +476,22 @@ def _labels(maps: TopologyMaps, ik: IkBatch) -> list:
     or on a singular lattice point: the only cells where the nearest-point
     read cannot name the wrong region.
     """
-    row, theta, mult = ik.row[ik.solved], ik.theta[ik.solved], ik.mult[ik.solved]
+    row, theta = ik.row[ik.solved], ik.theta[ik.solved]
     th2, th3 = wrap_angle(theta[:, 1]), wrap_angle(theta[:, 2])
     at = maps.aspects.nearest(th2, th3)
-    aspect = maps.aspects.labels[at].tolist()
-    reduced = maps.reduced.labels[at]
     lattice = maps.reduced.labels
     own, *others = _cell_corners(maps.aspects.grid_n, th2, th3)
     corner = lattice[own]
-    on_boundary = ((corner < 0) | np.any([lattice[at] != corner for at in others], axis=0)).tolist()
-    out = [None if status else [] for status in ik.status.tolist()]
-    for n, (k, q, m) in enumerate(zip(row.tolist(), theta.tolist(), mult.tolist())):
-        out[k].append(SolutionLabel(JointConfig(*q), m, aspect[n], int(reduced[n]),
-                                    on_boundary[n], aspect[n] < 0))
-    return out
+    on_boundary = (corner < 0) | np.any([lattice[at] != corner for at in others], axis=0)
+    return _LabelBatch(row, theta, ik.mult[ik.solved], maps.aspects.labels[at], lattice[at],
+                       on_boundary, ik.status)
 
 
 def label_solutions_batch(p: DhParams, maps: TopologyMaps, rho, z) -> list:
     """label_solutions for arrays of cross-section points (rho, z), from one
     IK engine pass and one read of the lattice; targets whose IK is
     degenerate get None instead of raising."""
-    return _labels(maps, solve_ik_batch(p, rho, z))
+    return _labels(maps, solve_ik_batch(p, rho, z)).lists()
 
 
 def label_solutions(p: DhParams, maps: TopologyMaps, target: CrossSectionPoint):
@@ -462,7 +503,7 @@ def label_solutions(p: DhParams, maps: TopologyMaps, target: CrossSectionPoint):
     """
     ik = solve_ik_batch(p, target.rho, target.z)
     ik.check(0)
-    return _labels(maps, ik)[0]
+    return _labels(maps, ik).lists()[0]
 
 
 # --------------------------------------------------------------------------
@@ -542,43 +583,54 @@ def verify_path(p: DhParams, path: JointPath, samples_per_segment: int = 10) -> 
 # verdict
 # --------------------------------------------------------------------------
 
-def _clean(labels) -> bool:
-    return (labels is not None and len(labels) >= 2
-            and not any(l.on_boundary or l.singular_cell or l.multiplicity != 1 for l in labels))
+@dataclass(frozen=True)
+class _Sample:
+    """The oracle's sample points (rho, z) (P,) and their solutions' aspects
+    and reduced aspects as (P, 4) tables in solution order (-1 in empty
+    slots)."""
+
+    rho: np.ndarray
+    z: np.ndarray
+    aspect: np.ndarray
+    reduced: np.ndarray
 
 
-def _sample_regular_points(p: DhParams, census, maps: TopologyMaps, samples: int):
+def _sample_regular_points(p: DhParams, census, maps: TopologyMaps, samples: int) -> _Sample:
     """Deterministic stratified sample of regular points with >= 2 IKS.
 
     Four-solution cells are taken first (same-aspect pairs can only occur
     where at least four solutions exist), then two-solution cells.  The
-    first `samples` clean candidates, in candidate order, are kept.
-    Candidates are labelled on demand, in batches of the points still
-    missing plus an eighth, so the two-solution stratum is labelled only
-    where the four-solution one leaves too few clean points.
+    first `samples` clean candidates (_LabelBatch.clean), in candidate
+    order, are kept.  Candidates are labelled on demand, in batches of the
+    points still missing plus an eighth, so the two-solution stratum is
+    labelled only where the four-solution one leaves too few clean points.
     """
     rc, zc = census.centers()
     counts = census.counts
-    picked = []
+    parts = [(np.empty(0), np.empty(0), np.empty((0, 4), int), np.empty((0, 4), int))]
+    picked = 0
     for cells in (np.argwhere(counts >= 4), np.argwhere(counts == 2)):
-        cells = cells[::max(1, len(cells) // samples)].tolist()
-        while cells and len(picked) < samples:
-            size = samples - len(picked)
+        cells = cells[::max(1, len(cells) // samples)]
+        while len(cells) and picked < samples:
+            size = samples - picked
             size += size // 8
-            targets = [CrossSectionPoint(float(rc[i]), float(zc[j])) for i, j in cells[:size]]
-            del cells[:size]
-            labelled = label_solutions_batch(p, maps, [t.rho for t in targets], [t.z for t in targets])
-            picked.extend((t, labels) for t, labels in zip(targets, labelled) if _clean(labels))
-    return picked[:samples]
+            rho, z = rc[cells[:size, 0]], zc[cells[:size, 1]]
+            cells = cells[size:]
+            batch = _labels(maps, solve_ik_batch(p, rho, z))
+            clean = batch.clean()
+            parts.append((rho[clean], z[clean], batch.table(batch.aspect)[clean],
+                          batch.table(batch.reduced)[clean]))
+            picked += int(np.count_nonzero(clean))
+    return _Sample(*(np.concatenate(column)[:samples] for column in zip(*parts)))
 
 
-def _has_shared_aspect(labels) -> bool:
-    seen = set()
-    for l in labels:
-        if l.aspect in seen:
-            return True
-        seen.add(l.aspect)
-    return False
+def _repeats(table: np.ndarray) -> np.ndarray:
+    """(P, 4): slots of a label table whose label >= 0 an earlier slot of
+    its row carries."""
+    seen = np.zeros(table.shape, dtype=bool)
+    for s in range(1, table.shape[1]):
+        seen[:, s] = np.any(table[:, :s] == table[:, s:s + 1], axis=1)
+    return seen & (table >= 0)
 
 
 def is_cuspidal(p: DhParams, grid_n: int = DEFAULT_GRID_N, census_n: int = 128,
@@ -603,23 +655,18 @@ def is_cuspidal(p: DhParams, grid_n: int = DEFAULT_GRID_N, census_n: int = 128,
     census = region_census(p, wcurves, census_n=census_n)
     maps = build_topology(p, curves, grid_n)
     picked = _sample_regular_points(p, census, maps, samples)
-
-    witness = None
-    theorem2 = []
-    for target, labels in picked:
-        if witness is None and _has_shared_aspect(labels):
-            witness = (target.rho, target.z)
-        seen = set()
-        for l in labels:
-            if l.reduced_aspect in seen:
-                theorem2.append((target.rho, target.z, l.reduced_aspect))
-            seen.add(l.reduced_aspect)
+    shared = np.flatnonzero(np.any(_repeats(picked.aspect), axis=1))
+    witness = (picked.rho[shared[0]].item(), picked.z[shared[0]].item()) if len(shared) else None
+    r, s = np.nonzero(_repeats(picked.reduced))
+    theorem2 = list(zip(picked.rho[r].tolist(), picked.z[r].tolist(),
+                        picked.reduced[r, s].tolist()))
+    examined = len(picked.rho)
 
     anomalies = []
-    if len(picked) < samples:
-        anomalies.append(f"only {len(picked)} regular sample points available")
-    if (bool(np.any(census.counts >= 4))
-            and not any(len(labels) >= 4 for _, labels in picked)):
+    if examined < samples:
+        anomalies.append(f"only {examined} regular sample points available")
+    # a point with four solutions fills its tables' last slot
+    if bool(np.any(census.counts >= 4)) and not np.any(picked.aspect[:, 3] >= 0):
         # every four-solution region is thinner than the sampling can resolve
         # (all candidate points have boundary-flagged solutions), so the
         # same-aspect oracle cannot inspect the regions where pairs may live
@@ -630,16 +677,16 @@ def is_cuspidal(p: DhParams, grid_n: int = DEFAULT_GRID_N, census_n: int = 128,
         anomalies.append(
             f"pillars disagree: {len(cusps)} cusps (max residuals {res} against tolerance "
             f"{CUSP_RESIDUAL_TOL:.3g}), {'a' if witness else 'no'} "
-            f"shared aspect in {len(picked)} points examined, "
+            f"shared aspect in {examined} points examined, "
             f"{int(np.count_nonzero(census.counts >= 4))} four-solution census cells")
-    cross = CrossValidation(len(picked), witness is not None, witness, tuple(theorem2))
+    cross = CrossValidation(examined, witness is not None, witness, tuple(theorem2))
     work = {
         "grid_cells": grid_n * grid_n,
         "census_cells": census_n * census_n,
         "curve_vertices": int(sum(len(c) for c in curves)),
         "pseudosingular_points": maps.ps.total_points(),
         "discriminant_rechecked": maps.ps.rechecked,
-        "cross_validation_points": len(picked),
+        "cross_validation_points": examined,
     }
     return CuspidalityReport(
         verdict=len(cusps) > 0,

@@ -301,6 +301,38 @@ def test_every_command_refuses_a_bad_format_before_it_runs(tmp_path, capsys, com
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", sorted(c for c in READS
+                                            if "--format" in READS[c] and c != "classify"))
+def test_every_command_refuses_a_format_it_does_not_write(tmp_path, capsys, command):
+    """svg, which only classify writes, exits 1 with an error and no output
+    for the commands that print JSON and write CSV, alone or beside csv."""
+    out = tmp_path / "out"
+    grid = ["--grid", "64"] if "--grid" in READS[command] else []
+    for fmt in ("svg", "csv,svg", "json,svg"):
+        rc = main([command, *EXTRA.get(command, []), "--robot", BATTERY, "--name",
+                   "orthogonal_cuspidal", *grid, "--out", str(out), "--format", fmt])
+        captured = capsys.readouterr()
+        assert rc == 1, fmt
+        assert captured.out == "", fmt
+        assert captured.err == "error: unsupported formats: svg (this command writes json,csv)\n"
+    assert not out.exists()
+
+
+def test_plot_c3s3_refuses_a_grid(tmp_path, capsys):
+    """c3s3 draws one target's conic and reads no torus grid: --grid exits 1
+    before any file is written, as the other plots take it."""
+    out = tmp_path / "out"
+    rc = main(["plot", "c3s3", "--robot", BATTERY, "--name", "orthogonal_cuspidal",
+               "--point", "2,0", "--grid", "64", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == "" and captured.err == "error: plot c3s3 takes no --grid\n"
+    assert not out.exists()
+    assert main(["plot", "c3s3", "--robot", BATTERY, "--name", "orthogonal_cuspidal",
+                 "--point", "2,0", "--out", str(out)]) == 0
+    assert (out / "orthogonal_cuspidal.c3s3.svg").exists()
+
+
 @pytest.mark.parametrize("command", sorted(c for c in READS if len(READS[c]) < 3))
 def test_every_command_refuses_the_options_it_does_not_read(tmp_path, capsys, command):
     """--grid, --out and --format are argparse errors (exit 2, usage on

@@ -381,8 +381,8 @@ def test_s_is_closed_loops_with_one_seam_rule():
 # same numbering in 34 us.
 LATTICE_PASSES = {
     "critical.py": ("_with_next", "_marching_segments", "genericity_check"),
-    "topology.py": ("_components", "compute_aspects", "_discriminant_lattice", "_s_band",
-                    "compute_reduced_aspects", "_path_graph", "find_nonsingular_path"),
+    "topology.py": ("_components", "compute_aspects", "_d_series", "_discriminant_lattice",
+                    "_s_band", "compute_reduced_aspects", "_path_graph", "find_nonsingular_path"),
 }
 
 

@@ -277,7 +277,8 @@ def test_factored_d_has_the_conic_route_sign_on_random_robots():
 
 def _sample_every_candidate(p, census, maps, samples):
     """_sample_regular_points with every candidate of both strata labelled
-    in one batch."""
+    in one batch and the clean rule read off each SolutionLabel list:
+    (rho, z, aspects, reduced aspects) of each kept point."""
     rc, zc = census.centers()
     ordered = []
     for cells in (np.argwhere(census.counts >= 4), np.argwhere(census.counts == 2)):
@@ -285,7 +286,11 @@ def _sample_every_candidate(p, census, maps, samples):
             ordered.extend(cells[::max(1, len(cells) // samples)].tolist())
     targets = [CrossSectionPoint(float(rc[i]), float(zc[j])) for i, j in ordered]
     labelled = label_solutions_batch(p, maps, [t.rho for t in targets], [t.z for t in targets])
-    return [(t, labels) for t, labels in zip(targets, labelled) if topology._clean(labels)][:samples]
+    kept = [(t, labels) for t, labels in zip(targets, labelled)
+            if labels is not None and len(labels) >= 2
+            and not any(l.on_boundary or l.singular_cell or l.multiplicity != 1 for l in labels)]
+    return [(t.rho, t.z, [l.aspect for l in labels], [l.reduced_aspect for l in labels])
+            for t, labels in kept[:samples]]
 
 
 @pytest.mark.parametrize("robot", [REFERENCE, NONORTHO_NONCUSPIDAL], ids=["reference", "noncuspidal"])
@@ -301,8 +306,12 @@ def test_sampling_strata_on_demand_equals_labelling_every_candidate(robot, analy
     solutions = {}
     for samples in (50, 150, 200, first, first + 25):
         picked = topology._sample_regular_points(robot, census, maps, samples)
-        assert picked == _sample_every_candidate(robot, census, maps, samples)
-        solutions[samples] = {len(labels) for _, labels in picked}
+        rows = [(rho, z, [a for a in aspect if a >= 0], [r for r in reduced if r >= 0])
+                for rho, z, aspect, reduced in zip(picked.rho.tolist(), picked.z.tolist(),
+                                                   picked.aspect.tolist(),
+                                                   picked.reduced.tolist())]
+        assert rows == _sample_every_candidate(robot, census, maps, samples)
+        solutions[samples] = {len(aspects) for _, _, aspects, _ in rows}
     assert solutions[200] == {4} and 2 in solutions[first + 25], solutions
 
 
