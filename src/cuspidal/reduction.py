@@ -727,8 +727,9 @@ def _runs(n: int):
     then by start k): per run c, the clusters in circle order from its
     start, members (C, n), of which the first length[c] are the run's;
     inrun (n, C), 1 where a cluster is in the run; the span's later terms
-    as (members column i, runs that add it) for i = 1, ..., n - 2; and the
-    clusters after the run, rest (C, n - 1), padded with the start."""
+    as (members column i, runs that add it) for i = 1, ..., n - 2; the
+    clusters after the run, rest (C, n - 1), padded with the start, and
+    kept (C, n - 1), which of them are real."""
     runs = [(j + 1, [(k + i) % n for i in range(n)]) for j in range(n - 1, 0, -1)
             for k in range(n)]
     members = np.array([order for _, order in runs])
@@ -738,7 +739,7 @@ def _runs(n: int):
         inrun[order[:size], c] = 1
     adds = [(members[:, i], i < length - 1) for i in range(1, n - 1)]
     rest = np.array([order[size:] + order[:1] * (size - 1) for size, order in runs])
-    return members, length, inrun, adds, rest
+    return members, length, inrun, adds, rest, np.arange(n - 1) < n - length[:, None]
 
 
 _RUNS = {n: _runs(n) for n in (2, 3, 4)}
@@ -759,22 +760,23 @@ def _cluster(theta: np.ndarray):
     start breaking ties, until none does; the merged cluster goes first and
     the others follow in circle order from the run's end.  A cluster's
     representative is the mean of its roots unwrapped from its first, the
-    offsets added left to right in circle order, and a span adds its gaps
-    the same way.  Every merge takes a row's cluster count n down, so one
-    pass over n = 4, 3, 2 makes every merge of every row.
+    offsets added left to right in circle order (np.cumsum adds in order),
+    and a span adds its gaps the same way.  Every merge takes a row's
+    cluster count n down, so one pass over n = 4, 3, 2 makes every merge of
+    every row.
     """
     missing = np.isnan(theta)
     order = np.argsort(np.where(missing, np.inf, wrap_angle(theta)), axis=1, kind="stable")
-    src = np.take_along_axis(theta, order, axis=1)
-    n_src = 4 - np.count_nonzero(missing, axis=1)
-    rep, size = src.copy(), (~np.isnan(src)).astype(int)
+    src = theta[np.arange(len(theta))[:, None], order]
+    size = (~np.isnan(src)).astype(int)
+    rep, n_src = src.copy(), np.sum(size, axis=1)
     first = np.tile(np.arange(4), (len(theta), 1))        # a cluster's first root in src
     count = n_src.copy()
     for n in (4, 3, 2):
         r = np.flatnonzero(count == n)
         if not len(r):
             continue
-        members, length, inrun, adds, rest = _RUNS[n]
+        members, length, inrun, adds, rest, tail = _RUNS[n]
         g = rep[r, :n]
         gap = np.remainder(g[:, _NEXT[n]] - g, TWO_PI)
         span = gap[:, members[:, 0]]
@@ -787,20 +789,17 @@ def _cluster(theta: np.ndarray):
         if not hit.any():
             continue
         r, c = r[hit], c[hit]
-        m, run, rows = m[hit, c], length[c], r[:, None]
+        m, rows = m[hit, c], r[:, None]
         start = first[r, members[c, 0]]
         lead = src[r, start]
         off = wrap_angle(src[rows, (start[:, None] + np.arange(4)) % n_src[rows]] - lead[:, None])
-        total = off[:, 0]
-        for i in range(1, 4):
-            total = np.where(i < m, total + off[:, i], total)
-        after = rest[c]
-        kept = np.arange(n - 1) < (n - run)[:, None]
+        total = np.cumsum(off, axis=1)[np.arange(len(r)), m - 1]
+        after, kept = rest[c], tail[c]
         rep[r, 1:n] = np.where(kept, rep[rows, after], np.nan)
         size[r, 1:n] = np.where(kept, size[rows, after], 0)
         first[r, 1:n] = first[rows, after]
         rep[r, 0], size[r, 0], first[r, 0] = lead + total / m, m, start
-        count[r] = n - run + 1
+        count[r] = n - length[c] + 1
     return rep, size
 
 
@@ -859,9 +858,9 @@ def solve_circle(h) -> RootBatch:
     (tanh |Im theta3| + 1.2e-5), so that it did not migrate to another root.
 
     The rows run together: one eigensolve, masked Newton, and one _cluster
-    call before and one after the multiple-root polish, on the rows with
-    accepted roots closer than _SEPARATED, where roots can merge; the second
-    call re-merges the polished clusters, each repeated to its multiplicity.
+    call before and one after the multiple-root polish, each on the rows
+    with roots closer than _SEPARATED, where roots can merge: accepted
+    roots, then the polished clusters, each repeated to its multiplicity.
     Each row gets what it would get alone, and a one-row call takes
     the same path as a census batch.  The rows of one batch have h2 = 0 in
     all of them or in none (_circle_roots), as the rows of one robot have.
@@ -893,13 +892,20 @@ def solve_circle(h) -> RootBatch:
         r, s = np.nonzero(mult > 1)
         with np.errstate(all="ignore"):
             rep[r, s] = _polish(h[merge[r]], rep[r, s], mult[r, s] - 1)[0]
-        # each row's clusters in _cluster's order, repeated to their multiplicity
-        per_row = np.sum(mult, axis=1)
-        owner = np.repeat(np.arange(len(merge)), per_row)
-        col = np.arange(len(owner)) - np.repeat(np.cumsum(per_row) - per_row, per_row)
-        expanded = np.full((len(merge), 4), np.nan)
-        expanded[owner, col] = np.repeat(rep.ravel(), mult.ravel())
-        out_th[merge], out_m[merge] = _cluster(expanded)
+        # re-merging gives a row without a multiple cluster back unchanged,
+        # and where the polished clusters lie _SEPARATED apart it only joins
+        # each cluster's copies again, whose mean is rep + 0.0
+        out_th[merge], out_m[merge] = np.where(mult > 1, rep + 0.0, rep), mult
+        again = np.flatnonzero(np.any(mult > 1, axis=1) & ~_separated(rep))
+        if len(again):
+            rep, mult = rep[again], mult[again]
+            # each row's clusters in _cluster's order, repeated to their multiplicity
+            per_row = np.sum(mult, axis=1)
+            owner = np.repeat(np.arange(len(again)), per_row)
+            col = np.arange(len(owner)) - np.repeat(np.cumsum(per_row) - per_row, per_row)
+            expanded = np.full((len(again), 4), np.nan)
+            expanded[owner, col] = np.repeat(rep.ravel(), mult.ravel())
+            out_th[merge[again]], out_m[merge[again]] = _cluster(expanded)
     out_th = wrap_angle(out_th)
     order = np.argsort(np.where(out_m > 0, out_th, np.inf), axis=1, kind="stable")
     rows = np.arange(k_rows)[:, None]
