@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import math
 import struct
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +29,7 @@ from .dh import (
     fk_arm,
     fk_arrays,
     wrap_angle,
+    wrap_float,
 )
 from .errors import (
     DegenerateConicError,
@@ -714,93 +716,42 @@ def _polish(h: np.ndarray, theta: np.ndarray, order: np.ndarray):
     return theta, f
 
 
-# Merge radius of a run of m roots, m = 1, ..., 4, at index m - 1: the larger
-# of 2 CLUSTER_RADIUS_T and the backward-error ball 8 (64 eps)^(1/m), by
-# Python's ** as the rule is written.
-_MERGE_RADIUS = np.array([
-    max(2.0 * CLUSTER_RADIUS_T, 8.0 * (64.0 * float(np.finfo(float).eps)) ** (1.0 / m))
-    for m in range(1, 5)])
+def _mean_angle(members: list) -> float:
+    """Mean of angles that lie within a small arc, unwrapped from the first."""
+    first = members[0]
+    return first + sum(wrap_float(a - first) for a in members) / len(members)
 
 
-def _runs(n: int):
-    """The runs _cluster tries on n clusters, in its order (longest first,
-    then by start k): per run c, the clusters in circle order from its
-    start, members (C, n), of which the first length[c] are the run's;
-    inrun (n, C), 1 where a cluster is in the run; the span's later terms
-    as (members column i, runs that add it) for i = 1, ..., n - 2; the
-    clusters after the run, rest (C, n - 1), padded with the start, and
-    kept (C, n - 1), which of them are real."""
-    runs = [(j + 1, [(k + i) % n for i in range(n)]) for j in range(n - 1, 0, -1)
-            for k in range(n)]
-    members = np.array([order for _, order in runs])
-    length = np.array([size for size, _ in runs])
-    inrun = np.zeros((n, len(runs)), dtype=int)
-    for c, (size, order) in enumerate(runs):
-        inrun[order[:size], c] = 1
-    adds = [(members[:, i], i < length - 1) for i in range(1, n - 1)]
-    rest = np.array([order[size:] + order[:1] * (size - 1) for size, order in runs])
-    return members, length, inrun, adds, rest, np.arange(n - 1) < n - length[:, None]
+def _cluster(thetas: list) -> list:
+    """Merge nearby roots on the theta3 circle into (representative,
+    multiplicity) clusters.
 
-
-_RUNS = {n: _runs(n) for n in (2, 3, 4)}
-_NEXT = {n: (np.arange(n) + 1) % n for n in (2, 3, 4)}
-
-
-def _cluster(theta: np.ndarray):
-    """Merge nearby roots on the theta3 circle, row by row, into
-    (representative, multiplicity) clusters: rows of theta (K, 4), nan = no
-    root, to rep (K, 4) and mult (K, 4), empty slots nan and 0.
-
-    The roots are sorted by wrapped angle, and runs of circle neighbours
-    merge (the last root and the first are neighbours): a run whose span is
-    below 2 CLUSTER_RADIUS_T, or that fits inside the backward-error ball of
-    a root of the run's multiplicity m: m roots of a row known to machine
-    precision scatter over a radius of order eps^(1/m), so that ball is 8
-    (64 eps)^(1/m).  The longest run that fits merges first, the lowest
-    start breaking ties, until none does; the merged cluster goes first and
-    the others follow in circle order from the run's end.  A cluster's
-    representative is the mean of its roots unwrapped from its first, the
-    offsets added left to right in circle order (np.cumsum adds in order),
-    and a span adds its gaps the same way.  Every merge takes a row's
-    cluster count n down, so one pass over n = 4, 3, 2 makes every merge of
-    every row.
+    Runs of circle neighbours merge (the last root and the first are
+    neighbours): a run whose span is below 2 CLUSTER_RADIUS_T, or that fits
+    inside the backward-error ball of a root of the run's multiplicity m: m
+    roots of a row known to machine precision scatter over a radius of
+    order eps^(1/m), so that ball is 8 (64 eps)^(1/m).  The longest run that
+    fits merges first, until none does.
     """
-    missing = np.isnan(theta)
-    order = np.argsort(np.where(missing, np.inf, wrap_angle(theta)), axis=1, kind="stable")
-    src = theta[np.arange(len(theta))[:, None], order]
-    size = (~np.isnan(src)).astype(int)
-    rep, n_src = src.copy(), np.sum(size, axis=1)
-    first = np.tile(np.arange(4), (len(theta), 1))        # a cluster's first root in src
-    count = n_src.copy()
-    for n in (4, 3, 2):
-        r = np.flatnonzero(count == n)
-        if not len(r):
-            continue
-        members, length, inrun, adds, rest, tail = _RUNS[n]
-        g = rep[r, :n]
-        gap = np.remainder(g[:, _NEXT[n]] - g, TWO_PI)
-        span = gap[:, members[:, 0]]
-        for col, add in adds:
-            span = np.where(add, span + gap[:, col], span)
-        m = size[r, :n] @ inrun
-        fits = span < _MERGE_RADIUS[m - 1]
-        c = np.argmax(fits, axis=1)
-        hit = fits[np.arange(len(r)), c]
-        if not hit.any():
-            continue
-        r, c = r[hit], c[hit]
-        m, rows = m[hit, c], r[:, None]
-        start = first[r, members[c, 0]]
-        lead = src[r, start]
-        off = wrap_angle(src[rows, (start[:, None] + np.arange(4)) % n_src[rows]] - lead[:, None])
-        total = np.cumsum(off, axis=1)[np.arange(len(r)), m - 1]
-        after, kept = rest[c], tail[c]
-        rep[r, 1:n] = np.where(kept, rep[rows, after], np.nan)
-        size[r, 1:n] = np.where(kept, size[rows, after], 0)
-        first[r, 1:n] = first[rows, after]
-        rep[r, 0], size[r, 0], first[r, 0] = lead + total / m, m, start
-        count[r] = n - length[c] + 1
-    return rep, size
+    eps = float(np.finfo(float).eps)
+    out = [(th, 1, [th]) for th in sorted(thetas, key=wrap_float)]
+    while len(out) > 1:
+        n = len(out)
+        gap = [(out[(k + 1) % n][0] - out[k][0]) % TWO_PI for k in range(n)]
+
+        def fits(k, j):
+            """Whether the run out[k], ..., out[k + j] (cyclic) merges."""
+            m = sum(out[(k + i) % n][1] for i in range(j + 1))
+            return sum(gap[(k + i) % n] for i in range(j)) < max(
+                2.0 * CLUSTER_RADIUS_T, 8.0 * (64.0 * eps) ** (1.0 / m))
+        run = next(((k, j) for j in range(n - 1, 0, -1) for k in range(n) if fits(k, j)), None)
+        if run is None:
+            break
+        k, j = run
+        members = [a for i in range(j + 1) for a in out[(k + i) % n][2]]
+        out = [(_mean_angle(members), len(members), members)] + [
+            out[(k + j + 1 + i) % n] for i in range(n - j - 1)]
+    return [(rep, mult) for rep, mult, _ in out]
 
 
 _PAIRS = np.triu(np.ones((4, 4), dtype=bool), 1)
@@ -857,11 +808,9 @@ def solve_circle(h) -> RootBatch:
     polished theta3 reaches 64 eps and the polish moved it by at most 4
     (tanh |Im theta3| + 1.2e-5), so that it did not migrate to another root.
 
-    The rows run together: one eigensolve, masked Newton, and one _cluster
-    call before and one after the multiple-root polish, each on the rows
-    with roots closer than _SEPARATED, where roots can merge: accepted
-    roots, then the polished clusters, each repeated to its multiplicity.
-    Each row gets what it would get alone, and a one-row call takes
+    The rows run together: one eigensolve, masked Newton, and _cluster only
+    for rows with accepted roots closer than _SEPARATED, where roots can
+    merge.  Each row gets what it would get alone, and a one-row call takes
     the same path as a census batch.  The rows of one batch have h2 = 0 in
     all of them or in none (_circle_roots), as the rows of one robot have.
     """
@@ -886,26 +835,21 @@ def solve_circle(h) -> RootBatch:
     singles = _separated(accepted)
     ones = singles[:, None] & ~np.isnan(accepted)
     out_th[ones], out_m[ones] = accepted[ones], 1
-    merge = np.flatnonzero(~singles)
-    if len(merge):
-        rep, mult = _cluster(accepted[merge])
-        r, s = np.nonzero(mult > 1)
+    merged = [(k, _cluster(accepted[k][~np.isnan(accepted[k])].tolist()))
+              for k in np.flatnonzero(~singles).tolist()]
+    if merged:
+        c_row = np.array([k for k, c in merged for _ in c], dtype=int)
+        c_th = np.array([rep for _, c in merged for rep, _ in c])
+        c_m = np.array([mult for _, c in merged for _, mult in c], dtype=int)
+        many = c_m > 1
         with np.errstate(all="ignore"):
-            rep[r, s] = _polish(h[merge[r]], rep[r, s], mult[r, s] - 1)[0]
-        # re-merging gives a row without a multiple cluster back unchanged,
-        # and where the polished clusters lie _SEPARATED apart it only joins
-        # each cluster's copies again, whose mean is rep + 0.0
-        out_th[merge], out_m[merge] = np.where(mult > 1, rep + 0.0, rep), mult
-        again = np.flatnonzero(np.any(mult > 1, axis=1) & ~_separated(rep))
-        if len(again):
-            rep, mult = rep[again], mult[again]
-            # each row's clusters in _cluster's order, repeated to their multiplicity
-            per_row = np.sum(mult, axis=1)
-            owner = np.repeat(np.arange(len(again)), per_row)
-            col = np.arange(len(owner)) - np.repeat(np.cumsum(per_row) - per_row, per_row)
-            expanded = np.full((len(again), 4), np.nan)
-            expanded[owner, col] = np.repeat(rep.ravel(), mult.ravel())
-            out_th[merge[again]], out_m[merge[again]] = _cluster(expanded)
+            c_th[many] = _polish(h[c_row[many]], c_th[many], c_m[many] - 1)[0]
+        expanded = defaultdict(list)
+        for k, rep, mult in zip(c_row.tolist(), c_th.tolist(), c_m.tolist()):
+            expanded[k].extend([rep] * mult)
+        for k, ths in expanded.items():
+            for s, (rep, mult) in enumerate(_cluster(ths)):
+                out_th[k, s], out_m[k, s] = rep, mult
     out_th = wrap_angle(out_th)
     order = np.argsort(np.where(out_m > 0, out_th, np.inf), axis=1, kind="stable")
     rows = np.arange(k_rows)[:, None]

@@ -16,8 +16,7 @@ theta2 series, the reduced aspects' parents from a sort of the whole
 lattice, the lattice passes as they stood before they dropped their rolled
 copies and abs temporaries (the block sampler with A, B and C per block,
 the trace's Newton with separate value and gradient calls, and the S
-band), the root clustering one row at a time, as it stood before it ran on
-arrays, and the chart engine:
+band), and the chart engine:
 cusps, nodes and quadruple roots solved on the quartic M in the half-angle
 chart that keeps each seed well conditioned, as they stood before the Newton
 systems moved onto the theta3 circle, certified by the unit-free rule on the
@@ -81,6 +80,7 @@ from cuspidal.reduction import (
     IkBatch,
     RootBatch,
     _atan2,
+    _cluster,
     _conic,
     _conic_terms,
     _cusp_locus,
@@ -530,43 +530,6 @@ def circle_newton(rows, theta):
     return th[0], f
 
 
-def mean_angle(members: list) -> float:
-    """reduction._cluster's mean of angles that lie within a small arc,
-    unwrapped from the first, the offsets added left to right (Python
-    3.12's sum() would compensate)."""
-    first, total = members[0], 0.0
-    for a in members:
-        total += wrap_float(a - first)
-    return first + total / len(members)
-
-
-def cluster(thetas: list) -> list:
-    """reduction._cluster on one row, as it stood before it ran on arrays:
-    the list of (representative, multiplicity) clusters of its roots, in
-    the greedy loop's final order."""
-    eps = float(np.finfo(float).eps)
-    out = [(th, 1, [th]) for th in sorted(thetas, key=wrap_float)]
-    while len(out) > 1:
-        n = len(out)
-        gap = [(out[(k + 1) % n][0] - out[k][0]) % TWO_PI for k in range(n)]
-
-        def fits(k, j):
-            """Whether the run out[k], ..., out[k + j] (cyclic) merges."""
-            m = sum(out[(k + i) % n][1] for i in range(j + 1))
-            span = 0.0
-            for i in range(j):
-                span += gap[(k + i) % n]
-            return span < max(2.0 * CLUSTER_RADIUS_T, 8.0 * (64.0 * eps) ** (1.0 / m))
-        run = next(((k, j) for j in range(n - 1, 0, -1) for k in range(n) if fits(k, j)), None)
-        if run is None:
-            break
-        k, j = run
-        members = [a for i in range(j + 1) for a in out[(k + i) % n][2]]
-        out = [(mean_angle(members), len(members), members)] + [
-            out[(k + j + 1 + i) % n] for i in range(n - j - 1)]
-    return [(rep, mult) for rep, mult, _ in out]
-
-
 def solve_circle(h):
     """reduction.solve_circle one row at a time: np.roots for each row's
     roots, Newton one root at a time, and the cluster lists always
@@ -597,12 +560,12 @@ def solve_circle(h):
             if abs(g) <= 64.0 * eps and abs(theta - start) <= 4.0 * (im_angle + 1.2e-5):
                 accepted.append(float(theta))
         expanded = []
-        for rep, mult in cluster(accepted):
+        for rep, mult in _cluster(accepted):
             if mult > 1:
                 with np.errstate(all="ignore"):
                     rep = float(circle_newton(circle_jet2(row, np.array([mult - 1]))[0], rep)[0])
             expanded.extend([rep] * mult)
-        roots = sorted((float(wrap_angle(rep)), mult) for rep, mult in cluster(expanded))
+        roots = sorted((float(wrap_angle(rep)), mult) for rep, mult in _cluster(expanded))
         for slot, (rep, mult) in enumerate(roots):
             out_th[k, slot], out_m[k, slot] = rep, mult
     return RootBatch(out_th, out_m, zero)

@@ -1,7 +1,7 @@
-"""The root engine and its clustering, the conic stack, the IK slot, the
-labels, the path search and its audit, the c3s3 plot's marching squares
-and the lattice passes against the references in engine_refs, bit for bit,
-plus D's lattice against the pointwise D, the engine's work bounds per
+"""The root engine, the conic stack, the IK slot, the labels, the path
+search and its audit, the c3s3 plot's marching squares and the lattice
+passes against the references in engine_refs, bit for bit, plus D's
+lattice against the pointwise D, the engine's work bounds per
 call, the SVG polylines against the per-vertex formatter, and the
 jointspace figure's split at the torus seams."""
 import itertools
@@ -115,62 +115,6 @@ def test_solve_circle_bits_equal_reference(k, seed):
 def test_solve_circle_bits_equal_reference_4096_rows(seed):
     stack = _stack(np.random.default_rng(seed), 4096)
     assert _same_roots(solve_circle(stack), engine_refs.solve_circle(stack))
-
-
-def _cluster_sets(rng):
-    """Root rows (K, 4), nan = none, in shuffled slots: double, triple and
-    quadruple clusters whose spans lie just under, at and just over 2
-    CLUSTER_RADIUS_T and each 8 (64 eps)^(1/m) ball, the same around theta3
-    = +-pi (members on both sides of the seam, some just outside [-pi,
-    pi), as polished roots can be), two pairs, and a pair beside a triple
-    ball's scatter."""
-    eps = float(np.finfo(float).eps)
-    radii = [2.0 * reduction.CLUSTER_RADIUS_T] + [8.0 * (64.0 * eps) ** (1.0 / m)
-                                                  for m in (2, 3, 4)]
-    rows = []
-    for radius in radii:
-        for rel in (-1e-6, -1e-12, 0.0, 1e-12, 1e-6):
-            span = radius * (1.0 + rel)
-            for m in (2, 3, 4):
-                inner = np.sort(rng.uniform(0.0, span, m - 2))
-                for centre in (rng.uniform(-3.0, 3.0), math.pi, -math.pi):
-                    roots = centre - 0.5 * span + np.concatenate([[0.0], inner, [span]])
-                    if centre != math.pi and centre != -math.pi:
-                        roots = wrap_angle(roots)
-                    far = rng.uniform(-math.pi, math.pi, 4 - m)
-                    rows.append(np.concatenate([roots, far]))
-            for m in (2, 3, 4):
-                # spans of exactly the radius: members at 0 and dyadic
-                # fractions of it, whose gaps and their sums are exact
-                exact = radius * np.array({2: [0.0, 1.0], 3: [0.0, 0.5, 1.0],
-                                           4: [0.0, 0.25, 0.5, 1.0]}[m])
-                rows.append(np.concatenate([exact, [np.nan] * (4 - m)]))
-                # members on both sides of 0, whose offsets from the first
-                # root round, so the order of their sum shows
-                rows.append(np.concatenate([rng.uniform(-0.5, 0.5, m) * span, [np.nan] * (4 - m)]))
-            a, b = rng.uniform(-math.pi, math.pi, 2)
-            rows.append([a, a + span, b, b + 0.5 * span])              # two pairs
-            rows.append([a, a + span, a + 2.0 * span, b])              # a run of three
-    rows = np.array(rows)
-    rows[rng.random(rows.shape) < 0.05] = np.nan
-    return np.array([rng.permutation(row) for row in rows])
-
-
-def test_cluster_bits_equal_the_per_row_rule_on_constructed_sets():
-    """reduction._cluster on all rows at once gives every row the
-    representatives, multiplicities and cluster order of the per-row greedy
-    rule, bit for bit."""
-    rng = np.random.default_rng(2024)
-    for _ in range(4):
-        rows = _cluster_sets(rng)
-        rep, mult = reduction._cluster(rows)
-        for k, row in enumerate(rows):
-            ref = engine_refs.cluster(row[~np.isnan(row)].tolist())
-            got = [(float(r), int(m)) for r, m in zip(rep[k], mult[k]) if m > 0]
-            assert [(r.hex(), m) for r, m in got] == [(r.hex(), m) for r, m in ref], row.tolist()
-            assert np.all(np.isnan(rep[k, len(ref):])) and not mult[k, len(ref):].any()
-        assert {len(set(m[m > 0].tolist())) for m in mult} >= {1, 2}
-        assert set(mult.ravel().tolist()) == {0, 1, 2, 3, 4}
 
 
 def test_solve_circle_bits_on_every_special_row():
