@@ -45,7 +45,6 @@ from .reduction import (
     quadruple_candidates,
     quartic_coeffs_from_conic,
     quartic_jet,
-    solve_ik_batch,
 )
 
 log = logging.getLogger(__name__)
@@ -81,11 +80,13 @@ class JointCurve:
 class CriticalSet(tuple):
     """The JointCurves of S = {det J = 0}, longest first, traced for `robot` on the
     grid_n x grid_n vertex lattice, with what later stages read: det J on that lattice
-    (det_vertex), kept from the trace."""
+    (det_vertex) and the _marching_segments ids of its sign-change edges (crossings)."""
 
-    def __new__(cls, robot: DhParams, grid_n: int, curves, det_vertex: np.ndarray):
+    def __new__(cls, robot: DhParams, grid_n: int, curves, det_vertex: np.ndarray,
+                crossings: np.ndarray):
         self = super().__new__(cls, curves)
-        self.robot, self.grid_n, self.det_vertex = robot, grid_n, det_vertex
+        self.robot, self.grid_n = robot, grid_n
+        self.det_vertex, self.crossings = det_vertex, crossings
         return self
 
     def check(self, p: DhParams, grid_n: int) -> None:
@@ -319,7 +320,7 @@ def trace_critical_points(p: DhParams, grid_n: int = DEFAULT_GRID_N) -> Critical
         refined = _refine_on_zero_set(p, pos[chain], scale)
         curves.append(JointCurve(refined, np.hypot(*det_jacobian_jet(p, *refined.T)[1:])))
     curves.sort(key=lambda c: (-len(c), float(c.vertices[0, 0]), float(c.vertices[0, 1])))
-    return CriticalSet(p, grid_n, curves, f)
+    return CriticalSet(p, grid_n, curves, f, ids)
 
 
 def critical_values(p: DhParams, curves) -> list:
@@ -488,10 +489,9 @@ def find_nodes(p: DhParams, workspace_curves) -> list:
 
     So a robot has at most 4 nodes.  Each real root with |e| < 1 is a
     candidate at the target of its eta.  A candidate whose two tangency
-    angles are less than 1e-4 apart is a cusp's; both double roots of every
-    other one are certified by _certify in one batch.  The survivors are
-    solved in one solve_ik_batch call, and a node is one whose IK shows
-    exactly two distinct roots, both double.  A branch whose three
+    angles are less than 1e-4 apart is a cusp's; every other one is a node
+    when _certify, in one batch, certifies both double roots (no IK is
+    solved, so the nodes read nothing of the oracle).  A branch whose three
     coefficients all lie within their rounding bound (_NODE_QUADRATIC_ZERO)
     is identically zero, a family of two-double-root targets as on
     parabola_conic, and lists no node.
@@ -501,23 +501,17 @@ def find_nodes(p: DhParams, workspace_curves) -> list:
     """
     lscale = length_scale(p)
     th1, th2, R, zr = _node_candidates(p)
-    # a candidate whose double roots collapse to one is a cusp
-    apart = np.abs(wrap_angle(th1 - th2)) >= 1e-4
-    th1, th2, R, zr = th1[apart], th2[apart], R[apart], zr[apart]
     n = len(R)
     res, certified = _certify(p, np.concatenate([th1, th2]), np.tile(R, 2), np.tile(zr, 2), 2)
     worst = np.max(res[:, :2].reshape(2, n, 2), axis=(0, 2))
-    certified = certified[:n] & certified[n:]
-    log.debug("%d of %d node candidates not certified", int(np.sum(~certified)), n)
+    # a candidate whose double roots collapse to one is a cusp
+    certified = certified[:n] & certified[n:] & (np.abs(wrap_angle(th1 - th2)) >= 1e-4)
+    log.debug("%d of %d node candidates not accepted", int(np.sum(~certified)), n)
     found = []
     for k in np.nonzero(certified)[0].tolist():
         tlo, thi = sorted((math.tan(float(th1[k]) / 2.0), math.tan(float(th2[k]) / 2.0)))
         found.append((math.sqrt(max(float(R[k] - zr[k] * zr[k]), 0.0)), float(zr[k] + p.d1),
                       tlo, thi, float(worst[k])))
-    ik = solve_ik_batch(p, [f[0] for f in found], [f[1] for f in found])
-    roots = np.bincount(ik.row, minlength=len(found))
-    doubles = np.bincount(ik.row[ik.mult == 2], minlength=len(found))
-    found = [f for f, ok in zip(found, (ik.status == 0) & (roots == 2) & (doubles == 2)) if ok]
     kept = _dedup_sorted(found, DEDUP_RADIUS * lscale, 1e-9 * lscale)
     return [NodePoint(*c) for c in kept]
 
@@ -678,6 +672,12 @@ def _census_crossings(rc, zc, clear, seg_a, seg_b, delta: float):
     return crossings, hit_seg
 
 
+def _check_census_n(census_n: int) -> None:
+    """ValueError unless the census has a pair of adjacent cells to audit."""
+    if census_n < 2:
+        raise ValueError("census_n must be >= 2")
+
+
 def region_census(p: DhParams, workspace_curves, census_n: int = 128):
     """IKS counts over the padded bounding box of p's critical values.
 
@@ -698,6 +698,7 @@ def region_census(p: DhParams, workspace_curves, census_n: int = 128):
     the crossings.
     """
     validate_params(p)
+    _check_census_n(census_n)
     allv = (np.vstack([w.vertices for w in workspace_curves])
             if workspace_curves else np.array([[0.0, 0.0], [1.0, 1.0]]))
     rho_lo, rho_hi = float(np.min(allv[:, 0])), float(np.max(allv[:, 0]))

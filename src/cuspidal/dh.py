@@ -83,6 +83,8 @@ class JointConfig:
         object.__setattr__(self, "theta1", wrap_float(self.theta1))
         object.__setattr__(self, "theta2", wrap_float(self.theta2))
         object.__setattr__(self, "theta3", wrap_float(self.theta3))
+        if math.isnan(self.theta1 + self.theta2 + self.theta3):  # wrap_float: inf -> nan
+            raise ValueError("joint angles must be finite")
 
     def as_array(self) -> np.ndarray:
         return np.array([self.theta1, self.theta2, self.theta3])

@@ -39,6 +39,7 @@ from .critical import (
     CUSP_RESIDUAL_TOL,
     DEFAULT_GRID_N,
     CriticalSet,
+    _check_census_n,
     _with_next,
     critical_values,
     find_cusps,
@@ -200,10 +201,10 @@ class _LabelBatch:
 
     def clean(self) -> np.ndarray:
         """Targets solve_ik accepts with two or more solutions, none of them
-        on_boundary, on a singular lattice point or multiple: the ones whose
-        labels the oracle reads."""
+        on_boundary (which a singular lattice point implies) or multiple: the
+        ones whose labels the oracle reads."""
         k = len(self.status)
-        bad = self.on_boundary | (self.aspect < 0) | (self.mult != 1)
+        bad = self.on_boundary | (self.mult != 1)
         return ((self.status == 0) & (np.bincount(self.row, minlength=k) >= 2)
                 & (np.bincount(self.row, weights=bad, minlength=k) == 0))
 
@@ -356,17 +357,16 @@ def _discriminant_lattice(p: DhParams, grid_n: int):
     return d, len(i)
 
 
-def _s_band(det_vertex: np.ndarray) -> np.ndarray:
-    """Both ends of every lattice edge where det J changes sign, grown
-    ceil(PS_EXCLUSION_RADIUS / h) + 1 times over the 4-neighbourhood."""
-    neg = det_vertex < 0
-    cu, cv = _with_next(np.not_equal, neg, 0), _with_next(np.not_equal, neg, 1)
-    band = cu | cv
-    band[1:] |= cu[:-1]
-    band[0] |= cu[-1]
-    band[:, 1:] |= cv[:, :-1]
-    band[:, 0] |= cv[:, -1]
-    for _ in range(int(math.ceil(PS_EXCLUSION_RADIUS / (TWO_PI / len(neg)))) + 1):
+def _s_band(curves: CriticalSet) -> np.ndarray:
+    """Both ends of every lattice edge where det J changes sign, the edges
+    the trace crossed (curves.crossings), grown ceil(PS_EXCLUSION_RADIUS /
+    h) + 1 times over the 4-neighbourhood."""
+    n = curves.grid_n
+    along_v, flat = np.divmod(curves.crossings, n * n)
+    band = np.zeros((n, n), dtype=bool)
+    band.ravel()[flat] = True
+    band.ravel()[np.where(along_v, flat - flat % n + (flat + 1) % n, (flat + n) % (n * n))] = True
+    for _ in range(int(math.ceil(PS_EXCLUSION_RADIUS / (TWO_PI / n))) + 1):
         grown = band.copy()
         for src, dst in ((np.s_[:-1], np.s_[1:]), (np.s_[1:], np.s_[:-1]), (-1, 0), (0, -1)):
             grown[dst] |= band[src]
@@ -409,7 +409,7 @@ def compute_pseudosingularities(curves: CriticalSet) -> PseudoSingularitySet:
     points on one sheet.
     """
     d, rechecked = _discriminant_lattice(curves.robot, curves.grid_n)
-    band = _s_band(curves.det_vertex)
+    band = _s_band(curves)
     polylines = []
     for curve in curves:
         pts = np.stack(_fold_lift(curves.robot, curve.vertices[:, 0], curve.vertices[:, 1]),
@@ -440,17 +440,12 @@ def compute_reduced_aspects(ps: PseudoSingularitySet, aspects: AspectMap) -> Red
     stop at is therefore boundary territory: its points are labeled -1 and
     removed from the connectivity, which is the honest resolution-limited
     reading of the decomposition (extra splitting is safe, leaking between
-    reduced aspects is not).  Where D changes sign on no lattice edge with
-    both ends off the band, the reduced aspects are the aspects.  `aspects`
-    is the AspectMap of the lattice to refine; its singular points stay -1.
+    reduced aspects is not).  `aspects` is the AspectMap of the lattice to
+    refine; its singular points stay -1.
     """
     grid_n = aspects.grid_n
     if ps.d_positive.shape != (grid_n, grid_n):
         raise ValueError("pseudosingularities were computed on another grid")
-    off = ~ps.s_band
-    if not any(np.any(_with_next(np.not_equal, ps.d_positive, axis)
-                      & _with_next(np.logical_and, off, axis)) for axis in (0, 1)):
-        return ReducedAspectMap(grid_n, aspects.labels, aspects.count)
     key = np.int8(2) * (aspects.det_vertex >= 0) + ps.d_positive
     count, labels = _components(key, excluded=ps.s_band)
     labels[aspects.labels < 0] = -1
@@ -640,9 +635,12 @@ def is_cuspidal(p: DhParams, grid_n: int = DEFAULT_GRID_N, census_n: int = 128,
     The verdict is cusp existence; the independent oracle looks for a
     sampled regular point whose IK solutions share an aspect.  Both results
     and their agreement are recorded.  Raises NonGenericRobotError when the
-    genericity check fails.
+    genericity check fails, and ValueError for census_n < 2 or samples < 1.
     """
     validate_params(p)
+    _check_census_n(census_n)
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     curves = trace_critical_points(p, grid_n)
     wcurves = critical_values(p, curves)
     # genericity reads neither the critical values nor the cusps, so a

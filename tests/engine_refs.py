@@ -359,8 +359,8 @@ def refine_on_zero_set(p, pts, scale):
 
 
 def s_band(det_vertex):
-    """topology._s_band with the crossed edges and their far ends as rolled
-    copies of the lattice."""
+    """topology._s_band with the crossed edges found again, with their far
+    ends, as rolled copies of the lattice."""
     neg = det_vertex < 0
     band = np.zeros(neg.shape, dtype=bool)
     for axis in (0, 1):
@@ -1037,7 +1037,7 @@ def pointwise_pseudosingularities(curves):
     block-sampled at every point of the vertex lattice, as PS was traced
     before D's theta2 series."""
     d, _ = sample_lattice(partial(topology._discriminant, curves.robot), curves.grid_n)
-    return d > 0, topology._s_band(curves.det_vertex)
+    return d > 0, s_band(curves.det_vertex)
 
 
 def reduced_parent(reduced_labels, aspect_labels):

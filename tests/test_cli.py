@@ -213,6 +213,37 @@ def test_cmd_path(capsys):
     assert doc["found"] and doc["valid"]
 
 
+@pytest.mark.parametrize("config", ["0,nan,0.2", "nan,0,0", "0,0,inf"])
+def test_cmd_path_refuses_a_non_finite_angle(tmp_path, capsys, config):
+    """A NaN or infinite joint angle exits 1 with one error line before any
+    map is built: it would index the lattice in theta2 or theta3, and in
+    theta1 pass unseen into a path that cannot be found."""
+    rc = main(["path", "--robot", BATTERY, "--name", "orthogonal_cuspidal", "--grid", "64",
+               "--config", config, "--config", "0,1,1", "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == "" and captured.err == "error: joint angles must be finite\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("option,value,message", [
+    ("--census", "1", "census_n must be >= 2"), ("--census", "0", "census_n must be >= 2"),
+    ("--census", "-3", "census_n must be >= 2"), ("--samples", "0", "samples must be >= 1"),
+    ("--samples", "-5", "samples must be >= 1")])
+def test_classify_refuses_a_census_or_sample_count_it_cannot_use(tmp_path, capsys, option,
+                                                                  value, message):
+    """A census with no pair of adjacent cells to audit, or no sample, exits
+    1 before any work with one error line that names the option."""
+    out = tmp_path / "out"
+    rc = main(["classify", "--robot", BATTERY, "--name", "orthogonal_cuspidal", "--grid", "64",
+               option, value, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+    assert option.lstrip("-") in captured.err
+    assert not out.exists()
+
+
 def test_cmd_aspects(capsys):
     rc = main(["aspects", "--robot", BATTERY, "--name", "orthogonal_cuspidal",
                "--grid", "128"])

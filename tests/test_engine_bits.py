@@ -702,7 +702,7 @@ def test_lattice_passes_equal_their_parent_forms(grid_n):
         assert len(curves) == len(ref), p
         for c, (v, g) in zip(curves, ref):
             assert _same_bits(c.vertices, v) and _same_bits(c.grad_norm, g), p
-        assert _same_bits(topology._s_band(f), engine_refs.s_band(f)), p
+        assert _same_bits(topology._s_band(curves), engine_refs.s_band(f)), p
 
 
 @pytest.mark.parametrize("grid_n", [128, TEST_GRID, 720])

@@ -1,6 +1,6 @@
 """Nodes in closed form: the two quadratics of find_nodes against the
-crossing sweep with Newton they replace (tests/engine_refs), against exact
-algebra, and for the grid they do not need."""
+crossing sweep with Newton they replace (tests/engine_refs), against the IK
+root engine, against exact algebra, and for the grid they do not need."""
 import logging
 import math
 
@@ -15,6 +15,7 @@ from cuspidal import (
     trace_critical_points,
 )
 from cuspidal.dh import length_scale
+from cuspidal.reduction import solve_ik_batch
 
 from conftest import (
     BATTERY,
@@ -48,6 +49,28 @@ def test_closed_form_nodes_equal_the_reference_sweep():
             assert math.hypot(a.rho - b.rho, a.z - b.z) <= 1e-12 * scale, name
         counts.add(len(nodes))
     assert counts == {0, 1, 2, 3, 4}
+
+
+def test_every_node_solves_to_two_double_roots():
+    """The IK engine as the oracle of find_nodes, which accepts a candidate
+    by _certify alone: on the battery, the screen robots and 300 draws,
+    solve_ik_batch accepts every listed node's (rho, z) and finds exactly two
+    distinct roots there, both double."""
+    robots = [*BATTERY.items(),
+              *((label, p) for label, p, _ in perfbench_inputs().screen_robots(0)),
+              *robot_draws(np.random.default_rng(77), 300)]
+    listed = 0
+    for name, p in robots:
+        nodes = find_nodes(p, ())
+        if not nodes:
+            continue
+        k = len(nodes)
+        ik = solve_ik_batch(p, [n.rho for n in nodes], [n.z for n in nodes])
+        assert ik.status.tolist() == [0] * k, name
+        assert np.bincount(ik.row, minlength=k).tolist() == [2] * k, name
+        assert np.bincount(ik.row[ik.mult == 2], minlength=k).tolist() == [2] * k, name
+        listed += k
+    assert listed >= 300, listed
 
 
 @pytest.mark.parametrize("name", ["orthogonal_node", "nonortho_noncuspidal", "parabola_conic"])

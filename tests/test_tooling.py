@@ -434,6 +434,61 @@ def test_genericity_runs_no_newton_and_cusps_read_no_traced_curve():
     assert {scope for scope, _ in _callers(tree, "quadruple_candidates")} == {"genericity_check"}
 
 
+def _references(trees) -> dict:
+    """Per function or class name defined in the trees, the names its body
+    loads, bare or as an attribute, merged over the trees that define the
+    name; a nested function has an entry of its own, and a class lists its
+    methods."""
+    refs = {}
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = node.name
+            refs.setdefault(scope, set())
+            if isinstance(node, ast.ClassDef):
+                refs[scope] |= {n.name for n in node.body if isinstance(n, ast.FunctionDef)}
+        elif scope is not None and isinstance(node, (ast.Name, ast.Attribute)) \
+                and isinstance(node.ctx, ast.Load):
+            refs[scope].add(node.id if isinstance(node, ast.Name) else node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    for tree in trees:
+        visit(tree, None)
+    return refs
+
+
+def _reached(refs: dict, start: str) -> set:
+    """Every name that `start` loads, or that a function or class it reaches
+    by name loads in turn."""
+    seen, todo = set(), [start]
+    while todo:
+        for name in refs.get(todo.pop(), ()):
+            if name not in seen:
+                seen.add(name)
+                todo.append(name)
+    return seen
+
+
+# The cusp pillar certifies every cusp, node and quadruple root by _certify
+# alone: find_cusps, find_nodes and genericity_check reach no IK root engine,
+# through any function of the package, so they read no output of the oracle.
+def test_the_cusp_pillar_reaches_no_ik_engine():
+    refs = _references(_tree(path) for path in PACKAGE.glob("*.py"))
+    for start in ("find_cusps", "find_nodes", "genericity_check"):
+        assert "_certify" in _reached(refs, start), start
+        assert _reached(refs, start) & {"solve_ik_batch", "solve_circle", "ik_counts"} == set(), start
+
+
+# The S band is seeded from the lattice edges the trace crossed: _s_band makes
+# no sign-change pass of its own and reads no det J.
+def test_the_s_band_reads_the_traces_crossings():
+    tree = _tree(PACKAGE / "topology.py")
+    assert "_s_band" not in {scope for scope, _ in _callers(tree, "_with_next")}
+    assert "_s_band" not in _reading_scopes(tree, "det_vertex")
+    assert "_s_band" in _reading_scopes(tree, "crossings")
+
+
 # Nodes are the roots of two quadratics: the branch polish serves the cusps
 # alone, and neither find_nodes nor its candidates read a traced curve.
 def test_nodes_run_no_newton_and_read_no_traced_curve():
@@ -563,3 +618,7 @@ def test_checks_see_what_they_look_for():
              "b.py": ast.parse("from a import _used\nx = _used() + a._TOL\n")}
     assert _unread_private_names(trees) == [("a.py", "_Box"), ("a.py", "_LIMIT"),
                                             ("a.py", "_centers")]
+    refs = _references([ast.parse("def f():\n    return g(1) + h.k\ndef g(x):\n    return C()\n"
+                                  "class C:\n    def m(self):\n        return solve()\n"
+                                  "def lone():\n    return other()\n")])
+    assert _reached(refs, "f") == {"g", "h", "k", "C", "m", "solve"}

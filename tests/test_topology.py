@@ -47,6 +47,7 @@ from conftest import (
     TEST_GRID,
     perfbench_inputs,
     random_valid_params,
+    robot_draws,
 )
 import engine_refs
 from engine_refs import components
@@ -255,7 +256,7 @@ def _assert_d_sign_off_the_band(p, curves):
     n = curves.grid_n
     d, _ = engine_refs.sample_lattice(partial(topology._discriminant, p), n)
     ref, _ = engine_refs.sample_lattice(partial(engine_refs.discriminant, p), n)
-    off = ~topology._s_band(curves.det_vertex)
+    off = ~topology._s_band(curves)
     assert np.array_equal(np.sign(d)[off], np.sign(ref)[off])
 
 
@@ -315,14 +316,41 @@ def test_sampling_strata_on_demand_equals_labelling_every_candidate(robot, analy
     assert solutions[200] == {4} and 2 in solutions[first + 25], solutions
 
 
+def _d_changes_sign_off_the_band(ps) -> bool:
+    off = ~ps.s_band
+    return any(np.any((ps.d_positive != np.roll(ps.d_positive, -1, axis))
+                      & off & np.roll(off, -1, axis)) for axis in (0, 1))
+
+
 def test_binary_robot_has_empty_ps(analysis):
+    """No PS, and D changes sign on no lattice edge off the S band: the
+    reduced fill keeps its one rule, so the reduced aspects are the aspects
+    off the band and the band is -1, as on every other robot."""
     curves = analysis.curves(BINARY_ROBOT)
     ps = compute_pseudosingularities(curves)
     assert ps.total_points() == 0
+    assert not _d_changes_sign_off_the_band(ps)
     aspects = compute_aspects(curves)
     reduced = compute_reduced_aspects(ps, aspects)
     assert reduced.count == aspects.count
-    assert np.array_equal(reduced.labels, aspects.labels)
+    assert np.array_equal(reduced.labels[~ps.s_band], aspects.labels[~ps.s_band])
+    assert np.all(reduced.labels[ps.s_band] == -1)
+
+
+# the draws of robot_draws(default_rng(77), 60) on which D changes sign on no
+# lattice edge off the S band at the test grid
+NO_SIGN_CHANGE_DRAWS = ("tilted 10", "orthogonal 17", "random 18", "tilted 28", "random 33",
+                        "random 39", "orthogonal 41", "tilted 46", "random 51", "tilted 52",
+                        "orthogonal 53", "tilted 58")
+
+
+def test_reduced_count_is_the_aspect_count_where_d_changes_sign_on_no_edge_off_the_band():
+    draws = dict(robot_draws(np.random.default_rng(77), 60))
+    for name in NO_SIGN_CHANGE_DRAWS:
+        p = draws[name]
+        maps = build_topology(p, critical.trace_critical_points(p, TEST_GRID), TEST_GRID)
+        assert not _d_changes_sign_off_the_band(maps.ps), name
+        assert maps.reduced.count == maps.aspects.count, name
 
 
 # --------------------------------------------------------------------------
