@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import struct
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +38,7 @@ from .errors import (
 )
 
 _PARABOLA_BAND = 1e-9
+_EPS = float(np.finfo(float).eps)
 
 
 # --------------------------------------------------------------------------
@@ -441,7 +442,7 @@ def cusp_seeds(p: DhParams):
     beta, r2, _, _ = _locus_terms(loc, theta)
     e = _harmonics((s2 / s1) ** 2 * beta[:, 0] ** 2 + beta[:, 1] ** 2 - s2 * s2 * r2,
                    _LOCUS_DEGREE)
-    eps_b = math.sqrt(2 * _LOCUS_DEGREE * float(np.finfo(float).eps) * _harmonic_bound(e))
+    eps_b = math.sqrt(2 * _LOCUS_DEGREE * _EPS * _harmonic_bound(e))
     z, _, real = _circle_roots(e[None])
     theta = np.angle(z[real])
     beta, r2, beta_d, r2_d = _locus_terms(loc, theta)
@@ -640,12 +641,16 @@ def quartic_from_conic(conic: ConicCoeffs) -> Quartic:
 # is a root like any other.
 # --------------------------------------------------------------------------
 
-# Roots closer than twice this in theta3 are merged into one multiplicity
-# cluster.
+# Roots closer than twice this in theta3 always merge (_MERGE_RADIUS).
 CLUSTER_RADIUS_T = 1e-6
+# _MERGE_RADIUS[m - 1], m = 1..4 (a quartic row has at most four roots): the
+# span below which _cluster merges a run of total multiplicity m, the
+# backward-error ball of an m-fold root (its m roots scatter over a radius of
+# order eps^(1/m)) but at least 2 CLUSTER_RADIUS_T.
+_MERGE_RADIUS = tuple(max(2.0 * CLUSTER_RADIUS_T, 8.0 * (64.0 * _EPS) ** (1.0 / m))
+                      for m in range(1, 5))
 # Accepted roots at least this far apart on the theta3 circle cannot merge:
-# the widest merge radius of _cluster, reached by four roots, is 8 (64
-# eps)^(1/4) ~ 2.8e-3 rad.
+# the widest entry of _MERGE_RADIUS, reached by four roots, is ~2.8e-3 rad.
 _SEPARATED = 1e-2
 
 
@@ -719,7 +724,8 @@ def _polish(h: np.ndarray, theta: np.ndarray, order: np.ndarray):
 def _mean_angle(members: list) -> float:
     """Mean of angles that lie within a small arc, unwrapped from the first."""
     first = members[0]
-    return first + sum(wrap_float(a - first) for a in members) / len(members)
+    steps = (wrap_float(a - first) for a in members)
+    return first + functools.reduce(operator.add, steps, 0.0) / len(members)
 
 
 def _cluster(thetas: list) -> list:
@@ -727,13 +733,11 @@ def _cluster(thetas: list) -> list:
     multiplicity) clusters.
 
     Runs of circle neighbours merge (the last root and the first are
-    neighbours): a run whose span is below 2 CLUSTER_RADIUS_T, or that fits
-    inside the backward-error ball of a root of the run's multiplicity m: m
-    roots of a row known to machine precision scatter over a radius of
-    order eps^(1/m), so that ball is 8 (64 eps)^(1/m).  The longest run that
-    fits merges first, until none does.
+    neighbours): a run of total multiplicity m whose span is below
+    _MERGE_RADIUS[m - 1].  The longest run that fits merges first, until
+    none does.  Spans and means add their floats left to right: builtin sum
+    compensates its rounding from Python 3.12 on.
     """
-    eps = float(np.finfo(float).eps)
     out = [(th, 1, [th]) for th in sorted(thetas, key=wrap_float)]
     while len(out) > 1:
         n = len(out)
@@ -742,8 +746,8 @@ def _cluster(thetas: list) -> list:
         def fits(k, j):
             """Whether the run out[k], ..., out[k + j] (cyclic) merges."""
             m = sum(out[(k + i) % n][1] for i in range(j + 1))
-            return sum(gap[(k + i) % n] for i in range(j)) < max(
-                2.0 * CLUSTER_RADIUS_T, 8.0 * (64.0 * eps) ** (1.0 / m))
+            span = functools.reduce(operator.add, (gap[(k + i) % n] for i in range(j)), 0.0)
+            return span < _MERGE_RADIUS[m - 1]
         run = next(((k, j) for j in range(n - 1, 0, -1) for k in range(n) if fits(k, j)), None)
         if run is None:
             break
@@ -800,8 +804,9 @@ def solve_circle(h) -> RootBatch:
     rows, each scaled so that its M has max-norm 1.
 
     Per row: the prefiltered roots of z^2 g(z) (_circle_roots), Newton on g
-    in theta3 (_polish), acceptance, clustering, then Newton on g^(m-1) at
-    every cluster of multiplicity m.  Polishing runs before clustering
+    in theta3 (_polish), acceptance, one _cluster pass, then Newton on
+    g^(m-1) at every cluster of multiplicity m, written to the row's slots,
+    which one argsort puts in theta3 order.  Polishing runs before clustering
     because the eigenvalue scatter of an m-fold root scales like eps^(1/m),
     well beyond the cluster radius for triple roots; Newton contracts that
     scatter back under it.  A candidate counts as real when |g| at its
@@ -824,9 +829,8 @@ def solve_circle(h) -> RootBatch:
     start = np.angle(z[row, slot])
     with np.errstate(all="ignore"):
         theta, g = _polish(h[row], start, np.zeros(len(row), dtype=int))
-    eps = float(np.finfo(float).eps)
-    accept = (np.abs(g) <= 64.0 * eps) & (np.abs(theta - start)
-                                          <= 4.0 * (im_angle[row, slot] + 1.2e-5))
+    accept = (np.abs(g) <= 64.0 * _EPS) & (np.abs(theta - start)
+                                           <= 4.0 * (im_angle[row, slot] + 1.2e-5))
     accepted = np.full((k_rows, 4), np.nan)
     accepted[row[accept], slot[accept]] = theta[accept]
 
@@ -839,17 +843,13 @@ def solve_circle(h) -> RootBatch:
               for k in np.flatnonzero(~singles).tolist()]
     if merged:
         c_row = np.array([k for k, c in merged for _ in c], dtype=int)
+        c_slot = np.array([s for _, c in merged for s in range(len(c))], dtype=int)
         c_th = np.array([rep for _, c in merged for rep, _ in c])
         c_m = np.array([mult for _, c in merged for _, mult in c], dtype=int)
         many = c_m > 1
         with np.errstate(all="ignore"):
             c_th[many] = _polish(h[c_row[many]], c_th[many], c_m[many] - 1)[0]
-        expanded = defaultdict(list)
-        for k, rep, mult in zip(c_row.tolist(), c_th.tolist(), c_m.tolist()):
-            expanded[k].extend([rep] * mult)
-        for k, ths in expanded.items():
-            for s, (rep, mult) in enumerate(_cluster(ths)):
-                out_th[k, s], out_m[k, s] = rep, mult
+        out_th[c_row, c_slot], out_m[c_row, c_slot] = c_th, c_m
     out_th = wrap_angle(out_th)
     order = np.argsort(np.where(out_m > 0, out_th, np.inf), axis=1, kind="stable")
     rows = np.arange(k_rows)[:, None]
@@ -1154,8 +1154,7 @@ def solve_ik(p: DhParams, target: Pose3) -> IkSolutionSet:
 
 # Chordal distance |sin(gap / 2)| below which the engine may merge two roots
 # or accept a conjugate pair as one real root: _cluster merges two roots at
-# an angle gap below 2 CLUSTER_RADIUS_T (first pass) or 8 sqrt(64 eps) ~
-# 9.5e-7 (second), at most 2 CLUSTER_RADIUS_T in angle, i.e.
+# an angle gap below _MERGE_RADIUS[1] = 2 CLUSTER_RADIUS_T, i.e.
 # CLUSTER_RADIUS_T in chord; the factor 2 covers the polished candidates'
 # distance to the exact roots.
 _MERGE_CHORD = 2.0 * CLUSTER_RADIUS_T
@@ -1188,8 +1187,8 @@ def _invariant_counts(m: np.ndarray):
            than _MERGE_CHORD, or a conjugate pair that close (its chord is
            tanh |Im theta3|, the engine's imaginary-angle test), leave
            |Delta| <= W^3 _MERGE_CHORD^2.  A cluster of m >= 3 roots merged
-           inside the ball of radius 8 (64 eps)^(1/m) (2.8e-3 rad at most)
-           has three or more pairs that close, and smaller |Delta| still.
+           within _MERGE_RADIUS[m - 1] (2.8e-3 rad at most) has three or
+           more pairs that close, and smaller |Delta| still.
            A conjugate pair further apart is accepted only where the circle
            value g = M / (1 + t^2)^2 of this row dips below 64 eps (plus
            the rounding of its evaluation); M less that much times (1 +
@@ -1207,20 +1206,19 @@ def _invariant_counts(m: np.ndarray):
     i_abs = 12.0 * aa * ae + 3.0 * ab * ad + ac * ac
     j_abs = 72.0 * aa * ac * ae + 9.0 * ab * ac * ad + 27.0 * (aa * ad * ad + ab * ab * ae) \
         + 2.0 * ac * ac * ac
-    eps = float(np.finfo(float).eps)
     w = 16.0 * np.sum(q * q, axis=1)
-    band = 16.0 * eps * (4.0 * i_abs ** 3 + j_abs ** 2) / 27.0 + w ** 3 * _MERGE_CHORD ** 2
+    band = 16.0 * _EPS * (4.0 * i_abs ** 3 + j_abs ** 2) / 27.0 + w ** 3 * _MERGE_CHORD ** 2
     # P and D to their rounding: P carries 3 roundings per term; D's powers
     # are products (np.power is slow on negative bases), 3 roundings per
     # term and 4 in the sum, within the 9 allowed; each bounded in eps,
     # twice the unit roundoff
     p_inv = 8.0 * a * c - 3.0 * b * b
-    p_err = 3.0 * eps * (8.0 * aa * ac + 3.0 * ab * ab)
+    p_err = 3.0 * _EPS * (8.0 * aa * ac + 3.0 * ab * ab)
     a2, b2 = a * a, b * b
     d_inv = (64.0 * a2 * a * e - 16.0 * a2 * c * c + 16.0 * a * b2 * c
              - 16.0 * a2 * b * d - 3.0 * b2 * b2)
-    d_err = 9.0 * eps * (64.0 * aa ** 3 * ae + 16.0 * aa * aa * ac * ac + 16.0 * aa * ab * ab * ac
-                         + 16.0 * aa * aa * ab * ad + 3.0 * ab ** 4)
+    d_err = 9.0 * _EPS * (64.0 * aa ** 3 * ae + 16.0 * aa * aa * ac * ac + 16.0 * aa * ab * ab * ac
+                          + 16.0 * aa * aa * ab * ad + 3.0 * ab ** 4)
     four = (p_inv < -p_err) & (d_inv < -d_err)
     none = (p_inv > p_err) | (d_inv > d_err)
     undecided = zero | ~(np.abs(disc) > band) | ((disc > 0.0) & ~four & ~none)

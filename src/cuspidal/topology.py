@@ -594,18 +594,22 @@ def _sample_regular_points(p: DhParams, census, maps: TopologyMaps, samples: int
     """Deterministic stratified sample of regular points with >= 2 IKS.
 
     Four-solution cells are taken first (same-aspect pairs can only occur
-    where at least four solutions exist), then two-solution cells.  The
-    first `samples` clean candidates (_LabelBatch.clean), in candidate
-    order, are kept.  Candidates are labelled on demand, in batches of the
-    points still missing plus an eighth, so the two-solution stratum is
-    labelled only where the four-solution one leaves too few clean points.
+    where at least four solutions exist), then two-solution cells, each
+    stratum in stride-residue order (cells[r::stride] for r = 0, 1, ...,
+    stride max(1, len // samples)), so its first candidates spread over it
+    and it runs out only when every cell has been tried.  The first `samples`
+    clean candidates (_LabelBatch.clean), in candidate order, are kept.
+    Candidates are labelled on demand, in batches of the points still
+    missing plus an eighth, so the two-solution stratum is labelled only
+    where the four-solution one leaves too few clean points.
     """
     rc, zc = census.centers()
     counts = census.counts
     parts = [(np.empty(0), np.empty(0), np.empty((0, 4), int), np.empty((0, 4), int))]
     picked = 0
     for cells in (np.argwhere(counts >= 4), np.argwhere(counts == 2)):
-        cells = cells[::max(1, len(cells) // samples)]
+        stride = max(1, len(cells) // samples)
+        cells = np.concatenate([cells[r::stride] for r in range(stride)])
         while len(cells) and picked < samples:
             size = samples - picked
             size += size // 8

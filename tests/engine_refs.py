@@ -4,7 +4,8 @@ walk over dicts keyed by ("u" | "v", i, j), with its mixed cells counted over
 rolled copies of the lattice, genericity's isolated-point test
 as a dilation of the crossed cells, a segment hash filled one segment
 at a time, the quartic root engine as it stood before the per-robot conic
-constants, with the circle jet and values as they stood at degree 2, the
+constants and with the second clustering pass the package dropped, with the
+circle jet and values as they stood at degree 2, the
 labels one solution at a time over its lattice cell's four corners, the
 quartic jet with its own Horner loop, the A* path search over
 lattice-point tuples, the path audit one segment at a time, the census counts
@@ -533,7 +534,10 @@ def circle_newton(rows, theta):
 def solve_circle(h):
     """reduction.solve_circle one row at a time: np.roots for each row's
     roots, Newton one root at a time, and the cluster lists always
-    assembled."""
+    assembled.  Each row's polished clusters are expanded by multiplicity
+    and clustered a second time, as the package did before it kept its
+    first pass's clusters: the oracle that the second pass changes no
+    root and no multiplicity."""
     h = np.asarray(h, float).reshape(-1, 5)
     k_rows = len(h)
     eps = float(np.finfo(float).eps)

@@ -132,6 +132,39 @@ def test_solve_circle_bits_on_every_special_row():
     assert solve_circle(flat).count.max() == 2
 
 
+def _workload_rows(p, rho, z):
+    """The harmonic rows the IK engine gets for targets (rho, z) of p."""
+    zr = z - p.d1
+    return _circle_rows(_conic_stack(p, rho * rho + zr * zr, zr)[0])
+
+
+def test_solve_circle_bits_on_workload_rows(analysis):
+    """Rows the workloads send, against the two-pass reference: every
+    fourth S-vertex image of each generic battery robot at TEST_GRID, a
+    double root on every row as on the census's boundary rows, and 400
+    targets per robot 1e-6 to 1e-3 off the critical values of
+    orthogonal_cuspidal and orthogonal_node, as query_mix places them."""
+    rng = np.random.default_rng(33)
+    total = 0
+    for name, p in BATTERY.items():
+        if name == "parabola_conic":
+            continue
+        v = np.concatenate([w.vertices for w in analysis.wcurves(p)])
+        h = _workload_rows(p, v[::4, 0], v[::4, 1])
+        batch = solve_circle(h)
+        assert _same_roots(batch, engine_refs.solve_circle(h)), name
+        assert np.all(batch.mult.max(axis=1) >= 2), name
+        total += len(h)
+        if name in ("orthogonal_cuspidal", "orthogonal_node"):
+            rho, z = v[rng.integers(len(v), size=400)].T
+            offset = 10.0 ** rng.uniform(-6.0, -3.0, 400)
+            angle = rng.uniform(0.0, 2.0 * math.pi, 400)
+            h = _workload_rows(p, np.abs(rho + offset * np.cos(angle)), z + offset * np.sin(angle))
+            assert _same_roots(solve_circle(h), engine_refs.solve_circle(h)), name
+            total += len(h)
+    assert total >= 1500
+
+
 def test_circle_helpers_equal_their_degree_2_copies():
     """reduction._circle_jet and _circle_values, written for any degree,
     equal engine_refs' copies of their degree-2 versions bit for bit on

@@ -186,6 +186,14 @@ def test_quartic_residual_on_fk_targets(rng):
     assert worst < 1e-8
 
 
+def test_separated_roots_lie_beyond_every_merge_radius():
+    """solve_circle clusters no row whose roots are _SEPARATED apart, which
+    holds only while no run of up to four roots merges that wide."""
+    assert len(reduction._MERGE_RADIUS) == 4
+    assert reduction._MERGE_RADIUS[1] == 2.0 * reduction.CLUSTER_RADIUS_T
+    assert reduction._SEPARATED > max(reduction._MERGE_RADIUS)
+
+
 def test_solve_quartic_distinct_roots():
     roots = solve_quartic(Quartic(1, -10, 35, -50, 24)).roots
     assert [m for _, m in roots] == [1, 1, 1, 1]

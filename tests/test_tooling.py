@@ -8,8 +8,8 @@ and one invariant count, root finding in theta3 with no half-angle chart,
 no least squares or multi-unknown Newton in the package, one harmonic row
 format for the trigonometric polynomials on the theta circle, PS lifted
 from S with no marching squares or crossing refinement of its own, S as
-closed loops with one seam rule, and lattice passes with no rolled copy,
-2-D nonzero or sort."""
+closed loops with one seam rule, lattice passes with no rolled copy, 2-D
+nonzero or sort, and root clusters that add no float with builtin sum."""
 import ast
 import os
 import pathlib
@@ -514,6 +514,28 @@ def test_no_least_squares_or_circle_jet_in_the_package():
         assert defined & {"circle_harmonics", "circle_jet"} == set(), path.name
 
 
+def _float_sums(fn) -> list:
+    """Lines in `fn` that call builtin sum on anything but the
+    multiplicities of clusters (out[...][1], ints)."""
+    lines = []
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "sum":
+            elt = node.args[0].elt if node.args and isinstance(node.args[0], ast.GeneratorExp) \
+                else None
+            if not (isinstance(elt, ast.Subscript) and isinstance(elt.slice, ast.Constant)
+                    and elt.slice.value == 1):
+                lines.append(node.lineno)
+    return lines
+
+
+# Cluster means and spans add their floats left to right: builtin sum
+# compensates its rounding from Python 3.12 on, so its bits would depend on
+# the interpreter.  The one sum left adds integer multiplicities.
+def test_root_clusters_add_no_float_with_builtin_sum():
+    for name in ("_mean_angle", "_cluster"):
+        assert _float_sums(_definition(PACKAGE / "reduction.py", name)) == [], name
+
+
 def _complex_scopes(tree) -> set:
     """Innermost enclosing functions (or "<module>") that build or take
     apart complex numbers: an imaginary literal, the name complex, or the
@@ -622,3 +644,6 @@ def test_checks_see_what_they_look_for():
                                   "class C:\n    def m(self):\n        return solve()\n"
                                   "def lone():\n    return other()\n")])
     assert _reached(refs, "f") == {"g", "h", "k", "C", "m", "solve"}
+    fn = ast.parse("def f(out, members):\n    m = sum(out[(k + i) % n][1] for i in range(3))\n"
+                   "    return sum(wrap_float(a) for a in members) + sum(x)\n").body[0]
+    assert _float_sums(fn) == [3, 3]

@@ -277,14 +277,17 @@ def test_factored_d_has_the_conic_route_sign_on_random_robots():
 
 
 def _sample_every_candidate(p, census, maps, samples):
-    """_sample_regular_points with every candidate of both strata labelled
-    in one batch and the clean rule read off each SolutionLabel list:
-    (rho, z, aspects, reduced aspects) of each kept point."""
+    """_sample_regular_points with every cell of both strata labelled in one
+    batch, each stratum in stride-residue order (the strided cells, then
+    the cells each residue r = 1, 2, ... of the stride picks), and the
+    clean rule read off each SolutionLabel list: (rho, z, aspects, reduced
+    aspects) of each kept point."""
     rc, zc = census.centers()
     ordered = []
     for cells in (np.argwhere(census.counts >= 4), np.argwhere(census.counts == 2)):
-        if len(cells):
-            ordered.extend(cells[::max(1, len(cells) // samples)].tolist())
+        stride = max(1, len(cells) // samples)
+        for r in range(stride):
+            ordered.extend(cells[r::stride].tolist())
     targets = [CrossSectionPoint(float(rc[i]), float(zc[j])) for i, j in ordered]
     labelled = label_solutions_batch(p, maps, [t.rho for t in targets], [t.z for t in targets])
     kept = [(t, labels) for t, labels in zip(targets, labelled)
@@ -314,6 +317,17 @@ def test_sampling_strata_on_demand_equals_labelling_every_candidate(robot, analy
         assert rows == _sample_every_candidate(robot, census, maps, samples)
         solutions[samples] = {len(aspects) for _, _, aspects, _ in rows}
     assert solutions[200] == {4} and 2 in solutions[first + 25], solutions
+
+
+def test_sampling_tries_every_cell_before_it_reports_too_few_points():
+    """random_valid_params draw 56 of default_rng(3) at grid 240: its
+    two-solution stratum's stride of 49 gives 204 candidates of which 198
+    are clean, and the cells the stride skips fill the sample to 200."""
+    rng = np.random.default_rng(3)
+    robot = [random_valid_params(rng) for _ in range(57)][56]
+    report = is_cuspidal(robot, TEST_GRID)
+    assert report.cross_validation.points_examined == 200
+    assert not any(a.startswith("only ") for a in report.anomalies), report.anomalies
 
 
 def _d_changes_sign_off_the_band(ps) -> bool:
