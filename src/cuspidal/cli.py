@@ -7,6 +7,7 @@ deterministic: identical inputs produce byte-identical JSON/CSV/SVG files.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -63,7 +64,10 @@ def _add_common(sub, *options, writes=("json", "csv")):
         sub.set_defaults(writes=writes)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args leaves it
+    as it was, so every call of main reuses it."""
     ap = argparse.ArgumentParser(
         prog="cuspidal",
         description="Decide whether a generic 3R serial manipulator is cuspidal.")

@@ -21,8 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix, csr_matrix
-from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .dh import (
     TWO_PI,
@@ -50,7 +48,6 @@ from .critical import (
 )
 from .reduction import (
     IkBatch,
-    _circle_values,
     _conic_terms,
     _fold_lift,
     _harmonic_bound,
@@ -243,6 +240,28 @@ class CuspidalityReport:
 # flood fill
 # --------------------------------------------------------------------------
 
+def _union_runs(n_runs: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The root of each run's component in the graph with an edge between
+    runs rows[k] and cols[k]: the component's smallest run.
+
+    Each round hooks every edge's larger root under its smaller root, jumps
+    pointers (root = root[root]) until every run points at a root and drops
+    the edges inside one tree; no edge left joins two roots at the end.  A
+    root is hooked only under a smaller run, so no run ever points above
+    itself and a component's smallest run stays its root."""
+    root = np.arange(n_runs)
+    while True:
+        a, b = root[rows], root[cols]
+        live = a != b
+        if not live.any():
+            return root
+        rows, cols, a, b = rows[live], cols[live], a[live], b[live]
+        np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
+        jumped = root[root]
+        while not np.array_equal(jumped, root):
+            root, jumped = jumped, jumped[jumped]
+
+
 def _components(key, excluded=None):
     """Connected components of cells joined across open edges.
 
@@ -250,11 +269,13 @@ def _components(key, excluded=None):
     and neither cell is excluded; excluded cells get label -1.  Labels are
     numbered by first row-major appearance, so they are deterministic.  The
     fill runs over row runs, the maximal runs of cells joined by open edges
-    along a row (axis 1) up to its seam, numbered in row-major order.  The
-    graph joins runs across each row's seam (column n - 1 to column 0) and
-    across the open edges between rows, with one edge wherever a run starts
-    in either row, so it has thousands of nodes where a graph of cells has
-    grid_n^2.  Returns the count and the labels.
+    along a row (axis 1) up to its seam, numbered in row-major order.  Runs
+    are joined across each row's seam (column n - 1 to column 0) and across
+    the open edges between rows, with one edge wherever a run starts in
+    either row, so the union-find (_union_runs) has thousands of nodes where
+    a graph of cells has grid_n^2.  A component's first cell starts its
+    smallest run, the root, so the roots numbered in order are the labels.
+    Returns the count and the labels.
     """
     n = key.shape[1]
     right = _with_next(np.equal, key, 1)        # open edges along each row, its seam last
@@ -271,19 +292,13 @@ def _components(key, excluded=None):
     edge, seam = np.flatnonzero(below), np.flatnonzero(right[:, -1]) * n
     rows = np.searchsorted(starts, np.concatenate([seam + n - 1, edge]), "right") - 1
     cols = np.searchsorted(starts, np.concatenate([seam, (edge + n) % key.size]), "right") - 1
-    graph = coo_matrix((np.ones(len(rows), dtype=bool), (rows, cols)), shape=(n_runs, n_runs))
-    n_comp, comp = connected_components(graph, directed=False)
-    # an excluded cell is a run of its own without edges, so its component
-    # holds no free run and keeps the label -1
-    free_runs = np.arange(n_runs) if excluded is None else np.flatnonzero(free.ravel()[starts])
-    first = np.full(n_comp, n_runs)
-    np.minimum.at(first, comp[free_runs], free_runs)
-    named = first < n_runs
-    is_first = np.zeros(n_runs, dtype=bool)
-    is_first[first[named]] = True
-    remap = np.full(n_comp, -1, dtype=np.int32)
-    remap[named] = (np.cumsum(is_first, dtype=np.int32) - 1)[first[named]]
-    labels = np.repeat(remap[comp], np.diff(starts, append=key.size))
+    root = _union_runs(n_runs, rows, cols)
+    named = root == np.arange(n_runs)
+    if excluded is not None:
+        # an excluded cell is a run of its own without edges: a root, unnamed
+        named &= free.ravel()[starts]
+    label = np.where(named, np.cumsum(named, dtype=np.int32) - 1, np.int32(-1))
+    labels = np.repeat(label[root], np.diff(starts, append=key.size))
     return int(np.count_nonzero(named)), labels.reshape(key.shape)
 
 
@@ -333,16 +348,21 @@ def _d_series(p: DhParams, grid_n: int):
     F1^2 + F2^2) are affine in (c2, s2), and so are the quartic's five
     coefficients: I is quadratic, J cubic and D of degree _D_DEGREE in
     theta2.  Each column's _D_SAMPLES samples give its row in theta2 + pi,
-    evaluated at every theta2 by one matrix product with the identity
-    rows' values.  The threshold is _D_RECHECK times the robot's largest
+    evaluated at every theta2 by one matrix product with the basis (1, cos
+    k phi, sin k phi) at phi = theta2 + pi, its columns by _circle_values'
+    angle addition.  The threshold is _D_RECHECK times the robot's largest
     column _harmonic_bound (robot-wide: a whole column can be zero up to
     rounding).
     """
     th = -math.pi + TWO_PI * np.arange(grid_n) / grid_n
     phi = -math.pi + TWO_PI * np.arange(_D_SAMPLES) / _D_SAMPLES
     rows = _harmonics(_discriminant(p, phi, th[:, None]), _D_DEGREE)
-    eye = np.broadcast_to(np.eye(rows.shape[1]), (grid_n,) + (rows.shape[1],) * 2)
-    d = _circle_values(eye, th + math.pi) @ rows.T
+    c, s = np.cos(th + math.pi), np.sin(th + math.pi)
+    basis = [np.ones(grid_n), c, s]
+    for _ in range(2, _D_DEGREE + 1):
+        ck, sk = basis[-2:]
+        basis += [ck * c - sk * s, sk * c + ck * s]
+    d = np.column_stack(basis) @ rows.T
     return th, d, _D_RECHECK * float(np.max(_harmonic_bound(rows)))
 
 
@@ -512,6 +532,8 @@ def _path_graph(amap: AspectMap, allowed: np.ndarray, scale: float):
     by the cost of entering it, h (1 + 0.05 / (|det J| / scale + 1e-3)).  The
     lattice-sized temporaries die on return, before the search allocates its
     state."""
+    from scipy.sparse import csr_matrix
+
     n = amap.grid_n
     points = np.flatnonzero(allowed)
     node = np.full(allowed.size, -1, dtype=np.int32)
@@ -532,7 +554,10 @@ def find_nonsingular_path(p: DhParams, maps: TopologyMaps,
     points of their aspect (|det J| > 3 PATH_DET_TOL L^3, plus the points
     nearest the two ends), from one Dijkstra run on _path_graph, or None
     when they lie in different aspects.  theta1 is irrelevant to
-    singularities and is carried only at the ends."""
+    singularities and is carried only at the ends.  SciPy's Dijkstra is
+    imported here, so only a path query loads it."""
+    from scipy.sparse.csgraph import dijkstra
+
     scale = singularity_scale(p)
     tol = PATH_DET_TOL * scale
     for q in (q_start, q_goal):

@@ -103,7 +103,9 @@ from segment_refs import unwrap_segment
 
 def components(key, excluded=None):
     """(count, labels) of topology._components from a graph with one node per
-    cell and one edge per open cell edge, the seams of both axes included."""
+    cell and one edge per open cell edge, the seams of both axes included,
+    by SciPy's connected_components: an independent method, as the package
+    joins row runs by its own union-find."""
     grid_n = key.shape[0]
     open_r = key == np.roll(key, -1, axis=0)
     open_u = key == np.roll(key, -1, axis=1)

@@ -1,10 +1,10 @@
 """Static checks on the source tree, written with `ast` since no linter is a
 dependency: one root-acceptance rule, the root engine called only where no IK
 result is built, no unused imports, no unread private definitions, no per-cell
-loop over a 2-D mask, no hand-written heap search, no heavyweight
-third-party module imported when the package loads or an analysis runs, one
-formula for the pulled-back discriminant, one for the quartic's discriminant
-and one invariant count, root finding in theta3 with no half-angle chart,
+loop over a 2-D mask, no hand-written heap search, no module of SciPy
+imported when the package loads or an analysis runs (only the path search
+and the kd-tree import it, on first use), one formula for the pulled-back
+discriminant, one for the quartic's discriminant and one invariant count, root finding in theta3 with no half-angle chart,
 no least squares or multi-unknown Newton in the package, one harmonic row
 format for the trigonometric polynomials on the theta circle, PS lifted
 from S with no marching squares or crossing refinement of its own, S as
@@ -16,6 +16,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -214,11 +215,14 @@ def test_no_hand_written_heap_search(path):
 
 
 # Every run of the package pays for what importing it loads, so a new
-# module-level import is a start-up cost: `python -X importtime` puts
-# scipy.ndimage alone at ~70 ms on top of the package (2-vCPU x86-64 host);
-# cKDTree (scipy.spatial) is imported inside the one function that uses it,
-# which no analysis calls.
-MODULE_LEVEL_THIRD_PARTY = {"numpy", "scipy.sparse", "scipy.sparse.csgraph"}
+# module-level import is a start-up cost.  scipy.sparse and
+# scipy.sparse.csgraph cost 180-270 ms and 30 MB of RSS on top of the
+# package (SciPy 1.17, 2-vCPU x86-64 host, medians of 9 fresh interpreters):
+# `import cuspidal.cli` took 290-440 ms and 62 MB with them, 110-175 ms and
+# 32 MB without, of which Python and NumPy take 50-80 ms and 27 MB.  SciPy
+# is imported inside the functions that use it: the path search's graph and
+# Dijkstra, and cKDTree (scipy.spatial), which no analysis calls.
+MODULE_LEVEL_THIRD_PARTY = {"numpy"}
 
 
 def _module_level_imports(tree) -> set:
@@ -243,22 +247,79 @@ def test_package_imports_only_its_light_dependencies_at_module_level():
     assert third_party == MODULE_LEVEL_THIRD_PARTY
 
 
-def test_importing_the_cli_loads_no_lazy_scipy_module():
-    probe = ("import sys, cuspidal.cli; "
-             "print(sorted(m for m in sys.modules if m.startswith(('scipy.spatial', 'scipy.ndimage'))))")
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
-    assert out.stdout.strip() == "[]"
+def _scipy_import_scopes(tree) -> set:
+    """Innermost enclosing functions (or "<module>") of every import from SciPy."""
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                 else [node.module] if isinstance(node, ast.ImportFrom) and node.level == 0 else [])
+        if any(name.split(".")[0] == "scipy" for name in names):
+            found.add(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "<module>")
+    return found
 
 
-def test_a_full_analysis_loads_no_scipy_spatial():
-    """Labels read the vertex lattice, so an analysis builds no kd-tree."""
-    probe = ("import math, sys; from cuspidal import DhParams, is_cuspidal; "
-             "is_cuspidal(DhParams(0, 1, 0, 1, 2, 1.5, -math.pi / 2, math.pi / 2), grid_n=128); "
-             "print(sorted(m for m in sys.modules if m.startswith('scipy.spatial')))")
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
-    assert out.stdout.strip() == "[]"
+def test_only_the_path_search_and_the_kd_tree_import_scipy():
+    scopes = {(path.name, scope) for path in PACKAGE.glob("*.py")
+              for scope in _scipy_import_scopes(_tree(path))}
+    assert scopes == {("topology.py", "_path_graph"), ("topology.py", "find_nonsingular_path"),
+                      ("geometry.py", "__init__")}
+
+
+def _probe(code: str) -> str:
+    """What `code` prints in a fresh interpreter that imports the package
+    from src/."""
+    out = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    return out.stdout.strip()
+
+
+_SCIPY_LOADED = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
+
+
+def test_importing_the_cli_loads_no_scipy_module():
+    assert _probe(f"import sys, cuspidal.cli; print({_SCIPY_LOADED})") == "[]"
+
+
+def test_a_full_analysis_and_a_classify_load_no_scipy_module(tmp_path):
+    """The flood fills join their row runs by the package's own union-find
+    and labels read the vertex lattice, so neither is_cuspidal nor
+    `cuspidal classify` (every format) loads any part of SciPy."""
+    battery = ROOT / "robots" / "battery.json"
+    probe = f"""
+        import contextlib, io, math, sys
+        from cuspidal import DhParams, cli, is_cuspidal
+        is_cuspidal(DhParams(0, 1, 0, 1, 2, 1.5, -math.pi / 2, math.pi / 2), grid_n=128)
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["classify", "--robot", {str(battery)!r}, "--name", "nonortho_cuspidal",
+                             "--grid", "128", "--out", {str(tmp_path)!r}, "--format", "json,csv,svg"])
+        print(code, {_SCIPY_LOADED})
+        """
+    assert _probe(probe) == "2 []"
+    assert (tmp_path / "nonortho_cuspidal.report.json").is_file()
+
+
+def test_a_path_query_loads_scipy_late_and_finds_its_path():
+    """Maps built with no SciPy loaded; the first find_nonsingular_path
+    imports SciPy's sparse graph and Dijkstra and finds criterion 10's
+    posture-changing path."""
+    probe = f"""
+        import math, sys
+        from cuspidal import (DhParams, JointConfig, build_topology, find_nonsingular_path,
+                              trace_critical_points, verify_path)
+        p = DhParams(0, 1, 0, 1, 2, 1.5, -math.pi / 2, math.pi / 2)
+        maps = build_topology(p, trace_critical_points(p, 240), 240)
+        before = {_SCIPY_LOADED}
+        path = find_nonsingular_path(p, maps, JointConfig(0, -0.742, 2.628), JointConfig(0, -3.0, -0.5))
+        print(before, "scipy.sparse.csgraph" in sys.modules, len(path) > 2, verify_path(p, path).valid)
+        """
+    assert _probe(probe) == "[] True True True"
 
 
 def _private_definitions(tree) -> list:
@@ -381,8 +442,9 @@ def test_s_is_closed_loops_with_one_seam_rule():
 # same numbering in 34 us.
 LATTICE_PASSES = {
     "critical.py": ("_with_next", "_marching_segments", "genericity_check"),
-    "topology.py": ("_components", "compute_aspects", "_d_series", "_discriminant_lattice",
-                    "_s_band", "compute_reduced_aspects", "_path_graph", "find_nonsingular_path"),
+    "topology.py": ("_union_runs", "_components", "compute_aspects", "_d_series", "_discriminant_lattice",
+                    "_s_band", "compute_reduced_aspects", "_path_graph",
+                    "find_nonsingular_path"),
 }
 
 

@@ -525,6 +525,19 @@ def test_row_run_fill_equals_the_cell_graph_on_robot_grids(analysis):
         _assert_fill_equals_reference(2 * (det >= 0) + ps.d_positive, ps.s_band)
 
 
+def test_row_run_fill_equals_the_cell_graph_on_a_full_size_random_key():
+    """A seeded random 720^2 boolean key at density 0.55, just above the
+    square lattice's site-percolation threshold: 68,040 components of
+    every size, with and without cells excluded.  Its 256,948 row runs
+    take the union-find 5 hooking rounds; the hypothesis grids have at most
+    30^2 cells."""
+    rng = np.random.default_rng(0)
+    key = rng.random((720, 720)) < 0.55
+    _assert_fill_equals_reference(key)
+    assert _components(key)[0] == 68040
+    _assert_fill_equals_reference(key, rng.random((720, 720)) < 0.1)
+
+
 # --------------------------------------------------------------------------
 # solution labels
 # --------------------------------------------------------------------------
