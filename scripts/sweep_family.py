@@ -26,6 +26,15 @@ from cuspidal.critical import (  # noqa: E402
 PARAMS = ("d1", "d2", "d3", "a1", "a2", "a3", "alpha1", "alpha2")
 
 
+def _base(text: str) -> dict:
+    """The --base robot's parameters by name, from exactly one number each."""
+    values = text.split(",")
+    if len(values) != len(PARAMS):
+        raise ValueError(f"--base takes {len(PARAMS)} comma-separated numbers "
+                         f"({','.join(PARAMS)}), got {len(values)}")
+    return dict(zip(PARAMS, map(float, values)))
+
+
 def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--param", choices=PARAMS, required=True)
@@ -37,12 +46,16 @@ def main() -> int:
                     help="comma-separated d1,d2,d3,a1,a2,a3,alpha1,alpha2")
     args = ap.parse_args()
 
-    base = dict(zip(PARAMS, (float(v) for v in args.base.split(","))))
+    try:
+        base = _base(args.base)
+    except ValueError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 1
     print(f"{args.param:>10}  cusps  nodes  generic  verdict")
     for value in np.linspace(args.lo, args.hi, args.steps):
         base[args.param] = float(value)
-        p = DhParams(**base)
         try:
+            p = DhParams(**base)
             curves = trace_critical_points(p, args.grid)
             wcurves = critical_values(p, curves)
             cusps = find_cusps(p, wcurves)

@@ -1,39 +1,57 @@
-"""Loop references the array engines in the package are tested against: the
-flood fill as one sparse graph over every cell, marching squares and its chain
-walk over dicts keyed by ("u" | "v", i, j), with its mixed cells counted over
-rolled copies of the lattice, genericity's isolated-point test
-as a dilation of the crossed cells, a segment hash filled one segment
-at a time, the quartic root engine as it stood before the per-robot conic
-constants and with the second clustering pass the package dropped, with the
-circle jet and values as they stood at degree 2, the
-labels one solution at a time over its lattice cell's four corners, the
-quartic jet with its own Horner loop, the A* path search over
-lattice-point tuples, the path audit one segment at a time, the census counts
-from the root engine at every target, the c3s3 plot's plane marching squares
-as a loop over cells, the SVG polyline formatted one vertex at a time, the
-pulled-back discriminant D through the end effector and the conic, the
-signs of D sampled at every lattice point, as PS was traced before D's
-theta2 series, the reduced aspects' parents from a sort of the whole
-lattice, the lattice passes as they stood before they dropped their rolled
-copies and abs temporaries (the block sampler with A, B and C per block,
-the trace's Newton with separate value and gradient calls, and the S
-band), and the chart engine:
-cusps, nodes and quadruple roots solved on the quartic M in the half-angle
-chart that keeps each seed well conditioned, as they stood before the Newton
-systems moved onto the theta3 circle, certified by the unit-free rule on the
-chart's own residuals, cusps polished by Newton on g = g' = g'' = 0 in
-(theta3, R, z) on the conic's harmonics on the theta3 circle, as they were
-before the polish on the cusp locus's branches, cusps and quadruple roots by
-that Newton from seeds on the traced curves, as they were found before the
-cusp locus, and nodes at the crossings of the traced critical values refined
-by Newton, as they were found before their closed form.  Every Newton here is
-one damped Gauss-Newton, damped_newton, with one fun_jac call per line-search
-lambda."""
+"""References the package's engines are tested against, of two kinds.
+
+Oracles, each an independent method (test modules named without test_):
+- components, SciPy's cell graph: topology::test_row_run_fill_equals_*.
+- damped_newton, one damped Gauss-Newton: every Newton below.
+- isolated_singular_points, mixed_cells dilated: critical::
+  test_isolated_point_blocks_equal_the_dilation_reference.
+- sweep_find_nodes, critical-value crossings from a SegmentHash refined by
+  refine_nodes: nodes::test_closed_form_nodes_equal_the_reference_sweep.
+- discriminant through the end effector: topology::test_factored_d_*;
+  pointwise_d_positive: d_series::test_series_ps_equals_the_pointwise_*.
+- ik_counts, the root engine alone: critical::
+  test_census_equals_the_engine_only_count.
+- solve_circle one row at a time, with the second clustering pass the
+  package dropped: engine_bits::test_solve_circle_bits_*.
+- solve_quartics, the half-angle chart engine: reduction::
+  test_circle_engine_equals_the_chart_engine_off_the_band and
+  test_roots_at_theta3_pi_equal_the_chart_engine; QuarticPencil with
+  polyval_jet (np.polyval of np.polyder) for chart_find_cusps,
+  chart_refine_nodes and chart_quadruple_root: critical::
+  test_circle_engine_equals_the_chart_engine.
+- newton_find_cusps on circle_harmonics and circle_jet: cusp_locus::
+  test_branch_polish_equals_the_newton_polish; speed_minimum_find_cusps
+  and newton_quadruple_root: test_cusp_locus_equals_the_traced_curve_*.
+- find_nonsingular_path, A* over lattice-point tuples: engine_bits::
+  test_path_search_*.
+- reduced_parent by np.unique: topology::test_reduced_aspects_*; harmonics,
+  quartic rows as harmonic rows: the root-engine tests' inputs.
+A helper of a kept oracle stays with it: circle_jet2, circle_values2 and
+circle_newton (solve_circle), conic, conic_stack and circle_stack
+(ik_counts), solve_ik_batch (the node sweep), verify_path (the A* search).
+
+Copies of parent forms that stay, each with the one-ulp-class mutation of
+the code it pins that no other tier-1 test caught:
+- det_jacobian_grad and refine_on_zero_set: engine_bits::
+  test_lattice_passes_equal_their_parent_forms; dh.det_jacobian_jet's
+  d/dtheta3 summed as c2 da + (s2 db + dc), and _refine_on_zero_set's step
+  as fval / gg * g2.
+- marching_segments and chain_loops, the dict engine: critical::
+  test_array_marching_equals_the_dict_engine*; _crossing_points' fraction
+  as 1 - f1 / (f1 - f0).
+- quartic_stack: engine_bits::test_conic_stack_bits_equal_reference;
+  quartic_coeffs_from_conic's t^2 coefficient as 2 c + 4 ayy - 2 axx.
+- labels: engine_bits::test_label_solutions_bits_*; _cell_corners' cell
+  as floor((theta + pi) (n / 2 pi)), and AspectMap.nearest's as
+  floor((theta + pi + h / 2) / h).
+- verify_path: engine_bits::test_verify_path_*; the samples as a (1 - t)
+  + b t.
+- marching_squares_plane: engine_bits::test_plane_marching_squares_*;
+  svgplot's crossing as x0 (1 - f) + f x1."""
 import heapq
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -325,17 +343,6 @@ def isolated_singular_points(det_vertex, scale):
     return (np.abs(det_vertex) < 1e-6 * scale) & ~near_curve
 
 
-def sample_lattice(field, grid_n: int):
-    """field(theta2, theta3) on the wrapped vertex lattice in blocks of 48
-    rows, each block's theta2 as a column against the theta3 row: the trig
-    runs on the axes, and det J's A, B and C once per block."""
-    th = -math.pi + TWO_PI * np.arange(grid_n) / grid_n
-    out = np.empty((grid_n, grid_n))
-    for i in range(0, grid_n, 48):
-        out[i:i + 48] = field(th[i:i + 48, None], th[None, :])
-    return out, th
-
-
 def det_jacobian_grad(p, theta2, theta3):
     """The exact gradient of det J alone: (-sin(theta2) A + cos(theta2) B,
     cos(theta2) A' + sin(theta2) B' + C')."""
@@ -359,23 +366,6 @@ def refine_on_zero_set(p, pts, scale):
         pts[:, 0] -= fval * g2 / gg
         pts[:, 1] -= fval * g3 / gg
     return wrap_angle(pts)
-
-
-def s_band(det_vertex):
-    """topology._s_band with the crossed edges found again, with their far
-    ends, as rolled copies of the lattice."""
-    neg = det_vertex < 0
-    band = np.zeros(neg.shape, dtype=bool)
-    for axis in (0, 1):
-        crossed = neg != np.roll(neg, -1, axis=axis)
-        band |= crossed | np.roll(crossed, 1, axis=axis)
-    for _ in range(int(math.ceil(topology.PS_EXCLUSION_RADIUS / (TWO_PI / len(neg)))) + 1):
-        grown = band.copy()
-        for src, dst in ((np.s_[:-1], np.s_[1:]), (np.s_[1:], np.s_[:-1]), (-1, 0), (0, -1)):
-            grown[dst] |= band[src]
-            grown[:, dst] |= band[:, src]
-        band = grown
-    return band
 
 
 class SegmentHash:
@@ -420,9 +410,8 @@ class SegmentHash:
 
 
 # --------------------------------------------------------------------------
-# root engine and labelling before the per-robot constants: the conic from
-# f_coefficients on every call, the polish line search as one Horner call per
-# lambda, and one distance pass per curve index
+# the conic stack and labelling before the per-robot constants: the conic
+# from f_coefficients on every call
 # --------------------------------------------------------------------------
 
 def conic(p, f, R, z):
@@ -806,14 +795,19 @@ def solve_quartics(m):
                       np.take_along_axis(out_m, order, axis=1), zero)
 
 
-def quartic_jet(coeffs, t, order):
-    """reduction.quartic_jet with its own Horner loop over the five slots."""
-    d = coeffs[..., _JET_INDEX[:order + 1]] * _JET_WEIGHT[:order + 1]
-    tt = np.reshape(t, (-1,) + (1,) * (d.ndim - 2))
-    acc = d[..., 0]
-    for i in range(1, 5):
-        acc = acc * tt + d[..., i]
-    return acc
+# np.polyder of each unit quartic, 0 .. 4 times, right-aligned in five
+# slots: entry (i, j) holds what the j-th derivative takes from coefficient i
+_POLYDER = np.array([[np.concatenate([np.zeros(j), np.polyder(e, j)]) for j in range(5)]
+                     for e in np.eye(5)])
+
+
+def polyval_jet(coeffs, t, order):
+    """np.polyval(np.polyder(m, j), t) for j = 0 .. order of every quartic m
+    of coeffs (K, ..., 5), highest degree first, at its row's t (K,): shape
+    (K, ..., order + 1), by one np.polyval of the _POLYDER combinations."""
+    coeffs = np.asarray(coeffs, float)
+    d = (coeffs @ _POLYDER[:, :order + 1].reshape(5, -1)).reshape(coeffs.shape[:-1] + (-1, 5))
+    return np.polyval(np.moveaxis(d, -1, 0), np.reshape(t, (-1,) + (1,) * (d.ndim - 2)))
 
 
 def back_substitution(p, f, R, zr, theta2, theta3):
@@ -1022,12 +1016,6 @@ def marching_squares_plane(values, xs, ys):
     return segs
 
 
-def polyline_points(canvas, pts):
-    """The points attribute of svgplot._Canvas.polyline, one to_view_fmt call
-    per vertex."""
-    return " ".join("%s,%s" % canvas.to_view_fmt(x, y) for x, y in pts)
-
-
 def discriminant(p, theta2, theta3):
     """topology._discriminant through the end effector: R and z - d1 from
     fk_arrays, the conic from conic_raw, scaled to unit max-norm per point."""
@@ -1038,12 +1026,12 @@ def discriminant(p, theta2, theta3):
     return quartic_discriminant(quartic_coeffs_from_conic(cc))
 
 
-def pointwise_pseudosingularities(curves):
-    """(d_positive, s_band) of topology.compute_pseudosingularities with D
-    block-sampled at every point of the vertex lattice, as PS was traced
+def pointwise_d_positive(curves):
+    """d_positive of topology.compute_pseudosingularities from D at every
+    point of the vertex lattice, broadcast from its axes, as PS was traced
     before D's theta2 series."""
-    d, _ = sample_lattice(partial(topology._discriminant, curves.robot), curves.grid_n)
-    return d > 0, s_band(curves.det_vertex)
+    th = -math.pi + TWO_PI * np.arange(curves.grid_n) / curves.grid_n
+    return topology._discriminant(curves.robot, th[:, None], th[None, :]) > 0
 
 
 def reduced_parent(reduced_labels, aspect_labels):
@@ -1115,7 +1103,7 @@ class QuarticPencil:
 def chart_multiple_root_system(pencil, flip, mult):
     """M = M' = ... = M^(mult-1) = 0 in (u, R, z); flip[k] is seed k's chart."""
     def fun_jac(x, rows):
-        jet = quartic_jet(pencil.quartic(x[:, 1], x[:, 2], flip[rows]), x[:, 0], mult)
+        jet = polyval_jet(pencil.quartic(x[:, 1], x[:, 2], flip[rows]), x[:, 0], mult)
         jac = np.stack([jet[:, 0, 1:], jet[:, 1, :mult], jet[:, 2, :mult]], axis=2)
         return jet[:, 0, :mult], jac
     return fun_jac
@@ -1127,7 +1115,7 @@ def chart_node_system(pencil, flip1, flip2):
         k = len(x)
         R, zr = np.tile(x[:, 2], 2), np.tile(x[:, 3], 2)
         flips = np.concatenate([flip1[rows], flip2[rows]])
-        jet = quartic_jet(pencil.quartic(R, zr, flips), x[:, :2].T.ravel(), 2)
+        jet = polyval_jet(pencil.quartic(R, zr, flips), x[:, :2].T.ravel(), 2)
         jet = jet.reshape(2, k, 3, 3)
         fval = np.zeros((k, 4))
         jac = np.zeros((k, 4, 4))
@@ -1160,7 +1148,7 @@ def chart_node_system_symmetric(pencil, flip):
 def _chart_certified(p, pencil, u, R, zr, flip, mult):
     """(|M^(j)|, j = 0..3, certified) of roots of multiplicity `mult` at chart
     coordinates u, by the rule of critical._certify on M in the seeds' charts."""
-    res = np.abs(quartic_jet(pencil.normalized_quartic(R, zr, flip), u, 3))
+    res = np.abs(polyval_jet(pencil.normalized_quartic(R, zr, flip), u, 3))
     ok = ((R - zr * zr >= -_RHO2_FLOOR * length_scale(p) ** 2)
           & (np.max(res[:, :mult], axis=1) <= CUSP_RESIDUAL_TOL))
     if mult == 3:
@@ -1523,9 +1511,9 @@ def sweep_find_nodes(p, workspace_curves, refine=refine_nodes):
     """critical.find_nodes as a sweep: the candidates are the crossings of
     critical-value segments (self-intersections included) that share a
     bucket of a segment hash, leaving out the segments too short to cross
-    any other, each refined by `refine`.  Acceptance is find_nodes': the
-    tangency-angle gap, _certify on both double roots, the IK check and the
-    dedup."""
+    any other, each refined by `refine`.  Acceptance is find_nodes' (the
+    tangency-angle gap, _certify on both double roots and the dedup) plus
+    the IK check it dropped: solve_ik_batch finds the two double roots."""
     lscale = length_scale(p)
     seg_a, seg_b = _segments(workspace_curves)
     steps = [np.median(np.hypot(*np.diff(w.vertices, axis=0).T))

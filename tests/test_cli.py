@@ -485,6 +485,20 @@ def test_sweep_family_prints_one_row_per_step():
                                 "True", verdict]
 
 
+@pytest.mark.parametrize("base", ["0,1,0", "0,1,0,1,2,1.5,-1.5707963267948966,1.5707963267948966,7"],
+                         ids=["3-numbers", "9-numbers"])
+def test_sweep_family_refuses_a_base_that_is_not_eight_numbers(base):
+    """A --base of too few or too many numbers exits 1 before any row, with
+    one error line, as the CLI refuses an option."""
+    run = subprocess.run([sys.executable, os.path.join(SCRIPTS, "sweep_family.py"), "--param",
+                          "a3", "--lo", "1.5", "--hi", "2.5", "--steps", "2", "--grid", "120",
+                          "--base", base], capture_output=True, text=True)
+    assert run.returncode == 1 and run.stdout == ""
+    count = len(base.split(","))
+    assert run.stderr == ("error: --base takes 8 comma-separated numbers "
+                          f"(d1,d2,d3,a1,a2,a3,alpha1,alpha2), got {count}\n")
+
+
 # --------------------------------------------------------------------------
 # plots
 # --------------------------------------------------------------------------

@@ -65,7 +65,6 @@ from engine_refs import (
     marching_segments,
     mixed_cells,
     newton_quadruple_root,
-    sample_lattice,
     sweep_find_nodes,
 )
 from engine_refs import ik_counts as engine_ik_counts
@@ -773,24 +772,26 @@ def test_array_marching_equals_the_dict_engine_on_robot_fields():
     """det J and D on the one vertex lattice, saddle centers evaluated in
     one vectorised call against one scalar call each."""
     for robot in (REFERENCE, NODE_ROBOT, NONORTHO_NONCUSPIDAL):
-        for field in (partial(det_jacobian, robot), partial(topology._discriminant, robot)):
-            f, th = sample_lattice(field, TEST_GRID)
-            _assert_marching_equals_the_dict_engine(f, th, field)
+        f, th = _sample_lattice(robot, TEST_GRID)
+        _assert_marching_equals_the_dict_engine(f, th, partial(det_jacobian, robot))
+        d_field = partial(topology._discriminant, robot)
+        _assert_marching_equals_the_dict_engine(d_field(th[:, None], th[None, :]), th, d_field)
 
 
 def test_det_lattices_equal_the_pointwise_values_on_the_battery():
     """det J on the vertex lattice (A, B and C once on the theta3 axis) and
-    D block-sampled from the axes have the bytes of the fields evaluated
-    point by point at the same angles, as flattened arrays and as Python
-    floats."""
+    D broadcast from the axes, as its docstring states, have the bytes of
+    the fields evaluated point by point at the same angles, as flattened
+    arrays and as Python floats."""
     n = 128
     vertices = -math.pi + 2 * math.pi * np.arange(n) / n
     t2, t3 = np.meshgrid(vertices, vertices, indexing="ij")
     pick = np.random.default_rng(3).integers(0, n, (40, 2))
     for robot in BATTERY.values():
         d_field = partial(topology._discriminant, robot)
+        d_lattice = d_field(vertices[:, None], vertices[None, :]), vertices
         for field, (lattice, th) in ((partial(det_jacobian, robot), _sample_lattice(robot, n)),
-                                     (d_field, sample_lattice(d_field, n))):
+                                     (d_field, d_lattice)):
             assert th.tobytes() == vertices.tobytes()
             assert lattice.tobytes() == field(t2.ravel(), t3.ravel()).reshape(n, n).tobytes()
             scalars = [float(field(float(vertices[i]), float(vertices[j]))) for i, j in pick]

@@ -1,8 +1,8 @@
 """D's theta2 series: for fixed theta3 the pulled-back discriminant is a
 trigonometric polynomial of degree 6 in theta2 (exact algebra and the
 16-sample DFT), and the lattice read from that series gives the signs of D
-that D sampled at every lattice point gave, bit for bit (tests/engine_refs),
-which the reduced fill reads."""
+that D evaluated at every lattice point gives, bit for bit
+(tests/engine_refs), which the reduced fill reads."""
 import math
 
 import numpy as np
@@ -12,7 +12,7 @@ from cuspidal import compute_pseudosingularities, is_cuspidal, report, topology,
 from cuspidal.reduction import quartic_coeffs_from_conic, quartic_discriminant
 
 from conftest import BATTERY, REFERENCE, TEST_GRID, perfbench_inputs, robot_draws
-from engine_refs import pointwise_pseudosingularities
+from engine_refs import pointwise_d_positive
 
 SCREEN_ROBOTS = [(label, p) for label, p, _ in perfbench_inputs().screen_robots(1)]
 
@@ -73,17 +73,15 @@ def test_d_harmonics_above_six_vanish_to_rounding():
 
 def _assert_ps_equals_the_pointwise_reference(p, curves):
     ps = compute_pseudosingularities(curves)
-    d_positive, s_band = pointwise_pseudosingularities(curves)
-    assert ps.d_positive.tobytes() == d_positive.tobytes()
-    assert ps.s_band.tobytes() == s_band.tobytes()
+    assert ps.d_positive.tobytes() == pointwise_d_positive(curves).tobytes()
     assert 0 <= ps.rechecked < curves.grid_n ** 2
 
 
 @pytest.mark.parametrize("grid_n", [TEST_GRID, 720, 1440])
 @pytest.mark.parametrize("name", sorted(BATTERY))
 def test_series_ps_equals_the_pointwise_reference_on_the_battery(name, grid_n, analysis):
-    """d_positive and the S band have the bytes of D sampled at every
-    lattice point, parabola_conic (non-generic) included."""
+    """d_positive has the bytes of D's sign at every lattice point,
+    parabola_conic (non-generic) included."""
     p = BATTERY[name]
     _assert_ps_equals_the_pointwise_reference(p, analysis.curves(p, grid_n))
 

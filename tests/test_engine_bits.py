@@ -1,9 +1,10 @@
 """The root engine, the conic stack, the IK slot, the labels, the path
-search and its audit, the c3s3 plot's marching squares and the lattice
-passes against the references in engine_refs, bit for bit, plus D's
-lattice against the pointwise D, the engine's work bounds per
-call, the SVG polylines against the per-vertex formatter, and the
-jointspace figure's split at the torus seams."""
+search and its audit, the c3s3 plot's marching squares and the traced S
+against the references in engine_refs, bit for bit, plus the det J and D
+lattices and quartic_jet against the pointwise values their docstrings
+state, the engine's work bounds per call, the SVG polylines against the
+canvas's per-vertex formatter, and the jointspace figure's split at the
+torus seams."""
 import itertools
 import math
 import pathlib
@@ -165,22 +166,6 @@ def test_solve_circle_bits_on_workload_rows(analysis):
     assert total >= 1500
 
 
-def test_circle_helpers_equal_their_degree_2_copies():
-    """reduction._circle_jet and _circle_values, written for any degree,
-    equal engine_refs' copies of their degree-2 versions bit for bit on
-    every special row and on 4,096 random rows, at every derivative order
-    and at random angles, 0 and +/-pi among them."""
-    rng = np.random.default_rng(2)
-    h = np.vstack([engine_refs.harmonics(np.array(_special_rows(rng))),
-                   rng.normal(size=(4096, 5)) * 10.0 ** rng.uniform(-3.0, 3.0, (4096, 1))])
-    order = rng.integers(0, 4, len(h))
-    theta = rng.uniform(-math.pi, math.pi, len(h))
-    theta[:3] = 0.0, math.pi, -math.pi
-    jet = reduction._circle_jet(h, order)
-    assert _same_bits(jet, engine_refs.circle_jet2(h, order))
-    assert _same_bits(reduction._circle_values(jet, theta), engine_refs.circle_values2(jet, theta))
-
-
 @given(seed=st.integers(0, 2 ** 32 - 1))
 def test_polish_bits_equal_reference(seed):
     """reduction._polish on every derivative order, from random angles."""
@@ -200,18 +185,22 @@ def test_polish_bits_equal_reference(seed):
 @settings(max_examples=200)
 @given(seed=st.integers(0, 2 ** 32 - 1), order=st.integers(0, 4),
        inner=st.sampled_from([(), (3,), (2, 3)]))
-def test_quartic_jet_bits_equal_reference(seed, order, inner):
-    """Quartic rows with extra axes between the row and the coefficients, as
-    the pencil's (K, 3, 5) stacks have, at points from 1e-3 to 1e3 of
-    either sign, zeros and degree-dropped rows among them."""
+def test_quartic_jet_bits_equal_polyval_of_polyder(seed, order, inner):
+    """Each value is np.polyval(np.polyder(m, j), t), as the docstring
+    states, on quartic rows with extra axes between the row and the
+    coefficients, as the pencil's (K, 3, 5) stacks have, at points from
+    1e-3 to 1e3 of either sign, zeros and degree-dropped rows among them."""
     rng = np.random.default_rng(seed)
     k = int(rng.integers(1, 12))
     coeffs = rng.normal(size=(k, *inner, 5)) * 10.0 ** rng.uniform(-3.0, 3.0, (k, *inner, 5))
     coeffs[rng.random((k, *inner, 5)) < 0.1] = 0.0
     t = rng.choice([-1.0, 1.0], k) * 10.0 ** rng.uniform(-3.0, 3.0, k)
     t[rng.random(k) < 0.1] = 0.0
-    assert _same_bits(reduction.quartic_jet(coeffs, t, order),
-                      engine_refs.quartic_jet(coeffs, t, order))
+    jet = reduction.quartic_jet(coeffs, t, order)
+    at = np.broadcast_to(t.reshape((k,) + (1,) * len(inner)), coeffs.shape[:-1])
+    for row in np.ndindex(coeffs.shape[:-1]):
+        expected = [np.polyval(np.polyder(coeffs[row], j), at[row]) for j in range(order + 1)]
+        assert _same_bits(jet[row], np.array(expected)), row
 
 
 def _robots():
@@ -634,9 +623,10 @@ def test_plane_marching_squares_on_random_conics_and_fields(seed):
 # --------------------------------------------------------------------------
 
 def _polyline_equals_reference(canvas, pts):
+    """The points attribute is the canvas's to_view_fmt of each vertex."""
     canvas.polyline(pts, "critical-curve")
-    assert canvas.parts[-1] == (f'  <polyline class="critical-curve" '
-                                f'points="{engine_refs.polyline_points(canvas, pts)}"/>')
+    points = " ".join("%s,%s" % canvas.to_view_fmt(x, y) for x, y in pts)
+    assert canvas.parts[-1] == f'  <polyline class="critical-curve" points="{points}"/>'
 
 
 def test_workspace_polylines_equal_the_per_vertex_formatter(analysis):
@@ -717,14 +707,16 @@ def _lattice_robots():
 
 @pytest.mark.parametrize("grid_n", [TEST_GRID, 720])
 def test_lattice_passes_equal_their_parent_forms(grid_n):
-    """The det J lattice, the traced S (vertices from the Newton with
-    separate value and gradient calls, and their gradient norms) and the S
-    band have the bytes of their parent forms."""
+    """The det J lattice has the bytes of det J evaluated point by point,
+    and the traced S (vertices from the Newton with separate value and
+    gradient calls, and their gradient norms) those of its parent form."""
+    th = -math.pi + 2 * math.pi * np.arange(grid_n) / grid_n
+    t2, t3 = np.meshgrid(th, th, indexing="ij")
     for p in _lattice_robots():
         field = partial(det_jacobian, p)
-        f, th = engine_refs.sample_lattice(field, grid_n)
         curves = critical.trace_critical_points(p, grid_n)
-        assert _same_bits(curves.det_vertex, f), p
+        f = curves.det_vertex
+        assert _same_bits(f, field(t2.ravel(), t3.ravel()).reshape(grid_n, grid_n)), p
         ids, nbr = critical._marching_segments(f, th, field)
         pos = critical._crossing_points(f, th, ids)
         ref = []
@@ -735,7 +727,6 @@ def test_lattice_passes_equal_their_parent_forms(grid_n):
         assert len(curves) == len(ref), p
         for c, (v, g) in zip(curves, ref):
             assert _same_bits(c.vertices, v) and _same_bits(c.grad_norm, g), p
-        assert _same_bits(topology._s_band(curves), engine_refs.s_band(f)), p
 
 
 @pytest.mark.parametrize("grid_n", [128, TEST_GRID, 720])

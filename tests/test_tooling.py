@@ -9,8 +9,10 @@ no least squares or multi-unknown Newton in the package, one harmonic row
 format for the trigonometric polynomials on the theta circle, PS lifted
 from S with no marching squares or crossing refinement of its own, S as
 closed loops with one seam rule, lattice passes with no rolled copy, 2-D
-nonzero or sort, and root clusters that add no float with builtin sum."""
+nonzero or sort, root clusters that add no float with builtin sum, and no
+definition of a test reference module that no test reaches."""
 import ast
+import functools
 import os
 import pathlib
 import re
@@ -26,7 +28,9 @@ CHECKED = sorted([*PACKAGE.glob("*.py"), *(ROOT / "scripts").glob("*.py"),
                   *(ROOT / "tests").glob("*.py")])
 
 
+@functools.cache
 def _tree(path):
+    """The parsed module at path, parsed once per run; no check edits it."""
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
@@ -370,6 +374,73 @@ def test_no_private_definition_goes_unread():
     assert _unread_private_names(trees) == []
 
 
+def _ref_entry_points(tree) -> set:
+    """(module, name) of every definition a test module takes from a
+    reference module X_refs: `from X_refs import name` and `X_refs.name`."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("_refs"):
+            out |= {(node.module, a.name) for a in node.names}
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id.endswith("_refs"):
+            out.add((node.value.id, node.attr))
+    return out
+
+
+def _module_definitions(tree) -> dict:
+    """Per module-level function, class and assigned name, the bare names
+    its definition loads and does not bind itself, and the (module, name)
+    pairs it takes from reference modules."""
+    defs = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        found = [n for n in ast.walk(node) if isinstance(n, ast.Name)]
+        bound = ({n.id for n in found if isinstance(n.ctx, ast.Store)}
+                 | {a.arg for a in ast.walk(node) if isinstance(a, ast.arg)})
+        loads = {n.id for n in found if isinstance(n.ctx, ast.Load)} - bound
+        defs.update((name, (loads, _ref_entry_points(node))) for name in names)
+    return defs
+
+
+def _unreached_references(refs: dict, tests: list) -> list:
+    """(module, name) of every module-level definition of the reference
+    modules `refs` (module name -> tree) that no test module of `tests`
+    reaches: a test takes it by name, or a definition reached so loads it,
+    in its own module or through a `from X_refs import` of another."""
+    defs = {mod: _module_definitions(tree) for mod, tree in refs.items()}
+    imported = {mod: {a.asname or a.name: (node.module, a.name) for node in tree.body
+                      if isinstance(node, ast.ImportFrom) and node.module in refs
+                      for a in node.names}
+                for mod, tree in refs.items()}
+    todo = [entry for tree in tests for entry in _ref_entry_points(tree)]
+    seen = set()
+    while todo:
+        mod, name = todo.pop()
+        if (mod, name) in seen or name not in defs.get(mod, {}):
+            continue
+        seen.add((mod, name))
+        loads, taken = defs[mod][name]
+        todo.extend(taken)
+        todo.extend((mod, n) if n in defs[mod] else imported[mod][n]
+                    for n in loads if n in defs[mod] or n in imported[mod])
+    return sorted((mod, name) for mod, found in defs.items() for name in found
+                  if (mod, name) not in seen)
+
+
+def test_no_reference_goes_unreached():
+    """No dead references: every module-level definition of tests/*_refs.py
+    is reached, through the reference modules, from some tests/test_*.py."""
+    refs = {path.stem: _tree(path) for path in (ROOT / "tests").glob("*_refs.py")}
+    tests = [_tree(path) for path in (ROOT / "tests").glob("test_*.py")]
+    assert _unreached_references(refs, tests) == []
+
+
 def _names(tree) -> set:
     """Every name the tree binds, loads or imports, bare or as an attribute."""
     return ({n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
@@ -702,6 +773,13 @@ def test_checks_see_what_they_look_for():
              "b.py": ast.parse("from a import _used\nx = _used() + a._TOL\n")}
     assert _unread_private_names(trees) == [("a.py", "_Box"), ("a.py", "_LIMIT"),
                                             ("a.py", "_centers")]
+    refs = {"a_refs": ast.parse("from b_refs import helper\nLIMIT = 2\nSTEP = LIMIT / 2\n"
+                                "def used(x=STEP):\n    orphan = helper(x)\n    return orphan\n"
+                                "def orphan():\n    return used()\nclass Old:\n    pass\n"),
+            "b_refs": ast.parse("def helper(x):\n    return x\ndef alone():\n    pass\n")}
+    tests = [ast.parse("from a_refs import used\nimport b_refs\nx = b_refs.absent\n")]
+    assert _unreached_references(refs, tests) == [("a_refs", "Old"), ("a_refs", "orphan"),
+                                                  ("b_refs", "alone")]
     refs = _references([ast.parse("def f():\n    return g(1) + h.k\ndef g(x):\n    return C()\n"
                                   "class C:\n    def m(self):\n        return solve()\n"
                                   "def lone():\n    return other()\n")])
