@@ -6,8 +6,9 @@ Usage:
                                       [--grid 720] [--out out/battery]
 
 Writes, per robot, the files `cuspidal classify --format json,csv,svg`
-writes (report JSON, cusp/node CSVs, workspace SVG; the report bytes equal
-the command's) plus a jointspace SVG, and a summary table on stdout.
+writes at classify's census resolution and sample count (128 and 200):
+report JSON, cusp/node CSVs and workspace SVG, the report bytes equal to
+the command's, plus a jointspace SVG, and a summary table on stdout.
 """
 import argparse
 import os
@@ -21,6 +22,7 @@ from cuspidal.cli import classify_robot, write_classify_files  # noqa: E402
 from cuspidal.robotfile import parse_robot_file  # noqa: E402
 
 FORMATS = ["json", "csv", "svg"]
+CENSUS_N, SAMPLES = 128, 200        # classify's --census and --samples defaults
 
 
 def main() -> int:
@@ -28,8 +30,6 @@ def main() -> int:
     ap.add_argument("--robot", default=os.path.join(
         os.path.dirname(__file__), "..", "robots", "battery.json"))
     ap.add_argument("--grid", type=int, default=720)
-    ap.add_argument("--census", type=int, default=128)
-    ap.add_argument("--samples", type=int, default=200)
     ap.add_argument("--out", default="out/battery")
     args = ap.parse_args()
 
@@ -37,7 +37,7 @@ def main() -> int:
     rows = []
     for name, p in spec.robots.items():
         t0 = time.time()
-        doc, rep = classify_robot(name, p, args.grid, args.census, args.samples, FORMATS)
+        doc, rep = classify_robot(name, p, args.grid, CENSUS_N, SAMPLES, FORMATS)
         write_classify_files(args.out, name, report.dumps(doc), FORMATS, rep)
         if rep is None:
             rows.append((name, "non-generic", "-", "-", time.time() - t0))

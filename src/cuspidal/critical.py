@@ -228,15 +228,21 @@ def _marching_segments(f: np.ndarray, th: np.ndarray, field):
     return ids, pairs[:, ::-1].ravel()[np.column_stack([first, last])]
 
 
-def _crossing_points(f: np.ndarray, th: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """(m, 2) positions of crossing nodes, linearly interpolated along their
-    grid edges: node u(i, j)'s edge runs from vertex (i, j) along theta2,
-    node v(i, j)'s along theta3."""
-    n = len(th)
+def _edge_ends(ids: np.ndarray, n: int):
+    """Whether the grid edge of each _marching_segments node id runs along
+    theta3 (a v node), and its two ends: (i, j), then (i + 1, j) or (i, j + 1)."""
     along_v, flat = np.divmod(ids, n * n)
     i, j = np.divmod(flat, n)
+    return along_v, (i, j), ((i + 1 - along_v) % n, (j + along_v) % n)
+
+
+def _crossing_points(f: np.ndarray, th: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """(m, 2) positions of crossing nodes, linearly interpolated along their
+    grid edges (_edge_ends)."""
+    n = len(th)
+    along_v, (i, j), far = _edge_ends(ids, n)
     f0 = f[i, j]
-    frac = f0 / (f0 - f[(i + 1 - along_v) % n, (j + along_v) % n])
+    frac = f0 / (f0 - f[far])
     step = np.where(along_v[:, None] == 1, (0.0, TWO_PI / n), (TWO_PI / n, 0.0))
     return np.column_stack([th[i], th[j]]) + frac[:, None] * step
 

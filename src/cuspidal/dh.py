@@ -114,6 +114,8 @@ class CrossSectionPoint:
     z: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.rho) and math.isfinite(self.z)):
+            raise ValueError(f"cross-section point ({self.rho}, {self.z}) must be finite")
         if self.rho < 0:
             raise ValueError("rho must be non-negative")
 

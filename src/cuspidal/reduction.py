@@ -16,7 +16,7 @@ import functools
 import math
 import operator
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .dh import (
     Pose3,
     fk_arm,
     fk_arrays,
+    length_scale,
     wrap_angle,
     wrap_float,
 )
@@ -505,11 +506,15 @@ def quadruple_candidates(p: DhParams):
 def conic_coefficients(p: DhParams, target: CrossSectionPoint) -> ConicCoeffs:
     """Normalized conic of the IK problem at workspace point (rho, z).
 
-    d1 shifts the workspace along z, so the reduction runs on z - d1.
+    d1 shifts the workspace along z, so the reduction runs on z - d1.  Its
+    terms grow like rho^4: a conic that overflows is refused (ValueError).
     """
     zr = target.z - p.d1
-    cc = conic_raw(p, target.rho ** 2 + zr * zr, zr)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cc = conic_raw(p, target.rho * target.rho + zr * zr, zr)
     m = float(np.max(np.abs(cc)))
+    if not math.isfinite(m):
+        raise ValueError(f"the conic at ({target.rho}, {target.z}) is not finite")
     if m == 0.0:
         raise DegenerateConicError("conic is identically zero")
     cc = cc / m
@@ -776,12 +781,18 @@ class RootBatch:
 
     Row k holds its distinct real roots in theta3 order, theta (K, 4) in
     [-pi, pi), and their multiplicities, mult (K, 4); empty slots have theta
-    = nan and mult = 0.  `zero` marks rows whose harmonics all vanish.
+    = nan and mult = 0.  norm (K,) is each row's max |coefficient| of M, by
+    which solve_circle scaled it.
     """
 
     theta: np.ndarray
     mult: np.ndarray
-    zero: np.ndarray
+    norm: np.ndarray
+
+    @property
+    def zero(self) -> np.ndarray:
+        """Rows whose harmonics all vanish."""
+        return self.norm < 1e-300
 
     @property
     def t(self) -> np.ndarray:
@@ -822,8 +833,7 @@ def solve_circle(h) -> RootBatch:
     h = np.asarray(h, float).reshape(-1, 5)
     k_rows = len(h)
     norm = _quartic_norm(h)
-    zero = norm < 1e-300
-    h = h / np.where(zero, 1.0, norm)[:, None]
+    h = h / np.where(norm < 1e-300, 1.0, norm)[:, None]
     z, im_angle, real = _circle_roots(h)
     row, slot = np.nonzero(real)
     start = np.angle(z[row, slot])
@@ -853,7 +863,7 @@ def solve_circle(h) -> RootBatch:
     out_th = wrap_angle(out_th)
     order = np.argsort(np.where(out_m > 0, out_th, np.inf), axis=1, kind="stable")
     rows = np.arange(k_rows)[:, None]
-    return RootBatch(out_th[rows, order], out_m[rows, order], zero)
+    return RootBatch(out_th[rows, order], out_m[rows, order], norm)
 
 
 @dataclass(frozen=True)
@@ -1064,16 +1074,35 @@ class _CrossSectionIk:
     azimuth: np.ndarray
     on_axis: np.ndarray
 
+    def __post_init__(self):
+        for a in vars(self).values():
+            a.flags.writeable = False
+
+
+def _reach(p: DhParams, rho: np.ndarray, zr: np.ndarray) -> tuple:
+    """R = rho^2 + (z - d1)^2 of targets (inf where it overflows), and the
+    targets in reach, R <= L^2 (length_scale) as at every reachable point:
+    only their conics, whose terms grow like R^2, are evaluated."""
+    with np.errstate(over="ignore"):
+        R = rho * rho + zr * zr
+    return R, R <= length_scale(p) ** 2
+
 
 def _solve_cross_section(p: DhParams, rho: np.ndarray, zr: np.ndarray) -> _CrossSectionIk:
     """IK of targets (rho, z - d1): one engine pass, back-substitution and
-    refinement, with theta1 left to the caller's azimuth."""
-    R = rho * rho + zr * zr
+    refinement, with theta1 left to the caller's azimuth.  Targets out of
+    reach (_reach) get no root and status 0; the pass runs on the others
+    alone, and a row's result does not depend on the rows beside it."""
+    R, near = _reach(p, rho, zr)
+    if not near.all():
+        stage = _solve_cross_section(p, rho[near], zr[near])
+        status = np.zeros(len(rho), dtype=stage.status.dtype)
+        status[near] = stage.status
+        return replace(stage, row=np.flatnonzero(near)[stage.row], status=status)
     f = f_coefficients(p)
     cc, norm = _conic_stack(p, R, zr)
-    h = _circle_rows(cc)
-    status = np.where(norm == 0.0, _CONIC_ZERO, np.where(_quartic_norm(h) < 1e-12, _QUARTIC_ZERO, 0))
-    roots = solve_circle(h)
+    roots = solve_circle(_circle_rows(cc))
+    status = np.where(norm == 0.0, _CONIC_ZERO, np.where(roots.norm < 1e-12, _QUARTIC_ZERO, 0))
     row, slot = np.nonzero((roots.mult > 0) & (status == 0)[:, None])
     theta3, mult = roots.theta[row, slot], roots.mult[row, slot]
     t = np.tan(0.5 * theta3)
@@ -1083,11 +1112,8 @@ def _solve_cross_section(p: DhParams, rho: np.ndarray, zr: np.ndarray) -> _Cross
                              _half_gaps(row, slot, theta2, theta3, solved, len(rho)))
     x0, y0 = _base_xy(p, theta2, theta3)
     order = np.lexsort((np.where(solved, wrap_angle(theta3), np.inf), row))
-    stage = _CrossSectionIk(row, t, mult, theta2, theta3, solved, status, order,
-                            _atan2(y0, x0), np.hypot(x0, y0) < 1e-12)
-    for a in vars(stage).values():
-        a.flags.writeable = False
-    return stage
+    return _CrossSectionIk(row, t, mult, theta2, theta3, solved, status, order,
+                           _atan2(y0, x0), np.hypot(x0, y0) < 1e-12)
 
 
 # The last _solve_cross_section call, shared by all robots, as one (key,
@@ -1228,13 +1254,17 @@ def _invariant_counts(m: np.ndarray):
 def ik_counts(p: DhParams, rho, z):
     """Multiplicity-free IK solution counts for arrays of (rho, z) targets:
     the distinct real roots of each target's quartic, 0 where the conic
-    vanishes.  Used by the workspace census.  The quartic's invariants count
-    every row they decide (_invariant_counts); the rest, next to Delta = 0,
-    go to solve_circle, whose count each decided row equals."""
+    vanishes or the target is out of reach (_reach).  Used by the
+    workspace census.  The quartic's invariants count every row they decide
+    (_invariant_counts); the rest, next to Delta = 0, go to solve_circle,
+    whose count each decided row equals."""
     rho = np.asarray(rho, float).ravel()
     zr = np.asarray(z, float).ravel() - p.d1
-    cc = _conic_stack(p, rho * rho + zr * zr, zr)[0]
+    R, near = _reach(p, rho, zr)
+    cc = _conic_stack(p, R[near], zr[near])[0]
     counts, undecided = _invariant_counts(quartic_coeffs_from_conic(cc).T)
     if undecided.any():
         counts[undecided] = solve_circle(_circle_rows(cc[:, undecided])).count
-    return counts
+    out = np.zeros(len(near), dtype=counts.dtype)
+    out[near] = counts
+    return out

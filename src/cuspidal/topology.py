@@ -38,6 +38,7 @@ from .critical import (
     DEFAULT_GRID_N,
     CriticalSet,
     _check_census_n,
+    _edge_ends,
     _with_next,
     critical_values,
     find_cusps,
@@ -86,11 +87,10 @@ class AspectMap:
         return TWO_PI / self.grid_n
 
     def nearest(self, theta2, theta3):
-        """Nearest lattice point (i, j) of torus points, shared by every map of
-        this lattice: ints for one point, index arrays for arrays of points."""
-        h = self.spacing
-        i = np.floor((wrap_angle(theta2) + math.pi) / h + 0.5).astype(int) % self.grid_n
-        j = np.floor((wrap_angle(theta3) + math.pi) / h + 0.5).astype(int) % self.grid_n
+        """Nearest lattice point (i, j) of torus points with angles in [-pi,
+        pi), shared by every map of this lattice: ints for one point, index
+        arrays for arrays of points."""
+        i, j = _nearest(self.grid_n, _lattice_u(self.grid_n, theta2, theta3))
         return (int(i), int(j)) if np.ndim(i) == 0 else (i, j)
 
     def point(self, i, j):
@@ -126,7 +126,6 @@ class JointPath:
     waypoints: np.ndarray     # (m, 2) torus points theta2, theta3
     theta1_start: float
     theta1_end: float
-    min_det: float
 
     def __len__(self):
         return len(self.waypoints)
@@ -378,14 +377,13 @@ def _discriminant_lattice(p: DhParams, grid_n: int):
 
 
 def _s_band(curves: CriticalSet) -> np.ndarray:
-    """Both ends of every lattice edge where det J changes sign, the edges
-    the trace crossed (curves.crossings), grown ceil(PS_EXCLUSION_RADIUS /
-    h) + 1 times over the 4-neighbourhood."""
+    """Both ends (_edge_ends) of every lattice edge where det J changes
+    sign, the edges the trace crossed (curves.crossings), grown
+    ceil(PS_EXCLUSION_RADIUS / h) + 1 times over the 4-neighbourhood."""
     n = curves.grid_n
-    along_v, flat = np.divmod(curves.crossings, n * n)
+    _, near, far = _edge_ends(curves.crossings, n)
     band = np.zeros((n, n), dtype=bool)
-    band.ravel()[flat] = True
-    band.ravel()[np.where(along_v, flat - flat % n + (flat + 1) % n, (flat + n) % (n * n))] = True
+    band[near] = band[far] = True
     for _ in range(int(math.ceil(PS_EXCLUSION_RADIUS / (TWO_PI / n))) + 1):
         grown = band.copy()
         for src, dst in ((np.s_[:-1], np.s_[1:]), (np.s_[1:], np.s_[:-1]), (-1, 0), (0, -1)):
@@ -395,11 +393,21 @@ def _s_band(curves: CriticalSet) -> np.ndarray:
     return band
 
 
-def _cell_corners(grid_n: int, theta2, theta3):
+def _lattice_u(grid_n: int, theta2, theta3):
+    """u = (theta + pi) / h of torus points' angles in [-pi, pi): lattice
+    point k sits at u = k."""
+    return tuple((np.asarray(th) + math.pi) / (TWO_PI / grid_n) for th in (theta2, theta3))
+
+
+def _nearest(grid_n: int, u) -> tuple:
+    """(i, j) of the lattice point nearest to lattice coordinates u, floor(u + 1/2)."""
+    return tuple(np.floor(x + 0.5).astype(int) % grid_n for x in u)
+
+
+def _cell_corners(grid_n: int, u):
     """(i, j) index arrays of the four corners of the lattice cell that holds
-    each torus point (angles in [-pi, pi]), floor((theta + pi) / h) first."""
-    h = TWO_PI / grid_n
-    i, j = (np.floor((th + math.pi) / h).astype(int) % grid_n for th in (theta2, theta3))
+    each point at lattice coordinates u, floor(u) first."""
+    i, j = (np.floor(x).astype(int) % grid_n for x in u)
     i1, j1 = (i + 1) % grid_n, (j + 1) % grid_n
     return (i, j), (i1, j), (i, j1), (i1, j1)
 
@@ -441,7 +449,8 @@ def compute_pseudosingularities(curves: CriticalSet) -> PseudoSingularitySet:
         swap = np.concatenate([[False], np.cumsum(flip[:-1]) % 2 == 1])
         pts = np.where(swap[:, None, None], pts[:, ::-1], pts)
         kept = ~np.isnan(pts[..., 0])
-        kept[kept] = ~np.any([band[at] for at in _cell_corners(curves.grid_n, *pts[kept].T)], axis=0)
+        corners = _cell_corners(curves.grid_n, _lattice_u(curves.grid_n, *pts[kept].T))
+        kept[kept] = ~np.any([band[at] for at in corners], axis=0)
         if np.count_nonzero(flip) % 2:
             sheets = [(np.concatenate([pts[:, 0], pts[:, 1]]), np.concatenate(kept.T))]
         else:
@@ -483,8 +492,9 @@ def build_topology(p: DhParams, curves: CriticalSet, grid_n: int) -> TopologyMap
 def _labels(maps: TopologyMaps, ik: IkBatch) -> _LabelBatch:
     """The labels of the solved solutions of an IK batch.
 
-    Labels are read at each solution's nearest lattice point, a corner of
-    the cell floor((theta + pi) / h) that holds it.  The solution is
+    Each angle is wrapped once and read once, as u = (theta + pi) / h
+    (_lattice_u).  Labels are read at the nearest lattice point, floor(u +
+    1/2), a corner of the cell floor(u) that holds it.  The solution is
     on_boundary unless the cell's four corners carry one reduced label
     >= 0.  By _components' construction that holds exactly when det J and D
     keep their signs on the cell's edges and no corner lies in the S band
@@ -492,21 +502,15 @@ def _labels(maps: TopologyMaps, ik: IkBatch) -> _LabelBatch:
     read cannot name the wrong region.
     """
     row, theta = ik.row[ik.solved], ik.theta[ik.solved]
-    th2, th3 = wrap_angle(theta[:, 1]), wrap_angle(theta[:, 2])
-    at = maps.aspects.nearest(th2, th3)
+    n = maps.aspects.grid_n
+    u = _lattice_u(n, wrap_angle(theta[:, 1]), wrap_angle(theta[:, 2]))
+    at = _nearest(n, u)
     lattice = maps.reduced.labels
-    own, *others = _cell_corners(maps.aspects.grid_n, th2, th3)
+    own, *others = _cell_corners(n, u)
     corner = lattice[own]
     on_boundary = (corner < 0) | np.any([lattice[at] != corner for at in others], axis=0)
     return _LabelBatch(row, theta, ik.mult[ik.solved], maps.aspects.labels[at], lattice[at],
                        on_boundary, ik.status)
-
-
-def label_solutions_batch(p: DhParams, maps: TopologyMaps, rho, z) -> list:
-    """label_solutions for arrays of cross-section points (rho, z), from one
-    IK engine pass and one read of the lattice; targets whose IK is
-    degenerate get None instead of raising."""
-    return _labels(maps, solve_ik_batch(p, rho, z)).lists()
 
 
 def label_solutions(p: DhParams, maps: TopologyMaps, target: CrossSectionPoint):
@@ -554,8 +558,9 @@ def find_nonsingular_path(p: DhParams, maps: TopologyMaps,
     points of their aspect (|det J| > 3 PATH_DET_TOL L^3, plus the points
     nearest the two ends), from one Dijkstra run on _path_graph, or None
     when they lie in different aspects.  theta1 is irrelevant to
-    singularities and is carried only at the ends.  SciPy's Dijkstra is
-    imported here, so only a path query loads it."""
+    singularities and is carried only at the ends.  The path comes back
+    unaudited: verify_path is its one audit.  SciPy's Dijkstra is imported
+    here, so only a path query loads it."""
     from scipy.sparse.csgraph import dijkstra
 
     scale = singularity_scale(p)
@@ -581,8 +586,7 @@ def find_nonsingular_path(p: DhParams, maps: TopologyMaps,
         route.append(int(prev[route[-1]]))
     inner = np.column_stack(amap.point(*np.divmod(points[route[-2:0:-1]], amap.grid_n)))
     waypoints = np.vstack([(q_start.theta2, q_start.theta3), inner, (q_goal.theta2, q_goal.theta3)])
-    path = JointPath(waypoints, q_start.theta1, q_goal.theta1, 0.0)
-    return JointPath(waypoints, q_start.theta1, q_goal.theta1, verify_path(p, path).min_det)
+    return JointPath(waypoints, q_start.theta1, q_goal.theta1)
 
 
 def verify_path(p: DhParams, path: JointPath, samples_per_segment: int = 10) -> PathCheck:

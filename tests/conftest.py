@@ -18,8 +18,10 @@ from cuspidal import (
     critical_values,
     find_cusps,
     find_nodes,
+    topology,
     trace_critical_points,
 )
+from cuspidal.reduction import solve_ik_batch
 
 settings.register_profile("repro", deadline=None, derandomize=True)
 settings.load_profile("repro")
@@ -108,6 +110,13 @@ def rational_robot(sp):
         axy=P[0, 0] * P[1, 0] + P[0, 1] * P[1, 1] - u[0] * v[0] - u[1] * v[1],
         ayy=P[1, 0] ** 2 + P[1, 1] ** 2 - v[0] ** 2 - v[1] ** 2,
         uvw=sp.Matrix([u[0] * w[0] + u[1] * w[1], v[0] * w[0] + v[1] * w[1]]))
+
+
+def label_targets(p, maps, rho, z) -> list:
+    """label_solutions for arrays of cross-section points (rho, z), from one
+    IK pass and one read of the lattice; targets whose IK is degenerate get
+    None instead of raising."""
+    return topology._labels(maps, solve_ik_batch(p, rho, z)).lists()
 
 
 def perfbench_inputs():

@@ -534,11 +534,11 @@ def solve_circle(h):
     eps = float(np.finfo(float).eps)
     out_th = np.full((k_rows, 4), np.nan)
     out_m = np.zeros((k_rows, 4), dtype=int)
-    zero = np.zeros(k_rows, dtype=bool)
+    norms = np.zeros(k_rows)
     for k in range(k_rows):
         norm = _quartic_norm(h[k:k + 1])
+        norms[k] = norm[0]
         if norm[0] < 1e-300:
-            zero[k] = True
             continue
         row = h[k:k + 1] / norm[:, None]
         c1 = 0.5 * (row[:, 1] - 1j * row[:, 2])
@@ -563,7 +563,7 @@ def solve_circle(h):
         roots = sorted((float(wrap_angle(rep)), mult) for rep, mult in _cluster(expanded))
         for slot, (rep, mult) in enumerate(roots):
             out_th[k, slot], out_m[k, slot] = rep, mult
-    return RootBatch(out_th, out_m, zero)
+    return RootBatch(out_th, out_m, norms)
 
 
 # --------------------------------------------------------------------------
@@ -909,8 +909,7 @@ def labels(maps, ik):
 
 def find_nonsingular_path(p, maps, q_start, q_goal):
     """topology.find_nonsingular_path as an A* search with its state in dicts
-    and a set keyed by (i, j) lattice-point tuples, audited by verify_path
-    below."""
+    and a set keyed by (i, j) lattice-point tuples."""
     scale = singularity_scale(p)
     tol = PATH_DET_TOL * scale
     for q in (q_start, q_goal):
@@ -966,10 +965,7 @@ def find_nonsingular_path(p, maps, q_start, q_goal):
     for c in cells[1:-1]:
         pts.append(np.array(amap.point(*c)))
     pts.append(np.array([q_goal.theta2, q_goal.theta3]))
-    waypoints = np.array(pts)
-    path = JointPath(waypoints, q_start.theta1, q_goal.theta1, 0.0)
-    check = verify_path(p, path)
-    return JointPath(waypoints, q_start.theta1, q_goal.theta1, check.min_det)
+    return JointPath(np.array(pts), q_start.theta1, q_goal.theta1)
 
 
 def verify_path(p, path, samples_per_segment: int = 10):

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import jsonschema
@@ -552,6 +553,46 @@ def test_plot_c3s3_unreachable_zero_markers(tmp_path, capsys):
     svg = (tmp_path / "orthogonal_cuspidal.c3s3.svg").read_text()
     assert '<circle class="intersection-marker"' not in svg
     assert 'class="conic' in svg
+
+
+def _main_without_warnings(args) -> tuple:
+    """main(args) with every warning recorded, not raised: (exit code,
+    warnings)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(args)
+    return rc, caught
+
+
+@pytest.mark.parametrize("point,shown", [("inf,0", "(inf, 0.0)"), ("nan,0", "(nan, 0.0)"),
+                                         ("1,-inf", "(1.0, -inf)")])
+def test_plot_c3s3_refuses_a_non_finite_point(tmp_path, capsys, point, shown):
+    """A point that is not finite exits 1 with one error line that names it,
+    before any conic is evaluated, so with no warning."""
+    rc, caught = _main_without_warnings(["plot", "c3s3", "--robot", BATTERY, "--name",
+                                         "orthogonal_cuspidal", "--point", point,
+                                         "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert rc == 1 and caught == []
+    assert captured.out == "" and captured.err == f"error: cross-section point {shown} must be finite\n"
+
+
+@pytest.mark.parametrize("rho", ["1e80", "1e160"])
+def test_far_points_have_no_ik_and_no_c3s3_conic(tmp_path, capsys, rho):
+    """A point far beyond reach has no IK solution; its c3s3 conic, whose
+    terms overflow, exits 1 with one error line; neither warns."""
+    rc, caught = _main_without_warnings(["ik", "--robot", BATTERY, "--name",
+                                         "orthogonal_cuspidal", "--point", f"{rho},0"])
+    captured = capsys.readouterr()
+    assert rc == 0 and caught == [] and captured.err == ""
+    assert json.loads(captured.out)["solutions"] == []
+    rc, caught = _main_without_warnings(["plot", "c3s3", "--robot", BATTERY, "--name",
+                                         "orthogonal_cuspidal", "--point", f"{rho},0",
+                                         "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert rc == 1 and caught == []
+    assert captured.out == ""
+    assert captured.err == f"error: the conic at ({float(rho)}, 0.0) is not finite\n"
 
 
 def test_plot_rerun_byte_identical(tmp_path, capsys):

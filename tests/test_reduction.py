@@ -17,6 +17,7 @@ from cuspidal import (
     cross_section,
     f_coefficients,
     forward_kinematics,
+    length_scale,
     quartic_from_conic,
     singularity_scale,
     solve_ik,
@@ -442,6 +443,44 @@ def test_unreachable_target_empty():
     sols = solve_ik(REFERENCE, Pose3(50.0, 0.0, 0.0))
     assert sols.solutions == ()
     assert sols.n == 0
+
+
+@pytest.mark.parametrize("far", [1e80, 1e160])
+def test_far_targets_have_no_solution_and_count_zero(far):
+    """Every reachable point has rho^2 + (z - d1)^2 <= L^2: a target
+    beyond it gets no solution and count 0 without its conic, whose terms
+    overflow (RuntimeWarning is an error here), and the targets beside it in
+    a batch keep their bits; the one-target conic refuses to overflow."""
+    p = REFERENCE
+    assert solve_ik(p, Pose3(far, 0.0, 0.0)) == solve_ik(p, Pose3(0.0, 0.0, -far))
+    assert solve_ik(p, Pose3(far, 0.0, 0.0)).solutions == ()
+    assert ik_counts(p, [far, 2.0, 0.0], [0.0, 0.5, far]).tolist() == [0, 4, 0]
+    near = solve_ik_batch(p, [2.0, 1.0], [0.5, 0.3])
+    batch = solve_ik_batch(p, [2.0, far, 1.0], [0.5, 0.0, 0.3])
+    assert batch.status.tolist() == [0, 0, 0]
+    assert batch.row.tolist() == np.where(near.row == 0, 0, 2).tolist()
+    for name in ("t", "mult", "theta", "solved"):
+        assert getattr(batch, name).tobytes() == getattr(near, name).tobytes(), name
+    with pytest.raises(ValueError, match=r"the conic at \(1e\+\d+, 0\.0\) is not finite"):
+        conic_coefficients(p, CrossSectionPoint(far, 0.0))
+
+
+def test_out_of_reach_is_beyond_the_length_scale():
+    """A target just past L on a robot that reaches L (all offsets zero, so
+    the links can stretch along one line) has no solution, and one just
+    inside keeps its two solutions either side of the stretched pose."""
+    p = DhParams(0, 0, 0, 1, 2, 1.5, -math.pi / 2, math.pi / 2)
+    L = length_scale(p)
+    assert solve_ik(p, Pose3(L * (1.0 + 1e-12), 0.0, 0.0)).solutions == ()
+    assert ik_counts(p, L * (1.0 + 1e-12), 0.0).tolist() == [0]
+    inside = solve_ik(p, Pose3(L * (1.0 - 1e-6), 0.0, 0.0))
+    assert inside.n == 2 and ik_counts(p, L * (1.0 - 1e-6), 0.0).tolist() == [2]
+
+
+@pytest.mark.parametrize("rho,z", [(math.inf, 0.0), (math.nan, 0.0), (1.0, -math.inf)])
+def test_cross_section_points_must_be_finite(rho, z):
+    with pytest.raises(ValueError, match=r"cross-section point \(.*\) must be finite"):
+        CrossSectionPoint(rho, z)
 
 
 def test_back_substitution_singular_flagged():

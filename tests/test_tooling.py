@@ -9,8 +9,9 @@ no least squares or multi-unknown Newton in the package, one harmonic row
 format for the trigonometric polynomials on the theta circle, PS lifted
 from S with no marching squares or crossing refinement of its own, S as
 closed loops with one seam rule, lattice passes with no rolled copy, 2-D
-nonzero or sort, root clusters that add no float with builtin sum, and no
-definition of a test reference module that no test reaches."""
+nonzero or sort, root clusters that add no float with builtin sum, no
+definition of a test reference module that no test reaches, and each query
+step (path audit, row norm, angle wrap, crossed-edge decoding) done once."""
 import ast
 import functools
 import os
@@ -622,6 +623,32 @@ def test_the_s_band_reads_the_traces_crossings():
     assert "_s_band" in _reading_scopes(tree, "crossings")
 
 
+# Each step of a query runs once, in the module that owns it: the path search
+# returns its path unaudited (verify_path is the audit), the IK stage reads
+# each row's norm off solve_circle's RootBatch, a label wraps each angle once
+# before AspectMap.nearest reads it, and the S band reads the trace's crossed
+# edges through critical's one decoder.  (module, function, callee it must
+# not call)
+ONCE_RULES = (("topology.py", "find_nonsingular_path", "verify_path"),
+              ("reduction.py", "_solve_cross_section", "_quartic_norm"),
+              ("topology.py", "nearest", "wrap_angle"),
+              ("topology.py", "_s_band", "divmod"))
+
+
+def _broken_once_rules(trees: dict) -> list:
+    """The ONCE_RULES whose function calls its callee in trees[module]."""
+    return [(module, scope, callee) for module, scope, callee in ONCE_RULES
+            if scope in {s for s, _ in _callers(trees[module], callee)}]
+
+
+def test_each_query_step_runs_once():
+    trees = {name: _tree(PACKAGE / name) for name in ("topology.py", "reduction.py")}
+    assert _broken_once_rules(trees) == []
+    assert {scope for scope, _ in _callers(_tree(PACKAGE / "critical.py"), "_edge_ends")} \
+        == {"_crossing_points"}
+    assert "_s_band" in {scope for scope, _ in _callers(trees["topology.py"], "_edge_ends")}
+
+
 # Nodes are the roots of two quadratics: the branch polish serves the cusps
 # alone, and neither find_nodes nor its candidates read a traced curve.
 def test_nodes_run_no_newton_and_read_no_traced_curve():
@@ -784,6 +811,13 @@ def test_checks_see_what_they_look_for():
                                   "class C:\n    def m(self):\n        return solve()\n"
                                   "def lone():\n    return other()\n")])
     assert _reached(refs, "f") == {"g", "h", "k", "C", "m", "solve"}
+    broken = {"topology.py": ast.parse(
+                  "def find_nonsingular_path(p, maps, a, b):\n    return verify_path(p, a)\n"
+                  "class AspectMap:\n    def nearest(self, a, b):\n        return wrap_angle(a)\n"
+                  "def _s_band(curves):\n    return np.divmod(curves.crossings, 4)\n"),
+              "reduction.py": ast.parse("def _solve_cross_section(p, rho, zr):\n"
+                                        "    return _quartic_norm(h)\n")}
+    assert _broken_once_rules(broken) == list(ONCE_RULES)
     fn = ast.parse("def f(out, members):\n    m = sum(out[(k + i) % n][1] for i in range(3))\n"
                    "    return sum(wrap_float(a) for a in members) + sum(x)\n").body[0]
     assert _float_sums(fn) == [3, 3]

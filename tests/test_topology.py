@@ -31,7 +31,7 @@ from cuspidal.errors import NonGenericRobotError, StartOrGoalSingularError
 from cuspidal.geometry import TorusCurveIndex
 from cuspidal.reduction import solve_ik_batch
 from cuspidal.robotfile import parse_robot_file
-from cuspidal.topology import PS_EXCLUSION_RADIUS, JointPath, _components, label_solutions_batch
+from cuspidal.topology import PS_EXCLUSION_RADIUS, JointPath, _components
 
 from conftest import (
     BINARY_ROBOT,
@@ -44,6 +44,7 @@ from conftest import (
     NONORTHO_NONCUSPIDAL,
     REFERENCE,
     TEST_GRID,
+    label_targets,
     perfbench_inputs,
     random_valid_params,
     robot_draws,
@@ -288,7 +289,7 @@ def _sample_every_candidate(p, census, maps, samples):
         for r in range(stride):
             ordered.extend(cells[r::stride].tolist())
     targets = [CrossSectionPoint(float(rc[i]), float(zc[j])) for i, j in ordered]
-    labelled = label_solutions_batch(p, maps, [t.rho for t in targets], [t.z for t in targets])
+    labelled = label_targets(p, maps, [t.rho for t in targets], [t.z for t in targets])
     kept = [(t, labels) for t, labels in zip(targets, labelled)
             if labels is not None and len(labels) >= 2
             and not any(l.on_boundary or l.singular_cell or l.multiplicity != 1 for l in labels)]
@@ -568,7 +569,7 @@ def test_batched_labels_equal_one_target_calls(ref_maps, analysis):
     rc, zc = census.centers()
     cells = np.argwhere(census.counts == 4)
     assert len(cells) > 20
-    batch = label_solutions_batch(REFERENCE, ref_maps, rc[cells[:, 0]], zc[cells[:, 1]])
+    batch = label_targets(REFERENCE, ref_maps, rc[cells[:, 0]], zc[cells[:, 1]])
     assert len(batch) == len(cells)
     for (i, j), labels in zip(cells, batch):
         alone = label_solutions(REFERENCE, ref_maps, CrossSectionPoint(float(rc[i]), float(zc[j])))
@@ -643,7 +644,7 @@ def test_clean_labels_sit_where_their_lattice_point_has_their_signs(name, analys
     rc, zc = census.centers()
     cells = np.argwhere(census.counts >= 4)
     th2, th3 = [], []
-    for labels in label_solutions_batch(p, maps, rc[cells[:, 0]], zc[cells[:, 1]]):
+    for labels in label_targets(p, maps, rc[cells[:, 0]], zc[cells[:, 1]]):
         for l in labels or []:
             if not (l.on_boundary or l.singular_cell or l.multiplicity != 1):
                 th2.append(l.config.theta2)
@@ -761,7 +762,7 @@ def test_path_rejects_singular_endpoint(ref_maps, analysis):
 
 
 def test_verify_path_constant_valid():
-    path = JointPath(np.array([[-0.742, 2.628]]), 0.0, 0.0, 0.0)
+    path = JointPath(np.array([[-0.742, 2.628]]), 0.0, 0.0)
     assert verify_path(REFERENCE, path).valid
 
 
@@ -769,6 +770,5 @@ def test_verify_path_crossing_invalid(analysis):
     v = analysis.curves(REFERENCE)[0].vertices[7]
     g2, g3 = v[0], v[1]
     # straight segment passing through a critical point
-    path = JointPath(np.array([[g2 - 0.2, g3 - 0.2], [g2 + 0.2, g3 + 0.2]]),
-                     0.0, 0.0, 0.0)
+    path = JointPath(np.array([[g2 - 0.2, g3 - 0.2], [g2 + 0.2, g3 + 0.2]]), 0.0, 0.0)
     assert not verify_path(REFERENCE, path, samples_per_segment=41).valid
